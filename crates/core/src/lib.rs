@@ -55,9 +55,9 @@ pub use kessler_filters::{FilterChain, FilterConfig, FilterDecision};
 pub use metrics::{Histogram, HistogramSummary, PhaseSeries, PhaseSummaries};
 pub use planner::{MemoryModel, PlannerReport};
 pub use screener::gpu::{GpuGridScreener, GpuHybridScreener, MultiDeviceGridScreener};
-pub use screener::grid::GridScreener;
+pub use screener::grid::{refine_grid_entries, GridScreener};
 pub use screener::hybrid::{
-    group_pairs, hybrid_screen_job, refine_filtered_pair, GroupedPair, HybridScreener,
+    group_pairs, refine_filtered_pair, refine_hybrid_entries, GroupedPair, HybridScreener,
 };
 pub use screener::legacy::LegacyScreener;
 pub use screener::sgp4_grid::Sgp4GridScreener;

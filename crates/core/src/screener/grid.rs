@@ -1,22 +1,18 @@
 //! The purely grid-based screening variant (§III, §IV).
 
-use crate::cancel::{CancelToken, Cancelled};
+use crate::cancel::{check_opt, CancelToken, Cancelled};
 use crate::config::{ScreeningConfig, Variant};
 use crate::conjunction::{dedup_conjunctions, Conjunction, ScreeningReport};
-use crate::planner::MemoryModel;
-use crate::refine::{grid_refine_interval, refine_pair};
+use crate::planner::{MemoryModel, PlannerReport};
+use crate::refine::{grid_refine_interval, refine_pair, Refined, REFINE_CHUNK};
 use crate::screener::grid_phase::run_grid_phase_cancellable;
 use crate::screener::{run_in_pool, Screener};
 use crate::timing::{PhaseTimer, PhaseTimings};
+use kessler_grid::CandidatePair;
 use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements};
 use rayon::prelude::*;
 use std::collections::HashSet;
 use std::time::Instant;
-
-/// Refinement proceeds in chunks of this many candidate entries between
-/// cancellation checks: large enough that the per-chunk rayon dispatch is
-/// noise, small enough that a CANCEL lands within a few ms of work.
-const REFINE_CHUNK: usize = 8192;
 
 /// Grid-based conjunction screener.
 ///
@@ -50,62 +46,84 @@ impl GridScreener {
         &self.config
     }
 
-    /// Screen `population` while checking `cancel` at phase boundaries:
-    /// between grid sampling steps and between refinement chunks of
-    /// [`REFINE_CHUNK`] candidates. A screen that completes without the
-    /// token tripping returns exactly the report [`Screener::screen`]
-    /// would have produced.
-    pub fn screen_cancellable(
+    /// The full grid pipeline as a cancellable job, on the configured
+    /// thread pool: `cancel`, when given, is checked at phase boundaries —
+    /// between grid sampling steps and between refinement chunks. A job
+    /// that completes returns the same report with or without a token.
+    pub fn screen_job(
         &self,
         population: &[KeplerElements],
-        cancel: &CancelToken,
+        cancel: Option<&CancelToken>,
     ) -> Result<ScreeningReport, Cancelled> {
-        let config = self.config;
-        let solver = self.solver;
-        run_in_pool(config.threads, move || {
-            screen_body(&config, &solver, population, Some(cancel))
+        run_in_pool(self.config.threads, || {
+            let config = &self.config;
+            let wall = Instant::now();
+            let mut timings = PhaseTimings::default();
+            let planner = MemoryModel::new(Variant::Grid).plan(population.len(), config);
+
+            // Step 1 (§III): fixed allocations — satellite data and the
+            // precomputed Kepler solver constants.
+            let propagator = BatchPropagator::new(population);
+
+            // Steps 2: propagation, insertion, pair identification.
+            let phase =
+                run_grid_phase_cancellable(&propagator, config, &planner, &mut timings, cancel)?;
+            let candidate_entries = phase.entries.len();
+
+            let refined = refine_grid_entries(
+                &propagator,
+                &phase.entries,
+                &planner,
+                config,
+                &self.solver,
+                &mut timings,
+                cancel,
+            )?;
+
+            timings.total = wall.elapsed();
+            Ok(ScreeningReport {
+                variant: Variant::Grid.label().to_string(),
+                n_satellites: population.len(),
+                config: *config,
+                conjunctions: refined.conjunctions,
+                candidate_entries,
+                candidate_pairs: refined.candidate_pairs,
+                pair_set_regrows: phase.regrows,
+                timings,
+                planner,
+                filter_stats: None,
+                device_metrics: None,
+            })
         })
     }
 }
 
-/// The full grid pipeline, shared between the infallible and the
-/// cancellable entry points.
-fn screen_body(
+/// The grid variant's post-extraction stage (step 4, §IV-C): one Brent
+/// PCA/TCA search per candidate occurrence, all independent, then TCA
+/// dedup. The cold screen and the service's delta screen both end in this
+/// function, which is what makes a delta's changed pairs refine to the
+/// conjunctions a cold screen finds. Must be called from inside the rayon
+/// pool the caller wants the parallel phase to run on.
+pub fn refine_grid_entries(
+    propagator: &BatchPropagator,
+    entries: &[CandidatePair],
+    planner: &PlannerReport,
     config: &ScreeningConfig,
     solver: &ContourSolver,
-    population: &[KeplerElements],
+    timings: &mut PhaseTimings,
     cancel: Option<&CancelToken>,
-) -> Result<ScreeningReport, Cancelled> {
-    let wall = Instant::now();
-    let mut timings = PhaseTimings::default();
-    let planner = MemoryModel::new(Variant::Grid).plan(population.len(), config);
-
-    // Step 1 (§III): fixed allocations — satellite data and the
-    // precomputed Kepler solver constants.
-    let propagator = BatchPropagator::new(population);
-
-    // Steps 2: propagation, insertion, pair identification.
-    let phase = run_grid_phase_cancellable(&propagator, config, &planner, &mut timings, cancel)?;
-    let candidate_entries = phase.entries.len();
-    let candidate_pairs = phase
-        .entries
+) -> Result<Refined, Cancelled> {
+    let candidate_pairs = entries
         .iter()
         .map(|e| (e.id_lo, e.id_hi))
         .collect::<HashSet<_>>()
         .len();
-
-    // Step 4: PCA/TCA determination, one Brent search per candidate
-    // occurrence, all independent (§IV-C). Chunked so a tripped token is
-    // observed between chunks; chunk outputs are appended in order, which
-    // keeps the result identical to the single par_iter pass.
     let mut found: Vec<Conjunction> = Vec::new();
     {
         let _timer = PhaseTimer::start(&mut timings.refinement);
         let columns = propagator.columns();
-        for chunk in phase.entries.chunks(REFINE_CHUNK) {
-            if let Some(token) = cancel {
-                token.check()?;
-            }
+        for chunk in entries.chunks(REFINE_CHUNK) {
+            check_opt(cancel)?;
             found.par_extend(chunk.par_iter().filter_map(|entry| {
                 // Gather the two satellites' constants out of the SoA
                 // columns for the scalar Brent search.
@@ -125,32 +143,17 @@ fn screen_body(
             }));
         }
     }
-    found = dedup_conjunctions(found, config.tca_dedup_tolerance_s);
-
-    timings.total = wall.elapsed();
-    Ok(ScreeningReport {
-        variant: Variant::Grid.label().to_string(),
-        n_satellites: population.len(),
-        config: *config,
-        conjunctions: found,
-        candidate_entries,
+    Ok(Refined {
+        conjunctions: dedup_conjunctions(found, config.tca_dedup_tolerance_s),
         candidate_pairs,
-        pair_set_regrows: phase.regrows,
-        timings,
-        planner,
         filter_stats: None,
-        device_metrics: None,
     })
 }
 
 impl Screener for GridScreener {
     fn screen(&self, population: &[KeplerElements]) -> ScreeningReport {
-        let config = self.config;
-        let solver = self.solver;
-        run_in_pool(config.threads, move || {
-            screen_body(&config, &solver, population, None)
-                .expect("uncancellable screen cannot be cancelled")
-        })
+        self.screen_job(population, None)
+            .expect("uncancellable screen cannot be cancelled")
     }
 
     fn label(&self) -> &str {
@@ -258,7 +261,7 @@ mod tests {
         let plain = screener.screen(&pop);
         let token = CancelToken::new();
         let tokened = screener
-            .screen_cancellable(&pop, &token)
+            .screen_job(&pop, Some(&token))
             .expect("never tripped");
         assert_eq!(plain.conjunction_count(), tokened.conjunction_count());
         assert_eq!(plain.candidate_entries, tokened.candidate_entries);
@@ -275,7 +278,7 @@ mod tests {
         let config = ScreeningConfig::grid_defaults(2.0, 600.0);
         let token = CancelToken::new();
         token.cancel();
-        let result = GridScreener::new(config).screen_cancellable(&pop, &token);
+        let result = GridScreener::new(config).screen_job(&pop, Some(&token));
         assert_eq!(result.unwrap_err(), crate::cancel::Cancelled);
     }
 

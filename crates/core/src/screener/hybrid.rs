@@ -6,7 +6,7 @@ use crate::cancel::{check_opt, CancelToken, Cancelled};
 use crate::config::{ScreeningConfig, Variant};
 use crate::conjunction::{dedup_conjunctions, Conjunction, ScreeningReport};
 use crate::planner::{MemoryModel, PlannerReport};
-use crate::refine::{grid_refine_interval, refine_pair};
+use crate::refine::{grid_refine_interval, refine_pair, Refined, REFINE_CHUNK};
 use crate::screener::grid_phase::run_grid_phase_cancellable;
 use crate::screener::{run_in_pool, Screener};
 use crate::timing::{PhaseTimer, PhaseTimings};
@@ -16,10 +16,6 @@ use kessler_orbits::propagator::PropagationConstants;
 use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements};
 use rayon::prelude::*;
 use std::time::Instant;
-
-/// Filter evaluation and refinement proceed in chunks of this many grouped
-/// pairs between cancellation checks — same granularity as the grid path.
-const REFINE_CHUNK: usize = 8192;
 
 /// Hybrid conjunction screener.
 pub struct HybridScreener {
@@ -64,21 +60,55 @@ impl HybridScreener {
         &self.config
     }
 
-    /// Screen `population` while checking `cancel` at phase boundaries:
+    /// The full hybrid pipeline as a cancellable job, on the configured
+    /// thread pool: `cancel`, when given, is checked at phase boundaries —
     /// between grid sampling steps, between filter-evaluation chunks, and
-    /// between refinement chunks of [`REFINE_CHUNK`] grouped pairs. A
-    /// screen that completes without the token tripping returns exactly
-    /// the report [`Screener::screen`] would have produced.
-    pub fn screen_cancellable(
+    /// between refinement chunks. A job that completes returns the same
+    /// report with or without a token.
+    pub fn screen_job(
         &self,
         population: &[KeplerElements],
-        cancel: &CancelToken,
+        cancel: Option<&CancelToken>,
     ) -> Result<ScreeningReport, Cancelled> {
-        let config = self.config;
-        let filter_config = self.filter_config;
-        let solver = self.solver;
-        run_in_pool(config.threads, move || {
-            hybrid_screen_job(&config, &filter_config, &solver, population, Some(cancel))
+        run_in_pool(self.config.threads, || {
+            let config = &self.config;
+            let wall = Instant::now();
+            let mut timings = PhaseTimings::default();
+            let planner = MemoryModel::new(Variant::Hybrid).plan(population.len(), config);
+
+            let propagator = BatchPropagator::new(population);
+
+            // Grid pre-filter at the (possibly reduced) hybrid step size.
+            let phase =
+                run_grid_phase_cancellable(&propagator, config, &planner, &mut timings, cancel)?;
+            let candidate_entries = phase.entries.len();
+
+            let refined = refine_hybrid_entries(
+                &propagator,
+                population,
+                phase.entries,
+                &planner,
+                config,
+                &self.filter_config,
+                &self.solver,
+                &mut timings,
+                cancel,
+            )?;
+
+            timings.total = wall.elapsed();
+            Ok(ScreeningReport {
+                variant: Variant::Hybrid.label().to_string(),
+                n_satellites: population.len(),
+                config: *config,
+                conjunctions: refined.conjunctions,
+                candidate_entries,
+                candidate_pairs: refined.candidate_pairs,
+                pair_set_regrows: phase.regrows,
+                timings,
+                planner,
+                filter_stats: refined.filter_stats,
+                device_metrics: None,
+            })
         })
     }
 }
@@ -145,32 +175,29 @@ pub fn refine_filtered_pair(
     local
 }
 
-/// The full hybrid pipeline as a pure, cancellable job function, shared
-/// between [`Screener::screen`], [`HybridScreener::screen_cancellable`],
-/// and the service execution layer. Must be called from inside the rayon
-/// pool the caller wants the parallel phases to run on.
-pub fn hybrid_screen_job(
+/// The hybrid variant's post-extraction stage (steps 3 and 4, §III): group
+/// the (pair, step) entries into unique pairs, run the orbital filter chain
+/// over them, refine the survivors inside the filter-derived windows, dedup
+/// and clip to the screened span. The cold screen and the service's delta
+/// screen both end in this function, which is what makes a delta's changed
+/// pairs refine to the conjunctions a cold screen finds. Must be called
+/// from inside the rayon pool the caller wants the parallel phases on.
+#[allow(clippy::too_many_arguments)] // the grid stage's inputs plus what the chain reads
+pub fn refine_hybrid_entries(
+    propagator: &BatchPropagator,
+    population: &[KeplerElements],
+    entries: Vec<kessler_grid::CandidatePair>,
+    planner: &PlannerReport,
     config: &ScreeningConfig,
     filter_config: &FilterConfig,
     solver: &ContourSolver,
-    population: &[KeplerElements],
+    timings: &mut PhaseTimings,
     cancel: Option<&CancelToken>,
-) -> Result<ScreeningReport, Cancelled> {
-    let wall = Instant::now();
-    let mut timings = PhaseTimings::default();
-    let planner = MemoryModel::new(Variant::Hybrid).plan(population.len(), config);
-
-    let propagator = BatchPropagator::new(population);
-
-    // Grid pre-filter at the (possibly reduced) hybrid step size.
-    let phase = run_grid_phase_cancellable(&propagator, config, &planner, &mut timings, cancel)?;
-    let candidate_entries = phase.entries.len();
-    let grouped = group_pairs(phase.entries);
-    let candidate_pairs = grouped.len();
+) -> Result<Refined, Cancelled> {
+    let grouped = group_pairs(entries);
 
     // Step 3 (§III): orbital filters on the unique pairs. Chunked so a
-    // tripped token is observed between chunks; chunk outputs extend in
-    // order, which keeps the result identical to one par_iter pass.
+    // tripped token is observed between chunks.
     let chain = FilterChain::new(*filter_config);
     let span = Interval::new(0.0, config.span_seconds);
     let mut decisions: Vec<FilterDecision> = Vec::with_capacity(grouped.len());
@@ -206,7 +233,7 @@ pub fn hybrid_screen_job(
                         solver,
                         g,
                         decision,
-                        &planner,
+                        planner,
                         config.threshold_km,
                     )
                 },
@@ -217,31 +244,17 @@ pub fn hybrid_screen_job(
     // Conjunctions must lie inside the screened span.
     found.retain(|c| c.tca >= span.start - 1e-9 && c.tca <= span.end + 1e-9);
 
-    timings.total = wall.elapsed();
-    Ok(ScreeningReport {
-        variant: Variant::Hybrid.label().to_string(),
-        n_satellites: population.len(),
-        config: *config,
+    Ok(Refined {
         conjunctions: found,
-        candidate_entries,
-        candidate_pairs,
-        pair_set_regrows: phase.regrows,
-        timings,
-        planner,
+        candidate_pairs: grouped.len(),
         filter_stats: Some(chain.stats.snapshot()),
-        device_metrics: None,
     })
 }
 
 impl Screener for HybridScreener {
     fn screen(&self, population: &[KeplerElements]) -> ScreeningReport {
-        let config = self.config;
-        let filter_config = self.filter_config;
-        let solver = self.solver;
-        run_in_pool(config.threads, move || {
-            hybrid_screen_job(&config, &filter_config, &solver, population, None)
-                .expect("uncancellable screen cannot be cancelled")
-        })
+        self.screen_job(population, None)
+            .expect("uncancellable screen cannot be cancelled")
     }
 
     fn label(&self) -> &str {
@@ -382,7 +395,7 @@ mod tests {
         let plain = screener.screen(&pop);
         let token = CancelToken::new();
         let tokened = screener
-            .screen_cancellable(&pop, &token)
+            .screen_job(&pop, Some(&token))
             .expect("never tripped");
         assert_eq!(plain.conjunction_count(), tokened.conjunction_count());
         assert_eq!(plain.candidate_entries, tokened.candidate_entries);
@@ -400,7 +413,7 @@ mod tests {
         let config = ScreeningConfig::hybrid_defaults(2.0, 600.0);
         let token = CancelToken::new();
         token.cancel();
-        let result = HybridScreener::new(config).screen_cancellable(&pop, &token);
+        let result = HybridScreener::new(config).screen_job(&pop, Some(&token));
         assert_eq!(result.unwrap_err(), Cancelled);
     }
 }

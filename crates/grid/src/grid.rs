@@ -131,6 +131,22 @@ impl SpatialGrid {
         self.map.lookup(key.0)
     }
 
+    /// Visit every satellite stored in the cell holding `position` and in
+    /// its 26 neighbours — the point query behind "who is near this
+    /// satellite at this step?" (§III-A). A satellite inserted at
+    /// `position` is itself among those visited.
+    pub fn for_each_near(&self, position: Vec3, mut visit: impl FnMut(u32)) {
+        let key = cell_key_of(position, self.cell_size);
+        let neighbors = FULL_NEIGHBORHOOD
+            .iter()
+            .filter_map(|&(dx, dy, dz)| key.offset(dx, dy, dz));
+        for cell in std::iter::once(key).chain(neighbors) {
+            if let Some(slot) = self.lookup_cell(cell) {
+                self.cell_members(slot).for_each(&mut visit);
+            }
+        }
+    }
+
     /// Cell key stored at a map slot.
     #[inline]
     pub fn cell_key_at(&self, slot: usize) -> Option<CellKey> {
@@ -296,6 +312,23 @@ mod tests {
         let positions = [Vec3::new(5.0, 5.0, 5.0), Vec3::new(25.0, 5.0, 5.0)];
         grid.insert_all(&positions).unwrap();
         assert!(pairs_of(&grid, NeighborScan::Half).is_empty());
+    }
+
+    #[test]
+    fn point_query_visits_own_and_adjacent_cells_only() {
+        let grid = SpatialGrid::new(4, 10.0);
+        // Cells (0,0,0), (0,0,0), (1,1,1) and (2,0,0).
+        let positions = [
+            Vec3::new(5.0, 5.0, 5.0),
+            Vec3::new(6.0, 6.0, 6.0),
+            Vec3::new(10.1, 10.1, 10.1),
+            Vec3::new(25.0, 5.0, 5.0),
+        ];
+        grid.insert_all(&positions).unwrap();
+        let mut near = Vec::new();
+        grid.for_each_near(positions[0], |id| near.push(id));
+        near.sort_unstable();
+        assert_eq!(near, vec![0, 1, 2]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! adding `n·dt` to an already-wrapped mean anomaly accumulates one float
 //! rounding per step, so a daemon advancing every few seconds for weeks
 //! drifts measurably; `M(t) = M₀ + n·t` from the stored base is one rounding
-//! total, the same scheme the sliding-window scheduler uses.
+//! total.
 
 use crate::error::ServiceError;
 use kessler_orbits::KeplerElements;
@@ -260,14 +260,29 @@ impl Catalog {
         }
     }
 
-    /// Insert a new satellite; returns its dense index.
-    pub fn add(&mut self, id: u64, elements: KeplerElements) -> Result<u32, CatalogError> {
+    /// Whether `add(id, …)` would succeed: the id must be new and the
+    /// dense index space must have room. The one statement of the ADD
+    /// rules — request planning consults it, [`Catalog::add`] enforces it.
+    pub fn check_add(&self, id: u64) -> Result<(), CatalogError> {
         if self.index_of.contains_key(&id) {
             return Err(CatalogError::DuplicateId(id));
         }
         if self.ids.len() as u32 >= kessler_grid::pairset::MAX_ID {
             return Err(CatalogError::Full);
         }
+        Ok(())
+    }
+
+    /// Dense index of a satellite that must exist — the one statement of
+    /// the UPDATE/REMOVE rule, consulted by request planning and enforced
+    /// by [`Catalog::update`] and [`Catalog::remove`].
+    pub fn check_present(&self, id: u64) -> Result<u32, CatalogError> {
+        self.index_of(id).ok_or(CatalogError::UnknownId(id))
+    }
+
+    /// Insert a new satellite; returns its dense index.
+    pub fn add(&mut self, id: u64, elements: KeplerElements) -> Result<u32, CatalogError> {
+        self.check_add(id)?;
         let index = self.ids.len() as u32;
         let base = self.rebase(&elements);
         self.epoch += 1;
@@ -282,7 +297,7 @@ impl Catalog {
     /// Replace the elements of an existing satellite; returns its dense
     /// index.
     pub fn update(&mut self, id: u64, elements: KeplerElements) -> Result<u32, CatalogError> {
-        let index = *self.index_of.get(&id).ok_or(CatalogError::UnknownId(id))?;
+        let index = self.check_present(id)?;
         let base = self.rebase(&elements);
         self.epoch += 1;
         Arc::make_mut(&mut self.elements)[index as usize] = elements;
@@ -291,18 +306,9 @@ impl Catalog {
         Ok(index)
     }
 
-    /// Add or update, whichever applies; returns the dense index.
-    pub fn upsert(&mut self, id: u64, elements: KeplerElements) -> Result<u32, CatalogError> {
-        if self.contains(id) {
-            self.update(id, elements)
-        } else {
-            self.add(id, elements)
-        }
-    }
-
     /// Remove a satellite with `swap_remove` semantics.
     pub fn remove(&mut self, id: u64) -> Result<Removal, CatalogError> {
-        let index = *self.index_of.get(&id).ok_or(CatalogError::UnknownId(id))?;
+        let index = self.check_present(id)?;
         let last = (self.ids.len() - 1) as u32;
         self.epoch += 1;
         self.index_of.remove(&id);
@@ -328,8 +334,8 @@ impl Catalog {
 
     /// Shift every satellite's epoch forward by `dt` seconds: mean anomaly
     /// advances by `n·dt` (exact under two-body propagation), all other
-    /// elements are unchanged. Used by the sliding-window scheduler; this
-    /// is a uniform re-epoching, so per-satellite generations stay put.
+    /// elements are unchanged. This is a uniform re-epoching, so
+    /// per-satellite generations stay put.
     ///
     /// Propagation is absolute — `M(t) = M₀ + n·t` from the stored epoch-0
     /// elements — so N small advances land within float rounding of one
@@ -430,15 +436,6 @@ mod tests {
         last = cat.epoch();
         cat.remove(1).unwrap();
         assert!(cat.epoch() > last);
-    }
-
-    #[test]
-    fn upsert_adds_then_updates() {
-        let mut cat = Catalog::new();
-        assert_eq!(cat.upsert(5, el(7_000.0)).unwrap(), 0);
-        assert_eq!(cat.upsert(5, el(7_010.0)).unwrap(), 0);
-        assert_eq!(cat.len(), 1);
-        assert_eq!(cat.elements()[0].semi_major_axis, 7_010.0);
     }
 
     #[test]

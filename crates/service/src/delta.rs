@@ -22,23 +22,19 @@
 
 use crate::catalog::Removal;
 use crate::error::ServiceError;
+use crate::proto::LastScreen;
 use crate::shard::{extract_step_sharded, ShardMap, ShardScratch, ShardScreenStats, ShardSpec};
 use kessler_core::cancel::{check_opt, CancelToken, Cancelled};
-use kessler_core::conjunction::{dedup_conjunctions, Conjunction, ScreeningReport};
-use kessler_core::refine::{grid_refine_interval, refine_pair};
+use kessler_core::conjunction::{Conjunction, ScreeningReport};
 use kessler_core::timing::{PhaseTimer, PhaseTimings};
 use kessler_core::{
-    group_pairs, refine_filtered_pair, FilterChain, FilterConfig, FilterDecision,
-    FilterStatsSnapshot, GridScreener, HybridScreener, MemoryModel, Screener, ScreeningConfig,
-    Variant,
+    refine_grid_entries, refine_hybrid_entries, FilterConfig, GridScreener, HybridScreener,
+    MemoryModel, ScreeningConfig, Variant,
 };
-use kessler_grid::cellkey::cell_key_of;
-use kessler_grid::neighbor::FULL_NEIGHBORHOOD;
 use kessler_grid::pairset::CandidatePair;
 use kessler_grid::SpatialGrid;
-use kessler_math::{Interval, Vec3};
+use kessler_math::Vec3;
 use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements};
-use rayon::prelude::*;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,11 +45,12 @@ pub const DELTA_VARIANT: &str = "grid-delta";
 /// Variant label hybrid delta reports carry.
 pub const HYBRID_DELTA_VARIANT: &str = "hybrid-delta";
 
-/// The screening pipeline a service engine runs: which variant, its
-/// validated configuration, and the filter/solver setup the jobs share.
-/// Built only through the fallible [`Pipeline::new`], so a bad
-/// variant/config combination is an error response at construction time,
-/// never a panic inside a running job.
+/// The screening pipeline a service engine runs — and the one options
+/// value every engine and state constructor takes: which variant, its
+/// validated configuration, the filter/solver setup the jobs share, and
+/// the shard layout. Built only through the fallible [`Pipeline::new`]
+/// and [`Pipeline::with_shards`], so a bad combination is an error at
+/// construction time, never a panic inside a running job.
 #[derive(Clone, Copy)]
 pub struct Pipeline {
     variant: Variant,
@@ -89,6 +86,9 @@ impl Pipeline {
 
     /// Enable (or disable, with `None`) sharded candidate extraction.
     /// Validates the spec, so a running job never sees a bad partition.
+    /// Sharding only changes how candidates are extracted, not what they
+    /// are, so a warm set screened under one layout stays valid under
+    /// another.
     pub fn with_shards(mut self, shards: Option<ShardSpec>) -> Result<Pipeline, ServiceError> {
         if let Some(spec) = shards {
             spec.validate()?;
@@ -124,64 +124,21 @@ impl Pipeline {
             _ => DELTA_VARIANT,
         }
     }
-
-    /// Run one full screen of `population` under `config` (the advance
-    /// path passes a shortened-span copy for the tail). The screeners are
-    /// built through their fallible constructors; `Pipeline::new` already
-    /// validated the config, so construction cannot fail here.
-    ///
-    /// With sharding enabled the full screen routes through the sharded
-    /// extraction path (a delta over *every* satellite against an empty
-    /// warm set — provably the same conjunction set), so full screens,
-    /// deltas and advance tails all exercise the per-shard grids.
-    fn screen_full(
-        &self,
-        config: &ScreeningConfig,
-        population: &[KeplerElements],
-        cancel: Option<&CancelToken>,
-    ) -> Result<ScreeningReport, Cancelled> {
-        if self.shards.is_some() {
-            let (report, _pairs, _stats) = sharded_full_screen(self, config, population, cancel)?;
-            return Ok(report);
-        }
-        match self.variant {
-            Variant::Hybrid => {
-                let screener = HybridScreener::try_new(*config)
-                    .expect("pipeline config was validated at construction")
-                    .with_filter_config(self.filter_config);
-                match cancel {
-                    Some(token) => screener.screen_cancellable(population, token),
-                    None => Ok(screener.screen(population)),
-                }
-            }
-            _ => {
-                let screener = GridScreener::try_new(*config)
-                    .expect("pipeline config was validated at construction");
-                match cancel {
-                    Some(token) => screener.screen_cancellable(population, token),
-                    None => Ok(screener.screen(population)),
-                }
-            }
-        }
-    }
 }
-
-/// Refinement proceeds in chunks of this many candidates between
-/// cancellation checks (mirrors the grid screener's granularity).
-const REFINE_CHUNK: usize = 8192;
 
 /// Maintained conjunction set grouped by satellite pair.
 pub type PairMap = HashMap<(u32, u32), Vec<Conjunction>>;
 
-/// Which pre-screen a window advance folded in to bring a stale or cold
-/// engine current before sliding (drives the screen counters on adoption).
+/// Which screen a piece of work ran, and so which screen counter its
+/// adoption bumps. For a window advance this is the pre-screen it folded
+/// in to bring a stale or cold engine current before sliding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdvanceFold {
-    /// Engine was warm and current; only the window slid.
+pub enum ScreenRun {
+    /// None: the engine was warm and current, only the window slid.
     None,
-    /// Cold fallback: a full screen ran first.
+    /// A full screen ran (SCREEN, or the cold fallback of DELTA/ADVANCE).
     Full,
-    /// Pending changes: a delta screen ran first.
+    /// A delta screen ran (DELTA, or ADVANCE over pending changes).
     Delta,
 }
 
@@ -192,6 +149,19 @@ pub struct AdvanceOutcome {
     pub retired: usize,
     /// New conjunctions discovered in the freshly exposed tail.
     pub discovered: usize,
+}
+
+/// The one ADVANCE validity rule: the window only slides forward, by a
+/// finite amount. Request planning and [`DeltaEngine::advance_window`]
+/// both answer with this error.
+pub fn check_advance_dt(dt: f64) -> Result<(), ServiceError> {
+    if dt.is_finite() && dt > 0.0 {
+        Ok(())
+    } else {
+        Err(ServiceError::InvalidRequest(format!(
+            "advance dt must be positive and finite, got {dt}"
+        )))
+    }
 }
 
 /// A conjunction-screening engine that stays warm between requests.
@@ -213,69 +183,45 @@ pub struct DeltaEngine {
     screened_n: Option<usize>,
     full_screens: u64,
     delta_screens: u64,
-    last_timings: PhaseTimings,
-    /// Variant label of the last *adopted* screen (full label for full
-    /// screens and advance tails, delta label for deltas); `None` until
-    /// one has been adopted or restored.
-    last_variant: Option<String>,
-    /// Filter-chain stats of the last adopted screen, when the variant
-    /// runs the chain.
-    last_filter_stats: Option<FilterStatsSnapshot>,
+    /// Variant label (full label for full screens and advance tails,
+    /// delta label for deltas), timings and filter-chain stats of the last
+    /// *adopted* screen; `None` until one has been adopted or restored.
+    last_screen: Option<LastScreen>,
 }
 
 impl DeltaEngine {
-    /// Grid-variant engine (the historical default).
+    /// Unsharded grid-variant engine.
     pub fn new(config: ScreeningConfig) -> Result<DeltaEngine, ServiceError> {
-        DeltaEngine::with_variant(config, Variant::Grid)
+        Ok(DeltaEngine::with_pipeline(Pipeline::new(
+            config,
+            Variant::Grid,
+        )?))
     }
 
-    /// Engine screening with `variant` (grid or hybrid).
-    pub fn with_variant(
-        config: ScreeningConfig,
-        variant: Variant,
-    ) -> Result<DeltaEngine, ServiceError> {
-        Ok(DeltaEngine {
-            pipeline: Pipeline::new(config, variant)?,
+    /// Cold engine screening with `pipeline`.
+    pub fn with_pipeline(pipeline: Pipeline) -> DeltaEngine {
+        DeltaEngine {
+            pipeline,
             pairs: Arc::new(PairMap::new()),
             screened_n: None,
             full_screens: 0,
             delta_screens: 0,
-            last_timings: PhaseTimings::default(),
-            last_variant: None,
-            last_filter_stats: None,
-        })
+            last_screen: None,
+        }
     }
 
-    /// Rebuild a warm grid-variant engine from snapshotted state.
+    /// Rebuild an engine from snapshotted state (see the service's
+    /// persistence layer): screen counters, the maintained conjunction
+    /// set regrouped by pair, and the last adopted screen's info so a
+    /// recovered daemon's STATUS keeps reporting the pre-crash screen.
     pub fn restore(
-        config: ScreeningConfig,
+        pipeline: Pipeline,
         screened_n: Option<usize>,
         full_screens: u64,
         delta_screens: u64,
         conjunctions: &[Conjunction],
+        last_screen: Option<LastScreen>,
     ) -> Result<DeltaEngine, ServiceError> {
-        DeltaEngine::restore_with_variant(
-            config,
-            Variant::Grid,
-            screened_n,
-            full_screens,
-            delta_screens,
-            conjunctions,
-        )
-    }
-
-    /// Rebuild a warm engine from snapshotted state (see the service's
-    /// persistence layer): screen counters plus the maintained conjunction
-    /// set, regrouped by pair.
-    pub fn restore_with_variant(
-        config: ScreeningConfig,
-        variant: Variant,
-        screened_n: Option<usize>,
-        full_screens: u64,
-        delta_screens: u64,
-        conjunctions: &[Conjunction],
-    ) -> Result<DeltaEngine, ServiceError> {
-        let mut engine = DeltaEngine::with_variant(config, variant)?;
         if screened_n.is_none() && !conjunctions.is_empty() {
             return Err(ServiceError::Recovery(format!(
                 "cold engine cannot hold {} conjunctions",
@@ -290,11 +236,14 @@ impl DeltaEngine {
                 )));
             }
         }
-        engine.pairs = Arc::new(pairs_from_conjunctions(conjunctions));
-        engine.screened_n = screened_n;
-        engine.full_screens = full_screens;
-        engine.delta_screens = delta_screens;
-        Ok(engine)
+        Ok(DeltaEngine {
+            pairs: Arc::new(pairs_from_conjunctions(conjunctions)),
+            screened_n,
+            full_screens,
+            delta_screens,
+            last_screen,
+            ..DeltaEngine::with_pipeline(pipeline)
+        })
     }
 
     pub fn config(&self) -> &ScreeningConfig {
@@ -309,16 +258,6 @@ impl DeltaEngine {
     /// The full screening pipeline (for capturing jobs against).
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
-    }
-
-    /// Enable (or disable, with `None`) sharded candidate extraction on
-    /// this engine's pipeline. Purely an execution-strategy switch: the
-    /// maintained conjunction set is unaffected, so it is safe to flip on
-    /// a warm engine (recovery restores the engine, then applies the
-    /// server's sharding option).
-    pub fn set_shards(&mut self, shards: Option<ShardSpec>) -> Result<(), ServiceError> {
-        self.pipeline = self.pipeline.with_shards(shards)?;
-        Ok(())
     }
 
     /// `true` once a full screen has populated the maintained set.
@@ -339,35 +278,11 @@ impl DeltaEngine {
         self.delta_screens
     }
 
-    /// Timings of the most recent screen (full or delta).
-    pub fn last_timings(&self) -> &PhaseTimings {
-        &self.last_timings
-    }
-
-    /// Variant label of the last adopted screen (e.g. `grid`,
-    /// `hybrid-delta`); `None` until one has been adopted or restored.
-    pub fn last_variant(&self) -> Option<&str> {
-        self.last_variant.as_deref()
-    }
-
-    /// Filter-chain stats of the last adopted screen, when the variant
-    /// runs the chain (hybrid); `None` otherwise.
-    pub fn last_filter_stats(&self) -> Option<FilterStatsSnapshot> {
-        self.last_filter_stats
-    }
-
-    /// Adopt snapshotted last-screen info after [`DeltaEngine::restore`]
-    /// (which otherwise leaves it zeroed), so a recovered daemon's STATUS
-    /// keeps reporting the pre-crash screen cost and variant.
-    pub fn restore_last_screen(
-        &mut self,
-        variant: String,
-        timings: PhaseTimings,
-        filter_stats: Option<FilterStatsSnapshot>,
-    ) {
-        self.last_variant = Some(variant);
-        self.last_timings = timings;
-        self.last_filter_stats = filter_stats;
+    /// Variant label (e.g. `grid`, `hybrid-delta`), timings and filter
+    /// stats of the last adopted screen; `None` until one has been adopted
+    /// or restored.
+    pub fn last_screen(&self) -> Option<&LastScreen> {
+        self.last_screen.as_ref()
     }
 
     /// Number of maintained conjunctions.
@@ -386,72 +301,28 @@ impl DeltaEngine {
         Arc::clone(&self.pairs)
     }
 
-    /// Adopt a completed full screen as the maintained set.
-    pub(crate) fn adopt_full(
-        &mut self,
-        pairs: PairMap,
-        n: usize,
-        timings: PhaseTimings,
-        filter_stats: Option<FilterStatsSnapshot>,
-    ) {
+    /// Adopt a completed screen or window advance as the maintained set
+    /// over `n` satellites. `ran` picks the screen counter to bump; `last`
+    /// describes the screen that produced `pairs` (for an advance, the
+    /// tail screen).
+    pub(crate) fn adopt(&mut self, pairs: PairMap, n: usize, ran: ScreenRun, last: LastScreen) {
         self.pairs = Arc::new(pairs);
         self.screened_n = Some(n);
-        self.full_screens += 1;
-        self.last_timings = timings;
-        self.last_variant = Some(self.pipeline.variant().label().to_string());
-        self.last_filter_stats = filter_stats;
-    }
-
-    /// Adopt a completed delta screen as the maintained set.
-    pub(crate) fn adopt_delta(
-        &mut self,
-        pairs: PairMap,
-        n: usize,
-        timings: PhaseTimings,
-        filter_stats: Option<FilterStatsSnapshot>,
-    ) {
-        self.pairs = Arc::new(pairs);
-        self.screened_n = Some(n);
-        self.delta_screens += 1;
-        self.last_timings = timings;
-        self.last_variant = Some(self.pipeline.delta_variant().to_string());
-        self.last_filter_stats = filter_stats;
-    }
-
-    /// Adopt a completed window advance; `fold` records which pre-screen
-    /// the advance ran to bring the engine current, so the screen counters
-    /// match the synchronous path. The last-screen info describes the tail
-    /// screen, which runs the engine's full variant.
-    pub(crate) fn adopt_advance(
-        &mut self,
-        pairs: PairMap,
-        n: usize,
-        timings: PhaseTimings,
-        filter_stats: Option<FilterStatsSnapshot>,
-        fold: AdvanceFold,
-    ) {
-        self.pairs = Arc::new(pairs);
-        self.screened_n = Some(n);
-        match fold {
-            AdvanceFold::None => {}
-            AdvanceFold::Full => self.full_screens += 1,
-            AdvanceFold::Delta => self.delta_screens += 1,
+        match ran {
+            ScreenRun::None => {}
+            ScreenRun::Full => self.full_screens += 1,
+            ScreenRun::Delta => self.delta_screens += 1,
         }
-        self.last_timings = timings;
-        self.last_variant = Some(self.pipeline.variant().label().to_string());
-        self.last_filter_stats = filter_stats;
+        self.last_screen = Some(last);
     }
 
     /// Cold full screen; adopts the result as the maintained set.
     pub fn full_screen(&mut self, population: &[KeplerElements]) -> ScreeningReport {
-        let (report, _shard_stats) = full_screen_job(&self.pipeline, population, None)
-            .expect("uncancellable screen cannot be cancelled");
-        self.adopt_full(
-            pairs_from_conjunctions(&report.conjunctions),
-            report.n_satellites,
-            report.timings,
-            report.filter_stats,
-        );
+        let (report, pairs, _shard_stats) =
+            full_screen_job(&self.pipeline, self.pipeline.config(), population, None)
+                .expect("uncancellable screen cannot be cancelled");
+        let last = LastScreen::from_report(&report);
+        self.adopt(pairs, report.n_satellites, ScreenRun::Full, last);
         report
     }
 
@@ -488,15 +359,17 @@ impl DeltaEngine {
         if self.screened_n.is_none() {
             return self.full_screen(population);
         }
-        let (report, pairs, _shard_stats) =
-            delta_screen_job(&self.pipeline, population, changed, &self.pairs, None)
-                .expect("uncancellable screen cannot be cancelled");
-        self.adopt_delta(
-            pairs,
-            report.n_satellites,
-            report.timings,
-            report.filter_stats,
-        );
+        let (report, pairs, _shard_stats) = delta_screen_job(
+            &self.pipeline,
+            self.pipeline.config(),
+            population,
+            changed,
+            &self.pairs,
+            None,
+        )
+        .expect("uncancellable screen cannot be cancelled");
+        let last = LastScreen::from_report(&report);
+        self.adopt(pairs, report.n_satellites, ScreenRun::Delta, last);
         report
     }
 
@@ -509,11 +382,7 @@ impl DeltaEngine {
         population: &[KeplerElements],
         dt: f64,
     ) -> Result<AdvanceOutcome, ServiceError> {
-        if !dt.is_finite() || dt <= 0.0 {
-            return Err(ServiceError::InvalidRequest(format!(
-                "advance dt must be positive and finite, got {dt}"
-            )));
-        }
+        check_advance_dt(dt)?;
         if self.screened_n.is_none() {
             self.full_screen(population);
             return Ok(AdvanceOutcome {
@@ -524,13 +393,9 @@ impl DeltaEngine {
 
         let warm = Arc::try_unwrap(std::mem::take(&mut self.pairs))
             .unwrap_or_else(|shared| (*shared).clone());
-        let (pairs, outcome, timings, filter_stats) =
-            advance_window_job(&self.pipeline, population, dt, warm, None)
-                .expect("uncancellable screen cannot be cancelled");
-        self.pairs = Arc::new(pairs);
-        self.last_timings = timings;
-        self.last_variant = Some(self.pipeline.variant().label().to_string());
-        self.last_filter_stats = filter_stats;
+        let (pairs, outcome, last) = advance_window_job(&self.pipeline, population, dt, warm, None)
+            .expect("uncancellable screen cannot be cancelled");
+        self.adopt(pairs, population.len(), ScreenRun::None, last);
         Ok(outcome)
     }
 }
@@ -563,44 +428,47 @@ pub(crate) fn apply_removal_to_pairs(pairs: &mut PairMap, removal: Removal, new_
     pairs.retain(|&(_, hi), _| (hi as usize) < new_len);
 }
 
-/// Cold full screen as a pure job, with the pipeline's variant. With a
-/// token, cancellation is checked at the screener's phase boundaries.
-/// The per-shard stats are `Some` iff the pipeline is sharded.
-pub fn full_screen_job(
-    pipeline: &Pipeline,
-    population: &[KeplerElements],
-    cancel: Option<&CancelToken>,
-) -> Result<(ScreeningReport, Option<ShardScreenStats>), Cancelled> {
-    if pipeline.shards.is_some() {
-        let (report, _pairs, stats) =
-            sharded_full_screen(pipeline, pipeline.config(), population, cancel)?;
-        return Ok((report, stats));
-    }
-    Ok((
-        pipeline.screen_full(pipeline.config(), population, cancel)?,
-        None,
-    ))
-}
+/// What a screen job hands back: the report, the conjunction set grouped
+/// by pair (what the engine adopts), and the per-shard extraction stats
+/// (`Some` iff the pipeline is sharded).
+pub type ScreenJobOutput = (ScreeningReport, PairMap, Option<ShardScreenStats>);
 
-/// Full screen via the sharded extraction path: a delta over *every*
-/// satellite against an empty warm set. The delta == cold-full invariant
-/// (every candidate neighbourhood is queried, refinement parameters are
-/// identical) makes the conjunction set equal to the unsharded full
-/// screen; the report keeps the full-screen variant label. `config` is a
-/// parameter because the advance path screens its tail under a
-/// shortened-span copy.
-fn sharded_full_screen(
+/// Cold full screen of `population` under `config` as a pure job, with
+/// the pipeline's variant. `config` is a parameter because the advance
+/// path screens its tail under a shortened-span copy; `Pipeline::new`
+/// validated the original, so building the screener cannot fail. With a
+/// token, cancellation is checked at the screener's phase boundaries.
+///
+/// A sharded pipeline routes the full screen through the sharded
+/// extraction path instead: a delta over *every* satellite against an
+/// empty warm set. Every candidate neighbourhood is queried and the
+/// post-extraction stage is the cold screen's own, so the conjunction set
+/// equals the unsharded screen's; the report keeps the full variant label.
+pub fn full_screen_job(
     pipeline: &Pipeline,
     config: &ScreeningConfig,
     population: &[KeplerElements],
     cancel: Option<&CancelToken>,
-) -> Result<(ScreeningReport, PairMap, Option<ShardScreenStats>), Cancelled> {
-    let all: Vec<u32> = (0..population.len() as u32).collect();
-    let warm = PairMap::new();
-    let (mut report, pairs, stats) =
-        delta_screen_with_config(pipeline, config, population, &all, &warm, cancel)?;
-    report.variant = pipeline.variant().label().to_string();
-    Ok((report, pairs, stats))
+) -> Result<ScreenJobOutput, Cancelled> {
+    if pipeline.shards.is_some() {
+        let all: Vec<u32> = (0..population.len() as u32).collect();
+        let mut output =
+            delta_screen_job(pipeline, config, population, &all, &PairMap::new(), cancel)?;
+        output.0.variant = pipeline.variant().label().to_string();
+        return Ok(output);
+    }
+    let invalid = "pipeline config was validated at construction";
+    let report = match pipeline.variant() {
+        Variant::Hybrid => HybridScreener::try_new(*config)
+            .expect(invalid)
+            .with_filter_config(pipeline.filter_config)
+            .screen_job(population, cancel)?,
+        _ => GridScreener::try_new(*config)
+            .expect(invalid)
+            .screen_job(population, cancel)?,
+    };
+    let pairs = pairs_from_conjunctions(&report.conjunctions);
+    Ok((report, pairs, None))
 }
 
 /// Delta screen as a pure job: re-screen only the neighbourhoods of
@@ -608,38 +476,20 @@ fn sharded_full_screen(
 /// merged map plus a report whose `conjunctions` is the full merged set
 /// (directly comparable with a cold full re-screen) while
 /// `candidate_entries`/`candidate_pairs` count only the delta work.
+/// `config` is a parameter so the sharded full and tail screens can pass
+/// an override.
 ///
 /// `cancel` is checked between grid sampling steps, between filter
 /// chunks, and between refinement chunks; the inputs are never mutated,
 /// so a cancelled job leaves no trace.
 pub fn delta_screen_job(
     pipeline: &Pipeline,
-    population: &[KeplerElements],
-    changed: &[u32],
-    warm: &PairMap,
-    cancel: Option<&CancelToken>,
-) -> Result<(ScreeningReport, PairMap, Option<ShardScreenStats>), Cancelled> {
-    delta_screen_with_config(
-        pipeline,
-        pipeline.config(),
-        population,
-        changed,
-        warm,
-        cancel,
-    )
-}
-
-/// The delta pipeline proper, with the screening config as an explicit
-/// parameter so the sharded full/tail screens can pass an override.
-fn delta_screen_with_config(
-    pipeline: &Pipeline,
     config: &ScreeningConfig,
     population: &[KeplerElements],
     changed: &[u32],
     warm: &PairMap,
     cancel: Option<&CancelToken>,
-) -> Result<(ScreeningReport, PairMap, Option<ShardScreenStats>), Cancelled> {
-    let solver = &pipeline.solver;
+) -> Result<ScreenJobOutput, Cancelled> {
     let wall = Instant::now();
     let mut timings = PhaseTimings::default();
     let n = population.len();
@@ -716,122 +566,46 @@ fn delta_screen_with_config(
             }
             let _timer = PhaseTimer::start(&mut timings.pair_extraction);
             for &c in &changed_set {
-                let key = cell_key_of(positions[c as usize], planner.cell_size_km);
-                if let Some(slot) = grid.lookup_cell(key) {
-                    for m in grid.cell_members(slot) {
-                        if m != c {
-                            entries.insert(CandidatePair::new(c, m, step));
-                        }
+                grid.for_each_near(positions[c as usize], |m| {
+                    if m != c {
+                        entries.insert(CandidatePair::new(c, m, step));
                     }
-                }
-                for &(dx, dy, dz) in FULL_NEIGHBORHOOD.iter() {
-                    let Some(neighbor) = key.offset(dx, dy, dz) else {
-                        continue;
-                    };
-                    if let Some(slot) = grid.lookup_cell(neighbor) {
-                        for m in grid.cell_members(slot) {
-                            entries.insert(CandidatePair::new(c, m, step));
-                        }
-                    }
-                }
+                });
             }
         }
     }
 
-    // Refinement: identical parameters to the variant's cold screen, so a
-    // changed pair refines to bit-identical conjunctions. Chunked so a
-    // tripped token is observed between chunks; `dedup_conjunctions`
-    // sorts, so chunk order does not affect the result.
-    let mut found: Vec<Conjunction> = Vec::new();
-    let mut filter_stats: Option<FilterStatsSnapshot> = None;
-    let columns = propagator.columns();
-    let mut entry_list: Vec<CandidatePair> = entries.iter().copied().collect();
+    // Post-extraction: the cold screen's own stage for this variant, so a
+    // changed pair refines to bit-identical conjunctions. The stage sorts
+    // before dedup, so the entry order does not affect the result.
+    let candidate_entries = entries.len();
+    let mut entry_list: Vec<CandidatePair> = entries.into_iter().collect();
     entry_list.sort_unstable();
-    match pipeline.variant() {
-        Variant::Hybrid => {
-            // The cold hybrid pipeline restricted to changed pairs: group
-            // the (pair, step) entries, run the orbital filter chain, then
-            // refine inside the filter-derived windows (coplanar pairs
-            // fall back to per-step intervals).
-            let grouped = group_pairs(entry_list);
-            let chain = FilterChain::new(pipeline.filter_config);
-            let span = Interval::new(0.0, config.span_seconds);
-            let mut decisions: Vec<FilterDecision> = Vec::with_capacity(grouped.len());
-            {
-                let _timer = PhaseTimer::start(&mut timings.filters);
-                for chunk in grouped.chunks(REFINE_CHUNK) {
-                    check_opt(cancel)?;
-                    decisions.par_extend(chunk.par_iter().map(|g| {
-                        chain.evaluate(
-                            &population[g.id_lo as usize],
-                            &population[g.id_hi as usize],
-                            span,
-                        )
-                    }));
-                }
-            }
-            {
-                let _timer = PhaseTimer::start(&mut timings.refinement);
-                for (gchunk, dchunk) in grouped
-                    .chunks(REFINE_CHUNK)
-                    .zip(decisions.chunks(REFINE_CHUNK))
-                {
-                    check_opt(cancel)?;
-                    found.par_extend(gchunk.par_iter().zip(dchunk.par_iter()).flat_map_iter(
-                        |(g, decision)| {
-                            refine_filtered_pair(
-                                &columns.gather(g.id_lo as usize),
-                                &columns.gather(g.id_hi as usize),
-                                solver,
-                                g,
-                                decision,
-                                &planner,
-                                config.threshold_km,
-                            )
-                        },
-                    ));
-                }
-            }
-            filter_stats = Some(chain.stats.snapshot());
-        }
-        _ => {
-            let _timer = PhaseTimer::start(&mut timings.refinement);
-            for chunk in entry_list.chunks(REFINE_CHUNK) {
-                check_opt(cancel)?;
-                found.par_extend(chunk.par_iter().filter_map(|entry| {
-                    let a = columns.gather(entry.id_lo as usize);
-                    let b = columns.gather(entry.id_hi as usize);
-                    let t = entry.step as f64 * planner.seconds_per_sample;
-                    let interval = grid_refine_interval(&a, &b, solver, t, planner.cell_size_km);
-                    refine_pair(
-                        &a,
-                        &b,
-                        solver,
-                        entry.id_lo,
-                        entry.id_hi,
-                        interval,
-                        config.threshold_km,
-                    )
-                }));
-            }
-        }
-    }
-    let mut found = dedup_conjunctions(found, config.tca_dedup_tolerance_s);
-    if pipeline.variant() == Variant::Hybrid {
-        // The cold hybrid screen clips to the span after dedup; the delta
-        // must apply the identical clip for exact equality.
-        found.retain(|c| c.tca >= -1e-9 && c.tca <= config.span_seconds + 1e-9);
-    }
-    for c in found {
+    let refined = match pipeline.variant() {
+        Variant::Hybrid => refine_hybrid_entries(
+            &propagator,
+            population,
+            entry_list,
+            &planner,
+            config,
+            &pipeline.filter_config,
+            &pipeline.solver,
+            &mut timings,
+            cancel,
+        )?,
+        _ => refine_grid_entries(
+            &propagator,
+            &entry_list,
+            &planner,
+            config,
+            &pipeline.solver,
+            &mut timings,
+            cancel,
+        )?,
+    };
+    for c in refined.conjunctions {
         pairs.entry(c.pair()).or_default().push(c);
     }
-
-    let candidate_pairs = entries
-        .iter()
-        .map(|e| (e.id_lo, e.id_hi))
-        .collect::<HashSet<_>>()
-        .len();
-    let candidate_entries = entries.len();
     timings.total = wall.elapsed();
 
     let report = ScreeningReport {
@@ -840,11 +614,11 @@ fn delta_screen_with_config(
         config: *config,
         conjunctions: sorted_conjunctions(&pairs),
         candidate_entries,
-        candidate_pairs,
+        candidate_pairs: refined.candidate_pairs,
         pair_set_regrows: 0,
         timings,
         planner,
-        filter_stats,
+        filter_stats: refined.filter_stats,
         device_metrics: None,
     };
     Ok((report, pairs, shard_stats))
@@ -852,24 +626,17 @@ fn delta_screen_with_config(
 
 /// Window advance as a pure job over an owned copy of the maintained set:
 /// retire conjunctions whose TCA dropped before the new window start,
-/// shift the survivors, screen the freshly exposed tail, and merge.
-/// `population` must already be advanced to the new epoch and `dt` must be
-/// positive and finite (the callers validate).
+/// shift the survivors, screen the freshly exposed tail, and merge. Hands
+/// back the slid set, the retire/discover counts and the tail screen's
+/// info. `population` must already be advanced to the new epoch and `dt`
+/// must have passed [`check_advance_dt`].
 pub fn advance_window_job(
     pipeline: &Pipeline,
     population: &[KeplerElements],
     dt: f64,
     mut pairs: PairMap,
     cancel: Option<&CancelToken>,
-) -> Result<
-    (
-        PairMap,
-        AdvanceOutcome,
-        PhaseTimings,
-        Option<FilterStatsSnapshot>,
-    ),
-    Cancelled,
-> {
+) -> Result<(PairMap, AdvanceOutcome, LastScreen), Cancelled> {
     let config = pipeline.config();
     let span = config.span_seconds;
     let overlap = config.seconds_per_sample;
@@ -903,7 +670,7 @@ pub fn advance_window_job(
         .collect();
     let mut tail_config = *config;
     tail_config.span_seconds = tail_span;
-    let report = pipeline.screen_full(&tail_config, &tail_elements, cancel)?;
+    let (report, _, _) = full_screen_job(pipeline, &tail_config, &tail_elements, cancel)?;
 
     let merge_tol = config.tca_dedup_tolerance_s.max(overlap);
     let mut discovered = 0usize;
@@ -926,21 +693,18 @@ pub fn advance_window_job(
             }
         }
     }
-    Ok((
-        pairs,
-        AdvanceOutcome {
-            retired,
-            discovered,
-        },
-        report.timings,
-        report.filter_stats,
-    ))
+    let outcome = AdvanceOutcome {
+        retired,
+        discovered,
+    };
+    Ok((pairs, outcome, LastScreen::from_report(&report)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use kessler_core::Screener;
     use kessler_population::{PopulationConfig, PopulationGenerator};
 
     fn population(n: usize, seed: u64) -> Vec<KeplerElements> {
@@ -1091,6 +855,41 @@ mod tests {
                 .any(|c| { c.pair() == (0, 1) && (c.tca - (0.5 * period - dt)).abs() < 2.0 }),
             "T/2 encounter expected in {live:?}"
         );
+        assert!(
+            live.iter().all(|c| c.tca >= -1e-9),
+            "TCAs are window-relative"
+        );
+
+        // A second slide, to [0.9 T, 1.2 T]: T/2 retires, T is discovered.
+        let dt2 = 0.5 * period;
+        catalog.advance_all(dt2);
+        let outcome = engine.advance_window(catalog.elements(), dt2).unwrap();
+        assert!(outcome.retired >= 1, "the T/2 conjunction must retire");
+        let live = engine.conjunctions();
+        assert!(
+            live.iter()
+                .any(|c| (c.tca - (period - dt - dt2)).abs() < 2.0),
+            "T encounter expected in {live:?}"
+        );
+    }
+
+    #[test]
+    fn advancing_a_quiet_window_finds_and_retires_nothing() {
+        // Distant orbits: no encounters, ever.
+        let pop = vec![
+            KeplerElements::new(7_000.0, 0.0, 0.4, 0.0, 0.0, 0.0).unwrap(),
+            KeplerElements::new(9_000.0, 0.0, 1.2, 1.0, 0.0, 2.0).unwrap(),
+        ];
+        let config = ScreeningConfig::grid_defaults(2.0, 600.0);
+        let mut engine = DeltaEngine::new(config).unwrap();
+        assert_eq!(engine.full_screen(&pop).conjunction_count(), 0);
+        let mut catalog = Catalog::new();
+        catalog.add(0, pop[0]).unwrap();
+        catalog.add(1, pop[1]).unwrap();
+        catalog.advance_all(300.0);
+        let outcome = engine.advance_window(catalog.elements(), 300.0).unwrap();
+        assert_eq!(outcome, AdvanceOutcome::default());
+        assert!(engine.conjunctions().is_empty());
     }
 
     #[test]
@@ -1102,16 +901,18 @@ mod tests {
         let saved = engine.conjunctions();
 
         let mut back = DeltaEngine::restore(
-            config,
+            *engine.pipeline(),
             engine.screened_n(),
             engine.full_screens(),
             engine.delta_screens(),
             &saved,
+            engine.last_screen().cloned(),
         )
         .unwrap();
         assert!(back.is_warm());
         assert_eq!(back.conjunctions(), saved);
         assert_eq!(back.full_screens(), 1);
+        assert_eq!(back.last_screen().unwrap().variant, "grid");
 
         // A delta on the restored engine matches a cold screen, i.e. the
         // warm set really carried over.
@@ -1123,7 +924,10 @@ mod tests {
         assert_eq!(cold.pairs_missing_from(&delta), Vec::<(u32, u32)>::new());
 
         // Inconsistent snapshots are rejected.
-        assert!(DeltaEngine::restore(config, None, 1, 0, &saved).is_err() || saved.is_empty());
+        assert!(
+            DeltaEngine::restore(*engine.pipeline(), None, 1, 0, &saved, None).is_err()
+                || saved.is_empty()
+        );
     }
 
     #[test]
@@ -1141,8 +945,15 @@ mod tests {
             updated[idx as usize] = perturb(&updated[idx as usize], 1.0);
         }
         let token = kessler_core::CancelToken::new();
-        let (job_report, job_pairs, _shards) =
-            delta_screen_job(&pipeline, &updated, &changed, &warm, Some(&token)).unwrap();
+        let (job_report, job_pairs, _shards) = delta_screen_job(
+            &pipeline,
+            pipeline.config(),
+            &updated,
+            &changed,
+            &warm,
+            Some(&token),
+        )
+        .unwrap();
         let sync_report = engine.delta_screen(&updated, &changed);
         assert_eq!(
             job_report.conjunction_count(),
@@ -1172,8 +983,9 @@ mod tests {
         let token = kessler_core::CancelToken::new();
         token.cancel();
         let pipeline = *engine.pipeline();
-        assert!(full_screen_job(&pipeline, &pop, Some(&token)).is_err());
-        assert!(delta_screen_job(&pipeline, &pop, &[0], &warm, Some(&token)).is_err());
+        let config = pipeline.config();
+        assert!(full_screen_job(&pipeline, config, &pop, Some(&token)).is_err());
+        assert!(delta_screen_job(&pipeline, config, &pop, &[0], &warm, Some(&token)).is_err());
         assert!(advance_window_job(&pipeline, &pop, 10.0, (*warm).clone(), Some(&token)).is_err());
         // The engine's maintained set is untouched by the aborted jobs.
         assert_eq!(engine.conjunctions(), before);
@@ -1183,8 +995,14 @@ mod tests {
     fn advance_rejects_bad_dt() {
         let config = ScreeningConfig::grid_defaults(2.0, 600.0);
         let mut engine = DeltaEngine::new(config).unwrap();
-        assert!(engine.advance_window(&[], -1.0).is_err());
-        assert!(engine.advance_window(&[], f64::NAN).is_err());
+        for dt in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            let err = engine.advance_window(&[], dt).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains("advance dt must be positive and finite"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1209,14 +1027,15 @@ mod tests {
         let pop = population(50, 7);
         let config = ScreeningConfig::grid_defaults(5.0, 60.0);
         let mut engine = DeltaEngine::new(config).unwrap();
-        assert_eq!(engine.last_variant(), None);
+        let last_variant = |engine: &DeltaEngine| engine.last_screen().map(|l| l.variant.clone());
+        assert_eq!(last_variant(&engine), None);
         engine.full_screen(&pop);
-        assert_eq!(engine.last_variant(), Some("grid"));
+        assert_eq!(last_variant(&engine).as_deref(), Some("grid"));
         engine.delta_screen(&pop, &[3]);
-        assert_eq!(engine.last_variant(), Some(DELTA_VARIANT));
+        assert_eq!(last_variant(&engine).as_deref(), Some(DELTA_VARIANT));
         engine.full_screen(&pop);
         assert_eq!(
-            engine.last_variant(),
+            last_variant(&engine).as_deref(),
             Some("grid"),
             "a full screen after a delta must report the full variant"
         );
@@ -1226,15 +1045,17 @@ mod tests {
     fn hybrid_engine_labels_and_stats() {
         let pop = population(80, 13);
         let config = ScreeningConfig::hybrid_defaults(5.0, 120.0);
-        let mut engine = DeltaEngine::with_variant(config, Variant::Hybrid).unwrap();
+        let mut engine =
+            DeltaEngine::with_pipeline(Pipeline::new(config, Variant::Hybrid).unwrap());
         assert_eq!(engine.variant(), Variant::Hybrid);
         let report = engine.full_screen(&pop);
         assert_eq!(report.variant, "hybrid");
-        assert_eq!(engine.last_variant(), Some("hybrid"));
-        assert!(engine.last_filter_stats().is_some());
+        let last = engine.last_screen().unwrap();
+        assert_eq!(last.variant, "hybrid");
+        assert!(last.filter_stats.is_some());
         let report = engine.delta_screen(&pop, &[5]);
         assert_eq!(report.variant, HYBRID_DELTA_VARIANT);
-        assert_eq!(engine.last_variant(), Some(HYBRID_DELTA_VARIANT));
+        assert_eq!(engine.last_screen().unwrap().variant, HYBRID_DELTA_VARIANT);
         assert!(report.filter_stats.is_some());
     }
 
@@ -1242,7 +1063,8 @@ mod tests {
     fn hybrid_delta_after_updates_matches_cold_hybrid_screen() {
         let pop = population(400, 42);
         let config = ScreeningConfig::hybrid_defaults(5.0, 120.0);
-        let mut engine = DeltaEngine::with_variant(config, Variant::Hybrid).unwrap();
+        let mut engine =
+            DeltaEngine::with_pipeline(Pipeline::new(config, Variant::Hybrid).unwrap());
         engine.full_screen(&pop);
 
         let mut updated = pop.clone();
@@ -1271,7 +1093,8 @@ mod tests {
         ];
         let period = pop[0].period();
         let config = ScreeningConfig::hybrid_defaults(2.0, 0.3 * period);
-        let mut engine = DeltaEngine::with_variant(config, Variant::Hybrid).unwrap();
+        let mut engine =
+            DeltaEngine::with_pipeline(Pipeline::new(config, Variant::Hybrid).unwrap());
         let report = engine.full_screen(&pop);
         assert!(report.conjunction_count() >= 1, "t = 0 crossing in window");
 
@@ -1283,8 +1106,9 @@ mod tests {
         let outcome = engine.advance_window(catalog.elements(), dt).unwrap();
         assert!(outcome.retired >= 1, "the t = 0 conjunction must retire");
         // The tail screen ran the filter chain; the engine reports it.
-        assert_eq!(engine.last_variant(), Some("hybrid"));
-        assert!(engine.last_filter_stats().is_some());
+        let last = engine.last_screen().unwrap();
+        assert_eq!(last.variant, "hybrid");
+        assert!(last.filter_stats.is_some());
         let live = engine.conjunctions();
         assert!(
             live.iter()

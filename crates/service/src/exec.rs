@@ -20,15 +20,14 @@
 
 use crate::catalog::CatalogSnapshot;
 use crate::delta::{
-    advance_window_job, delta_screen_job, full_screen_job, pairs_from_conjunctions, AdvanceFold,
-    AdvanceOutcome, PairMap, Pipeline,
+    advance_window_job, delta_screen_job, full_screen_job, AdvanceOutcome, PairMap, Pipeline,
+    ScreenRun,
 };
 use crate::error::ServiceError;
+use crate::proto::LastScreen;
 use crate::shard::ShardScreenStats;
 use kessler_core::cancel::{CancelToken, Cancelled};
 use kessler_core::conjunction::ScreeningReport;
-use kessler_core::timing::PhaseTimings;
-use kessler_core::FilterStatsSnapshot;
 use kessler_orbits::KeplerElements;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -66,28 +65,67 @@ impl ScreenJob {
     }
 }
 
+/// A completed full or delta screen: the report to answer with plus the
+/// merged pair map to adopt.
+pub struct Screened {
+    /// Boxed to keep [`ScreenOutput`] small enough to pass by value
+    /// through the worker channel.
+    pub report: Box<ScreeningReport>,
+    pub pairs: PairMap,
+    /// Per-shard extraction stats; `Some` iff the pipeline is sharded.
+    pub shards: Option<ShardScreenStats>,
+    /// Which screen ran: [`ScreenRun::Delta`], or [`ScreenRun::Full`]
+    /// for SCREEN and for a DELTA on a cold engine.
+    pub ran: ScreenRun,
+}
+
 /// What a completed job hands back for commit.
 pub enum ScreenOutput {
-    /// A full or delta screen: the report to answer with plus the merged
-    /// pair map to adopt. The report is boxed to keep the enum small
-    /// enough to pass by value through the worker channel.
-    Screen {
-        report: Box<ScreeningReport>,
-        pairs: PairMap,
-        /// Per-shard extraction stats; `Some` iff the pipeline is sharded.
-        shards: Option<ShardScreenStats>,
-    },
+    Screen(Screened),
     /// A window advance: the slid pair map, retire/discover counts, the
-    /// tail screen's timings and filter stats (hybrid pipelines), and
-    /// which pre-screen was folded in.
+    /// tail screen's info, and which pre-screen was folded in.
     Advance {
         pairs: PairMap,
         outcome: AdvanceOutcome,
-        timings: PhaseTimings,
-        filter_stats: Option<FilterStatsSnapshot>,
+        tail: LastScreen,
         dt: f64,
-        fold: AdvanceFold,
+        fold: ScreenRun,
     },
+}
+
+/// Screen the job's snapshot: a delta against the captured warm set when
+/// `delta` is asked for and the engine was warm, a cold full screen
+/// otherwise (the same fallback as `DeltaEngine::delta_screen`).
+fn screen_snapshot(
+    job: &ScreenJob,
+    delta: bool,
+    cancel: Option<&CancelToken>,
+) -> Result<Screened, Cancelled> {
+    let pipeline = &job.pipeline;
+    let elements: &[KeplerElements] = &job.snapshot.elements;
+    let ((report, pairs, shards), ran) = match &job.warm {
+        Some(warm) if delta => (
+            delta_screen_job(
+                pipeline,
+                pipeline.config(),
+                elements,
+                &job.changed,
+                warm,
+                cancel,
+            )?,
+            ScreenRun::Delta,
+        ),
+        _ => (
+            full_screen_job(pipeline, pipeline.config(), elements, cancel)?,
+            ScreenRun::Full,
+        ),
+    };
+    Ok(Screened {
+        report: Box::new(report),
+        pairs,
+        shards,
+        ran,
+    })
 }
 
 /// Run a captured job to completion (or to the next phase boundary after
@@ -96,82 +134,45 @@ pub fn run_screen_job(
     job: &ScreenJob,
     cancel: Option<&CancelToken>,
 ) -> Result<ScreenOutput, Cancelled> {
-    let elements: &[KeplerElements] = &job.snapshot.elements;
-    match job.kind {
-        ScreenKind::Full => {
-            let (report, shards) = full_screen_job(&job.pipeline, elements, cancel)?;
-            let pairs = pairs_from_conjunctions(&report.conjunctions);
-            Ok(ScreenOutput::Screen {
-                report: Box::new(report),
-                pairs,
-                shards,
-            })
+    let dt = match job.kind {
+        ScreenKind::Full => return Ok(ScreenOutput::Screen(screen_snapshot(job, false, cancel)?)),
+        ScreenKind::Delta => return Ok(ScreenOutput::Screen(screen_snapshot(job, true, cancel)?)),
+        ScreenKind::Advance { dt } => dt,
+    };
+    // Bring the maintained set current at the captured epoch before
+    // sliding: nothing to do when warm with no pending changes, otherwise
+    // the screen a DELTA would run.
+    let (pairs, fold) = match &job.warm {
+        Some(warm) if job.changed.is_empty() => ((**warm).clone(), ScreenRun::None),
+        _ => {
+            let screened = screen_snapshot(job, true, cancel)?;
+            (screened.pairs, screened.ran)
         }
-        ScreenKind::Delta => match &job.warm {
-            // Cold fallback, same as `DeltaEngine::delta_screen`.
-            None => {
-                let (report, shards) = full_screen_job(&job.pipeline, elements, cancel)?;
-                let pairs = pairs_from_conjunctions(&report.conjunctions);
-                Ok(ScreenOutput::Screen {
-                    report: Box::new(report),
-                    pairs,
-                    shards,
-                })
-            }
-            Some(warm) => {
-                let (report, pairs, shards) =
-                    delta_screen_job(&job.pipeline, elements, &job.changed, warm, cancel)?;
-                Ok(ScreenOutput::Screen {
-                    report: Box::new(report),
-                    pairs,
-                    shards,
-                })
-            }
-        },
-        ScreenKind::Advance { dt } => {
-            // Bring the maintained set current at the captured epoch, the
-            // way the synchronous ADVANCE arm does before sliding.
-            let (pairs, fold) = match &job.warm {
-                None => {
-                    let (report, _shards) = full_screen_job(&job.pipeline, elements, cancel)?;
-                    (
-                        pairs_from_conjunctions(&report.conjunctions),
-                        AdvanceFold::Full,
-                    )
-                }
-                Some(warm) if !job.changed.is_empty() => {
-                    let (_, pairs, _shards) =
-                        delta_screen_job(&job.pipeline, elements, &job.changed, warm, cancel)?;
-                    (pairs, AdvanceFold::Delta)
-                }
-                Some(warm) => ((**warm).clone(), AdvanceFold::None),
-            };
+    };
 
-            // Advance the snapshot's elements bit-identically to
-            // `Catalog::advance_all`: absolute propagation from the stored
-            // epoch-0 base to `time + dt`.
-            let time = job.snapshot.time + dt;
-            let advanced: Vec<KeplerElements> = elements
-                .iter()
-                .zip(job.snapshot.base_elements.iter())
-                .map(|(el, base)| {
-                    let mut advanced = *el;
-                    advanced.mean_anomaly = base.mean_anomaly_at(time);
-                    advanced
-                })
-                .collect();
-            let (pairs, outcome, timings, filter_stats) =
-                advance_window_job(&job.pipeline, &advanced, dt, pairs, cancel)?;
-            Ok(ScreenOutput::Advance {
-                pairs,
-                outcome,
-                timings,
-                filter_stats,
-                dt,
-                fold,
-            })
-        }
-    }
+    // Advance the snapshot's elements bit-identically to
+    // `Catalog::advance_all`: absolute propagation from the stored
+    // epoch-0 base to `time + dt`.
+    let time = job.snapshot.time + dt;
+    let advanced: Vec<KeplerElements> = job
+        .snapshot
+        .elements
+        .iter()
+        .zip(job.snapshot.base_elements.iter())
+        .map(|(el, base)| {
+            let mut advanced = *el;
+            advanced.mean_anomaly = base.mean_anomaly_at(time);
+            advanced
+        })
+        .collect();
+    let (pairs, outcome, tail) = advance_window_job(&job.pipeline, &advanced, dt, pairs, cancel)?;
+    Ok(ScreenOutput::Advance {
+        pairs,
+        outcome,
+        tail,
+        dt,
+        fold,
+    })
 }
 
 struct CancelEntry {
@@ -303,7 +304,9 @@ mod tests {
     fn full_job_matches_the_sync_engine() {
         let (catalog, mut engine, _) = warm_setup(120, 5);
         let job = capture(ScreenKind::Full, &catalog, &engine);
-        let ScreenOutput::Screen { report, pairs, .. } = run_screen_job(&job, None).unwrap() else {
+        let ScreenOutput::Screen(Screened { report, pairs, .. }) =
+            run_screen_job(&job, None).unwrap()
+        else {
             panic!("full job must yield a screen output");
         };
         let sync = engine.full_screen(catalog.elements());
@@ -326,7 +329,7 @@ mod tests {
         else {
             panic!("advance job must yield an advance output");
         };
-        assert_eq!(fold, AdvanceFold::None);
+        assert_eq!(fold, ScreenRun::None);
 
         catalog.advance_all(dt);
         let sync = engine.advance_window(catalog.elements(), dt).unwrap();
@@ -341,7 +344,7 @@ mod tests {
         let ScreenOutput::Advance { fold, .. } = run_screen_job(&job, None).unwrap() else {
             panic!("advance job must yield an advance output");
         };
-        assert_eq!(fold, AdvanceFold::Full);
+        assert_eq!(fold, ScreenRun::Full);
     }
 
     #[test]

@@ -16,8 +16,14 @@
 //!   full re-screen, at a fraction of the cost when k ≪ n. Serves both the
 //!   grid and the hybrid variant: under hybrid, delta candidates run
 //!   through the orbital filter chain before refinement, exactly as a cold
-//!   hybrid screen would. The screening pipelines are pure, cancellable
-//!   job functions the execution layer shares with the synchronous path.
+//!   hybrid screen would — by construction, because a delta ends in the
+//!   cold screen's own post-extraction stage. The screening pipelines are
+//!   pure, cancellable job functions the execution layer shares with the
+//!   synchronous path; [`Pipeline`] (variant + config + shard layout) is
+//!   the one options value every engine and state constructor takes, and
+//!   `DeltaEngine::advance_window` slides the screening horizon forward,
+//!   retiring expired conjunctions, carrying live ones, screening only
+//!   the freshly exposed tail.
 //! - [`shard`] — the [`ShardMap`]: partitions the catalog by orbital
 //!   regime (altitude band × |z| shell) so candidate extraction runs one
 //!   grid per shard in parallel, with boundary mirroring so cross-shard
@@ -27,9 +33,6 @@
 //!   [`exec::ScreenJob`]s against immutable catalog snapshots, run by a
 //!   pool of supervised workers, cancellable via `CANCEL`, committed back
 //!   latest-epoch-wins.
-//! - [`scheduler`] — [`SlidingWindow`]: slides the screening horizon
-//!   forward, retiring expired conjunctions, carrying live ones, screening
-//!   only the freshly exposed tail.
 //! - [`proto`] / [`server`] — a JSON-lines-over-TCP protocol
 //!   (ADD/UPDATE/REMOVE/SCREEN/DELTA/ADVANCE/CANCEL/STATUS/SUBSCRIBE/
 //!   SHUTDOWN) and an evented front end: one poll(2)-driven I/O thread
@@ -41,8 +44,9 @@
 //! - [`wal`] / [`persist`] — crash safety: a checksummed write-ahead log
 //!   of acknowledged mutations plus periodic atomic snapshots, so a
 //!   restarted daemon recovers the exact catalog, window, and warm
-//!   conjunction set it had when it died. Mutations are logged *before*
-//!   they apply; when the disk fails mid-flight the daemon rejects the
+//!   conjunction set it had when it died. Every mutation goes plan → log
+//!   → apply: only planning can refuse, and applying a logged mutation
+//!   cannot fail. When the disk fails mid-flight the daemon rejects the
 //!   request (`not_applied`), drops into degraded (read-only) mode, and a
 //!   background probe retries under jittered exponential backoff until an
 //!   emergency snapshot restores normal service.
@@ -64,7 +68,6 @@ pub mod fault;
 pub mod metrics;
 pub mod persist;
 pub mod proto;
-pub mod scheduler;
 pub mod server;
 pub mod shard;
 pub mod wal;
@@ -74,7 +77,7 @@ pub use delta::{
     AdvanceOutcome, DeltaEngine, PairMap, Pipeline, DELTA_VARIANT, HYBRID_DELTA_VARIANT,
 };
 pub use error::{PersistError, ServiceError};
-pub use exec::{CancelRegistry, ScreenJob, ScreenKind, ScreenOutput};
+pub use exec::{CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 pub use fault::FaultPlan;
 pub use metrics::{MetricsRegistry, MetricsSnapshot, RequestCounter};
 pub use persist::{PersistOptions, Snapshot};
@@ -82,7 +85,6 @@ pub use proto::{
     ElementsSpec, Envelope, EventKind, PushEvent, Request, Response, SubscriptionAck,
     PUSH_CONJUNCTION,
 };
-pub use scheduler::SlidingWindow;
 pub use server::{
     request, request_with_timeout, Client, RecoverySummary, Server, ServerHandle, ServerOptions,
     ServiceState, MAX_LINE_BYTES,

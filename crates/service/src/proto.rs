@@ -528,6 +528,16 @@ pub struct LastScreen {
     pub filter_stats: Option<FilterStatsSnapshot>,
 }
 
+impl LastScreen {
+    pub fn from_report(report: &ScreeningReport) -> LastScreen {
+        LastScreen {
+            variant: report.variant.clone(),
+            timings: report.timings,
+            filter_stats: report.filter_stats,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,9 +654,10 @@ mod tests {
             shards: None,
         };
         let mut value = serde_json::to_value(&summary).unwrap();
-        let obj = value.as_object_mut().unwrap();
-        obj.remove("epoch");
-        obj.remove("stale");
+        if let serde_json::Value::Object(map) = &mut value {
+            map.remove("epoch");
+            map.remove("stale");
+        }
         let back: ScreenSummary = serde_json::from_value(value).unwrap();
         assert_eq!(back.epoch, 0);
         assert!(!back.stale);

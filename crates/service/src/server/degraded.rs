@@ -57,9 +57,9 @@ pub(crate) fn jittered(delay: Duration, rng: &mut u64) -> Duration {
 /// One recovery attempt: prove the disk accepts writes again, then make
 /// every in-memory mutation durable at once with an emergency snapshot.
 /// The snapshot covers the full current state at the persister's last
-/// seq, so any record the WAL missed while degraded (there are none — but
-/// also any phantom logged-not-applied record) is superseded. Lock order:
-/// state before persist, matching every other path.
+/// seq (nothing was applied while degraded, so it holds exactly what the
+/// WAL describes). Lock order: state before persist, matching every other
+/// path.
 pub(crate) fn attempt_recovery(shared: &Shared) -> Result<(), PersistError> {
     let Some(persist) = &shared.persist else {
         return Ok(());

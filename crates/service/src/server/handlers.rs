@@ -6,9 +6,10 @@
 
 use super::degraded::Health;
 use super::subs::SubHub;
-use super::ServiceState;
+use super::{CommitDecision, Effect, ServiceState};
+use crate::delta::ScreenRun;
 use crate::error::ServiceError;
-use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput};
+use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::persist::Persister;
@@ -217,20 +218,16 @@ pub(crate) fn ensure_logged(shared: &Shared, request: &Request) -> Option<Respon
 }
 
 /// Metrics + snapshot tail shared by the inline path and the worker
-/// commit path. `logged` says whether [`ensure_logged`] wrote a WAL
-/// record for this request; `adopted` (computed here) says whether the
-/// apply actually changed the maintained set. The two disagree only when
-/// a precheck drifted from the real apply — then the logged record is a
-/// phantom and an emergency snapshot covering current state supersedes
-/// it (degrading if even that fails). Stale and ephemeral screen results
-/// are never adopted: they did not change the maintained set, and WAL
-/// order must match commit order.
+/// commit path. `adopted` (computed here) says whether the request changed
+/// the state the WAL describes: it was planned, logged and applied. A
+/// refused request, and a stale or ephemeral screen result, did not — they
+/// were never logged (WAL order must match commit order) and owe neither a
+/// snapshot nor a push.
 pub(crate) fn finish_record(
     shared: &Shared,
     request: &Request,
     state: &mut ServiceState,
     mut response: Response,
-    logged: bool,
 ) -> Response {
     let adopted = response.ok
         && request.is_mutation()
@@ -239,26 +236,7 @@ pub(crate) fn finish_record(
             .as_ref()
             .is_some_and(|s| s.stale || s.ephemeral);
     if let Some(persist) = &shared.persist {
-        if logged && !adopted {
-            // Precheck drift: a record is on disk for a mutation that did
-            // not stick. Replaying it on restart would diverge, so pin a
-            // snapshot at (or past) its seq — replay then starts after it.
-            let mut persister = persist.lock();
-            let snapshot = state.snapshot(persister.last_seq());
-            match persister.write_snapshot(&snapshot) {
-                Ok(_) => {
-                    drop(persister);
-                    state.note_snapshot_written();
-                }
-                Err(err) => {
-                    drop(persister);
-                    shared.metrics.lock().note_snapshot_failure();
-                    shared.enter_degraded(&format!(
-                        "logged-but-unapplied record could not be covered by a snapshot: {err}"
-                    ));
-                }
-            }
-        } else if adopted && !shared.is_degraded() {
+        if adopted && !shared.is_degraded() {
             let mut persister = persist.lock();
             if persister.should_snapshot() {
                 let snapshot = state.snapshot(persister.last_seq());
@@ -318,9 +296,11 @@ pub(crate) fn finish_record(
         if response.advance.is_some() {
             // ADVANCE's reply has no timings; the tail screen it ran left
             // them (and, under hybrid, its filter stats) on the engine.
-            metrics.record_advance_tail(state.engine.last_timings());
-            if let Some(stats) = state.engine.last_filter_stats() {
-                metrics.record_filter_chain(&stats);
+            if let Some(tail) = state.engine.last_screen() {
+                metrics.record_advance_tail(&tail.timings);
+                if let Some(stats) = &tail.filter_stats {
+                    metrics.record_filter_chain(stats);
+                }
             }
         }
     }
@@ -331,9 +311,12 @@ pub(crate) fn finish_record(
     response
 }
 
-/// Execute a non-screening request inline: WAL-before-apply gate, state
-/// mutation under the lock, then the shared metrics tail. METRICS
-/// short-circuits without ever touching the state lock.
+/// Execute a non-screening request inline, under the state lock: plan,
+/// log the planned mutation, apply it, then the shared metrics tail. The
+/// WAL append sits between the step that can refuse and the step that
+/// cannot fail, so a record on disk always describes a mutation that
+/// happened and a refused or `not_applied` request leaves no trace.
+/// METRICS short-circuits without ever touching the state lock.
 pub(crate) fn handle_and_persist(shared: &Shared, request: &Request) -> Response {
     if matches!(request, Request::Metrics) {
         // Served entirely at this layer: never touches the state lock,
@@ -347,16 +330,19 @@ pub(crate) fn handle_and_persist(shared: &Shared, request: &Request) -> Response
         return Response::with_metrics(snapshot);
     }
     let state = &mut *shared.state.lock();
-    let mut logged = false;
-    if request.is_mutation() && state.mutation_would_apply(request) {
-        if let Some(rejection) = ensure_logged(shared, request) {
-            shared.metrics.lock().count_request(request.kind(), false);
-            return rejection;
+    let response = match state.plan(request) {
+        Ok(effect) => {
+            if request.is_mutation() {
+                if let Some(rejection) = ensure_logged(shared, request) {
+                    shared.metrics.lock().count_request(request.kind(), false);
+                    return rejection;
+                }
+            }
+            state.apply(effect)
         }
-        logged = true;
-    }
-    let response = state.handle(request);
-    finish_record(shared, request, state, response, logged)
+        Err(refusal) => state.refuse(&refusal),
+    };
+    finish_record(shared, request, state, response)
 }
 
 /// Outcome of handing a screening verb to the worker pool.
@@ -386,36 +372,28 @@ pub(crate) fn enqueue_screen(
     req_id: Option<String>,
     conn: u64,
 ) -> Enqueued {
-    let kind = match &request {
-        Request::Screen => ScreenKind::Full,
-        Request::Delta => ScreenKind::Delta,
-        Request::Advance { dt } => {
-            if !dt.is_finite() || *dt <= 0.0 {
-                shared.metrics.lock().count_request(request.kind(), false);
-                return Enqueued::done(Response::error(format!(
-                    "advance dt must be positive and finite, got {dt}"
-                )));
-            }
-            if shared.is_degraded() {
-                // ADVANCE only means anything if it mutates the catalog, so
-                // there is no ephemeral fallback — reject before burning a
-                // worker on a propagation that could never commit.
-                shared.metrics.lock().count_request(request.kind(), false);
-                let reason = shared.degraded_reason();
-                return Enqueued::done(Response::rejected(
-                    ServiceError::Degraded { reason }.to_string(),
-                ));
-            }
-            ScreenKind::Advance { dt: *dt }
-        }
-        _ => unreachable!("only screening verbs are enqueued"),
+    let refuse = |response: Response| {
+        shared.metrics.lock().count_request(request.kind(), false);
+        Enqueued::done(response)
     };
+    let planned = shared.state.lock().plan(&request);
+    let kind = match planned {
+        Ok(Effect::Screen(kind)) => kind,
+        Ok(_) => unreachable!("only screening verbs are enqueued"),
+        Err(refusal) => return refuse(Response::error(refusal.to_string())),
+    };
+    if matches!(request, Request::Advance { .. }) && shared.is_degraded() {
+        // ADVANCE only means anything if it mutates the catalog, so there
+        // is no ephemeral fallback — reject before burning a worker on a
+        // propagation that could never commit.
+        let reason = shared.degraded_reason();
+        return refuse(Response::rejected(
+            ServiceError::Degraded { reason }.to_string(),
+        ));
+    }
     let (seq, token) = match shared.registry.register(req_id.as_deref()) {
         Ok(registered) => registered,
-        Err(err) => {
-            shared.metrics.lock().count_request(request.kind(), false);
-            return Enqueued::done(Response::error(err.to_string()));
-        }
+        Err(err) => return refuse(Response::error(err.to_string())),
     };
     let capture_started = Instant::now();
     let job = shared.state.lock().capture_screen_job(kind);
@@ -454,15 +432,15 @@ pub(crate) fn enqueue_screen(
     }
 }
 
-/// Commit one finished screening job with the same WAL-before-apply
-/// discipline as the inline path. The adoption decision is made under the
-/// state lock *before* logging, with exactly the test
-/// [`ServiceState::commit_screen_job`] will apply, so a logged record
-/// always corresponds to a real commit. When the record cannot be logged,
-/// full/delta screens are still answered from the completed computation —
-/// marked `ephemeral` and *not* adopted, so the served result never
-/// diverges from the replayable history — while ADVANCE (which must
-/// mutate the catalog to mean anything) is rejected outright.
+/// Commit one finished screening job with the same plan → log → apply
+/// discipline as the inline path: the adoption decision is made once,
+/// under the state lock, logged only if it is `Adopt`, and then carried
+/// out as decided — so a logged record always corresponds to a real
+/// commit. When the record cannot be logged, full/delta screens are still
+/// answered from the completed computation — marked `ephemeral` and *not*
+/// adopted, so the served result never diverges from the replayable
+/// history — while ADVANCE (which must mutate the catalog to mean
+/// anything) is rejected outright.
 pub(crate) fn commit_with_wal(
     shared: &Shared,
     request: &Request,
@@ -470,15 +448,11 @@ pub(crate) fn commit_with_wal(
     job: &ScreenJob,
     output: ScreenOutput,
 ) -> Response {
-    let adopts = match &output {
-        ScreenOutput::Screen { .. } => job.epoch() >= state.warm_epoch,
-        ScreenOutput::Advance { .. } => state.catalog().epoch() == job.epoch(),
-    };
-    let mut logged = false;
-    if adopts {
+    let decision = state.decide_commit(job);
+    if decision == CommitDecision::Adopt {
         if let Some(rejection) = ensure_logged(shared, request) {
             return match output {
-                ScreenOutput::Screen { report, pairs, .. } => {
+                ScreenOutput::Screen(Screened { report, pairs, .. }) => {
                     let mut summary = ScreenSummary::from_report(&report);
                     summary.epoch = job.epoch();
                     summary.ephemeral = true;
@@ -493,13 +467,7 @@ pub(crate) fn commit_with_wal(
                                 .publish(&pairs, state.catalog().ids(), job.epoch(), true);
                         shared.io.push_events(msgs);
                     }
-                    finish_record(
-                        shared,
-                        request,
-                        state,
-                        Response::with_screen(summary),
-                        false,
-                    )
+                    finish_record(shared, request, state, Response::with_screen(summary))
                 }
                 ScreenOutput::Advance { .. } => {
                     shared.metrics.lock().count_request(request.kind(), false);
@@ -507,23 +475,23 @@ pub(crate) fn commit_with_wal(
                 }
             };
         }
-        logged = true;
     }
     // Sharded screens carry per-shard extraction stats; fold them into the
     // registry before the commit consumes the output. Recorded even for
     // stale results — the extraction work happened either way.
-    if let ScreenOutput::Screen {
+    if let ScreenOutput::Screen(Screened {
         shards: Some(stats),
-        report,
+        ran,
         ..
-    } = &output
+    }) = &output
     {
-        let is_delta = report.variant == crate::delta::DELTA_VARIANT
-            || report.variant == crate::delta::HYBRID_DELTA_VARIANT;
-        shared.metrics.lock().record_shard_screen(is_delta, stats);
+        shared
+            .metrics
+            .lock()
+            .record_shard_screen(*ran == ScreenRun::Delta, stats);
     }
-    let response = state.commit_screen_job(job, output);
-    finish_record(shared, request, state, response, logged)
+    let response = state.apply_commit(job, output, decision);
+    finish_record(shared, request, state, response)
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -37,14 +37,17 @@
 //! and its recovery probe. This file owns the state machine and the
 //! server lifecycle.
 //!
-//! Crash safety: with [`ServerOptions::persist`] set, every mutation that
-//! will apply is appended to a write-ahead log *before* it is applied (in
-//! commit order; stale screen results are not logged), and the full state
-//! is snapshotted every `snapshot_every` mutations (see
+//! Crash safety: every mutation goes plan → log → apply. Planning
+//! (`ServiceState::plan`, and `ServiceState::decide_commit` for a
+//! finished screening job) is read-only and is the only step that can
+//! refuse; with [`ServerOptions::persist`] set, a planned mutation is then
+//! appended to a write-ahead log (in commit order; stale screen results
+//! are not logged); applying a planned, logged mutation cannot fail. The
+//! full state is snapshotted every `snapshot_every` mutations (see
 //! [`crate::persist`]). Restart recovery loads the newest valid snapshot
-//! and replays the WAL tail through the same [`ServiceState::handle`] path
-//! that produced it, which the delta correctness invariant makes
-//! deterministic — a recovered daemon answers STATUS/DELTA exactly as an
+//! and replays the WAL tail through [`ServiceState::handle`] — the same
+//! plan and apply steps — which the delta correctness invariant makes
+//! deterministic: a recovered daemon answers STATUS/DELTA exactly as an
 //! uninterrupted one would.
 //!
 //! Storage-fault resilience: a failed WAL append rejects that mutation
@@ -74,10 +77,10 @@ mod subs;
 
 pub use conn::{request, request_with_timeout, Client};
 
-use crate::catalog::{Catalog, Removal};
-use crate::delta::{apply_removal_to_pairs, DeltaEngine, DELTA_VARIANT, HYBRID_DELTA_VARIANT};
+use crate::catalog::{Catalog, CatalogError, Removal};
+use crate::delta::{apply_removal_to_pairs, check_advance_dt, DeltaEngine, Pipeline};
 use crate::error::ServiceError;
-use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput};
+use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::persist::{PersistOptions, Persister, Snapshot, SNAPSHOT_VERSION};
@@ -121,10 +124,6 @@ pub struct ServerOptions {
     /// with no inbound bytes, no job in flight, and no subscription for
     /// this long are reaped.
     pub read_timeout: Option<Duration>,
-    /// Retained for configuration compatibility; the evented front end
-    /// replaced per-write socket timeouts with the bounded write buffer
-    /// governed by [`ServerOptions::write_highwater`].
-    pub write_timeout: Option<Duration>,
     /// Per-line byte cap; oversized lines get an error response.
     pub max_line_bytes: usize,
     /// Per-connection write-buffer high-water mark in bytes: push events
@@ -154,7 +153,6 @@ impl Default for ServerOptions {
             queue_depth: 32,
             workers: 0,
             read_timeout: Some(Duration::from_secs(120)),
-            write_timeout: Some(Duration::from_secs(30)),
             max_line_bytes: MAX_LINE_BYTES,
             write_highwater: MAX_LINE_BYTES,
             faults: FaultPlan::inert(),
@@ -218,20 +216,58 @@ pub struct ServiceState {
     dirty_shards: BTreeSet<u32>,
 }
 
+/// A request that passed `ServiceState::plan`: validated against the
+/// state it was planned on, so `ServiceState::apply` — under the same
+/// lock hold — cannot fail.
+pub(crate) enum Effect {
+    Add {
+        id: u64,
+        elements: KeplerElements,
+    },
+    Update {
+        id: u64,
+        elements: KeplerElements,
+    },
+    Remove {
+        id: u64,
+    },
+    /// SCREEN, DELTA or ADVANCE, run inline from capture to commit.
+    Screen(ScreenKind),
+    Status,
+    Shutdown,
+}
+
+/// What committing a finished screening job will do to the live state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CommitDecision {
+    /// The result becomes the maintained set (and is owed a WAL record).
+    Adopt,
+    /// A screen captured before an already-adopted newer one: answered,
+    /// flagged `stale`, not adopted.
+    Stale,
+    /// An advance whose catalog mutated since capture: refused.
+    Raced,
+}
+
+const PLANNED: &str = "effect was planned against this state under the same lock";
+
 impl ServiceState {
+    /// Fresh state serving the unsharded grid variant.
     pub fn new(config: ScreeningConfig) -> Result<ServiceState, ServiceError> {
-        ServiceState::with_variant(config, Variant::Grid)
+        Ok(ServiceState::with_pipeline(Pipeline::new(
+            config,
+            Variant::Grid,
+        )?))
     }
 
-    /// Fresh state screening with `variant` (the service serves grid and
-    /// hybrid; anything else is rejected here, not at screen time).
-    pub fn with_variant(
-        config: ScreeningConfig,
-        variant: Variant,
-    ) -> Result<ServiceState, ServiceError> {
-        Ok(ServiceState {
+    /// Fresh state screening with `pipeline` (variant, config and shard
+    /// layout). All shards start dirty so the first snapshot writes a full
+    /// chunk set.
+    pub fn with_pipeline(pipeline: Pipeline) -> ServiceState {
+        let shard_map = pipeline.shard_map();
+        ServiceState {
             catalog: Catalog::new(),
-            engine: DeltaEngine::with_variant(config, variant)?,
+            engine: DeltaEngine::with_pipeline(pipeline),
             changed: BTreeSet::new(),
             window_start: 0.0,
             warm_epoch: 0,
@@ -239,29 +275,12 @@ impl ServiceState {
             requests: 0,
             started: Instant::now(),
             recovered: false,
-            shard_map: None,
-            dirty_shards: BTreeSet::new(),
-        })
-    }
-
-    /// Switch the execution strategy to sharded (or back). Safe on a warm
-    /// engine — sharding only changes how candidates are extracted, not
-    /// what they are — so this is applied after restore too. All shards
-    /// start dirty so the first snapshot writes a full chunk set.
-    pub fn set_shards(&mut self, shards: Option<ShardSpec>) -> Result<(), ServiceError> {
-        self.shard_map = match shards {
-            Some(spec) => Some(ShardMap::new(spec)?),
-            None => None,
-        };
-        self.engine.set_shards(shards)?;
-        self.dirty_shards.clear();
-        self.mark_all_shards_dirty();
-        Ok(())
-    }
-
-    /// The shard layout this state runs under, if sharded.
-    pub fn shards(&self) -> Option<ShardSpec> {
-        self.shard_map.map(|m| m.spec())
+            dirty_shards: shard_map
+                .iter()
+                .flat_map(|map| 0..map.shard_count())
+                .collect(),
+            shard_map,
+        }
     }
 
     fn mark_shard_dirty(&mut self, el: &KeplerElements) {
@@ -321,7 +340,7 @@ impl ServiceState {
                 .iter()
                 .map(ElementsSpec::from_elements)
                 .collect(),
-            last_screen: self.last_screen_info(),
+            last_screen: self.engine.last_screen().cloned(),
             dirty_shards: self
                 .shard_map
                 .as_ref()
@@ -330,232 +349,188 @@ impl ServiceState {
     }
 
     /// Rebuild the state a [`ServiceState::snapshot`] captured, serving
-    /// with the variant the snapshot was taken under.
-    pub fn restore_from(
-        config: ScreeningConfig,
-        snapshot: &Snapshot,
-    ) -> Result<ServiceState, ServiceError> {
-        ServiceState::restore_with_variant(config, snapshot, snapshot.variant)
-    }
-
-    /// Rebuild with an explicit serving variant. When it matches the
-    /// snapshot's, the warm maintained set restores as-is; otherwise the
-    /// engine comes back cold (catalog and counters intact) because warm
-    /// pairs from another variant's pipeline are not valid delta inputs —
-    /// the first DELTA after restart falls back to a full screen.
-    pub fn restore_with_variant(
-        config: ScreeningConfig,
-        snapshot: &Snapshot,
-        variant: Variant,
-    ) -> Result<ServiceState, ServiceError> {
-        let mut elements = Vec::with_capacity(snapshot.elements.len());
-        for spec in &snapshot.elements {
-            elements.push(
-                spec.into_elements()
-                    .map_err(|e| ServiceError::Recovery(format!("snapshot elements: {e}")))?,
-            );
-        }
-        let mut base_elements = Vec::with_capacity(snapshot.base_elements.len());
-        for spec in &snapshot.base_elements {
-            base_elements.push(
-                spec.into_elements()
-                    .map_err(|e| ServiceError::Recovery(format!("snapshot base elements: {e}")))?,
-            );
-        }
+    /// with `pipeline`. When its variant matches the snapshot's, the warm
+    /// maintained set restores as-is; otherwise the engine comes back cold
+    /// (catalog and counters intact) because warm pairs from another
+    /// variant's pipeline are not valid delta inputs — the first DELTA
+    /// after restart falls back to a full screen. The shard layout is the
+    /// pipeline's, whatever the snapshot was written under.
+    pub fn restore(pipeline: Pipeline, snapshot: &Snapshot) -> Result<ServiceState, ServiceError> {
+        let validated = |specs: &[ElementsSpec], what: &str| {
+            specs
+                .iter()
+                .map(|spec| spec.into_elements())
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(|e| ServiceError::Recovery(format!("snapshot {what}: {e}")))
+        };
         let catalog = Catalog::restore(
             snapshot.epoch,
             snapshot.ids.clone(),
-            elements,
+            validated(&snapshot.elements, "elements")?,
             snapshot.generations.clone(),
             snapshot.time,
-            base_elements,
+            validated(&snapshot.base_elements, "base elements")?,
         )?;
-        let engine = if variant == snapshot.variant {
-            let mut engine = DeltaEngine::restore_with_variant(
-                config,
-                variant,
+        let engine = if pipeline.variant() == snapshot.variant {
+            DeltaEngine::restore(
+                pipeline,
                 snapshot.screened_n,
                 snapshot.full_screens,
                 snapshot.delta_screens,
                 &snapshot.conjunctions,
-            )?;
-            if let Some(last) = &snapshot.last_screen {
-                engine.restore_last_screen(last.variant.clone(), last.timings, last.filter_stats);
-            }
-            engine
+                snapshot.last_screen.clone(),
+            )?
         } else {
-            DeltaEngine::restore_with_variant(
-                config,
-                variant,
+            DeltaEngine::restore(
+                pipeline,
                 None,
                 snapshot.full_screens,
                 snapshot.delta_screens,
                 &[],
+                None,
             )?
         };
-        let changed: BTreeSet<u32> = snapshot
-            .changed
-            .iter()
-            .copied()
-            .filter(|&i| (i as usize) < catalog.len())
-            .collect();
         Ok(ServiceState {
+            changed: snapshot
+                .changed
+                .iter()
+                .copied()
+                .filter(|&i| (i as usize) < catalog.len())
+                .collect(),
             // The snapshotted maintained set is current as of the
             // snapshotted epoch, with `changed` carrying the rest.
             warm_epoch: catalog.epoch(),
             catalog,
             engine,
-            changed,
             window_start: snapshot.window_start,
-            removals: Vec::new(),
             requests: snapshot.requests_served,
-            started: Instant::now(),
             recovered: true,
-            shard_map: None,
-            dirty_shards: BTreeSet::new(),
+            ..ServiceState::with_pipeline(pipeline)
         })
     }
 
-    fn note_request(&mut self) {
-        self.requests += 1;
-    }
-
-    /// Exact precheck of [`ServiceState::handle`]'s verdict for a
-    /// mutation, without applying it — the write-ahead gate uses this to
-    /// decide whether a WAL record is owed *before* touching state.
-    /// Mirrors the catalog's validation (duplicate/unknown ids, capacity,
-    /// element validity) bit for bit; drift between the two is a bug the
-    /// matrix test below pins.
-    pub fn mutation_would_apply(&self, request: &Request) -> bool {
+    /// Validate `request` against the current state without touching it.
+    /// `Ok` means `ServiceState::apply` of the returned effect will
+    /// succeed, so a WAL record written in between describes a mutation
+    /// that really happens; `Err` is the refusal the client is answered
+    /// with, and the state is untouched.
+    pub(crate) fn plan(&self, request: &Request) -> Result<Effect, ServiceError> {
+        let refused = |e: CatalogError| ServiceError::InvalidRequest(e.to_string());
+        // Metrics, cancellation and subscriptions live with the daemon
+        // (`Shared`) and the connection layer: none of them may cost the
+        // state lock. Reaching one here means a caller bypassed
+        // `handle_and_persist`/the connection layer.
+        let elsewhere = |layer: &str| {
+            ServiceError::InvalidRequest(format!(
+                "{} is served by the {layer} layer",
+                request.kind()
+            ))
+        };
         match request {
             Request::Add { id, elements } => {
-                elements.into_elements().is_ok()
-                    && !self.catalog.contains(*id)
-                    && (self.catalog.len() as u32) < kessler_grid::pairset::MAX_ID
+                let elements = elements.into_elements()?;
+                self.catalog.check_add(*id).map_err(refused)?;
+                Ok(Effect::Add { id: *id, elements })
             }
             Request::Update { id, elements } => {
-                elements.into_elements().is_ok() && self.catalog.contains(*id)
+                let elements = elements.into_elements()?;
+                self.catalog.check_present(*id).map_err(refused)?;
+                Ok(Effect::Update { id: *id, elements })
             }
-            Request::Remove { id } => self.catalog.contains(*id),
-            // Screens always produce a result; an inline ADVANCE holds the
-            // lock from capture to commit, so only its dt can fail.
-            Request::Screen | Request::Delta => true,
-            Request::Advance { dt } => dt.is_finite() && *dt > 0.0,
-            Request::Status
-            | Request::Metrics
-            | Request::Cancel { .. }
-            | Request::Subscribe { .. }
-            | Request::Unsubscribe { .. }
-            | Request::Shutdown => false,
+            Request::Remove { id } => {
+                self.catalog.check_present(*id).map_err(refused)?;
+                Ok(Effect::Remove { id: *id })
+            }
+            Request::Screen => Ok(Effect::Screen(ScreenKind::Full)),
+            Request::Delta => Ok(Effect::Screen(ScreenKind::Delta)),
+            Request::Advance { dt } => {
+                check_advance_dt(*dt)?;
+                Ok(Effect::Screen(ScreenKind::Advance { dt: *dt }))
+            }
+            Request::Status => Ok(Effect::Status),
+            Request::Shutdown => Ok(Effect::Shutdown),
+            Request::Metrics | Request::Cancel { .. } => Err(elsewhere("daemon")),
+            Request::Subscribe { .. } | Request::Unsubscribe { .. } => Err(elsewhere("connection")),
         }
     }
 
-    /// Execute one request against the state. Pure request→response; all
-    /// I/O lives in the connection handler. Screening requests run the
-    /// same capture → run → commit sequence the worker pool does, inline.
-    pub fn handle(&mut self, request: &Request) -> Response {
-        self.note_request();
-        match request {
-            Request::Add { id, elements } => {
-                let el = match elements.into_elements() {
-                    Ok(el) => el,
-                    Err(e) => return Response::error(e.to_string()),
-                };
-                match self.catalog.add(*id, el) {
-                    Ok(index) => {
-                        self.changed.insert(index);
-                        self.mark_shard_dirty(&el);
-                        Response::with_catalog(self.catalog_ack(*id, index))
-                    }
-                    Err(e) => Response::error(e.to_string()),
-                }
+    /// Carry out a planned effect. Infallible: everything that can refuse
+    /// a request was checked by `ServiceState::plan` against this state.
+    /// Screening effects run the same capture → run → commit sequence the
+    /// worker pool does, inline.
+    pub(crate) fn apply(&mut self, effect: Effect) -> Response {
+        self.requests += 1;
+        match effect {
+            Effect::Add { id, elements } => {
+                let index = self.catalog.add(id, elements).expect(PLANNED);
+                self.changed.insert(index);
+                self.mark_shard_dirty(&elements);
+                Response::with_catalog(self.catalog_ack(id, index))
             }
-            Request::Update { id, elements } => {
-                let el = match elements.into_elements() {
-                    Ok(el) => el,
-                    Err(e) => return Response::error(e.to_string()),
-                };
+            Effect::Update { id, elements } => {
                 // An update can move the satellite between shards; both the
                 // shard it leaves and the one it enters need new chunks.
-                let old = self
-                    .catalog
-                    .index_of(*id)
-                    .and_then(|i| self.catalog.elements_at(i))
-                    .copied();
-                match self.catalog.update(*id, el) {
-                    Ok(index) => {
-                        self.changed.insert(index);
-                        if let Some(old) = old {
-                            self.mark_shard_dirty(&old);
-                        }
-                        self.mark_shard_dirty(&el);
-                        Response::with_catalog(self.catalog_ack(*id, index))
-                    }
-                    Err(e) => Response::error(e.to_string()),
+                let index = self.catalog.check_present(id).expect(PLANNED);
+                let old = self.catalog.elements()[index as usize];
+                self.catalog.update(id, elements).expect(PLANNED);
+                self.changed.insert(index);
+                self.mark_shard_dirty(&old);
+                self.mark_shard_dirty(&elements);
+                Response::with_catalog(self.catalog_ack(id, index))
+            }
+            Effect::Remove { id } => {
+                let index = self.catalog.check_present(id).expect(PLANNED);
+                let old = self.catalog.elements()[index as usize];
+                let removal = self.catalog.remove(id).expect(PLANNED);
+                self.mark_shard_dirty(&old);
+                // The swap-removed mover keeps its elements but its
+                // dense index changes, so its chunk changes too.
+                if let Some(moved) = self.catalog.elements_at(removal.removed_index).copied() {
+                    self.mark_shard_dirty(&moved);
                 }
-            }
-            Request::Remove { id } => {
-                let old = self
-                    .catalog
-                    .index_of(*id)
-                    .and_then(|i| self.catalog.elements_at(i))
-                    .copied();
-                match self.catalog.remove(*id) {
-                    Ok(removal) => {
-                        if let Some(old) = old {
-                            self.mark_shard_dirty(&old);
-                        }
-                        // The swap-removed mover keeps its elements but its
-                        // dense index changes, so its chunk changes too.
-                        if let Some(moved) =
-                            self.catalog.elements_at(removal.removed_index).copied()
-                        {
-                            self.mark_shard_dirty(&moved);
-                        }
-                        let new_len = self.catalog.len();
-                        self.engine.apply_removal(removal, new_len);
-                        self.removals.push((self.catalog.epoch(), removal, new_len));
-                        // The old last index no longer exists; if a satellite
-                        // moved into the hole it now needs re-screening.
-                        if let Some(last) = removal.moved_from {
-                            self.changed.remove(&last);
-                            self.changed.insert(removal.removed_index);
-                        } else {
-                            self.changed.remove(&removal.removed_index);
-                        }
-                        self.changed.retain(|&i| (i as usize) < new_len);
-                        Response::with_catalog(self.catalog_ack(*id, removal.removed_index))
-                    }
-                    Err(e) => Response::error(e.to_string()),
+                let new_len = self.catalog.len();
+                self.engine.apply_removal(removal, new_len);
+                self.removals.push((self.catalog.epoch(), removal, new_len));
+                // The old last index no longer exists; if a satellite
+                // moved into the hole it now needs re-screening.
+                if let Some(last) = removal.moved_from {
+                    self.changed.remove(&last);
+                    self.changed.insert(removal.removed_index);
+                } else {
+                    self.changed.remove(&removal.removed_index);
                 }
+                self.changed.retain(|&i| (i as usize) < new_len);
+                Response::with_catalog(self.catalog_ack(id, removal.removed_index))
             }
-            Request::Screen => self.screen_sync(ScreenKind::Full),
-            Request::Delta => self.screen_sync(ScreenKind::Delta),
-            Request::Advance { dt } => {
-                if !dt.is_finite() || *dt <= 0.0 {
-                    return Response::error(format!(
-                        "advance dt must be positive and finite, got {dt}"
-                    ));
-                }
-                self.screen_sync(ScreenKind::Advance { dt: *dt })
+            Effect::Screen(kind) => {
+                // Byte-identical to a pool worker running the same job at
+                // the same epoch — both go through `run_screen_job` and
+                // `commit_screen_job`. The lock is held from capture to
+                // commit, so the commit always adopts.
+                let job = self.capture(kind);
+                let output =
+                    run_screen_job(&job, None).expect("uncancellable screen cannot be cancelled");
+                self.commit_screen_job(&job, output)
             }
-            Request::Status => Response::with_status(self.status()),
-            // Metrics and cancellation live with the daemon (`Shared`),
-            // not the state: the registry/metrics span queue and worker
-            // concerns the state never sees, and neither verb may cost the
-            // state lock. Reaching these arms means a caller bypassed
-            // `handle_and_persist`/the connection layer.
-            Request::Metrics => Response::error("METRICS is served by the daemon layer"),
-            Request::Cancel { .. } => Response::error("CANCEL is served by the daemon layer"),
-            // Subscriptions are per-connection constructs; only the event
-            // loop knows which connection is asking.
-            Request::Subscribe { .. } => {
-                Response::error("SUBSCRIBE is served by the connection layer")
-            }
-            Request::Unsubscribe { .. } => {
-                Response::error("UNSUBSCRIBE is served by the connection layer")
-            }
-            Request::Shutdown => Response::ack(),
+            Effect::Status => Response::with_status(self.status()),
+            Effect::Shutdown => Response::ack(),
+        }
+    }
+
+    /// Answer a request `ServiceState::plan` refused.
+    pub(crate) fn refuse(&mut self, refusal: &ServiceError) -> Response {
+        self.requests += 1;
+        Response::error(refusal.to_string())
+    }
+
+    /// Execute one request against the state: plan, then apply or refuse.
+    /// Pure request→response; all I/O (and the WAL append the daemon puts
+    /// between the two steps) lives in the connection handler. Recovery
+    /// replays the WAL tail through this.
+    pub fn handle(&mut self, request: &Request) -> Response {
+        match self.plan(request) {
+            Ok(effect) => self.apply(effect),
+            Err(refusal) => self.refuse(&refusal),
         }
     }
 
@@ -572,41 +547,61 @@ impl ServiceState {
     }
 
     /// Capture a job for the worker pool, counting the request the way the
-    /// inline [`ServiceState::handle`] path does.
+    /// inline `ServiceState::apply` path does.
     pub fn capture_screen_job(&mut self, kind: ScreenKind) -> ScreenJob {
-        self.note_request();
+        self.requests += 1;
         self.capture(kind)
     }
 
-    /// The inline screening path: capture, run uncancellably, commit.
-    /// Byte-identical to a pool worker running the same job at the same
-    /// epoch — both go through [`run_screen_job`] and
-    /// [`ServiceState::commit_screen_job`].
-    fn screen_sync(&mut self, kind: ScreenKind) -> Response {
-        let job = self.capture(kind);
-        let output = run_screen_job(&job, None).expect("uncancellable screen cannot be cancelled");
-        self.commit_screen_job(&job, output)
+    /// What `ServiceState::apply_commit` will do with `job`'s result —
+    /// the commit path's planning step, read-only, so the daemon can log
+    /// exactly the commits that adopt. Screens are latest-epoch-wins: a
+    /// job older than the adopted set is stale. Advances mutate the
+    /// catalog, so they refuse to commit over any concurrent mutation.
+    pub(crate) fn decide_commit(&self, job: &ScreenJob) -> CommitDecision {
+        match job.kind {
+            ScreenKind::Advance { .. } if self.catalog.epoch() != job.epoch() => {
+                CommitDecision::Raced
+            }
+            ScreenKind::Full | ScreenKind::Delta if job.epoch() < self.warm_epoch => {
+                CommitDecision::Stale
+            }
+            _ => CommitDecision::Adopt,
+        }
     }
 
-    /// Merge a completed job back into live state, latest-epoch-wins.
-    ///
-    /// Screens: a job older than the adopted set answers `stale` without
-    /// touching it; otherwise removals that landed after capture are
-    /// replayed onto the result, it becomes the maintained set, and only
-    /// satellites mutated *after* capture stay pending. Advances mutate the
-    /// catalog, so they refuse to commit over any concurrent mutation.
+    /// Merge a completed job back into live state: decide, then apply.
     pub fn commit_screen_job(&mut self, job: &ScreenJob, output: ScreenOutput) -> Response {
+        let decision = self.decide_commit(job);
+        self.apply_commit(job, output, decision)
+    }
+
+    /// Carry out `decision` (from `ServiceState::decide_commit` under
+    /// the same lock hold) for a completed job.
+    ///
+    /// An adopted screen has the removals that landed after its capture
+    /// replayed onto it, becomes the maintained set, and leaves only
+    /// satellites mutated *after* capture pending. An adopted advance
+    /// re-propagates the catalog and slides the window.
+    pub(crate) fn apply_commit(
+        &mut self,
+        job: &ScreenJob,
+        output: ScreenOutput,
+        decision: CommitDecision,
+    ) -> Response {
         let epoch = job.epoch();
+        let adopt = decision == CommitDecision::Adopt;
         match output {
-            ScreenOutput::Screen {
+            ScreenOutput::Screen(Screened {
                 report,
                 mut pairs,
                 shards,
-            } => {
+                ran,
+            }) => {
                 let mut summary = ScreenSummary::from_report(&report);
                 summary.epoch = epoch;
                 summary.shards = shards.as_ref().map(ShardSummary::from_stats);
-                if epoch < self.warm_epoch {
+                if !adopt {
                     summary.stale = true;
                     return Response::with_screen(summary);
                 }
@@ -615,14 +610,12 @@ impl ServiceState {
                         apply_removal_to_pairs(&mut pairs, removal, new_len);
                     }
                 }
-                let n = self.catalog.len();
-                if report.variant == DELTA_VARIANT || report.variant == HYBRID_DELTA_VARIANT {
-                    self.engine
-                        .adopt_delta(pairs, n, report.timings, report.filter_stats);
-                } else {
-                    self.engine
-                        .adopt_full(pairs, n, report.timings, report.filter_stats);
-                }
+                self.engine.adopt(
+                    pairs,
+                    self.catalog.len(),
+                    ran,
+                    LastScreen::from_report(&report),
+                );
                 self.warm_epoch = epoch;
                 self.removals
                     .retain(|&(removed_at, _, _)| removed_at > epoch);
@@ -635,12 +628,11 @@ impl ServiceState {
             ScreenOutput::Advance {
                 pairs,
                 outcome,
-                timings,
-                filter_stats,
+                tail,
                 dt,
                 fold,
             } => {
-                if self.catalog.epoch() != epoch {
+                if !adopt {
                     return Response::error(format!(
                         "advance raced concurrent mutations (catalog at epoch {}, captured at \
                          {epoch}); retry",
@@ -652,8 +644,7 @@ impl ServiceState {
                 self.catalog.advance_all(dt);
                 // Every satellite's stored elements just changed.
                 self.mark_all_shards_dirty();
-                self.engine
-                    .adopt_advance(pairs, self.catalog.len(), timings, filter_stats, fold);
+                self.engine.adopt(pairs, self.catalog.len(), fold, tail);
                 self.changed.clear();
                 self.warm_epoch = self.catalog.epoch();
                 self.removals.clear();
@@ -683,20 +674,7 @@ impl ServiceState {
         )
     }
 
-    /// Variant + timings of the most recent *adopted* screen (STATUS and
-    /// snapshots). The variant comes from the engine's record of what it
-    /// last adopted, not from the counters — `delta_screens > 0` says a
-    /// delta happened at some point, not that the last screen was one.
-    fn last_screen_info(&self) -> Option<LastScreen> {
-        self.engine.last_variant().map(|variant| LastScreen {
-            variant: variant.to_string(),
-            timings: *self.engine.last_timings(),
-            filter_stats: self.engine.last_filter_stats(),
-        })
-    }
-
     pub fn status(&self) -> StatusInfo {
-        let last_screen = self.last_screen_info();
         StatusInfo {
             n_satellites: self.catalog.len(),
             variant: self.engine.variant().label().to_string(),
@@ -708,7 +686,10 @@ impl ServiceState {
             requests_served: self.requests,
             uptime_ms: self.started.elapsed().as_secs_f64() * 1e3,
             window: self.window(),
-            last_screen,
+            // The engine's record of what it last adopted, not the
+            // counters — `delta_screens > 0` says a delta happened at some
+            // point, not that the last screen was one.
+            last_screen: self.engine.last_screen().cloned(),
             recovered: self.recovered,
             // The daemon layer overwrites this with the live health mode;
             // a bare state (tests, ephemeral daemons) is always normal.
@@ -746,6 +727,7 @@ impl Server {
         config: ScreeningConfig,
         options: ServerOptions,
     ) -> Result<Server, ServiceError> {
+        let pipeline = Pipeline::new(config, options.variant)?.with_shards(options.shards)?;
         let mut persister = None;
         let mut recovery_summary = None;
         let state = match &options.persist {
@@ -757,12 +739,9 @@ impl Server {
                 let (mut p, recovery) =
                     Persister::open(&persist_options, Arc::clone(&options.faults))?;
                 let mut state = match &recovery.snapshot {
-                    Some(snapshot) => {
-                        ServiceState::restore_with_variant(config, snapshot, options.variant)?
-                    }
-                    None => ServiceState::with_variant(config, options.variant)?,
+                    Some(snapshot) => ServiceState::restore(pipeline, snapshot)?,
+                    None => ServiceState::with_pipeline(pipeline),
                 };
-                state.set_shards(options.shards)?;
                 for request in &recovery.tail {
                     let response = state.handle(request);
                     if !response.ok {
@@ -789,11 +768,7 @@ impl Server {
                 persister = Some(p);
                 state
             }
-            None => {
-                let mut state = ServiceState::with_variant(config, options.variant)?;
-                state.set_shards(options.shards)?;
-                state
-            }
+            None => ServiceState::with_pipeline(pipeline),
         };
 
         let listener = TcpListener::bind(addr).map_err(|e| ServiceError::Bind {
@@ -977,7 +952,9 @@ impl ServerHandle {
 mod tests {
     use super::conn::{read_bounded_line, LineOutcome};
     use super::*;
-    use crate::proto::ElementsSpec;
+    use crate::delta::{DELTA_VARIANT, HYBRID_DELTA_VARIANT};
+    use std::collections::BTreeMap;
+    use std::path::PathBuf;
 
     fn spec(a: f64, incl: f64, m: f64) -> ElementsSpec {
         ElementsSpec {
@@ -1026,89 +1003,311 @@ mod tests {
         assert!(!r.ok, "double remove must fail");
     }
 
-    #[test]
-    fn mutation_precheck_agrees_with_the_real_apply() {
-        // WAL-before-apply leans on this: a request the precheck accepts
-        // is logged *before* `handle` runs, so any case where the precheck
-        // says yes but the apply says no (or vice versa) either writes a
-        // phantom record or silently skips durability. Walk the failure
-        // matrix and demand exact agreement.
-        let config = ScreeningConfig::grid_defaults(5.0, 120.0);
-        let mut state = ServiceState::new(config).unwrap();
-        assert!(
-            state
-                .handle(&Request::Add {
-                    id: 1,
-                    elements: spec(7_000.0, 0.5, 0.0)
-                })
-                .ok
-        );
-        assert!(
-            state
-                .handle(&Request::Add {
-                    id: 2,
-                    elements: spec(7_010.0, 0.6, 1.0)
-                })
-                .ok
-        );
+    /// splitmix64 (Steele, Lea & Flood): the whole generator state is one
+    /// `u64`, so a failing sequence replays from the seed its assertion
+    /// message prints.
+    struct SplitMix64(u64);
 
-        let bad = ElementsSpec {
-            a: -5.0,
-            e: 0.0,
-            incl: 0.0,
-            raan: 0.0,
-            argp: 0.0,
-            mean_anomaly: 0.0,
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    const MAX_SATS: u64 = 64;
+
+    /// One generated request over external ids `0..MAX_SATS`, so the
+    /// catalog never exceeds 64 satellites and duplicate ADDs and unknown
+    /// UPDATE/REMOVE ids come up by themselves; one in ten element sets is
+    /// invalid and one in three ADVANCEs carries a bad `dt`.
+    fn generated_request(rng: &mut SplitMix64) -> Request {
+        let id = rng.below(MAX_SATS);
+        let elements = if rng.below(10) == 0 {
+            ElementsSpec {
+                a: -5.0,
+                e: 0.0,
+                incl: 0.0,
+                raan: 0.0,
+                argp: 0.0,
+                mean_anomaly: 0.0,
+            }
+        } else {
+            ElementsSpec {
+                a: 6_950.0 + 120.0 * rng.unit(),
+                e: 0.002 * rng.unit(),
+                incl: 0.3 + 1.2 * rng.unit(),
+                raan: std::f64::consts::TAU * rng.unit(),
+                argp: std::f64::consts::TAU * rng.unit(),
+                mean_anomaly: std::f64::consts::TAU * rng.unit(),
+            }
         };
-        let matrix: Vec<Request> = vec![
-            Request::Add {
-                id: 3,
-                elements: spec(7_020.0, 0.7, 2.0),
-            }, // fresh
-            Request::Add {
-                id: 1,
-                elements: spec(7_020.0, 0.7, 2.0),
-            }, // duplicate
-            Request::Add {
-                id: 9,
-                elements: bad,
-            }, // invalid elements
-            Request::Update {
-                id: 2,
-                elements: spec(7_030.0, 0.8, 3.0),
-            }, // known
-            Request::Update {
-                id: 99,
-                elements: spec(7_030.0, 0.8, 3.0),
-            }, // unknown
-            Request::Update {
-                id: 2,
-                elements: bad,
-            }, // invalid elements
-            Request::Remove { id: 1 },         // known
-            Request::Remove { id: 1 },         // double remove
-            Request::Advance { dt: 30.0 },     // good dt
-            Request::Advance { dt: -1.0 },     // bad dt
-            Request::Advance { dt: f64::NAN }, // bad dt
-        ];
-        for request in &matrix {
-            let predicted = state.mutation_would_apply(request);
-            let applied = state.handle(request).ok;
-            assert_eq!(
-                predicted, applied,
-                "precheck drifted from the apply on {request:?}"
+        match rng.below(100) {
+            0..=34 => Request::Add { id, elements },
+            35..=64 => Request::Update { id, elements },
+            65..=79 => Request::Remove { id },
+            80..=85 => Request::Advance {
+                dt: match rng.below(6) {
+                    0 => -1.0,
+                    1 => {
+                        if rng.below(2) == 0 {
+                            0.0
+                        } else {
+                            f64::NAN
+                        }
+                    }
+                    2 if rng.below(2) == 0 => f64::INFINITY,
+                    _ => 1.0 + 40.0 * rng.unit(),
+                },
+            },
+            86..=88 => Request::Screen,
+            _ => Request::Delta,
+        }
+    }
+
+    /// The reference the state is held against: which ids exist, and the
+    /// request rules written out once more in the plainest possible form.
+    #[derive(Default)]
+    struct Model {
+        sats: BTreeMap<u64, ElementsSpec>,
+    }
+
+    impl Model {
+        fn accepts(&self, request: &Request) -> bool {
+            match request {
+                Request::Add { id, elements } => {
+                    elements.into_elements().is_ok() && !self.sats.contains_key(id)
+                }
+                Request::Update { id, elements } => {
+                    elements.into_elements().is_ok() && self.sats.contains_key(id)
+                }
+                Request::Remove { id } => self.sats.contains_key(id),
+                Request::Advance { dt } => dt.is_finite() && *dt > 0.0,
+                Request::Screen | Request::Delta | Request::Status | Request::Shutdown => true,
+                _ => false,
+            }
+        }
+
+        fn apply(&mut self, request: &Request) {
+            match request {
+                Request::Add { id, elements } | Request::Update { id, elements } => {
+                    self.sats.insert(*id, *elements);
+                }
+                Request::Remove { id } => {
+                    self.sats.remove(id);
+                }
+                _ => {}
+            }
+        }
+
+        /// The live catalog must hold exactly the model's satellites
+        /// (ADVANCE moves mean anomalies, so only `a`/`incl` are compared).
+        fn assert_matches(&self, state: &ServiceState, context: &str) {
+            let catalog = state.catalog();
+            assert_eq!(catalog.len(), self.sats.len(), "{context}");
+            assert!(catalog.len() as u64 <= MAX_SATS, "{context}");
+            for (id, spec) in &self.sats {
+                let index = catalog
+                    .index_of(*id)
+                    .unwrap_or_else(|| panic!("{context}: {id}"));
+                let el = catalog.elements()[index as usize];
+                assert_eq!(el.semi_major_axis, spec.a, "{context}");
+                assert_eq!(el.inclination, spec.incl, "{context}");
+            }
+        }
+    }
+
+    fn json<T: serde::Serialize>(value: &T) -> String {
+        serde_json::to_string(value).expect("serialize")
+    }
+
+    #[test]
+    fn generated_sequences_plan_exactly_what_they_apply() {
+        // WAL-before-apply leans on this: the daemon logs a mutation after
+        // `plan` accepted it and before `apply` runs, so `plan` must
+        // refuse everything that would not stick (else the log holds a
+        // record of something that never happened) and `apply` must carry
+        // out everything `plan` accepted. 2 400 generated requests, each
+        // verdict held against the model and each refusal against the
+        // state's own serialized form.
+        for seed in [0x5eed_0001_u64, 0x5eed_0002, 0x5eed_0003] {
+            let mut rng = SplitMix64(seed);
+            let config = ScreeningConfig::grid_defaults(5.0, 120.0);
+            let mut state = ServiceState::new(config).unwrap();
+            let mut model = Model::default();
+            let mut refused = 0;
+            for step in 0..800 {
+                let request = generated_request(&mut rng);
+                let context = format!("seed {seed:#x} step {step}: {request:?}");
+                let before = state.snapshot(0);
+                match state.plan(&request) {
+                    Ok(effect) => {
+                        assert!(model.accepts(&request), "planned a bad request; {context}");
+                        let response = state.apply(effect);
+                        assert!(response.ok, "{:?}; {context}", response.error);
+                        model.apply(&request);
+                    }
+                    Err(refusal) => {
+                        assert!(
+                            !model.accepts(&request),
+                            "refused a good request; {context}"
+                        );
+                        let response = state.refuse(&refusal);
+                        assert!(!response.ok && !response.not_applied, "{context}");
+                        assert_eq!(response.error, Some(refusal.to_string()), "{context}");
+                        // Nothing but the request counter may have moved.
+                        let mut after = state.snapshot(0);
+                        assert_eq!(after.requests_served, before.requests_served + 1);
+                        after.requests_served = before.requests_served;
+                        assert_eq!(json(&after), json(&before), "{context}");
+                        refused += 1;
+                    }
+                }
+                model.assert_matches(&state, &context);
+            }
+            assert!(
+                refused > 100,
+                "seed {seed:#x}: only {refused} refusals generated"
             );
         }
-        // Verbs the daemon layer answers without the WAL are never
-        // "would apply".
-        assert!(!state.mutation_would_apply(&Request::Status));
-        assert!(!state.mutation_would_apply(&Request::Metrics));
-        assert!(!state.mutation_would_apply(&Request::Shutdown));
-        assert!(!state.mutation_would_apply(&Request::Subscribe {
-            assets: vec![],
-            all: true,
-        }));
-        assert!(!state.mutation_would_apply(&Request::Unsubscribe { sub_id: None }));
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("kessler-state-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn a_failed_wal_append_is_not_applied_and_recovery_equals_the_uninterrupted_model() {
+        // The same generated traffic through the daemon's plan → log →
+        // apply path, with one WAL-append fault armed at a random step.
+        // Every request the daemon does not answer `not_applied` also goes
+        // to a bare `ServiceState` that never saw a disk; after a restart
+        // from the state directory the two must hold the same state.
+        let seed = 0x5eed_00fa_u64;
+        let mut rng = SplitMix64(seed);
+        let config = ScreeningConfig::grid_defaults(5.0, 120.0);
+        let dir = temp_dir("fault");
+        let faults = Arc::new(FaultPlan::default());
+        let options = |faults: Arc<FaultPlan>| ServerOptions {
+            persist: Some(PersistOptions {
+                snapshot_every: 37,
+                ..PersistOptions::new(&dir)
+            }),
+            faults,
+            probe_initial: Duration::from_millis(1),
+            probe_max: Duration::from_millis(5),
+            ..ServerOptions::default()
+        };
+        let server = Server::bind_with("127.0.0.1:0", config, options(Arc::clone(&faults)))
+            .expect("bind persistent server");
+        let shared = Arc::clone(&server.shared);
+        let handle = server.spawn().expect("spawn server");
+        let last_seq = || shared.persist.as_ref().unwrap().lock().last_seq();
+
+        let mut uninterrupted = ServiceState::new(config).unwrap();
+        let steps = 600;
+        let fault_step = 100 + rng.below(200);
+        let mut not_applied = 0;
+        for step in 0..steps {
+            if step == fault_step {
+                faults.arm_wal_append_eio();
+            }
+            // A sprinkling of the verbs that are answered without the WAL.
+            let request = match rng.below(25) {
+                0 => Request::Status,
+                1 => Request::Metrics,
+                2 => Request::Subscribe {
+                    assets: vec![],
+                    all: true,
+                },
+                3 => Request::Unsubscribe { sub_id: None },
+                _ => generated_request(&mut rng),
+            };
+            let context = format!("seed {seed:#x} step {step}: {request:?}");
+            let seq_before = last_seq();
+            let response = handle_and_persist(&shared, &request);
+            let logged = last_seq() - seq_before;
+            if response.not_applied {
+                // Only a planned mutation reaches the log gate, and a
+                // rejected one leaves neither a record nor a trace.
+                assert!(!response.ok && request.is_mutation(), "{context}");
+                assert!(uninterrupted.plan(&request).is_ok(), "{context}");
+                assert_eq!(logged, 0, "{context}");
+                not_applied += 1;
+                continue;
+            }
+            if matches!(request, Request::Metrics) {
+                assert!(response.ok && logged == 0, "{context}");
+                continue;
+            }
+            let expected = uninterrupted.handle(&request);
+            assert_eq!(response.ok, expected.ok, "{context}");
+            assert_eq!(response.error, expected.error, "{context}");
+            // Logged iff it is a mutation that was applied.
+            assert_eq!(
+                logged,
+                u64::from(response.ok && request.is_mutation()),
+                "{context}"
+            );
+        }
+        assert!(
+            not_applied >= 1,
+            "seed {seed:#x}: the armed fault never fired"
+        );
+        let live = shared.state.lock().snapshot(0);
+        drop(shared);
+        handle.shutdown();
+
+        let server = Server::bind_with("127.0.0.1:0", config, options(FaultPlan::inert()))
+            .expect("recover from the state directory");
+        let recovered = server.shared.state.lock().snapshot(0);
+        server.spawn().expect("spawn server").shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let expected = uninterrupted.snapshot(0);
+        for (what, got) in [("live", &live), ("recovered", &recovered)] {
+            let context = format!("seed {seed:#x}: {what} daemon vs uninterrupted model");
+            assert_eq!(got.epoch, expected.epoch, "{context}");
+            assert_eq!(got.ids, expected.ids, "{context}");
+            assert_eq!(got.generations, expected.generations, "{context}");
+            assert_eq!(got.changed, expected.changed, "{context}");
+            assert_eq!(got.screened_n, expected.screened_n, "{context}");
+            assert_eq!(got.full_screens, expected.full_screens, "{context}");
+            assert_eq!(got.delta_screens, expected.delta_screens, "{context}");
+            assert_eq!(got.window_start, expected.window_start, "{context}");
+            assert_eq!(got.time, expected.time, "{context}");
+            // Elements and conjunctions cross a decimal round-trip on the
+            // recovered side, so they are held to 1e-9 instead of to bits.
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + b.abs());
+            for (a, b) in got.elements.iter().zip(&expected.elements) {
+                assert!(close(a.a, b.a) && close(a.incl, b.incl), "{context}");
+                assert!(close(a.mean_anomaly, b.mean_anomaly), "{context}");
+            }
+            assert_eq!(
+                got.conjunctions.len(),
+                expected.conjunctions.len(),
+                "{context}"
+            );
+            for (a, b) in got.conjunctions.iter().zip(&expected.conjunctions) {
+                assert_eq!(a.pair(), b.pair(), "{context}");
+                assert!((a.tca - b.tca).abs() < 1e-6, "{context}");
+                assert!((a.pca_km - b.pca_km).abs() < 1e-6, "{context}");
+            }
+        }
     }
 
     #[test]
@@ -1272,7 +1471,8 @@ mod tests {
 
         let snapshot = state.snapshot(17);
         assert_eq!(snapshot.wal_seq, 17);
-        let restored = ServiceState::restore_from(config, &snapshot).unwrap();
+        let pipeline = Pipeline::new(config, snapshot.variant).unwrap();
+        let restored = ServiceState::restore(pipeline, &snapshot).unwrap();
 
         let a = state.status();
         let b = restored.status();
@@ -1305,7 +1505,7 @@ mod tests {
         // A corrupted snapshot is rejected, not silently accepted.
         let mut bad = snapshot.clone();
         bad.generations.pop();
-        assert!(ServiceState::restore_from(config, &bad).is_err());
+        assert!(ServiceState::restore(pipeline, &bad).is_err());
     }
 
     #[test]
@@ -1439,7 +1639,8 @@ mod tests {
     #[test]
     fn hybrid_state_serves_screens_with_filter_stats() {
         let config = ScreeningConfig::hybrid_defaults(5.0, 120.0);
-        let mut state = ServiceState::with_variant(config, Variant::Hybrid).unwrap();
+        let mut state =
+            ServiceState::with_pipeline(Pipeline::new(config, Variant::Hybrid).unwrap());
         for i in 0..12u64 {
             state.handle(&Request::Add {
                 id: i,
@@ -1489,8 +1690,8 @@ mod tests {
         assert_eq!(snapshot.variant, Variant::Grid);
 
         let hybrid_config = ScreeningConfig::hybrid_defaults(5.0, 120.0);
-        let mut restored =
-            ServiceState::restore_with_variant(hybrid_config, &snapshot, Variant::Hybrid).unwrap();
+        let hybrid = Pipeline::new(hybrid_config, Variant::Hybrid).unwrap();
+        let mut restored = ServiceState::restore(hybrid, &snapshot).unwrap();
         assert!(
             !restored.engine().is_warm(),
             "a foreign-variant warm set must be dropped on restore"
@@ -1503,7 +1704,8 @@ mod tests {
         assert_eq!(r.screen.unwrap().variant, "hybrid");
 
         // Same variant restores warm, exactly as before.
-        let warm = ServiceState::restore_from(config, &snapshot).unwrap();
+        let grid = Pipeline::new(config, Variant::Grid).unwrap();
+        let warm = ServiceState::restore(grid, &snapshot).unwrap();
         assert!(warm.engine().is_warm());
         assert_eq!(warm.engine().conjunctions(), state.engine().conjunctions());
     }

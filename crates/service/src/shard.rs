@@ -45,8 +45,6 @@
 
 use crate::error::ServiceError;
 use kessler_core::metrics::Histogram;
-use kessler_grid::cellkey::cell_key_of;
-use kessler_grid::neighbor::FULL_NEIGHBORHOOD;
 use kessler_grid::pairset::CandidatePair;
 use kessler_grid::SpatialGrid;
 use kessler_math::Vec3;
@@ -331,32 +329,16 @@ pub fn extract_step_sharded(
                 let grid = SpatialGrid::new(members.len(), cell_size_km);
                 grid.insert_all(local_positions)
                     .expect("shard grid sized at its member count cannot fill up");
-                let push = |c: u32, local: u32, out: &mut ShardOutcome| {
-                    let g = members[local as usize];
-                    if g != c {
-                        out.entries.push(CandidatePair::new(c, g, step));
-                        if map.home_of(positions[g as usize]) as usize != s {
-                            out.boundary += 1;
-                        }
-                    }
-                };
                 for &c in queries {
-                    let key = cell_key_of(positions[c as usize], cell_size_km);
-                    if let Some(slot) = grid.lookup_cell(key) {
-                        for m in grid.cell_members(slot) {
-                            push(c, m, &mut out);
-                        }
-                    }
-                    for &(dx, dy, dz) in FULL_NEIGHBORHOOD.iter() {
-                        let Some(neighbor) = key.offset(dx, dy, dz) else {
-                            continue;
-                        };
-                        if let Some(slot) = grid.lookup_cell(neighbor) {
-                            for m in grid.cell_members(slot) {
-                                push(c, m, &mut out);
+                    grid.for_each_near(positions[c as usize], |local| {
+                        let g = members[local as usize];
+                        if g != c {
+                            out.entries.push(CandidatePair::new(c, g, step));
+                            if map.home_of(positions[g as usize]) as usize != s {
+                                out.boundary += 1;
                             }
                         }
-                    }
+                    });
                 }
             }
             out.micros = started.elapsed().as_micros() as u64;
@@ -485,24 +467,11 @@ mod tests {
         let grid = SpatialGrid::new(positions.len(), cell);
         grid.insert_all(&positions).unwrap();
         for &c in &changed {
-            let key = cell_key_of(positions[c as usize], cell);
-            if let Some(slot) = grid.lookup_cell(key) {
-                for mbr in grid.cell_members(slot) {
-                    if mbr != c {
-                        expected.insert(CandidatePair::new(c, mbr, 7));
-                    }
+            grid.for_each_near(positions[c as usize], |mbr| {
+                if mbr != c {
+                    expected.insert(CandidatePair::new(c, mbr, 7));
                 }
-            }
-            for &(dx, dy, dz) in FULL_NEIGHBORHOOD.iter() {
-                let Some(neighbor) = key.offset(dx, dy, dz) else {
-                    continue;
-                };
-                if let Some(slot) = grid.lookup_cell(neighbor) {
-                    for mbr in grid.cell_members(slot) {
-                        expected.insert(CandidatePair::new(c, mbr, 7));
-                    }
-                }
-            }
+            });
         }
 
         let m = map(8, 4);

@@ -228,19 +228,22 @@ fn pushes_are_shed_at_the_write_buffer_high_water_mark() {
     assert!(ack.all);
 
     let mut driver = Client::connect(server.addr()).expect("connect driver");
-    // Two co-located satellites: the screen finds their pair and tries to
-    // push a `new` event at the subscriber.
-    for (id, m) in [(1u64, 0.0f64), (2, 0.0004)] {
+    // Two satellites on crossing planes that share a node and reach it
+    // together about 60 s in — mid-window, so the range has an interior
+    // minimum (a co-orbital trailing pair's range is monotone over a short
+    // window and yields a candidate but no conjunction). The screen finds
+    // their pair and tries to push a `new` event at the subscriber.
+    for (id, incl) in [(1u64, 0.5f64), (2, 1.3)] {
         let response = driver
             .send(&Request::Add {
                 id,
                 elements: ElementsSpec {
                     a: 7_000.0,
                     e: 0.001,
-                    incl: 0.5,
+                    incl,
                     raan: 0.3,
                     argp: 0.1,
-                    mean_anomaly: m,
+                    mean_anomaly: 6.1185,
                 },
             })
             .expect("ADD");

@@ -52,11 +52,10 @@ fn serve_preloaded(
 /// canonical JSON string, for byte-identical comparisons across servers.
 fn normalized(summary: &ScreenSummary) -> String {
     let mut value = serde_json::to_value(summary).expect("serialize summary");
-    value
-        .as_object_mut()
-        .expect("summary is an object")
-        .remove("timings");
-    value.to_string()
+    if let serde_json::Value::Object(map) = &mut value {
+        map.remove("timings");
+    }
+    serde_json::to_string(&value).expect("serialize normalized summary")
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -399,9 +398,13 @@ fn pre_variant_snapshot_recovers_as_grid() {
     let line = text.lines().find(|l| !l.is_empty()).expect("frame line");
     let (seq, body) = wal::decode_frame(line).expect("decode snapshot frame");
     let mut value: serde_json::Value = serde_json::from_str(&body).expect("snapshot json");
-    let removed = value.as_object_mut().expect("object").remove("variant");
+    let mut removed = None;
+    if let serde_json::Value::Object(map) = &mut value {
+        removed = map.remove("variant");
+    }
     assert!(removed.is_some(), "snapshots must persist their variant");
-    let mut forged = wal::encode_frame(seq, &value.to_string());
+    let body = serde_json::to_string(&value).expect("serialize forged snapshot");
+    let mut forged = wal::encode_frame(seq, &body);
     forged.push('\n');
     std::fs::write(&path, forged).expect("rewrite snapshot");
 

@@ -2,7 +2,8 @@
 //! a daemon writing incremental per-shard snapshots must restart into
 //! exactly the state an uninterrupted daemon holds, fall back to the
 //! previous recovery point when its newest shard chunk is corrupt, and
-//! read pre-sharding (v1) snapshot directories unchanged.
+//! read pre-sharding (v1) snapshot directories unchanged — including the
+//! flat and sharded directories an earlier commit's binary left behind.
 
 use kessler_core::ScreeningConfig;
 use kessler_service::proto::{ElementsSpec, StatusInfo};
@@ -128,10 +129,15 @@ fn script() -> Vec<Request> {
 /// STATUS must match the pre-crash daemon and an uninterrupted control,
 /// and a post-restart UPDATE + DELTA must agree with the control — the
 /// warm engine carried over through manifest + chunk materialization.
-fn assert_restart_matches(dir: &Path, shards: Option<ShardSpec>, final_a: &StatusInfo) {
+fn assert_restart_matches(
+    dir: &Path,
+    shards: Option<ShardSpec>,
+    final_a: &StatusInfo,
+    script: &[Request],
+) {
     let daemon_b = serve(dir, shards, 4);
     let daemon_c = serve_ephemeral(shards);
-    drive(daemon_c.addr(), &script());
+    drive(daemon_c.addr(), script);
 
     let status_b = status_of(daemon_b.addr());
     let status_c = status_of(daemon_c.addr());
@@ -196,7 +202,7 @@ fn sharded_restart_resumes_warm_and_matches_uninterrupted() {
         "sharded daemon wrote a v1 snapshot: {names:?}"
     );
 
-    assert_restart_matches(&dir, shards, &final_a);
+    assert_restart_matches(&dir, shards, &final_a, &script());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -233,7 +239,7 @@ fn corrupt_newest_chunk_falls_back_to_previous_point() {
     }
     std::fs::write(newest, &bytes).expect("vandalize chunk");
 
-    assert_restart_matches(&dir, shards, &final_a);
+    assert_restart_matches(&dir, shards, &final_a, &script());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -260,7 +266,7 @@ fn pre_sharding_snapshots_recover_under_sharded_options() {
     // snapshot must materialize, and the daemon must serve identically.
     // (The control daemon is sharded too — sharded and unsharded screens
     // are exactly equal, which tests/delta_correctness.rs pins down.)
-    assert_restart_matches(&dir, shards, &final_a);
+    assert_restart_matches(&dir, shards, &final_a, &script());
 
     // Mutate past the snapshot cadence so daemon C writes v2 files into
     // the formerly-v1 directory, then prove a further restart reads the
@@ -304,4 +310,61 @@ fn pre_sharding_snapshots_recover_under_sharded_options() {
     assert!(status_d.recovered);
     daemon_d.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Formats are a contract with the directories already on disk. The two
+/// fixture directories under `tests/fixtures/` were written by the
+/// `kessler serve --threshold 5 --span 120 --snapshot-every 7` binary of
+/// commit a695b38 (flat, and `--shards 2x2`), driven over the wire with two
+/// crossing satellites (ids 100, 101 — the one live conjunction) followed
+/// by [`script`]; `<name>.status.json` is that daemon's last STATUS
+/// response. Each holds snapshots at WAL seq 21 and 28 and a four-record
+/// tail (DELTA, ADVANCE, ADD, ADD). Today's daemon must recover them to
+/// that STATUS and to the state of a control that ran the same script
+/// uninterrupted. A deliberate format change regenerates the fixtures with
+/// the last binary that wrote the old format — it does not edit them.
+#[test]
+fn directories_written_by_an_earlier_commit_recover_unchanged() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let crossing = |id: u64, incl: f64, mean_anomaly: f64| Request::Add {
+        id,
+        elements: ElementsSpec {
+            a: 7_000.0,
+            e: 0.001,
+            incl,
+            raan: 0.3,
+            argp: 0.1,
+            mean_anomaly,
+        },
+    };
+    let mut golden_script = vec![crossing(100, 0.5, 6.1185), crossing(101, 1.3, 6.1187)];
+    golden_script.extend(script());
+
+    let two_by_two = ShardSpec {
+        alt_bands: 2,
+        z_shells: 2,
+        ..ShardSpec::default()
+    };
+    for (name, shards) in [("parent_flat", None), ("parent_sharded", Some(two_by_two))] {
+        // Recovery writes into the directory, so work on a copy.
+        let dir = temp_dir(name);
+        std::fs::create_dir_all(&dir).expect("create state dir");
+        for entry in std::fs::read_dir(fixtures.join(name)).expect("fixture dir") {
+            let entry = entry.expect("fixture entry");
+            std::fs::copy(entry.path(), dir.join(entry.file_name())).expect("copy fixture file");
+        }
+        let status = std::fs::read_to_string(fixtures.join(format!("{name}.status.json")))
+            .expect("fixture status");
+        let final_a = serde_json::from_str::<Response>(&status)
+            .expect("parse fixture status")
+            .status
+            .expect("status payload");
+        assert_eq!(
+            final_a.live_conjunctions, 1,
+            "{name}: fixture lost its pair"
+        );
+
+        assert_restart_matches(&dir, shards, &final_a, &golden_script);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -51,11 +51,10 @@ fn spec_for(id: u64) -> ElementsSpec {
 /// canonical JSON string, for byte-identical comparisons across servers.
 fn normalized(summary: &ScreenSummary) -> String {
     let mut value = serde_json::to_value(summary).expect("serialize summary");
-    value
-        .as_object_mut()
-        .expect("summary is an object")
-        .remove("timings");
-    value.to_string()
+    if let serde_json::Value::Object(map) = &mut value {
+        map.remove("timings");
+    }
+    serde_json::to_string(&value).expect("serialize normalized summary")
 }
 
 /// The acceptance scenario: with `--workers 4` and a large catalog,

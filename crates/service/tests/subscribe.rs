@@ -23,7 +23,7 @@ use kessler_service::{
 /// reports it: representative (minimum-PCA) conjunction + event count.
 type PairInfo = (f64, f64, usize);
 
-/// Long sampling interval so each co-located pair yields at most two
+/// Long sampling interval so each crossing pair yields at most two
 /// conjunction events (`total_steps == 2`) and `top` can never truncate:
 /// the tests below require `top` to be the *complete* conjunction list
 /// so it can stand in for the daemon's maintained pair set.
@@ -40,17 +40,24 @@ fn serve(options: ServerOptions) -> ServerHandle {
         .expect("spawn server thread")
 }
 
-/// One orbit, many satellites: mean anomaly alone sets the along-track
-/// separation (chord ≈ Δм × a, so 0.0004 rad ≈ 2.8 km at a = 7000 km —
-/// inside the 5 km screening threshold; 0.2 rad ≈ 1400 km is far out).
-fn cluster(mean_anomaly: f64) -> ElementsSpec {
+/// A satellite of crossing cluster `cluster`. The members of a cluster
+/// share one ascending node (clusters sit 0.5 rad ≈ 3500 km of node
+/// apart and never meet) and one orbit shape in planes of different
+/// inclination, and all pass the node about 60 s in — mid-window, so the
+/// range between two members has an interior minimum there (a co-orbital
+/// trailing pair's range is monotone over a 120 s window: a candidate,
+/// but no conjunction). `lag` rad of extra mean anomaly puts a member
+/// `lag × a` km ahead along its track; two members at node-crossing angle
+/// θ then miss by `Δlag × a × cos(θ/2)` — 0.0002 rad ≈ 1.3 km, inside the
+/// 5 km threshold; 0.5 rad is thousands of km out.
+fn crossing(cluster: u32, incl: f64, lag: f64) -> ElementsSpec {
     ElementsSpec {
         a: 7_000.0,
         e: 0.001,
-        incl: 0.5,
-        raan: 0.3,
+        incl,
+        raan: 0.3 + 0.5 * f64::from(cluster),
         argp: 0.1,
-        mean_anomaly,
+        mean_anomaly: 6.1185 + lag,
     }
 }
 
@@ -182,17 +189,19 @@ fn subscriber_receives_the_exact_pair_set_delta() {
         assert_eq!(ack.active, 1);
     }
 
-    // Four tight pairs strung along one orbit. Satellites are added in id
-    // order and only the *last-added* id is ever removed, so dense catalog
-    // indices stay equal to external ids and the control daemon's `top`
-    // (which carries dense indices) can be read as external ids.
-    let anomalies = [0.0, 0.0004, 0.2, 0.2004, 0.4, 0.4004, 0.6, 0.6004];
-    let mut script: Vec<Request> = anomalies
-        .iter()
-        .enumerate()
-        .map(|(id, &m)| Request::Add {
-            id: id as u64,
-            elements: cluster(m),
+    // Four crossing pairs, one per cluster: (0, 1), (2, 3), (4, 5),
+    // (6, 7). Satellites are added in id order and only the *last-added*
+    // id is ever removed, so dense catalog indices stay equal to external
+    // ids and the control daemon's `top` (which carries dense indices) can
+    // be read as external ids.
+    let mut script: Vec<Request> = (0..8u32)
+        .map(|id| Request::Add {
+            id: u64::from(id),
+            elements: if id % 2 == 0 {
+                crossing(id / 2, 0.5, 0.0)
+            } else {
+                crossing(id / 2, 1.3, 0.0002)
+            },
         })
         .collect();
     script.push(Request::Screen);
@@ -209,7 +218,7 @@ fn subscriber_receives_the_exact_pair_set_delta() {
     let baseline = BTreeMap::new();
     let pairs1 = pair_infos(&ctrl_screen1);
     let delta1 = expected_delta(&baseline, &pairs1);
-    assert_eq!(delta1.len(), 4, "expected four tight pairs: {delta1:?}");
+    assert_eq!(delta1.len(), 4, "expected four crossing pairs: {delta1:?}");
 
     for (sub, sub_id) in [(&mut sub_all, "watch-all"), (&mut sub_quit, "quitter")] {
         for expected in &delta1 {
@@ -233,18 +242,19 @@ fn subscriber_receives_the_exact_pair_set_delta() {
         .expect("unsubscribe ack");
     assert_eq!(ack.active, 0);
 
-    // Second act: satellite 0 jumps between the (2, 3) cluster members,
-    // pair (4, 5) tightens, satellite 7 leaves the catalog. That retires
-    // (0, 1) and (6, 7), creates (0, 2) and (0, 3), updates (4, 5) —
-    // and must stay silent about the untouched pair (2, 3).
+    // Second act: satellite 0 jumps into the (2, 3) cluster on a third
+    // plane through its node, pair (4, 5) tightens, satellite 7 leaves
+    // the catalog. That retires (0, 1) and (6, 7), creates (0, 2) and
+    // (0, 3), updates (4, 5) — and must stay silent about the untouched
+    // pair (2, 3).
     let mutations = [
         Request::Update {
             id: 0,
-            elements: cluster(0.2006),
+            elements: crossing(1, 0.9, 0.0004),
         },
         Request::Update {
             id: 4,
-            elements: cluster(0.4006),
+            elements: crossing(2, 0.5, 0.0001),
         },
         Request::Remove { id: 7 },
         Request::Screen,
@@ -365,11 +375,11 @@ fn degraded_screens_push_ephemeral_events() {
     let setup = [
         Request::Add {
             id: 0,
-            elements: cluster(0.0),
+            elements: crossing(0, 0.5, 0.0),
         },
         Request::Add {
             id: 1,
-            elements: cluster(0.5),
+            elements: crossing(0, 1.3, 0.5),
         },
         Request::Screen,
     ];
@@ -394,7 +404,7 @@ fn degraded_screens_push_ephemeral_events() {
     let response = driver
         .send(&Request::Update {
             id: 1,
-            elements: cluster(0.0004),
+            elements: crossing(0, 1.3, 0.0002),
         })
         .expect("UPDATE");
     assert!(response.ok, "{:?}", response.error);

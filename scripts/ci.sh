@@ -6,44 +6,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
-
-echo "==> cargo test -p kessler-service (crash-safety suite, backtraces on)"
-RUST_BACKTRACE=1 cargo test -p kessler-service -q
-
-echo "==> cargo test -p kessler-service --test metrics (observability e2e)"
-RUST_BACKTRACE=1 cargo test -p kessler-service -q --test metrics
-
-echo "==> cargo test -p kessler-service --test hybrid (hybrid-variant daemon e2e)"
-RUST_BACKTRACE=1 cargo test -p kessler-service -q --test hybrid
-
-echo "==> cargo test -p kessler-service --test disk_faults (disk-chaos suite)"
-RUST_BACKTRACE=1 cargo test -p kessler-service -q --test disk_faults
-
-echo "==> cargo test -p kessler-service --test evented (evented front-end wire behaviors)"
-RUST_BACKTRACE=1 cargo test -p kessler-service -q --test evented
-
-echo "==> cargo test -p kessler-service --test subscribe (SUBSCRIBE push-stream equivalence)"
-RUST_BACKTRACE=1 cargo test -p kessler-service -q --test subscribe
-
-echo "==> cargo test --test delta_correctness (delta vs cold-full, both variants + sharded)"
-RUST_BACKTRACE=1 cargo test -q --test delta_correctness
-
-echo "==> cargo test -p kessler-service --test sharded_recovery (incremental snapshots)"
-RUST_BACKTRACE=1 cargo test -p kessler-service -q --test sharded_recovery
-
-echo "==> cargo test --test sharding_props (shard assignment/mirroring proptests)"
-RUST_BACKTRACE=1 cargo test -q --test sharding_props
-
-echo "==> cargo test -p kessler-population constellation (synthetic shells)"
-RUST_BACKTRACE=1 cargo test -p kessler-population -q constellation
-
-echo "==> cargo test -p kessler-core metrics (histogram unit + property tests)"
-cargo test -p kessler-core -q metrics
-
-echo "==> cargo test -p kessler-orbits --test propagation_equality (SoA == scalar)"
-RUST_BACKTRACE=1 cargo test -p kessler-orbits -q --test propagation_equality
+# Every unit, integration and doc test of every crate, once: the service's
+# crash-safety, disk-chaos, evented, subscribe, hybrid, metrics and recovery
+# suites, the root delta_correctness / sharding_props suites, and the
+# per-crate proptests are all members of the workspace.
+echo "==> cargo test -q --workspace (backtraces on)"
+RUST_BACKTRACE=1 cargo test -q --workspace
 
 echo "==> exp_cascade --smoke (live cascade absorption, small n)"
 RUST_BACKTRACE=1 cargo run --release -p kessler-bench --bin exp_cascade -- \

@@ -53,5 +53,5 @@ pub mod prelude {
     pub use kessler_population::constellation::WalkerShell;
     pub use kessler_population::fragmentation::Fragmentation;
     pub use kessler_population::{PopulationConfig, PopulationGenerator};
-    pub use kessler_service::{Catalog, DeltaEngine, SlidingWindow};
+    pub use kessler_service::{Catalog, DeltaEngine};
 }

@@ -5,7 +5,7 @@
 //! the same invariant through the orbital filter chain at n = 4000.
 
 use kessler::prelude::*;
-use kessler::service::{DeltaEngine, ShardSpec, HYBRID_DELTA_VARIANT};
+use kessler::service::{DeltaEngine, Pipeline, ShardSpec, HYBRID_DELTA_VARIANT};
 
 const N: usize = 8_000;
 const K: usize = 64;
@@ -86,8 +86,10 @@ fn sharded_screens_equal_unsharded_exactly_including_boundary_straddlers() {
     let config = ScreeningConfig::grid_defaults(5.0, 120.0);
 
     // Cold: the sharded full screen must already match the flat screener.
-    let mut engine = DeltaEngine::new(config).unwrap();
-    engine.set_shards(Some(spec)).unwrap();
+    let pipeline = Pipeline::new(config, Variant::Grid)
+        .and_then(|pipeline| pipeline.with_shards(Some(spec)))
+        .unwrap();
+    let mut engine = DeltaEngine::with_pipeline(pipeline);
     let sharded_full = engine.full_screen(&population);
     let cold_full = GridScreener::new(config).screen(&population);
     assert_reports_identical(&sharded_full, &cold_full);
@@ -128,7 +130,7 @@ fn hybrid_delta_rescreen_equals_cold_hybrid_rescreen_after_64_updates() {
     let config = ScreeningConfig::hybrid_defaults(5.0, 120.0);
 
     // Warm the engine on the original population.
-    let mut engine = DeltaEngine::with_variant(config, Variant::Hybrid).unwrap();
+    let mut engine = DeltaEngine::with_pipeline(Pipeline::new(config, Variant::Hybrid).unwrap());
     engine.full_screen(&population);
 
     // Perturb 64 distinct satellites (127 is coprime with 4000, so the
