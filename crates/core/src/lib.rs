@@ -62,5 +62,5 @@ pub use screener::hybrid::{
 pub use screener::legacy::LegacyScreener;
 pub use screener::sgp4_grid::Sgp4GridScreener;
 pub use screener::sieve::SieveScreener;
-pub use screener::Screener;
+pub use screener::{run_in_pool, Screener};
 pub use timing::PhaseTimings;

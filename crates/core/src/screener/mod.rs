@@ -34,7 +34,7 @@ pub trait Screener {
 /// A long-running service must not crash on that, so the failure degrades
 /// to the global pool — the screen still runs, just not on the requested
 /// worker count.
-pub(crate) fn run_in_pool<R: Send>(threads: Option<usize>, f: impl FnOnce() -> R + Send) -> R {
+pub fn run_in_pool<R: Send>(threads: Option<usize>, f: impl FnOnce() -> R + Send) -> R {
     match threads {
         Some(t) => match rayon::ThreadPoolBuilder::new().num_threads(t).build() {
             Ok(pool) => pool.install(f),

@@ -9,7 +9,10 @@
 //! per step (O(n) inserts, the same cost the full screen pays) but extracts
 //! candidates only from the changed satellites' neighbourhoods — O(k ·
 //! occupancy) instead of O(occupied cells · occupancy), and refines only
-//! pairs involving changed satellites.
+//! pairs involving changed satellites. That extraction is one step
+//! function, [`crate::shard::Extraction::step`], under whatever shard
+//! layout the [`Pipeline`] holds; a pipeline given no layout holds the
+//! 1×1 one.
 //!
 //! Correctness invariant (checked by `tests/delta_correctness.rs`): a delta
 //! screen after `k` element updates produces *exactly* the conjunction set
@@ -23,19 +26,17 @@
 use crate::catalog::Removal;
 use crate::error::ServiceError;
 use crate::proto::LastScreen;
-use crate::shard::{extract_step_sharded, ShardMap, ShardScratch, ShardScreenStats, ShardSpec};
+use crate::shard::{Extraction, ShardMap, ShardScreenStats, ShardSpec};
 use kessler_core::cancel::{check_opt, CancelToken, Cancelled};
 use kessler_core::conjunction::{Conjunction, ScreeningReport};
 use kessler_core::timing::{PhaseTimer, PhaseTimings};
 use kessler_core::{
-    refine_grid_entries, refine_hybrid_entries, FilterConfig, GridScreener, HybridScreener,
-    MemoryModel, ScreeningConfig, Variant,
+    refine_grid_entries, refine_hybrid_entries, run_in_pool, FilterConfig, GridScreener,
+    HybridScreener, MemoryModel, ScreeningConfig, Variant,
 };
-use kessler_grid::pairset::CandidatePair;
-use kessler_grid::SpatialGrid;
 use kessler_math::Vec3;
 use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,10 +58,8 @@ pub struct Pipeline {
     config: ScreeningConfig,
     filter_config: FilterConfig,
     solver: ContourSolver,
-    /// When set, candidate extraction runs per-shard grids (see the
-    /// [`crate::shard`] module); `None` is the unsharded baseline the
-    /// sharded path must match bit-for-bit.
-    shards: Option<ShardSpec>,
+    /// The layout candidate extraction runs under (see [`crate::shard`]).
+    shard_map: ShardMap,
 }
 
 impl Pipeline {
@@ -80,33 +79,27 @@ impl Pipeline {
             config,
             filter_config: FilterConfig::new(config.threshold_km),
             solver: ContourSolver::default(),
-            shards: None,
+            shard_map: ShardMap::single(),
         })
     }
 
-    /// Enable (or disable, with `None`) sharded candidate extraction.
-    /// Validates the spec, so a running job never sees a bad partition.
-    /// Sharding only changes how candidates are extracted, not what they
-    /// are, so a warm set screened under one layout stays valid under
-    /// another.
+    /// Choose the shard layout; `None` is the 1×1 layout, and this is the
+    /// one place that is decided. Validates the spec, so a running job
+    /// never sees a bad partition. The layout only changes how candidates
+    /// are extracted, not what they are, so a warm set screened under one
+    /// layout stays valid under another.
     pub fn with_shards(mut self, shards: Option<ShardSpec>) -> Result<Pipeline, ServiceError> {
-        if let Some(spec) = shards {
-            spec.validate()?;
-        }
-        self.shards = shards;
+        self.shard_map = match shards {
+            Some(spec) => ShardMap::new(spec)?,
+            None => ShardMap::single(),
+        };
         Ok(self)
     }
 
-    /// The sharding spec, when sharded extraction is enabled.
-    pub fn shards(&self) -> Option<ShardSpec> {
-        self.shards
-    }
-
-    /// The shard partition, when sharding is enabled. The spec was
-    /// validated by [`Pipeline::with_shards`], so this cannot fail.
-    pub fn shard_map(&self) -> Option<ShardMap> {
-        self.shards
-            .map(|spec| ShardMap::new(spec).expect("shard spec was validated at construction"))
+    /// The shard layout extraction, dirty tracking and per-shard
+    /// statistics go by.
+    pub fn shard_map(&self) -> &ShardMap {
+        &self.shard_map
     }
 
     pub fn variant(&self) -> Variant {
@@ -190,7 +183,7 @@ pub struct DeltaEngine {
 }
 
 impl DeltaEngine {
-    /// Unsharded grid-variant engine.
+    /// Grid-variant engine under the 1×1 layout.
     pub fn new(config: ScreeningConfig) -> Result<DeltaEngine, ServiceError> {
         Ok(DeltaEngine::with_pipeline(Pipeline::new(
             config,
@@ -430,7 +423,7 @@ pub(crate) fn apply_removal_to_pairs(pairs: &mut PairMap, removal: Removal, new_
 
 /// What a screen job hands back: the report, the conjunction set grouped
 /// by pair (what the engine adopts), and the per-shard extraction stats
-/// (`Some` iff the pipeline is sharded).
+/// (`Some` iff the layout has more than one shard).
 pub type ScreenJobOutput = (ScreeningReport, PairMap, Option<ShardScreenStats>);
 
 /// Cold full screen of `population` under `config` as a pure job, with
@@ -438,19 +431,23 @@ pub type ScreenJobOutput = (ScreeningReport, PairMap, Option<ShardScreenStats>);
 /// path screens its tail under a shortened-span copy; `Pipeline::new`
 /// validated the original, so building the screener cannot fail. With a
 /// token, cancellation is checked at the screener's phase boundaries.
-///
-/// A sharded pipeline routes the full screen through the sharded
-/// extraction path instead: a delta over *every* satellite against an
-/// empty warm set. Every candidate neighbourhood is queried and the
-/// post-extraction stage is the cold screen's own, so the conjunction set
-/// equals the unsharded screen's; the report keeps the full variant label.
 pub fn full_screen_job(
     pipeline: &Pipeline,
     config: &ScreeningConfig,
     population: &[KeplerElements],
     cancel: Option<&CancelToken>,
 ) -> Result<ScreenJobOutput, Cancelled> {
-    if pipeline.shards.is_some() {
+    // One shard: core's own screener — the reference every equality suite
+    // holds the service against, and the cheaper extraction when everyone
+    // is "changed": its half-neighbourhood scan over occupied cells costs
+    // 2.4–2.9 ms/step where 27-cell point queries for all n cost 4.5–5.1
+    // (n = 16 000 grid, 120 steps, 2 vCPUs, offline stand-in build; ISSUE
+    // 14's own sizing had 2.6 against 5.0). Several shards: a delta over
+    // *every* satellite against an empty warm set, which is what produces
+    // per-shard SCREEN statistics. Every neighbourhood is queried and the
+    // post-extraction stage is the cold screen's own, so the conjunction
+    // set is the same; only the variant label has to be put back.
+    if pipeline.shard_map.shard_count() > 1 {
         let all: Vec<u32> = (0..population.len() as u32).collect();
         let mut output =
             delta_screen_job(pipeline, config, population, &all, &PairMap::new(), cancel)?;
@@ -476,8 +473,8 @@ pub fn full_screen_job(
 /// merged map plus a report whose `conjunctions` is the full merged set
 /// (directly comparable with a cold full re-screen) while
 /// `candidate_entries`/`candidate_pairs` count only the delta work.
-/// `config` is a parameter so the sharded full and tail screens can pass
-/// an override.
+/// `config` is a parameter so the multi-shard full and tail screens can
+/// pass an override; its `threads` picks the pool, as in the cold screen.
 ///
 /// `cancel` is checked between grid sampling steps, between filter
 /// chunks, and between refinement chunks; the inputs are never mutated,
@@ -490,138 +487,99 @@ pub fn delta_screen_job(
     warm: &PairMap,
     cancel: Option<&CancelToken>,
 ) -> Result<ScreenJobOutput, Cancelled> {
-    let wall = Instant::now();
-    let mut timings = PhaseTimings::default();
-    let n = population.len();
-    // Plan with the pipeline's variant so extraction runs at the same
-    // cell/step sizes as the cold full screen it must exactly equal.
-    let planner = MemoryModel::new(pipeline.variant()).plan(n, config);
+    run_in_pool(config.threads, || {
+        let wall = Instant::now();
+        let mut timings = PhaseTimings::default();
+        let n = population.len();
+        // Plan with the pipeline's variant so extraction runs at the same
+        // cell/step sizes as the cold full screen it must exactly equal.
+        let planner = MemoryModel::new(pipeline.variant()).plan(n, config);
 
-    // Stale-pair invalidation: every pair involving a changed satellite is
-    // recomputed from scratch below; pairs past the population end cannot
-    // exist.
-    let changed_set: BTreeSet<u32> = changed
-        .iter()
-        .copied()
-        .filter(|&c| (c as usize) < n)
-        .collect();
-    let mut pairs: PairMap = warm
-        .iter()
-        .filter(|&(&(lo, hi), _)| {
-            (hi as usize) < n && !changed_set.contains(&lo) && !changed_set.contains(&hi)
-        })
-        .map(|(&key, list)| (key, list.clone()))
-        .collect();
+        // Stale-pair invalidation: every pair involving a changed satellite
+        // is recomputed from scratch below; pairs past the population end
+        // cannot exist.
+        let changed_set: BTreeSet<u32> = changed
+            .iter()
+            .copied()
+            .filter(|&c| (c as usize) < n)
+            .collect();
+        let mut pairs: PairMap = warm
+            .iter()
+            .filter(|&(&(lo, hi), _)| {
+                (hi as usize) < n && !changed_set.contains(&lo) && !changed_set.contains(&hi)
+            })
+            .map(|(&key, list)| (key, list.clone()))
+            .collect();
 
-    // Candidate extraction: rebuild the grid(s) per step (same O(n)
-    // insert cost as the full screen) but query only the changed
-    // satellites' 27-cell neighbourhoods. Sharded pipelines build one
-    // grid per shard and query each changed satellite in its home shard
-    // (boundary mirroring makes that exactly equal — see `crate::shard`);
-    // either way the emitted entries carry global indices, so everything
-    // downstream is identical.
-    let propagator = BatchPropagator::new(population);
-    let mut entries: HashSet<CandidatePair> = HashSet::new();
-    let shard_map = pipeline.shard_map();
-    let mut shard_stats = shard_map
-        .as_ref()
-        .map(|map| ShardScreenStats::new(map.shard_count()));
-    if let (Some(map), Some(stats)) = (&shard_map, shard_stats.as_mut()) {
-        let mut scratch = ShardScratch::new(map.shard_count());
-        let changed_list: Vec<u32> = changed_set.iter().copied().collect();
+        // Candidate extraction: per step, bin everyone into the layout's
+        // grid(s) (same O(n) insert cost as the full screen) but query only
+        // the changed satellites' 27-cell neighbourhoods, each in its home
+        // shard (boundary mirroring makes that exact — see `crate::shard`).
+        // The entries carry global indices, so nothing downstream knows
+        // the layout.
+        let propagator = BatchPropagator::new(population);
+        let changed_list: Vec<u32> = changed_set.into_iter().collect();
+        let mut extraction =
+            Extraction::new(&pipeline.shard_map, &changed_list, planner.cell_size_km);
         let mut positions: Vec<Vec3> = vec![Vec3::ZERO; n];
         for step in 0..planner.total_steps {
             check_opt(cancel)?;
-            let t = step as f64 * planner.seconds_per_sample;
             {
                 let _timer = PhaseTimer::start(&mut timings.insertion);
-                propagator.positions_into(t, &mut positions);
+                propagator.positions_into(step as f64 * planner.seconds_per_sample, &mut positions);
             }
-            let _timer = PhaseTimer::start(&mut timings.pair_extraction);
-            extract_step_sharded(
-                map,
-                &positions,
-                &changed_list,
-                planner.cell_size_km,
-                step,
-                &mut scratch,
-                &mut entries,
-                stats,
-            );
+            extraction.step(step, &positions, &mut timings);
         }
-    } else {
-        let grid = SpatialGrid::new(n, planner.cell_size_km);
-        let mut positions: Vec<Vec3> = vec![Vec3::ZERO; n];
-        for step in 0..planner.total_steps {
-            check_opt(cancel)?;
-            let t = step as f64 * planner.seconds_per_sample;
-            {
-                let _timer = PhaseTimer::start(&mut timings.insertion);
-                propagator.positions_into(t, &mut positions);
-                if step > 0 {
-                    grid.reset();
-                }
-                grid.insert_all(&positions)
-                    .expect("grid sized at 2n slots cannot fill up");
-            }
-            let _timer = PhaseTimer::start(&mut timings.pair_extraction);
-            for &c in &changed_set {
-                grid.for_each_near(positions[c as usize], |m| {
-                    if m != c {
-                        entries.insert(CandidatePair::new(c, m, step));
-                    }
-                });
-            }
+        let (entry_list, shard_stats) = extraction.finish();
+
+        // Post-extraction: the cold screen's own stage for this variant, so
+        // a changed pair refines to bit-identical conjunctions.
+        let candidate_entries = entry_list.len();
+        let refined = match pipeline.variant() {
+            Variant::Hybrid => refine_hybrid_entries(
+                &propagator,
+                population,
+                entry_list,
+                &planner,
+                config,
+                &pipeline.filter_config,
+                &pipeline.solver,
+                &mut timings,
+                cancel,
+            )?,
+            _ => refine_grid_entries(
+                &propagator,
+                &entry_list,
+                &planner,
+                config,
+                &pipeline.solver,
+                &mut timings,
+                cancel,
+            )?,
+        };
+        for c in refined.conjunctions {
+            pairs.entry(c.pair()).or_default().push(c);
         }
-    }
+        timings.total = wall.elapsed();
 
-    // Post-extraction: the cold screen's own stage for this variant, so a
-    // changed pair refines to bit-identical conjunctions. The stage sorts
-    // before dedup, so the entry order does not affect the result.
-    let candidate_entries = entries.len();
-    let mut entry_list: Vec<CandidatePair> = entries.into_iter().collect();
-    entry_list.sort_unstable();
-    let refined = match pipeline.variant() {
-        Variant::Hybrid => refine_hybrid_entries(
-            &propagator,
-            population,
-            entry_list,
-            &planner,
-            config,
-            &pipeline.filter_config,
-            &pipeline.solver,
-            &mut timings,
-            cancel,
-        )?,
-        _ => refine_grid_entries(
-            &propagator,
-            &entry_list,
-            &planner,
-            config,
-            &pipeline.solver,
-            &mut timings,
-            cancel,
-        )?,
-    };
-    for c in refined.conjunctions {
-        pairs.entry(c.pair()).or_default().push(c);
-    }
-    timings.total = wall.elapsed();
-
-    let report = ScreeningReport {
-        variant: pipeline.delta_variant().to_string(),
-        n_satellites: n,
-        config: *config,
-        conjunctions: sorted_conjunctions(&pairs),
-        candidate_entries,
-        candidate_pairs: refined.candidate_pairs,
-        pair_set_regrows: 0,
-        timings,
-        planner,
-        filter_stats: refined.filter_stats,
-        device_metrics: None,
-    };
-    Ok((report, pairs, shard_stats))
+        let report = ScreeningReport {
+            variant: pipeline.delta_variant().to_string(),
+            n_satellites: n,
+            config: *config,
+            conjunctions: sorted_conjunctions(&pairs),
+            candidate_entries,
+            candidate_pairs: refined.candidate_pairs,
+            pair_set_regrows: 0,
+            timings,
+            planner,
+            filter_stats: refined.filter_stats,
+            device_metrics: None,
+        };
+        // A one-shard layout has no per-shard story to tell: its wire and
+        // metrics stay those of a daemon that never heard of shards.
+        let shard_stats = (shard_stats.shard_count() > 1).then_some(shard_stats);
+        Ok((report, pairs, shard_stats))
+    })
 }
 
 /// Window advance as a pure job over an owned copy of the maintained set:
@@ -969,6 +927,32 @@ mod tests {
             assert_eq!(a.pca_km.to_bits(), b.pca_km.to_bits());
         }
         assert_eq!(sorted_conjunctions(&job_pairs), engine.conjunctions());
+    }
+
+    #[test]
+    fn single_threaded_delta_is_bit_identical_to_the_global_pool() {
+        // `--threads` reaches the delta job through the config; which pool
+        // ran the job must not show in the result.
+        let pop = population(300, 23);
+        let config = ScreeningConfig::grid_defaults(5.0, 120.0);
+        let mut updated = pop.clone();
+        let changed = vec![3u32, 140, 271];
+        for &idx in &changed {
+            updated[idx as usize] = perturb(&updated[idx as usize], 1.0);
+        }
+        let [global, single] = [None, Some(1)].map(|threads| {
+            let mut engine = DeltaEngine::new(ScreeningConfig { threads, ..config }).unwrap();
+            engine.full_screen(&pop);
+            engine.delta_screen(&updated, &changed)
+        });
+        assert_eq!(single.variant, DELTA_VARIANT);
+        assert_eq!(single.candidate_entries, global.candidate_entries);
+        assert_eq!(single.conjunction_count(), global.conjunction_count());
+        for (a, b) in single.conjunctions.iter().zip(&global.conjunctions) {
+            assert_eq!(a.pair(), b.pair());
+            assert_eq!(a.tca.to_bits(), b.tca.to_bits());
+            assert_eq!(a.pca_km.to_bits(), b.pca_km.to_bits());
+        }
     }
 
     #[test]

@@ -24,11 +24,13 @@
 //!   `DeltaEngine::advance_window` slides the screening horizon forward,
 //!   retiring expired conjunctions, carrying live ones, screening only
 //!   the freshly exposed tail.
-//! - [`shard`] — the [`ShardMap`]: partitions the catalog by orbital
-//!   regime (altitude band × |z| shell) so candidate extraction runs one
-//!   grid per shard in parallel, with boundary mirroring so cross-shard
-//!   pairs are never lost — sharded screening is bit-identical to
-//!   unsharded, and the persistence layer chunks snapshots by shard.
+//! - [`shard`] — the [`ShardMap`] and the extraction step: partitions
+//!   the catalog by orbital regime (altitude band × |z| shell) so
+//!   candidate extraction runs one grid per shard in parallel, with
+//!   boundary mirroring so cross-shard pairs are never lost. Every layout
+//!   extracts bit-identical entries through the same step; a daemon given
+//!   no layout runs the 1×1 one. The persistence layer chunks snapshots
+//!   by shard.
 //! - [`exec`] — the execution layer: screening work captured as
 //!   [`exec::ScreenJob`]s against immutable catalog snapshots, run by a
 //!   pool of supervised workers, cancellable via `CANCEL`, committed back

@@ -598,14 +598,8 @@ pub fn request_with_timeout<A: ToSocketAddrs>(
     let budget = deadline
         .saturating_duration_since(Instant::now())
         .max(Duration::from_millis(1));
-    stream.set_read_timeout(Some(budget))?;
-    stream.set_write_timeout(Some(budget))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut client = Client {
-        reader,
-        writer: stream,
-        events: VecDeque::new(),
-    };
+    let mut client = Client::over(stream)?;
+    client.set_timeouts(Some(budget), Some(budget))?;
     client.send(req)
 }
 
@@ -660,10 +654,16 @@ pub struct Client {
 
 impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        let reader = BufReader::new(stream.try_clone()?);
+        Client::over(TcpStream::connect(addr)?)
+    }
+
+    /// A client over a connected socket. Requests are single small lines
+    /// whose sender then waits for the answer, so Nagle's algorithm could
+    /// only ever hold one back.
+    fn over(stream: TcpStream) -> io::Result<Client> {
+        stream.set_nodelay(true)?;
         Ok(Client {
-            reader,
+            reader: BufReader::new(stream.try_clone()?),
             writer: stream,
             events: VecDeque::new(),
         })
@@ -707,9 +707,9 @@ impl Client {
                 ),
             ));
         }
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        // One segment: a line and its newline written separately meet
+        // delayed ACK on the far side (40 ms a request on loopback).
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         loop {
             let reply = self.read_wire_line()?;
             match serde_json::from_str::<Response>(&reply) {

@@ -88,7 +88,7 @@ use crate::proto::{
     AdvanceAck, CatalogAck, ElementsSpec, LastScreen, Request, Response, ScreenSummary,
     ShardSummary, StatusInfo,
 };
-use crate::shard::{ShardMap, ShardSpec};
+use crate::shard::ShardSpec;
 use crossbeam::channel::bounded;
 use degraded::{spawn_persist_probe, Health, HealthInner};
 use handlers::{
@@ -137,7 +137,7 @@ pub struct ServerOptions {
     /// Screening variant the daemon serves with (grid or hybrid).
     pub variant: Variant,
     /// Partition candidate extraction (and snapshots) by orbital regime.
-    /// `None` serves the flat, unsharded pipeline.
+    /// `None` serves the 1×1 layout (and writes monolithic snapshots).
     pub shards: Option<ShardSpec>,
     /// First persistence re-probe delay after entering degraded mode;
     /// doubles (with jitter) up to [`ServerOptions::probe_max`].
@@ -208,11 +208,9 @@ pub struct ServiceState {
     started: Instant,
     /// `true` when this state came out of snapshot/WAL recovery.
     recovered: bool,
-    /// Static shard assignment, when the daemon runs sharded. Used for
-    /// dirty-shard accounting; the engine holds its own copy of the spec.
-    shard_map: Option<ShardMap>,
-    /// Shards whose membership changed since the last snapshot write.
-    /// The persister only rewrites chunk files for these.
+    /// Shards (by the pipeline's static assignment) whose membership
+    /// changed since the last snapshot write. The persister only rewrites
+    /// chunk files for these.
     dirty_shards: BTreeSet<u32>,
 }
 
@@ -252,7 +250,7 @@ pub(crate) enum CommitDecision {
 const PLANNED: &str = "effect was planned against this state under the same lock";
 
 impl ServiceState {
-    /// Fresh state serving the unsharded grid variant.
+    /// Fresh state serving the grid variant under the 1×1 layout.
     pub fn new(config: ScreeningConfig) -> Result<ServiceState, ServiceError> {
         Ok(ServiceState::with_pipeline(Pipeline::new(
             config,
@@ -264,7 +262,6 @@ impl ServiceState {
     /// layout). All shards start dirty so the first snapshot writes a full
     /// chunk set.
     pub fn with_pipeline(pipeline: Pipeline) -> ServiceState {
-        let shard_map = pipeline.shard_map();
         ServiceState {
             catalog: Catalog::new(),
             engine: DeltaEngine::with_pipeline(pipeline),
@@ -275,25 +272,19 @@ impl ServiceState {
             requests: 0,
             started: Instant::now(),
             recovered: false,
-            dirty_shards: shard_map
-                .iter()
-                .flat_map(|map| 0..map.shard_count())
-                .collect(),
-            shard_map,
+            dirty_shards: (0..pipeline.shard_map().shard_count()).collect(),
         }
     }
 
     fn mark_shard_dirty(&mut self, el: &KeplerElements) {
-        if let Some(map) = &self.shard_map {
-            self.dirty_shards
-                .insert(map.assign(el.semi_major_axis, el.inclination));
-        }
+        let map = self.engine.pipeline().shard_map();
+        self.dirty_shards
+            .insert(map.assign(el.semi_major_axis, el.inclination));
     }
 
     fn mark_all_shards_dirty(&mut self) {
-        if let Some(map) = &self.shard_map {
-            self.dirty_shards.extend(0..map.shard_count());
-        }
+        let shard_count = self.engine.pipeline().shard_map().shard_count();
+        self.dirty_shards.extend(0..shard_count);
     }
 
     /// Called after a successful snapshot write (under the state lock):
@@ -341,10 +332,10 @@ impl ServiceState {
                 .map(ElementsSpec::from_elements)
                 .collect(),
             last_screen: self.engine.last_screen().cloned(),
-            dirty_shards: self
-                .shard_map
-                .as_ref()
-                .map(|_| self.dirty_shards.iter().copied().collect()),
+            // One shard is one chunk: "dirty" says nothing a full write
+            // does not, and a monolithic snapshot has no chunks at all.
+            dirty_shards: (self.engine.pipeline().shard_map().shard_count() > 1)
+                .then(|| self.dirty_shards.iter().copied().collect()),
         }
     }
 

@@ -1,11 +1,15 @@
-//! Catalog sharding by orbital regime.
+//! Catalog sharding by orbital regime, and the one changed-neighbourhood
+//! extraction step every layout runs.
 //!
 //! A [`ShardMap`] partitions the catalog into altitude bands × |z| shells
 //! (megaconstellation LEO traffic separates naturally along exactly these
 //! axes — shells at distinct altitudes and inclinations). Candidate
-//! extraction then runs one spatial grid *per shard* instead of one global
-//! grid, so shards screen in parallel and a future distribution boundary
-//! falls on shard edges.
+//! extraction ([`Extraction`]) runs one spatial grid *per shard*, so shards
+//! screen in parallel and a future distribution boundary falls on shard
+//! edges. A daemon started without `--shards` runs the 1×1 layout
+//! ([`ShardMap::single`]): one shard, one grid, everyone a member, nothing
+//! mirrored — the paper's one grid per sampling step (§III-A) is that
+//! layout, not a second code path.
 //!
 //! # Why |z| shells, not inclination shells
 //!
@@ -33,9 +37,9 @@
 //! shard's grid), while each changed satellite is *queried* only in its
 //! home shard. Any neighbour within the 27-cell reach of a changed
 //! satellite `c` is within `m` of `c`'s position, hence a member of `c`'s
-//! home shard — so the per-shard query returns exactly the global grid's
-//! answer, and sharded extraction is *bit-identical* to unsharded
-//! (`tests/delta_correctness.rs` enforces this).
+//! home shard — so the per-shard query returns exactly what one global
+//! grid would, and every layout extracts *bit-identical* entries
+//! (`tests/delta_correctness.rs` enforces this against the cold screeners).
 //!
 //! Membership is recomputed from instantaneous positions every step, so
 //! eccentric satellites sweep through every band their apsis range
@@ -45,11 +49,11 @@
 
 use crate::error::ServiceError;
 use kessler_core::metrics::Histogram;
+use kessler_core::timing::{PhaseTimer, PhaseTimings};
 use kessler_grid::pairset::CandidatePair;
 use kessler_grid::SpatialGrid;
 use kessler_math::Vec3;
 use rayon::prelude::*;
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// Upper bound on `alt_bands × z_shells`: keeps per-step membership
@@ -137,6 +141,17 @@ impl ShardMap {
             band_width_km: (spec.r_max_km - spec.r_min_km) / spec.alt_bands as f64,
             shell_width_km: spec.r_max_km / spec.z_shells as f64,
         })
+    }
+
+    /// The 1×1 layout: one band and one shell hold every position, so the
+    /// radial extent (the default's) decides nothing.
+    pub fn single() -> ShardMap {
+        ShardMap::new(ShardSpec {
+            alt_bands: 1,
+            z_shells: 1,
+            ..ShardSpec::default()
+        })
+        .expect("the 1×1 layout over the default radii is valid")
     }
 
     pub fn spec(&self) -> ShardSpec {
@@ -233,135 +248,225 @@ impl ShardScreenStats {
     }
 }
 
-/// Reusable per-step membership buffers, so the step loop allocates the
-/// per-shard vectors once instead of `shards × steps` times.
-pub struct ShardScratch {
-    /// Global indices per shard (home members first is *not* guaranteed).
-    members: Vec<Vec<u32>>,
-    /// Positions gathered per shard, parallel to `members`.
-    positions: Vec<Vec<Vec3>>,
-    /// Changed satellites to query, grouped by home shard.
-    changed: Vec<Vec<u32>>,
+/// One shard's buffers for the step being extracted.
+#[derive(Default)]
+struct ShardSlot {
+    /// Global indices binned into this shard's grid: home members and
+    /// mirrors, in no particular order.
+    members: Vec<u32>,
+    /// Changed satellites whose home this shard is.
+    queries: Vec<u32>,
+    /// The shard's grid over `members` (a grid entry is a position in
+    /// that list). Kept across steps and `reset()`; replaced only when the
+    /// membership outgrows it.
+    grid: Option<SpatialGrid>,
+    /// Entries this step's queries found.
+    found: Vec<CandidatePair>,
+    /// Wall time this shard has cost the current step so far.
+    micros: u64,
 }
 
-impl ShardScratch {
-    pub fn new(shard_count: u32) -> ShardScratch {
-        let n = shard_count as usize;
-        ShardScratch {
-            members: vec![Vec::new(); n],
-            positions: vec![Vec::new(); n],
-            changed: vec![Vec::new(); n],
+/// Changed-neighbourhood extraction over the sampling steps of one screen:
+/// which satellites changed, the per-shard buffers and grids the steps
+/// reuse, the candidate entries found so far and the per-shard statistics.
+/// Every DELTA, sharded SCREEN and sharded ADVANCE tail is one of these
+/// walked through [`Extraction::step`]; the one-shard layout is the case
+/// where nobody needs binning and nothing is mirrored.
+pub struct Extraction<'a> {
+    map: &'a ShardMap,
+    changed: &'a [u32],
+    cell_size_km: f64,
+    slots: Vec<ShardSlot>,
+    /// Home shard per satellite at the current step.
+    home: Vec<u32>,
+    entries: Vec<CandidatePair>,
+    stats: ShardScreenStats,
+}
+
+impl<'a> Extraction<'a> {
+    /// `changed` lists the dense indices to query, each at most once and
+    /// all inside the position slices [`Extraction::step`] will be given.
+    pub fn new(map: &'a ShardMap, changed: &'a [u32], cell_size_km: f64) -> Extraction<'a> {
+        Extraction {
+            map,
+            changed,
+            cell_size_km,
+            slots: (0..map.shard_count())
+                .map(|_| ShardSlot::default())
+                .collect(),
+            home: Vec::new(),
+            entries: Vec::new(),
+            stats: ShardScreenStats::new(map.shard_count()),
         }
     }
-}
 
-/// One step of sharded candidate extraction: recompute shard membership
-/// from the step's positions (mirroring satellites within `m = 2√3·cell`
-/// of a shard edge into the adjacent shards), build each shard's grid,
-/// query each changed satellite's 27-cell neighbourhood in its home
-/// shard, and merge the per-shard entries into `entries`.
-///
-/// The emitted `CandidatePair`s carry *global* indices, so everything
-/// downstream of extraction (refinement, dedup, the warm pair map) is
-/// untouched by sharding — which is what makes sharded == unsharded exact.
-#[allow(clippy::too_many_arguments)]
-pub fn extract_step_sharded(
-    map: &ShardMap,
-    positions: &[Vec3],
-    changed: &[u32],
-    cell_size_km: f64,
-    step: u32,
-    scratch: &mut ShardScratch,
-    entries: &mut HashSet<CandidatePair>,
-    stats: &mut ShardScreenStats,
-) {
-    // Anything within the 27-cell neighbourhood differs by < 2·cell per
-    // axis, so by < 2√3·cell in norm — and radius and |z| are 1-Lipschitz
-    // in position, so widening membership by `margin` in both partition
-    // coordinates covers every possible neighbour.
-    let margin = 2.0 * 3.0_f64.sqrt() * cell_size_km;
-    let shard_count = map.shard_count() as usize;
+    /// One sampling step: recompute shard membership from the step's
+    /// positions (mirroring satellites within `m = 2√3·cell` of a shard
+    /// edge into the adjacent shards) and bin every shard that has a
+    /// query into its grid — booked as `insertion`, like the cold screen's
+    /// propagate-and-insert — then query each changed satellite's 27-cell
+    /// neighbourhood in its home shard, booked as `pair_extraction`.
+    /// Shards run in parallel, and so do the inserts and the queries
+    /// inside each.
+    ///
+    /// The emitted `CandidatePair`s carry *global* indices, so everything
+    /// downstream of extraction (refinement, dedup, the warm pair map) is
+    /// untouched by the layout — which is what makes every layout exact.
+    pub fn step(&mut self, step: u32, positions: &[Vec3], timings: &mut PhaseTimings) {
+        {
+            let _timer = PhaseTimer::start(&mut timings.insertion);
+            self.bin(positions);
+            self.slots
+                .par_iter_mut()
+                .for_each(|slot| slot.build(positions, self.cell_size_km));
+        }
+        let _timer = PhaseTimer::start(&mut timings.pair_extraction);
+        self.slots
+            .par_iter_mut()
+            .for_each(|slot| slot.query(positions, step));
 
-    for s in 0..shard_count {
-        scratch.members[s].clear();
-        scratch.positions[s].clear();
-        scratch.changed[s].clear();
+        let home = &self.home;
+        let mut step_inserts = 0u64;
+        for (s, slot) in self.slots.iter_mut().enumerate() {
+            let members = slot.members.len() as u64;
+            self.stats.step_us[s].record(slot.micros);
+            self.stats.entries[s] += slot.found.len() as u64;
+            self.stats.peak_members[s] = self.stats.peak_members[s].max(members);
+            // A query runs in its satellite's home shard, so the neighbour
+            // is across a shard edge exactly when the two homes differ.
+            self.stats.boundary_entries += slot
+                .found
+                .iter()
+                .filter(|e| home[e.id_lo as usize] != home[e.id_hi as usize])
+                .count() as u64;
+            step_inserts += members;
+            self.entries.append(&mut slot.found);
+        }
+        self.stats.total_inserts += step_inserts;
+        self.stats.mirrored_inserts += step_inserts.saturating_sub(positions.len() as u64);
     }
-    for (i, p) in positions.iter().enumerate() {
-        let r = p.norm();
-        let z = p.z.abs();
-        let (b_lo, b_hi) = map.bands_overlapping(r - margin, r + margin);
-        let (s_lo, s_hi) = map.shells_overlapping(z - margin, z + margin);
-        for band in b_lo..=b_hi {
-            for shell in s_lo..=s_hi {
-                let s = map.shard_id(band, shell) as usize;
-                scratch.members[s].push(i as u32);
-                scratch.positions[s].push(*p);
+
+    /// Shard membership and home shards for this step's positions.
+    fn bin(&mut self, positions: &[Vec3]) {
+        if let [only] = &mut self.slots[..] {
+            // One shard takes everyone: no radius or |z| to compute, and
+            // the membership is the same list at every step.
+            if only.members.len() != positions.len() {
+                only.members = (0..positions.len() as u32).collect();
+                only.queries = self.changed.to_vec();
+                self.home = vec![0; positions.len()];
+            }
+            return;
+        }
+        // Anything within the 27-cell neighbourhood differs by < 2·cell per
+        // axis, so by < 2√3·cell in norm — and radius and |z| are
+        // 1-Lipschitz in position, so widening membership by `margin` in
+        // both partition coordinates covers every possible neighbour.
+        let margin = 2.0 * 3.0_f64.sqrt() * self.cell_size_km;
+        let map = self.map;
+        for slot in &mut self.slots {
+            slot.members.clear();
+            slot.queries.clear();
+        }
+        self.home.clear();
+        for (i, p) in positions.iter().enumerate() {
+            let r = p.norm();
+            let z = p.z.abs();
+            self.home
+                .push(map.shard_id(map.band_of(r), map.shell_of(z)));
+            let (b_lo, b_hi) = map.bands_overlapping(r - margin, r + margin);
+            let (s_lo, s_hi) = map.shells_overlapping(z - margin, z + margin);
+            for band in b_lo..=b_hi {
+                for shell in s_lo..=s_hi {
+                    self.slots[map.shard_id(band, shell) as usize]
+                        .members
+                        .push(i as u32);
+                }
             }
         }
-    }
-    for &c in changed {
-        let home = map.home_of(positions[c as usize]) as usize;
-        scratch.changed[home].push(c);
-    }
-
-    struct ShardOutcome {
-        entries: Vec<CandidatePair>,
-        boundary: u64,
-        members: u64,
-        micros: u64,
+        for &c in self.changed {
+            self.slots[self.home[c as usize] as usize].queries.push(c);
+        }
     }
 
-    let outcomes: Vec<ShardOutcome> = (0..shard_count)
-        .into_par_iter()
-        .map(|s| {
-            let started = Instant::now();
-            let members = &scratch.members[s];
-            let local_positions = &scratch.positions[s];
-            let queries = &scratch.changed[s];
-            let mut out = ShardOutcome {
-                entries: Vec::new(),
-                boundary: 0,
-                members: members.len() as u64,
-                micros: 0,
+    /// The entries of every step so far, sorted and each exactly once —
+    /// the order the refinement stage wants — and the per-shard statistics.
+    pub fn finish(mut self) -> (Vec<CandidatePair>, ShardScreenStats) {
+        self.entries.sort_unstable();
+        self.entries.dedup();
+        (self.entries, self.stats)
+    }
+}
+
+impl ShardSlot {
+    /// Bin this step's members into the grid, if anyone will query it.
+    /// Members are read straight from the global position slice.
+    fn build(&mut self, positions: &[Vec3], cell_size_km: f64) {
+        let started = Instant::now();
+        if !self.queries.is_empty() {
+            let grid = match self.grid.take() {
+                Some(grid) if grid.capacity() >= self.members.len() => {
+                    grid.reset();
+                    grid
+                }
+                _ => SpatialGrid::new(self.members.len(), cell_size_km),
             };
-            if !queries.is_empty() && !members.is_empty() {
-                let grid = SpatialGrid::new(members.len(), cell_size_km);
-                grid.insert_all(local_positions)
-                    .expect("shard grid sized at its member count cannot fill up");
-                for &c in queries {
+            self.members
+                .par_iter()
+                .enumerate()
+                .try_for_each(|(local, &global)| {
+                    grid.insert(local as u32, positions[global as usize])
+                })
+                .expect("shard grid sized for its member count cannot fill up");
+            self.grid = Some(grid);
+        }
+        self.micros = started.elapsed().as_micros() as u64;
+    }
+
+    /// Collect the candidate entries of this shard's queries at `step`.
+    fn query(&mut self, positions: &[Vec3], step: u32) {
+        let started = Instant::now();
+        if let Some(grid) = self.grid.as_ref().filter(|_| !self.queries.is_empty()) {
+            let members = &self.members;
+            let parts: Vec<Vec<CandidatePair>> = self
+                .queries
+                .par_iter()
+                .fold(Vec::new, |mut found, &c| {
                     grid.for_each_near(positions[c as usize], |local| {
                         let g = members[local as usize];
                         if g != c {
-                            out.entries.push(CandidatePair::new(c, g, step));
-                            if map.home_of(positions[g as usize]) as usize != s {
-                                out.boundary += 1;
-                            }
+                            found.push(CandidatePair::new(c, g, step));
                         }
                     });
-                }
-            }
-            out.micros = started.elapsed().as_micros() as u64;
-            out
-        })
-        .collect();
-
-    let mut step_inserts = 0u64;
-    for (s, outcome) in outcomes.into_iter().enumerate() {
-        stats.step_us[s].record(outcome.micros);
-        stats.entries[s] += outcome.entries.len() as u64;
-        stats.peak_members[s] = stats.peak_members[s].max(outcome.members);
-        stats.boundary_entries += outcome.boundary;
-        step_inserts += outcome.members;
-        entries.extend(outcome.entries);
+                    found
+                })
+                .collect();
+            self.found = parts.concat();
+        }
+        self.micros += started.elapsed().as_micros() as u64;
     }
-    stats.total_inserts += step_inserts;
-    stats.mirrored_inserts += step_inserts.saturating_sub(positions.len() as u64);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
+    /// One step of a fresh extraction, its entries as a set.
+    fn extract_one_step(
+        map: &ShardMap,
+        positions: &[Vec3],
+        changed: &[u32],
+        cell: f64,
+        step: u32,
+    ) -> (HashSet<CandidatePair>, ShardScreenStats) {
+        let mut extraction = Extraction::new(map, changed, cell);
+        extraction.step(step, positions, &mut PhaseTimings::default());
+        let (entries, stats) = extraction.finish();
+        let set: HashSet<CandidatePair> = entries.iter().copied().collect();
+        assert_eq!(set.len(), entries.len(), "each entry exactly once");
+        (set, stats)
+    }
 
     fn map(bands: u32, shells: u32) -> ShardMap {
         ShardMap::new(ShardSpec {
@@ -462,7 +567,7 @@ mod tests {
         }
         let changed: Vec<u32> = (0..positions.len() as u32).step_by(3).collect();
 
-        // Global (unsharded) reference extraction.
+        // Reference: one global grid, every changed satellite queried.
         let mut expected = HashSet::new();
         let grid = SpatialGrid::new(positions.len(), cell);
         grid.insert_all(&positions).unwrap();
@@ -475,19 +580,7 @@ mod tests {
         }
 
         let m = map(8, 4);
-        let mut scratch = ShardScratch::new(m.shard_count());
-        let mut stats = ShardScreenStats::new(m.shard_count());
-        let mut got = HashSet::new();
-        extract_step_sharded(
-            &m,
-            &positions,
-            &changed,
-            cell,
-            7,
-            &mut scratch,
-            &mut got,
-            &mut stats,
-        );
+        let (got, stats) = extract_one_step(&m, &positions, &changed, cell, 7);
         assert_eq!(got, expected);
         assert_eq!(
             stats.total_inserts - stats.mirrored_inserts,
@@ -505,19 +598,7 @@ mod tests {
         let positions = vec![Vec3::new(7_124.0, 0.0, 0.0), Vec3::new(7_126.0, 0.0, 0.0)];
         assert_ne!(m.home_of(positions[0]), m.home_of(positions[1]));
         let changed = vec![0u32, 1];
-        let mut scratch = ShardScratch::new(m.shard_count());
-        let mut stats = ShardScreenStats::new(m.shard_count());
-        let mut got = HashSet::new();
-        extract_step_sharded(
-            &m,
-            &positions,
-            &changed,
-            cell,
-            0,
-            &mut scratch,
-            &mut got,
-            &mut stats,
-        );
+        let (got, stats) = extract_one_step(&m, &positions, &changed, cell, 0);
         assert_eq!(got.len(), 1);
         assert!(got.contains(&CandidatePair::new(0, 1, 0)));
         // Both queries saw a cross-shard neighbour.

@@ -270,3 +270,23 @@ fn pushes_are_shed_at_the_write_buffer_high_water_mark() {
 
     server.shutdown();
 }
+
+#[test]
+fn library_client_round_trips_are_not_held_by_nagle() {
+    // A request written as two segments (line, then newline) on a socket
+    // without TCP_NODELAY waits out the peer's delayed ACK: 40 ms a
+    // request on loopback, 2 s for this loop. One segment and NODELAY
+    // leave the round trip itself, well under a millisecond each.
+    let server = serve(ServerOptions::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let started = std::time::Instant::now();
+    for _ in 0..50 {
+        assert!(client.send(&Request::Status).expect("STATUS").ok);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "50 STATUS round trips took {elapsed:?}"
+    );
+    server.shutdown();
+}

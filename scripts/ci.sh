@@ -13,6 +13,14 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace (backtraces on)"
 RUST_BACKTRACE=1 cargo test -q --workspace
 
+# The benchmark is its own offline workspace; it compiles against the
+# public API of every library crate, so breaking that surface fails here.
+echo "==> benchmark/run.sh test (harness and stand-in unit tests)"
+RUST_BACKTRACE=1 benchmark/run.sh test
+
+echo "==> benchmark/run.sh (smoke: every workload and gate at small n)"
+RUST_BACKTRACE=1 benchmark/run.sh
+
 echo "==> exp_cascade --smoke (live cascade absorption, small n)"
 RUST_BACKTRACE=1 cargo run --release -p kessler-bench --bin exp_cascade -- \
   --smoke --json /tmp/results_cascade_smoke.json

@@ -2,10 +2,17 @@
 //! an n = 8000 population, a warm delta re-screen must produce *exactly* the
 //! conjunction set a cold full re-screen of the mutated population produces —
 //! same pairs in both directions, same TCAs and PCAs. The hybrid twin runs
-//! the same invariant through the orbital filter chain at n = 4000.
+//! the same invariant through the orbital filter chain at n = 4000, and a
+//! seeded case holds every shard layout, the 1×1 one a daemon without
+//! `--shards` runs included, to the cold screeners bit for bit.
 
+use kessler::core::PhaseTimings;
+use kessler::math::Vec3;
+use kessler::orbits::BatchPropagator;
 use kessler::prelude::*;
-use kessler::service::{DeltaEngine, Pipeline, ShardSpec, HYBRID_DELTA_VARIANT};
+use kessler::service::shard::Extraction;
+use kessler::service::{DeltaEngine, Pipeline, ShardMap, ShardSpec, HYBRID_DELTA_VARIANT};
+use std::collections::BTreeSet;
 
 const N: usize = 8_000;
 const K: usize = 64;
@@ -160,6 +167,186 @@ fn hybrid_delta_rescreen_equals_cold_hybrid_rescreen_after_64_updates() {
     let cold_report = HybridScreener::new(config).screen(&mutated);
 
     assert_reports_identical(&delta_report, &cold_report);
+}
+
+/// splitmix64 (Steele, Lea & Flood): the whole generator state is one
+/// `u64`, so a failing case replays from the seed its message prints.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`.
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Whatever the shard layout — none given, 1×1, shells only, bands only,
+/// the default 8×4 — a SCREEN and a DELTA find the cold screener's
+/// conjunctions to the bit, from the same number of candidate entries. The
+/// population has satellites meeting on band edges of the 8- and 2-band
+/// layouts, among them eccentric ones whose apsides lie bands apart; the
+/// changed set is drawn at random, half of it from those.
+#[test]
+fn every_layout_screens_and_deltas_bit_identical_to_the_cold_screeners() {
+    const N: usize = 1_500;
+    const SPECIAL: usize = 120;
+    let spec = ShardSpec::default();
+    let layouts = [None, Some((1, 1)), Some((1, 3)), Some((2, 1)), Some((8, 4))].map(|layout| {
+        layout.map(|(alt_bands, z_shells)| ShardSpec {
+            alt_bands,
+            z_shells,
+            ..spec
+        })
+    });
+    let band_width = (spec.r_max_km - spec.r_min_km) / 8.0;
+
+    for seed in [1u64, 2, 3] {
+        let mut rng = SplitMix64(seed);
+        let mut population = PopulationGenerator::new(PopulationConfig {
+            seed,
+            ..Default::default()
+        })
+        .generate(N);
+        // Groups of four through one node at one moment, at radii within
+        // 2 km of a band edge: interior edges of the 8-band layout, the
+        // fourth of which is also the 2-band layout's only edge. One of
+        // the four is eccentric, at perigee there.
+        for group in 0..SPECIAL / 4 {
+            let edge = spec.r_min_km + band_width * (1 + group % 4) as f64;
+            let raan = std::f64::consts::TAU * rng.unit();
+            let at_node = 20.0 + 140.0 * rng.unit();
+            for member in 0..4 {
+                let e = if member == 0 {
+                    0.03 + 0.05 * rng.unit()
+                } else {
+                    0.0
+                };
+                let a = (edge + 4.0 * (rng.unit() - 0.5)) / (1.0 - e);
+                let inclination = 0.3 + 0.6 * member as f64 + 0.2 * rng.unit();
+                let mut el = KeplerElements::new(a, e, inclination, raan, 0.0, 0.0).unwrap();
+                el.mean_anomaly = (-el.mean_motion() * at_node).rem_euclid(std::f64::consts::TAU);
+                population[group * 4 + member] = el;
+            }
+        }
+
+        let mut changed = BTreeSet::new();
+        while changed.len() < 48 {
+            let pool = if changed.len() < 24 { SPECIAL } else { N };
+            changed.insert((rng.unit() * pool as f64) as u32);
+        }
+        let changed: Vec<u32> = changed.into_iter().collect();
+        let mut mutated = population.clone();
+        for &idx in &changed {
+            let el = &mutated[idx as usize];
+            mutated[idx as usize] = KeplerElements::new(
+                el.semi_major_axis + rng.unit() - 0.5,
+                el.eccentricity,
+                el.inclination,
+                el.raan,
+                el.arg_perigee,
+                el.mean_anomaly + 0.002 * (rng.unit() - 0.5),
+            )
+            .unwrap();
+        }
+
+        for variant in [Variant::Grid, Variant::Hybrid] {
+            let what = |layout: &Option<ShardSpec>| {
+                let layout = layout.map(|spec| (spec.alt_bands, spec.z_shells));
+                format!("seed {seed}, {}, layout {layout:?}", variant.label())
+            };
+            let (config, cold_before, cold_after) = match variant {
+                Variant::Hybrid => {
+                    let config = ScreeningConfig::hybrid_defaults(10.0, 180.0);
+                    let screener = HybridScreener::new(config);
+                    (
+                        config,
+                        screener.screen(&population),
+                        screener.screen(&mutated),
+                    )
+                }
+                _ => {
+                    let config = ScreeningConfig::grid_defaults(10.0, 180.0);
+                    let screener = GridScreener::new(config);
+                    (
+                        config,
+                        screener.screen(&population),
+                        screener.screen(&mutated),
+                    )
+                }
+            };
+
+            let mut delta_entries = None;
+            for layout in &layouts {
+                let pipeline = Pipeline::new(config, variant)
+                    .and_then(|pipeline| pipeline.with_shards(*layout))
+                    .unwrap();
+                let mut engine = DeltaEngine::with_pipeline(pipeline);
+                let full = engine.full_screen(&population);
+                assert_bit_identical(&full, &cold_before, &what(layout));
+                let delta = engine.delta_screen(&mutated, &changed);
+                assert_bit_identical(&delta, &cold_after, &what(layout));
+                assert!(delta.conjunction_count() > 0, "{}", what(layout));
+                assert_eq!(
+                    *delta_entries.get_or_insert(delta.candidate_entries),
+                    delta.candidate_entries,
+                    "{}",
+                    what(layout)
+                );
+            }
+
+            // The same delta's extraction, walked by hand under the
+            // one-shard layout: everyone is inserted once per step, nobody
+            // is mirrored, and no entry crosses a shard edge.
+            let planner = cold_after.planner;
+            let map = ShardMap::single();
+            let mut extraction = Extraction::new(&map, &changed, planner.cell_size_km);
+            let propagator = BatchPropagator::new(&mutated);
+            let mut positions = vec![Vec3::ZERO; N];
+            for step in 0..planner.total_steps {
+                propagator.positions_into(step as f64 * planner.seconds_per_sample, &mut positions);
+                extraction.step(step, &positions, &mut PhaseTimings::default());
+            }
+            let (entries, stats) = extraction.finish();
+            assert_eq!(Some(entries.len()), delta_entries, "{}", what(&None));
+            assert_eq!(stats.mirrored_inserts, 0, "{}", what(&None));
+            assert_eq!(stats.boundary_entries, 0, "{}", what(&None));
+            assert_eq!(
+                stats.total_inserts,
+                N as u64 * u64::from(planner.total_steps),
+                "{}",
+                what(&None)
+            );
+        }
+    }
+}
+
+/// Same conjunctions in the same order, TCA and PCA equal to the bit.
+fn assert_bit_identical(got: &ScreeningReport, want: &ScreeningReport, what: &str) {
+    assert_eq!(
+        got.conjunction_count(),
+        want.conjunction_count(),
+        "{what}: {:?} / {:?}",
+        got.pairs_missing_from(want),
+        want.pairs_missing_from(got)
+    );
+    for (g, w) in got.conjunctions.iter().zip(&want.conjunctions) {
+        assert_eq!(g.pair(), w.pair(), "{what}");
+        assert_eq!(g.tca.to_bits(), w.tca.to_bits(), "{what}: {:?}", g.pair());
+        assert_eq!(
+            g.pca_km.to_bits(),
+            w.pca_km.to_bits(),
+            "{what}: {:?}",
+            g.pair()
+        );
+    }
 }
 
 /// Exact-equality comparison of two screening reports: identical pair sets

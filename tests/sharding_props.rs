@@ -5,12 +5,27 @@
 //! single-shard (global) extraction — every cross-boundary pair found,
 //! each pair exactly once, mirroring symmetric in the pair's order.
 
+use kessler::core::PhaseTimings;
+use kessler::grid::CandidatePair;
 use kessler::math::Vec3;
-use kessler::service::shard::{extract_step_sharded, ShardScratch};
+use kessler::service::shard::Extraction;
 use kessler::service::{ShardMap, ShardScreenStats, ShardSpec};
 use proptest::prelude::*;
-use std::collections::HashSet;
 use std::f64::consts::PI;
+
+/// One step of a fresh extraction: its entries, sorted and each exactly
+/// once, and the per-shard statistics.
+fn extract_step(
+    map: &ShardMap,
+    positions: &[Vec3],
+    changed: &[u32],
+    cell: f64,
+    step: u32,
+) -> (Vec<CandidatePair>, ShardScreenStats) {
+    let mut extraction = Extraction::new(map, changed, cell);
+    extraction.step(step, positions, &mut PhaseTimings::default());
+    extraction.finish()
+}
 
 /// An arbitrary valid shard layout: 1–12 altitude bands, 1–6 |z| shells,
 /// a radius span somewhere in LEO/MEO.
@@ -80,8 +95,8 @@ proptest! {
     }
 
     /// Candidate extraction under an arbitrary partition is exactly the
-    /// single-shard (global) extraction: same pair set, and since pair
-    /// sets deduplicate structurally, every boundary pair exactly once.
+    /// single-shard (global) extraction: the same entries, every boundary
+    /// pair among them exactly once.
     /// Real satellites are inserted exactly once into their home shard;
     /// everything beyond that is a mirror copy.
     #[test]
@@ -98,21 +113,11 @@ proptest! {
             ..spec
         })
         .unwrap();
-        let mut scratch = ShardScratch::new(1);
-        let mut stats = ShardScreenStats::new(1);
-        let mut expected = HashSet::new();
-        extract_step_sharded(
-            &global_map, &positions, &changed, cell, 3, &mut scratch, &mut expected, &mut stats,
-        );
+        let (expected, stats) = extract_step(&global_map, &positions, &changed, cell, 3);
         prop_assert_eq!(stats.mirrored_inserts, 0, "one shard mirrors nothing");
 
         let map = ShardMap::new(spec).unwrap();
-        let mut scratch = ShardScratch::new(map.shard_count());
-        let mut stats = ShardScreenStats::new(map.shard_count());
-        let mut got = HashSet::new();
-        extract_step_sharded(
-            &map, &positions, &changed, cell, 3, &mut scratch, &mut got, &mut stats,
-        );
+        let (got, stats) = extract_step(&map, &positions, &changed, cell, 3);
         prop_assert_eq!(&got, &expected);
         prop_assert_eq!(
             stats.total_inserts - stats.mirrored_inserts,
@@ -135,15 +140,7 @@ proptest! {
         let map = ShardMap::new(spec).unwrap();
         let cell = 50.0;
 
-        let extract_from = |who: u32| {
-            let mut scratch = ShardScratch::new(map.shard_count());
-            let mut stats = ShardScreenStats::new(map.shard_count());
-            let mut got = HashSet::new();
-            extract_step_sharded(
-                &map, &positions, &[who], cell, 0, &mut scratch, &mut got, &mut stats,
-            );
-            got
-        };
+        let extract_from = |who: u32| extract_step(&map, &positions, &[who], cell, 0).0;
         let from_a = extract_from(0);
         let from_b = extract_from(1);
         prop_assert_eq!(
