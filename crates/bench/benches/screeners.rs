@@ -6,8 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kessler_bench::experiment_population;
 use kessler_core::{
-    GpuGridScreener, GpuHybridScreener, GridScreener, HybridScreener, LegacyScreener, Screener,
-    ScreeningConfig,
+    GpuScreener, GridScreener, HybridScreener, LegacyScreener, Screener, ScreeningConfig,
 };
 
 fn bench_variants(c: &mut Criterion) {
@@ -33,11 +32,11 @@ fn bench_variants(c: &mut Criterion) {
         b.iter(|| black_box(s.screen(&population).conjunction_count()))
     });
     group.bench_function(BenchmarkId::new("variant", "grid-gpusim"), |b| {
-        let s = GpuGridScreener::new(grid_cfg);
+        let s = GpuScreener::grid(grid_cfg);
         b.iter(|| black_box(s.screen(&population).conjunction_count()))
     });
     group.bench_function(BenchmarkId::new("variant", "hybrid-gpusim"), |b| {
-        let s = GpuHybridScreener::new(hybrid_cfg);
+        let s = GpuScreener::hybrid(hybrid_cfg);
         b.iter(|| black_box(s.screen(&population).conjunction_count()))
     });
     group.finish();

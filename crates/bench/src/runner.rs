@@ -1,9 +1,6 @@
 //! Variant runner: maps variant labels to screeners and collects rows.
 
-use kessler_core::{
-    GpuGridScreener, GpuHybridScreener, GridScreener, HybridScreener, LegacyScreener, Screener,
-    ScreeningConfig, ScreeningReport, SieveScreener,
-};
+use kessler_core::{default_config_for, screener_for, ScreeningReport};
 use kessler_orbits::KeplerElements;
 use serde::Serialize;
 
@@ -16,33 +13,6 @@ pub const ALL_VARIANTS: [&str; 6] = [
     "grid-gpusim",
     "hybrid-gpusim",
 ];
-
-/// Build the screener for a label.
-pub fn screener_for(
-    label: &str,
-    threshold_km: f64,
-    span_seconds: f64,
-    threads: Option<usize>,
-) -> Box<dyn Screener> {
-    let mut grid_cfg = ScreeningConfig::grid_defaults(threshold_km, span_seconds);
-    grid_cfg.threads = threads;
-    let mut hybrid_cfg = ScreeningConfig::hybrid_defaults(threshold_km, span_seconds);
-    hybrid_cfg.threads = threads;
-    match label {
-        "legacy" => Box::new(LegacyScreener::new(grid_cfg)),
-        "sieve" => {
-            let mut cfg = SieveScreener::default_config(threshold_km, span_seconds);
-            cfg.threads = threads;
-            Box::new(SieveScreener::new(cfg))
-        }
-        "legacy-parallel" => Box::new(LegacyScreener::new(grid_cfg).parallel(true)),
-        "grid" => Box::new(GridScreener::new(grid_cfg)),
-        "hybrid" => Box::new(HybridScreener::new(hybrid_cfg)),
-        "grid-gpusim" => Box::new(GpuGridScreener::new(grid_cfg)),
-        "hybrid-gpusim" => Box::new(GpuHybridScreener::new(hybrid_cfg)),
-        other => panic!("unknown variant `{other}`"),
-    }
-}
 
 /// One measurement row (a point of a Fig. 10 series).
 #[derive(Debug, Clone, Serialize)]
@@ -76,8 +46,12 @@ pub fn run_once(
     span_seconds: f64,
     threads: Option<usize>,
 ) -> (RunRow, ScreeningReport) {
-    let screener = screener_for(label, threshold_km, span_seconds, threads);
-    let report = screener.screen(population);
+    let mut config =
+        default_config_for(label, threshold_km, span_seconds).unwrap_or_else(|e| panic!("{e}"));
+    config.threads = threads;
+    let report = screener_for(label, config)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .screen(population);
     (RunRow::from_report(&report), report)
 }
 
@@ -114,6 +88,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown variant")]
     fn unknown_label_panics() {
-        screener_for("warp-drive", 2.0, 60.0, None);
+        run_once("warp-drive", &[], 2.0, 60.0, None);
     }
 }

@@ -2,15 +2,12 @@
 
 use crate::args::Flags;
 use kessler_core::{
-    io, GpuGridScreener, GpuHybridScreener, GridScreener, HybridScreener, LegacyScreener,
-    MemoryModel, Screener, ScreeningConfig, ScreeningReport, SieveScreener, Variant,
+    default_config_for, io, screener_for, MemoryModel, ScreeningConfig, ScreeningReport, Variant,
 };
 use kessler_orbits::KeplerElements;
 use kessler_population::{tle as tle_mod, PopulationConfig, PopulationGenerator};
 
-pub fn print_usage() {
-    println!(
-        "kessler — parallel satellite conjunction screening
+const USAGE: &str = "kessler — parallel satellite conjunction screening
 
 USAGE
   kessler <subcommand> [flags]
@@ -55,8 +52,10 @@ SUBCOMMANDS
   info       version and build info
 
 VARIANTS
-  grid | hybrid | legacy | sieve | grid-gpusim | hybrid-gpusim"
-    );
+  grid | hybrid | legacy | sieve | grid-gpusim | hybrid-gpusim";
+
+pub fn print_usage() {
+    println!("{USAGE}");
 }
 
 fn load_or_generate(flags: &Flags) -> Result<Vec<KeplerElements>, String> {
@@ -75,14 +74,12 @@ fn load_or_generate(flags: &Flags) -> Result<Vec<KeplerElements>, String> {
     .generate(n))
 }
 
+/// The variant's paper defaults under the `--threshold`, `--span`, `--sps`
+/// and `--threads` overrides.
 fn build_config(flags: &Flags, variant: &str) -> Result<ScreeningConfig, String> {
     let threshold = flags.f64_of("--threshold", 2.0)?;
     let span = flags.f64_of("--span", 3_600.0)?;
-    let mut config = match variant {
-        "hybrid" | "hybrid-gpusim" => ScreeningConfig::hybrid_defaults(threshold, span),
-        "sieve" => SieveScreener::default_config(threshold, span),
-        _ => ScreeningConfig::grid_defaults(threshold, span),
-    };
+    let mut config = default_config_for(variant, threshold, span)?;
     if let Some(sps) = flags.value_of("--sps") {
         config.seconds_per_sample = sps.parse().map_err(|_| "bad --sps".to_string())?;
     }
@@ -93,17 +90,12 @@ fn build_config(flags: &Flags, variant: &str) -> Result<ScreeningConfig, String>
     Ok(config)
 }
 
-fn screener_for(variant: &str, config: ScreeningConfig) -> Result<Box<dyn Screener>, String> {
-    Ok(match variant {
-        "grid" => Box::new(GridScreener::new(config)),
-        "hybrid" => Box::new(HybridScreener::new(config)),
-        "legacy" => Box::new(LegacyScreener::new(config)),
-        "legacy-parallel" => Box::new(LegacyScreener::new(config).parallel(true)),
-        "sieve" => Box::new(SieveScreener::new(config)),
-        "grid-gpusim" => Box::new(GpuGridScreener::new(config)),
-        "hybrid-gpusim" => Box::new(GpuHybridScreener::new(config)),
-        other => return Err(format!("unknown variant `{other}`")),
-    })
+fn screen_with(
+    variant: &str,
+    config: ScreeningConfig,
+    population: &[KeplerElements],
+) -> Result<ScreeningReport, String> {
+    Ok(screener_for(variant, config)?.screen(population))
 }
 
 fn print_report_summary(report: &ScreeningReport) {
@@ -150,8 +142,7 @@ pub fn screen(flags: &Flags) -> Result<(), String> {
     let variant = flags.value_of("--variant").unwrap_or("grid").to_string();
     let population = load_or_generate(flags)?;
     let config = build_config(flags, &variant)?;
-    let screener = screener_for(&variant, config)?;
-    let report = screener.screen(&population);
+    let report = screen_with(&variant, config, &population)?;
     print_report_summary(&report);
     for c in report.conjunctions.iter().take(10) {
         println!(
@@ -288,8 +279,7 @@ pub fn compare(flags: &Flags) -> Result<(), String> {
     let variants = ["legacy", "sieve", "grid", "hybrid"];
     let mut reports = Vec::new();
     for v in variants {
-        let config = build_config(flags, v)?;
-        let report = screener_for(v, config)?.screen(&population);
+        let report = screen_with(v, build_config(flags, v)?, &population)?;
         print_report_summary(&report);
         reports.push(report);
     }
@@ -1033,5 +1023,19 @@ mod tests {
         }
         // Unknown errors never retry.
         assert!(!transport_retryable(ErrorKind::PermissionDenied, false));
+    }
+
+    #[test]
+    fn every_variant_the_usage_text_lists_is_one_the_factory_builds() {
+        let listed = USAGE
+            .rsplit_once("VARIANTS\n")
+            .expect("usage ends with the variant list")
+            .1;
+        let labels: Vec<&str> = listed.split('|').map(str::trim).collect();
+        assert_eq!(labels.len(), 6, "{labels:?}");
+        for label in labels {
+            let config = default_config_for(label, 2.0, 60.0).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(screener_for(label, config).unwrap().label(), label);
+        }
     }
 }

@@ -67,13 +67,6 @@ pub struct ScreeningConfig {
     /// Optional cap on the pair-set capacity (bytes guard for huge runs);
     /// `None` sizes purely from the Extra-P model.
     pub max_pair_capacity: Option<usize>,
-    /// Sampling steps processed concurrently, each with its own grid — the
-    /// paper's parallelisation factor `p` (§V-B). `None`/`Some(1)` reuses a
-    /// single grid (the memory-lean default: within-step rayon parallelism
-    /// already saturates the cores); `Some(k)` allocates `min(k, p)` grids
-    /// and fills them in parallel, trading memory for step-level
-    /// parallelism exactly as the paper's GPU path does.
-    pub parallel_steps: Option<usize>,
 }
 
 impl ScreeningConfig {
@@ -88,7 +81,6 @@ impl ScreeningConfig {
             memory_budget_bytes: 8 * 1024 * 1024 * 1024,
             tca_dedup_tolerance_s: 0.05,
             max_pair_capacity: None,
-            parallel_steps: None,
         }
     }
 

@@ -293,7 +293,7 @@ mod tests {
         // The paper's point, quantified: on a dense shell the Cube rate
         // must predict the same order of magnitude of sub-threshold
         // encounters as the deterministic grid screener finds.
-        use crate::screener::grid::GridScreener;
+        use crate::screener::cpu::GridScreener;
         use crate::Screener;
         let pop = crossing_shell(80);
         let span = 5_700.0; // ≈ one orbital period

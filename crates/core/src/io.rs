@@ -164,7 +164,7 @@ pub fn write_population_csv<W: Write>(
 mod tests {
     use super::*;
     use crate::config::ScreeningConfig;
-    use crate::screener::grid::GridScreener;
+    use crate::screener::cpu::GridScreener;
     use crate::Screener;
 
     fn sample_conjunctions() -> Vec<Conjunction> {

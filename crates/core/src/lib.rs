@@ -21,19 +21,26 @@
 //!
 //! # Variants
 //!
+//! A screen is an extraction backend (who produces the candidate entries)
+//! times a post-extraction [`Stage`] (what becomes of them); see
+//! [`screener`].
+//!
 //! * [`GridScreener`] — the paper's purely grid-based variant: small cells
 //!   (Eq. 1), small time steps; every grid candidate goes straight to Brent
 //!   PCA/TCA refinement.
 //! * [`HybridScreener`] — the grid as a pre-filter with larger steps and
 //!   cells, followed by the classical orbital filter chain whose time
-//!   windows drive the refinement.
+//!   windows drive the refinement. Both are constructors of the one
+//!   [`CpuScreener`].
+//! * [`GpuScreener`] — either stage with the extraction expressed as
+//!   kernels on the [`kessler_gpusim`] execution simulator (CUDA
+//!   substitution; see DESIGN.md §3), on one device or several.
 //! * [`LegacyScreener`] — the all-on-all filter-chain baseline
 //!   (quadratic pair enumeration).
 //! * [`SieveScreener`] — the (smart) sieve comparison variant from the
 //!   paper's related work (§II): per-step Cartesian rejection cascades.
-//! * [`GpuGridScreener`] / [`GpuHybridScreener`] — the same algorithms
-//!   expressed as kernels on the [`kessler_gpusim`] execution simulator
-//!   (CUDA substitution; see DESIGN.md §3).
+//! * [`Sgp4GridScreener`] — the grid variant over SGP4 dynamics, for real
+//!   TLE catalogs.
 
 pub mod assessment;
 pub mod cancel;
@@ -54,13 +61,11 @@ pub use kessler_filters::chain::FilterStatsSnapshot;
 pub use kessler_filters::{FilterChain, FilterConfig, FilterDecision};
 pub use metrics::{Histogram, HistogramSummary, PhaseSeries, PhaseSummaries};
 pub use planner::{MemoryModel, PlannerReport};
-pub use screener::gpu::{GpuGridScreener, GpuHybridScreener, MultiDeviceGridScreener};
-pub use screener::grid::{refine_grid_entries, GridScreener};
-pub use screener::hybrid::{
-    group_pairs, refine_filtered_pair, refine_hybrid_entries, GroupedPair, HybridScreener,
-};
+pub use screener::cpu::{CpuScreener, GridScreener, HybridScreener};
+pub use screener::gpu::GpuScreener;
 pub use screener::legacy::LegacyScreener;
 pub use screener::sgp4_grid::Sgp4GridScreener;
 pub use screener::sieve::SieveScreener;
-pub use screener::{run_in_pool, Screener};
+pub use screener::stage::{group_pairs, refine_filtered_pair, Executor, GroupedPair, Host, Stage};
+pub use screener::{default_config_for, run_in_pool, screener_for, Refined, Screener};
 pub use timing::PhaseTimings;

@@ -9,7 +9,6 @@
 //! interval").
 
 use crate::conjunction::Conjunction;
-use kessler_filters::chain::FilterStatsSnapshot;
 use kessler_math::brent::brent_minimize;
 use kessler_math::Interval;
 use kessler_orbits::propagator::PropagationConstants;
@@ -25,23 +24,6 @@ const EDGE_FRACTION: f64 = 1e-3;
 /// How far beyond the boundary the escape probe looks, as a fraction of
 /// the interval length.
 const PROBE_FRACTION: f64 = 0.05;
-
-/// The grid and hybrid post-extraction stages refine this many candidates
-/// between cancellation checks: large enough that the per-chunk rayon
-/// dispatch is noise, small enough that a CANCEL lands within a few ms of
-/// work. Chunk outputs extend in order, so chunking never changes a result.
-pub(crate) const REFINE_CHUNK: usize = 8192;
-
-/// What a variant's post-extraction stage made of a set of candidate
-/// entries (see `refine_grid_entries` and `refine_hybrid_entries`).
-pub struct Refined {
-    /// Deduplicated conjunctions, sorted by pair then TCA.
-    pub conjunctions: Vec<Conjunction>,
-    /// Distinct satellite pairs among the entries.
-    pub candidate_pairs: usize,
-    /// Filter-chain counters, when the variant runs the chain.
-    pub filter_stats: Option<FilterStatsSnapshot>,
-}
 
 /// Squared distance between two propagated satellites at time `t`.
 #[inline]

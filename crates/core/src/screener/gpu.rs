@@ -1,6 +1,6 @@
-//! Grid and hybrid screeners on the GPU execution simulator.
+//! The gpusim screener: either stage on the GPU execution simulator.
 //!
-//! These variants express the same three phases as kernels on
+//! The same phases as the CPU screener, expressed as kernels on
 //! [`kessler_gpusim::Device`] — the CUDA substitution of DESIGN.md §3:
 //!
 //! * `propagate_insert` — one thread per satellite: solve Kepler's
@@ -8,46 +8,77 @@
 //!   the paper's `a_k` allocation), insert into the lock-free grid.
 //! * `conjunction_detect` — one thread per occupied cell: neighbour scan,
 //!   CAS insertion into the conjunction pair set.
-//! * `coplanarity_filters` (hybrid only) — one thread per unique pair:
-//!   the classical filter chain.
-//! * `refine_pca_tca` — one thread per candidate occurrence/window: Brent
-//!   search.
+//! * `coplanarity_filters` (hybrid stage only) — one thread per unique
+//!   pair: the classical filter chain.
+//! * `refine_pca_tca` — one thread per candidate occurrence (grid stage)
+//!   or unique pair (hybrid stage): Brent search.
 //!
-//! The grid hash set and the conjunction map are charged against the
-//! device-memory budget, so a device that is too small fails loudly the
-//! way an actual CUDA allocation would.
+//! The first two are this file's extraction backend; the last two are the
+//! shared [`Stage::refine`] run through a device [`Executor`]. The grid
+//! hash set and the conjunction map are charged against the device-memory
+//! budget, so a device that is too small fails loudly the way an actual
+//! CUDA allocation would.
+//!
+//! Several devices split the sampling steps into contiguous ranges, one
+//! per device — the paper's multi-GPU future work (§VI): "memory usage is
+//! the current limiting factor — using multiple GPUs would solve this
+//! problem to some degree". Every device holds its own copy of the
+//! satellite constants (the paper's replication cost) and extracts its
+//! range; the merged candidates are refined on the first device. One
+//! device is the degenerate case.
 
+use crate::cancel::Cancelled;
 use crate::config::{ScreeningConfig, Variant};
-use crate::conjunction::{dedup_conjunctions, Conjunction, ScreeningReport};
-use crate::planner::{MemoryModel, PlannerReport};
-use crate::refine::{grid_refine_interval, refine_pair};
-use crate::screener::{run_in_pool, Screener};
+use crate::conjunction::ScreeningReport;
+use crate::planner::PlannerReport;
+use crate::screener::stage::{Executor, Stage};
+use crate::screener::{run_screen, Outcome, Screener};
 use crate::timing::{PhaseTimer, PhaseTimings};
-use kessler_filters::{FilterChain, FilterConfig, FilterDecision};
 use kessler_gpusim::{Device, DeviceBuffer, LaunchConfig};
 use kessler_grid::grid::NeighborScan;
 use kessler_grid::pairset::{CandidatePair, PairSet};
 use kessler_grid::SpatialGrid;
-use kessler_math::Interval;
 use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements, SoaColumns};
-use std::collections::HashSet;
-use std::time::Instant;
+use rayon::prelude::*;
 
-/// Shared device-side grid phase over a step range. Returns candidate
-/// entries for `steps` (a sub-range when several devices split the span —
-/// the paper's "using multiple GPUs would solve this problem to some
-/// degree" future work, §VI).
-#[allow(clippy::too_many_arguments)]
-fn device_grid_phase(
-    device: &Device,
-    constants: &DeviceBuffer<f64>,
+/// A device with the satellite constants resident: `n` satellites as one
+/// flat structure-of-arrays f64 buffer (the `a_k` upload).
+struct Resident<'a> {
+    device: &'a Device,
+    constants: DeviceBuffer<f64>,
     n: usize,
+}
+
+impl Executor for Resident<'_> {
+    fn columns(&self) -> SoaColumns<'_> {
+        SoaColumns::from_flat(self.constants.as_slice(), self.n)
+    }
+
+    /// One kernel launch, one thread per item.
+    fn flat_map<T, I, F>(&self, kernel: &str, n: usize, f: F) -> Result<Vec<T>, Cancelled>
+    where
+        T: Send,
+        I: IntoIterator<Item = T> + Send,
+        F: Fn(usize) -> I + Send + Sync,
+    {
+        let per_thread = self
+            .device
+            .launch_map(kernel, LaunchConfig::for_elements(n), |tid| f(tid.global));
+        Ok(per_thread.into_iter().flatten().collect())
+    }
+}
+
+/// Device-side grid phase over a step range: the candidate entries of
+/// `steps` (a sub-range when several devices split the span).
+fn device_grid_phase(
+    on: &Resident<'_>,
     planner: &PlannerReport,
     scan: NeighborScan,
     solver: &ContourSolver,
     timings: &mut PhaseTimings,
     steps: std::ops::Range<u32>,
 ) -> Vec<CandidatePair> {
+    let (device, n) = (on.device, on.n);
     // Device allocations for the grid structures (charged to the budget;
     // the actual data structures live host-side, shadowed byte-for-byte).
     let grid = SpatialGrid::new(n, planner.cell_size_km);
@@ -65,9 +96,8 @@ fn device_grid_phase(
             if step > first_step {
                 grid.reset();
             }
-            // The a_k allocation is a flat structure-of-arrays buffer on
-            // the device; each thread gathers its satellite's lane.
-            let cols = SoaColumns::from_flat(constants.as_slice(), n);
+            // Each thread gathers its satellite's lane of the constants.
+            let cols = on.columns();
             device.launch("propagate_insert", LaunchConfig::for_elements(n), |tid| {
                 let pos = cols.position(tid.global, t, solver);
                 grid.insert(tid.global as u32, pos)
@@ -94,421 +124,130 @@ fn device_grid_phase(
     pairs.drain_to_vec()
 }
 
-/// Purely grid-based screener on the GPU simulator.
-pub struct GpuGridScreener {
-    config: ScreeningConfig,
-    device: Device,
-    solver: ContourSolver,
-}
-
-impl GpuGridScreener {
-    /// Screener on an RTX-3090-sized device.
-    pub fn new(config: ScreeningConfig) -> GpuGridScreener {
-        GpuGridScreener::on_device(config, Device::rtx3090_like())
-    }
-
-    pub fn on_device(config: ScreeningConfig, device: Device) -> GpuGridScreener {
-        config.validate().expect("invalid screening configuration");
-        GpuGridScreener {
-            config,
-            device,
-            solver: ContourSolver::default(),
-        }
-    }
-}
-
-impl Screener for GpuGridScreener {
-    fn screen(&self, population: &[KeplerElements]) -> ScreeningReport {
-        let config = self.config;
-        run_in_pool(config.threads, || {
-            let wall = Instant::now();
-            let mut timings = PhaseTimings::default();
-            let mut planner_config = config;
-            planner_config.memory_budget_bytes = self.device.memory_budget();
-            let planner = MemoryModel::new(Variant::Grid).plan(population.len(), &planner_config);
-
-            self.device.reset_metrics();
-            // H→D: satellite constants (the a_k upload), as one flat
-            // structure-of-arrays f64 buffer.
-            let host_propagator = BatchPropagator::new(population);
-            let constants = DeviceBuffer::from_host(&self.device, host_propagator.raw_columns())
-                .expect("device memory exhausted by satellite data");
-
-            let entries = device_grid_phase(
-                &self.device,
-                &constants,
-                population.len(),
-                &planner,
-                config.neighbor_scan,
-                &self.solver,
-                &mut timings,
-                0..planner.total_steps,
-            );
-            let candidate_entries = entries.len();
-            let candidate_pairs = entries
-                .iter()
-                .map(|e| (e.id_lo, e.id_hi))
-                .collect::<HashSet<_>>()
-                .len();
-
-            let mut found: Vec<Conjunction>;
-            {
-                let _timer = PhaseTimer::start(&mut timings.refinement);
-                let cols = SoaColumns::from_flat(constants.as_slice(), population.len());
-                let solver = self.solver;
-                let threshold = config.threshold_km;
-                let cell = planner.cell_size_km;
-                let sps = planner.seconds_per_sample;
-                found = self
-                    .device
-                    .launch_map(
-                        "refine_pca_tca",
-                        LaunchConfig::for_elements(entries.len()),
-                        |tid| {
-                            let e = &entries[tid.global];
-                            let a = cols.gather(e.id_lo as usize);
-                            let b = cols.gather(e.id_hi as usize);
-                            let t = e.step as f64 * sps;
-                            let interval = grid_refine_interval(&a, &b, &solver, t, cell);
-                            refine_pair(&a, &b, &solver, e.id_lo, e.id_hi, interval, threshold)
-                        },
-                    )
-                    .into_iter()
-                    .flatten()
-                    .collect();
-            }
-            found = dedup_conjunctions(found, config.tca_dedup_tolerance_s);
-            found.retain(|c| c.tca >= -1e-9 && c.tca <= config.span_seconds + 1e-9);
-
-            timings.total = wall.elapsed();
-            ScreeningReport {
-                variant: "grid-gpusim".to_string(),
-                n_satellites: population.len(),
-                config,
-                conjunctions: found,
-                candidate_entries,
-                candidate_pairs,
-                pair_set_regrows: 0,
-                timings,
-                planner,
-                filter_stats: None,
-                device_metrics: Some(self.device.metrics()),
-            }
-        })
-    }
-
-    fn label(&self) -> &str {
-        "grid-gpusim"
-    }
-}
-
-/// Hybrid screener on the GPU simulator.
-pub struct GpuHybridScreener {
-    config: ScreeningConfig,
-    filter_config: FilterConfig,
-    device: Device,
-    solver: ContourSolver,
-}
-
-impl GpuHybridScreener {
-    pub fn new(config: ScreeningConfig) -> GpuHybridScreener {
-        GpuHybridScreener::on_device(config, Device::rtx3090_like())
-    }
-
-    pub fn on_device(config: ScreeningConfig, device: Device) -> GpuHybridScreener {
-        config.validate().expect("invalid screening configuration");
-        GpuHybridScreener {
-            config,
-            filter_config: FilterConfig::new(config.threshold_km),
-            device,
-            solver: ContourSolver::default(),
-        }
-    }
-}
-
-impl Screener for GpuHybridScreener {
-    fn screen(&self, population: &[KeplerElements]) -> ScreeningReport {
-        let config = self.config;
-        run_in_pool(config.threads, || {
-            let wall = Instant::now();
-            let mut timings = PhaseTimings::default();
-            let mut planner_config = config;
-            planner_config.memory_budget_bytes = self.device.memory_budget();
-            let planner = MemoryModel::new(Variant::Hybrid).plan(population.len(), &planner_config);
-
-            self.device.reset_metrics();
-            let host_propagator = BatchPropagator::new(population);
-            let constants = DeviceBuffer::from_host(&self.device, host_propagator.raw_columns())
-                .expect("device memory exhausted by satellite data");
-
-            let mut entries = device_grid_phase(
-                &self.device,
-                &constants,
-                population.len(),
-                &planner,
-                config.neighbor_scan,
-                &self.solver,
-                &mut timings,
-                0..planner.total_steps,
-            );
-            let candidate_entries = entries.len();
-
-            // Group into unique pairs with their step lists.
-            entries.sort_unstable();
-            let mut unique: Vec<(u32, u32, Vec<u32>)> = Vec::new();
-            for e in entries {
-                match unique.last_mut() {
-                    Some((lo, hi, steps)) if *lo == e.id_lo && *hi == e.id_hi => steps.push(e.step),
-                    _ => unique.push((e.id_lo, e.id_hi, vec![e.step])),
-                }
-            }
-            let candidate_pairs = unique.len();
-
-            // Filter-chain kernel: one thread per unique pair.
-            let chain = FilterChain::new(self.filter_config);
-            let span = Interval::new(0.0, config.span_seconds);
-            let decisions: Vec<FilterDecision>;
-            {
-                let _timer = PhaseTimer::start(&mut timings.filters);
-                decisions = self.device.launch_map(
-                    "coplanarity_filters",
-                    LaunchConfig::for_elements(unique.len()),
-                    |tid| {
-                        let (lo, hi, _) = &unique[tid.global];
-                        chain.evaluate(&population[*lo as usize], &population[*hi as usize], span)
-                    },
-                );
-            }
-
-            // Refinement kernel.
-            let mut found: Vec<Conjunction>;
-            {
-                let _timer = PhaseTimer::start(&mut timings.refinement);
-                let cols = SoaColumns::from_flat(constants.as_slice(), population.len());
-                let solver = self.solver;
-                let threshold = config.threshold_km;
-                let cell = planner.cell_size_km;
-                let sps = planner.seconds_per_sample;
-                found = self
-                    .device
-                    .launch_map(
-                        "refine_pca_tca",
-                        LaunchConfig::for_elements(unique.len()),
-                        |tid| {
-                            let (lo, hi, steps) = &unique[tid.global];
-                            let a = cols.gather(*lo as usize);
-                            let b = cols.gather(*hi as usize);
-                            let mut local = Vec::new();
-                            match &decisions[tid.global] {
-                                FilterDecision::Windows(windows) => {
-                                    for w in windows {
-                                        if let Some(c) = refine_pair(
-                                            &a,
-                                            &b,
-                                            &solver,
-                                            *lo,
-                                            *hi,
-                                            w.padded(1.0),
-                                            threshold,
-                                        ) {
-                                            local.push(c);
-                                        }
-                                    }
-                                }
-                                FilterDecision::Coplanar => {
-                                    for &step in steps {
-                                        let t = step as f64 * sps;
-                                        let interval =
-                                            grid_refine_interval(&a, &b, &solver, t, cell);
-                                        if let Some(c) = refine_pair(
-                                            &a, &b, &solver, *lo, *hi, interval, threshold,
-                                        ) {
-                                            local.push(c);
-                                        }
-                                    }
-                                }
-                                _ => {}
-                            }
-                            local
-                        },
-                    )
-                    .into_iter()
-                    .flatten()
-                    .collect();
-            }
-            found = dedup_conjunctions(found, config.tca_dedup_tolerance_s);
-            found.retain(|c| c.tca >= span.start - 1e-9 && c.tca <= span.end + 1e-9);
-
-            timings.total = wall.elapsed();
-            ScreeningReport {
-                variant: "hybrid-gpusim".to_string(),
-                n_satellites: population.len(),
-                config,
-                conjunctions: found,
-                candidate_entries,
-                candidate_pairs,
-                pair_set_regrows: 0,
-                timings,
-                planner,
-                filter_stats: Some(chain.stats.snapshot()),
-                device_metrics: Some(self.device.metrics()),
-            }
-        })
-    }
-
-    fn label(&self) -> &str {
-        "hybrid-gpusim"
-    }
-}
-
-/// Grid screener distributed across several simulated devices — the
-/// paper's multi-GPU future work (§VI): "memory usage is the current
-/// limiting factor — using multiple GPUs would solve this problem to some
-/// degree". The sampling steps are split into contiguous ranges, one per
-/// device; every device holds its own copy of the satellite constants
-/// (the paper's replication cost), runs the grid phase for its range, and
-/// the merged candidates are refined on the first device.
-pub struct MultiDeviceGridScreener {
-    config: ScreeningConfig,
+/// Grid extraction on one or more simulated devices, refined by `stage`
+/// on the first.
+pub struct GpuScreener {
+    stage: Stage,
     devices: Vec<Device>,
-    solver: ContourSolver,
 }
 
-impl MultiDeviceGridScreener {
-    pub fn new(config: ScreeningConfig, devices: Vec<Device>) -> MultiDeviceGridScreener {
-        config.validate().expect("invalid screening configuration");
-        assert!(!devices.is_empty(), "at least one device is required");
-        MultiDeviceGridScreener {
-            config,
-            devices,
-            solver: ContourSolver::default(),
+impl GpuScreener {
+    /// The grid variant on one RTX-3090-sized device. Panics on an invalid
+    /// configuration.
+    pub fn grid(config: ScreeningConfig) -> GpuScreener {
+        GpuScreener::new(Stage::valid(Variant::Grid, config))
+    }
+
+    /// The hybrid variant on one RTX-3090-sized device. Panics on an
+    /// invalid configuration.
+    pub fn hybrid(config: ScreeningConfig) -> GpuScreener {
+        GpuScreener::new(Stage::valid(Variant::Hybrid, config))
+    }
+
+    fn new(stage: Stage) -> GpuScreener {
+        GpuScreener {
+            stage,
+            devices: vec![Device::rtx3090_like()],
         }
     }
 
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
+    /// Run on these devices instead of the default one.
+    pub fn on_devices(mut self, devices: Vec<Device>) -> GpuScreener {
+        assert!(!devices.is_empty(), "at least one device is required");
+        self.devices = devices;
+        self
     }
 }
 
-impl Screener for MultiDeviceGridScreener {
+impl Screener for GpuScreener {
     fn screen(&self, population: &[KeplerElements]) -> ScreeningReport {
-        let config = self.config;
-        run_in_pool(config.threads, || {
-            let wall = Instant::now();
-            let mut timings = PhaseTimings::default();
-            // Plan against the smallest device (every device must fit its
-            // own grid + map + constants).
-            let mut planner_config = config;
-            planner_config.memory_budget_bytes = self
-                .devices
-                .iter()
-                .map(Device::memory_budget)
-                .min()
-                .expect("non-empty device list");
-            let planner = MemoryModel::new(Variant::Grid).plan(population.len(), &planner_config);
-            for d in &self.devices {
-                d.reset_metrics();
-            }
+        let stage = &self.stage;
+        let config = stage.config();
+        let n = population.len();
+        // Plan against the smallest device (every device must fit its own
+        // grid + map + constants).
+        let budget = self.devices.iter().map(Device::memory_budget).min();
+        let planner = stage.plan_within(n, budget.expect("non-empty device list"));
+        // One device reports under the plain label, `k` devices add `-x{k}`.
+        let mut label = self.label().to_string();
+        if self.devices.len() > 1 {
+            label += &format!("-x{}", self.devices.len());
+        }
+        run_screen(
+            &label,
+            config.threads,
+            n,
+            config,
+            planner,
+            |planner, timings| {
+                let host_propagator = BatchPropagator::new(population);
+                let total = planner.total_steps;
+                let per_device = total.div_ceil(self.devices.len() as u32);
 
-            let host_propagator = BatchPropagator::new(population);
-
-            // Contiguous step ranges, one per device.
-            let total = planner.total_steps;
-            let k = self.devices.len() as u32;
-            let per_device = total.div_ceil(k);
-            let ranges: Vec<std::ops::Range<u32>> = (0..k)
-                .map(|d| (d * per_device).min(total)..((d + 1) * per_device).min(total))
-                .collect();
-
-            // Each device runs its share; rayon parallelises across
-            // devices exactly as independent GPUs would run concurrently.
-            use rayon::prelude::*;
-            let per_device_results: Vec<(Vec<CandidatePair>, PhaseTimings)> = self
-                .devices
-                .par_iter()
-                .zip(ranges.par_iter())
-                .map(|(device, range)| {
-                    let mut local_timings = PhaseTimings::default();
-                    let constants = DeviceBuffer::from_host(device, host_propagator.raw_columns())
-                        .expect("device memory exhausted by satellite data");
-                    let entries = device_grid_phase(
-                        device,
-                        &constants,
-                        population.len(),
-                        &planner,
-                        config.neighbor_scan,
-                        &self.solver,
-                        &mut local_timings,
-                        range.clone(),
-                    );
-                    (entries, local_timings)
-                })
-                .collect();
-
-            let mut entries: Vec<CandidatePair> = Vec::new();
-            for (device_entries, local) in per_device_results {
-                entries.extend(device_entries);
-                timings.insertion += local.insertion;
-                timings.pair_extraction += local.pair_extraction;
-            }
-            let candidate_entries = entries.len();
-            let candidate_pairs = entries
-                .iter()
-                .map(|e| (e.id_lo, e.id_hi))
-                .collect::<HashSet<_>>()
-                .len();
-
-            // Refinement on device 0 (the merge target).
-            let refine_device = &self.devices[0];
-            let constants = DeviceBuffer::from_host(refine_device, host_propagator.raw_columns())
-                .expect("device memory exhausted by satellite data");
-            let mut found: Vec<Conjunction>;
-            {
-                let _timer = PhaseTimer::start(&mut timings.refinement);
-                let cols = SoaColumns::from_flat(constants.as_slice(), population.len());
-                let solver = self.solver;
-                let threshold = config.threshold_km;
-                let cell = planner.cell_size_km;
-                let sps = planner.seconds_per_sample;
-                found = refine_device
-                    .launch_map(
-                        "refine_pca_tca",
-                        LaunchConfig::for_elements(entries.len()),
-                        |tid| {
-                            let e = &entries[tid.global];
-                            let a = cols.gather(e.id_lo as usize);
-                            let b = cols.gather(e.id_hi as usize);
-                            let t = e.step as f64 * sps;
-                            let interval = grid_refine_interval(&a, &b, &solver, t, cell);
-                            refine_pair(&a, &b, &solver, e.id_lo, e.id_hi, interval, threshold)
-                        },
-                    )
-                    .into_iter()
-                    .flatten()
+                // H→D: every device holds its own copy of the constants.
+                let residents: Vec<Resident<'_>> = self
+                    .devices
+                    .iter()
+                    .map(|device| {
+                        device.reset_metrics();
+                        let constants =
+                            DeviceBuffer::from_host(device, host_propagator.raw_columns())
+                                .expect("device memory exhausted by satellite data");
+                        Resident {
+                            device,
+                            constants,
+                            n,
+                        }
+                    })
                     .collect();
-            }
-            found = dedup_conjunctions(found, config.tca_dedup_tolerance_s);
-            found.retain(|c| c.tca >= -1e-9 && c.tca <= config.span_seconds + 1e-9);
 
-            timings.total = wall.elapsed();
-            ScreeningReport {
-                variant: format!("grid-gpusim-x{}", self.devices.len()),
-                n_satellites: population.len(),
-                config,
-                conjunctions: found,
-                candidate_entries,
-                candidate_pairs,
-                pair_set_regrows: 0,
-                timings,
-                planner,
-                filter_stats: None,
-                device_metrics: Some(self.devices[0].metrics()),
-            }
-        })
+                // Each device runs its contiguous share of the steps; rayon
+                // parallelises across devices exactly as independent GPUs
+                // run concurrently.
+                let shares: Vec<(Vec<CandidatePair>, PhaseTimings)> = residents
+                    .par_iter()
+                    .enumerate()
+                    .map(|(d, on)| {
+                        let first = (d as u32 * per_device).min(total);
+                        let mut local = PhaseTimings::default();
+                        let entries = device_grid_phase(
+                            on,
+                            planner,
+                            config.neighbor_scan,
+                            stage.solver(),
+                            &mut local,
+                            first..(first + per_device).min(total),
+                        );
+                        (entries, local)
+                    })
+                    .collect();
+
+                let mut entries: Vec<CandidatePair> = Vec::new();
+                for (device_entries, local) in shares {
+                    entries.extend(device_entries);
+                    timings.insertion += local.insertion;
+                    timings.pair_extraction += local.pair_extraction;
+                }
+                let candidate_entries = entries.len();
+
+                // Refinement on the first device (the merge target).
+                let refined = stage.refine(&residents[0], population, entries, planner, timings)?;
+                Ok(Outcome {
+                    candidate_entries,
+                    pair_set_regrows: 0,
+                    refined,
+                    device_metrics: Some(self.devices[0].metrics()),
+                })
+            },
+        )
+        .expect("a gpusim screen takes no cancel token")
     }
 
     fn label(&self) -> &str {
-        "grid-gpusim-multi"
+        match self.stage.variant() {
+            Variant::Hybrid => "hybrid-gpusim",
+            _ => "grid-gpusim",
+        }
     }
 }
 
@@ -525,11 +264,11 @@ mod tests {
 
     #[test]
     fn gpu_grid_matches_cpu_grid() {
-        use crate::screener::grid::GridScreener;
+        use crate::screener::cpu::GridScreener;
         let pop = crossing_pair_population();
         let config = ScreeningConfig::grid_defaults(2.0, 600.0);
         let cpu = GridScreener::new(config).screen(&pop);
-        let gpu = GpuGridScreener::new(config).screen(&pop);
+        let gpu = GpuScreener::grid(config).screen(&pop);
         assert_eq!(cpu.conjunction_count(), gpu.conjunction_count());
         for (a, b) in cpu.conjunctions.iter().zip(&gpu.conjunctions) {
             assert_eq!(a.pair(), b.pair());
@@ -540,18 +279,18 @@ mod tests {
 
     #[test]
     fn gpu_hybrid_matches_cpu_hybrid() {
-        use crate::screener::hybrid::HybridScreener;
+        use crate::screener::cpu::HybridScreener;
         let pop = crossing_pair_population();
         let config = ScreeningConfig::hybrid_defaults(2.0, 600.0);
         let cpu = HybridScreener::new(config).screen(&pop);
-        let gpu = GpuHybridScreener::new(config).screen(&pop);
+        let gpu = GpuScreener::hybrid(config).screen(&pop);
         assert_eq!(cpu.conjunction_count(), gpu.conjunction_count());
     }
 
     #[test]
     fn device_metrics_are_reported() {
         let config = ScreeningConfig::grid_defaults(2.0, 60.0);
-        let report = GpuGridScreener::new(config).screen(&crossing_pair_population());
+        let report = GpuScreener::grid(config).screen(&crossing_pair_population());
         let m = report.device_metrics.expect("gpusim must report metrics");
         assert!(m.kernel_launches > 0);
         assert!(m.bytes_h2d > 0, "constants upload must be metered");
@@ -564,16 +303,14 @@ mod tests {
     fn multi_device_matches_single_device() {
         let pop = crossing_pair_population();
         let config = ScreeningConfig::grid_defaults(2.0, 600.0);
-        let single = GpuGridScreener::new(config).screen(&pop);
-        let multi = MultiDeviceGridScreener::new(
-            config,
-            vec![
+        let single = GpuScreener::grid(config).screen(&pop);
+        let multi = GpuScreener::grid(config)
+            .on_devices(vec![
                 Device::rtx3090_like(),
                 Device::rtx3090_like(),
                 Device::rtx3090_like(),
-            ],
-        )
-        .screen(&pop);
+            ])
+            .screen(&pop);
         assert_eq!(single.conjunction_count(), multi.conjunction_count());
         assert_eq!(single.colliding_pairs(), multi.colliding_pairs());
         for (a, b) in single.conjunctions.iter().zip(&multi.conjunctions) {
@@ -598,11 +335,9 @@ mod tests {
             KeplerElements::new(radius, 0.0, 1.2, 0.0, 0.0, m0).unwrap(),
         ];
         let config = ScreeningConfig::grid_defaults(2.0, 600.0);
-        let multi = MultiDeviceGridScreener::new(
-            config,
-            vec![Device::rtx3090_like(), Device::rtx3090_like()],
-        )
-        .screen(&pop);
+        let multi = GpuScreener::grid(config)
+            .on_devices(vec![Device::rtx3090_like(), Device::rtx3090_like()])
+            .screen(&pop);
         assert!(multi.conjunction_count() >= 1, "seam conjunction lost");
         assert!((multi.conjunctions[0].tca - t_conj).abs() < 1.0);
     }
@@ -611,7 +346,7 @@ mod tests {
     fn too_small_device_fails_loudly() {
         let config = ScreeningConfig::grid_defaults(2.0, 60.0);
         let tiny = Device::with_memory(64);
-        let screener = GpuGridScreener::on_device(config, tiny);
+        let screener = GpuScreener::grid(config).on_devices(vec![tiny]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             screener.screen(&crossing_pair_population())
         }));

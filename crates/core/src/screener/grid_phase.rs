@@ -1,21 +1,21 @@
-//! The shared grid phase: propagate → insert → extract candidate pairs,
+//! The CPU grid phase: propagate → insert → extract candidate pairs,
 //! repeated over all sampling steps (§III step 2).
 //!
-//! Both CPU screeners drive this loop; the gpusim screeners re-express the
-//! same phases as kernel launches. One grid is reused across steps via
-//! bulk reset (the paper allocates `p` grids and fills them in parallel —
-//! on the CPU the within-step rayon parallelism already saturates the
-//! cores, so the reuse trades no parallelism for a `p×` memory saving; the
-//! planner still reports `p` for the memory model).
+//! One step loop over a position source, driven by every CPU screen that
+//! has a grid (Kepler and SGP4 dynamics alike); the gpusim screener
+//! re-expresses the same phases as kernel launches. One grid is reused
+//! across steps via bulk reset (the paper allocates `p` grids and fills
+//! them in parallel — on the CPU the within-step rayon parallelism already
+//! saturates the cores, so the reuse trades no parallelism for a `p×`
+//! memory saving; the planner still reports `p` for the memory model).
 
 use crate::cancel::{check_opt, CancelToken, Cancelled};
-use crate::config::ScreeningConfig;
 use crate::planner::PlannerReport;
 use crate::timing::{PhaseTimer, PhaseTimings};
+use kessler_grid::grid::NeighborScan;
 use kessler_grid::pairset::{CandidatePair, PairSet};
 use kessler_grid::SpatialGrid;
 use kessler_math::Vec3;
-use kessler_orbits::BatchPropagator;
 
 /// Output of the grid phase.
 pub(crate) struct GridPhaseOutput {
@@ -26,63 +26,31 @@ pub(crate) struct GridPhaseOutput {
     pub regrows: usize,
 }
 
-/// Run the grid phase with the (possibly planner-adjusted) configuration.
-/// Dispatches to the multi-grid round path when `config.parallel_steps`
-/// requests step-level parallelism. Production paths all go through
-/// `run_grid_phase_cancellable` now; this uncancellable wrapper remains
-/// for the phase tests.
-#[cfg(test)]
+/// Run the grid phase at the planner's cell size and step over `n`
+/// satellites whose positions at time `t` (seconds) `positions_at(t, out)`
+/// writes (in parallel, if it wants the cores). `cancel` is checked between
+/// sampling steps; a never-tripped token changes nothing.
 pub(crate) fn run_grid_phase(
-    propagator: &BatchPropagator,
-    config: &ScreeningConfig,
-    planner: &PlannerReport,
-    timings: &mut PhaseTimings,
-) -> GridPhaseOutput {
-    run_grid_phase_cancellable(propagator, config, planner, timings, None)
-        .expect("grid phase without a token cannot be cancelled")
-}
-
-/// Like `run_grid_phase`, but checks `cancel` between sampling steps
-/// (and between rounds on the multi-grid path). A never-tripped token
-/// yields output identical to the plain path.
-pub(crate) fn run_grid_phase_cancellable(
-    propagator: &BatchPropagator,
-    config: &ScreeningConfig,
+    n: usize,
+    positions_at: impl Fn(f64, &mut [Vec3]),
+    scan: NeighborScan,
     planner: &PlannerReport,
     timings: &mut PhaseTimings,
     cancel: Option<&CancelToken>,
 ) -> Result<GridPhaseOutput, Cancelled> {
-    let grids_in_flight = config
-        .parallel_steps
-        .unwrap_or(1)
-        .clamp(1, planner.parallel_factor.max(1));
-    if grids_in_flight > 1 {
-        return run_grid_phase_rounds(
-            propagator,
-            config,
-            planner,
-            timings,
-            grids_in_flight,
-            cancel,
-        );
-    }
-
-    let n = propagator.len();
-    let cell_size = planner.cell_size_km;
-    let grid = SpatialGrid::new(n, cell_size);
+    let grid = SpatialGrid::new(n, planner.cell_size_km);
     let mut pairs = PairSet::with_capacity(planner.pair_capacity);
     let mut positions: Vec<Vec3> = vec![Vec3::ZERO; n];
     let mut regrows = 0usize;
 
-    let total_steps = planner.total_steps;
-    for step in 0..total_steps {
+    for step in 0..planner.total_steps {
         check_opt(cancel)?;
         let t = step as f64 * planner.seconds_per_sample;
 
         // INS: parallel propagation + parallel insertion.
         {
             let _timer = PhaseTimer::start(&mut timings.insertion);
-            propagator.positions_into(t, &mut positions);
+            positions_at(t, &mut positions);
             if step > 0 {
                 grid.reset();
             }
@@ -94,7 +62,7 @@ pub(crate) fn run_grid_phase_cancellable(
         {
             let _timer = PhaseTimer::start(&mut timings.pair_extraction);
             let mut overflow_before = pairs.overflow_count();
-            grid.collect_candidate_pairs(step, config.neighbor_scan, &pairs);
+            grid.collect_candidate_pairs(step, scan, &pairs);
             // The Extra-P estimate is a model, not a guarantee; regrow on
             // overflow instead of silently dropping candidates.
             while pairs.overflow_count() > overflow_before {
@@ -105,98 +73,7 @@ pub(crate) fn run_grid_phase_cancellable(
                     pairs.insert(p);
                 }
                 overflow_before = pairs.overflow_count();
-                grid.collect_candidate_pairs(step, config.neighbor_scan, &pairs);
-            }
-        }
-    }
-
-    Ok(GridPhaseOutput {
-        entries: pairs.drain_to_vec(),
-        regrows,
-    })
-}
-
-/// One grid + its positions buffer, the unit the round scheduler hands to
-/// a worker.
-struct StepSlot {
-    grid: SpatialGrid,
-    positions: Vec<Vec3>,
-}
-
-/// The paper's round mechanism (§V-B): allocate `p_eff` grids once, then
-/// process the `o` sampling steps in `⌈o / p_eff⌉` rounds. Within a round,
-/// each in-flight step owns one grid; insertion and pair extraction run as
-/// two barrier-separated parallel phases so the timings stay attributable.
-fn run_grid_phase_rounds(
-    propagator: &BatchPropagator,
-    config: &ScreeningConfig,
-    planner: &PlannerReport,
-    timings: &mut PhaseTimings,
-    grids_in_flight: usize,
-    cancel: Option<&CancelToken>,
-) -> Result<GridPhaseOutput, Cancelled> {
-    use rayon::prelude::*;
-
-    let n = propagator.len();
-    let total_steps = planner.total_steps;
-    let p_eff = grids_in_flight.min(total_steps.max(1) as usize);
-    let mut slots: Vec<StepSlot> = (0..p_eff)
-        .map(|_| StepSlot {
-            grid: SpatialGrid::new(n, planner.cell_size_km),
-            positions: vec![Vec3::ZERO; n],
-        })
-        .collect();
-    let mut pairs = PairSet::with_capacity(planner.pair_capacity);
-    let mut regrows = 0usize;
-
-    let steps: Vec<u32> = (0..total_steps).collect();
-    for (round_idx, round) in steps.chunks(p_eff).enumerate() {
-        check_opt(cancel)?;
-        // Phase A (INS): every in-flight step propagates its satellites
-        // and fills its own grid.
-        {
-            let _timer = PhaseTimer::start(&mut timings.insertion);
-            slots[..round.len()]
-                .par_iter_mut()
-                .zip(round.par_iter())
-                .for_each(|(slot, &step)| {
-                    let t = step as f64 * planner.seconds_per_sample;
-                    if round_idx > 0 {
-                        slot.grid.reset();
-                    }
-                    // Sequential inner propagation: the parallelism of this
-                    // path lives at the step level.
-                    propagator.positions_into_seq(t, &mut slot.positions);
-                    slot.grid
-                        .insert_all(&slot.positions)
-                        .expect("grid sized at 2n slots cannot fill up");
-                });
-        }
-
-        // Phase B (CD): extract candidate pairs from every grid of the
-        // round into the shared pair set.
-        {
-            let _timer = PhaseTimer::start(&mut timings.pair_extraction);
-            let mut overflow_before = pairs.overflow_count();
-            let collect_round = |pairs: &PairSet| {
-                slots[..round.len()]
-                    .par_iter()
-                    .zip(round.par_iter())
-                    .for_each(|(slot, &step)| {
-                        slot.grid
-                            .collect_candidate_pairs(step, config.neighbor_scan, pairs);
-                    });
-            };
-            collect_round(&pairs);
-            while pairs.overflow_count() > overflow_before {
-                regrows += 1;
-                let salvaged = pairs.drain_to_vec();
-                pairs = PairSet::with_capacity(pairs.capacity() * 2);
-                for p in salvaged {
-                    pairs.insert(p);
-                }
-                overflow_before = pairs.overflow_count();
-                collect_round(&pairs);
+                grid.collect_candidate_pairs(step, scan, &pairs);
             }
         }
     }
@@ -210,9 +87,27 @@ fn run_grid_phase_rounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Variant;
+    use crate::config::{ScreeningConfig, Variant};
     use crate::planner::MemoryModel;
-    use kessler_orbits::KeplerElements;
+    use kessler_orbits::{BatchPropagator, KeplerElements};
+
+    fn kepler_phase(
+        pop: &[KeplerElements],
+        config: &ScreeningConfig,
+        planner: &PlannerReport,
+        timings: &mut PhaseTimings,
+    ) -> GridPhaseOutput {
+        let propagator = BatchPropagator::new(pop);
+        run_grid_phase(
+            pop.len(),
+            |t, out| propagator.positions_into(t, out),
+            config.neighbor_scan,
+            planner,
+            timings,
+            None,
+        )
+        .expect("no token, no cancellation")
+    }
 
     fn crossing_population() -> Vec<KeplerElements> {
         vec![
@@ -228,9 +123,8 @@ mod tests {
         let pop = crossing_population();
         let config = ScreeningConfig::grid_defaults(2.0, 30.0);
         let planner = MemoryModel::new(Variant::Grid).plan(pop.len(), &config);
-        let propagator = BatchPropagator::new(&pop);
         let mut timings = PhaseTimings::default();
-        let out = run_grid_phase(&propagator, &config, &planner, &mut timings);
+        let out = kepler_phase(&pop, &config, &planner, &mut timings);
         assert_eq!(out.regrows, 0);
         assert!(
             !out.entries.is_empty(),
@@ -241,56 +135,6 @@ mod tests {
         }
         assert!(timings.insertion.as_nanos() > 0);
         assert!(timings.pair_extraction.as_nanos() > 0);
-    }
-
-    #[test]
-    fn round_scheduler_matches_the_sequential_path() {
-        use std::collections::HashSet;
-        let pop: Vec<KeplerElements> = (0..40)
-            .map(|i| {
-                KeplerElements::new(
-                    7_000.0 + 0.5 * i as f64,
-                    0.001,
-                    0.4 + 0.05 * (i % 7) as f64,
-                    0.3 * (i % 5) as f64,
-                    0.0,
-                    0.2 * i as f64,
-                )
-                .unwrap()
-            })
-            .collect();
-        let mut sequential_cfg = ScreeningConfig::grid_defaults(2.0, 12.0);
-        let mut rounds_cfg = sequential_cfg;
-        rounds_cfg.parallel_steps = Some(4);
-        let planner = MemoryModel::new(Variant::Grid).plan(pop.len(), &sequential_cfg);
-        let propagator = BatchPropagator::new(&pop);
-        let mut t1 = PhaseTimings::default();
-        let mut t2 = PhaseTimings::default();
-        let seq = run_grid_phase(&propagator, &sequential_cfg, &planner, &mut t1);
-        let par = run_grid_phase(&propagator, &rounds_cfg, &planner, &mut t2);
-        let a: HashSet<_> = seq.entries.into_iter().collect();
-        let b: HashSet<_> = par.entries.into_iter().collect();
-        assert_eq!(a, b, "round scheduler must find the identical entry set");
-        let _ = &mut sequential_cfg;
-    }
-
-    #[test]
-    fn round_scheduler_survives_pair_set_overflow() {
-        let pop: Vec<KeplerElements> = (0..32)
-            .map(|i| {
-                KeplerElements::new(7_000.0 + 0.001 * i as f64, 0.0, 0.9, 0.0, 0.0, 0.0).unwrap()
-            })
-            .collect();
-        let mut config = ScreeningConfig::grid_defaults(2.0, 3.0);
-        config.max_pair_capacity = Some(8);
-        config.parallel_steps = Some(3);
-        let planner = MemoryModel::new(Variant::Grid).plan(pop.len(), &config);
-        let propagator = BatchPropagator::new(&pop);
-        let mut timings = PhaseTimings::default();
-        let out = run_grid_phase(&propagator, &config, &planner, &mut timings);
-        assert!(out.regrows > 0);
-        let expected = 32 * 31 / 2 * planner.total_steps as usize;
-        assert_eq!(out.entries.len(), expected);
     }
 
     #[test]
@@ -314,9 +158,8 @@ mod tests {
         config.max_pair_capacity = Some(8);
         let planner = MemoryModel::new(Variant::Grid).plan(pop.len(), &config);
         assert_eq!(planner.pair_capacity, 8);
-        let propagator = BatchPropagator::new(&pop);
         let mut timings = PhaseTimings::default();
-        let out = run_grid_phase(&propagator, &config, &planner, &mut timings);
+        let out = kepler_phase(&pop, &config, &planner, &mut timings);
         assert!(out.regrows > 0, "test must actually trigger regrowth");
         // All 64 satellites co-located → all C(64,2) pairs at both steps.
         let expected = 64 * 63 / 2 * planner.total_steps as usize;

@@ -8,11 +8,10 @@
 //! default (a parallel mode exists for ablations, clearly labelled).
 
 use crate::config::{ScreeningConfig, Variant};
-use crate::conjunction::{dedup_conjunctions, Conjunction, ScreeningReport};
+use crate::conjunction::{Conjunction, ScreeningReport};
 use crate::planner::MemoryModel;
 use crate::refine::{refine_pair, sampled_minima_search};
-use crate::screener::{run_in_pool, Screener};
-use crate::timing::PhaseTimings;
+use crate::screener::{run_screen, Outcome, Refined, Screener};
 use kessler_filters::{FilterChain, FilterConfig, FilterDecision};
 use kessler_math::Interval;
 use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements};
@@ -89,63 +88,62 @@ impl LegacyScreener {
 
 impl Screener for LegacyScreener {
     fn screen(&self, population: &[KeplerElements]) -> ScreeningReport {
+        let config = &self.config;
         let threads = if self.parallel {
-            self.config.threads
+            config.threads
         } else {
             Some(1)
         };
-        run_in_pool(threads, || {
-            let wall = Instant::now();
-            let mut timings = PhaseTimings::default();
-            let planner = MemoryModel::new(Variant::Legacy).plan(population.len(), &self.config);
-            let propagator = BatchPropagator::new(population);
-            let columns = propagator.columns();
-            let chain = FilterChain::new(self.filter_config);
-            let span = Interval::new(0.0, self.config.span_seconds);
-            let n = population.len() as u32;
+        let planner = MemoryModel::new(Variant::Legacy).plan(population.len(), config);
+        run_screen(
+            self.label(),
+            threads,
+            population.len(),
+            config,
+            planner,
+            |_planner, timings| {
+                let propagator = BatchPropagator::new(population);
+                let columns = propagator.columns();
+                let chain = FilterChain::new(self.filter_config);
+                let span = Interval::new(0.0, config.span_seconds);
+                let n = population.len() as u32;
 
-            let filter_start = Instant::now();
-            let pairs: Vec<(u32, u32)> = (0..n)
-                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-                .collect();
+                let filter_start = Instant::now();
+                let pairs: Vec<(u32, u32)> = (0..n)
+                    .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                    .collect();
 
-            let mut found: Vec<Conjunction> = if self.parallel {
-                pairs
-                    .par_iter()
-                    .flat_map_iter(|&(i, j)| {
-                        self.screen_pair(&chain, population, &columns, span, i, j)
-                    })
-                    .collect()
-            } else {
-                pairs
-                    .iter()
-                    .flat_map(|&(i, j)| self.screen_pair(&chain, population, &columns, span, i, j))
-                    .collect()
-            };
-            // The chain and refinement interleave per pair; attribute the
-            // whole sweep to `filters` + leave refinement inside it (the
-            // legacy profile in the paper is likewise dominated by the
-            // chain sweep).
-            timings.filters = filter_start.elapsed();
+                let found: Vec<Conjunction> = if self.parallel {
+                    pairs
+                        .par_iter()
+                        .flat_map_iter(|&(i, j)| {
+                            self.screen_pair(&chain, population, &columns, span, i, j)
+                        })
+                        .collect()
+                } else {
+                    pairs
+                        .iter()
+                        .flat_map(|&(i, j)| {
+                            self.screen_pair(&chain, population, &columns, span, i, j)
+                        })
+                        .collect()
+                };
+                // The chain and refinement interleave per pair; attribute
+                // the whole sweep to `filters` + leave refinement inside it
+                // (the legacy profile in the paper is likewise dominated by
+                // the chain sweep).
+                timings.filters = filter_start.elapsed();
 
-            found = dedup_conjunctions(found, self.config.tca_dedup_tolerance_s);
-            found.retain(|c| c.tca >= span.start - 1e-9 && c.tca <= span.end + 1e-9);
-
-            timings.total = wall.elapsed();
-            ScreeningReport {
-                variant: Variant::Legacy.label().to_string(),
-                n_satellites: population.len(),
-                config: self.config,
-                conjunctions: found,
-                candidate_entries: 0,
-                candidate_pairs: pairs.len(),
-                pair_set_regrows: 0,
-                timings,
-                planner,
-                filter_stats: Some(chain.stats.snapshot()),
-                device_metrics: None,
-            }
-        })
+                let filter_stats = Some(chain.stats.snapshot());
+                Ok(Outcome {
+                    candidate_entries: 0,
+                    pair_set_regrows: 0,
+                    refined: Refined::settle(found, pairs.len(), filter_stats, config, true),
+                    device_metrics: None,
+                })
+            },
+        )
+        .expect("a screen without a token cannot be cancelled")
     }
 
     fn label(&self) -> &str {

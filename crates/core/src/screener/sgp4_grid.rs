@@ -13,18 +13,16 @@
 //! behaviour an operational catalog screen needs.
 
 use crate::config::{ScreeningConfig, Variant};
-use crate::conjunction::{dedup_conjunctions, Conjunction, ScreeningReport};
+use crate::conjunction::{Conjunction, ScreeningReport};
 use crate::planner::MemoryModel;
 use crate::refine::refine_pair_with;
-use crate::screener::{run_in_pool, Screener};
-use crate::timing::{PhaseTimer, PhaseTimings};
-use kessler_grid::pairset::PairSet;
-use kessler_grid::SpatialGrid;
+use crate::screener::grid_phase::run_grid_phase;
+use crate::screener::{distinct_pairs, run_screen, Outcome, Refined, Screener};
+use crate::timing::PhaseTimer;
 use kessler_math::{Interval, Vec3};
 use kessler_orbits::sgp4::{MeanElements, Sgp4, Sgp4Error};
 use kessler_orbits::KeplerElements;
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Grid screener over SGP4-propagated TLE mean elements.
 pub struct Sgp4GridScreener {
@@ -118,86 +116,60 @@ impl Screener for Sgp4GridScreener {
 impl Sgp4GridScreener {
     /// Screen the TLE set this screener was constructed with.
     pub fn screen_tles(&self) -> ScreeningReport {
-        let config = self.config;
-        run_in_pool(config.threads, || {
-            let wall = Instant::now();
-            let mut timings = PhaseTimings::default();
-            let n = self.propagators.len();
-            let planner = MemoryModel::new(Variant::Grid).plan(n, &config);
+        let config = &self.config;
+        let n = self.propagators.len();
+        let planner = MemoryModel::new(Variant::Grid).plan(n, config);
+        run_screen(
+            self.label(),
+            config.threads,
+            n,
+            config,
+            planner,
+            |planner, timings| {
+                let phase = run_grid_phase(
+                    n,
+                    |t, out| {
+                        out.par_iter_mut()
+                            .enumerate()
+                            .for_each(|(i, slot)| *slot = self.position(i, t))
+                    },
+                    config.neighbor_scan,
+                    planner,
+                    timings,
+                    None,
+                )?;
 
-            let grid = SpatialGrid::new(n, planner.cell_size_km);
-            let pairs = PairSet::with_capacity(planner.pair_capacity);
-            let mut positions = vec![Vec3::ZERO; n];
-
-            for step in 0..planner.total_steps {
-                let t = step as f64 * planner.seconds_per_sample;
+                let found: Vec<Conjunction>;
                 {
-                    let _timer = PhaseTimer::start(&mut timings.insertion);
-                    positions
-                        .par_iter_mut()
-                        .enumerate()
-                        .for_each(|(i, slot)| *slot = self.position(i, t));
-                    if step > 0 {
-                        grid.reset();
-                    }
-                    grid.insert_all(&positions)
-                        .expect("grid sized at 2n slots cannot fill up");
+                    let _timer = PhaseTimer::start(&mut timings.refinement);
+                    // Interval radius per §IV-C from LEO speeds; SGP4
+                    // velocities hover around the same 7–8 km/s.
+                    let radius = 2.0 * planner.cell_size_km / kessler_orbits::constants::LEO_SPEED;
+                    found = phase
+                        .entries
+                        .par_iter()
+                        .filter_map(|e| {
+                            let t = e.step as f64 * planner.seconds_per_sample;
+                            refine_pair_with(
+                                |tt| self.distance_sq(e.id_lo as usize, e.id_hi as usize, tt),
+                                e.id_lo,
+                                e.id_hi,
+                                Interval::new(t - radius, t + radius),
+                                config.threshold_km,
+                            )
+                        })
+                        .collect();
                 }
-                {
-                    let _timer = PhaseTimer::start(&mut timings.pair_extraction);
-                    grid.collect_candidate_pairs(step, config.neighbor_scan, &pairs);
-                    assert_eq!(pairs.overflow_count(), 0, "pair set sized by Eq. 3");
-                }
-            }
-
-            let entries = pairs.drain_to_vec();
-            let candidate_entries = entries.len();
-            let candidate_pairs = {
-                let mut p: Vec<_> = entries.iter().map(|e| (e.id_lo, e.id_hi)).collect();
-                p.sort_unstable();
-                p.dedup();
-                p.len()
-            };
-
-            let mut found: Vec<Conjunction>;
-            {
-                let _timer = PhaseTimer::start(&mut timings.refinement);
-                found = entries
-                    .par_iter()
-                    .filter_map(|e| {
-                        let t = e.step as f64 * planner.seconds_per_sample;
-                        // Interval radius per §IV-C from LEO speeds; SGP4
-                        // velocities hover around the same 7–8 km/s.
-                        let radius =
-                            2.0 * planner.cell_size_km / kessler_orbits::constants::LEO_SPEED;
-                        refine_pair_with(
-                            |tt| self.distance_sq(e.id_lo as usize, e.id_hi as usize, tt),
-                            e.id_lo,
-                            e.id_hi,
-                            Interval::new(t - radius, t + radius),
-                            config.threshold_km,
-                        )
-                    })
-                    .collect();
-            }
-            found = dedup_conjunctions(found, config.tca_dedup_tolerance_s);
-            found.retain(|c| c.tca >= -1e-9 && c.tca <= config.span_seconds + 1e-9);
-
-            timings.total = wall.elapsed();
-            ScreeningReport {
-                variant: "grid-sgp4".to_string(),
-                n_satellites: n,
-                config,
-                conjunctions: found,
-                candidate_entries,
-                candidate_pairs,
-                pair_set_regrows: 0,
-                timings,
-                planner,
-                filter_stats: None,
-                device_metrics: None,
-            }
-        })
+                let candidate_pairs = distinct_pairs(&phase.entries);
+                Ok(Outcome {
+                    candidate_entries: phase.entries.len(),
+                    pair_set_regrows: phase.regrows,
+                    refined: Refined::settle(found, candidate_pairs, None, config, true),
+                    device_metrics: None,
+                })
+            },
+        )
+        .expect("a screen without a token cannot be cancelled")
     }
 }
 
@@ -261,7 +233,7 @@ mod tests {
     fn agrees_with_two_body_screener_for_undragged_leo() {
         // With bstar = 0 and a short span, SGP4 differs from two-body only
         // by J2 — colliding-pair sets on a crossing geometry must agree.
-        use crate::screener::grid::GridScreener;
+        use crate::screener::cpu::GridScreener;
         let els_sgp4 = vec![
             mean(15.2, 0.0001, 0.4, 0.0, 0.0, 0.0),
             mean(15.2, 0.0001, 1.2, 0.0, 0.0, 0.0),
@@ -279,5 +251,25 @@ mod tests {
             .colliding_pairs();
         let kepler_pairs = GridScreener::new(config).screen(&pop).colliding_pairs();
         assert_eq!(sgp4_pairs, kepler_pairs);
+    }
+
+    #[test]
+    fn a_dense_catalog_regrows_the_pair_set_instead_of_panicking() {
+        // Twelve objects flying in formation with the crossing pair: every
+        // step yields dozens of candidate pairs against a pair set capped
+        // at 8 slots.
+        let mut els = vec![
+            mean(15.2, 0.0001, 0.4, 0.0, 0.0, 0.0),
+            mean(15.2, 0.0001, 1.2, 0.0, 0.0, 0.0),
+        ];
+        els.extend((1..=10).map(|i| mean(15.2, 0.0001, 0.4, 0.0, 0.0, 1e-4 * i as f64)));
+        let mut config = ScreeningConfig::grid_defaults(10.0, 120.0);
+        config.max_pair_capacity = Some(8);
+        let report = Sgp4GridScreener::new(config, &els).screen_tles();
+        assert!(report.pair_set_regrows > 0, "the cap must actually bite");
+        assert!(
+            report.conjunctions.iter().any(|c| c.pair() == (0, 1)),
+            "the crossing pair's conjunction survives the regrowth: {report:?}"
+        );
     }
 }

@@ -10,17 +10,17 @@
 //! wins asymptotically.
 
 use crate::config::{ScreeningConfig, Variant};
-use crate::conjunction::{dedup_conjunctions, Conjunction, ScreeningReport};
+use crate::conjunction::{Conjunction, ScreeningReport};
 use crate::planner::MemoryModel;
 use crate::refine::refine_pair;
-use crate::screener::{run_in_pool, Screener};
-use crate::timing::{PhaseTimer, PhaseTimings};
+use crate::screener::{distinct_pairs, run_screen, Outcome, Refined, Screener};
+use crate::timing::PhaseTimer;
 use kessler_filters::apsis::apsis_filter;
 use kessler_filters::sieve::{critical_distance, sieve_pair, SieveOutcome, SieveStats};
+use kessler_grid::CandidatePair;
 use kessler_math::Interval;
 use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements};
 use rayon::prelude::*;
-use std::time::Instant;
 
 /// Worst-case relative speed of two LEO objects (head-on), km/s.
 const MAX_REL_SPEED: f64 = 2.0 * kessler_orbits::constants::LEO_SPEED;
@@ -54,125 +54,112 @@ impl SieveScreener {
 
 impl Screener for SieveScreener {
     fn screen(&self, population: &[KeplerElements]) -> ScreeningReport {
-        let config = self.config;
-        let solver = self.solver;
-        run_in_pool(config.threads, move || {
-            let wall = Instant::now();
-            let mut timings = PhaseTimings::default();
-            let planner = MemoryModel::new(Variant::Sieve).plan(population.len(), &config);
-            let propagator = BatchPropagator::new(population);
-            let n = population.len() as u32;
-            let sps = config.seconds_per_sample;
-            let d_crit = critical_distance(config.threshold_km, MAX_REL_SPEED, sps);
+        let config = &self.config;
+        let solver = &self.solver;
+        let planner = MemoryModel::new(Variant::Sieve).plan(population.len(), config);
+        run_screen(
+            self.label(),
+            config.threads,
+            population.len(),
+            config,
+            planner,
+            |planner, timings| {
+                let propagator = BatchPropagator::new(population);
+                let n = population.len() as u32;
+                let sps = config.seconds_per_sample;
+                let d_crit = critical_distance(config.threshold_km, MAX_REL_SPEED, sps);
 
-            // Apogee/perigee prefilter over all pairs, padded by the
-            // critical distance (once, not per step).
-            let survivors: Vec<(u32, u32)>;
-            {
-                let _timer = PhaseTimer::start(&mut timings.filters);
-                survivors = (0..n)
-                    .into_par_iter()
-                    .flat_map_iter(|i| {
-                        let a = &population[i as usize];
-                        ((i + 1)..n).filter_map(move |j| {
-                            apsis_filter(a, &population[j as usize], d_crit).then_some((i, j))
-                        })
-                    })
-                    .collect();
-            }
-
-            // Per-step sieve cascade.
-            let mut candidates: Vec<(u32, u32, u32)> = Vec::new();
-            let mut stats = SieveStats::default();
-            let total_steps = planner.total_steps;
-            for step in 0..total_steps {
-                let t = step as f64 * sps;
-                let states;
+                // Apogee/perigee prefilter over all pairs, padded by the
+                // critical distance (once, not per step).
+                let survivors: Vec<(u32, u32)>;
                 {
-                    let _timer = PhaseTimer::start(&mut timings.insertion);
-                    states = propagator.states(t);
+                    let _timer = PhaseTimer::start(&mut timings.filters);
+                    survivors = (0..n)
+                        .into_par_iter()
+                        .flat_map_iter(|i| {
+                            let a = &population[i as usize];
+                            ((i + 1)..n).filter_map(move |j| {
+                                apsis_filter(a, &population[j as usize], d_crit).then_some((i, j))
+                            })
+                        })
+                        .collect();
                 }
-                let _timer = PhaseTimer::start(&mut timings.pair_extraction);
-                let (step_candidates, step_stats) = survivors
-                    .par_iter()
-                    .fold(
-                        || (Vec::new(), SieveStats::default()),
-                        |(mut acc, mut st), &(i, j)| {
-                            let sa = &states[i as usize];
-                            let sb = &states[j as usize];
-                            let outcome = sieve_pair(
-                                sa.position - sb.position,
-                                sa.velocity - sb.velocity,
-                                d_crit,
-                                config.threshold_km,
-                                sps,
-                            );
-                            st.record(outcome);
-                            if outcome == SieveOutcome::Candidate {
-                                acc.push((i, j, step));
-                            }
-                            (acc, st)
-                        },
-                    )
-                    .reduce(
-                        || (Vec::new(), SieveStats::default()),
-                        |(mut a, mut sa), (b, sb)| {
-                            a.extend(b);
-                            sa.merge(&sb);
-                            (a, sa)
-                        },
-                    );
-                candidates.extend(step_candidates);
-                stats.merge(&step_stats);
-            }
-            let candidate_entries = candidates.len();
-            let candidate_pairs = {
-                let mut pairs: Vec<(u32, u32)> =
-                    candidates.iter().map(|&(i, j, _)| (i, j)).collect();
-                pairs.sort_unstable();
-                pairs.dedup();
-                pairs.len()
-            };
 
-            // Brent refinement around each candidate step.
-            let mut found: Vec<Conjunction>;
-            {
-                let _timer = PhaseTimer::start(&mut timings.refinement);
-                let columns = propagator.columns();
-                found = candidates
-                    .par_iter()
-                    .filter_map(|&(i, j, step)| {
-                        let t = step as f64 * sps;
-                        refine_pair(
-                            &columns.gather(i as usize),
-                            &columns.gather(j as usize),
-                            &solver,
-                            i,
-                            j,
-                            Interval::new(t - sps, t + sps),
-                            config.threshold_km,
+                // Per-step sieve cascade.
+                let mut candidates: Vec<CandidatePair> = Vec::new();
+                let mut stats = SieveStats::default();
+                for step in 0..planner.total_steps {
+                    let t = step as f64 * sps;
+                    let states;
+                    {
+                        let _timer = PhaseTimer::start(&mut timings.insertion);
+                        states = propagator.states(t);
+                    }
+                    let _timer = PhaseTimer::start(&mut timings.pair_extraction);
+                    let (step_candidates, step_stats) = survivors
+                        .par_iter()
+                        .fold(
+                            || (Vec::new(), SieveStats::default()),
+                            |(mut acc, mut st), &(i, j)| {
+                                let sa = &states[i as usize];
+                                let sb = &states[j as usize];
+                                let outcome = sieve_pair(
+                                    sa.position - sb.position,
+                                    sa.velocity - sb.velocity,
+                                    d_crit,
+                                    config.threshold_km,
+                                    sps,
+                                );
+                                st.record(outcome);
+                                if outcome == SieveOutcome::Candidate {
+                                    acc.push(CandidatePair::new(i, j, step));
+                                }
+                                (acc, st)
+                            },
                         )
-                    })
-                    .collect();
-            }
-            found = dedup_conjunctions(found, config.tca_dedup_tolerance_s);
-            found.retain(|c| c.tca >= -1e-9 && c.tca <= config.span_seconds + 1e-9);
+                        .reduce(
+                            || (Vec::new(), SieveStats::default()),
+                            |(mut a, mut sa), (b, sb)| {
+                                a.extend(b);
+                                sa.merge(&sb);
+                                (a, sa)
+                            },
+                        );
+                    candidates.extend(step_candidates);
+                    stats.merge(&step_stats);
+                }
 
-            timings.total = wall.elapsed();
-            ScreeningReport {
-                variant: Variant::Sieve.label().to_string(),
-                n_satellites: population.len(),
-                config,
-                conjunctions: found,
-                candidate_entries,
-                candidate_pairs,
-                pair_set_regrows: 0,
-                timings,
-                planner,
-                filter_stats: None,
-                device_metrics: None,
-            }
-        })
+                // Brent refinement around each candidate step.
+                let found: Vec<Conjunction>;
+                {
+                    let _timer = PhaseTimer::start(&mut timings.refinement);
+                    let columns = propagator.columns();
+                    found = candidates
+                        .par_iter()
+                        .filter_map(|c| {
+                            let t = c.step as f64 * sps;
+                            refine_pair(
+                                &columns.gather(c.id_lo as usize),
+                                &columns.gather(c.id_hi as usize),
+                                solver,
+                                c.id_lo,
+                                c.id_hi,
+                                Interval::new(t - sps, t + sps),
+                                config.threshold_km,
+                            )
+                        })
+                        .collect();
+                }
+                let candidate_pairs = distinct_pairs(&candidates);
+                Ok(Outcome {
+                    candidate_entries: candidates.len(),
+                    pair_set_regrows: 0,
+                    refined: Refined::settle(found, candidate_pairs, None, config, true),
+                    device_metrics: None,
+                })
+            },
+        )
+        .expect("a screen without a token cannot be cancelled")
     }
 
     fn label(&self) -> &str {
@@ -217,7 +204,7 @@ mod tests {
 
     #[test]
     fn matches_grid_screener_on_a_synthetic_population() {
-        use crate::screener::grid::GridScreener;
+        use crate::screener::cpu::GridScreener;
         use kessler_population::{PopulationConfig, PopulationGenerator};
         let pop = PopulationGenerator::new(PopulationConfig {
             seed: 5150,

@@ -25,7 +25,7 @@ pub const SOA_COLUMNS: usize = 11;
 /// registers.
 const LANES: usize = 8;
 
-/// Satellites per work tile: each (parallel or sequential) tile solves
+/// Satellites per work tile: each tile solves
 /// Kepler's equation lane by lane into stack buffers, then reconstructs
 /// Cartesian output through the vectorizable column loops.
 const TILE: usize = 1024;
@@ -475,18 +475,6 @@ impl BatchPropagator {
             .for_each(|(tile, chunk)| position_tile(&cols, &self.nodes, dt, tile * TILE, chunk));
     }
 
-    /// Sequential variant of [`BatchPropagator::positions_into`] for
-    /// callers whose parallelism lives at an outer level (the multi-grid
-    /// round scheduler runs one whole step per rayon worker). Identical
-    /// output.
-    pub fn positions_into_seq(&self, dt: f64, out: &mut [Vec3]) {
-        assert_eq!(out.len(), self.n);
-        let cols = self.columns();
-        for (tile, chunk) in out.chunks_mut(TILE).enumerate() {
-            position_tile(&cols, &self.nodes, dt, tile * TILE, chunk);
-        }
-    }
-
     /// Positions of all satellites at `dt` (parallel, allocating).
     pub fn positions(&self, dt: f64) -> Vec<Vec3> {
         let mut out = vec![Vec3::ZERO; self.n];
@@ -672,14 +660,6 @@ mod tests {
                 scalar_s.velocity.z.to_bits(),
                 "sat {i}"
             );
-        }
-        // The sequential tile walk is the same kernel — identical output.
-        let mut seq = vec![Vec3::ZERO; els.len()];
-        batch.positions_into_seq(t, &mut seq);
-        for (a, b) in seq.iter().zip(&positions) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
-            assert_eq!(a.y.to_bits(), b.y.to_bits());
-            assert_eq!(a.z.to_bits(), b.z.to_bits());
         }
     }
 

@@ -30,12 +30,9 @@ use crate::shard::{Extraction, ShardMap, ShardScreenStats, ShardSpec};
 use kessler_core::cancel::{check_opt, CancelToken, Cancelled};
 use kessler_core::conjunction::{Conjunction, ScreeningReport};
 use kessler_core::timing::{PhaseTimer, PhaseTimings};
-use kessler_core::{
-    refine_grid_entries, refine_hybrid_entries, run_in_pool, FilterConfig, GridScreener,
-    HybridScreener, MemoryModel, ScreeningConfig, Variant,
-};
+use kessler_core::{run_in_pool, CpuScreener, Host, ScreeningConfig, Stage, Variant};
 use kessler_math::Vec3;
-use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements};
+use kessler_orbits::{BatchPropagator, KeplerElements};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,38 +44,24 @@ pub const DELTA_VARIANT: &str = "grid-delta";
 pub const HYBRID_DELTA_VARIANT: &str = "hybrid-delta";
 
 /// The screening pipeline a service engine runs — and the one options
-/// value every engine and state constructor takes: which variant, its
-/// validated configuration, the filter/solver setup the jobs share, and
-/// the shard layout. Built only through the fallible [`Pipeline::new`]
-/// and [`Pipeline::with_shards`], so a bad combination is an error at
+/// value every engine and state constructor takes: core's post-extraction
+/// [`Stage`] (which variant, its validated configuration, the filter and
+/// solver setup every job shares with the cold screeners) and the shard
+/// layout. Built only through the fallible [`Pipeline::new`] and
+/// [`Pipeline::with_shards`], so a bad combination is an error at
 /// construction time, never a panic inside a running job.
 #[derive(Clone, Copy)]
 pub struct Pipeline {
-    variant: Variant,
-    config: ScreeningConfig,
-    filter_config: FilterConfig,
-    solver: ContourSolver,
+    stage: Stage,
     /// The layout candidate extraction runs under (see [`crate::shard`]).
     shard_map: ShardMap,
 }
 
 impl Pipeline {
+    /// Grid or hybrid only: the variants that have a post-extraction stage.
     pub fn new(config: ScreeningConfig, variant: Variant) -> Result<Pipeline, ServiceError> {
-        match variant {
-            Variant::Grid | Variant::Hybrid => {}
-            other => {
-                return Err(ServiceError::Config(format!(
-                    "the service screens with the grid or hybrid variant, not `{}`",
-                    other.label()
-                )));
-            }
-        }
-        config.validate().map_err(ServiceError::Config)?;
         Ok(Pipeline {
-            variant,
-            config,
-            filter_config: FilterConfig::new(config.threshold_km),
-            solver: ContourSolver::default(),
+            stage: Stage::new(variant, config).map_err(ServiceError::Config)?,
             shard_map: ShardMap::single(),
         })
     }
@@ -103,16 +86,16 @@ impl Pipeline {
     }
 
     pub fn variant(&self) -> Variant {
-        self.variant
+        self.stage.variant()
     }
 
     pub fn config(&self) -> &ScreeningConfig {
-        &self.config
+        self.stage.config()
     }
 
     /// Variant label this pipeline's delta screens report.
     pub fn delta_variant(&self) -> &'static str {
-        match self.variant {
+        match self.variant() {
             Variant::Hybrid => HYBRID_DELTA_VARIANT,
             _ => DELTA_VARIANT,
         }
@@ -311,9 +294,8 @@ impl DeltaEngine {
 
     /// Cold full screen; adopts the result as the maintained set.
     pub fn full_screen(&mut self, population: &[KeplerElements]) -> ScreeningReport {
-        let (report, pairs, _shard_stats) =
-            full_screen_job(&self.pipeline, self.pipeline.config(), population, None)
-                .expect("uncancellable screen cannot be cancelled");
+        let (report, pairs, _shard_stats) = full_screen_job(&self.pipeline, population, None)
+            .expect("uncancellable screen cannot be cancelled");
         let last = LastScreen::from_report(&report);
         self.adopt(pairs, report.n_satellites, ScreenRun::Full, last);
         report
@@ -352,15 +334,9 @@ impl DeltaEngine {
         if self.screened_n.is_none() {
             return self.full_screen(population);
         }
-        let (report, pairs, _shard_stats) = delta_screen_job(
-            &self.pipeline,
-            self.pipeline.config(),
-            population,
-            changed,
-            &self.pairs,
-            None,
-        )
-        .expect("uncancellable screen cannot be cancelled");
+        let (report, pairs, _shard_stats) =
+            delta_screen_job(&self.pipeline, population, changed, &self.pairs, None)
+                .expect("uncancellable screen cannot be cancelled");
         let last = LastScreen::from_report(&report);
         self.adopt(pairs, report.n_satellites, ScreenRun::Delta, last);
         report
@@ -426,14 +402,11 @@ pub(crate) fn apply_removal_to_pairs(pairs: &mut PairMap, removal: Removal, new_
 /// (`Some` iff the layout has more than one shard).
 pub type ScreenJobOutput = (ScreeningReport, PairMap, Option<ShardScreenStats>);
 
-/// Cold full screen of `population` under `config` as a pure job, with
-/// the pipeline's variant. `config` is a parameter because the advance
-/// path screens its tail under a shortened-span copy; `Pipeline::new`
-/// validated the original, so building the screener cannot fail. With a
-/// token, cancellation is checked at the screener's phase boundaries.
+/// Cold full screen of `population` as a pure job, with the pipeline's
+/// variant. With a token, cancellation is checked at the screener's phase
+/// boundaries.
 pub fn full_screen_job(
     pipeline: &Pipeline,
-    config: &ScreeningConfig,
     population: &[KeplerElements],
     cancel: Option<&CancelToken>,
 ) -> Result<ScreenJobOutput, Cancelled> {
@@ -445,25 +418,16 @@ pub fn full_screen_job(
     // 14's own sizing had 2.6 against 5.0). Several shards: a delta over
     // *every* satellite against an empty warm set, which is what produces
     // per-shard SCREEN statistics. Every neighbourhood is queried and the
-    // post-extraction stage is the cold screen's own, so the conjunction
-    // set is the same; only the variant label has to be put back.
+    // post-extraction stage is the same value either way, so the
+    // conjunction set is the same; only the variant label has to be put
+    // back.
     if pipeline.shard_map.shard_count() > 1 {
         let all: Vec<u32> = (0..population.len() as u32).collect();
-        let mut output =
-            delta_screen_job(pipeline, config, population, &all, &PairMap::new(), cancel)?;
+        let mut output = delta_screen_job(pipeline, population, &all, &PairMap::new(), cancel)?;
         output.0.variant = pipeline.variant().label().to_string();
         return Ok(output);
     }
-    let invalid = "pipeline config was validated at construction";
-    let report = match pipeline.variant() {
-        Variant::Hybrid => HybridScreener::try_new(*config)
-            .expect(invalid)
-            .with_filter_config(pipeline.filter_config)
-            .screen_job(population, cancel)?,
-        _ => GridScreener::try_new(*config)
-            .expect(invalid)
-            .screen_job(population, cancel)?,
-    };
+    let report = CpuScreener::new(pipeline.stage).screen_job(population, cancel)?;
     let pairs = pairs_from_conjunctions(&report.conjunctions);
     Ok((report, pairs, None))
 }
@@ -472,28 +436,27 @@ pub fn full_screen_job(
 /// `changed` satellites against the `warm` maintained set and return the
 /// merged map plus a report whose `conjunctions` is the full merged set
 /// (directly comparable with a cold full re-screen) while
-/// `candidate_entries`/`candidate_pairs` count only the delta work.
-/// `config` is a parameter so the multi-shard full and tail screens can
-/// pass an override; its `threads` picks the pool, as in the cold screen.
+/// `candidate_entries`/`candidate_pairs` count only the delta work. The
+/// configuration's `threads` picks the pool, as in the cold screen.
 ///
 /// `cancel` is checked between grid sampling steps, between filter
 /// chunks, and between refinement chunks; the inputs are never mutated,
 /// so a cancelled job leaves no trace.
 pub fn delta_screen_job(
     pipeline: &Pipeline,
-    config: &ScreeningConfig,
     population: &[KeplerElements],
     changed: &[u32],
     warm: &PairMap,
     cancel: Option<&CancelToken>,
 ) -> Result<ScreenJobOutput, Cancelled> {
-    run_in_pool(config.threads, || {
+    let stage = &pipeline.stage;
+    run_in_pool(stage.config().threads, || {
         let wall = Instant::now();
         let mut timings = PhaseTimings::default();
         let n = population.len();
-        // Plan with the pipeline's variant so extraction runs at the same
-        // cell/step sizes as the cold full screen it must exactly equal.
-        let planner = MemoryModel::new(pipeline.variant()).plan(n, config);
+        // The stage's own plan, so extraction runs at the same cell/step
+        // sizes as the cold full screen it must exactly equal.
+        let planner = stage.plan(n);
 
         // Stale-pair invalidation: every pair involving a changed satellite
         // is recomputed from scratch below; pairs past the population end
@@ -532,31 +495,14 @@ pub fn delta_screen_job(
         }
         let (entry_list, shard_stats) = extraction.finish();
 
-        // Post-extraction: the cold screen's own stage for this variant, so
-        // a changed pair refines to bit-identical conjunctions.
+        // Post-extraction: the stage the cold screen runs, so a changed
+        // pair refines to bit-identical conjunctions.
         let candidate_entries = entry_list.len();
-        let refined = match pipeline.variant() {
-            Variant::Hybrid => refine_hybrid_entries(
-                &propagator,
-                population,
-                entry_list,
-                &planner,
-                config,
-                &pipeline.filter_config,
-                &pipeline.solver,
-                &mut timings,
-                cancel,
-            )?,
-            _ => refine_grid_entries(
-                &propagator,
-                &entry_list,
-                &planner,
-                config,
-                &pipeline.solver,
-                &mut timings,
-                cancel,
-            )?,
+        let host = Host {
+            propagator: &propagator,
+            cancel,
         };
+        let refined = stage.refine(&host, population, entry_list, &planner, &mut timings)?;
         for c in refined.conjunctions {
             pairs.entry(c.pair()).or_default().push(c);
         }
@@ -565,7 +511,7 @@ pub fn delta_screen_job(
         let report = ScreeningReport {
             variant: pipeline.delta_variant().to_string(),
             n_satellites: n,
-            config: *config,
+            config: *stage.config(),
             conjunctions: sorted_conjunctions(&pairs),
             candidate_entries,
             candidate_pairs: refined.candidate_pairs,
@@ -626,9 +572,14 @@ pub fn advance_window_job(
             advanced
         })
         .collect();
-    let mut tail_config = *config;
-    tail_config.span_seconds = tail_span;
-    let (report, _, _) = full_screen_job(pipeline, &tail_config, &tail_elements, cancel)?;
+    let tail = Pipeline {
+        stage: pipeline
+            .stage
+            .with_span(tail_span)
+            .expect("a positive tail of a validated span is valid"),
+        ..*pipeline
+    };
+    let (report, _, _) = full_screen_job(&tail, &tail_elements, cancel)?;
 
     let merge_tol = config.tca_dedup_tolerance_s.max(overlap);
     let mut discovered = 0usize;
@@ -662,7 +613,7 @@ pub fn advance_window_job(
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use kessler_core::Screener;
+    use kessler_core::{GridScreener, Screener};
     use kessler_population::{PopulationConfig, PopulationGenerator};
 
     fn population(n: usize, seed: u64) -> Vec<KeplerElements> {
@@ -903,15 +854,8 @@ mod tests {
             updated[idx as usize] = perturb(&updated[idx as usize], 1.0);
         }
         let token = kessler_core::CancelToken::new();
-        let (job_report, job_pairs, _shards) = delta_screen_job(
-            &pipeline,
-            pipeline.config(),
-            &updated,
-            &changed,
-            &warm,
-            Some(&token),
-        )
-        .unwrap();
+        let (job_report, job_pairs, _shards) =
+            delta_screen_job(&pipeline, &updated, &changed, &warm, Some(&token)).unwrap();
         let sync_report = engine.delta_screen(&updated, &changed);
         assert_eq!(
             job_report.conjunction_count(),
@@ -967,9 +911,8 @@ mod tests {
         let token = kessler_core::CancelToken::new();
         token.cancel();
         let pipeline = *engine.pipeline();
-        let config = pipeline.config();
-        assert!(full_screen_job(&pipeline, config, &pop, Some(&token)).is_err());
-        assert!(delta_screen_job(&pipeline, config, &pop, &[0], &warm, Some(&token)).is_err());
+        assert!(full_screen_job(&pipeline, &pop, Some(&token)).is_err());
+        assert!(delta_screen_job(&pipeline, &pop, &[0], &warm, Some(&token)).is_err());
         assert!(advance_window_job(&pipeline, &pop, 10.0, (*warm).clone(), Some(&token)).is_err());
         // The engine's maintained set is untouched by the aborted jobs.
         assert_eq!(engine.conjunctions(), before);

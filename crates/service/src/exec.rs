@@ -105,18 +105,11 @@ fn screen_snapshot(
     let elements: &[KeplerElements] = &job.snapshot.elements;
     let ((report, pairs, shards), ran) = match &job.warm {
         Some(warm) if delta => (
-            delta_screen_job(
-                pipeline,
-                pipeline.config(),
-                elements,
-                &job.changed,
-                warm,
-                cancel,
-            )?,
+            delta_screen_job(pipeline, elements, &job.changed, warm, cancel)?,
             ScreenRun::Delta,
         ),
         _ => (
-            full_screen_job(pipeline, pipeline.config(), elements, cancel)?,
+            full_screen_job(pipeline, elements, cancel)?,
             ScreenRun::Full,
         ),
     };

@@ -10,7 +10,6 @@
 //! cargo run --release --example multi_gpu [-- <n> <devices>]
 //! ```
 
-use kessler::core::MultiDeviceGridScreener;
 use kessler::gpusim::Device;
 use kessler::prelude::*;
 
@@ -24,7 +23,9 @@ fn main() {
 
     // Single-device baseline.
     let single_device = Device::rtx3090_like();
-    let single = GpuGridScreener::on_device(config, single_device.clone()).screen(&population);
+    let single = GpuScreener::grid(config)
+        .on_devices(vec![single_device.clone()])
+        .screen(&population);
     println!(
         "1 device : {} conjunctions in {:.2} s ({} kernel launches, {:.1} MiB H→D)",
         single.conjunction_count(),
@@ -35,7 +36,9 @@ fn main() {
 
     // Multi-device run.
     let devices: Vec<Device> = (0..device_count).map(|_| Device::rtx3090_like()).collect();
-    let multi = MultiDeviceGridScreener::new(config, devices).screen(&population);
+    let multi = GpuScreener::grid(config)
+        .on_devices(devices)
+        .screen(&population);
     println!(
         "{} devices: {} conjunctions in {:.2} s (variant {})",
         device_count,

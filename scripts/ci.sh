@@ -39,6 +39,9 @@ RUST_BACKTRACE=1 ./target/release/kessler submit subscribe --all --smoke --addr 
 RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912
 wait "$KESSLER_SERVE_PID"
 
+echo "==> scripts/loc.sh (production lines per crate; fails on test-gated items among them)"
+scripts/loc.sh
+
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Run the service, CLI and root equality suites on a machine without the
-# crates.io registry.
+# Run the service, CLI, core and gpusim unit suites and the root equality
+# suites on a machine without the crates.io registry.
 #
 # The root workspace names registry crates, so it cannot resolve offline.
 # This script makes a throw-away copy of the sources under target/, patches
@@ -55,6 +55,7 @@ run() {
 }
 
 run -p kessler-service -p kessler-cli "$@"
+run -p kessler-core -p kessler-gpusim --lib
 for suite in delta_correctness ground_truth variant_agreement cell_sizing; do
     run -p kessler --test "$suite"
 done

@@ -45,9 +45,8 @@ pub use kessler_service as service;
 /// The most common imports in one place.
 pub mod prelude {
     pub use kessler_core::{
-        Conjunction, GpuGridScreener, GpuHybridScreener, GridScreener, HybridScreener,
-        LegacyScreener, MemoryModel, Screener, ScreeningConfig, ScreeningReport, SieveScreener,
-        Variant,
+        Conjunction, GpuScreener, GridScreener, HybridScreener, LegacyScreener, MemoryModel,
+        Screener, ScreeningConfig, ScreeningReport, SieveScreener, Variant,
     };
     pub use kessler_orbits::{CartesianState, KeplerElements};
     pub use kessler_population::constellation::WalkerShell;

@@ -114,10 +114,10 @@ fn legacy_variant_finds_engineered_conjunctions() {
 #[test]
 fn gpusim_variants_find_engineered_conjunctions() {
     let (population, expected) = build_population();
-    let grid = GpuGridScreener::new(ScreeningConfig::grid_defaults(2.0, 400.0)).screen(&population);
+    let grid = GpuScreener::grid(ScreeningConfig::grid_defaults(2.0, 400.0)).screen(&population);
     assert_finds_engineered(&grid, &expected);
     let hybrid =
-        GpuHybridScreener::new(ScreeningConfig::hybrid_defaults(2.0, 400.0)).screen(&population);
+        GpuScreener::hybrid(ScreeningConfig::hybrid_defaults(2.0, 400.0)).screen(&population);
     assert_finds_engineered(&hybrid, &expected);
 }
 

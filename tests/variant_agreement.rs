@@ -4,6 +4,7 @@
 //! near-identical colliding-pair sets, with the gpusim ports matching
 //! their CPU counterparts exactly.
 
+use kessler::gpusim::Device;
 use kessler::prelude::*;
 use std::collections::HashSet;
 
@@ -55,12 +56,31 @@ fn hybrid_and_legacy_find_nearly_the_same_pairs() {
     );
 }
 
+/// Same conjunctions to the bit, same candidate counts, same chain
+/// counters: what "the same stage behind another extraction backend" means.
+fn assert_same_screen(a: &ScreeningReport, b: &ScreeningReport) {
+    let what = format!("{} vs {}", a.variant, b.variant);
+    assert_eq!(a.conjunction_count(), b.conjunction_count(), "{what}");
+    for (x, y) in a.conjunctions.iter().zip(&b.conjunctions) {
+        assert_eq!(x.pair(), y.pair(), "{what}");
+        assert_eq!(x.tca.to_bits(), y.tca.to_bits(), "{what}");
+        assert_eq!(x.pca_km.to_bits(), y.pca_km.to_bits(), "{what}");
+    }
+    assert_eq!(a.candidate_entries, b.candidate_entries, "{what}");
+    assert_eq!(a.candidate_pairs, b.candidate_pairs, "{what}");
+    assert_eq!(a.filter_stats, b.filter_stats, "{what}");
+}
+
+fn three_devices() -> Vec<Device> {
+    (0..3).map(|_| Device::rtx3090_like()).collect()
+}
+
 #[test]
 fn gpusim_grid_matches_cpu_grid_exactly() {
     let pop = population(300, 77);
     let config = ScreeningConfig::grid_defaults(2.0, 900.0);
     let cpu = GridScreener::new(config).screen(&pop);
-    let gpu = GpuGridScreener::new(config).screen(&pop);
+    let gpu = GpuScreener::grid(config).screen(&pop);
     assert_eq!(cpu.colliding_pairs(), gpu.colliding_pairs());
     assert_eq!(cpu.conjunction_count(), gpu.conjunction_count());
     for (a, b) in cpu.conjunctions.iter().zip(&gpu.conjunctions) {
@@ -74,9 +94,69 @@ fn gpusim_hybrid_matches_cpu_hybrid_exactly() {
     let pop = population(300, 77);
     let config = ScreeningConfig::hybrid_defaults(2.0, 900.0);
     let cpu = HybridScreener::new(config).screen(&pop);
-    let gpu = GpuHybridScreener::new(config).screen(&pop);
+    let gpu = GpuScreener::hybrid(config).screen(&pop);
     assert_eq!(cpu.colliding_pairs(), gpu.colliding_pairs());
     assert_eq!(cpu.conjunction_count(), gpu.conjunction_count());
+}
+
+/// Backend × stage: every extraction backend hands the same entries to the
+/// same stage, so the reports agree to the bit — one device, three devices
+/// or none.
+#[test]
+fn every_backend_reports_the_same_screen_for_either_stage() {
+    let mut conjunctions = 0;
+    for seed in [77, 2023] {
+        let pop = population(300, seed);
+
+        let config = ScreeningConfig::grid_defaults(10.0, 900.0);
+        let cpu = GridScreener::new(config).screen(&pop);
+        assert_same_screen(&cpu, &GpuScreener::grid(config).screen(&pop));
+        let multi = GpuScreener::grid(config).on_devices(three_devices());
+        assert_same_screen(&cpu, &multi.screen(&pop));
+        assert!(cpu.filter_stats.is_none());
+        conjunctions += cpu.conjunction_count();
+
+        let config = ScreeningConfig::hybrid_defaults(10.0, 900.0);
+        let cpu = HybridScreener::new(config).screen(&pop);
+        assert_same_screen(&cpu, &GpuScreener::hybrid(config).screen(&pop));
+        let multi = GpuScreener::hybrid(config).on_devices(three_devices());
+        assert_same_screen(&cpu, &multi.screen(&pop));
+        assert!(cpu.filter_stats.is_some_and(|stats| stats.tested > 0));
+        conjunctions += cpu.conjunction_count();
+    }
+    assert!(conjunctions > 0, "the comparison must compare something");
+}
+
+/// The span-edge rule (DESIGN §2.1/§2.2), on every backend: the grid stage
+/// keeps the minima its ±2-cell refinement intervals find just outside
+/// `[0, span]`, the hybrid stage clips to the span.
+#[test]
+fn minima_just_outside_the_span_are_kept_by_the_grid_stage_on_every_backend() {
+    use std::f64::consts::TAU;
+    let span = 600.0;
+    let radius = 7_000.0f64;
+    let mean_motion = (kessler::orbits::constants::MU_EARTH / radius.powi(3)).sqrt();
+    for t_conj in [-0.5, span + 0.5] {
+        // Two crossing circular orbits, both at the common node at t_conj.
+        let m0 = (-mean_motion * t_conj).rem_euclid(TAU);
+        let pop = vec![
+            KeplerElements::new(radius, 0.0, 0.4, 0.0, 0.0, m0).unwrap(),
+            KeplerElements::new(radius, 0.0, 1.2, 0.0, 0.0, m0).unwrap(),
+        ];
+
+        let config = ScreeningConfig::grid_defaults(2.0, span);
+        let cpu = GridScreener::new(config).screen(&pop);
+        assert_eq!(cpu.conjunction_count(), 1, "grid at {t_conj}");
+        assert!((cpu.conjunctions[0].tca - t_conj).abs() < 1e-3);
+        assert_same_screen(&cpu, &GpuScreener::grid(config).screen(&pop));
+        let multi = GpuScreener::grid(config).on_devices(three_devices());
+        assert_same_screen(&cpu, &multi.screen(&pop));
+
+        let config = ScreeningConfig::hybrid_defaults(2.0, span);
+        let cpu = HybridScreener::new(config).screen(&pop);
+        assert_eq!(cpu.conjunction_count(), 0, "hybrid at {t_conj}");
+        assert_same_screen(&cpu, &GpuScreener::hybrid(config).screen(&pop));
+    }
 }
 
 #[test]
