@@ -40,7 +40,10 @@ fn upper_bound_of(index: usize) -> u64 {
     }
     let region = index >> SUB_BUCKET_BITS;
     let sub = index & (SUB_BUCKETS - 1);
-    (SUB_BUCKETS + sub + 1) * (1u64 << (region - 1)) - 1
+    // The bucket's lowest value with every bit below its sub-bucket bits
+    // set. ("Next bucket's lowest − 1" leaves `u64` for the top bucket, whose
+    // bound is `u64::MAX`.)
+    ((SUB_BUCKETS + sub) << (region - 1)) | ((1u64 << (region - 1)) - 1)
 }
 
 /// A log-bucketed histogram of non-negative integer samples.
@@ -287,10 +290,21 @@ mod tests {
             last = i;
         }
         // Every bucket's upper bound maps back into the same bucket.
-        for i in 0..index_of(u64::MAX) {
+        for i in 0..=index_of(u64::MAX) {
             assert_eq!(index_of(upper_bound_of(i)), i, "bucket {i}");
         }
         assert!(index_of(u64::MAX) < 1920);
+    }
+
+    /// The top bucket ends at `u64::MAX` — what `record_duration` saturates
+    /// to — and its bound must be computed without leaving `u64`.
+    #[test]
+    fn the_largest_sample_is_its_own_quantile() {
+        let mut h = Histogram::new();
+        h.record(u64::MAX);
+        assert_eq!(h.quantile(0.0), u64::MAX);
+        assert_eq!(h.quantile(1.0), u64::MAX);
+        assert_eq!(h.summary(1.0).max, u64::MAX as f64);
     }
 
     #[test]

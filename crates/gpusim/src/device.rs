@@ -1,9 +1,8 @@
 //! Simulated device with explicit memory management and transfers.
 
 use crate::metrics::MetricsInner;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Errors from device operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +33,15 @@ impl std::error::Error for DeviceError {}
 pub(crate) struct DeviceInner {
     pub(crate) memory_budget: usize,
     pub(crate) allocated: AtomicUsize,
-    pub(crate) metrics: Mutex<MetricsInner>,
+    metrics: Mutex<MetricsInner>,
+}
+
+impl DeviceInner {
+    /// The counters. Every update leaves them valid at each step, so a lock
+    /// a panicking thread held is still good: poison is not an error here.
+    pub(crate) fn metrics(&self) -> MutexGuard<'_, MetricsInner> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A simulated GPU.
@@ -77,12 +84,12 @@ impl Device {
 
     /// Snapshot the accumulated metrics.
     pub fn metrics(&self) -> crate::metrics::DeviceMetrics {
-        self.inner.metrics.lock().snapshot(self.allocated())
+        self.inner.metrics().snapshot(self.allocated())
     }
 
     /// Reset the metrics counters (not the allocations).
     pub fn reset_metrics(&self) {
-        *self.inner.metrics.lock() = MetricsInner::default();
+        *self.inner.metrics() = MetricsInner::default();
     }
 
     pub(crate) fn try_reserve(&self, bytes: usize) -> Result<(), DeviceError> {
@@ -143,7 +150,7 @@ impl<T: Copy + Send + Sync> DeviceBuffer<T> {
     pub fn from_host(device: &Device, host: &[T]) -> Result<DeviceBuffer<T>, DeviceError> {
         let bytes = std::mem::size_of_val(host);
         device.try_reserve(bytes)?;
-        device.inner.metrics.lock().bytes_h2d += bytes as u64;
+        device.inner.metrics().bytes_h2d += bytes as u64;
         Ok(DeviceBuffer {
             device: device.clone(),
             data: host.to_vec(),
@@ -172,7 +179,7 @@ impl<T: Copy + Send + Sync> DeviceBuffer<T> {
             });
         }
         self.data.copy_from_slice(host);
-        self.device.inner.metrics.lock().bytes_h2d += self.bytes as u64;
+        self.device.inner.metrics().bytes_h2d += self.bytes as u64;
         Ok(())
     }
 
@@ -185,13 +192,13 @@ impl<T: Copy + Send + Sync> DeviceBuffer<T> {
             });
         }
         host.copy_from_slice(&self.data);
-        self.device.inner.metrics.lock().bytes_d2h += self.bytes as u64;
+        self.device.inner.metrics().bytes_d2h += self.bytes as u64;
         Ok(())
     }
 
     /// D→H transfer into a fresh vector.
     pub fn to_host_vec(&self) -> Vec<T> {
-        self.device.inner.metrics.lock().bytes_d2h += self.bytes as u64;
+        self.device.inner.metrics().bytes_d2h += self.bytes as u64;
         self.data.clone()
     }
 

@@ -66,7 +66,7 @@ impl Device {
             }
         });
         let elapsed = start.elapsed();
-        let mut metrics = self.inner.metrics.lock();
+        let mut metrics = self.inner.metrics();
         metrics.kernel_launches += 1;
         metrics.threads_executed += config.threads as u64;
         let entry = metrics.kernel_time.entry(name.to_string()).or_default();
@@ -102,7 +102,7 @@ impl Device {
             .collect();
 
         let elapsed = start.elapsed();
-        let mut metrics = self.inner.metrics.lock();
+        let mut metrics = self.inner.metrics();
         metrics.kernel_launches += 1;
         metrics.threads_executed += config.threads as u64;
         let entry = metrics.kernel_time.entry(name.to_string()).or_default();

@@ -204,6 +204,15 @@ mod tests {
         brent_minimize(|x| x, f64::NAN, 1.0, 1e-8, 10);
     }
 
+    /// The case proptest once shrank `fmin_not_worse_than_start_point` to.
+    #[test]
+    fn fmin_not_worse_than_start_point_regression() {
+        let (a, b) = (-4.632502167601093, 9.288500194632102);
+        let f = |x: f64| (x * 1.3).cos() + 0.01 * x * x;
+        let r = brent_minimize(f, a, b, 1e-10, 200);
+        assert!(r.fmin <= f(a + CGOLD * (b - a)) + 1e-12);
+    }
+
     proptest! {
         /// On a random parabola with the vertex inside the interval, Brent
         /// must locate the vertex to high accuracy.

@@ -72,6 +72,7 @@ pub mod persist;
 pub mod proto;
 pub mod server;
 pub mod shard;
+mod sync;
 pub mod wal;
 
 pub use catalog::{Catalog, CatalogError, CatalogSnapshot, Removal};

@@ -4,9 +4,9 @@
 
 use super::handlers::Shared;
 use crate::error::{PersistError, ServiceError};
-use parking_lot::{Condvar, Mutex};
+use crate::sync::{unpoisoned, Mutex};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -93,10 +93,11 @@ pub(crate) fn persist_probe_loop(shared: &Shared, initial: Duration, max: Durati
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                shared
+                let parked = shared
                     .health
                     .probe_wake
-                    .wait_for(&mut health, Duration::from_millis(250));
+                    .wait_timeout(health, Duration::from_millis(250));
+                health = unpoisoned(parked).0;
             }
         }
         let mut delay = initial.max(Duration::from_millis(1));

@@ -14,14 +14,14 @@ use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::persist::Persister;
 use crate::proto::{Request, Response, ScreenSummary};
-use crossbeam::channel::{Receiver, Sender, TrySendError};
+use crate::sync::Mutex;
 use kessler_core::CancelToken;
-use parking_lot::Mutex;
 use std::io::Write;
 use std::net::SocketAddr;
 use std::os::unix::net::UnixStream;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -115,7 +115,10 @@ pub(crate) struct Shared {
     /// Worker completions and pushes bound for the event loop.
     pub(crate) io: IoHub,
     pub(crate) shutdown: AtomicBool,
-    pub(crate) jobs: Sender<Job>,
+    pub(crate) jobs: SyncSender<Job>,
+    /// Screening tasks sent and not yet received by a worker — the depth
+    /// behind METRICS' `queue_highwater`.
+    pub(crate) queued: AtomicUsize,
     pub(crate) addr: SocketAddr,
     pub(crate) faults: Arc<FaultPlan>,
     pub(crate) read_timeout: Option<Duration>,
@@ -409,25 +412,21 @@ pub(crate) fn enqueue_screen(
         token,
         seq,
     };
+    // Counted before the send, so the worker's decrement cannot come first
+    // and the depth a successful enqueue reports includes itself.
+    let depth = shared.queued.fetch_add(1, Ordering::Relaxed) + 1;
     match shared.jobs.try_send(Job::Screen(Box::new(task))) {
         Ok(()) => {
-            // The enqueue itself proves a depth of ≥ 1 even if a worker
-            // drains it instantly.
-            shared
-                .metrics
-                .lock()
-                .note_queue_depth(shared.jobs.len().max(1));
+            shared.metrics.lock().note_queue_depth(depth);
             Enqueued::Queued
         }
-        Err(TrySendError::Full(_)) => {
+        Err(refused) => {
+            shared.queued.fetch_sub(1, Ordering::Relaxed);
             shared.registry.unregister(seq);
-            Enqueued::done(Response::rejected(
-                "server busy: screening queue is full, retry later",
-            ))
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            shared.registry.unregister(seq);
-            Enqueued::done(Response::rejected("server is shutting down"))
+            Enqueued::done(Response::rejected(match refused {
+                TrySendError::Full(_) => "server busy: screening queue is full, retry later",
+                TrySendError::Disconnected(_) => "server is shutting down",
+            }))
         }
     }
 }
@@ -538,10 +537,14 @@ impl Drop for Reply<'_> {
 /// snapshot (lock-free), commits the result under the state lock, and
 /// isolates panics inside `catch_unwind` so a panicking screen answers
 /// that one request with an ERROR instead of killing the thread.
-pub(crate) fn worker_loop(shared: &Shared, jobs: &Receiver<Job>, worker: &str) {
-    while let Ok(job) = jobs.recv() {
+pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: &str) {
+    // The receiver's lock is a temporary of this closure, so it is released
+    // before the job runs: workers queue for the next job, not behind one.
+    let next_job = || jobs.lock().recv();
+    while let Ok(job) = next_job() {
         match job {
             Job::Screen(task) => {
+                shared.queued.fetch_sub(1, Ordering::Relaxed);
                 let ScreenTask {
                     request,
                     job,
@@ -612,14 +615,14 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Receiver<Job>, worker: &str) {
 /// dies from an un-caught panic (graceful `Job::Stop` exits both).
 pub(crate) fn spawn_supervised_worker(
     shared: Arc<Shared>,
-    jobs: Receiver<Job>,
+    jobs: Arc<Mutex<Receiver<Job>>>,
     index: usize,
 ) -> Result<JoinHandle<()>, ServiceError> {
     thread::Builder::new()
         .name(format!("kessler-screen-supervisor-{index}"))
         .spawn(move || loop {
             let worker_shared = Arc::clone(&shared);
-            let worker_jobs = jobs.clone();
+            let worker_jobs = Arc::clone(&jobs);
             let worker = match thread::Builder::new()
                 .name(format!("kessler-screen-{index}"))
                 .spawn(move || {

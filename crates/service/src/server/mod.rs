@@ -3,16 +3,18 @@
 //! Architecture, three layers:
 //!
 //! - **State** ([`ServiceState`]): catalog + warm delta engine behind a
-//!   `parking_lot::Mutex`. Cheap mutations and STATUS execute inline under
-//!   the lock. Screening is a capture → run → commit sequence: the request
+//!   mutex that a panicking holder does not poison (`crate::sync`). Cheap
+//!   mutations and STATUS execute inline under the lock. Screening is a
+//!   capture → run → commit sequence: the request
 //!   is *captured* as an [`ScreenJob`] against an immutable
 //!   [`crate::catalog::CatalogSnapshot`] (O(1), copy-on-write), *run*
 //!   lock-free, and *committed* back under the lock, latest-epoch-wins —
 //!   a result captured before an already-adopted newer one answers its
 //!   client (flagged `stale`) but does not clobber the maintained set.
 //! - **Execution**: a pool of supervised screening workers (see
-//!   [`ServerOptions::workers`]) drains a *bounded* crossbeam channel, so
-//!   concurrent clients cannot stampede the rayon pool — and when the
+//!   [`ServerOptions::workers`]) drains a *bounded* `mpsc::sync_channel`
+//!   whose receiver the workers share, so concurrent clients cannot
+//!   stampede the rayon pool — and when the
 //!   queue is full, clients get an explicit "server busy" error instead of
 //!   unbounded buffering. Every queued job carries a
 //!   [`kessler_core::CancelToken`] registered in a [`CancelRegistry`];
@@ -89,19 +91,19 @@ use crate::proto::{
     ShardSummary, StatusInfo,
 };
 use crate::shard::ShardSpec;
-use crossbeam::channel::bounded;
+use crate::sync::Mutex;
 use degraded::{spawn_persist_probe, Health, HealthInner};
 use handlers::{
     handle_and_persist, spawn_metrics_reporter, spawn_supervised_worker, IoHub, Job, Shared,
 };
 use kessler_core::{ScreeningConfig, Variant};
 use kessler_orbits::KeplerElements;
-use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize};
+use std::sync::mpsc::sync_channel;
+use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use subs::SubHub;
@@ -771,7 +773,9 @@ impl Server {
             source: e,
         })?;
         let workers = resolve_workers(options.workers);
-        let (jobs_tx, jobs_rx) = bounded::<Job>(options.queue_depth.max(1));
+        let (jobs_tx, jobs_rx) = sync_channel::<Job>(options.queue_depth.max(1));
+        // One receiver, taken in turn by whichever worker is idle.
+        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
         // The wake pipe: workers and publishers write a byte to nudge the
         // event loop's poll; the loop drains the read end.
         let (wake_tx, wake_rx) = UnixStream::pair().map_err(|e| ServiceError::Spawn {
@@ -804,6 +808,7 @@ impl Server {
             io: IoHub::new(wake_tx),
             shutdown: AtomicBool::new(false),
             jobs: jobs_tx,
+            queued: AtomicUsize::new(0),
             addr: local,
             faults: options.faults,
             read_timeout: options.read_timeout,
@@ -814,7 +819,7 @@ impl Server {
         for index in 0..workers {
             supervisors.push(spawn_supervised_worker(
                 Arc::clone(&shared),
-                jobs_rx.clone(),
+                Arc::clone(&jobs_rx),
                 index,
             )?);
         }

@@ -18,11 +18,10 @@
 
 use std::collections::{HashMap, HashSet};
 
-use parking_lot::Mutex;
-
 use super::handlers::IoMsg;
 use crate::delta::PairMap;
 use crate::proto::{EventKind, PushEvent, SubscriptionAck, PUSH_CONJUNCTION};
+use crate::sync::Mutex;
 
 /// Closest-approach summary for one maintained pair.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -2,6 +2,7 @@
 //! grid variant must agree with the brute-force legacy baseline, and the
 //! library must uphold its report invariants on arbitrary (valid) inputs.
 
+use kessler::orbits::constants::MU_EARTH;
 use kessler::prelude::*;
 use proptest::prelude::*;
 use std::f64::consts::{PI, TAU};
@@ -23,6 +24,51 @@ fn arb_elements() -> impl Strategy<Value = KeplerElements> {
 
 fn arb_population(max: usize) -> impl Strategy<Value = Vec<KeplerElements>> {
     proptest::collection::vec(arb_elements(), 2..max)
+}
+
+/// How far outside `[0, span]` a grid-stage TCA can lie (the span-edge rule,
+/// DESIGN §2.1). Every refinement interval is centred on a sample time in
+/// `[0, span)` and reaches `2 · cell / v_slow` either way
+/// (`refine::grid_refine_interval`), `v_slow` being the slower satellite's
+/// speed at the sample; no satellite of `pop` is ever slower than the
+/// slowest apogee passage (vis-viva at the apogee radius).
+fn span_edge_reach(pop: &[KeplerElements], report: &ScreeningReport) -> f64 {
+    let v_slow = pop
+        .iter()
+        .map(|el| (MU_EARTH * (2.0 / el.apogee_radius() - 1.0 / el.semi_major_axis)).sqrt())
+        .fold(f64::INFINITY, f64::min);
+    2.0 * report.planner.cell_size_km / v_slow
+}
+
+/// The bound `report_invariants` used to assert, `tca ∈ [−1e-9, span + 1e-9]`,
+/// is not one the grid stage keeps: a crossing 0.5 s outside the span is
+/// reported. The derived reach is.
+#[test]
+fn a_grid_report_may_leave_the_span_by_the_refinement_reach_only() {
+    let span = 600.0;
+    let radius = 7_000.0f64;
+    let mean_motion = (MU_EARTH / radius.powi(3)).sqrt();
+    for t_conj in [-0.5, span + 0.5] {
+        // Two crossing circular orbits, both at the common node at t_conj.
+        let m0 = (-mean_motion * t_conj).rem_euclid(TAU);
+        let pop = vec![
+            KeplerElements::new(radius, 0.0, 0.4, 0.0, 0.0, m0).unwrap(),
+            KeplerElements::new(radius, 0.0, 1.2, 0.0, 0.0, m0).unwrap(),
+        ];
+        let report = GridScreener::new(ScreeningConfig::grid_defaults(2.0, span)).screen(&pop);
+        assert_eq!(report.conjunction_count(), 1, "crossing at {t_conj}");
+        let tca = report.conjunctions[0].tca;
+        assert!(
+            !(-1e-9..=span + 1e-9).contains(&tca),
+            "tca {tca} is inside the span"
+        );
+        let reach = span_edge_reach(&pop, &report);
+        assert!(reach < 10.0, "reach {reach} s bounds nothing");
+        assert!(
+            (-reach..=span + reach).contains(&tca),
+            "tca {tca} beyond reach {reach}"
+        );
+    }
 }
 
 proptest! {
@@ -58,7 +104,8 @@ proptest! {
     }
 
     /// Report invariants hold on arbitrary populations: conjunctions are
-    /// sorted/deduplicated, within span and threshold, ids in range.
+    /// sorted/deduplicated, within threshold and within the refinement
+    /// reach of the span, ids in range.
     #[test]
     fn report_invariants(pop in arb_population(20)) {
         let span = 350.0;
@@ -66,12 +113,13 @@ proptest! {
         let config = ScreeningConfig::grid_defaults(threshold, span);
         let report = GridScreener::new(config).screen(&pop);
         let n = pop.len() as u32;
+        let reach = span_edge_reach(&pop, &report);
         for c in &report.conjunctions {
             prop_assert!(c.id_lo < c.id_hi, "ids must be ordered");
             prop_assert!(c.id_hi < n, "ids must be in range");
             prop_assert!(c.pca_km <= threshold + 1e-9);
             prop_assert!(c.pca_km >= 0.0);
-            prop_assert!(c.tca >= -1e-9 && c.tca <= span + 1e-9);
+            prop_assert!(c.tca >= -reach && c.tca <= span + reach);
         }
         // Sorted by pair, then TCA; no duplicate minima inside the dedup
         // tolerance.
