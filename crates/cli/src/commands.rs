@@ -391,7 +391,7 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
 /// `--shards BANDSxSHELLS` (e.g. `--shards 8x4`) partitions the catalog
 /// by orbital regime; `--shards default` takes the built-in layout, and
 /// `--shard-range RMIN:RMAX` overrides the altitude-band span (radii,
-/// km). No flag means the 1×1 layout (and monolithic snapshots).
+/// km). No flag means the 1×1 layout (one grid, one snapshot chunk).
 fn parse_shards(flags: &Flags) -> Result<Option<kessler_service::ShardSpec>, String> {
     let Some(value) = flags.value_of("--shards") else {
         return Ok(None);

@@ -19,13 +19,9 @@
 //!   from the perspective of both satellites.
 //! * [`neighbor`] — the 26-cell neighbourhood offsets and the 13-offset
 //!   half neighbourhood used to visit each unordered cell pair once.
-//! * [`dense`] — the dense 3-D array grid the paper rejects for the full
-//!   simulation cube (§IV-A), kept as a measured ablation and for small
-//!   dense volumes.
 
 pub mod atomic_map;
 pub mod cellkey;
-pub mod dense;
 pub mod grid;
 pub mod murmur;
 pub mod neighbor;
@@ -33,6 +29,5 @@ pub mod pairset;
 
 pub use atomic_map::AtomicMap;
 pub use cellkey::CellKey;
-pub use dense::DenseGrid;
 pub use grid::SpatialGrid;
 pub use pairset::{CandidatePair, PairSet};

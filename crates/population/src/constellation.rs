@@ -98,9 +98,13 @@ const SYNTHETIC_SHELLS: &[(f64, f64, usize)] = &[
 /// eccentricity and the angles so no two satellites are exactly
 /// coincident and apsis ranges genuinely straddle band edges.
 ///
-/// This is the population the `exp_scale` experiment ingests at the
-/// million-satellite mark; unlike [`WalkerShell::generate`] it accepts
-/// any `n` (plane counts are derived, never required to divide `n`).
+/// Unlike [`WalkerShell::generate`] it accepts any `n` (plane counts are
+/// derived, never required to divide `n`). It was the million-satellite
+/// ingest of the `exp_scale` experiment; since that binary was deleted
+/// (its measurements are the benchmark's `durable_ingest` workload) only
+/// this module's tests call it. It stays for ROADMAP item 5's
+/// deterministic simulation, which names it as the Walker-shell source of
+/// band-edge straddlers.
 pub fn synthetic_constellation(n: usize, seed: u64) -> Vec<KeplerElements> {
     let total_weight: usize = SYNTHETIC_SHELLS.iter().map(|(_, _, w)| w).sum();
     // Largest-remainder apportionment: exact integer counts summing to n.

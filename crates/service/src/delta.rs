@@ -66,16 +66,13 @@ impl Pipeline {
         })
     }
 
-    /// Choose the shard layout; `None` is the 1×1 layout, and this is the
-    /// one place that is decided. Validates the spec, so a running job
+    /// Choose the shard layout; `None` is the 1×1 layout
+    /// (`ShardMap::for_layout`). Validates the spec, so a running job
     /// never sees a bad partition. The layout only changes how candidates
     /// are extracted, not what they are, so a warm set screened under one
     /// layout stays valid under another.
     pub fn with_shards(mut self, shards: Option<ShardSpec>) -> Result<Pipeline, ServiceError> {
-        self.shard_map = match shards {
-            Some(spec) => ShardMap::new(spec)?,
-            None => ShardMap::single(),
-        };
+        self.shard_map = ShardMap::for_layout(shards)?;
         Ok(self)
     }
 

@@ -93,3 +93,31 @@ pub use server::{
     ServiceState, MAX_LINE_BYTES,
 };
 pub use shard::{ShardMap, ShardScreenStats, ShardSpec};
+
+/// Shared by the crate's unit tests.
+#[cfg(test)]
+mod testkit {
+    /// splitmix64 (Steele, Lea & Flood): the whole generator state is one
+    /// `u64`, so a failing sequence replays from the seed its assertion
+    /// message prints.
+    pub(crate) struct SplitMix64(pub(crate) u64);
+
+    impl SplitMix64 {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        pub(crate) fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Uniform in `[0, 1)`.
+        pub(crate) fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+}

@@ -10,6 +10,7 @@
 //! screening-queue pressure and worker respawns. A [`MetricsSnapshot`] is
 //! served verbatim by the `METRICS` protocol verb.
 
+use crate::persist::Written;
 use kessler_core::metrics::{Histogram, HistogramSummary, PhaseSeries, PhaseSummaries};
 use kessler_core::timing::PhaseTimings;
 use kessler_core::FilterStatsSnapshot;
@@ -72,8 +73,8 @@ pub struct MetricsRegistry {
     shard_full: BTreeMap<u32, Histogram>,
     /// Same, over sharded delta screens.
     shard_delta: BTreeMap<u32, Histogram>,
-    /// Dirty-shard count at each successful snapshot write — how
-    /// incremental the per-shard snapshots actually are.
+    /// Chunks rewritten by each successful snapshot write under a
+    /// multi-shard layout — how incremental the snapshots actually are.
     dirty_shards: Histogram,
     /// Candidate entries whose neighbour lives in another shard (pairs
     /// that only exist because of boundary mirroring).
@@ -152,18 +153,20 @@ impl MetricsRegistry {
         self.mirrored_inserts += stats.mirrored_inserts;
     }
 
-    /// Record how many shard chunks a snapshot write had to rewrite.
-    pub fn record_dirty_shards(&mut self, dirtied: usize) {
-        self.dirty_shards.record(dirtied as u64);
-    }
-
     pub fn record_wal_fsync(&mut self, elapsed: Duration) {
         self.wal_fsync.record_duration(elapsed);
     }
 
-    pub fn record_snapshot(&mut self, elapsed: Duration, bytes: u64) {
+    /// Record one successful checkpoint from what the persister reports
+    /// it wrote: wall time, bytes, and — when the layout has more than one
+    /// shard, the one place that rule lives — how many shard chunks it had
+    /// to rewrite (a 1×1 layout has nothing to be incremental about).
+    pub(crate) fn record_snapshot(&mut self, elapsed: Duration, written: &Written) {
         self.snapshot_write.record_duration(elapsed);
-        self.snapshot_bytes.record(bytes);
+        self.snapshot_bytes.record(written.bytes);
+        if written.shard_count > 1 {
+            self.dirty_shards.record(u64::from(written.chunks));
+        }
     }
 
     /// Time spent capturing a screening job under the state lock — the
@@ -447,7 +450,7 @@ pub struct MetricsSnapshot {
     /// Per-shard extraction-step quantiles over sharded delta screens, µs.
     #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
     pub shard_delta_step_us: BTreeMap<u32, HistogramSummary>,
-    /// Dirty-shard counts across snapshot writes.
+    /// Shard chunks rewritten per snapshot write (multi-shard layouts only).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub dirty_shards_per_snapshot: Option<HistogramSummary>,
     /// Cross-shard candidate entries found via boundary mirroring.
@@ -585,7 +588,14 @@ mod tests {
         m.record_shard_screen(false, &stats);
         m.record_shard_screen(true, &stats);
         m.record_shard_screen(false, &stats);
-        m.record_dirty_shards(3);
+        let wrote = |chunks, shard_count| Written {
+            bytes: 1,
+            chunks,
+            shard_count,
+        };
+        m.record_snapshot(Duration::from_millis(1), &wrote(3, 4));
+        // A 1×1 layout's checkpoints are not "dirty shard" samples.
+        m.record_snapshot(Duration::from_millis(1), &wrote(1, 1));
 
         let snap = m.snapshot();
         // Shards 1 and 3 never recorded a step; they must stay absent.
@@ -597,7 +607,9 @@ mod tests {
         assert_eq!(snap.shard_delta_step_us[&2].count, 1);
         assert_eq!(snap.boundary_entries, 15);
         assert_eq!(snap.mirrored_inserts, 21);
-        assert_eq!(snap.dirty_shards_per_snapshot.unwrap().max, 3.0);
+        let dirty = snap.dirty_shards_per_snapshot.as_ref().unwrap();
+        assert_eq!((dirty.count, dirty.min, dirty.max), (1, 3.0, 3.0));
+        assert_eq!(snap.snapshot_bytes.as_ref().unwrap().count, 2);
 
         let json = serde_json::to_string(&snap).unwrap();
         let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
@@ -617,7 +629,12 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.record_screen("grid", &timings(10));
         m.record_wal_fsync(Duration::from_micros(800));
-        m.record_snapshot(Duration::from_millis(4), 12_345);
+        let written = Written {
+            bytes: 12_345,
+            chunks: 1,
+            shard_count: 1,
+        };
+        m.record_snapshot(Duration::from_millis(4), &written);
         m.count_request("SCREEN", true);
         let snap = m.snapshot();
         let json = serde_json::to_string(&snap).unwrap();

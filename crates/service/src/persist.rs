@@ -1,47 +1,44 @@
 //! Snapshot + WAL durability layer.
 //!
-//! State directory layout (flat, unsharded daemon):
+//! State directory layout — one layout, whatever the shard count:
 //!
 //! ```text
 //! <state-dir>/
-//!   wal.log                        append-only mutation log (see `wal`)
-//!   snapshot-00000000000000000042.json   full state at WAL seq 42
-//!   snapshot-00000000000000000038.json   previous snapshot (fallback)
-//! ```
-//!
-//! A snapshot is one checksummed frame line holding the entire daemon
-//! state (catalog, pending-change set, window, warm conjunction set,
-//! screen counters) as of a WAL sequence number. Snapshots are written to
-//! a `.tmp` file, fsynced, then atomically renamed into place, so a crash
-//! mid-snapshot leaves the previous one intact.
-//!
-//! With sharding enabled ([`PersistOptions::shards`]), snapshots become
-//! *incremental*: the catalog is chunked by static shard assignment and a
-//! write rewrites only the chunks of shards dirtied since the previous
-//! snapshot, plus a small manifest tying a consistent set together:
-//!
-//! ```text
-//! <state-dir>/
-//!   wal.log
+//!   wal.log                              append-only mutation log (see `wal`)
 //!   manifest-00000000000000000042.json   manifest: global state + chunk refs
 //!   shard-00000000000000000042-0003.json chunk rewritten at seq 42
 //!   shard-00000000000000000030-0001.json older chunk still referenced
 //! ```
 //!
-//! The manifest's `chunk_seqs[s]` names the sequence number of the chunk
-//! file holding shard `s`, so recovery reads the manifest plus
-//! `shard_count` chunk files directly — no chain walk. Chunks are written
-//! before the manifest (each tmp + fsync + rename), so a crash mid-write
-//! leaves the previous manifest's set fully intact. A full chunk set is
-//! forced periodically so retention can reclaim old chunks.
+//! A snapshot is a *manifest* — the non-catalog state (pending-change
+//! set, window, warm conjunction set, screen counters) as of a WAL
+//! sequence number — plus one *chunk* file per shard holding that shard's
+//! catalog members under the static assignment of
+//! [`PersistOptions::shards`]. A daemon started without `--shards` runs the
+//! 1×1 layout: one chunk, `shard-<seq>-0000.json`. Every file is one
+//! checksummed frame line, written to a `.tmp` name, fsynced, atomically
+//! renamed into place and never modified afterwards.
 //!
-//! Recovery loads the *newest materializable* recovery point — v1
-//! snapshot files and v2 manifests are merged into one seq-ordered list,
-//! and a manifest with a missing or corrupt chunk is skipped whole — then
+//! Snapshots are *incremental*: a write rewrites only the chunks of
+//! shards dirtied since the previous snapshot (the caller tracks the set
+//! and passes it in) and the manifest's `chunk_seqs[s]` names the sequence
+//! number of the chunk file holding shard `s`, so recovery reads the
+//! manifest plus `shard_count` chunk files directly — no chain walk.
+//! Chunks are written before the manifest, so a crash mid-write leaves the
+//! previous manifest's set fully intact. A full chunk set is forced
+//! periodically so retention can reclaim old chunks.
+//!
+//! Legacy, read-only: builds before the one-layout writer left a flat
+//! daemon's state as a single `snapshot-<seq>.json` frame (v1). Nothing
+//! writes that format any more; recovery still reads it.
+//!
+//! Recovery loads the *newest materializable* recovery point — manifests
+//! and legacy v1 files are merged into one seq-ordered list, and a
+//! manifest with a missing or corrupt chunk is skipped whole — then
 //! replays WAL records with `seq > point.wal_seq`. To keep fallback
 //! sound, retention keeps every recovery point at or after the
-//! `keep_snapshots`-th-newest *full* point (a v1 file, or a manifest
-//! whose chunks were all written at its own seq), deletes the rest, and
+//! `keep_snapshots`-th-newest *full* point (a manifest whose chunks were
+//! all written at its own seq, or a v1 file), deletes the rest, and
 //! WAL compaction retains every record newer than the oldest kept point.
 
 use crate::error::PersistError;
@@ -60,7 +57,7 @@ use std::sync::Arc;
 /// Bump when the snapshot schema changes incompatibly.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// Schema version of the sharded manifest format.
+/// Schema version of the manifest format.
 pub const MANIFEST_VERSION: u32 = 2;
 
 /// WAL file name inside the state directory.
@@ -78,12 +75,12 @@ pub struct PersistOptions {
     pub dir: PathBuf,
     /// Mutations between snapshots (and WAL compactions).
     pub snapshot_every: u64,
-    /// Snapshots retained on disk; at least 2 so a corrupt newest
-    /// snapshot has a fallback. Under sharding this counts *full*
-    /// recovery points; incrementals in between ride along.
+    /// *Full* recovery points retained on disk; at least 2 so a corrupt
+    /// newest snapshot has a fallback. Incrementals in between ride along.
     pub keep_snapshots: usize,
-    /// Chunk snapshots by this shard layout (incremental v2 manifests).
-    /// `None` writes flat v1 snapshot files. Either mode *reads* both.
+    /// Shard layout snapshots are chunked by; `None` is the 1×1 layout
+    /// (one chunk). Names a layout, not a format: every layout writes
+    /// manifest + chunks and reads whatever any layout wrote.
     pub shards: Option<ShardSpec>,
 }
 
@@ -98,7 +95,9 @@ impl PersistOptions {
     }
 }
 
-/// Complete daemon state at one WAL sequence number.
+/// Complete daemon state at one WAL sequence number. Serialized as-is only
+/// by the legacy v1 format; a manifest plus its chunks materializes into
+/// one.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Snapshot {
     pub version: u32,
@@ -141,13 +140,6 @@ pub struct Snapshot {
     /// taken. Snapshots from before the field existed were always grid.
     #[serde(default = "default_snapshot_variant")]
     pub variant: Variant,
-    /// Shards dirtied since the last successful snapshot write, when the
-    /// daemon runs sharded. A transient hand-off from the state to the
-    /// persister — never serialized; the manifest encodes the same
-    /// information as chunk seqs. `None` means "not tracking" and makes a
-    /// sharded write rewrite every chunk.
-    #[serde(skip)]
-    pub dirty_shards: Option<Vec<u32>>,
 }
 
 fn default_snapshot_variant() -> Variant {
@@ -188,7 +180,7 @@ impl Snapshot {
 /// What [`Persister::open`] recovered from the state directory.
 #[derive(Debug, Default)]
 pub struct Recovery {
-    /// Newest recovery point (v1 snapshot or v2 manifest + chunks) that
+    /// Newest recovery point (manifest + chunks, or a legacy v1 file) that
     /// materialized and passed validation, if any.
     pub snapshot: Option<Snapshot>,
     /// WAL records newer than the snapshot, in order.
@@ -196,14 +188,26 @@ pub struct Recovery {
     /// `Some(detail)` when the WAL ended in a damaged record (tolerated).
     pub torn_tail: Option<String>,
     /// Recovery points that failed to materialize and were skipped — a
-    /// corrupt v1 file, or a manifest with a missing/corrupt chunk.
+    /// manifest with a missing/corrupt chunk, or a corrupt v1 file.
     pub corrupt_snapshots: usize,
 }
 
-/// Global (non-catalog) state of a sharded snapshot, plus the references
-/// that stitch its chunk files into one consistent catalog. Small —
-/// catalog payload lives in the chunks; the warm conjunction set rides
-/// here and is rewritten every time (it has no shard locality).
+/// What one [`Persister::write_snapshot`] put on disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Written {
+    /// Bytes written by this call: the manifest plus the rewritten chunks.
+    pub(crate) bytes: u64,
+    /// Chunk files rewritten — the dirty shards handed in, or every shard
+    /// of the layout when the persister had to force a full set.
+    pub(crate) chunks: u32,
+    /// Shards in the layout written under.
+    pub(crate) shard_count: u32,
+}
+
+/// Global (non-catalog) state of a snapshot, plus the references that
+/// stitch its chunk files into one consistent catalog. Small — catalog
+/// payload lives in the chunks; the warm conjunction set rides here and is
+/// rewritten every time (it has no shard locality).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Manifest {
     version: u32,
@@ -256,9 +260,9 @@ struct ChunkEntry {
 /// newest-first recovery scan.
 #[derive(Debug)]
 enum PointFile {
-    /// Flat v1 `snapshot-<seq>.json`.
+    /// Legacy flat `snapshot-<seq>.json` (read-only).
     V1(PathBuf),
-    /// Sharded v2 `manifest-<seq>.json`.
+    /// `manifest-<seq>.json`.
     V2(PathBuf),
 }
 
@@ -273,8 +277,8 @@ pub struct Persister {
     snapshot_every: u64,
     keep_snapshots: usize,
     since_snapshot: u64,
-    /// Shard layout for chunked v2 snapshots; `None` writes flat v1.
-    shards: Option<ShardMap>,
+    /// Shard layout snapshots are chunked by.
+    shards: ShardMap,
     /// Incremental manifests written since the last full chunk set; at
     /// [`FULL_MANIFEST_EVERY`] the next write is forced full.
     incrementals_since_full: u64,
@@ -296,16 +300,13 @@ impl Persister {
         let dir = options.dir.clone();
         std::fs::create_dir_all(&dir)
             .map_err(|e| PersistError::io(format!("create state dir {}", dir.display()), e))?;
-        let shards = match options.shards {
-            Some(spec) => Some(ShardMap::new(spec).map_err(|e| {
-                PersistError::corrupt("persist options", format!("invalid shard spec: {e}"))
-            })?),
-            None => None,
-        };
+        let shards = ShardMap::for_layout(options.shards).map_err(|e| {
+            PersistError::corrupt("persist options", format!("invalid shard spec: {e}"))
+        })?;
 
-        // Both formats are always *readable*, whatever we write: a daemon
-        // switching sharding on or off must still recover what the
-        // previous configuration persisted.
+        // Every point is *readable*, whatever layout we write under: a
+        // daemon whose sharding was switched on, off or relaid must still
+        // recover what the previous configuration persisted.
         let points = list_points(&dir)?;
         let mut recovery = Recovery::default();
         for (seq, point) in points.iter().rev() {
@@ -433,111 +434,71 @@ impl Persister {
         self.since_snapshot >= self.snapshot_every
     }
 
-    /// Write a snapshot atomically (flat v1, or dirty chunks + manifest
-    /// under sharding), apply retention, compact the WAL. Returns the
-    /// bytes written to disk by *this* call (for metrics — under sharding
-    /// that is the manifest plus only the rewritten chunks).
-    pub fn write_snapshot(&mut self, snapshot: &Snapshot) -> Result<u64, PersistError> {
-        snapshot.validate()?;
-        let bytes = match self.shards {
-            Some(map) => self.write_snapshot_v2(snapshot, &map)?,
-            None => self.write_snapshot_v1(snapshot)?,
-        };
-
-        // Keep every WAL record the *oldest kept* recovery point does not
-        // cover, so falling back past a corrupt newest point still
-        // replays to the present.
-        let keep_after = self.apply_retention();
-        self.compact_wal(keep_after)?;
-        self.since_snapshot = 0;
-        // Compaction rewrote the WAL from committed records only, so any
-        // residue of a failed append is gone.
-        self.dirty = false;
-        Ok(bytes)
-    }
-
-    /// The flat format: the whole state as one frame-encoded file.
-    fn write_snapshot_v1(&mut self, snapshot: &Snapshot) -> Result<u64, PersistError> {
-        let seq = snapshot.wal_seq;
-        let body = serde_json::to_string(snapshot)
-            .map_err(|e| PersistError::corrupt("snapshot", format!("unserializable: {e}")))?;
-        self.write_frame_file(seq, &body, &self.snapshot_path(seq))
-    }
-
-    /// The sharded format: rewrite chunks for dirty shards, then a
-    /// manifest referencing the rest from their previous chunks. Chunks
-    /// land before the manifest, so a crash anywhere leaves the previous
-    /// manifest's set fully intact; orphaned new chunks are reclaimed by
-    /// the next retention pass.
-    fn write_snapshot_v2(
+    /// Write a snapshot atomically, apply retention, compact the WAL:
+    /// rewrite the chunks of the `dirty` shards (by this persister's
+    /// layout), then a manifest referencing the rest from their previous
+    /// chunks. Chunks land before the manifest, so a crash anywhere leaves
+    /// the previous manifest's set fully intact; orphaned new chunks are
+    /// reclaimed by the next retention pass.
+    pub(crate) fn write_snapshot(
         &mut self,
         snapshot: &Snapshot,
-        map: &ShardMap,
-    ) -> Result<u64, PersistError> {
+        dirty: &BTreeSet<u32>,
+    ) -> Result<Written, PersistError> {
+        snapshot.validate()?;
         let seq = snapshot.wal_seq;
-        let shard_count = map.shard_count();
+        let shard_count = self.shards.shard_count();
 
-        // The previous manifest tells us which chunks can be reused. No
-        // usable predecessor (fresh dir, v1 history, relaid shards) or an
-        // overdue full forces a complete chunk set.
-        let prev = newest_manifest(&self.dir);
-        let prev = prev.filter(|m| m.shard_count == shard_count && m.wal_seq <= seq);
-        let dirty: BTreeSet<u32> = match (&prev, &snapshot.dirty_shards) {
-            (Some(_), Some(dirtied)) if self.incrementals_since_full < FULL_MANIFEST_EVERY => {
-                dirtied
-                    .iter()
-                    .copied()
-                    .filter(|&s| s < shard_count)
-                    .collect()
-            }
-            _ => (0..shard_count).collect(),
-        };
+        // The previous manifest tells us which chunks can be reused: per
+        // shard, the seq of the chunk a clean shard keeps. No usable
+        // predecessor (fresh dir, v1 history, relaid shards) or an overdue
+        // full forces a complete chunk set.
+        let prev = newest_manifest(&self.dir)
+            .filter(|m| m.shard_count == shard_count && m.wal_seq <= seq)
+            .filter(|_| self.incrementals_since_full < FULL_MANIFEST_EVERY);
+        let kept: Vec<Option<u64>> = (0..shard_count)
+            .map(|shard| {
+                let prev = prev.as_ref().filter(|_| !dirty.contains(&shard))?;
+                Some(prev.chunk_seqs[shard as usize])
+            })
+            .collect();
 
         // Chunk the catalog by static assignment on the stored elements
         // (position-independent, stable under ADVANCE rebasing).
         let mut members: Vec<Vec<ChunkEntry>> = vec![Vec::new(); shard_count as usize];
         for (i, spec) in snapshot.elements.iter().enumerate() {
-            let shard = map.assign(spec.a, spec.incl);
-            if !dirty.contains(&shard) {
+            let shard = self.shards.assign(spec.a, spec.incl);
+            if kept[shard as usize].is_none() {
+                members[shard as usize].push(ChunkEntry {
+                    index: i as u32,
+                    id: snapshot.ids[i],
+                    elements: *spec,
+                    base: snapshot.base_elements.get(i).copied().unwrap_or(*spec),
+                    generation: snapshot.generations[i],
+                });
+            }
+        }
+
+        let mut written = Written {
+            bytes: 0,
+            chunks: 0,
+            shard_count,
+        };
+        let mut chunk_seqs = Vec::with_capacity(shard_count as usize);
+        for (shard, entries) in (0..shard_count).zip(members) {
+            if let Some(kept_seq) = kept[shard as usize] {
+                chunk_seqs.push(kept_seq);
                 continue;
             }
-            let base = snapshot
-                .base_elements
-                .get(i)
-                .copied()
-                .unwrap_or(snapshot.elements[i]);
-            members[shard as usize].push(ChunkEntry {
-                index: i as u32,
-                id: snapshot.ids[i],
-                elements: *spec,
-                base,
-                generation: snapshot.generations[i],
-            });
-        }
-
-        let mut bytes = 0u64;
-        for &shard in &dirty {
-            let chunk = ShardChunk {
-                shard,
-                entries: std::mem::take(&mut members[shard as usize]),
-            };
-            let body = serde_json::to_string(&chunk).map_err(|e| {
+            let body = serde_json::to_string(&ShardChunk { shard, entries }).map_err(|e| {
                 PersistError::corrupt("shard chunk", format!("unserializable: {e}"))
             })?;
-            bytes += self.write_frame_file(seq, &body, &chunk_path(&self.dir, seq, shard))?;
+            written.bytes +=
+                self.write_frame_file(seq, &body, &chunk_path(&self.dir, seq, shard))?;
+            written.chunks += 1;
+            chunk_seqs.push(seq);
         }
 
-        let chunk_seqs: Vec<u64> = (0..shard_count)
-            .map(|s| {
-                if dirty.contains(&s) {
-                    seq
-                } else {
-                    prev.as_ref()
-                        .expect("non-dirty shard implies a predecessor")
-                        .chunk_seqs[s as usize]
-                }
-            })
-            .collect();
         let manifest = Manifest {
             version: MANIFEST_VERSION,
             wal_seq: seq,
@@ -556,21 +517,30 @@ impl Persister {
             last_screen: snapshot.last_screen.clone(),
             variant: snapshot.variant,
         };
-        let full = manifest.is_full();
         let body = serde_json::to_string(&manifest)
             .map_err(|e| PersistError::corrupt("manifest", format!("unserializable: {e}")))?;
-        bytes += self.write_frame_file(seq, &body, &manifest_path(&self.dir, seq))?;
-        self.incrementals_since_full = if full {
+        written.bytes += self.write_frame_file(seq, &body, &manifest_path(&self.dir, seq))?;
+        self.incrementals_since_full = if manifest.is_full() {
             0
         } else {
             self.incrementals_since_full + 1
         };
-        Ok(bytes)
+
+        // Keep every WAL record the *oldest kept* recovery point does not
+        // cover, so falling back past a corrupt newest point still
+        // replays to the present.
+        let keep_after = self.apply_retention();
+        self.compact_wal(keep_after)?;
+        self.since_snapshot = 0;
+        // Compaction rewrote the WAL from committed records only, so any
+        // residue of a failed append is gone.
+        self.dirty = false;
+        Ok(written)
     }
 
     /// Write one frame-encoded body durably: tmp file, fsync, atomic
     /// rename, directory sync. Fault-injection hooks fire per file, so
-    /// the chaos tests exercise multi-file sharded writes too.
+    /// the chaos tests exercise multi-file writes too.
     fn write_frame_file(&self, seq: u64, body: &str, path: &Path) -> Result<u64, PersistError> {
         let mut line = wal::encode_frame(seq, body);
         line.push('\n');
@@ -604,10 +574,6 @@ impl Persister {
         Ok(line.len() as u64)
     }
 
-    fn snapshot_path(&self, seq: u64) -> PathBuf {
-        self.dir.join(format!("snapshot-{seq:020}.json"))
-    }
-
     /// Delete recovery points older than the `keep_snapshots`-th-newest
     /// *full* point, plus any chunk file no kept manifest references.
     /// Stateless by design — it re-lists the directory, so it also mops
@@ -618,22 +584,20 @@ impl Persister {
         let Ok(points) = list_points(&self.dir) else {
             return 0;
         };
-        let manifests: Vec<(u64, Option<Manifest>)> = points
+        // An unreadable manifest is nothing (and will age out below).
+        let manifests: Vec<(u64, Manifest)> = points
             .iter()
             .filter_map(|(seq, point)| match point {
                 PointFile::V1(_) => None,
-                PointFile::V2(path) => Some((*seq, load_manifest(path).ok())),
+                PointFile::V2(path) => Some((*seq, load_manifest(path).ok()?)),
             })
             .collect();
-        // A v1 file is self-contained, hence full. An unreadable manifest
-        // is nothing (and will age out below).
+        // A v1 file is self-contained, hence full.
         let full_seqs: Vec<u64> = points
             .iter()
             .filter(|(seq, point)| match point {
                 PointFile::V1(_) => true,
-                PointFile::V2(_) => manifests
-                    .iter()
-                    .any(|(mseq, m)| mseq == seq && m.as_ref().is_some_and(Manifest::is_full)),
+                PointFile::V2(_) => manifests.iter().any(|(mseq, m)| mseq == seq && m.is_full()),
             })
             .map(|(seq, _)| *seq)
             .collect();
@@ -643,32 +607,21 @@ impl Persister {
         let cutoff = full_seqs[full_seqs.len() - self.keep_snapshots];
 
         for (seq, point) in &points {
-            if *seq >= cutoff {
-                continue;
+            if *seq < cutoff {
+                let (PointFile::V1(path) | PointFile::V2(path)) = point;
+                let _ = std::fs::remove_file(path);
             }
-            let path = match point {
-                PointFile::V1(path) => path,
-                PointFile::V2(path) => path,
-            };
-            let _ = std::fs::remove_file(path);
         }
         // Chunks referenced by no kept manifest — superseded, orphaned by
         // a crash, or belonging to a deleted manifest — go too.
         let referenced: BTreeSet<(u64, u32)> = manifests
             .iter()
             .filter(|(seq, _)| *seq >= cutoff)
-            .filter_map(|(_, m)| m.as_ref())
-            .flat_map(|m| {
-                m.chunk_seqs
-                    .iter()
-                    .enumerate()
-                    .map(|(shard, &seq)| (seq, shard as u32))
-                    .collect::<Vec<_>>()
-            })
+            .flat_map(|(_, m)| m.chunk_seqs.iter().copied().zip(0u32..))
             .collect();
-        if let Ok(chunks) = list_chunks(&self.dir) {
-            for (seq, shard, path) in chunks {
-                if !referenced.contains(&(seq, shard)) {
+        if let Ok(chunks) = scan(&self.dir, "shard-", chunk_key) {
+            for (key, path) in chunks {
+                if !referenced.contains(&key) {
                     let _ = std::fs::remove_file(path);
                 }
             }
@@ -718,28 +671,51 @@ fn sync_dir(dir: &Path) {
     }
 }
 
-fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
+/// The one walk over the state directory: every file named
+/// `<prefix><key>.json` whose key `parse` accepts, in no particular order.
+/// Anything else — the WAL, `.tmp` debris, foreign files — is not ours to
+/// list.
+fn scan<K>(
+    dir: &Path,
+    prefix: &str,
+    parse: impl Fn(&str) -> Option<K>,
+) -> Result<Vec<(K, PathBuf)>, PersistError> {
+    let failed = |e| PersistError::io(format!("list state dir {}", dir.display()), e);
     let mut found = Vec::new();
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| PersistError::io(format!("list state dir {}", dir.display()), e))?;
-    for entry in entries {
-        let entry =
-            entry.map_err(|e| PersistError::io(format!("list state dir {}", dir.display()), e))?;
+    for entry in std::fs::read_dir(dir).map_err(failed)? {
+        let entry = entry.map_err(failed)?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix("snapshot-")
-            .and_then(|s| s.strip_suffix(".json"))
-        else {
-            continue;
-        };
-        let Ok(seq) = stem.parse::<u64>() else {
-            continue;
-        };
-        found.push((seq, entry.path()));
+        let key = name
+            .to_str()
+            .and_then(|n| n.strip_prefix(prefix)?.strip_suffix(".json"))
+            .and_then(&parse);
+        if let Some(key) = key {
+            found.push((key, entry.path()));
+        }
     }
+    Ok(found)
+}
+
+/// All recovery points (manifests and legacy v1 snapshot files) in the
+/// directory, ascending by seq.
+fn list_points(dir: &Path) -> Result<Vec<(u64, PointFile)>, PersistError> {
+    let seq = |stem: &str| stem.parse::<u64>().ok();
+    let v1 = scan(dir, "snapshot-", seq)?;
+    let v2 = scan(dir, "manifest-", seq)?;
+    let mut found: Vec<(u64, PointFile)> = v1
+        .into_iter()
+        .map(|(seq, path)| (seq, PointFile::V1(path)))
+        .chain(v2.into_iter().map(|(seq, path)| (seq, PointFile::V2(path))))
+        .collect();
     found.sort_by_key(|(seq, _)| *seq);
     Ok(found)
+}
+
+/// The `(seq, shard)` a chunk file's name carries between `shard-` and
+/// `.json` — the [`scan`] key of the chunk files.
+fn chunk_key(stem: &str) -> Option<(u64, u32)> {
+    let (seq, shard) = stem.split_once('-')?;
+    Some((seq.parse().ok()?, shard.parse().ok()?))
 }
 
 /// Read the checksummed frame line a snapshot/manifest/chunk file holds.
@@ -755,6 +731,7 @@ fn read_frame_body(path: &Path) -> Result<String, PersistError> {
     Ok(body)
 }
 
+/// The legacy v1 reader: the whole state as one frame.
 fn load_snapshot(path: &Path) -> Result<Snapshot, PersistError> {
     let body = read_frame_body(path)?;
     let snapshot: Snapshot = serde_json::from_str(&body)
@@ -810,64 +787,6 @@ fn newest_manifest(dir: &Path) -> Option<Manifest> {
         PointFile::V2(path) => load_manifest(path).ok(),
         PointFile::V1(_) => None,
     })
-}
-
-/// All recovery points (v1 snapshot files and v2 manifests) in the
-/// directory, ascending by seq.
-fn list_points(dir: &Path) -> Result<Vec<(u64, PointFile)>, PersistError> {
-    let mut found: Vec<(u64, PointFile)> = list_snapshots(dir)?
-        .into_iter()
-        .map(|(seq, path)| (seq, PointFile::V1(path)))
-        .collect();
-    for entry in read_dir_entries(dir)? {
-        let Some(name) = entry.file_name().to_str().map(str::to_string) else {
-            continue;
-        };
-        let Some(stem) = name
-            .strip_prefix("manifest-")
-            .and_then(|s| s.strip_suffix(".json"))
-        else {
-            continue;
-        };
-        let Ok(seq) = stem.parse::<u64>() else {
-            continue;
-        };
-        found.push((seq, PointFile::V2(entry.path())));
-    }
-    found.sort_by_key(|(seq, _)| *seq);
-    Ok(found)
-}
-
-/// All shard chunk files in the directory as `(seq, shard, path)`.
-fn list_chunks(dir: &Path) -> Result<Vec<(u64, u32, PathBuf)>, PersistError> {
-    let mut found = Vec::new();
-    for entry in read_dir_entries(dir)? {
-        let Some(name) = entry.file_name().to_str().map(str::to_string) else {
-            continue;
-        };
-        let Some(stem) = name
-            .strip_prefix("shard-")
-            .and_then(|s| s.strip_suffix(".json"))
-        else {
-            continue;
-        };
-        let Some((seq, shard)) = stem.split_once('-') else {
-            continue;
-        };
-        let (Ok(seq), Ok(shard)) = (seq.parse::<u64>(), shard.parse::<u32>()) else {
-            continue;
-        };
-        found.push((seq, shard, entry.path()));
-    }
-    Ok(found)
-}
-
-fn read_dir_entries(dir: &Path) -> Result<Vec<std::fs::DirEntry>, PersistError> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| PersistError::io(format!("list state dir {}", dir.display()), e))?;
-    entries
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| PersistError::io(format!("list state dir {}", dir.display()), e))
 }
 
 /// Load one recovery point into a full [`Snapshot`], whichever format it
@@ -935,7 +854,6 @@ fn materialize_manifest(dir: &Path, manifest: &Manifest) -> Result<Snapshot, Per
         base_elements: entries.iter().map(|e| e.base).collect(),
         last_screen: manifest.last_screen.clone(),
         variant: manifest.variant,
-        dirty_shards: None,
     };
     snapshot.validate()?;
     Ok(snapshot)
@@ -944,6 +862,10 @@ fn materialize_manifest(dir: &Path, manifest: &Manifest) -> Result<Snapshot, Per
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::Pipeline;
+    use crate::server::ServiceState;
+    use crate::testkit::SplitMix64;
+    use kessler_core::ScreeningConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -956,8 +878,12 @@ mod tests {
     }
 
     fn spec(id: u64) -> ElementsSpec {
+        spec_a(7_000.0 + id as f64)
+    }
+
+    fn spec_a(a: f64) -> ElementsSpec {
         ElementsSpec {
-            a: 7_000.0 + id as f64,
+            a,
             e: 0.001,
             incl: 0.9,
             raan: 1.0,
@@ -973,13 +899,16 @@ mod tests {
         }
     }
 
-    fn snapshot_at(wal_seq: u64, n: u64) -> Snapshot {
+    /// Satellites `0..alts.len()` at the given semi-major axes, nothing
+    /// screened yet.
+    fn snapshot_of(wal_seq: u64, alts: &[f64]) -> Snapshot {
+        let n = alts.len() as u64;
         Snapshot {
             version: SNAPSHOT_VERSION,
             wal_seq,
             epoch: n,
             ids: (0..n).collect(),
-            elements: (0..n).map(spec).collect(),
+            elements: alts.iter().map(|&a| spec_a(a)).collect(),
             generations: (1..=n).collect(),
             changed: (0..n as u32).collect(),
             window_start: 0.0,
@@ -989,20 +918,73 @@ mod tests {
             conjunctions: Vec::new(),
             requests_served: n,
             time: 0.0,
-            base_elements: (0..n).map(spec).collect(),
+            base_elements: alts.iter().map(|&a| spec_a(a)).collect(),
             last_screen: None,
             variant: Variant::Grid,
-            dirty_shards: None,
         }
     }
 
+    /// The catalog the first `n` [`add`] records build.
+    fn snapshot_at(wal_seq: u64, n: u64) -> Snapshot {
+        let alts: Vec<f64> = (0..n).map(|id| spec(id).a).collect();
+        snapshot_of(wal_seq, &alts)
+    }
+
+    /// A dirty set naming every shard of an `n`-shard layout.
+    fn all(n: u32) -> BTreeSet<u32> {
+        (0..n).collect()
+    }
+
+    fn dirty(shards: &[u32]) -> BTreeSet<u32> {
+        shards.iter().copied().collect()
+    }
+
+    /// No `--shards`: the 1×1 layout.
     fn options(dir: &Path) -> PersistOptions {
         PersistOptions {
-            dir: dir.to_path_buf(),
             snapshot_every: 1_000_000, // tests snapshot explicitly
-            keep_snapshots: 2,
-            shards: None,
+            ..PersistOptions::new(dir)
         }
+    }
+
+    /// Two altitude bands (edge at 7750 km), one |z| shell: shard 0 holds
+    /// everything below the edge, shard 1 everything above.
+    fn sharded_options(dir: &Path) -> PersistOptions {
+        PersistOptions {
+            shards: Some(ShardSpec {
+                alt_bands: 2,
+                z_shells: 1,
+                r_min_km: 6_500.0,
+                r_max_km: 9_000.0,
+            }),
+            ..options(dir)
+        }
+    }
+
+    /// What builds before the one-layout writer left behind: the whole
+    /// state as a single `snapshot-<seq>.json` frame. Nothing in the crate
+    /// writes this any more, so the legacy-reader tests write it by hand.
+    fn write_v1(dir: &Path, snapshot: &Snapshot) {
+        let body = serde_json::to_string(snapshot).unwrap();
+        let mut line = wal::encode_frame(snapshot.wal_seq, &body);
+        line.push('\n');
+        std::fs::create_dir_all(dir).unwrap();
+        let name = format!("snapshot-{:020}.json", snapshot.wal_seq);
+        std::fs::write(dir.join(name), line).unwrap();
+    }
+
+    /// Seqs of the recovery points on disk, ascending.
+    fn point_seqs(dir: &Path) -> Vec<u64> {
+        let points = list_points(dir).unwrap();
+        points.iter().map(|(seq, _)| *seq).collect()
+    }
+
+    /// `(seq, shard)` of the chunk files on disk, ascending.
+    fn chunk_keys(dir: &Path) -> Vec<(u64, u32)> {
+        let chunks = scan(dir, "shard-", chunk_key).unwrap();
+        let mut keys: Vec<_> = chunks.into_iter().map(|(key, _)| key).collect();
+        keys.sort();
+        keys
     }
 
     #[test]
@@ -1035,14 +1017,11 @@ mod tests {
             for j in 0..3u64 {
                 persister.append(&add(round * 3 + j)).unwrap();
             }
-            persister
-                .write_snapshot(&snapshot_at(persister.last_seq(), (round + 1) * 3))
-                .unwrap();
+            let snapshot = snapshot_at(persister.last_seq(), (round + 1) * 3);
+            persister.write_snapshot(&snapshot, &all(1)).unwrap();
         }
-        let listed = list_snapshots(&dir).unwrap();
-        assert_eq!(listed.len(), 2, "rotation keeps two snapshots");
-        assert_eq!(listed[0].0, 9);
-        assert_eq!(listed[1].0, 12);
+        assert_eq!(point_seqs(&dir), vec![9, 12], "rotation keeps two");
+        assert_eq!(chunk_keys(&dir), vec![(9, 0), (12, 0)]);
 
         let (_, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         let snapshot = recovery.snapshot.expect("newest snapshot");
@@ -1059,16 +1038,19 @@ mod tests {
         // Snapshot at seq 2, then at seq 4; then two more appends.
         persister.append(&add(0)).unwrap();
         persister.append(&add(1)).unwrap();
-        persister.write_snapshot(&snapshot_at(2, 2)).unwrap();
+        persister
+            .write_snapshot(&snapshot_at(2, 2), &all(1))
+            .unwrap();
         persister.append(&add(2)).unwrap();
         persister.append(&add(3)).unwrap();
-        persister.write_snapshot(&snapshot_at(4, 4)).unwrap();
+        persister
+            .write_snapshot(&snapshot_at(4, 4), &all(1))
+            .unwrap();
         persister.append(&add(4)).unwrap();
         drop(persister);
 
-        // Vandalise the newest snapshot.
-        let newest = dir.join(format!("snapshot-{:020}.json", 4));
-        std::fs::write(&newest, "XXXX not a snapshot XXXX").unwrap();
+        // Vandalise the newest manifest.
+        std::fs::write(manifest_path(&dir, 4), "XXXX not a manifest XXXX").unwrap();
 
         let (_, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         assert_eq!(recovery.corrupt_snapshots, 1);
@@ -1111,14 +1093,16 @@ mod tests {
         let (mut persister, _) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         persister.append(&add(0)).unwrap();
         persister.append(&add(1)).unwrap();
-        persister.write_snapshot(&snapshot_at(2, 2)).unwrap();
+        persister
+            .write_snapshot(&snapshot_at(2, 2), &all(1))
+            .unwrap();
         persister.append(&add(2)).unwrap();
         drop(persister);
 
-        // Forge a newer snapshot whose last-screen total is 1e300 ms:
-        // finite, non-negative, checksummed — but past what Duration can
-        // hold. Recovery must reject the body (not panic in serde) and
-        // fall back to the snapshot at seq 2.
+        // Forge a newer (legacy v1) snapshot whose last-screen total is
+        // 1e300 ms: finite, non-negative, checksummed — but past what
+        // Duration can hold. Recovery must reject the body (not panic in
+        // serde) and fall back to the snapshot at seq 2.
         let mut forged = snapshot_at(3, 2);
         forged.last_screen = Some(LastScreen {
             variant: "grid".to_string(),
@@ -1238,19 +1222,21 @@ mod tests {
 
         faults.arm_snapshot_write_fail();
         persister
-            .write_snapshot(&snapshot_at(1, 1))
+            .write_snapshot(&snapshot_at(1, 1), &all(1))
             .expect_err("injected tmp-write failure");
         faults.arm_snapshot_rename_fail();
         persister
-            .write_snapshot(&snapshot_at(1, 1))
+            .write_snapshot(&snapshot_at(1, 1), &all(1))
             .expect_err("injected rename failure");
         assert!(
-            list_snapshots(&dir).unwrap().is_empty(),
+            point_seqs(&dir).is_empty(),
             "no snapshot may appear from a failed write"
         );
 
         // Un-faulted retry succeeds, and recovery reads it.
-        persister.write_snapshot(&snapshot_at(1, 1)).unwrap();
+        persister
+            .write_snapshot(&snapshot_at(1, 1), &all(1))
+            .unwrap();
         let (_, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         assert_eq!(recovery.snapshot.expect("snapshot").wal_seq, 1);
         assert!(recovery.tail.is_empty());
@@ -1272,57 +1258,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Two altitude bands (edge at 7750 km), one |z| shell: shard 0 holds
-    /// everything below the edge, shard 1 everything above.
-    fn sharded_options(dir: &Path) -> PersistOptions {
-        PersistOptions {
-            dir: dir.to_path_buf(),
-            snapshot_every: 1_000_000,
-            keep_snapshots: 2,
-            shards: Some(ShardSpec {
-                alt_bands: 2,
-                z_shells: 1,
-                r_min_km: 6_500.0,
-                r_max_km: 9_000.0,
-            }),
-        }
-    }
-
-    fn spec_a(a: f64) -> ElementsSpec {
-        ElementsSpec {
-            a,
-            e: 0.001,
-            incl: 0.9,
-            raan: 1.0,
-            argp: 0.3,
-            mean_anomaly: 0.2,
-        }
-    }
-
-    fn sharded_snapshot(wal_seq: u64, alts: &[f64], dirty: Option<Vec<u32>>) -> Snapshot {
-        let n = alts.len() as u64;
-        Snapshot {
-            version: SNAPSHOT_VERSION,
-            wal_seq,
-            epoch: n,
-            ids: (0..n).collect(),
-            elements: alts.iter().map(|&a| spec_a(a)).collect(),
-            generations: (1..=n).collect(),
-            changed: Vec::new(),
-            window_start: 0.0,
-            screened_n: None,
-            full_screens: 0,
-            delta_screens: 0,
-            conjunctions: Vec::new(),
-            requests_served: n,
-            time: 0.0,
-            base_elements: alts.iter().map(|&a| spec_a(a)).collect(),
-            last_screen: None,
-            variant: Variant::Grid,
-            dirty_shards: dirty,
-        }
-    }
-
     #[test]
     fn sharded_write_is_incremental_and_recovers_exactly() {
         let dir = temp_dir("sharded");
@@ -1334,28 +1269,27 @@ mod tests {
         for id in 0..4 {
             persister.append(&add(id)).unwrap();
         }
-        let full_bytes = persister
-            .write_snapshot(&sharded_snapshot(4, &alts, Some(vec![0, 1])))
+        let full = persister
+            .write_snapshot(&snapshot_of(4, &alts), &all(2))
             .unwrap();
-        assert!(dir.join(format!("manifest-{:020}.json", 4)).exists());
-        assert!(dir.join(format!("shard-{:020}-0000.json", 4)).exists());
-        assert!(dir.join(format!("shard-{:020}-0001.json", 4)).exists());
+        assert_eq!(point_seqs(&dir), vec![4]);
+        assert_eq!(chunk_keys(&dir), vec![(4, 0), (4, 1)]);
 
         // One more satellite lands in shard 1; the incremental write must
         // rewrite only that shard's chunk (plus the manifest).
         let alts = [7_000.0, 7_100.0, 7_200.0, 8_000.0, 8_200.0];
         persister.append(&add(4)).unwrap();
-        let incr_bytes = persister
-            .write_snapshot(&sharded_snapshot(5, &alts, Some(vec![1])))
+        let incremental = persister
+            .write_snapshot(&snapshot_of(5, &alts), &dirty(&[1]))
             .unwrap();
-        assert!(dir.join(format!("shard-{:020}-0001.json", 5)).exists());
-        assert!(
-            !dir.join(format!("shard-{:020}-0000.json", 5)).exists(),
+        assert_eq!(
+            chunk_keys(&dir),
+            vec![(4, 0), (4, 1), (5, 1)],
             "clean shard 0 must reuse its seq-4 chunk"
         );
         assert!(
-            incr_bytes < full_bytes,
-            "incremental ({incr_bytes} B) should undercut full ({full_bytes} B)"
+            incremental.bytes < full.bytes,
+            "incremental ({incremental:?}) should undercut full ({full:?})"
         );
 
         let (_, recovery) = Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
@@ -1373,6 +1307,44 @@ mod tests {
     }
 
     #[test]
+    fn written_counts_the_chunks_rewritten_not_the_set_handed_over() {
+        let dir = temp_dir("written");
+        let (mut persister, _) =
+            Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
+        let alts = [7_000.0, 8_000.0];
+        let mut seq = 0;
+        let mut write = |persister: &mut Persister, dirty: &BTreeSet<u32>| {
+            seq += 1;
+            persister.append(&add(seq)).unwrap();
+            persister
+                .write_snapshot(&snapshot_of(seq, &alts), dirty)
+                .unwrap()
+        };
+        let wrote = |chunks| (chunks, 2);
+        let counts = |w: Written| (w.chunks, w.shard_count);
+
+        // No usable predecessor: the set handed over names one shard, the
+        // persister rewrites both.
+        assert_eq!(counts(write(&mut persister, &dirty(&[1]))), wrote(2));
+        // Incremental writes rewrite exactly the dirty chunks — none, for a
+        // point whose records were all screen commits.
+        for _ in 0..FULL_MANIFEST_EVERY / 2 {
+            assert_eq!(counts(write(&mut persister, &dirty(&[1]))), wrote(1));
+            assert_eq!(counts(write(&mut persister, &dirty(&[]))), wrote(0));
+        }
+        // The full set forced after FULL_MANIFEST_EVERY incrementals.
+        assert_eq!(counts(write(&mut persister, &dirty(&[]))), wrote(2));
+        assert_eq!(counts(write(&mut persister, &dirty(&[0]))), wrote(1));
+        drop(persister);
+
+        // Relaid (here: to 1×1) there is no chunk to reuse either.
+        let (mut persister, _) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
+        let relaid = write(&mut persister, &dirty(&[]));
+        assert_eq!((relaid.chunks, relaid.shard_count), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn corrupt_newest_chunk_falls_back_to_the_previous_point() {
         let dir = temp_dir("chunkfall");
         let (mut persister, _) =
@@ -1380,27 +1352,22 @@ mod tests {
         persister.append(&add(0)).unwrap();
         persister.append(&add(1)).unwrap();
         persister
-            .write_snapshot(&sharded_snapshot(2, &[7_000.0, 8_000.0], None))
+            .write_snapshot(&snapshot_of(2, &[7_000.0, 8_000.0]), &all(2))
             .unwrap();
         persister.append(&add(2)).unwrap();
         persister.append(&add(3)).unwrap();
         persister
-            .write_snapshot(&sharded_snapshot(
-                4,
-                &[7_000.0, 8_000.0, 8_100.0, 8_200.0],
-                Some(vec![1]),
-            ))
+            .write_snapshot(
+                &snapshot_of(4, &[7_000.0, 8_000.0, 8_100.0, 8_200.0]),
+                &dirty(&[1]),
+            )
             .unwrap();
         drop(persister);
 
         // Vandalise the chunk the newest manifest just wrote. The whole
         // manifest must be skipped — a half-applied manifest would serve a
         // catalog that never existed.
-        std::fs::write(
-            dir.join(format!("shard-{:020}-0001.json", 4)),
-            "XXXX not a chunk XXXX",
-        )
-        .unwrap();
+        std::fs::write(chunk_path(&dir, 4, 1), "XXXX not a chunk XXXX").unwrap();
 
         let (_, recovery) = Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
         assert_eq!(recovery.corrupt_snapshots, 1);
@@ -1418,30 +1385,56 @@ mod tests {
     #[test]
     fn format_changes_read_across_the_sharding_switch() {
         let dir = temp_dir("xformat");
-        // Unsharded daemon writes v1 history...
-        let (mut persister, _) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
-        persister.append(&add(0)).unwrap();
-        persister.write_snapshot(&snapshot_at(1, 1)).unwrap();
-        drop(persister);
+        // A directory a pre-manifest flat daemon left: v1 history at seq 1
+        // and 2 (the WAL compacted up to the older of the two).
+        write_v1(&dir, &snapshot_at(1, 1));
+        write_v1(&dir, &snapshot_at(2, 2));
 
-        // ...which a sharded reopen recovers, and supersedes with a full
+        // A sharded reopen recovers it, and supersedes it with a full
         // manifest (a v1 file is no chunk predecessor).
         let (mut persister, recovery) =
             Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
-        assert_eq!(recovery.snapshot.expect("v1 readable").wal_seq, 1);
-        persister.append(&add(1)).unwrap();
-        persister
-            .write_snapshot(&sharded_snapshot(2, &[7_000.0, 8_000.0], Some(vec![0])))
+        assert_eq!(recovery.snapshot.expect("v1 readable").wal_seq, 2);
+        assert_eq!(persister.last_seq(), 2);
+        persister.append(&add(2)).unwrap();
+        let alts = [7_000.0, 7_001.0, 8_000.0];
+        let written = persister
+            .write_snapshot(&snapshot_of(3, &alts), &dirty(&[1]))
             .unwrap();
-        assert!(
-            dir.join(format!("shard-{:020}-0001.json", 2)).exists(),
+        assert_eq!(
+            written.chunks, 2,
             "without a manifest predecessor the write must be forced full"
         );
+        // Retention counts a v1 file as a full point: the newest two full
+        // points are v1@2 and the manifest, so v1@1 ages out…
+        assert_eq!(point_seqs(&dir), vec![2, 3]);
         drop(persister);
 
-        // ...and an unsharded reopen still reads the sharded manifest.
-        let (_, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
-        assert_eq!(recovery.snapshot.expect("v2 readable").wal_seq, 2);
+        // …and the flat fallback still works from a mixed directory.
+        std::fs::write(chunk_path(&dir, 3, 0), "XXXX not a chunk XXXX").unwrap();
+        let (mut persister, recovery) =
+            Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
+        assert_eq!(recovery.corrupt_snapshots, 1);
+        assert_eq!(recovery.snapshot.expect("v1 fallback").wal_seq, 2);
+        assert_eq!(recovery.tail, vec![add(2)]);
+
+        // An unsharded reopen relays to one chunk and reads it back; the
+        // last v1 file is reclaimed once two newer full points exist.
+        persister
+            .write_snapshot(&snapshot_of(3, &alts), &all(1))
+            .unwrap();
+        persister.append(&add(3)).unwrap();
+        let alts = [7_000.0, 7_001.0, 8_000.0, 8_001.0];
+        persister
+            .write_snapshot(&snapshot_of(4, &alts), &all(1))
+            .unwrap();
+        assert_eq!(point_seqs(&dir), vec![3, 4]);
+        let points = list_points(&dir).unwrap();
+        assert!(points.iter().all(|(_, p)| matches!(p, PointFile::V2(_))));
+        drop(persister);
+        let (_, recovery) = Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
+        let snapshot = recovery.snapshot.expect("1×1 manifest readable under 2×1");
+        assert_eq!((snapshot.wal_seq, snapshot.ids.len()), (4, 4));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1450,24 +1443,21 @@ mod tests {
         let dir = temp_dir("chunkgc");
         let (mut persister, _) =
             Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
-        // `None` dirty info = rewrite everything, so each write is a full
+        // Every shard dirty = rewrite everything, so each write is a full
         // recovery point and retention trims to the newest two.
         for round in 0..4u64 {
             persister.append(&add(round)).unwrap();
             persister
-                .write_snapshot(&sharded_snapshot(round + 1, &[7_000.0, 8_000.0], None))
+                .write_snapshot(&snapshot_of(round + 1, &[7_000.0, 8_000.0]), &all(2))
                 .unwrap();
         }
-        let points = list_points(&dir).unwrap();
-        let seqs: Vec<u64> = points.iter().map(|(seq, _)| *seq).collect();
-        assert_eq!(seqs, vec![3, 4], "two newest full manifests survive");
-        let mut chunks = list_chunks(&dir).unwrap();
-        chunks.sort();
         assert_eq!(
-            chunks
-                .iter()
-                .map(|(seq, shard, _)| (*seq, *shard))
-                .collect::<Vec<_>>(),
+            point_seqs(&dir),
+            vec![3, 4],
+            "two newest full manifests survive"
+        );
+        assert_eq!(
+            chunk_keys(&dir),
             vec![(3, 0), (3, 1), (4, 0), (4, 1)],
             "chunks of dropped manifests are reclaimed"
         );
@@ -1479,11 +1469,253 @@ mod tests {
         let dir = temp_dir("size");
         let (mut persister, _) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         persister.append(&add(0)).unwrap();
-        let bytes = persister.write_snapshot(&snapshot_at(1, 1)).unwrap();
-        let on_disk = std::fs::metadata(dir.join(format!("snapshot-{:020}.json", 1)))
-            .unwrap()
-            .len();
-        assert_eq!(bytes, on_disk);
+        let written = persister
+            .write_snapshot(&snapshot_at(1, 1), &all(1))
+            .unwrap();
+        let on_disk = |path: PathBuf| std::fs::metadata(path).unwrap().len();
+        assert_eq!(
+            written.bytes,
+            on_disk(manifest_path(&dir, 1)) + on_disk(chunk_path(&dir, 1, 0))
+        );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Field-for-field equality of two snapshots, floats by bit pattern.
+    /// (`last_screen` timings are `Duration`s that cross the wire as
+    /// fractional milliseconds, so they are held to a microsecond.)
+    fn assert_same_snapshot(got: &Snapshot, want: &Snapshot, context: &str) {
+        let spec_bits = |specs: &[ElementsSpec]| -> Vec<[u64; 6]> {
+            specs
+                .iter()
+                .map(|s| [s.a, s.e, s.incl, s.raan, s.argp, s.mean_anomaly].map(f64::to_bits))
+                .collect()
+        };
+        let pair_bits = |found: &[Conjunction]| -> Vec<(u32, u32, u64, u64)> {
+            found
+                .iter()
+                .map(|c| (c.id_lo, c.id_hi, c.tca.to_bits(), c.pca_km.to_bits()))
+                .collect()
+        };
+        assert_eq!(got.version, want.version, "{context}");
+        assert_eq!(got.wal_seq, want.wal_seq, "{context}");
+        assert_eq!(got.epoch, want.epoch, "{context}");
+        assert_eq!(got.ids, want.ids, "{context}");
+        assert_eq!(
+            spec_bits(&got.elements),
+            spec_bits(&want.elements),
+            "{context}"
+        );
+        assert_eq!(got.generations, want.generations, "{context}");
+        assert_eq!(got.changed, want.changed, "{context}");
+        assert_eq!(
+            got.window_start.to_bits(),
+            want.window_start.to_bits(),
+            "{context}"
+        );
+        assert_eq!(got.screened_n, want.screened_n, "{context}");
+        assert_eq!(got.full_screens, want.full_screens, "{context}");
+        assert_eq!(got.delta_screens, want.delta_screens, "{context}");
+        assert_eq!(
+            pair_bits(&got.conjunctions),
+            pair_bits(&want.conjunctions),
+            "{context}"
+        );
+        assert_eq!(got.requests_served, want.requests_served, "{context}");
+        assert_eq!(got.time.to_bits(), want.time.to_bits(), "{context}");
+        assert_eq!(
+            spec_bits(&got.base_elements),
+            spec_bits(&want.base_elements),
+            "{context}"
+        );
+        assert_eq!(got.variant, want.variant, "{context}");
+        assert_eq!(
+            got.last_screen.is_some(),
+            want.last_screen.is_some(),
+            "{context}"
+        );
+        if let (Some(got), Some(want)) = (&got.last_screen, &want.last_screen) {
+            assert_eq!(got.variant, want.variant, "{context}");
+            assert_eq!(got.filter_stats, want.filter_stats, "{context}");
+            let (got, want) = (got.timings, want.timings);
+            for (got, want) in [
+                (got.insertion, want.insertion),
+                (got.pair_extraction, want.pair_extraction),
+                (got.filters, want.filters),
+                (got.refinement, want.refinement),
+                (got.total, want.total),
+            ] {
+                assert!(got.abs_diff(want).as_micros() < 1, "{context}");
+            }
+        }
+    }
+
+    /// One daemon lifetime of the layout matrix, without the daemon: a
+    /// `ServiceState` (which tracks the dirty set) and a `Persister` under
+    /// the same layout, driven plan → log → apply like `handle_and_persist`
+    /// with checkpoints at a random cadence. `expected` is the in-memory
+    /// snapshot at the last checkpoint, `tail` the records logged since.
+    struct Lifetime {
+        state: ServiceState,
+        persister: Persister,
+        expected: Option<Snapshot>,
+        tail: Vec<Request>,
+    }
+
+    impl Lifetime {
+        /// Open `dir` under `layout`, hold what recovery found against
+        /// what the previous lifetime left (`expected`, `tail`), and come
+        /// up the way `Server::bind_with` does: restore, replay.
+        fn open(
+            dir: &Path,
+            layout: Option<ShardSpec>,
+            expected: Option<Snapshot>,
+            tail: Vec<Request>,
+            context: &str,
+        ) -> Lifetime {
+            let persist = PersistOptions {
+                shards: layout,
+                ..options(dir)
+            };
+            let (persister, recovery) = Persister::open(&persist, FaultPlan::inert()).unwrap();
+            assert_eq!(recovery.corrupt_snapshots, 0, "{context}");
+            assert!(recovery.torn_tail.is_none(), "{context}");
+            assert_eq!(recovery.snapshot.is_some(), expected.is_some(), "{context}");
+            if let (Some(got), Some(want)) = (&recovery.snapshot, &expected) {
+                assert_same_snapshot(got, want, context);
+            }
+            assert_eq!(recovery.tail, tail, "{context}");
+
+            let config = ScreeningConfig::grid_defaults(5.0, 120.0);
+            let pipeline = Pipeline::new(config, Variant::Grid)
+                .and_then(|p| p.with_shards(layout))
+                .unwrap();
+            let mut state = match &recovery.snapshot {
+                Some(snapshot) => ServiceState::restore(pipeline, snapshot).unwrap(),
+                None => ServiceState::with_pipeline(pipeline),
+            };
+            for request in &recovery.tail {
+                assert!(state.handle(request).ok, "{context}: replay {request:?}");
+            }
+            Lifetime {
+                state,
+                persister,
+                expected,
+                tail,
+            }
+        }
+
+        /// ADD / UPDATE (a fresh `a` and inclination, so most cross a band
+        /// or shell of the 2×1 and 8×4 layouts) / REMOVE / ADVANCE (which
+        /// moves every satellite's stored elements) / SCREEN and DELTA
+        /// (which dirty no shard and change the manifest's warm set).
+        fn generated_request(&self, rng: &mut SplitMix64) -> Request {
+            let ids = self.state.catalog().ids();
+            let elements = ElementsSpec {
+                a: 6_600.0 + 2_300.0 * rng.unit(),
+                e: 0.002 * rng.unit(),
+                incl: 0.1 + 1.4 * rng.unit(),
+                raan: std::f64::consts::TAU * rng.unit(),
+                argp: std::f64::consts::TAU * rng.unit(),
+                mean_anomaly: std::f64::consts::TAU * rng.unit(),
+            };
+            let known = |rng: &mut SplitMix64| ids[rng.below(ids.len() as u64) as usize];
+            match rng.below(12) {
+                _ if ids.is_empty() => Request::Add { id: 0, elements },
+                0..=3 => Request::Add {
+                    id: ids.iter().max().unwrap() + 1,
+                    elements,
+                },
+                4..=6 => Request::Update {
+                    id: known(rng),
+                    elements,
+                },
+                7 => Request::Remove { id: known(rng) },
+                8 => Request::Advance {
+                    dt: 1.0 + 20.0 * rng.unit(),
+                },
+                9 => Request::Screen,
+                _ => Request::Delta,
+            }
+        }
+
+        /// Plan → log → apply, as `handle_and_persist` does it.
+        fn submit(&mut self, request: Request, context: &str) {
+            self.persister.append(&request).unwrap();
+            assert!(self.state.handle(&request).ok, "{context}: {request:?}");
+            self.tail.push(request);
+        }
+
+        fn run(&mut self, rng: &mut SplitMix64, steps: usize, context: &str) {
+            for step in 0..steps {
+                let request = self.generated_request(rng);
+                self.submit(request, &format!("{context} step {step}"));
+                if rng.below(4) == 0 {
+                    self.state.checkpoint(&mut self.persister).unwrap();
+                    self.expected = Some(self.state.snapshot(self.persister.last_seq()));
+                    self.tail.clear();
+                }
+            }
+        }
+
+        /// Die, leaving what a crash mid-checkpoint leaves: half-written
+        /// `.tmp` files and a chunk no manifest references.
+        fn crash(self, dir: &Path) -> (Option<Snapshot>, Vec<Request>) {
+            let next = self.persister.last_seq() + 1;
+            drop(self.persister);
+            let debris = |name: String| std::fs::write(dir.join(name), "{\"seq\":").unwrap();
+            debris(format!("manifest-{next:020}.json.tmp"));
+            debris(format!("shard-{next:020}-0000.json.tmp"));
+            debris(format!("shard-{next:020}-0000.json"));
+            (self.expected, self.tail)
+        }
+    }
+
+    #[test]
+    fn every_layout_recovers_what_every_layout_wrote() {
+        let spec = |alt_bands, z_shells| {
+            Some(ShardSpec {
+                alt_bands,
+                z_shells,
+                ..ShardSpec::default()
+            })
+        };
+        let layouts = [None, spec(1, 1), spec(2, 1), spec(8, 4)];
+        for seed in 1..=3u64 {
+            for (w, written_under) in layouts.iter().enumerate() {
+                for (r, reopened_under) in layouts.iter().enumerate() {
+                    let context = format!("seed {seed}, layout {w} reopened under layout {r}");
+                    let mut rng = SplitMix64(seed);
+                    let dir = temp_dir("matrix");
+
+                    let mut first = Lifetime::open(&dir, *written_under, None, vec![], &context);
+                    // Two satellites that cross within the window, so the
+                    // manifests carry a non-empty warm set.
+                    for (id, incl, mean_anomaly) in [(0, 0.5, 6.1185), (1, 1.3, 6.1187)] {
+                        let elements = ElementsSpec {
+                            incl,
+                            raan: 0.3,
+                            argp: 0.1,
+                            mean_anomaly,
+                            ..spec_a(7_000.0)
+                        };
+                        first.submit(Request::Add { id, elements }, &context);
+                    }
+                    first.submit(Request::Screen, &context);
+                    assert_eq!(first.state.engine().conjunction_count(), 1, "{context}");
+                    first.run(&mut rng, 24, &context);
+                    let (expected, tail) = first.crash(&dir);
+
+                    // The relaid daemon recovers the other layout's
+                    // points, then writes its own on top of them.
+                    let mut second =
+                        Lifetime::open(&dir, *reopened_under, expected, tail, &context);
+                    second.run(&mut rng, 24, &context);
+                    let (expected, tail) = second.crash(&dir);
+
+                    Lifetime::open(&dir, *reopened_under, expected, tail, &context);
+                    let _ = std::fs::remove_dir_all(&dir);
+                }
+            }
+        }
     }
 }

@@ -67,16 +67,14 @@ pub(crate) fn attempt_recovery(shared: &Shared) -> Result<(), PersistError> {
     let mut state = shared.state.lock();
     let mut persister = persist.lock();
     persister.probe()?;
-    let snapshot = state.snapshot(persister.last_seq());
     let started = Instant::now();
-    let bytes = persister.write_snapshot(&snapshot)?;
+    let written = state.checkpoint(&mut persister)?;
     drop(persister);
-    state.note_snapshot_written();
     drop(state);
     shared
         .metrics
         .lock()
-        .record_snapshot(started.elapsed(), bytes);
+        .record_snapshot(started.elapsed(), &written);
     Ok(())
 }
 

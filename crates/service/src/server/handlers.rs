@@ -242,18 +242,14 @@ pub(crate) fn finish_record(
         if adopted && !shared.is_degraded() {
             let mut persister = persist.lock();
             if persister.should_snapshot() {
-                let snapshot = state.snapshot(persister.last_seq());
                 let snapshot_started = Instant::now();
-                match persister.write_snapshot(&snapshot) {
-                    Ok(bytes) => {
+                match state.checkpoint(&mut persister) {
+                    Ok(written) => {
                         drop(persister);
-                        let dirtied = snapshot.dirty_shards.as_ref().map(|d| d.len());
-                        state.note_snapshot_written();
-                        let mut metrics = shared.metrics.lock();
-                        metrics.record_snapshot(snapshot_started.elapsed(), bytes);
-                        if let Some(dirtied) = dirtied {
-                            metrics.record_dirty_shards(dirtied);
-                        }
+                        shared
+                            .metrics
+                            .lock()
+                            .record_snapshot(snapshot_started.elapsed(), &written);
                     }
                     Err(err) => {
                         let wal_bytes = persister.wal_size();

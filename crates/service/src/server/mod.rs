@@ -68,8 +68,8 @@
 //! mid-screen becomes an ERROR response instead of a dead worker; if a
 //! worker thread dies anyway, its supervisor respawns it.
 //!
-//! Everything is std networking plus the workspace's existing concurrency
-//! crates — no async runtime, no protocol framework.
+//! Everything is std networking and `std::sync` — no async runtime, no
+//! protocol framework.
 
 mod conn;
 mod degraded;
@@ -81,11 +81,11 @@ pub use conn::{request, request_with_timeout, Client};
 
 use crate::catalog::{Catalog, CatalogError, Removal};
 use crate::delta::{apply_removal_to_pairs, check_advance_dt, DeltaEngine, Pipeline};
-use crate::error::ServiceError;
+use crate::error::{PersistError, ServiceError};
 use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
-use crate::persist::{PersistOptions, Persister, Snapshot, SNAPSHOT_VERSION};
+use crate::persist::{PersistOptions, Persister, Snapshot, Written, SNAPSHOT_VERSION};
 use crate::proto::{
     AdvanceAck, CatalogAck, ElementsSpec, LastScreen, Request, Response, ScreenSummary,
     ShardSummary, StatusInfo,
@@ -138,8 +138,8 @@ pub struct ServerOptions {
     pub metrics_every: Option<Duration>,
     /// Screening variant the daemon serves with (grid or hybrid).
     pub variant: Variant,
-    /// Partition candidate extraction (and snapshots) by orbital regime.
-    /// `None` serves the 1×1 layout (and writes monolithic snapshots).
+    /// Partition candidate extraction (and snapshot chunks) by orbital
+    /// regime. `None` serves the 1×1 layout: one grid, one chunk.
     pub shards: Option<ShardSpec>,
     /// First persistence re-probe delay after entering degraded mode;
     /// doubles (with jitter) up to [`ServerOptions::probe_max`].
@@ -211,8 +211,9 @@ pub struct ServiceState {
     /// `true` when this state came out of snapshot/WAL recovery.
     recovered: bool,
     /// Shards (by the pipeline's static assignment) whose membership
-    /// changed since the last snapshot write. The persister only rewrites
-    /// chunk files for these.
+    /// changed since the last checkpoint, under every layout — the one
+    /// shard of 1×1 included. The persister only rewrites chunk files for
+    /// these.
     dirty_shards: BTreeSet<u32>,
 }
 
@@ -289,10 +290,20 @@ impl ServiceState {
         self.dirty_shards.extend(0..shard_count);
     }
 
-    /// Called after a successful snapshot write (under the state lock):
-    /// every dirtied shard now has a fresh chunk on disk.
-    pub fn note_snapshot_written(&mut self) {
+    /// The one snapshot protocol, for startup, the `snapshot_every`
+    /// cadence and degraded-mode recovery alike: capture the state at the
+    /// persister's last seq, write it with the shards dirtied since the
+    /// previous checkpoint, and on success start tracking afresh — every
+    /// dirtied shard now has a fresh chunk on disk. Returns what was
+    /// written; a failed write leaves the dirty set as it was.
+    pub(crate) fn checkpoint(
+        &mut self,
+        persister: &mut Persister,
+    ) -> Result<Written, PersistError> {
+        let snapshot = self.snapshot(persister.last_seq());
+        let written = persister.write_snapshot(&snapshot, &self.dirty_shards)?;
         self.dirty_shards.clear();
+        Ok(written)
     }
 
     pub fn catalog(&self) -> &Catalog {
@@ -334,10 +345,6 @@ impl ServiceState {
                 .map(ElementsSpec::from_elements)
                 .collect(),
             last_screen: self.engine.last_screen().cloned(),
-            // One shard is one chunk: "dirty" says nothing a full write
-            // does not, and a monolithic snapshot has no chunks at all.
-            dirty_shards: (self.engine.pipeline().shard_map().shard_count() > 1)
-                .then(|| self.dirty_shards.iter().copied().collect()),
         }
     }
 
@@ -748,9 +755,7 @@ impl Server {
                     state.recovered = true;
                     // Fold the replay into a fresh snapshot so the next
                     // restart starts from here.
-                    let snapshot = state.snapshot(p.last_seq());
-                    p.write_snapshot(&snapshot)?;
-                    state.note_snapshot_written();
+                    state.checkpoint(&mut p)?;
                 }
                 recovery_summary = Some(RecoverySummary {
                     snapshot_seq: recovery.snapshot.as_ref().map(|s| s.wal_seq),
@@ -949,6 +954,7 @@ mod tests {
     use super::conn::{read_bounded_line, LineOutcome};
     use super::*;
     use crate::delta::{DELTA_VARIANT, HYBRID_DELTA_VARIANT};
+    use crate::testkit::SplitMix64;
     use std::collections::BTreeMap;
     use std::path::PathBuf;
 
@@ -997,30 +1003,6 @@ mod tests {
         assert!(r.ok);
         let r = state.handle(&Request::Remove { id: 7 });
         assert!(!r.ok, "double remove must fail");
-    }
-
-    /// splitmix64 (Steele, Lea & Flood): the whole generator state is one
-    /// `u64`, so a failing sequence replays from the seed its assertion
-    /// message prints.
-    struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
-        /// Uniform in `[0, 1)`.
-        fn unit(&mut self) -> f64 {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
     }
 
     const MAX_SATS: u64 = 64;

@@ -154,6 +154,13 @@ impl ShardMap {
         .expect("the 1×1 layout over the default radii is valid")
     }
 
+    /// The layout an optional `--shards` choice names — `None` is the 1×1
+    /// layout, and this is the one place that is decided, for extraction
+    /// and persistence alike.
+    pub(crate) fn for_layout(shards: Option<ShardSpec>) -> Result<ShardMap, ServiceError> {
+        shards.map_or_else(|| Ok(ShardMap::single()), ShardMap::new)
+    }
+
     pub fn spec(&self) -> ShardSpec {
         self.spec
     }

@@ -127,19 +127,19 @@ fn dead_worker_is_respawned_by_the_supervisor() {
     handle.shutdown();
 }
 
-fn newest_snapshot(dir: &Path) -> PathBuf {
-    let mut snapshots: Vec<PathBuf> = std::fs::read_dir(dir)
+fn newest_manifest(dir: &Path) -> PathBuf {
+    let mut manifests: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("state dir")
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| {
             p.file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("snapshot-") && n.ends_with(".json"))
+                .is_some_and(|n| n.starts_with("manifest-") && n.ends_with(".json"))
         })
         .collect();
-    snapshots.sort();
-    snapshots.pop().expect("at least one snapshot")
+    manifests.sort();
+    manifests.pop().expect("at least one manifest")
 }
 
 #[test]
@@ -164,9 +164,9 @@ fn corrupt_newest_snapshot_falls_back_to_the_previous_one() {
         .unwrap();
     handle.shutdown();
 
-    // Vandalise the newest snapshot; the one before it plus the WAL must
-    // carry the daemon to the exact same state.
-    std::fs::write(newest_snapshot(&dir), b"garbage, not a snapshot").expect("corrupt snapshot");
+    // Vandalise the newest snapshot's manifest; the one before it plus the
+    // WAL must carry the daemon to the exact same state.
+    std::fs::write(newest_manifest(&dir), b"garbage, not a manifest").expect("corrupt snapshot");
 
     let handle = serve(options());
     let recovered = request(handle.addr(), &Request::Status)

@@ -5,6 +5,8 @@
 //! (same variant), cold (variant changed), or defaulted to grid
 //! (pre-variant snapshot).
 
+mod common;
+
 use kessler_core::{ScreeningConfig, Variant};
 use kessler_population::{PopulationConfig, PopulationGenerator};
 use kessler_service::proto::ScreenSummary;
@@ -75,7 +77,7 @@ fn persist_options(dir: &Path) -> PersistOptions {
     }
 }
 
-/// Newest snapshot file in a state directory, by WAL sequence.
+/// Newest legacy (v1) snapshot file in a state directory, by WAL sequence.
 fn newest_snapshot(dir: &Path) -> PathBuf {
     std::fs::read_dir(dir)
         .expect("list state dir")
@@ -372,25 +374,16 @@ fn grid_snapshot_restarted_as_hybrid_comes_back_cold() {
 
 /// Snapshots written before the `variant` field existed have no say in
 /// what they were screened with — they were always grid. A snapshot with
-/// the field stripped must recover warm on a grid daemon.
+/// the field stripped must recover warm on a grid daemon. Only the legacy
+/// v1 format ever lacked the field, so the directory is (a copy of) the
+/// `parent_flat` golden fixture, whose newest snapshot holds one live
+/// conjunction and is followed by a DELTA in the WAL tail.
 #[test]
 fn pre_variant_snapshot_recovers_as_grid() {
     let dir = temp_dir("pre-variant");
-
-    let options = ServerOptions {
-        persist: Some(persist_options(&dir)),
-        ..ServerOptions::default()
-    };
-    let daemon_a = Server::bind_with("127.0.0.1:0", config_for(Variant::Grid, 120.0), options)
-        .expect("bind grid daemon")
-        .spawn()
-        .expect("spawn server thread");
-    drive_adds_and_screen(daemon_a.addr(), 16);
-    let status_a = request(daemon_a.addr(), &Request::Status)
-        .expect("STATUS")
-        .status
-        .unwrap();
-    daemon_a.shutdown();
+    common::copy_fixture("parent_flat", &dir);
+    let status_a = common::fixture_status("parent_flat");
+    assert_eq!(status_a.live_conjunctions, 1, "fixture lost its pair");
 
     // Forge a pre-variant snapshot: strip the field, re-frame, rewrite.
     let path = newest_snapshot(&dir);
@@ -413,9 +406,14 @@ fn pre_variant_snapshot_recovers_as_grid() {
         ..ServerOptions::default()
     };
     let daemon_b = Server::bind_with("127.0.0.1:0", config_for(Variant::Grid, 120.0), options)
-        .expect("bind over pre-variant snapshot")
-        .spawn()
-        .expect("spawn server thread");
+        .expect("bind over pre-variant snapshot");
+    let recovery = daemon_b.recovery().expect("persistent daemon").clone();
+    assert_eq!(
+        (recovery.snapshot_seq, recovery.corrupt_snapshots),
+        (Some(seq), 0),
+        "the forged snapshot is the one recovered"
+    );
+    let daemon_b = daemon_b.spawn().expect("spawn server thread");
 
     let status_b = request(daemon_b.addr(), &Request::Status)
         .expect("STATUS")
@@ -424,7 +422,9 @@ fn pre_variant_snapshot_recovers_as_grid() {
     assert!(status_b.recovered);
     assert_eq!(status_b.variant, "grid");
     assert_eq!(status_b.n_satellites, status_a.n_satellites);
+    // A cold restore would replay the tail's DELTA as a full screen.
     assert_eq!(status_b.full_screens, status_a.full_screens);
+    assert_eq!(status_b.delta_screens, status_a.delta_screens);
     assert_eq!(
         status_b.live_conjunctions, status_a.live_conjunctions,
         "a pre-variant snapshot matches a grid daemon: warm set restores"

@@ -37,7 +37,7 @@ fn config() -> ScreeningConfig {
     ScreeningConfig::grid_defaults(5.0, 120.0)
 }
 
-fn serve_persistent(dir: &Path, snapshot_every: u64) -> ServerHandle {
+fn bind_persistent(dir: &Path, snapshot_every: u64) -> Server {
     let options = ServerOptions {
         persist: Some(PersistOptions {
             dir: dir.to_path_buf(),
@@ -47,8 +47,11 @@ fn serve_persistent(dir: &Path, snapshot_every: u64) -> ServerHandle {
         }),
         ..ServerOptions::default()
     };
-    Server::bind_with("127.0.0.1:0", config(), options)
-        .expect("bind persistent server")
+    Server::bind_with("127.0.0.1:0", config(), options).expect("bind persistent server")
+}
+
+fn serve_persistent(dir: &Path, snapshot_every: u64) -> ServerHandle {
+    bind_persistent(dir, snapshot_every)
         .spawn()
         .expect("spawn server thread")
 }
@@ -70,6 +73,16 @@ fn drive(addr: SocketAddr, requests: &[Request]) -> Vec<Response> {
             response
         })
         .collect()
+}
+
+/// File names in a state directory, sorted.
+fn names_in(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("state dir")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 fn status_of(addr: SocketAddr) -> StatusInfo {
@@ -128,6 +141,29 @@ fn restart_resumes_warm_and_matches_uninterrupted() {
     drive(daemon_a.addr(), &script);
     let final_a = status_of(daemon_a.addr());
     daemon_a.shutdown();
+
+    // Flat is the 1×1 layout, not a format of its own: the directory
+    // holds manifests and single-shard chunks, and no legacy v1 snapshot.
+    let names = names_in(&dir);
+    assert!(
+        names.iter().any(|n| n.starts_with("manifest-")),
+        "no manifest written: {names:?}"
+    );
+    assert!(
+        names.iter().any(|n| n.starts_with("shard-")),
+        "no chunk written: {names:?}"
+    );
+    assert!(
+        names
+            .iter()
+            .filter(|n| n.starts_with("shard-"))
+            .all(|n| n.ends_with("-0000.json")),
+        "a flat daemon has one shard: {names:?}"
+    );
+    assert!(
+        !names.iter().any(|n| n.starts_with("snapshot-")),
+        "flat daemon wrote a v1 snapshot: {names:?}"
+    );
 
     // Daemon B: restart from the state directory. No script — everything
     // must come back from snapshot + WAL replay.
@@ -272,5 +308,61 @@ fn restart_after_restart_is_stable() {
     assert_eq!(durable_key(&second), durable_key(&third));
     assert!(!first.recovered);
     assert!(second.recovered && third.recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checkpoint_of_screen_commits_alone_rewrites_no_chunk() {
+    // The dirty set is tracked under every layout, so a flat daemon whose
+    // records since the last snapshot are all SCREEN / DELTA commits —
+    // which change the warm set, never the catalog — writes a
+    // manifest-only point that references the chunk it already has, and
+    // recovers from it.
+    let dir = temp_dir("manifest-only");
+    let adds: Vec<Request> = (0..4u64)
+        .map(|id| Request::Add {
+            id,
+            elements: spec_for(id),
+        })
+        .collect();
+    let screens = [
+        Request::Screen,
+        Request::Delta,
+        Request::Screen,
+        Request::Delta,
+    ];
+
+    let daemon = serve_persistent(&dir, 4);
+    drive(daemon.addr(), &adds);
+    let manifest_at = |seq: u64| format!("manifest-{seq:020}.json");
+    let chunk_at = |seq: u64| format!("shard-{seq:020}-0000.json");
+    assert_eq!(
+        names_in(&dir),
+        vec![manifest_at(4), chunk_at(4), "wal.log".to_string()]
+    );
+    drive(daemon.addr(), &screens);
+    assert_eq!(
+        names_in(&dir),
+        vec![
+            manifest_at(4),
+            manifest_at(8),
+            chunk_at(4),
+            "wal.log".to_string()
+        ],
+        "the seq-8 point must reuse the seq-4 chunk"
+    );
+    let before = status_of(daemon.addr());
+    daemon.shutdown();
+
+    let server = bind_persistent(&dir, 4);
+    let recovery = server.recovery().expect("persistent daemon").clone();
+    assert_eq!(recovery.snapshot_seq, Some(8), "manifest-only point used");
+    assert_eq!((recovery.replayed, recovery.corrupt_snapshots), (0, 0));
+    let daemon = server.spawn().expect("spawn server thread");
+    let after = status_of(daemon.addr());
+    assert_eq!(durable_key(&after), durable_key(&before));
+    assert_eq!(after.full_screens, 2);
+    assert_eq!(after.n_satellites, 4);
+    daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,9 +1,11 @@
-//! Crash-recovery end-to-end tests for the sharded persistence format:
-//! a daemon writing incremental per-shard snapshots must restart into
-//! exactly the state an uninterrupted daemon holds, fall back to the
-//! previous recovery point when its newest shard chunk is corrupt, and
-//! read pre-sharding (v1) snapshot directories unchanged — including the
-//! flat and sharded directories an earlier commit's binary left behind.
+//! Crash-recovery end-to-end tests for sharded layouts: a daemon writing
+//! incremental per-shard snapshots must restart into exactly the state an
+//! uninterrupted daemon holds, fall back to the previous recovery point
+//! when its newest shard chunk is corrupt, and read legacy (v1) snapshot
+//! directories unchanged — the flat and sharded directories an earlier
+//! commit's binary left behind.
+
+mod common;
 
 use kessler_core::ScreeningConfig;
 use kessler_service::proto::{ElementsSpec, StatusInfo};
@@ -184,7 +186,7 @@ fn sharded_restart_resumes_warm_and_matches_uninterrupted() {
     daemon_a.shutdown();
 
     // The sharded layout actually landed on disk: a manifest plus
-    // per-shard chunk files, no monolithic v1 snapshots.
+    // per-shard chunk files, no legacy v1 snapshots.
     let names: Vec<String> = std::fs::read_dir(&dir)
         .expect("state dir")
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -248,25 +250,24 @@ fn pre_sharding_snapshots_recover_under_sharded_options() {
     let dir = temp_dir("v1-upgrade");
     let shards = Some(ShardSpec::default());
 
-    // Daemon A runs unsharded and leaves v1 monolithic snapshots.
-    let daemon_a = serve(&dir, None, 4);
-    drive(daemon_a.addr(), &script());
-    let final_a = status_of(daemon_a.addr());
-    daemon_a.shutdown();
+    // Daemon A ran unsharded, before the one-layout writer, and left v1
+    // monolithic snapshots: the `parent_flat` golden directory.
+    common::copy_fixture("parent_flat", &dir);
+    let final_a = common::fixture_status("parent_flat");
     let names: Vec<String> = std::fs::read_dir(&dir)
         .expect("state dir")
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .collect();
     assert!(
         names.iter().any(|n| n.starts_with("snapshot-")),
-        "unsharded daemon should write v1 snapshots: {names:?}"
+        "the flat fixture should hold v1 snapshots: {names:?}"
     );
 
     // Daemon B restarts the same directory with sharding enabled: the v1
     // snapshot must materialize, and the daemon must serve identically.
     // (The control daemon is sharded too — sharded and unsharded screens
     // are exactly equal, which tests/delta_correctness.rs pins down.)
-    assert_restart_matches(&dir, shards, &final_a, &script());
+    assert_restart_matches(&dir, shards, &final_a, &golden_script());
 
     // Mutate past the snapshot cadence so daemon C writes v2 files into
     // the formerly-v1 directory, then prove a further restart reads the
@@ -312,20 +313,10 @@ fn pre_sharding_snapshots_recover_under_sharded_options() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Formats are a contract with the directories already on disk. The two
-/// fixture directories under `tests/fixtures/` were written by the
-/// `kessler serve --threshold 5 --span 120 --snapshot-every 7` binary of
-/// commit a695b38 (flat, and `--shards 2x2`), driven over the wire with two
+/// What the daemons that wrote the golden fixtures were driven with: two
 /// crossing satellites (ids 100, 101 — the one live conjunction) followed
-/// by [`script`]; `<name>.status.json` is that daemon's last STATUS
-/// response. Each holds snapshots at WAL seq 21 and 28 and a four-record
-/// tail (DELTA, ADVANCE, ADD, ADD). Today's daemon must recover them to
-/// that STATUS and to the state of a control that ran the same script
-/// uninterrupted. A deliberate format change regenerates the fixtures with
-/// the last binary that wrote the old format — it does not edit them.
-#[test]
-fn directories_written_by_an_earlier_commit_recover_unchanged() {
-    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+/// by [`script`].
+fn golden_script() -> Vec<Request> {
     let crossing = |id: u64, incl: f64, mean_anomaly: f64| Request::Add {
         id,
         elements: ElementsSpec {
@@ -339,7 +330,23 @@ fn directories_written_by_an_earlier_commit_recover_unchanged() {
     };
     let mut golden_script = vec![crossing(100, 0.5, 6.1185), crossing(101, 1.3, 6.1187)];
     golden_script.extend(script());
+    golden_script
+}
 
+/// Formats are a contract with the directories already on disk. The two
+/// fixture directories under `tests/fixtures/` were written by the
+/// `kessler serve --threshold 5 --span 120 --snapshot-every 7` binary of
+/// commit a695b38 (flat — the legacy v1 format nothing writes any more —
+/// and `--shards 2x2`), driven over the wire with [`golden_script`];
+/// `<name>.status.json` is that daemon's last STATUS response. Each holds
+/// snapshots at WAL seq 21 and 28 and a four-record tail (DELTA, ADVANCE,
+/// ADD, ADD). Today's daemon must recover them to that STATUS and to the
+/// state of a control that ran the same script uninterrupted. A deliberate
+/// format change regenerates the fixtures with the last binary that wrote
+/// the old format — it does not edit them, and no test serves them in
+/// place (CI diffs the fixture tree after the suite).
+#[test]
+fn directories_written_by_an_earlier_commit_recover_unchanged() {
     let two_by_two = ShardSpec {
         alt_bands: 2,
         z_shells: 2,
@@ -348,23 +355,14 @@ fn directories_written_by_an_earlier_commit_recover_unchanged() {
     for (name, shards) in [("parent_flat", None), ("parent_sharded", Some(two_by_two))] {
         // Recovery writes into the directory, so work on a copy.
         let dir = temp_dir(name);
-        std::fs::create_dir_all(&dir).expect("create state dir");
-        for entry in std::fs::read_dir(fixtures.join(name)).expect("fixture dir") {
-            let entry = entry.expect("fixture entry");
-            std::fs::copy(entry.path(), dir.join(entry.file_name())).expect("copy fixture file");
-        }
-        let status = std::fs::read_to_string(fixtures.join(format!("{name}.status.json")))
-            .expect("fixture status");
-        let final_a = serde_json::from_str::<Response>(&status)
-            .expect("parse fixture status")
-            .status
-            .expect("status payload");
+        common::copy_fixture(name, &dir);
+        let final_a = common::fixture_status(name);
         assert_eq!(
             final_a.live_conjunctions, 1,
             "{name}: fixture lost its pair"
         );
 
-        assert_restart_matches(&dir, shards, &final_a, &golden_script);
+        assert_restart_matches(&dir, shards, &final_a, &golden_script());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -10,6 +10,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release && cargo test -q"
 cargo build --release && cargo test -q
 
+# The golden state directories are the only source of legacy v1 snapshot
+# files: a test serves a copy, never the fixture itself.
+echo "==> the suite left crates/service/tests/fixtures untouched"
+git diff --exit-code -- crates/service/tests/fixtures
+
 # A dependency that would need the registry has to fail here, not in the
 # next offline session: the lockfile names path packages only, and every
 # cargo call below refuses to change it.
@@ -26,14 +31,6 @@ RUST_BACKTRACE=1 benchmark/run.sh test
 
 echo "==> benchmark/run.sh (smoke: every workload and gate at small n)"
 RUST_BACKTRACE=1 benchmark/run.sh
-
-echo "==> exp_cascade --smoke (live cascade absorption, small n)"
-RUST_BACKTRACE=1 cargo run --locked --release -p kessler-bench --bin exp_cascade -- \
-  --smoke --json target/results_cascade_smoke.json
-
-echo "==> exp_scale --smoke (sharded daemon scale run, small n)"
-RUST_BACKTRACE=1 cargo run --locked --release -p kessler-bench --bin exp_scale -- \
-  --smoke --json target/results_scale_smoke.json
 
 echo "==> kessler submit subscribe --smoke (push registration over a live daemon)"
 ./target/release/kessler serve --addr 127.0.0.1:7912 --n 32 &
