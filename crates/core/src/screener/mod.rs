@@ -1,7 +1,7 @@
 //! The screening variants.
 //!
 //! A screen is *extraction backend × post-extraction stage*, and each half
-//! is written once: the CPU step loop ([`grid_phase`]) or the gpusim
+//! is written once: the CPU step loop (`grid_phase`) or the gpusim
 //! kernels ([`gpu`]) extract candidate entries, a [`stage::Stage`] turns
 //! them into conjunctions, and `run_screen` assembles the report.
 //! [`cpu::CpuScreener`] and [`gpu::GpuScreener`] are the two backends over

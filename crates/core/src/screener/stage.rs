@@ -48,7 +48,7 @@ pub trait Executor {
 }
 
 /// The CPU: constants in host memory, items on the current rayon pool in
-/// [`REFINE_CHUNK`] chunks, `cancel` checked between chunks.
+/// `REFINE_CHUNK` chunks, `cancel` checked between chunks.
 pub struct Host<'a> {
     pub propagator: &'a BatchPropagator,
     pub cancel: Option<&'a CancelToken>,

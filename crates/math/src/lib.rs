@@ -11,7 +11,6 @@
 //!   integrals).
 //! * [`brent`] — Brent's bounded minimiser (the paper uses Boost's
 //!   `brent_find_minima`; this is a faithful reimplementation).
-//! * [`root`] — scalar root finding (bisection, Newton, Brent root finder).
 //! * [`interval`] — closed time intervals with intersection/union, used by
 //!   the classical time filter.
 //! * [`angles`] — angle wrapping helpers.
@@ -27,7 +26,6 @@ pub mod erf;
 pub mod interval;
 pub mod kde;
 pub mod mat3;
-pub mod root;
 pub mod stats;
 pub mod vec3;
 

@@ -92,7 +92,7 @@ const SYNTHETIC_SHELLS: &[(f64, f64, usize)] = &[
 ];
 
 /// Deterministic synthetic mega-constellation: exactly `n` satellites
-/// spread over the [`SYNTHETIC_SHELLS`] ladder in proportion to each
+/// spread over the `SYNTHETIC_SHELLS` ladder in proportion to each
 /// shell's weight, Walker-style within a shell (equally-spaced planes,
 /// phased in-plane slots), with a small seeded jitter on altitude,
 /// eccentricity and the angles so no two satellites are exactly

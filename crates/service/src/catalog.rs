@@ -17,6 +17,8 @@
 //! total.
 
 use crate::error::ServiceError;
+use crate::persist::Row;
+use crate::proto::ElementsSpec;
 use kessler_orbits::KeplerElements;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -157,95 +159,70 @@ impl Catalog {
         self.generations.get(index as usize).copied()
     }
 
-    /// Per-satellite generation counters by dense index.
-    pub fn generations(&self) -> &[u64] {
-        &self.generations
-    }
-
     /// Seconds the catalog has been advanced past its base epoch.
     pub fn time(&self) -> f64 {
         self.time
     }
 
-    /// Epoch-0 elements by dense index (what `advance_all` re-propagates
-    /// from).
-    pub fn base_elements(&self) -> &[KeplerElements] {
-        &self.base_elements
+    /// The catalog as recovery-point rows, in dense-index order.
+    pub(crate) fn rows(&self) -> Vec<Row> {
+        (0..self.ids.len())
+            .map(|i| Row {
+                index: i as u32,
+                id: self.ids[i],
+                elements: ElementsSpec::from_elements(&self.elements[i]),
+                base: ElementsSpec::from_elements(&self.base_elements[i]),
+                generation: self.generations[i],
+            })
+            .collect()
     }
 
-    /// Rebuild a catalog from snapshotted state (see the service's
-    /// persistence layer). Validates the arrays are consistent before
-    /// reconstructing the id → index map. `base_elements` may be empty
-    /// (snapshots written before absolute-time propagation): the base is
-    /// then derived by de-propagating `elements` by `-time`.
-    pub fn restore(
-        epoch: u64,
-        ids: Vec<u64>,
-        elements: Vec<KeplerElements>,
-        generations: Vec<u64>,
-        time: f64,
-        base_elements: Vec<KeplerElements>,
-    ) -> Result<Catalog, ServiceError> {
+    /// Rebuild the catalog a recovery point describes: its `rows`, in
+    /// dense-index order (the persistence layer checks that where it reads
+    /// them), at `epoch` and `time`. States, once, every rule a recovered
+    /// catalog must satisfy before the id → index map is rebuilt.
+    pub fn restore(epoch: u64, time: f64, rows: &[Row]) -> Result<Catalog, ServiceError> {
         let invalid = ServiceError::Recovery;
-        if ids.len() != elements.len() || ids.len() != generations.len() {
-            return Err(invalid(format!(
-                "inconsistent catalog arrays: {} ids, {} element sets, {} generations",
-                ids.len(),
-                elements.len(),
-                generations.len()
-            )));
-        }
         if !time.is_finite() {
             return Err(invalid(format!("non-finite catalog time {time}")));
         }
-        if !base_elements.is_empty() && base_elements.len() != ids.len() {
-            return Err(invalid(format!(
-                "inconsistent catalog arrays: {} ids, {} base element sets",
-                ids.len(),
-                base_elements.len()
-            )));
-        }
-        if ids.len() as u64 > kessler_grid::pairset::MAX_ID as u64 {
+        if rows.len() as u64 > kessler_grid::pairset::MAX_ID as u64 {
             return Err(invalid(format!(
                 "catalog of {} satellites exceeds the {}-slot dense index space",
-                ids.len(),
+                rows.len(),
                 kessler_grid::pairset::MAX_ID
             )));
         }
-        let mut index_of = HashMap::with_capacity(ids.len());
-        for (index, &id) in ids.iter().enumerate() {
-            if index_of.insert(id, index as u32).is_some() {
+        let mut catalog = Catalog {
+            epoch,
+            time,
+            ..Catalog::default()
+        };
+        let mut elements = Vec::with_capacity(rows.len());
+        let mut base_elements = Vec::with_capacity(rows.len());
+        for (index, row) in rows.iter().enumerate() {
+            let id = row.id;
+            let validated = |spec: ElementsSpec| {
+                spec.into_elements()
+                    .map_err(|e| invalid(format!("satellite {id}: {e}")))
+            };
+            if catalog.index_of.insert(id, index as u32).is_some() {
                 return Err(invalid(format!("duplicate satellite id {id}")));
             }
-        }
-        for (&id, &generation) in ids.iter().zip(&generations) {
-            if generation > epoch {
+            if row.generation > epoch {
                 return Err(invalid(format!(
-                    "satellite {id} has generation {generation} past epoch {epoch}"
+                    "satellite {id} has generation {} past epoch {epoch}",
+                    row.generation
                 )));
             }
+            catalog.ids.push(id);
+            catalog.generations.push(row.generation);
+            elements.push(validated(row.elements)?);
+            base_elements.push(validated(row.base)?);
         }
-        let base_elements = if base_elements.is_empty() {
-            elements
-                .iter()
-                .map(|el| {
-                    let mut base = *el;
-                    base.mean_anomaly = el.mean_anomaly_at(-time);
-                    base
-                })
-                .collect()
-        } else {
-            base_elements
-        };
-        Ok(Catalog {
-            epoch,
-            ids,
-            elements: Arc::new(elements),
-            generations,
-            index_of,
-            time,
-            base_elements: Arc::new(base_elements),
-        })
+        catalog.elements = Arc::new(elements);
+        catalog.base_elements = Arc::new(base_elements);
+        Ok(catalog)
     }
 
     /// Capture an immutable view of the current state. O(1): two `Arc`
@@ -444,73 +421,33 @@ mod tests {
         cat.add(10, el(7_000.0)).unwrap();
         cat.add(20, el(7_100.0)).unwrap();
         cat.update(10, el(7_050.0)).unwrap();
+        cat.advance_all(500.0);
 
-        let back = Catalog::restore(
-            cat.epoch(),
-            cat.ids().to_vec(),
-            cat.elements().to_vec(),
-            cat.generations().to_vec(),
-            cat.time(),
-            cat.base_elements().to_vec(),
-        )
-        .unwrap();
+        let rows = cat.rows();
+        let mut back = Catalog::restore(cat.epoch(), cat.time(), &rows).unwrap();
         assert_eq!(back.epoch(), cat.epoch());
         assert_eq!(back.index_of(20), Some(1));
         assert_eq!(back.elements()[0].semi_major_axis, 7_050.0);
         assert_eq!(back.generation_at(0), cat.generation_at(0));
-
-        // Mismatched arrays, duplicate ids, generations past the epoch,
-        // and inconsistent or non-finite time state are all rejected.
-        assert!(
-            Catalog::restore(1, vec![1, 2], vec![el(7_000.0)], vec![1, 1], 0.0, vec![]).is_err()
-        );
-        assert!(Catalog::restore(
-            2,
-            vec![1, 1],
-            vec![el(7_000.0), el(7_100.0)],
-            vec![1, 2],
-            0.0,
-            vec![]
-        )
-        .is_err());
-        assert!(Catalog::restore(1, vec![1], vec![el(7_000.0)], vec![5], 0.0, vec![]).is_err());
-        assert!(Catalog::restore(
-            1,
-            vec![1],
-            vec![el(7_000.0)],
-            vec![1],
-            0.0,
-            vec![el(7_000.0), el(7_100.0)]
-        )
-        .is_err());
-        assert!(
-            Catalog::restore(1, vec![1], vec![el(7_000.0)], vec![1], f64::NAN, vec![]).is_err()
-        );
-    }
-
-    #[test]
-    fn restore_without_base_derives_it_from_current_time() {
-        let mut cat = Catalog::new();
-        cat.add(1, el(7_000.0)).unwrap();
-        cat.add(2, el(7_200.0)).unwrap();
-        cat.advance_all(500.0);
-
-        // A pre-absolute-time snapshot carries no base; restore must
-        // de-propagate so further advances match the original catalog.
-        let mut back = Catalog::restore(
-            cat.epoch(),
-            cat.ids().to_vec(),
-            cat.elements().to_vec(),
-            cat.generations().to_vec(),
-            cat.time(),
-            vec![],
-        )
-        .unwrap();
+        // The epoch-0 base carried over: further advances agree exactly.
         cat.advance_all(250.0);
         back.advance_all(250.0);
-        for (a, b) in cat.elements().iter().zip(back.elements()) {
-            assert!(angle_diff(a.mean_anomaly, b.mean_anomaly) < 1e-9);
-        }
+        assert_eq!(back.elements(), cat.elements());
+
+        // Duplicate ids, generations past the epoch, elements that do not
+        // validate and non-finite time are all rejected.
+        let epoch = cat.epoch();
+        let broken = |edit: fn(&mut Vec<Row>)| {
+            let mut rows = rows.clone();
+            edit(&mut rows);
+            Catalog::restore(epoch, 500.0, &rows)
+        };
+        assert!(broken(|_| ()).is_ok());
+        assert!(broken(|rows| rows[1].id = 10).is_err());
+        assert!(broken(|rows| rows[0].generation = 99).is_err());
+        assert!(broken(|rows| rows[0].elements.e = 1.5).is_err());
+        assert!(broken(|rows| rows[1].base.a = -1.0).is_err());
+        assert!(Catalog::restore(epoch, f64::NAN, &rows).is_err());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use crate::catalog::Removal;
 use crate::error::ServiceError;
+use crate::persist::GlobalState;
 use crate::proto::LastScreen;
 use crate::shard::{Extraction, ShardMap, ShardScreenStats, ShardSpec};
 use kessler_core::cancel::{check_opt, CancelToken, Cancelled};
@@ -183,25 +184,30 @@ impl DeltaEngine {
         }
     }
 
-    /// Rebuild an engine from snapshotted state (see the service's
-    /// persistence layer): screen counters, the maintained conjunction
-    /// set regrouped by pair, and the last adopted screen's info so a
-    /// recovered daemon's STATUS keeps reporting the pre-crash screen.
-    pub fn restore(
-        pipeline: Pipeline,
-        screened_n: Option<usize>,
-        full_screens: u64,
-        delta_screens: u64,
-        conjunctions: &[Conjunction],
-        last_screen: Option<LastScreen>,
-    ) -> Result<DeltaEngine, ServiceError> {
-        if screened_n.is_none() && !conjunctions.is_empty() {
+    /// Rebuild an engine from a recovery point's global state: screen
+    /// counters, the maintained conjunction set regrouped by pair, and the
+    /// last adopted screen's info so a recovered daemon's STATUS keeps
+    /// reporting the pre-crash screen. When the point was written under
+    /// another variant the engine comes back cold, counters intact: warm
+    /// pairs from another variant's pipeline are not valid delta inputs,
+    /// so the first DELTA after restart falls back to a full screen.
+    pub fn restore(pipeline: Pipeline, global: &GlobalState) -> Result<DeltaEngine, ServiceError> {
+        let mut engine = DeltaEngine {
+            full_screens: global.full_screens,
+            delta_screens: global.delta_screens,
+            ..DeltaEngine::with_pipeline(pipeline)
+        };
+        if pipeline.variant() != global.variant {
+            return Ok(engine);
+        }
+        let conjunctions = &global.conjunctions;
+        if global.screened_n.is_none() && !conjunctions.is_empty() {
             return Err(ServiceError::Recovery(format!(
                 "cold engine cannot hold {} conjunctions",
                 conjunctions.len()
             )));
         }
-        if let Some(n) = screened_n {
+        if let Some(n) = global.screened_n {
             if let Some(c) = conjunctions.iter().find(|c| c.pair().1 as usize >= n) {
                 return Err(ServiceError::Recovery(format!(
                     "conjunction references index {} past population of {n}",
@@ -209,14 +215,10 @@ impl DeltaEngine {
                 )));
             }
         }
-        Ok(DeltaEngine {
-            pairs: Arc::new(pairs_from_conjunctions(conjunctions)),
-            screened_n,
-            full_screens,
-            delta_screens,
-            last_screen,
-            ..DeltaEngine::with_pipeline(pipeline)
-        })
+        engine.pairs = Arc::new(pairs_from_conjunctions(conjunctions));
+        engine.screened_n = global.screened_n;
+        engine.last_screen = global.last_screen.clone();
+        Ok(engine)
     }
 
     pub fn config(&self) -> &ScreeningConfig {
@@ -806,15 +808,20 @@ mod tests {
         engine.full_screen(&pop);
         let saved = engine.conjunctions();
 
-        let mut back = DeltaEngine::restore(
-            *engine.pipeline(),
-            engine.screened_n(),
-            engine.full_screens(),
-            engine.delta_screens(),
-            &saved,
-            engine.last_screen().cloned(),
-        )
-        .unwrap();
+        let global = GlobalState {
+            epoch: 0,
+            changed: Vec::new(),
+            window_start: 0.0,
+            screened_n: engine.screened_n(),
+            full_screens: engine.full_screens(),
+            delta_screens: engine.delta_screens(),
+            conjunctions: saved.clone(),
+            requests_served: 0,
+            time: 0.0,
+            last_screen: engine.last_screen().cloned(),
+            variant: engine.variant(),
+        };
+        let mut back = DeltaEngine::restore(*engine.pipeline(), &global).unwrap();
         assert!(back.is_warm());
         assert_eq!(back.conjunctions(), saved);
         assert_eq!(back.full_screens(), 1);
@@ -829,11 +836,25 @@ mod tests {
         assert_eq!(delta.pairs_missing_from(&cold), Vec::<(u32, u32)>::new());
         assert_eq!(cold.pairs_missing_from(&delta), Vec::<(u32, u32)>::new());
 
-        // Inconsistent snapshots are rejected.
-        assert!(
-            DeltaEngine::restore(*engine.pipeline(), None, 1, 0, &saved, None).is_err()
-                || saved.is_empty()
-        );
+        // Inconsistent global state is rejected: a cold engine holding
+        // conjunctions, a conjunction past the screened population.
+        let held = vec![Conjunction {
+            id_lo: 4,
+            id_hi: 299,
+            tca: 60.0,
+            pca_km: 1.0,
+        }];
+        let restore_with = |screened_n| {
+            let global = GlobalState {
+                screened_n,
+                conjunctions: held.clone(),
+                ..global.clone()
+            };
+            DeltaEngine::restore(*engine.pipeline(), &global)
+        };
+        assert!(restore_with(Some(300)).is_ok());
+        assert!(restore_with(None).is_err());
+        assert!(restore_with(Some(299)).is_err());
     }
 
     #[test]

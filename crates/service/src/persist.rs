@@ -10,14 +10,16 @@
 //!   shard-00000000000000000030-0001.json older chunk still referenced
 //! ```
 //!
-//! A snapshot is a *manifest* — the non-catalog state (pending-change
-//! set, window, warm conjunction set, screen counters) as of a WAL
-//! sequence number — plus one *chunk* file per shard holding that shard's
-//! catalog members under the static assignment of
-//! [`PersistOptions::shards`]. A daemon started without `--shards` runs the
-//! 1×1 layout: one chunk, `shard-<seq>-0000.json`. Every file is one
-//! checksummed frame line, written to a `.tmp` name, fsynced, atomically
-//! renamed into place and never modified afterwards.
+//! A recovery point is described once, as a [`Snapshot`]: the catalog as
+//! [`Row`]s (one per satellite, in dense-index order) plus the
+//! [`GlobalState`] (pending-change set, window, warm conjunction set,
+//! screen counters) as of a WAL sequence number. On disk the global state
+//! is the body of a *manifest* and the rows are split over one *chunk* file
+//! per shard, by the static assignment of [`PersistOptions::shards`]. A
+//! daemon started without `--shards` runs the 1×1 layout: one chunk,
+//! `shard-<seq>-0000.json`. Every file is one checksummed frame line,
+//! written to a `.tmp` name, fsynced, atomically renamed into place and
+//! never modified afterwards.
 //!
 //! Snapshots are *incremental*: a write rewrites only the chunks of
 //! shards dirtied since the previous snapshot (the caller tracks the set
@@ -28,18 +30,22 @@
 //! previous manifest's set fully intact. A full chunk set is forced
 //! periodically so retention can reclaim old chunks.
 //!
-//! Legacy, read-only: builds before the one-layout writer left a flat
-//! daemon's state as a single `snapshot-<seq>.json` frame (v1). Nothing
-//! writes that format any more; recovery still reads it.
+//! Recovery loads the *newest materializable* manifest — one with a
+//! missing or corrupt chunk is skipped whole — then replays WAL records
+//! with `seq > point.wal_seq`. To keep fallback sound, retention keeps
+//! every manifest at or after the `keep_snapshots`-th-newest *full* one
+//! (all chunks written at its own seq), deletes the rest, and WAL
+//! compaction retains every record newer than the oldest kept point.
 //!
-//! Recovery loads the *newest materializable* recovery point — manifests
-//! and legacy v1 files are merged into one seq-ordered list, and a
-//! manifest with a missing or corrupt chunk is skipped whole — then
-//! replays WAL records with `seq > point.wal_seq`. To keep fallback
-//! sound, retention keeps every recovery point at or after the
-//! `keep_snapshots`-th-newest *full* point (a manifest whose chunks were
-//! all written at its own seq, or a v1 file), deletes the rest, and
-//! WAL compaction retains every record newer than the oldest kept point.
+//! Builds before the one-layout writer left a flat daemon's state as a
+//! single `snapshot-<seq>.json` frame (v1). This build does not read it,
+//! and [`Persister::open`] *refuses* a directory where such a file exists
+//! and no manifest materializes: its WAL was compacted against that file,
+//! so starting from "no snapshot" would replay the tail onto an empty
+//! catalog. The last build that reads v1 also writes manifests; run it on
+//! the directory until it has checkpointed. A v1 file left beside
+//! manifests is never parsed — retention deletes it, by name, once it is
+//! older than the oldest kept manifest.
 
 use crate::error::PersistError;
 use crate::fault::FaultPlan;
@@ -54,14 +60,14 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Bump when the snapshot schema changes incompatibly.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
 /// Schema version of the manifest format.
 pub const MANIFEST_VERSION: u32 = 2;
 
 /// WAL file name inside the state directory.
 pub const WAL_FILE: &str = "wal.log";
+
+/// Name prefix of the single-file snapshots this build no longer reads.
+const V1_PREFIX: &str = "snapshot-";
 
 /// Force a full chunk set after this many incremental manifests, so the
 /// chain of still-referenced old chunks stays short and retention can
@@ -95,22 +101,34 @@ impl PersistOptions {
     }
 }
 
-/// Complete daemon state at one WAL sequence number. Serialized as-is only
-/// by the legacy v1 format; a manifest plus its chunks materializes into
-/// one.
+/// One satellite of a recovery point: what a chunk file holds per member,
+/// what `ServiceState::snapshot` captures and what `Catalog::restore`
+/// rebuilds from. Carries the dense index so the union of chunks
+/// reassembles the catalog's order exactly, and both current and epoch-0
+/// elements, because propagation is not invertible from the current
+/// elements alone.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Row {
+    /// Dense index (position in the screeners' element slice).
+    pub index: u32,
+    /// External id.
+    pub id: u64,
+    /// Current elements (wire representation: km / rad).
+    pub elements: ElementsSpec,
+    /// Epoch-0 elements, which ADVANCE re-propagates from.
+    pub base: ElementsSpec,
+    /// Catalog epoch at which the satellite last changed.
+    pub generation: u64,
+}
+
+/// Everything in a recovery point that is not per satellite — the body of
+/// a manifest after its chunk references, under these keys in this order.
+/// Small next to the rows; the warm conjunction set rides here and is
+/// rewritten every time (it has no shard locality).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Snapshot {
-    pub version: u32,
-    /// WAL records up to and including this sequence number are folded in.
-    pub wal_seq: u64,
+pub struct GlobalState {
     /// Catalog epoch.
     pub epoch: u64,
-    /// External ids by dense index.
-    pub ids: Vec<u64>,
-    /// Elements by dense index (wire representation: km / rad).
-    pub elements: Vec<ElementsSpec>,
-    /// Per-satellite generation counters by dense index.
-    pub generations: Vec<u64>,
     /// Dense indices changed since the last screen.
     pub changed: Vec<u32>,
     /// Absolute start of the screening window, s.
@@ -123,72 +141,39 @@ pub struct Snapshot {
     pub conjunctions: Vec<Conjunction>,
     /// Requests served when the snapshot was written, so a recovered
     /// daemon's STATUS does not restart the counter at the replayed tail.
-    /// Defaults keep pre-metrics snapshots readable (version stays 1).
-    #[serde(default)]
     pub requests_served: u64,
     /// Seconds the catalog has been advanced past its base epoch.
-    #[serde(default)]
     pub time: f64,
-    /// Epoch-0 elements by dense index; empty in old snapshots (the
-    /// catalog then derives them by de-propagating `elements` by `-time`).
-    #[serde(default)]
-    pub base_elements: Vec<ElementsSpec>,
     /// Variant and timings of the most recent screen, if any.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub last_screen: Option<LastScreen>,
     /// Screening variant the daemon served with when the snapshot was
-    /// taken. Snapshots from before the field existed were always grid.
-    #[serde(default = "default_snapshot_variant")]
+    /// taken.
     pub variant: Variant,
 }
 
-fn default_snapshot_variant() -> Variant {
-    Variant::Grid
-}
-
-impl Snapshot {
-    fn validate(&self) -> Result<(), PersistError> {
-        let corrupt = |detail: String| PersistError::corrupt("snapshot", detail);
-        if self.version != SNAPSHOT_VERSION {
-            return Err(corrupt(format!(
-                "snapshot version {} (this build reads {SNAPSHOT_VERSION})",
-                self.version
-            )));
-        }
-        if self.ids.len() != self.elements.len() || self.ids.len() != self.generations.len() {
-            return Err(corrupt(format!(
-                "inconsistent catalog arrays: {} ids, {} element sets, {} generations",
-                self.ids.len(),
-                self.elements.len(),
-                self.generations.len()
-            )));
-        }
-        if !self.base_elements.is_empty() && self.base_elements.len() != self.ids.len() {
-            return Err(corrupt(format!(
-                "inconsistent catalog arrays: {} ids, {} base element sets",
-                self.ids.len(),
-                self.base_elements.len()
-            )));
-        }
-        if !self.time.is_finite() {
-            return Err(corrupt(format!("non-finite catalog time {}", self.time)));
-        }
-        Ok(())
-    }
+/// Complete daemon state at one WAL sequence number. Never serialized
+/// whole: on disk it is a manifest plus the chunks it references.
+#[derive(Debug, Clone)]
+pub struct Snapshot {
+    /// WAL records up to and including this sequence number are folded in.
+    pub wal_seq: u64,
+    /// The catalog, one row per satellite, `rows[i].index == i`.
+    pub rows: Vec<Row>,
+    pub global: GlobalState,
 }
 
 /// What [`Persister::open`] recovered from the state directory.
 #[derive(Debug, Default)]
 pub struct Recovery {
-    /// Newest recovery point (manifest + chunks, or a legacy v1 file) that
-    /// materialized and passed validation, if any.
+    /// Newest manifest that materialized, if any.
     pub snapshot: Option<Snapshot>,
     /// WAL records newer than the snapshot, in order.
     pub tail: Vec<Request>,
     /// `Some(detail)` when the WAL ended in a damaged record (tolerated).
     pub torn_tail: Option<String>,
-    /// Recovery points that failed to materialize and were skipped — a
-    /// manifest with a missing/corrupt chunk, or a corrupt v1 file.
+    /// Manifests that failed to materialize (unreadable themselves, or
+    /// with a missing/corrupt chunk) and were skipped.
     pub corrupt_snapshots: usize,
 }
 
@@ -204,10 +189,8 @@ pub(crate) struct Written {
     pub(crate) shard_count: u32,
 }
 
-/// Global (non-catalog) state of a snapshot, plus the references that
-/// stitch its chunk files into one consistent catalog. Small — catalog
-/// payload lives in the chunks; the warm conjunction set rides here and is
-/// rewritten every time (it has no shard locality).
+/// The manifest file: the references that stitch chunk files into one
+/// consistent catalog, then the global state spliced in beside them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Manifest {
     version: u32,
@@ -217,18 +200,8 @@ struct Manifest {
     chunk_seqs: Vec<u64>,
     /// Total satellites across all chunks (cross-checked on load).
     n_satellites: usize,
-    epoch: u64,
-    changed: Vec<u32>,
-    window_start: f64,
-    screened_n: Option<usize>,
-    full_screens: u64,
-    delta_screens: u64,
-    conjunctions: Vec<Conjunction>,
-    requests_served: u64,
-    time: f64,
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    last_screen: Option<LastScreen>,
-    variant: Variant,
+    #[serde(flatten)]
+    global: GlobalState,
 }
 
 impl Manifest {
@@ -237,33 +210,11 @@ impl Manifest {
     }
 }
 
-/// One shard's complete membership at one sequence number. Entries carry
-/// the dense index so the union of chunks reassembles the catalog's
-/// arrays exactly, and both current and epoch-0 elements, because
-/// propagation is not invertible from the current elements alone.
+/// One shard's complete membership at one sequence number.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ShardChunk {
     shard: u32,
-    entries: Vec<ChunkEntry>,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ChunkEntry {
-    index: u32,
-    id: u64,
-    elements: ElementsSpec,
-    base: ElementsSpec,
-    generation: u64,
-}
-
-/// One restartable point in the state directory, for the merged
-/// newest-first recovery scan.
-#[derive(Debug)]
-enum PointFile {
-    /// Legacy flat `snapshot-<seq>.json` (read-only).
-    V1(PathBuf),
-    /// `manifest-<seq>.json`.
-    V2(PathBuf),
+    entries: Vec<Row>,
 }
 
 /// Owns the state directory: appends WAL records, writes snapshots,
@@ -307,10 +258,10 @@ impl Persister {
         // Every point is *readable*, whatever layout we write under: a
         // daemon whose sharding was switched on, off or relaid must still
         // recover what the previous configuration persisted.
-        let points = list_points(&dir)?;
+        let points = list_manifests(&dir)?;
         let mut recovery = Recovery::default();
-        for (seq, point) in points.iter().rev() {
-            match materialize_point(&dir, point) {
+        for (seq, path) in points.iter().rev() {
+            match load_manifest(path).and_then(|manifest| materialize_manifest(&dir, manifest)) {
                 Ok(snapshot) => {
                     debug_assert_eq!(snapshot.wal_seq, *seq);
                     recovery.snapshot = Some(snapshot);
@@ -321,6 +272,9 @@ impl Persister {
                     recovery.corrupt_snapshots += 1;
                 }
             }
+        }
+        if recovery.snapshot.is_none() {
+            refuse_v1_only(&dir)?;
         }
 
         let wal_path = dir.join(WAL_FILE);
@@ -442,17 +396,20 @@ impl Persister {
     /// reclaimed by the next retention pass.
     pub(crate) fn write_snapshot(
         &mut self,
-        snapshot: &Snapshot,
+        snapshot: Snapshot,
         dirty: &BTreeSet<u32>,
     ) -> Result<Written, PersistError> {
-        snapshot.validate()?;
-        let seq = snapshot.wal_seq;
+        let Snapshot {
+            wal_seq: seq,
+            rows,
+            global,
+        } = snapshot;
         let shard_count = self.shards.shard_count();
 
         // The previous manifest tells us which chunks can be reused: per
         // shard, the seq of the chunk a clean shard keeps. No usable
-        // predecessor (fresh dir, v1 history, relaid shards) or an overdue
-        // full forces a complete chunk set.
+        // predecessor (fresh dir, relaid shards) or an overdue full forces
+        // a complete chunk set.
         let prev = newest_manifest(&self.dir)
             .filter(|m| m.shard_count == shard_count && m.wal_seq <= seq)
             .filter(|_| self.incrementals_since_full < FULL_MANIFEST_EVERY);
@@ -463,19 +420,14 @@ impl Persister {
             })
             .collect();
 
-        // Chunk the catalog by static assignment on the stored elements
+        // Chunk the rows by static assignment on the stored elements
         // (position-independent, stable under ADVANCE rebasing).
-        let mut members: Vec<Vec<ChunkEntry>> = vec![Vec::new(); shard_count as usize];
-        for (i, spec) in snapshot.elements.iter().enumerate() {
-            let shard = self.shards.assign(spec.a, spec.incl);
-            if kept[shard as usize].is_none() {
-                members[shard as usize].push(ChunkEntry {
-                    index: i as u32,
-                    id: snapshot.ids[i],
-                    elements: *spec,
-                    base: snapshot.base_elements.get(i).copied().unwrap_or(*spec),
-                    generation: snapshot.generations[i],
-                });
+        let n_satellites = rows.len();
+        let mut members: Vec<Vec<Row>> = vec![Vec::new(); shard_count as usize];
+        for row in rows {
+            let shard = self.shards.assign(row.elements.a, row.elements.incl) as usize;
+            if kept[shard].is_none() {
+                members[shard].push(row);
             }
         }
 
@@ -504,18 +456,8 @@ impl Persister {
             wal_seq: seq,
             shard_count,
             chunk_seqs,
-            n_satellites: snapshot.ids.len(),
-            epoch: snapshot.epoch,
-            changed: snapshot.changed.clone(),
-            window_start: snapshot.window_start,
-            screened_n: snapshot.screened_n,
-            full_screens: snapshot.full_screens,
-            delta_screens: snapshot.delta_screens,
-            conjunctions: snapshot.conjunctions.clone(),
-            requests_served: snapshot.requests_served,
-            time: snapshot.time,
-            last_screen: snapshot.last_screen.clone(),
-            variant: snapshot.variant,
+            n_satellites,
+            global,
         };
         let body = serde_json::to_string(&manifest)
             .map_err(|e| PersistError::corrupt("manifest", format!("unserializable: {e}")))?;
@@ -581,24 +523,17 @@ impl Persister {
     /// die costs disk, not correctness. Returns the oldest kept seq (the
     /// WAL compaction floor).
     fn apply_retention(&self) -> u64 {
-        let Ok(points) = list_points(&self.dir) else {
+        let Ok(points) = list_manifests(&self.dir) else {
             return 0;
         };
         // An unreadable manifest is nothing (and will age out below).
         let manifests: Vec<(u64, Manifest)> = points
             .iter()
-            .filter_map(|(seq, point)| match point {
-                PointFile::V1(_) => None,
-                PointFile::V2(path) => Some((*seq, load_manifest(path).ok()?)),
-            })
+            .filter_map(|(seq, path)| Some((*seq, load_manifest(path).ok()?)))
             .collect();
-        // A v1 file is self-contained, hence full.
-        let full_seqs: Vec<u64> = points
+        let full_seqs: Vec<u64> = manifests
             .iter()
-            .filter(|(seq, point)| match point {
-                PointFile::V1(_) => true,
-                PointFile::V2(_) => manifests.iter().any(|(mseq, m)| mseq == seq && m.is_full()),
-            })
+            .filter(|(_, m)| m.is_full())
             .map(|(seq, _)| *seq)
             .collect();
         if full_seqs.len() < self.keep_snapshots {
@@ -606,9 +541,11 @@ impl Persister {
         }
         let cutoff = full_seqs[full_seqs.len() - self.keep_snapshots];
 
-        for (seq, point) in &points {
+        // v1 files an upgraded directory still holds go the same way, by
+        // name: nothing here reads one.
+        let leftovers = scan(&self.dir, V1_PREFIX, seq_key).unwrap_or_default();
+        for (seq, path) in points.iter().chain(&leftovers) {
             if *seq < cutoff {
-                let (PointFile::V1(path) | PointFile::V2(path)) = point;
                 let _ = std::fs::remove_file(path);
             }
         }
@@ -696,19 +633,34 @@ fn scan<K>(
     Ok(found)
 }
 
-/// All recovery points (manifests and legacy v1 snapshot files) in the
-/// directory, ascending by seq.
-fn list_points(dir: &Path) -> Result<Vec<(u64, PointFile)>, PersistError> {
-    let seq = |stem: &str| stem.parse::<u64>().ok();
-    let v1 = scan(dir, "snapshot-", seq)?;
-    let v2 = scan(dir, "manifest-", seq)?;
-    let mut found: Vec<(u64, PointFile)> = v1
-        .into_iter()
-        .map(|(seq, path)| (seq, PointFile::V1(path)))
-        .chain(v2.into_iter().map(|(seq, path)| (seq, PointFile::V2(path))))
-        .collect();
+/// The seq a manifest's (or v1 file's) name carries — their [`scan`] key.
+fn seq_key(stem: &str) -> Option<u64> {
+    stem.parse().ok()
+}
+
+/// All manifests in the directory, ascending by seq.
+fn list_manifests(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
+    let mut found = scan(dir, "manifest-", seq_key)?;
     found.sort_by_key(|(seq, _)| *seq);
     Ok(found)
+}
+
+/// Fail when the directory holds a v1 single-file snapshot: called when no
+/// manifest materialized, where carrying on would start from an empty
+/// catalog under a WAL that was compacted against that file.
+fn refuse_v1_only(dir: &Path) -> Result<(), PersistError> {
+    let Some((_, path)) = scan(dir, V1_PREFIX, seq_key)?.into_iter().max() else {
+        return Ok(());
+    };
+    Err(PersistError::io(
+        format!("recover from {}", path.display()),
+        std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "a v1 single-file snapshot, and no manifest in the directory materializes; \
+             this build reads manifests only. Run the last build that reads v1 (PR 19) on \
+             this directory until it has checkpointed - it writes a manifest - then restart",
+        ),
+    ))
 }
 
 /// The `(seq, shard)` a chunk file's name carries between `shard-` and
@@ -729,17 +681,6 @@ fn read_frame_body(path: &Path) -> Result<String, PersistError> {
     let (_, body) = wal::decode_frame(line)
         .map_err(|e| PersistError::corrupt(path.display().to_string(), e.to_string()))?;
     Ok(body)
-}
-
-/// The legacy v1 reader: the whole state as one frame.
-fn load_snapshot(path: &Path) -> Result<Snapshot, PersistError> {
-    let body = read_frame_body(path)?;
-    let snapshot: Snapshot = serde_json::from_str(&body)
-        .map_err(|e| PersistError::corrupt(path.display().to_string(), e.to_string()))?;
-    snapshot
-        .validate()
-        .map_err(|e| PersistError::corrupt(path.display().to_string(), e.to_string()))?;
-    Ok(snapshot)
 }
 
 fn load_manifest(path: &Path) -> Result<Manifest, PersistError> {
@@ -782,30 +723,18 @@ fn chunk_path(dir: &Path, seq: u64, shard: u32) -> PathBuf {
 
 /// Newest manifest in the directory that parses, if any.
 fn newest_manifest(dir: &Path) -> Option<Manifest> {
-    let points = list_points(dir).ok()?;
-    points.iter().rev().find_map(|(_, point)| match point {
-        PointFile::V2(path) => load_manifest(path).ok(),
-        PointFile::V1(_) => None,
-    })
+    let points = list_manifests(dir).ok()?;
+    points
+        .iter()
+        .rev()
+        .find_map(|(_, path)| load_manifest(path).ok())
 }
 
-/// Load one recovery point into a full [`Snapshot`], whichever format it
-/// is. A manifest materializes by reading every referenced chunk and
-/// reassembling the catalog's dense arrays; any missing or corrupt chunk
-/// fails the whole point.
-fn materialize_point(dir: &Path, point: &PointFile) -> Result<Snapshot, PersistError> {
-    match point {
-        PointFile::V1(path) => load_snapshot(path),
-        PointFile::V2(path) => {
-            let manifest = load_manifest(path)?;
-            materialize_manifest(dir, &manifest)
-        }
-    }
-}
-
-fn materialize_manifest(dir: &Path, manifest: &Manifest) -> Result<Snapshot, PersistError> {
+/// Read every chunk a manifest references and put their rows back in
+/// dense-index order; any missing or corrupt chunk fails the whole point.
+fn materialize_manifest(dir: &Path, manifest: Manifest) -> Result<Snapshot, PersistError> {
     let corrupt = |detail: String| PersistError::corrupt("manifest", detail);
-    let mut entries: Vec<ChunkEntry> = Vec::with_capacity(manifest.n_satellites);
+    let mut rows: Vec<Row> = Vec::new();
     for (shard, &chunk_seq) in manifest.chunk_seqs.iter().enumerate() {
         let path = chunk_path(dir, chunk_seq, shard as u32);
         let chunk = load_chunk(&path)?;
@@ -816,53 +745,38 @@ fn materialize_manifest(dir: &Path, manifest: &Manifest) -> Result<Snapshot, Per
                 chunk.shard
             )));
         }
-        entries.extend(chunk.entries);
+        rows.extend(chunk.entries);
     }
-    if entries.len() != manifest.n_satellites {
+    if rows.len() != manifest.n_satellites {
         return Err(corrupt(format!(
             "chunk union holds {} satellites, manifest says {}",
-            entries.len(),
+            rows.len(),
             manifest.n_satellites
         )));
     }
-    entries.sort_by_key(|e| e.index);
-    if let Some((i, entry)) = entries
+    rows.sort_by_key(|row| row.index);
+    if let Some((i, row)) = rows
         .iter()
         .enumerate()
-        .find(|(i, e)| e.index as usize != *i)
+        .find(|(i, row)| row.index as usize != *i)
     {
         return Err(corrupt(format!(
             "chunk union does not cover dense indices: slot {i} holds index {}",
-            entry.index
+            row.index
         )));
     }
-    let snapshot = Snapshot {
-        version: SNAPSHOT_VERSION,
+    Ok(Snapshot {
         wal_seq: manifest.wal_seq,
-        epoch: manifest.epoch,
-        ids: entries.iter().map(|e| e.id).collect(),
-        elements: entries.iter().map(|e| e.elements).collect(),
-        generations: entries.iter().map(|e| e.generation).collect(),
-        changed: manifest.changed.clone(),
-        window_start: manifest.window_start,
-        screened_n: manifest.screened_n,
-        full_screens: manifest.full_screens,
-        delta_screens: manifest.delta_screens,
-        conjunctions: manifest.conjunctions.clone(),
-        requests_served: manifest.requests_served,
-        time: manifest.time,
-        base_elements: entries.iter().map(|e| e.base).collect(),
-        last_screen: manifest.last_screen.clone(),
-        variant: manifest.variant,
-    };
-    snapshot.validate()?;
-    Ok(snapshot)
+        rows,
+        global: manifest.global,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::delta::Pipeline;
+    use crate::proto::Response;
     use crate::server::ServiceState;
     use crate::testkit::SplitMix64;
     use kessler_core::ScreeningConfig;
@@ -903,24 +817,29 @@ mod tests {
     /// screened yet.
     fn snapshot_of(wal_seq: u64, alts: &[f64]) -> Snapshot {
         let n = alts.len() as u64;
+        let row = |(index, &a): (u32, &f64)| Row {
+            index,
+            id: index as u64,
+            elements: spec_a(a),
+            base: spec_a(a),
+            generation: index as u64 + 1,
+        };
         Snapshot {
-            version: SNAPSHOT_VERSION,
             wal_seq,
-            epoch: n,
-            ids: (0..n).collect(),
-            elements: alts.iter().map(|&a| spec_a(a)).collect(),
-            generations: (1..=n).collect(),
-            changed: (0..n as u32).collect(),
-            window_start: 0.0,
-            screened_n: None,
-            full_screens: 0,
-            delta_screens: 0,
-            conjunctions: Vec::new(),
-            requests_served: n,
-            time: 0.0,
-            base_elements: alts.iter().map(|&a| spec_a(a)).collect(),
-            last_screen: None,
-            variant: Variant::Grid,
+            rows: (0..).zip(alts).map(row).collect(),
+            global: GlobalState {
+                epoch: n,
+                changed: (0..n as u32).collect(),
+                window_start: 0.0,
+                screened_n: None,
+                full_screens: 0,
+                delta_screens: 0,
+                conjunctions: Vec::new(),
+                requests_served: n,
+                time: 0.0,
+                last_screen: None,
+                variant: Variant::Grid,
+            },
         }
     }
 
@@ -961,21 +880,30 @@ mod tests {
         }
     }
 
-    /// What builds before the one-layout writer left behind: the whole
-    /// state as a single `snapshot-<seq>.json` frame. Nothing in the crate
-    /// writes this any more, so the legacy-reader tests write it by hand.
-    fn write_v1(dir: &Path, snapshot: &Snapshot) {
-        let body = serde_json::to_string(snapshot).unwrap();
-        let mut line = wal::encode_frame(snapshot.wal_seq, &body);
-        line.push('\n');
+    /// What builds before the one-layout writer left behind: a file named
+    /// `snapshot-<seq>.json`. Nothing reads one any more, so its content
+    /// is beside the point.
+    fn leave_v1(dir: &Path, seq: u64) -> PathBuf {
         std::fs::create_dir_all(dir).unwrap();
-        let name = format!("snapshot-{:020}.json", snapshot.wal_seq);
-        std::fs::write(dir.join(name), line).unwrap();
+        let path = dir.join(format!("snapshot-{seq:020}.json"));
+        std::fs::write(&path, "whatever a v1 daemon wrote\n").unwrap();
+        path
     }
 
-    /// Seqs of the recovery points on disk, ascending.
+    /// Write `body` as the frame file `path`, checksummed like a real one.
+    fn forge_frame_file(path: &Path, seq: u64, body: &str) {
+        let mut line = wal::encode_frame(seq, body);
+        line.push('\n');
+        std::fs::write(path, line).unwrap();
+    }
+
+    fn ids(snapshot: &Snapshot) -> Vec<u64> {
+        snapshot.rows.iter().map(|row| row.id).collect()
+    }
+
+    /// Seqs of the manifests on disk, ascending.
     fn point_seqs(dir: &Path) -> Vec<u64> {
-        let points = list_points(dir).unwrap();
+        let points = list_manifests(dir).unwrap();
         points.iter().map(|(seq, _)| *seq).collect()
     }
 
@@ -1018,7 +946,7 @@ mod tests {
                 persister.append(&add(round * 3 + j)).unwrap();
             }
             let snapshot = snapshot_at(persister.last_seq(), (round + 1) * 3);
-            persister.write_snapshot(&snapshot, &all(1)).unwrap();
+            persister.write_snapshot(snapshot, &all(1)).unwrap();
         }
         assert_eq!(point_seqs(&dir), vec![9, 12], "rotation keeps two");
         assert_eq!(chunk_keys(&dir), vec![(9, 0), (12, 0)]);
@@ -1026,7 +954,7 @@ mod tests {
         let (_, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         let snapshot = recovery.snapshot.expect("newest snapshot");
         assert_eq!(snapshot.wal_seq, 12);
-        assert_eq!(snapshot.ids.len(), 12);
+        assert_eq!(snapshot.rows.len(), 12);
         assert!(recovery.tail.is_empty(), "snapshot covers the whole wal");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1039,12 +967,12 @@ mod tests {
         persister.append(&add(0)).unwrap();
         persister.append(&add(1)).unwrap();
         persister
-            .write_snapshot(&snapshot_at(2, 2), &all(1))
+            .write_snapshot(snapshot_at(2, 2), &all(1))
             .unwrap();
         persister.append(&add(2)).unwrap();
         persister.append(&add(3)).unwrap();
         persister
-            .write_snapshot(&snapshot_at(4, 4), &all(1))
+            .write_snapshot(snapshot_at(4, 4), &all(1))
             .unwrap();
         persister.append(&add(4)).unwrap();
         drop(persister);
@@ -1094,17 +1022,18 @@ mod tests {
         persister.append(&add(0)).unwrap();
         persister.append(&add(1)).unwrap();
         persister
-            .write_snapshot(&snapshot_at(2, 2), &all(1))
+            .write_snapshot(snapshot_at(2, 2), &all(1))
             .unwrap();
         persister.append(&add(2)).unwrap();
         drop(persister);
 
-        // Forge a newer (legacy v1) snapshot whose last-screen total is
-        // 1e300 ms: finite, non-negative, checksummed — but past what
-        // Duration can hold. Recovery must reject the body (not panic in
-        // serde) and fall back to the snapshot at seq 2.
-        let mut forged = snapshot_at(3, 2);
-        forged.last_screen = Some(LastScreen {
+        // Forge a newer manifest (reusing the seq-2 chunk) whose last-screen
+        // total is 1e300 ms: finite, non-negative, checksummed — but past
+        // what Duration can hold. Recovery must reject the body (not panic
+        // in serde) and fall back to the snapshot at seq 2.
+        let mut forged = newest_manifest(&dir).unwrap();
+        forged.wal_seq = 3;
+        forged.global.last_screen = Some(LastScreen {
             variant: "grid".to_string(),
             timings: Default::default(),
             filter_stats: None,
@@ -1113,9 +1042,7 @@ mod tests {
             .unwrap()
             .replace("\"total\":0.0", "\"total\":1e300");
         assert!(body.contains("1e300"), "forgery target moved: {body}");
-        let mut line = wal::encode_frame(3, &body);
-        line.push('\n');
-        std::fs::write(dir.join(format!("snapshot-{:020}.json", 3)), line).unwrap();
+        forge_frame_file(&manifest_path(&dir, 3), 3, &body);
 
         let (_, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         assert_eq!(recovery.corrupt_snapshots, 1);
@@ -1126,39 +1053,59 @@ mod tests {
     }
 
     #[test]
-    fn pre_metrics_snapshots_read_with_defaulted_fields() {
-        // A body without requests_served/time/base_elements/last_screen —
-        // what every snapshot before this schema extension looks like.
-        let old_body = format!(
-            r#"{{"version":{SNAPSHOT_VERSION},"wal_seq":1,"epoch":1,"ids":[7],"elements":[{}],"generations":[1],"changed":[],"window_start":0.0,"screened_n":null,"full_screens":0,"delta_screens":0,"conjunctions":[]}}"#,
-            serde_json::to_string(&spec(7)).unwrap()
-        );
-        let snapshot: Snapshot = serde_json::from_str(&old_body).unwrap();
-        assert_eq!(snapshot.requests_served, 0);
-        assert_eq!(snapshot.time, 0.0);
-        assert!(snapshot.base_elements.is_empty());
-        assert!(snapshot.last_screen.is_none());
-        assert_eq!(
-            snapshot.variant,
-            Variant::Grid,
-            "pre-variant snapshots recover as grid"
-        );
-        assert!(snapshot.validate().is_ok());
+    fn snapshot_variant_roundtrips_and_rejects_garbage() {
+        let dir = temp_dir("variant");
+        let (mut persister, _) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
+        persister.append(&add(0)).unwrap();
+        let mut snapshot = snapshot_at(1, 1);
+        snapshot.global.variant = Variant::Hybrid;
+        persister.write_snapshot(snapshot, &all(1)).unwrap();
+        let (_, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
+        assert_eq!(recovery.snapshot.unwrap().global.variant, Variant::Hybrid);
+
+        // An unknown variant tag is a deserialization error — recovery
+        // treats the manifest as corrupt and falls back, it does not guess.
+        let body = read_frame_body(&manifest_path(&dir, 1)).unwrap();
+        let forged = body.replace("\"Hybrid\"", "\"Bogus\"");
+        assert!(forged.contains("Bogus"), "forgery target moved: {forged}");
+        forge_frame_file(&manifest_path(&dir, 1), 1, &forged);
+        assert!(load_manifest(&manifest_path(&dir, 1)).is_err());
+        let (_, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
+        assert_eq!(recovery.corrupt_snapshots, 1);
+        assert!(recovery.snapshot.is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn snapshot_variant_roundtrips_and_rejects_garbage() {
-        let mut snapshot = snapshot_at(1, 1);
-        snapshot.variant = Variant::Hybrid;
-        let body = serde_json::to_string(&snapshot).unwrap();
-        let back: Snapshot = serde_json::from_str(&body).unwrap();
-        assert_eq!(back.variant, Variant::Hybrid);
+    fn a_directory_whose_only_points_are_v1_snapshots_is_refused() {
+        // With a WAL tail (compacted against the v1 file: replaying it onto
+        // an empty catalog would serve a state that never existed) and
+        // without one alike.
+        for tail in [0, 2] {
+            let dir = temp_dir("v1only");
+            let (mut persister, _) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
+            for id in 0..tail {
+                persister.append(&add(id)).unwrap();
+            }
+            drop(persister);
+            leave_v1(&dir, 3);
+            let newest = leave_v1(&dir, 5);
 
-        // An unknown variant tag is a deserialization error — recovery
-        // treats the snapshot as corrupt and falls back, it does not guess.
-        let forged = body.replace("\"Hybrid\"", "\"Bogus\"");
-        assert!(forged.contains("Bogus"), "forgery target moved: {forged}");
-        assert!(serde_json::from_str::<Snapshot>(&forged).is_err());
+            let refusal = Persister::open(&options(&dir), FaultPlan::inert())
+                .expect_err("a v1-only directory must not open")
+                .to_string();
+            assert!(refusal.contains(newest.to_str().unwrap()), "{refusal}");
+            assert!(refusal.contains("PR 19"), "no remedy named: {refusal}");
+            assert!(!refusal.contains("corrupt"), "{refusal}");
+
+            // Manifests that do not materialize are no way round it…
+            std::fs::write(manifest_path(&dir, 6), "XXXX not a manifest XXXX").unwrap();
+            Persister::open(&sharded_options(&dir), FaultPlan::inert())
+                .expect_err("still no manifest that materializes");
+            // …and nothing was touched: no WAL repair, no deletion.
+            assert!(newest.exists() && manifest_path(&dir, 6).exists());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -1222,11 +1169,11 @@ mod tests {
 
         faults.arm_snapshot_write_fail();
         persister
-            .write_snapshot(&snapshot_at(1, 1), &all(1))
+            .write_snapshot(snapshot_at(1, 1), &all(1))
             .expect_err("injected tmp-write failure");
         faults.arm_snapshot_rename_fail();
         persister
-            .write_snapshot(&snapshot_at(1, 1), &all(1))
+            .write_snapshot(snapshot_at(1, 1), &all(1))
             .expect_err("injected rename failure");
         assert!(
             point_seqs(&dir).is_empty(),
@@ -1235,7 +1182,7 @@ mod tests {
 
         // Un-faulted retry succeeds, and recovery reads it.
         persister
-            .write_snapshot(&snapshot_at(1, 1), &all(1))
+            .write_snapshot(snapshot_at(1, 1), &all(1))
             .unwrap();
         let (_, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         assert_eq!(recovery.snapshot.expect("snapshot").wal_seq, 1);
@@ -1270,7 +1217,7 @@ mod tests {
             persister.append(&add(id)).unwrap();
         }
         let full = persister
-            .write_snapshot(&snapshot_of(4, &alts), &all(2))
+            .write_snapshot(snapshot_of(4, &alts), &all(2))
             .unwrap();
         assert_eq!(point_seqs(&dir), vec![4]);
         assert_eq!(chunk_keys(&dir), vec![(4, 0), (4, 1)]);
@@ -1280,7 +1227,7 @@ mod tests {
         let alts = [7_000.0, 7_100.0, 7_200.0, 8_000.0, 8_200.0];
         persister.append(&add(4)).unwrap();
         let incremental = persister
-            .write_snapshot(&snapshot_of(5, &alts), &dirty(&[1]))
+            .write_snapshot(snapshot_of(5, &alts), &dirty(&[1]))
             .unwrap();
         assert_eq!(
             chunk_keys(&dir),
@@ -1295,13 +1242,11 @@ mod tests {
         let (_, recovery) = Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
         let snapshot = recovery.snapshot.expect("manifest recovers");
         assert_eq!(snapshot.wal_seq, 5);
-        assert_eq!(snapshot.ids, vec![0, 1, 2, 3, 4]);
         assert_eq!(
-            snapshot.elements,
-            alts.iter().map(|&a| spec_a(a)).collect::<Vec<_>>(),
+            snapshot.rows,
+            snapshot_of(5, &alts).rows,
             "dense order must survive chunking by shard"
         );
-        assert_eq!(snapshot.generations, vec![1, 2, 3, 4, 5]);
         assert!(recovery.tail.is_empty(), "manifest covers the whole wal");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1317,7 +1262,7 @@ mod tests {
             seq += 1;
             persister.append(&add(seq)).unwrap();
             persister
-                .write_snapshot(&snapshot_of(seq, &alts), dirty)
+                .write_snapshot(snapshot_of(seq, &alts), dirty)
                 .unwrap()
         };
         let wrote = |chunks| (chunks, 2);
@@ -1352,13 +1297,13 @@ mod tests {
         persister.append(&add(0)).unwrap();
         persister.append(&add(1)).unwrap();
         persister
-            .write_snapshot(&snapshot_of(2, &[7_000.0, 8_000.0]), &all(2))
+            .write_snapshot(snapshot_of(2, &[7_000.0, 8_000.0]), &all(2))
             .unwrap();
         persister.append(&add(2)).unwrap();
         persister.append(&add(3)).unwrap();
         persister
             .write_snapshot(
-                &snapshot_of(4, &[7_000.0, 8_000.0, 8_100.0, 8_200.0]),
+                snapshot_of(4, &[7_000.0, 8_000.0, 8_100.0, 8_200.0]),
                 &dirty(&[1]),
             )
             .unwrap();
@@ -1373,7 +1318,7 @@ mod tests {
         assert_eq!(recovery.corrupt_snapshots, 1);
         let snapshot = recovery.snapshot.expect("fallback to the seq-2 manifest");
         assert_eq!(snapshot.wal_seq, 2);
-        assert_eq!(snapshot.ids, vec![0, 1]);
+        assert_eq!(ids(&snapshot), vec![0, 1]);
         assert_eq!(
             recovery.tail,
             vec![add(2), add(3)],
@@ -1383,31 +1328,82 @@ mod tests {
     }
 
     #[test]
+    fn a_row_union_that_skips_or_repeats_a_dense_index_is_corrupt() {
+        let alts = [7_000.0, 7_100.0, 8_000.0];
+        let mut skips = snapshot_of(4, &alts).rows;
+        skips[2].index = 3;
+        let mut repeats = snapshot_of(4, &alts).rows;
+        repeats[2].index = 1;
+        for (rows, what) in [(skips, "skips"), (repeats, "repeats")] {
+            let dir = temp_dir("dense");
+            let (mut persister, _) =
+                Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
+            persister.append(&add(0)).unwrap();
+            persister.append(&add(1)).unwrap();
+            persister
+                .write_snapshot(snapshot_of(2, &alts[..2]), &all(2))
+                .unwrap();
+            persister.append(&add(2)).unwrap();
+            persister.append(&add(3)).unwrap();
+            // Every frame of the newer point checksums, every chunk holds
+            // the shard it claims and the count matches the manifest: only
+            // the union of the rows is wrong.
+            let broken = Snapshot {
+                rows,
+                ..snapshot_of(4, &alts)
+            };
+            persister.write_snapshot(broken, &all(2)).unwrap();
+            drop(persister);
+
+            let (_, recovery) =
+                Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
+            assert_eq!(recovery.corrupt_snapshots, 1, "{what}");
+            let snapshot = recovery.snapshot.expect("fallback to the seq-2 manifest");
+            assert_eq!(
+                (snapshot.wal_seq, ids(&snapshot)),
+                (2, vec![0, 1]),
+                "{what}"
+            );
+            assert_eq!(recovery.tail, vec![add(2), add(3)], "{what}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
     fn format_changes_read_across_the_sharding_switch() {
         let dir = temp_dir("xformat");
-        // A directory a pre-manifest flat daemon left: v1 history at seq 1
-        // and 2 (the WAL compacted up to the older of the two).
-        write_v1(&dir, &snapshot_at(1, 1));
-        write_v1(&dir, &snapshot_at(2, 2));
+        // A directory a flat daemon left: one-chunk manifests at seq 1 and
+        // 2 — and, from the build before it, a v1 file it had not aged out.
+        let (mut persister, _) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
+        let v1 = leave_v1(&dir, 0);
+        for seq in 1..=2 {
+            persister.append(&add(seq - 1)).unwrap();
+            persister
+                .write_snapshot(snapshot_at(seq, seq), &all(1))
+                .unwrap();
+        }
+        assert!(!v1.exists(), "a v1 file below the cutoff is swept by name");
+        drop(persister);
 
         // A sharded reopen recovers it, and supersedes it with a full
-        // manifest (a v1 file is no chunk predecessor).
+        // manifest (a chunk of another layout is no predecessor).
         let (mut persister, recovery) =
             Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
-        assert_eq!(recovery.snapshot.expect("v1 readable").wal_seq, 2);
+        assert_eq!(recovery.snapshot.expect("1×1 readable").wal_seq, 2);
         assert_eq!(persister.last_seq(), 2);
         persister.append(&add(2)).unwrap();
         let alts = [7_000.0, 7_001.0, 8_000.0];
         let written = persister
-            .write_snapshot(&snapshot_of(3, &alts), &dirty(&[1]))
+            .write_snapshot(snapshot_of(3, &alts), &dirty(&[1]))
             .unwrap();
         assert_eq!(
             written.chunks, 2,
-            "without a manifest predecessor the write must be forced full"
+            "without a predecessor of this layout the write must be forced full"
         );
-        // Retention counts a v1 file as a full point: the newest two full
-        // points are v1@2 and the manifest, so v1@1 ages out…
+        // The newest two full points are 1×1@2 and 2×1@3, so 1×1@1 ages
+        // out with its chunk…
         assert_eq!(point_seqs(&dir), vec![2, 3]);
+        assert_eq!(chunk_keys(&dir), vec![(2, 0), (3, 0), (3, 1)]);
         drop(persister);
 
         // …and the flat fallback still works from a mixed directory.
@@ -1415,26 +1411,24 @@ mod tests {
         let (mut persister, recovery) =
             Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         assert_eq!(recovery.corrupt_snapshots, 1);
-        assert_eq!(recovery.snapshot.expect("v1 fallback").wal_seq, 2);
+        assert_eq!(recovery.snapshot.expect("1×1 fallback").wal_seq, 2);
         assert_eq!(recovery.tail, vec![add(2)]);
 
-        // An unsharded reopen relays to one chunk and reads it back; the
-        // last v1 file is reclaimed once two newer full points exist.
+        // An unsharded reopen relays to one chunk and reads it back.
         persister
-            .write_snapshot(&snapshot_of(3, &alts), &all(1))
+            .write_snapshot(snapshot_of(3, &alts), &all(1))
             .unwrap();
         persister.append(&add(3)).unwrap();
         let alts = [7_000.0, 7_001.0, 8_000.0, 8_001.0];
         persister
-            .write_snapshot(&snapshot_of(4, &alts), &all(1))
+            .write_snapshot(snapshot_of(4, &alts), &all(1))
             .unwrap();
         assert_eq!(point_seqs(&dir), vec![3, 4]);
-        let points = list_points(&dir).unwrap();
-        assert!(points.iter().all(|(_, p)| matches!(p, PointFile::V2(_))));
+        assert_eq!(chunk_keys(&dir), vec![(3, 0), (4, 0)]);
         drop(persister);
         let (_, recovery) = Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
         let snapshot = recovery.snapshot.expect("1×1 manifest readable under 2×1");
-        assert_eq!((snapshot.wal_seq, snapshot.ids.len()), (4, 4));
+        assert_eq!((snapshot.wal_seq, snapshot.rows.len()), (4, 4));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1448,7 +1442,7 @@ mod tests {
         for round in 0..4u64 {
             persister.append(&add(round)).unwrap();
             persister
-                .write_snapshot(&snapshot_of(round + 1, &[7_000.0, 8_000.0]), &all(2))
+                .write_snapshot(snapshot_of(round + 1, &[7_000.0, 8_000.0]), &all(2))
                 .unwrap();
         }
         assert_eq!(
@@ -1470,7 +1464,7 @@ mod tests {
         let (mut persister, _) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         persister.append(&add(0)).unwrap();
         let written = persister
-            .write_snapshot(&snapshot_at(1, 1), &all(1))
+            .write_snapshot(snapshot_at(1, 1), &all(1))
             .unwrap();
         let on_disk = |path: PathBuf| std::fs::metadata(path).unwrap().len();
         assert_eq!(
@@ -1484,10 +1478,16 @@ mod tests {
     /// (`last_screen` timings are `Duration`s that cross the wire as
     /// fractional milliseconds, so they are held to a microsecond.)
     fn assert_same_snapshot(got: &Snapshot, want: &Snapshot, context: &str) {
-        let spec_bits = |specs: &[ElementsSpec]| -> Vec<[u64; 6]> {
-            specs
-                .iter()
-                .map(|s| [s.a, s.e, s.incl, s.raan, s.argp, s.mean_anomaly].map(f64::to_bits))
+        let spec_bits =
+            |s: &ElementsSpec| [s.a, s.e, s.incl, s.raan, s.argp, s.mean_anomaly].map(f64::to_bits);
+        let row_bits = |rows: &[Row]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| {
+                    let mut bits = vec![r.index as u64, r.id, r.generation];
+                    bits.extend(spec_bits(&r.elements));
+                    bits.extend(spec_bits(&r.base));
+                    bits
+                })
                 .collect()
         };
         let pair_bits = |found: &[Conjunction]| -> Vec<(u32, u32, u64, u64)> {
@@ -1496,16 +1496,10 @@ mod tests {
                 .map(|c| (c.id_lo, c.id_hi, c.tca.to_bits(), c.pca_km.to_bits()))
                 .collect()
         };
-        assert_eq!(got.version, want.version, "{context}");
         assert_eq!(got.wal_seq, want.wal_seq, "{context}");
+        assert_eq!(row_bits(&got.rows), row_bits(&want.rows), "{context}");
+        let (got, want) = (&got.global, &want.global);
         assert_eq!(got.epoch, want.epoch, "{context}");
-        assert_eq!(got.ids, want.ids, "{context}");
-        assert_eq!(
-            spec_bits(&got.elements),
-            spec_bits(&want.elements),
-            "{context}"
-        );
-        assert_eq!(got.generations, want.generations, "{context}");
         assert_eq!(got.changed, want.changed, "{context}");
         assert_eq!(
             got.window_start.to_bits(),
@@ -1522,11 +1516,6 @@ mod tests {
         );
         assert_eq!(got.requests_served, want.requests_served, "{context}");
         assert_eq!(got.time.to_bits(), want.time.to_bits(), "{context}");
-        assert_eq!(
-            spec_bits(&got.base_elements),
-            spec_bits(&want.base_elements),
-            "{context}"
-        );
         assert_eq!(got.variant, want.variant, "{context}");
         assert_eq!(
             got.last_screen.is_some(),
@@ -1607,7 +1596,8 @@ mod tests {
         /// ADD / UPDATE (a fresh `a` and inclination, so most cross a band
         /// or shell of the 2×1 and 8×4 layouts) / REMOVE / ADVANCE (which
         /// moves every satellite's stored elements) / SCREEN and DELTA
-        /// (which dirty no shard and change the manifest's warm set).
+        /// (which dirty no shard and change the manifest's warm set) / an
+        /// ADD of a known id, which is refused.
         fn generated_request(&self, rng: &mut SplitMix64) -> Request {
             let ids = self.state.catalog().ids();
             let elements = ElementsSpec {
@@ -1619,7 +1609,7 @@ mod tests {
                 mean_anomaly: std::f64::consts::TAU * rng.unit(),
             };
             let known = |rng: &mut SplitMix64| ids[rng.below(ids.len() as u64) as usize];
-            match rng.below(12) {
+            match rng.below(13) {
                 _ if ids.is_empty() => Request::Add { id: 0, elements },
                 0..=3 => Request::Add {
                     id: ids.iter().max().unwrap() + 1,
@@ -1634,15 +1624,26 @@ mod tests {
                     dt: 1.0 + 20.0 * rng.unit(),
                 },
                 9 => Request::Screen,
-                _ => Request::Delta,
+                10 | 11 => Request::Delta,
+                _ => Request::Add {
+                    id: known(rng),
+                    elements,
+                },
             }
         }
 
-        /// Plan → log → apply, as `handle_and_persist` does it.
-        fn submit(&mut self, request: Request, context: &str) {
+        /// Plan → log → apply, as `handle_and_persist` does it: a refused
+        /// request is answered and leaves no record.
+        fn submit(&mut self, request: Request, context: &str) -> Response {
+            let effect = match self.state.plan(&request) {
+                Ok(effect) => effect,
+                Err(refusal) => return self.state.refuse(&refusal),
+            };
             self.persister.append(&request).unwrap();
-            assert!(self.state.handle(&request).ok, "{context}: {request:?}");
+            let response = self.state.apply(effect);
+            assert!(response.ok, "{context}: {request:?}");
             self.tail.push(request);
+            response
         }
 
         fn run(&mut self, rng: &mut SplitMix64, steps: usize, context: &str) {
@@ -1698,9 +1699,9 @@ mod tests {
                             mean_anomaly,
                             ..spec_a(7_000.0)
                         };
-                        first.submit(Request::Add { id, elements }, &context);
+                        assert!(first.submit(Request::Add { id, elements }, &context).ok);
                     }
-                    first.submit(Request::Screen, &context);
+                    assert!(first.submit(Request::Screen, &context).ok);
                     assert_eq!(first.state.engine().conjunction_count(), 1, "{context}");
                     first.run(&mut rng, 24, &context);
                     let (expected, tail) = first.crash(&dir);

@@ -371,8 +371,10 @@ pub(crate) fn enqueue_screen(
     req_id: Option<String>,
     conn: u64,
 ) -> Enqueued {
+    // Every answer given here instead of by a worker is counted here.
+    let verb = request.kind();
     let refuse = |response: Response| {
-        shared.metrics.lock().count_request(request.kind(), false);
+        shared.metrics.lock().count_request(verb, false);
         Enqueued::done(response)
     };
     let planned = shared.state.lock().plan(&request);
@@ -419,7 +421,7 @@ pub(crate) fn enqueue_screen(
         Err(refused) => {
             shared.queued.fetch_sub(1, Ordering::Relaxed);
             shared.registry.unregister(seq);
-            Enqueued::done(Response::rejected(match refused {
+            refuse(Response::rejected(match refused {
                 TrySendError::Full(_) => "server busy: screening queue is full, retry later",
                 TrySendError::Disconnected(_) => "server is shutting down",
             }))
@@ -503,9 +505,10 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// connection per dequeued task, even if the worker thread dies mid-job
 /// (fault injection, un-caught panic) — the drop handler then answers
 /// with the same "worker unavailable" error the old blocking reply
-/// channel produced when its sender was dropped.
+/// channel produced when its sender was dropped, and counts it.
 struct Reply<'a> {
     shared: &'a Shared,
+    verb: &'static str,
     conn: u64,
     req_id: Option<String>,
     sent: bool,
@@ -522,6 +525,7 @@ impl Reply<'_> {
 impl Drop for Reply<'_> {
     fn drop(&mut self) {
         if !self.sent {
+            self.shared.metrics.lock().count_request(self.verb, false);
             let mut response = Response::error("screening worker unavailable, retry");
             response.req_id = self.req_id.take();
             self.shared.io.respond(self.conn, &response);
@@ -551,6 +555,7 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: 
                 } = *task;
                 let reply = Reply {
                     shared,
+                    verb: request.kind(),
                     conn,
                     req_id,
                     sent: false,
@@ -592,6 +597,7 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: 
                         Response::error("cancelled mid-screen at a phase boundary")
                     }
                     Err(payload) => {
+                        shared.metrics.lock().count_request(request.kind(), false);
                         Response::error(format!("screening panicked: {}", panic_message(&*payload)))
                     }
                 };

@@ -85,7 +85,7 @@ use crate::error::{PersistError, ServiceError};
 use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
-use crate::persist::{PersistOptions, Persister, Snapshot, Written, SNAPSHOT_VERSION};
+use crate::persist::{GlobalState, PersistOptions, Persister, Snapshot, Written};
 use crate::proto::{
     AdvanceAck, CatalogAck, ElementsSpec, LastScreen, Request, Response, ScreenSummary,
     ShardSummary, StatusInfo,
@@ -301,7 +301,7 @@ impl ServiceState {
         persister: &mut Persister,
     ) -> Result<Written, PersistError> {
         let snapshot = self.snapshot(persister.last_seq());
-        let written = persister.write_snapshot(&snapshot, &self.dirty_shards)?;
+        let written = persister.write_snapshot(snapshot, &self.dirty_shards)?;
         self.dirty_shards.clear();
         Ok(written)
     }
@@ -318,80 +318,35 @@ impl ServiceState {
     /// `wal_seq`.
     pub fn snapshot(&self, wal_seq: u64) -> Snapshot {
         Snapshot {
-            version: SNAPSHOT_VERSION,
             wal_seq,
-            variant: self.engine.variant(),
-            epoch: self.catalog.epoch(),
-            ids: self.catalog.ids().to_vec(),
-            elements: self
-                .catalog
-                .elements()
-                .iter()
-                .map(ElementsSpec::from_elements)
-                .collect(),
-            generations: self.catalog.generations().to_vec(),
-            changed: self.changed.iter().copied().collect(),
-            window_start: self.window_start,
-            screened_n: self.engine.screened_n(),
-            full_screens: self.engine.full_screens(),
-            delta_screens: self.engine.delta_screens(),
-            conjunctions: self.engine.conjunctions(),
-            requests_served: self.requests,
-            time: self.catalog.time(),
-            base_elements: self
-                .catalog
-                .base_elements()
-                .iter()
-                .map(ElementsSpec::from_elements)
-                .collect(),
-            last_screen: self.engine.last_screen().cloned(),
+            rows: self.catalog.rows(),
+            global: GlobalState {
+                epoch: self.catalog.epoch(),
+                changed: self.changed.iter().copied().collect(),
+                window_start: self.window_start,
+                screened_n: self.engine.screened_n(),
+                full_screens: self.engine.full_screens(),
+                delta_screens: self.engine.delta_screens(),
+                conjunctions: self.engine.conjunctions(),
+                requests_served: self.requests,
+                time: self.catalog.time(),
+                last_screen: self.engine.last_screen().cloned(),
+                variant: self.engine.variant(),
+            },
         }
     }
 
     /// Rebuild the state a [`ServiceState::snapshot`] captured, serving
-    /// with `pipeline`. When its variant matches the snapshot's, the warm
-    /// maintained set restores as-is; otherwise the engine comes back cold
-    /// (catalog and counters intact) because warm pairs from another
-    /// variant's pipeline are not valid delta inputs — the first DELTA
-    /// after restart falls back to a full screen. The shard layout is the
-    /// pipeline's, whatever the snapshot was written under.
+    /// with `pipeline`: the catalog from the rows, the engine from the
+    /// global state (warm when the variants match, see
+    /// [`DeltaEngine::restore`]). The shard layout is the pipeline's,
+    /// whatever the snapshot was written under.
     pub fn restore(pipeline: Pipeline, snapshot: &Snapshot) -> Result<ServiceState, ServiceError> {
-        let validated = |specs: &[ElementsSpec], what: &str| {
-            specs
-                .iter()
-                .map(|spec| spec.into_elements())
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| ServiceError::Recovery(format!("snapshot {what}: {e}")))
-        };
-        let catalog = Catalog::restore(
-            snapshot.epoch,
-            snapshot.ids.clone(),
-            validated(&snapshot.elements, "elements")?,
-            snapshot.generations.clone(),
-            snapshot.time,
-            validated(&snapshot.base_elements, "base elements")?,
-        )?;
-        let engine = if pipeline.variant() == snapshot.variant {
-            DeltaEngine::restore(
-                pipeline,
-                snapshot.screened_n,
-                snapshot.full_screens,
-                snapshot.delta_screens,
-                &snapshot.conjunctions,
-                snapshot.last_screen.clone(),
-            )?
-        } else {
-            DeltaEngine::restore(
-                pipeline,
-                None,
-                snapshot.full_screens,
-                snapshot.delta_screens,
-                &[],
-                None,
-            )?
-        };
+        let global = &snapshot.global;
+        let catalog = Catalog::restore(global.epoch, global.time, &snapshot.rows)?;
+        let engine = DeltaEngine::restore(pipeline, global)?;
         Ok(ServiceState {
-            changed: snapshot
+            changed: global
                 .changed
                 .iter()
                 .copied()
@@ -402,8 +357,8 @@ impl ServiceState {
             warm_epoch: catalog.epoch(),
             catalog,
             engine,
-            window_start: snapshot.window_start,
-            requests: snapshot.requests_served,
+            window_start: global.window_start,
+            requests: global.requests_served,
             recovered: true,
             ..ServiceState::with_pipeline(pipeline)
         })
@@ -954,6 +909,7 @@ mod tests {
     use super::conn::{read_bounded_line, LineOutcome};
     use super::*;
     use crate::delta::{DELTA_VARIANT, HYBRID_DELTA_VARIANT};
+    use crate::persist::Row;
     use crate::testkit::SplitMix64;
     use std::collections::BTreeMap;
     use std::path::PathBuf;
@@ -1147,9 +1103,11 @@ mod tests {
                         assert_eq!(response.error, Some(refusal.to_string()), "{context}");
                         // Nothing but the request counter may have moved.
                         let mut after = state.snapshot(0);
-                        assert_eq!(after.requests_served, before.requests_served + 1);
-                        after.requests_served = before.requests_served;
-                        assert_eq!(json(&after), json(&before), "{context}");
+                        let served = before.global.requests_served;
+                        assert_eq!(after.global.requests_served, served + 1);
+                        after.global.requests_served = served;
+                        assert_eq!(after.rows, before.rows, "{context}");
+                        assert_eq!(json(&after.global), json(&before.global), "{context}");
                         refused += 1;
                     }
                 }
@@ -1259,9 +1217,15 @@ mod tests {
         let expected = uninterrupted.snapshot(0);
         for (what, got) in [("live", &live), ("recovered", &recovered)] {
             let context = format!("seed {seed:#x}: {what} daemon vs uninterrupted model");
+            let key = |row: &Row| (row.index, row.id, row.generation);
+            assert_eq!(
+                got.rows.iter().map(key).collect::<Vec<_>>(),
+                expected.rows.iter().map(key).collect::<Vec<_>>(),
+                "{context}"
+            );
+            let (rows, expected_rows) = (&got.rows, &expected.rows);
+            let (got, expected) = (&got.global, &expected.global);
             assert_eq!(got.epoch, expected.epoch, "{context}");
-            assert_eq!(got.ids, expected.ids, "{context}");
-            assert_eq!(got.generations, expected.generations, "{context}");
             assert_eq!(got.changed, expected.changed, "{context}");
             assert_eq!(got.screened_n, expected.screened_n, "{context}");
             assert_eq!(got.full_screens, expected.full_screens, "{context}");
@@ -1271,7 +1235,8 @@ mod tests {
             // Elements and conjunctions cross a decimal round-trip on the
             // recovered side, so they are held to 1e-9 instead of to bits.
             let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * (1.0 + b.abs());
-            for (a, b) in got.elements.iter().zip(&expected.elements) {
+            for (a, b) in rows.iter().zip(expected_rows) {
+                let (a, b) = (a.elements, b.elements);
                 assert!(close(a.a, b.a) && close(a.incl, b.incl), "{context}");
                 assert!(close(a.mean_anomaly, b.mean_anomaly), "{context}");
             }
@@ -1449,7 +1414,7 @@ mod tests {
 
         let snapshot = state.snapshot(17);
         assert_eq!(snapshot.wal_seq, 17);
-        let pipeline = Pipeline::new(config, snapshot.variant).unwrap();
+        let pipeline = Pipeline::new(config, snapshot.global.variant).unwrap();
         let restored = ServiceState::restore(pipeline, &snapshot).unwrap();
 
         let a = state.status();
@@ -1482,7 +1447,7 @@ mod tests {
 
         // A corrupted snapshot is rejected, not silently accepted.
         let mut bad = snapshot.clone();
-        bad.generations.pop();
+        bad.rows[1].id = bad.rows[0].id;
         assert!(ServiceState::restore(pipeline, &bad).is_err());
     }
 
@@ -1665,7 +1630,7 @@ mod tests {
         }
         assert!(state.handle(&Request::Screen).ok);
         let snapshot = state.snapshot(3);
-        assert_eq!(snapshot.variant, Variant::Grid);
+        assert_eq!(snapshot.global.variant, Variant::Grid);
 
         let hybrid_config = ScreeningConfig::hybrid_defaults(5.0, 120.0);
         let hybrid = Pipeline::new(hybrid_config, Variant::Hybrid).unwrap();

@@ -1,7 +1,6 @@
-//! The golden state directories under `tests/fixtures/` — the only source
-//! of legacy v1 `snapshot-<seq>.json` files now that nothing writes that
-//! format. Recovery writes into the directory it opens, so a test never
-//! serves a fixture in place: it serves a copy.
+//! The golden state directories under `tests/fixtures/`, written by
+//! earlier commits' binaries. Recovery writes into the directory it opens,
+//! so a test never serves a fixture in place: it serves a copy.
 
 use kessler_service::proto::StatusInfo;
 use kessler_service::Response;

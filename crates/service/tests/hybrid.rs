@@ -2,16 +2,13 @@
 //! answer SCREEN/DELTA/ADVANCE through the orbital filter chain with
 //! filter-chain stats in its payloads, a cancelled hybrid screen must be
 //! invisible, and variant-aware snapshot recovery must come back warm
-//! (same variant), cold (variant changed), or defaulted to grid
-//! (pre-variant snapshot).
-
-mod common;
+//! (same variant) or cold (variant changed).
 
 use kessler_core::{ScreeningConfig, Variant};
 use kessler_population::{PopulationConfig, PopulationGenerator};
 use kessler_service::proto::ScreenSummary;
 use kessler_service::{
-    request, wal, Client, PersistOptions, Request, Server, ServerHandle, ServerOptions,
+    request, Client, PersistOptions, Request, Server, ServerHandle, ServerOptions,
     HYBRID_DELTA_VARIANT,
 };
 use std::net::SocketAddr;
@@ -75,26 +72,6 @@ fn persist_options(dir: &Path) -> PersistOptions {
         keep_snapshots: 2,
         shards: None,
     }
-}
-
-/// Newest legacy (v1) snapshot file in a state directory, by WAL sequence.
-fn newest_snapshot(dir: &Path) -> PathBuf {
-    std::fs::read_dir(dir)
-        .expect("list state dir")
-        .flatten()
-        .filter_map(|entry| {
-            let name = entry.file_name();
-            let seq = name
-                .to_str()?
-                .strip_prefix("snapshot-")?
-                .strip_suffix(".json")?
-                .parse::<u64>()
-                .ok()?;
-            Some((seq, entry.path()))
-        })
-        .max_by_key(|(seq, _)| *seq)
-        .expect("at least one snapshot")
-        .1
 }
 
 #[test]
@@ -367,69 +344,6 @@ fn grid_snapshot_restarted_as_hybrid_comes_back_cold() {
         .unwrap();
     assert_eq!(delta.variant, "hybrid");
     assert!(delta.filter_stats.is_some());
-
-    daemon_b.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Snapshots written before the `variant` field existed have no say in
-/// what they were screened with — they were always grid. A snapshot with
-/// the field stripped must recover warm on a grid daemon. Only the legacy
-/// v1 format ever lacked the field, so the directory is (a copy of) the
-/// `parent_flat` golden fixture, whose newest snapshot holds one live
-/// conjunction and is followed by a DELTA in the WAL tail.
-#[test]
-fn pre_variant_snapshot_recovers_as_grid() {
-    let dir = temp_dir("pre-variant");
-    common::copy_fixture("parent_flat", &dir);
-    let status_a = common::fixture_status("parent_flat");
-    assert_eq!(status_a.live_conjunctions, 1, "fixture lost its pair");
-
-    // Forge a pre-variant snapshot: strip the field, re-frame, rewrite.
-    let path = newest_snapshot(&dir);
-    let text = std::fs::read_to_string(&path).expect("read snapshot");
-    let line = text.lines().find(|l| !l.is_empty()).expect("frame line");
-    let (seq, body) = wal::decode_frame(line).expect("decode snapshot frame");
-    let mut value: serde_json::Value = serde_json::from_str(&body).expect("snapshot json");
-    let mut removed = None;
-    if let serde_json::Value::Object(map) = &mut value {
-        removed = map.remove("variant");
-    }
-    assert!(removed.is_some(), "snapshots must persist their variant");
-    let body = serde_json::to_string(&value).expect("serialize forged snapshot");
-    let mut forged = wal::encode_frame(seq, &body);
-    forged.push('\n');
-    std::fs::write(&path, forged).expect("rewrite snapshot");
-
-    let options = ServerOptions {
-        persist: Some(persist_options(&dir)),
-        ..ServerOptions::default()
-    };
-    let daemon_b = Server::bind_with("127.0.0.1:0", config_for(Variant::Grid, 120.0), options)
-        .expect("bind over pre-variant snapshot");
-    let recovery = daemon_b.recovery().expect("persistent daemon").clone();
-    assert_eq!(
-        (recovery.snapshot_seq, recovery.corrupt_snapshots),
-        (Some(seq), 0),
-        "the forged snapshot is the one recovered"
-    );
-    let daemon_b = daemon_b.spawn().expect("spawn server thread");
-
-    let status_b = request(daemon_b.addr(), &Request::Status)
-        .expect("STATUS")
-        .status
-        .unwrap();
-    assert!(status_b.recovered);
-    assert_eq!(status_b.variant, "grid");
-    assert_eq!(status_b.n_satellites, status_a.n_satellites);
-    // A cold restore would replay the tail's DELTA as a full screen.
-    assert_eq!(status_b.full_screens, status_a.full_screens);
-    assert_eq!(status_b.delta_screens, status_a.delta_screens);
-    assert_eq!(
-        status_b.live_conjunctions, status_a.live_conjunctions,
-        "a pre-variant snapshot matches a grid daemon: warm set restores"
-    );
-    assert_eq!(status_b.last_screen.unwrap().variant, "grid");
 
     daemon_b.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -7,9 +7,15 @@
 use kessler_core::ScreeningConfig;
 use kessler_service::metrics::MetricsSnapshot;
 use kessler_service::proto::ElementsSpec;
-use kessler_service::{request, PersistOptions, Request, Server, ServerHandle, ServerOptions};
+use kessler_service::{
+    request, Client, FaultPlan, PersistOptions, Request, Response, Server, ServerHandle,
+    ServerOptions,
+};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -188,5 +194,83 @@ fn errors_are_counted_per_command() {
     let update = metrics.requests.get("UPDATE").expect("UPDATE counter");
     assert_eq!(update.errors, 1);
     assert_eq!(update.ok, 0);
+    handle.shutdown();
+}
+
+/// The answers an operator reads `errors` for are exactly the ones that
+/// used to go uncounted: "server busy", a panicked screen, a dead worker.
+/// Per screening verb, `ok + errors` must equal the responses the client
+/// received.
+#[test]
+fn every_answered_screening_request_is_counted_exactly_once() {
+    let faults = Arc::new(FaultPlan::default());
+    let handle = serve(ServerOptions {
+        queue_depth: 1,
+        workers: 1,
+        faults: Arc::clone(&faults),
+        ..ServerOptions::default()
+    });
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for id in 0..200u64 {
+        let elements = spec_for(id);
+        assert!(client.send(&Request::Add { id, elements }).expect("ADD").ok);
+    }
+
+    // One burst, written in one segment: the first SCREEN panics in the
+    // worker, and while it and its successor hold the worker and the one
+    // queue slot, the rest of the burst finds the queue full.
+    faults.arm_panic_screen();
+    let verbs = [
+        "SCREEN", "SCREEN", "SCREEN", "DELTA", "ADVANCE", "SCREEN", "DELTA", "SCREEN",
+    ];
+    let burst: String = (verbs.iter().enumerate())
+        .map(|(i, verb)| match *verb {
+            "ADVANCE" => format!("{{\"cmd\":\"ADVANCE\",\"dt\":1.0,\"req_id\":\"ADVANCE-{i}\"}}\n"),
+            verb => format!("{{\"cmd\":\"{verb}\",\"req_id\":\"{verb}-{i}\"}}\n"),
+        })
+        .collect();
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect raw");
+    stream.write_all(burst.as_bytes()).expect("write burst");
+    let mut answers: Vec<Response> = BufReader::new(&stream)
+        .lines()
+        .take(verbs.len())
+        .map(|line| serde_json::from_str(&line.expect("response line")).expect("response"))
+        .collect();
+    // A worker that dies outside the panic guard answers through the
+    // owed-response guard's drop.
+    faults.arm_kill_worker();
+    answers.push(
+        client
+            .send_tagged(&Request::Screen, "SCREEN-dead")
+            .expect("SCREEN"),
+    );
+
+    let said = |what: &str| {
+        let matching = answers
+            .iter()
+            .filter(|r| r.error.as_deref().is_some_and(|e| e.contains(what)));
+        matching.count()
+    };
+    assert_eq!(said("panicked"), 1, "{answers:?}");
+    assert_eq!(said("unavailable"), 1, "{answers:?}");
+    assert!(
+        said("server busy") >= 1,
+        "the queue never filled: {answers:?}"
+    );
+
+    let metrics = metrics_of(&handle);
+    for verb in ["SCREEN", "DELTA", "ADVANCE"] {
+        let of_verb = |r: &&Response| r.req_id.as_deref().is_some_and(|id| id.starts_with(verb));
+        let (answered, ok) = (
+            answers.iter().filter(of_verb).count() as u64,
+            answers.iter().filter(of_verb).filter(|r| r.ok).count() as u64,
+        );
+        let counted = metrics.requests.get(verb).copied().unwrap_or_default();
+        assert_eq!(
+            (counted.ok, counted.errors),
+            (ok, answered - ok),
+            "{verb}: {answers:?}"
+        );
+    }
     handle.shutdown();
 }

@@ -1,9 +1,9 @@
 //! Crash-recovery end-to-end tests for sharded layouts: a daemon writing
 //! incremental per-shard snapshots must restart into exactly the state an
 //! uninterrupted daemon holds, fall back to the previous recovery point
-//! when its newest shard chunk is corrupt, and read legacy (v1) snapshot
-//! directories unchanged — the flat and sharded directories an earlier
-//! commit's binary left behind.
+//! when its newest shard chunk is corrupt, and read — and still write, byte
+//! for byte — the flat and sharded directories earlier commits' binaries
+//! left behind.
 
 mod common;
 
@@ -78,6 +78,16 @@ fn drive(addr: SocketAddr, requests: &[Request]) -> Vec<Response> {
             response
         })
         .collect()
+}
+
+/// Names of the files in a state directory, sorted.
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("state dir")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
 }
 
 fn status_of(addr: SocketAddr) -> StatusInfo {
@@ -187,10 +197,7 @@ fn sharded_restart_resumes_warm_and_matches_uninterrupted() {
 
     // The sharded layout actually landed on disk: a manifest plus
     // per-shard chunk files, no legacy v1 snapshots.
-    let names: Vec<String> = std::fs::read_dir(&dir)
-        .expect("state dir")
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
+    let names = file_names(&dir);
     assert!(
         names.iter().any(|n| n.starts_with("manifest-")),
         "no manifest written: {names:?}"
@@ -245,74 +252,6 @@ fn corrupt_newest_chunk_falls_back_to_previous_point() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn pre_sharding_snapshots_recover_under_sharded_options() {
-    let dir = temp_dir("v1-upgrade");
-    let shards = Some(ShardSpec::default());
-
-    // Daemon A ran unsharded, before the one-layout writer, and left v1
-    // monolithic snapshots: the `parent_flat` golden directory.
-    common::copy_fixture("parent_flat", &dir);
-    let final_a = common::fixture_status("parent_flat");
-    let names: Vec<String> = std::fs::read_dir(&dir)
-        .expect("state dir")
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    assert!(
-        names.iter().any(|n| n.starts_with("snapshot-")),
-        "the flat fixture should hold v1 snapshots: {names:?}"
-    );
-
-    // Daemon B restarts the same directory with sharding enabled: the v1
-    // snapshot must materialize, and the daemon must serve identically.
-    // (The control daemon is sharded too — sharded and unsharded screens
-    // are exactly equal, which tests/delta_correctness.rs pins down.)
-    assert_restart_matches(&dir, shards, &final_a, &golden_script());
-
-    // Mutate past the snapshot cadence so daemon C writes v2 files into
-    // the formerly-v1 directory, then prove a further restart reads the
-    // mixed directory.
-    let daemon_c = serve(&dir, shards, 2);
-    drive(
-        daemon_c.addr(),
-        &[
-            Request::Add {
-                id: 60,
-                elements: spec_for(60),
-            },
-            Request::Add {
-                id: 61,
-                elements: spec_for(61),
-            },
-            Request::Add {
-                id: 62,
-                elements: spec_for(62),
-            },
-            Request::Add {
-                id: 63,
-                elements: spec_for(63),
-            },
-        ],
-    );
-    let final_c = status_of(daemon_c.addr());
-    daemon_c.shutdown();
-    let names: Vec<String> = std::fs::read_dir(&dir)
-        .expect("state dir")
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    assert!(
-        names.iter().any(|n| n.starts_with("manifest-")),
-        "sharded daemon should have written a manifest: {names:?}"
-    );
-
-    let daemon_d = serve(&dir, shards, 2);
-    let status_d = status_of(daemon_d.addr());
-    assert_eq!(durable_key(&status_d), durable_key(&final_c));
-    assert!(status_d.recovered);
-    daemon_d.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// What the daemons that wrote the golden fixtures were driven with: two
 /// crossing satellites (ids 100, 101 — the one live conjunction) followed
 /// by [`script`].
@@ -333,11 +272,23 @@ fn golden_script() -> Vec<Request> {
     golden_script
 }
 
+/// The golden directories and the layout each was written (and is served)
+/// under.
+fn golden_fixtures() -> [(&'static str, Option<ShardSpec>); 2] {
+    let two_by_two = ShardSpec {
+        alt_bands: 2,
+        z_shells: 2,
+        ..ShardSpec::default()
+    };
+    [("parent_flat", None), ("parent_sharded", Some(two_by_two))]
+}
+
 /// Formats are a contract with the directories already on disk. The two
-/// fixture directories under `tests/fixtures/` were written by the
-/// `kessler serve --threshold 5 --span 120 --snapshot-every 7` binary of
-/// commit a695b38 (flat — the legacy v1 format nothing writes any more —
-/// and `--shards 2x2`), driven over the wire with [`golden_script`];
+/// fixture directories under `tests/fixtures/` were written by a `kessler
+/// serve --threshold 5 --span 120 --snapshot-every 7` binary of an earlier
+/// commit — `parent_flat` (no `--shards`: one-chunk manifests) by f4e3320,
+/// `parent_sharded` (`--shards 2x2`) by a695b38 — that answered one STATUS
+/// and was then driven over the wire with [`golden_script`];
 /// `<name>.status.json` is that daemon's last STATUS response. Each holds
 /// snapshots at WAL seq 21 and 28 and a four-record tail (DELTA, ADVANCE,
 /// ADD, ADD). Today's daemon must recover them to that STATUS and to the
@@ -347,12 +298,7 @@ fn golden_script() -> Vec<Request> {
 /// place (CI diffs the fixture tree after the suite).
 #[test]
 fn directories_written_by_an_earlier_commit_recover_unchanged() {
-    let two_by_two = ShardSpec {
-        alt_bands: 2,
-        z_shells: 2,
-        ..ShardSpec::default()
-    };
-    for (name, shards) in [("parent_flat", None), ("parent_sharded", Some(two_by_two))] {
+    for (name, shards) in golden_fixtures() {
         // Recovery writes into the directory, so work on a copy.
         let dir = temp_dir(name);
         common::copy_fixture(name, &dir);
@@ -361,8 +307,61 @@ fn directories_written_by_an_earlier_commit_recover_unchanged() {
             final_a.live_conjunctions, 1,
             "{name}: fixture lost its pair"
         );
+        // The tail's DELTA ran warm; a restore that came back cold would
+        // replay it as a second full screen and fail the comparison below.
+        assert_eq!((final_a.full_screens, final_a.delta_screens), (1, 1));
 
         assert_restart_matches(&dir, shards, &final_a, &golden_script());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The body of the frame file `path`, without the one part of a manifest
+/// that is wall-clock: the `last_screen.timings` object.
+fn frame_body_without_timings(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).expect("read frame file");
+    let (_, mut body) = kessler_service::wal::decode_frame(text.trim_end()).expect("frame");
+    if let Some(start) = body.find("\"timings\":{") {
+        let end = start + body[start..].find('}').expect("timings object closes");
+        body.replace_range(start..=end, "");
+    }
+    body
+}
+
+/// And the contract holds in the other direction: a fresh daemon of this
+/// build, started under a fixture's flags and driven the way its writer
+/// was, leaves the same files — every chunk byte for byte, every manifest
+/// key for key and value for value outside the screen timings.
+#[test]
+fn a_fresh_daemon_writes_the_bytes_the_fixtures_hold() {
+    for (name, shards) in golden_fixtures() {
+        let dir = temp_dir(&format!("pin-{name}"));
+        let daemon = serve(&dir, shards, 7);
+        status_of(daemon.addr());
+        drive(daemon.addr(), &golden_script());
+        daemon.shutdown();
+
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(name);
+        assert_eq!(
+            file_names(&dir),
+            file_names(&golden),
+            "{name}: different files kept"
+        );
+        for file in file_names(&golden) {
+            let (ours, theirs) = (dir.join(&file), golden.join(&file));
+            if file.starts_with("manifest-") {
+                assert_eq!(
+                    frame_body_without_timings(&ours),
+                    frame_body_without_timings(&theirs),
+                    "{name}/{file}"
+                );
+            } else {
+                let read = |path: &Path| std::fs::read(path).expect("read state file");
+                assert!(read(&ours) == read(&theirs), "{name}/{file} differs");
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

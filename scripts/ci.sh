@@ -10,8 +10,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release && cargo test -q"
 cargo build --release && cargo test -q
 
-# The golden state directories are the only source of legacy v1 snapshot
-# files: a test serves a copy, never the fixture itself.
+# The golden state directories were written by earlier commits' binaries:
+# a test serves a copy, never the fixture itself.
 echo "==> the suite left crates/service/tests/fixtures untouched"
 git diff --exit-code -- crates/service/tests/fixtures
 
@@ -49,5 +49,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
 cargo clippy --locked --workspace --all-targets -- -D warnings
+
+# A renamed or deleted item must take its doc links with it.
+echo "==> RUSTDOCFLAGS=-D warnings cargo doc --locked --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps
 
 echo "CI checks passed."

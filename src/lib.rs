@@ -16,7 +16,7 @@
 //! | [`filters`] | apogee/perigee, coplanarity, orbit-path and time filters |
 //! | [`population`] | synthetic populations, constellations, debris clouds, TLE |
 //! | [`gpusim`] | the GPU execution-model simulator |
-//! | [`math`] | Brent optimisation, root finding, intervals, KDE, statistics |
+//! | [`math`] | Brent optimisation, intervals, KDE, statistics |
 //! | [`service`] | long-running screening daemon: incremental catalog, delta re-screening, TCP server |
 //!
 //! ## Example
