@@ -12,7 +12,7 @@ use crate::conjunction::{Conjunction, ScreeningReport};
 use crate::planner::MemoryModel;
 use crate::refine::{refine_pair, sampled_minima_search};
 use crate::screener::{run_screen, Outcome, Refined, Screener};
-use kessler_filters::{FilterChain, FilterConfig, FilterDecision};
+use kessler_filters::{FilterChain, FilterConfig, FilterDecision, FilterStatsSnapshot};
 use kessler_math::Interval;
 use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements};
 use rayon::prelude::*;
@@ -44,16 +44,18 @@ impl LegacyScreener {
         self
     }
 
+    /// Filter and refine one pair, counting its decision into `stats`.
     fn screen_pair(
         &self,
         chain: &FilterChain,
         population: &[KeplerElements],
         columns: &kessler_orbits::SoaColumns<'_>,
         span: Interval,
-        i: u32,
-        j: u32,
+        (i, j): (u32, u32),
+        stats: &mut FilterStatsSnapshot,
     ) -> Vec<Conjunction> {
         let decision = chain.evaluate(&population[i as usize], &population[j as usize], span);
+        stats.record(&decision);
         let a = columns.gather(i as usize);
         let b = columns.gather(j as usize);
         match decision {
@@ -113,20 +115,24 @@ impl Screener for LegacyScreener {
                     .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
                     .collect();
 
-                let found: Vec<Conjunction> = if self.parallel {
-                    pairs
-                        .par_iter()
-                        .flat_map_iter(|&(i, j)| {
-                            self.screen_pair(&chain, population, &columns, span, i, j)
-                        })
-                        .collect()
+                // Each task folds its own counts and conjunctions; tasks
+                // merge in pair order.
+                type Acc = (FilterStatsSnapshot, Vec<Conjunction>);
+                let fold = |(mut stats, mut found): Acc, &pair: &(u32, u32)| {
+                    let c = self.screen_pair(&chain, population, &columns, span, pair, &mut stats);
+                    found.extend(c);
+                    (stats, found)
+                };
+                let (filter_stats, found) = if self.parallel {
+                    pairs.par_iter().fold(Acc::default, fold).reduce(
+                        Acc::default,
+                        |(s1, mut f1), (s2, f2)| {
+                            f1.extend(f2);
+                            (s1 + s2, f1)
+                        },
+                    )
                 } else {
-                    pairs
-                        .iter()
-                        .flat_map(|&(i, j)| {
-                            self.screen_pair(&chain, population, &columns, span, i, j)
-                        })
-                        .collect()
+                    pairs.iter().fold(Acc::default(), fold)
                 };
                 // The chain and refinement interleave per pair; attribute
                 // the whole sweep to `filters` + leave refinement inside it
@@ -134,11 +140,10 @@ impl Screener for LegacyScreener {
                 // the chain sweep).
                 timings.filters = filter_start.elapsed();
 
-                let filter_stats = Some(chain.stats.snapshot());
                 Ok(Outcome {
                     candidate_entries: 0,
                     pair_set_regrows: 0,
-                    refined: Refined::settle(found, pairs.len(), filter_stats, config, true),
+                    refined: Refined::settle(found, pairs.len(), Some(filter_stats), config, true),
                     device_metrics: None,
                 })
             },

@@ -19,7 +19,7 @@ use crate::planner::{MemoryModel, PlannerReport};
 use crate::refine::{grid_refine_interval, refine_pair};
 use crate::screener::{distinct_pairs, Refined};
 use crate::timing::{PhaseTimer, PhaseTimings};
-use kessler_filters::{FilterChain, FilterConfig, FilterDecision};
+use kessler_filters::{FilterChain, FilterConfig, FilterDecision, FilterStatsSnapshot};
 use kessler_grid::CandidatePair;
 use kessler_math::Interval;
 use kessler_orbits::propagator::PropagationConstants;
@@ -249,6 +249,10 @@ impl Stage {
                     ))
                 })?
             };
+            let mut filter_stats = FilterStatsSnapshot::default();
+            for d in &decisions {
+                filter_stats.record(d);
+            }
             // Step 4: PCA/TCA determination inside the filter windows.
             let _timer = PhaseTimer::start(&mut timings.refinement);
             let found = executor.flat_map("refine_pca_tca", grouped.len(), |i| {
@@ -256,7 +260,7 @@ impl Stage {
                 let (a, b) = constants(g.id_lo, g.id_hi);
                 refine_filtered_pair(&a, &b, solver, g, &decisions[i], planner, threshold_km)
             })?;
-            (found, grouped.len(), Some(chain.stats.snapshot()))
+            (found, grouped.len(), Some(filter_stats))
         } else {
             // Step 4 (§IV-C): one Brent search per candidate occurrence.
             let candidate_pairs = distinct_pairs(&entries);

@@ -33,7 +33,7 @@ pub fn shell_gap(a: &KeplerElements, b: &KeplerElements) -> f64 {
 mod tests {
     use super::*;
     use kessler_math::Vec3;
-    use kessler_orbits::geometry::position_at_true_anomaly;
+    use kessler_orbits::geometry::OrbitFrame;
     use proptest::prelude::*;
     use std::f64::consts::TAU;
 
@@ -95,13 +95,12 @@ mod tests {
             let o1 = KeplerElements::new(a1, e1, i1, 0.3, 1.0, 0.0).unwrap();
             let o2 = KeplerElements::new(a2, e2, i2, 2.0, 0.5, 0.0).unwrap();
             if !apsis_filter(&o1, &o2, d) {
+                let (f1, f2) = (OrbitFrame::new(&o1), OrbitFrame::new(&o2));
                 let mut min_dist = f64::INFINITY;
                 for k in 0..24 {
-                    let f1 = k as f64 * TAU / 24.0;
-                    let p1: Vec3 = position_at_true_anomaly(&o1, f1);
+                    let p1: Vec3 = f1.position(k as f64 * TAU / 24.0);
                     for l in 0..24 {
-                        let f2 = l as f64 * TAU / 24.0;
-                        let p2 = position_at_true_anomaly(&o2, f2);
+                        let p2 = f2.position(l as f64 * TAU / 24.0);
                         min_dist = min_dist.min(p1.dist(p2));
                     }
                 }

@@ -10,9 +10,10 @@ use crate::coplanar::{are_coplanar, DEFAULT_COPLANAR_TOLERANCE};
 use crate::path::orbit_path_filter;
 use crate::timefilter::time_filter;
 use kessler_math::interval::Interval;
+use kessler_orbits::geometry::OrbitFrame;
 use kessler_orbits::KeplerElements;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Add;
 
 /// Filter chain configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -58,20 +59,10 @@ pub enum FilterDecision {
     Windows(Vec<Interval>),
 }
 
-/// Per-stage exclusion counters. All atomic so the chain can be shared
-/// across rayon workers without locking.
-#[derive(Debug, Default)]
-pub struct FilterStats {
-    pub tested: AtomicU64,
-    pub excluded_apsis: AtomicU64,
-    pub excluded_path: AtomicU64,
-    pub excluded_time: AtomicU64,
-    pub coplanar: AtomicU64,
-    pub kept: AtomicU64,
-}
-
-/// A point-in-time snapshot of [`FilterStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Per-stage counts of a batch of decisions: how many pairs each stage
+/// excluded, how many went to the coplanar search and how many were kept
+/// with windows. Counted off the decisions, so the chain itself is pure.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FilterStatsSnapshot {
     pub tested: u64,
     pub excluded_apsis: u64,
@@ -81,40 +72,44 @@ pub struct FilterStatsSnapshot {
     pub kept: u64,
 }
 
-impl FilterStats {
-    pub fn snapshot(&self) -> FilterStatsSnapshot {
-        FilterStatsSnapshot {
-            tested: self.tested.load(Ordering::Relaxed),
-            excluded_apsis: self.excluded_apsis.load(Ordering::Relaxed),
-            excluded_path: self.excluded_path.load(Ordering::Relaxed),
-            excluded_time: self.excluded_time.load(Ordering::Relaxed),
-            coplanar: self.coplanar.load(Ordering::Relaxed),
-            kept: self.kept.load(Ordering::Relaxed),
+impl FilterStatsSnapshot {
+    /// Count one decision.
+    pub fn record(&mut self, decision: &FilterDecision) {
+        self.tested += 1;
+        match decision {
+            FilterDecision::ExcludedApsis => self.excluded_apsis += 1,
+            FilterDecision::ExcludedPath => self.excluded_path += 1,
+            FilterDecision::ExcludedTime => self.excluded_time += 1,
+            FilterDecision::Coplanar => self.coplanar += 1,
+            FilterDecision::Windows(_) => self.kept += 1,
         }
     }
+}
 
-    pub fn reset(&self) {
-        self.tested.store(0, Ordering::Relaxed);
-        self.excluded_apsis.store(0, Ordering::Relaxed);
-        self.excluded_path.store(0, Ordering::Relaxed);
-        self.excluded_time.store(0, Ordering::Relaxed);
-        self.coplanar.store(0, Ordering::Relaxed);
-        self.kept.store(0, Ordering::Relaxed);
+/// Counts of two disjoint batches (parallel folds, running totals).
+impl Add for FilterStatsSnapshot {
+    type Output = FilterStatsSnapshot;
+
+    fn add(self, rhs: FilterStatsSnapshot) -> FilterStatsSnapshot {
+        FilterStatsSnapshot {
+            tested: self.tested + rhs.tested,
+            excluded_apsis: self.excluded_apsis + rhs.excluded_apsis,
+            excluded_path: self.excluded_path + rhs.excluded_path,
+            excluded_time: self.excluded_time + rhs.excluded_time,
+            coplanar: self.coplanar + rhs.coplanar,
+            kept: self.kept + rhs.kept,
+        }
     }
 }
 
 /// The classical filter chain.
 pub struct FilterChain {
     pub config: FilterConfig,
-    pub stats: FilterStats,
 }
 
 impl FilterChain {
     pub fn new(config: FilterConfig) -> FilterChain {
-        FilterChain {
-            config,
-            stats: FilterStats::default(),
-        }
+        FilterChain { config }
     }
 
     /// Run the chain on one pair over the screening `span`
@@ -125,45 +120,35 @@ impl FilterChain {
         b: &KeplerElements,
         span: Interval,
     ) -> FilterDecision {
-        self.stats.tested.fetch_add(1, Ordering::Relaxed);
         let padded = self.config.padded_threshold();
 
         // Stage 1: apogee/perigee.
         if !apsis_filter(a, b, padded) {
-            self.stats.excluded_apsis.fetch_add(1, Ordering::Relaxed);
             return FilterDecision::ExcludedApsis;
         }
+
+        // The node-based stages share each orbit's geometry.
+        let (fa, fb) = (OrbitFrame::new(a), OrbitFrame::new(b));
 
         // Stage 2: coplanarity split. Coplanar pairs bypass the node-based
         // filters (§IV-C: "For the coplanar ones, the procedure is the same
         // as for the grid-based variant").
-        if are_coplanar(a, b, self.config.coplanar_tolerance) {
-            self.stats.coplanar.fetch_add(1, Ordering::Relaxed);
+        if are_coplanar(&fa, &fb, self.config.coplanar_tolerance) {
             return FilterDecision::Coplanar;
         }
 
         // Stage 3: orbit-path filter.
-        if !orbit_path_filter(a, b, padded) {
-            self.stats.excluded_path.fetch_add(1, Ordering::Relaxed);
+        if !orbit_path_filter(&fa, &fb, padded) {
             return FilterDecision::ExcludedPath;
         }
 
         // Stage 4: time filter. Use the *padded* threshold so the windows
         // are conservative Brent brackets.
-        match time_filter(a, b, padded, span) {
-            Some(windows) if windows.is_empty() => {
-                self.stats.excluded_time.fetch_add(1, Ordering::Relaxed);
-                FilterDecision::ExcludedTime
-            }
-            Some(windows) => {
-                self.stats.kept.fetch_add(1, Ordering::Relaxed);
-                FilterDecision::Windows(windows)
-            }
+        match time_filter(a, &fa, b, &fb, padded, span) {
+            Some(windows) if windows.is_empty() => FilterDecision::ExcludedTime,
+            Some(windows) => FilterDecision::Windows(windows),
             // Borderline coplanarity slipped past the tolerance check.
-            None => {
-                self.stats.coplanar.fetch_add(1, Ordering::Relaxed);
-                FilterDecision::Coplanar
-            }
+            None => FilterDecision::Coplanar,
         }
     }
 }
@@ -181,6 +166,31 @@ mod tests {
         FilterChain::new(FilterConfig::new(2.0))
     }
 
+    fn counts<'a>(decisions: impl IntoIterator<Item = &'a FilterDecision>) -> FilterStatsSnapshot {
+        let mut stats = FilterStatsSnapshot::default();
+        for d in decisions {
+            stats.record(d);
+        }
+        stats
+    }
+
+    /// One pair for each decision (apsis, path, coplanar, time, windows)
+    /// and a span of two LEO periods.
+    fn mixed_pairs() -> (Vec<(KeplerElements, KeplerElements)>, Interval) {
+        let leo = el(7_000.0, 0.0, 0.4, 0.0, 0.0, 0.0);
+        let pairs = vec![
+            (leo, el(42_164.0, 0.0, 0.1, 0.0, 0.0, 0.0)),
+            (
+                el(7_000.0, 0.0, 0.2, 0.0, 0.0, 0.0),
+                el(7_300.0, 0.045, 1.2, 0.0, PI / 2.0, 0.0),
+            ),
+            (leo, el(7_005.0, 0.002, 0.4, 0.0, 2.0, 1.0)),
+            (leo, el(7_000.0, 0.0, 1.2, 1.0, 0.0, PI)),
+            (leo, el(7_000.0, 0.0, 1.2, 0.0, 0.0, 0.0)),
+        ];
+        (pairs, Interval::new(0.0, 2.0 * leo.period()))
+    }
+
     #[test]
     fn leo_vs_geo_is_excluded_by_apsis() {
         let c = chain();
@@ -191,7 +201,7 @@ mod tests {
             span,
         );
         assert_eq!(d, FilterDecision::ExcludedApsis);
-        let s = c.stats.snapshot();
+        let s = counts([&d]);
         assert_eq!(s.tested, 1);
         assert_eq!(s.excluded_apsis, 1);
     }
@@ -200,12 +210,10 @@ mod tests {
     fn radially_separated_crossing_orbits_are_excluded_by_path() {
         let c = chain();
         let span = Interval::new(0.0, 6_000.0);
-        // Shells overlap via padding? No: 7000 vs 7050 circular → gap 50 km
-        // > padded threshold 17 km → apsis already excludes. Use 7000 vs
-        // 7010: gap 10 km < 17 km padded, passes apsis; path filter sees
-        // the true 10 km node distance > … no, 10 < 17 keeps it.
-        // To hit the path stage: eccentric orbit whose shell overlaps but
-        // whose curves stay far apart near the nodes.
+        // Two circular orbits cannot reach the path stage with a gap above
+        // the padded threshold (17 km): the apsis filter already excludes
+        // them. An eccentric orbit can — its shell overlaps the ring while
+        // its curve stays far from it near the nodes.
         let a = el(7_000.0, 0.0, 0.2, 0.0, 0.0, 0.0);
         // Orbit with perigee 6970, apogee 7630 (shells overlap), but node
         // geometry placing the crossing radius away from 7000:
@@ -246,52 +254,68 @@ mod tests {
         let a = el(7_000.0, 0.0, 0.4, 0.0, 0.0, 0.0);
         let b = el(7_000.0, 0.0, 1.2, 0.0, 0.0, 0.0);
         let span = Interval::new(0.0, 2.0 * a.period());
-        match c.evaluate(&a, &b, span) {
+        let d = c.evaluate(&a, &b, span);
+        match &d {
             FilterDecision::Windows(w) => {
                 assert!(!w.is_empty());
-                for iv in &w {
+                for iv in w {
                     assert!(iv.start >= span.start - 1e-9 && iv.end <= span.end + 1e-9);
                 }
             }
             other => panic!("expected windows, got {other:?}"),
         }
-        let s = c.stats.snapshot();
-        assert_eq!(s.kept, 1);
+        assert_eq!(counts([&d]).kept, 1);
     }
 
     #[test]
-    fn stats_accumulate_and_reset() {
+    fn stats_accumulate_and_sum() {
         let c = chain();
-        let span = Interval::new(0.0, 6_000.0);
-        let leo = el(7_000.0, 0.001, 0.9, 0.0, 0.0, 0.0);
-        let geo = el(42_164.0, 0.0, 0.1, 0.0, 0.0, 0.0);
-        for _ in 0..5 {
-            c.evaluate(&leo, &geo, span);
-        }
-        assert_eq!(c.stats.snapshot().tested, 5);
-        c.stats.reset();
-        assert_eq!(c.stats.snapshot().tested, 0);
+        let (pairs, span) = mixed_pairs();
+        let decisions: Vec<FilterDecision> =
+            pairs.iter().map(|(a, b)| c.evaluate(a, b, span)).collect();
+        let one_each = FilterStatsSnapshot {
+            tested: 5,
+            excluded_apsis: 1,
+            excluded_path: 1,
+            excluded_time: 1,
+            coplanar: 1,
+            kept: 1,
+        };
+        assert_eq!(counts(&decisions), one_each);
+        assert_eq!(counts(&decisions[..2]) + counts(&decisions[2..]), one_each);
+        assert_eq!(one_each + FilterStatsSnapshot::default(), one_each);
     }
 
     #[test]
     fn chain_is_thread_safe() {
+        // Four threads share one chain: each sees the serial decisions, and
+        // their counts sum to the serial counts of the same 100 batches.
         let c = chain();
-        let span = Interval::new(0.0, 6_000.0);
-        let leo = el(7_000.0, 0.001, 0.9, 0.0, 0.0, 0.0);
-        let geo = el(42_164.0, 0.0, 0.1, 0.0, 0.0, 0.0);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let c = &c;
-                let leo = &leo;
-                let geo = &geo;
-                scope.spawn(move || {
-                    for _ in 0..100 {
-                        c.evaluate(leo, geo, span);
-                    }
-                });
-            }
+        let (pairs, span) = mixed_pairs();
+        let batch = || -> Vec<FilterDecision> {
+            pairs.iter().map(|(a, b)| c.evaluate(a, b, span)).collect()
+        };
+        let serial = batch();
+        let serial_counts = counts(std::iter::repeat_n(&serial, 100).flatten());
+        let summed = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut stats = FilterStatsSnapshot::default();
+                        for _ in 0..25 {
+                            let decisions = batch();
+                            assert_eq!(decisions, serial);
+                            stats = stats + counts(&decisions);
+                        }
+                        stats
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .fold(FilterStatsSnapshot::default(), |sum, s| sum + s)
         });
-        assert_eq!(c.stats.snapshot().tested, 400);
-        assert_eq!(c.stats.snapshot().excluded_apsis, 400);
+        assert_eq!(summed, serial_counts);
     }
 }

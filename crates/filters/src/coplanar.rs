@@ -7,7 +7,7 @@
 //! hybrid GPU runtime, §V-C.1) — and routes coplanar pairs to the
 //! grid-style sampled search instead.
 
-use kessler_orbits::{geometry, KeplerElements};
+use kessler_orbits::geometry::{relative_inclination, OrbitFrame};
 
 /// Default angular tolerance below which two planes are treated as
 /// coplanar (radians). With relative inclination i_R, the out-of-plane
@@ -18,8 +18,8 @@ pub const DEFAULT_COPLANAR_TOLERANCE: f64 = 0.01;
 /// `true` if the two orbital planes are within `tolerance` radians of each
 /// other (including the retrograde-aligned case).
 #[inline]
-pub fn are_coplanar(a: &KeplerElements, b: &KeplerElements, tolerance: f64) -> bool {
-    geometry::relative_inclination(a, b) < tolerance
+pub fn are_coplanar(a: &OrbitFrame, b: &OrbitFrame, tolerance: f64) -> bool {
+    relative_inclination(a, b) < tolerance
 }
 
 #[cfg(test)]
@@ -28,8 +28,10 @@ mod tests {
     use proptest::prelude::*;
     use std::f64::consts::{FRAC_PI_2, PI, TAU};
 
-    fn el(i: f64, raan: f64) -> KeplerElements {
-        KeplerElements::new(7_000.0, 0.01, i, raan, 0.5, 0.0).unwrap()
+    use kessler_orbits::KeplerElements;
+
+    fn el(i: f64, raan: f64) -> OrbitFrame {
+        OrbitFrame::new(&KeplerElements::new(7_000.0, 0.01, i, raan, 0.5, 0.0).unwrap())
     }
 
     #[test]

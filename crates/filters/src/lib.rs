@@ -23,8 +23,8 @@
 //!    (Healy 1995; Rodríguez et al. 2002), the other parallel-screening
 //!    family §II surveys; `kessler-core` builds a comparison screener on
 //!    top of it.
-//! 6. [`chain`] — the composed [`chain::FilterChain`] with per-stage
-//!    exclusion statistics.
+//! 6. [`chain`] — the composed [`chain::FilterChain`]; per-stage counts
+//!    are read off its decisions ([`chain::FilterStatsSnapshot::record`]).
 
 pub mod apsis;
 pub mod chain;
@@ -33,4 +33,4 @@ pub mod path;
 pub mod sieve;
 pub mod timefilter;
 
-pub use chain::{FilterChain, FilterConfig, FilterDecision, FilterStats};
+pub use chain::{FilterChain, FilterConfig, FilterDecision, FilterStatsSnapshot};

@@ -9,28 +9,30 @@
 
 use kessler_math::brent::brent_minimize;
 use kessler_math::Vec3;
-use kessler_orbits::geometry::{mutual_node, position_at_true_anomaly, true_anomaly_of_direction};
-use kessler_orbits::KeplerElements;
+use kessler_orbits::geometry::{mutual_node, OrbitFrame};
 
 /// Half-width (radians of true anomaly) of the refinement window around
 /// each node crossing. Generous enough to absorb the offset between the
 /// nodal crossing and the true curve-to-curve minimum on eccentric orbits.
 const REFINE_HALF_WIDTH: f64 = 0.6;
 
-/// Coordinate-descent sweeps. Distance-between-ellipses is benign near the
-/// node; three alternations converge far below filter accuracy.
+/// Coordinate-descent sweeps. Three is *not* known to converge: each pass
+/// contracts the error only by about cos² of the relative inclination, so
+/// the result over-estimates the minimum by more as the planes close
+/// (`global_scan_matches_known_minima` is ignored for it). ROADMAP 3(c)
+/// replaces the refinement with a sound lower bound.
 const REFINE_PASSES: u32 = 3;
 
 /// Minimum distance between the two orbit curves near their mutual nodes,
 /// in km. Returns `None` for (numerically) coplanar orbits, for which the
 /// node construction is undefined — the caller must have routed those to
 /// the coplanar path first.
-pub fn orbit_path_distance(a: &KeplerElements, b: &KeplerElements) -> Option<f64> {
+pub fn orbit_path_distance(a: &OrbitFrame, b: &OrbitFrame) -> Option<f64> {
     let node = mutual_node(a, b)?;
     let mut best = f64::INFINITY;
     for dir in [node, -node] {
-        let f_a = true_anomaly_of_direction(a, dir);
-        let f_b = true_anomaly_of_direction(b, dir);
+        let f_a = a.true_anomaly_of(dir);
+        let f_b = b.true_anomaly_of(dir);
         best = best.min(refine_minimum(a, b, f_a, f_b));
     }
     Some(best)
@@ -51,7 +53,7 @@ const GLOBAL_SCAN_SAMPLES: usize = 16;
 /// from the mutual node line — nearly-coplanar retrograde pairs and
 /// high-eccentricity orbits, where the node-local refinement window can
 /// miss the real minimum.
-pub fn orbit_path_filter(a: &KeplerElements, b: &KeplerElements, threshold: f64) -> bool {
+pub fn orbit_path_filter(a: &OrbitFrame, b: &OrbitFrame, threshold: f64) -> bool {
     match orbit_path_distance(a, b) {
         Some(d) if d <= threshold => true,
         Some(_) => global_minimum_distance(a, b) <= threshold,
@@ -64,15 +66,13 @@ pub fn orbit_path_filter(a: &KeplerElements, b: &KeplerElements, threshold: f64)
 /// coordinate-descent refinement of every coarse local minimum. Only used
 /// on the exclusion path, where spending a few hundred evaluations beats
 /// dropping a real conjunction.
-fn global_minimum_distance(a: &KeplerElements, b: &KeplerElements) -> f64 {
+fn global_minimum_distance(a: &OrbitFrame, b: &OrbitFrame) -> f64 {
     const N: usize = GLOBAL_SCAN_SAMPLES;
     let step = std::f64::consts::TAU / N as f64;
     let mut grid = [[0.0f64; N]; N];
-    let positions_b: Vec<Vec3> = (0..N)
-        .map(|l| position_at_true_anomaly(b, l as f64 * step))
-        .collect();
+    let positions_b: [Vec3; N] = std::array::from_fn(|l| b.position(l as f64 * step));
     for (k, row) in grid.iter_mut().enumerate() {
-        let pa = position_at_true_anomaly(a, k as f64 * step);
+        let pa = a.position(k as f64 * step);
         for (l, cell) in row.iter_mut().enumerate() {
             *cell = pa.dist_sq(positions_b[l]);
         }
@@ -99,27 +99,24 @@ fn global_minimum_distance(a: &KeplerElements, b: &KeplerElements) -> f64 {
 }
 
 /// Local minimisation of `‖p_a(f₁) − p_b(f₂)‖` by alternating Brent passes
-/// over each anomaly.
-fn refine_minimum(a: &KeplerElements, b: &KeplerElements, f_a0: f64, f_b0: f64) -> f64 {
+/// over each anomaly; each pass evaluates the anomaly it holds fixed once.
+fn refine_minimum(a: &OrbitFrame, b: &OrbitFrame, f_a0: f64, f_b0: f64) -> f64 {
     let mut f_a = f_a0;
     let mut f_b = f_b0;
-    let dist = |fa: f64, fb: f64| -> f64 {
-        let pa: Vec3 = position_at_true_anomaly(a, fa);
-        let pb: Vec3 = position_at_true_anomaly(b, fb);
-        pa.dist_sq(pb)
-    };
-    let mut best = dist(f_a, f_b);
+    let mut best = a.position(f_a).dist_sq(b.position(f_b));
     for _ in 0..REFINE_PASSES {
+        let pb = b.position(f_b);
         let ra = brent_minimize(
-            |x| dist(x, f_b),
+            |x| a.position(x).dist_sq(pb),
             f_a - REFINE_HALF_WIDTH,
             f_a + REFINE_HALF_WIDTH,
             1e-10,
             60,
         );
         f_a = ra.xmin;
+        let pa = a.position(f_a);
         let rb = brent_minimize(
-            |y| dist(f_a, y),
+            |y| pa.dist_sq(b.position(y)),
             f_b - REFINE_HALF_WIDTH,
             f_b + REFINE_HALF_WIDTH,
             1e-10,
@@ -137,8 +134,10 @@ mod tests {
     use proptest::prelude::*;
     use std::f64::consts::{FRAC_PI_2, TAU};
 
-    fn el(a: f64, e: f64, i: f64, raan: f64, argp: f64) -> KeplerElements {
-        KeplerElements::new(a, e, i, raan, argp, 0.0).unwrap()
+    use kessler_orbits::KeplerElements;
+
+    fn el(a: f64, e: f64, i: f64, raan: f64, argp: f64) -> OrbitFrame {
+        OrbitFrame::new(&KeplerElements::new(a, e, i, raan, argp, 0.0).unwrap())
     }
 
     #[test]
@@ -187,9 +186,8 @@ mod tests {
         let d = orbit_path_distance(&circ, &ecc).unwrap();
         // Distance at the nodes without refinement could be large; the
         // refinement must find the true near-crossing region.
-        let d_keep = orbit_path_filter(&circ, &ecc, 500.0);
         assert!(d < 1_500.0, "refined distance = {d}");
-        let _ = d_keep;
+        assert!(orbit_path_filter(&circ, &ecc, 500.0));
     }
 
     #[test]
@@ -242,22 +240,126 @@ mod tests {
         // The case proptest once shrank the property below to: a high-eccentricity
         // near-retrograde pair. Whatever the filter decides, the decision
         // must be consistent with the refined global minimum.
-        let o1 = KeplerElements::new(18_288.843174009147, 0.0, 0.1, 4.639404799736325, 0.7, 0.0)
-            .unwrap();
-        let o2 = KeplerElements::new(
-            18_898.632857579538,
-            0.3923351625189953,
-            2.9220304467817857,
-            3.1320998609571724,
-            2.1,
-            0.0,
-        )
-        .unwrap();
+        let (o1, o2) = regression_pair();
+        let (o1, o2) = (OrbitFrame::new(&o1), OrbitFrame::new(&o2));
         let threshold = 40.0;
         let global = global_minimum_distance(&o1, &o2);
         if global <= threshold {
             assert!(orbit_path_filter(&o1, &o2, threshold));
         }
+    }
+
+    fn regression_pair() -> (KeplerElements, KeplerElements) {
+        (
+            KeplerElements::new(18_288.843174009147, 0.0, 0.1, 4.639404799736325, 0.7, 0.0)
+                .unwrap(),
+            KeplerElements::new(
+                18_898.632857579538,
+                0.3923351625189953,
+                2.9220304467817857,
+                3.1320998609571724,
+                2.1,
+                0.0,
+            )
+            .unwrap(),
+        )
+    }
+
+    /// Every chain decision, window endpoint and path-filter distance over
+    /// 4 097 seeded pairs, hashed. The constant is what this body computed
+    /// on the parent of the `OrbitFrame` change (element-taking filters),
+    /// so a different hash means a decision or a distance moved by a bit.
+    #[test]
+    fn chain_decisions_are_pinned_to_the_bit() {
+        use crate::chain::{FilterChain, FilterConfig, FilterDecision};
+        use kessler_math::Interval;
+        use std::f64::consts::PI;
+
+        struct SplitMix64(u64);
+        impl SplitMix64 {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            }
+            fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+                lo + (hi - lo) * ((self.next() >> 11) as f64 / (1u64 << 53) as f64)
+            }
+        }
+        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        let mut mix = |x: u64| hash = (hash ^ x).wrapping_mul(0x0000_0100_0000_01B3);
+
+        // Four shapes of pair, cycled: LEO shells (the benchmark population's
+        // hotspot), near-coplanar, retrograde-aligned, and eccentric
+        // (e ≤ 0.4) out to 20 000 km; then the regression case above.
+        let mut rng = SplitMix64(0x0F11_7E25);
+        let mut pairs: Vec<(KeplerElements, KeplerElements)> = (0..4_096)
+            .map(|k| {
+                let kind = k % 4;
+                let (a_lo, a_hi, e_max, da) = if kind == 3 {
+                    (6_800.0, 20_000.0, 0.4, 2_000.0)
+                } else {
+                    (6_700.0, 7_800.0, 0.004, 20.0)
+                };
+                let a1 = rng.uniform(a_lo, a_hi);
+                let e1 = rng.uniform(0.0, e_max);
+                let a2 = (a1 + rng.uniform(-da, da)).max(6_700.0);
+                let e2 = rng.uniform(0.0, e_max);
+                let i1 = rng.uniform(0.05, PI - 0.05);
+                let raan1 = rng.uniform(0.0, TAU);
+                let (di, dr) = (rng.uniform(-0.02, 0.02), rng.uniform(-0.02, 0.02));
+                let (i2, raan2) = match kind {
+                    1 => (i1 + di, raan1 + dr),
+                    2 => (PI - i1 + di, raan1 + PI + dr),
+                    _ => (rng.uniform(0.0, PI), rng.uniform(0.0, TAU)),
+                };
+                let (w1, m1) = (rng.uniform(0.0, TAU), rng.uniform(0.0, TAU));
+                let (w2, m2) = (rng.uniform(0.0, TAU), rng.uniform(0.0, TAU));
+                (
+                    KeplerElements::new(a1, e1, i1, raan1, w1, m1).unwrap(),
+                    KeplerElements::new(a2, e2, i2, raan2, w2, m2).unwrap(),
+                )
+            })
+            .collect();
+        pairs.push(regression_pair());
+
+        let chain = FilterChain::new(FilterConfig::new(10.0));
+        let padded = chain.config.padded_threshold();
+        let mut kinds = [0u32; 5];
+        for (a, b) in &pairs {
+            let (fa, fb) = (OrbitFrame::new(a), OrbitFrame::new(b));
+            let path = orbit_path_distance(&fa, &fb);
+            mix(path.map_or(u64::MAX, f64::to_bits));
+            let mut kind = 0;
+            for span in [Interval::new(0.0, 150.0), Interval::new(0.0, 6_000.0)] {
+                kind = match chain.evaluate(a, b, span) {
+                    FilterDecision::ExcludedApsis => 0,
+                    FilterDecision::Coplanar => 1,
+                    FilterDecision::ExcludedPath => 2,
+                    FilterDecision::ExcludedTime => 3,
+                    FilterDecision::Windows(windows) => {
+                        mix(windows.len() as u64);
+                        for w in windows {
+                            mix(w.start.to_bits());
+                            mix(w.end.to_bits());
+                        }
+                        4
+                    }
+                };
+                mix(kind as u64);
+                kinds[kind] += 1;
+            }
+            // The chain reaches the global scan when the pair passes the
+            // apsis and coplanarity stages (kind ≥ 2 at every span) with a
+            // node estimate above the padded threshold.
+            if kind >= 2 && path.is_some_and(|d| d > padded) {
+                mix(global_minimum_distance(&fa, &fb).to_bits());
+            }
+        }
+        assert!(kinds.iter().all(|&k| k > 0), "unreached kind: {kinds:?}");
+        assert_eq!(hash, 0x4bd7_fcfc_861a_601b, "{hash:#018x}, kinds {kinds:?}");
     }
 
     proptest! {
@@ -286,10 +388,10 @@ mod tests {
             let mut sampled = f64::INFINITY;
             for k in 0..72 {
                 let f1 = k as f64 * TAU / 72.0;
-                let p1 = position_at_true_anomaly(&o1, f1);
+                let p1 = o1.position(f1);
                 for l in 0..72 {
                     let f2 = l as f64 * TAU / 72.0;
-                    sampled = sampled.min(p1.dist(position_at_true_anomaly(&o2, f2)));
+                    sampled = sampled.min(p1.dist(o2.position(f2)));
                 }
             }
             if sampled <= threshold {

@@ -18,7 +18,7 @@
 
 use kessler_math::interval::{intersect_sets, merge_intervals, Interval};
 use kessler_orbits::anomaly::true_to_mean;
-use kessler_orbits::geometry::{mutual_node, true_anomaly_of_direction};
+use kessler_orbits::geometry::{mutual_node, relative_inclination, OrbitFrame};
 use kessler_orbits::KeplerElements;
 
 /// A pair of per-node time-window sets for one satellite.
@@ -32,12 +32,11 @@ pub struct NodeWindows {
 
 /// Compute the true-anomaly half-width of the node window.
 ///
-/// Conservative choices: the radius is evaluated at *perigee* (the smallest
-/// radius maximises the admissible angle… no — the smallest radius gives
-/// the **largest** `d/(r·sin i_R)` bound, hence the widest window), so the
-/// window can only be wider than necessary, never narrower. Returns `None`
-/// when the bound exceeds 1, meaning the whole orbit stays within `d` of
-/// the plane and no exclusion is possible.
+/// The bound `d/(r·sin i_R)` is largest where the radius is smallest, so
+/// the radius is taken at *perigee*: the window can only be wider than
+/// necessary, never narrower. Returns `None` when the bound reaches 1,
+/// meaning the whole orbit stays within `d` of the plane and no exclusion
+/// is possible.
 pub fn anomaly_half_width(
     el: &KeplerElements,
     rel_inclination: f64,
@@ -62,15 +61,16 @@ pub fn time_of_true_anomaly(el: &KeplerElements, f: f64) -> f64 {
     dm / el.mean_motion()
 }
 
-/// Node-crossing time windows for one satellite relative to the mutual
-/// node `node_dir`, unrolled over `span` (seconds past epoch).
+/// Node-crossing time windows for one satellite that crosses the mutual
+/// node at true anomaly `f_plus` (and the opposite node at `f_plus + π`),
+/// unrolled over `span` (seconds past epoch).
 ///
 /// `half_width` is the true-anomaly half-width from [`anomaly_half_width`];
 /// `None` (no exclusion possible) yields a single window covering the whole
 /// span for both nodes.
 pub fn node_windows(
     el: &KeplerElements,
-    node_dir: kessler_math::Vec3,
+    f_plus: f64,
     half_width: Option<f64>,
     span: Interval,
 ) -> NodeWindows {
@@ -95,15 +95,14 @@ pub fn node_windows(
         };
         merge_intervals(base.unroll_periodic(period, &span), 1e-9)
     };
-    let f_plus = true_anomaly_of_direction(el, node_dir);
-    let f_minus = f_plus + std::f64::consts::PI;
     NodeWindows {
         plus: window_for(f_plus),
-        minus: window_for(f_minus),
+        minus: window_for(f_plus + std::f64::consts::PI),
     }
 }
 
-/// Full time filter for a non-coplanar pair.
+/// Full time filter for a non-coplanar pair, each satellite given with
+/// its [`OrbitFrame`].
 ///
 /// Returns the time intervals (within `span`, seconds past the common
 /// epoch) during which both satellites are simultaneously inside their
@@ -114,16 +113,18 @@ pub fn node_windows(
 /// must use the sampled search instead.
 pub fn time_filter(
     a: &KeplerElements,
+    fa: &OrbitFrame,
     b: &KeplerElements,
+    fb: &OrbitFrame,
     threshold: f64,
     span: Interval,
 ) -> Option<Vec<Interval>> {
-    let node = mutual_node(a, b)?;
-    let rel_inc = kessler_orbits::geometry::relative_inclination(a, b);
+    let node = mutual_node(fa, fb)?;
+    let rel_inc = relative_inclination(fa, fb);
     let hw_a = anomaly_half_width(a, rel_inc, threshold);
     let hw_b = anomaly_half_width(b, rel_inc, threshold);
-    let wa = node_windows(a, node, hw_a, span);
-    let wb = node_windows(b, node, hw_b, span);
+    let wa = node_windows(a, fa.true_anomaly_of(node), hw_a, span);
+    let wb = node_windows(b, fb.true_anomaly_of(node), hw_b, span);
 
     // Same-node coincidences only: (+,+) and (−,−). A satellite at the
     // +node and the other at the −node are on opposite sides of Earth.
@@ -142,6 +143,16 @@ mod tests {
 
     fn el(a: f64, e: f64, i: f64, raan: f64, argp: f64, m0: f64) -> KeplerElements {
         KeplerElements::new(a, e, i, raan, argp, m0).unwrap()
+    }
+
+    fn pair_windows(
+        a: &KeplerElements,
+        b: &KeplerElements,
+        threshold: f64,
+        span: Interval,
+    ) -> Option<Vec<Interval>> {
+        let (fa, fb) = (OrbitFrame::new(a), OrbitFrame::new(b));
+        time_filter(a, &fa, b, &fb, threshold, span)
     }
 
     #[test]
@@ -165,7 +176,6 @@ mod tests {
     #[test]
     fn time_of_true_anomaly_is_consistent_with_propagation() {
         let o = el(7_200.0, 0.1, 1.1, 0.4, 2.2, 1.0);
-        let pc = PropagationConstants::from_elements(&o);
         let solver = ContourSolver::default();
         for f in [0.0, 1.0, 2.5, 4.0, 6.0] {
             let t = time_of_true_anomaly(&o, f);
@@ -177,7 +187,6 @@ mod tests {
                 kessler_math::angles::separation(f_back, f) < 1e-6,
                 "f = {f}, f_back = {f_back}"
             );
-            let _ = pc;
         }
     }
 
@@ -188,11 +197,12 @@ mod tests {
         // +node or −node window.
         let a = el(7_000.0, 0.0, 0.4, 0.0, 0.0, 0.0);
         let b = el(7_000.0, 0.0, 1.2, 1.0, 0.0, 2.0);
-        let node = mutual_node(&a, &b).unwrap();
-        let rel = kessler_orbits::geometry::relative_inclination(&a, &b);
+        let (fa, fb) = (OrbitFrame::new(&a), OrbitFrame::new(&b));
+        let node = mutual_node(&fa, &fb).unwrap();
+        let rel = relative_inclination(&fa, &fb);
         let span = Interval::new(0.0, 3.0 * a.period());
         let hw = anomaly_half_width(&a, rel, 50.0);
-        let w = node_windows(&a, node, hw, span);
+        let w = node_windows(&a, fa.true_anomaly_of(node), hw, span);
 
         let pc = PropagationConstants::from_elements(&a);
         let solver = ContourSolver::default();
@@ -201,7 +211,7 @@ mod tests {
             let t = span.end * k as f64 / 3000.0;
             let p = pc.position(t, &solver);
             // Out-of-plane distance from plane b.
-            let oop = p.dot(kessler_orbits::geometry::orbit_normal(&b)).abs();
+            let oop = p.dot(fb.normal()).abs();
             if oop < 45.0 {
                 // Near plane b → must be inside one of the windows.
                 let inside = w.plus.iter().chain(&w.minus).any(|iv| iv.contains(t));
@@ -221,7 +231,7 @@ mod tests {
         // Same period; phase offset of half a period.
         let b = el(7_000.0, 0.0, 1.2, 1.0, 0.0, std::f64::consts::PI);
         let span = Interval::new(0.0, 2.0 * a.period());
-        let windows = time_filter(&a, &b, 2.0, span).unwrap();
+        let windows = pair_windows(&a, &b, 2.0, span).unwrap();
         // At the node, one satellite arrives half a period after the
         // other; with a 2 km threshold the windows are seconds wide.
         assert!(
@@ -239,7 +249,7 @@ mod tests {
         // Both have their ascending node at RAAN 0 → mutual node along X,
         // and both start at perigee = node for argp = 0, M₀ = 0.
         let span = Interval::new(0.0, 2.0 * a.period());
-        let windows = time_filter(&a, &b, 2.0, span).unwrap();
+        let windows = pair_windows(&a, &b, 2.0, span).unwrap();
         assert!(!windows.is_empty(), "co-phased pair must survive");
         // The earliest window must include t = 0 (both at the node).
         assert!(windows[0].start < 5.0, "first window {:?}", windows[0]);
@@ -249,7 +259,7 @@ mod tests {
     fn coplanar_pair_returns_none() {
         let a = el(7_000.0, 0.01, 0.5, 1.0, 0.0, 0.0);
         let b = el(7_400.0, 0.02, 0.5, 1.0, 2.0, 1.0);
-        assert!(time_filter(&a, &b, 2.0, Interval::new(0.0, 6_000.0)).is_none());
+        assert!(pair_windows(&a, &b, 2.0, Interval::new(0.0, 6_000.0)).is_none());
     }
 
     proptest! {
@@ -263,10 +273,10 @@ mod tests {
         ) {
             let a = el(7_000.0, 0.0, 0.9, 0.0, 0.0, 0.0);
             let b = el(7_003.0, 0.0, i2, raan2, 0.0, m2);
-            prop_assume!(kessler_orbits::geometry::relative_inclination(&a, &b) > 0.05);
+            prop_assume!(relative_inclination(&OrbitFrame::new(&a), &OrbitFrame::new(&b)) > 0.05);
             let threshold = 20.0;
             let span = Interval::new(0.0, 2.0 * a.period());
-            let windows = time_filter(&a, &b, threshold, span).unwrap();
+            let windows = pair_windows(&a, &b, threshold, span).unwrap();
 
             let pa = PropagationConstants::from_elements(&a);
             let pb = PropagationConstants::from_elements(&b);

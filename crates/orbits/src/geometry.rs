@@ -2,64 +2,75 @@
 //!
 //! The orbit-path and time filters (§II) reason about *pairs of orbital
 //! planes*: their relative inclination, the mutual node line where they
-//! intersect, and each orbit's radius when crossing that line. This module
-//! provides those primitives on top of [`KeplerElements`].
+//! intersect, and each orbit's position along that line. An [`OrbitFrame`]
+//! holds what those questions need of one orbit — its perifocal rotation,
+//! semi-latus rectum and eccentricity — so a pair derives it once and then
+//! evaluates positions at the cost of one `sin_cos` each.
 
 use crate::elements::KeplerElements;
 use crate::propagator::perifocal_to_eci;
 use kessler_math::angles::wrap_tau;
-use kessler_math::Vec3;
+use kessler_math::{Mat3, Vec3};
 
-/// Unit normal of the orbital plane (direction of the angular momentum).
-pub fn orbit_normal(el: &KeplerElements) -> Vec3 {
-    // The normal is the Z axis of the perifocal frame expressed in ECI.
-    perifocal_to_eci(el.raan, el.inclination, el.arg_perigee).col(2)
+/// One orbit's shape and orientation, built once from its elements.
+#[derive(Debug, Clone, Copy)]
+pub struct OrbitFrame {
+    rot: Mat3,
+    p: f64,
+    e: f64,
+}
+
+impl OrbitFrame {
+    pub fn new(el: &KeplerElements) -> OrbitFrame {
+        OrbitFrame {
+            rot: perifocal_to_eci(el.raan, el.inclination, el.arg_perigee),
+            p: el.semi_latus_rectum(),
+            e: el.eccentricity,
+        }
+    }
+
+    /// Unit normal of the orbital plane (direction of the angular momentum):
+    /// the Z axis of the perifocal frame expressed in ECI.
+    #[inline]
+    pub fn normal(&self) -> Vec3 {
+        self.rot.col(2)
+    }
+
+    /// Position on the orbit (ECI, km) at true anomaly `f`.
+    #[inline]
+    pub fn position(&self, f: f64) -> Vec3 {
+        let (s, c) = f.sin_cos();
+        let r = self.p / (1.0 + self.e * c);
+        self.rot.col(0) * (r * c) + self.rot.col(1) * (r * s)
+    }
+
+    /// True anomaly at which the orbit crosses the (plane-projected)
+    /// direction `dir`, in `[0, 2π)`.
+    ///
+    /// `dir` need not lie exactly in the orbital plane; it is projected onto
+    /// it. The anomaly of the *opposite* crossing is the returned value + π.
+    #[inline]
+    pub fn true_anomaly_of(&self, dir: Vec3) -> f64 {
+        // Into the perifocal frame (rotation transpose = inverse).
+        let local = self.rot.transpose() * dir;
+        wrap_tau(local.y.atan2(local.x))
+    }
 }
 
 /// Angle between two orbital planes in `[0, π/2]`.
 ///
 /// Planes (not oriented orbits) are identified with their normal up to
 /// sign, so the relative inclination folds angles beyond 90°.
-pub fn relative_inclination(a: &KeplerElements, b: &KeplerElements) -> f64 {
-    let ang = orbit_normal(a).angle_to(orbit_normal(b));
+pub fn relative_inclination(a: &OrbitFrame, b: &OrbitFrame) -> f64 {
+    let ang = a.normal().angle_to(b.normal());
     ang.min(std::f64::consts::PI - ang)
 }
 
 /// Mutual node line of two non-coplanar orbits: the unit vector along the
 /// intersection of the two orbital planes. Returns `None` when the planes
 /// are (numerically) coplanar and no unique node line exists.
-pub fn mutual_node(a: &KeplerElements, b: &KeplerElements) -> Option<Vec3> {
-    orbit_normal(a).cross(orbit_normal(b)).normalized()
-}
-
-/// True anomaly at which an orbit crosses the (plane-projected) direction
-/// `dir`, in `[0, 2π)`.
-///
-/// `dir` need not lie exactly in the orbital plane; it is projected onto
-/// it. The anomaly of the *opposite* crossing is the returned value + π.
-pub fn true_anomaly_of_direction(el: &KeplerElements, dir: Vec3) -> f64 {
-    let rot = perifocal_to_eci(el.raan, el.inclination, el.arg_perigee);
-    // Into the perifocal frame (rotation transpose = inverse).
-    let local = rot.transpose() * dir;
-    wrap_tau(local.y.atan2(local.x))
-}
-
-/// Radii of an orbit at both crossings of the node direction `node`:
-/// `(r_at_node, r_at_antinode)` in km.
-pub fn radii_at_node(el: &KeplerElements, node: Vec3) -> (f64, f64) {
-    let f = true_anomaly_of_direction(el, node);
-    (
-        el.radius_at_true_anomaly(f),
-        el.radius_at_true_anomaly(f + std::f64::consts::PI),
-    )
-}
-
-/// Position on the orbit (ECI, km) at a given true anomaly.
-pub fn position_at_true_anomaly(el: &KeplerElements, f: f64) -> Vec3 {
-    let r = el.radius_at_true_anomaly(f);
-    let rot = perifocal_to_eci(el.raan, el.inclination, el.arg_perigee);
-    let (s, c) = f.sin_cos();
-    rot.col(0) * (r * c) + rot.col(1) * (r * s)
+pub fn mutual_node(a: &OrbitFrame, b: &OrbitFrame) -> Option<Vec3> {
+    a.normal().cross(b.normal()).normalized()
 }
 
 #[cfg(test)]
@@ -68,19 +79,19 @@ mod tests {
     use proptest::prelude::*;
     use std::f64::consts::{FRAC_PI_2, PI, TAU};
 
-    fn el(a: f64, e: f64, i: f64, raan: f64, argp: f64) -> KeplerElements {
-        KeplerElements::new(a, e, i, raan, argp, 0.0).unwrap()
+    fn el(a: f64, e: f64, i: f64, raan: f64, argp: f64) -> OrbitFrame {
+        OrbitFrame::new(&KeplerElements::new(a, e, i, raan, argp, 0.0).unwrap())
     }
 
     #[test]
     fn equatorial_orbit_normal_is_z() {
-        let n = orbit_normal(&el(7e3, 0.0, 0.0, 0.0, 0.0));
+        let n = el(7e3, 0.0, 0.0, 0.0, 0.0).normal();
         assert!(n.dist(Vec3::Z) < 1e-12);
     }
 
     #[test]
     fn polar_orbit_normal_is_horizontal() {
-        let n = orbit_normal(&el(7e3, 0.0, FRAC_PI_2, 0.0, 0.0));
+        let n = el(7e3, 0.0, FRAC_PI_2, 0.0, 0.0).normal();
         assert!(n.z.abs() < 1e-12);
         // For Ω = 0 the ascending node is +X, so the normal is −Y… check it
         // is perpendicular to both +X and +Z.
@@ -121,15 +132,15 @@ mod tests {
         let a = el(7e3, 0.05, 0.9, 0.3, 1.0);
         let b = el(7.5e3, 0.1, 1.4, 2.0, 0.5);
         let node = mutual_node(&a, &b).unwrap();
-        assert!(node.dot(orbit_normal(&a)).abs() < 1e-12);
-        assert!(node.dot(orbit_normal(&b)).abs() < 1e-12);
+        assert!(node.dot(a.normal()).abs() < 1e-12);
+        assert!(node.dot(b.normal()).abs() < 1e-12);
     }
 
     #[test]
     fn anomaly_of_perigee_direction_is_zero() {
         let o = el(9e3, 0.4, 0.8, 1.2, 2.1);
-        let perigee_dir = position_at_true_anomaly(&o, 0.0).normalized().unwrap();
-        let f = true_anomaly_of_direction(&o, perigee_dir);
+        let perigee_dir = o.position(0.0).normalized().unwrap();
+        let f = o.true_anomaly_of(perigee_dir);
         assert!(f.min(TAU - f) < 1e-9, "f = {f}");
     }
 
@@ -145,21 +156,9 @@ mod tests {
         let m = o.mean_anomaly_at(t);
         let ecc_anom = solver.ecc_anomaly(m, o.eccentricity);
         let f = crate::anomaly::ecc_to_true(ecc_anom, o.eccentricity);
-        let via_geometry = position_at_true_anomaly(&o, f);
+        let via_geometry = OrbitFrame::new(&o).position(f);
         let via_propagation = pc.position(t, &solver);
         assert!(via_geometry.dist(via_propagation) < 1e-6);
-    }
-
-    #[test]
-    fn radii_at_node_are_between_apsides() {
-        let a = el(9e3, 0.3, 0.9, 0.3, 1.0);
-        let b = el(9.5e3, 0.2, 1.4, 2.0, 0.5);
-        let node = mutual_node(&a, &b).unwrap();
-        let (r1, r2) = radii_at_node(&a, node);
-        for r in [r1, r2] {
-            assert!(r >= a.perigee_radius() - 1e-9);
-            assert!(r <= a.apogee_radius() + 1e-9);
-        }
     }
 
     proptest! {
@@ -167,8 +166,7 @@ mod tests {
         fn orbit_normal_is_unit_and_tilted_by_inclination(
             i in 0.0..PI, raan in 0.0..TAU, argp in 0.0..TAU
         ) {
-            let o = el(7e3, 0.1, i, raan, argp);
-            let n = orbit_normal(&o);
+            let n = el(7e3, 0.1, i, raan, argp).normal();
             prop_assert!((n.norm() - 1.0).abs() < 1e-12);
             // The angle between the normal and +Z is the inclination.
             prop_assert!((n.angle_to(Vec3::Z) - i).abs() < 1e-9);
@@ -193,8 +191,8 @@ mod tests {
             let a = el(7e3, 0.2, i1.min(PI - 1e-3), r1, argp);
             let b = el(8e3, 0.1, (i1 + 0.7).min(PI - 1e-3), wrap_tau(r1 + 1.0), 0.3);
             if let Some(node) = mutual_node(&a, &b) {
-                let f_plus = true_anomaly_of_direction(&a, node);
-                let f_minus = true_anomaly_of_direction(&a, -node);
+                let f_plus = a.true_anomaly_of(node);
+                let f_minus = a.true_anomaly_of(-node);
                 prop_assert!(
                     kessler_math::angles::separation(f_plus + PI, f_minus) < 1e-9
                 );

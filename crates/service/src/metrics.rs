@@ -113,20 +113,7 @@ impl MetricsRegistry {
     /// Fold one hybrid screen's filter-chain counters into the running
     /// totals.
     pub fn record_filter_chain(&mut self, stats: &FilterStatsSnapshot) {
-        let total = self.filter_chain.get_or_insert(FilterStatsSnapshot {
-            tested: 0,
-            excluded_apsis: 0,
-            excluded_path: 0,
-            excluded_time: 0,
-            coplanar: 0,
-            kept: 0,
-        });
-        total.tested += stats.tested;
-        total.excluded_apsis += stats.excluded_apsis;
-        total.excluded_path += stats.excluded_path;
-        total.excluded_time += stats.excluded_time;
-        total.coplanar += stats.coplanar;
-        total.kept += stats.kept;
+        self.filter_chain = Some(self.filter_chain.unwrap_or_default() + *stats);
     }
 
     /// Record the tail screen an ADVANCE ran while sliding the window.
