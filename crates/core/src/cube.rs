@@ -132,10 +132,15 @@ pub fn cube_estimate(population: &[KeplerElements], config: &CubeConfig) -> Cube
                 }
             }
         }
+        // Velocity at the randomised anomaly: the constants with the anomaly
+        // overridden (cheap relative to the MC loop).
+        let velocity_of = |i: u32| {
+            let mut c = propagator.constants_of(i as usize);
+            c.m0 = anomalies[i as usize];
+            c.propagate(0.0, &solver).velocity
+        };
         for p in pairs.drain_to_vec() {
-            let va = velocity_of(&propagator, p.id_lo as usize, anomalies[p.id_lo as usize]);
-            let vb = velocity_of(&propagator, p.id_hi as usize, anomalies[p.id_hi as usize]);
-            let v_rel = va.dist(vb);
+            let v_rel = velocity_of(p.id_lo).dist(velocity_of(p.id_hi));
             // s_i = s_j = 1/dU; rate contribution averaged over samples.
             let contribution = v_rel * sigma / cube_volume / config.samples as f64;
             *rates.entry((p.id_lo, p.id_hi)).or_insert(0.0) += contribution;
@@ -151,14 +156,6 @@ pub fn cube_estimate(population: &[KeplerElements], config: &CubeConfig) -> Cube
         total_rate_per_s,
         pair_rates,
     }
-}
-
-fn velocity_of(propagator: &BatchPropagator, index: usize, anomaly: f64) -> Vec3 {
-    // Velocity at the randomised anomaly: rebuild the constants with the
-    // overridden anomaly (cheap relative to the MC loop).
-    let mut c = propagator.constants_of(index);
-    c.m0 = anomaly;
-    c.propagate(0.0, &ContourSolver::default()).velocity
 }
 
 /// Convenience: derive a CubeConfig from a screening configuration

@@ -39,8 +39,9 @@
 //!   (quadratic pair enumeration).
 //! * [`SieveScreener`] — the (smart) sieve comparison variant from the
 //!   paper's related work (§II): per-step Cartesian rejection cascades.
-//! * [`Sgp4GridScreener`] — the grid variant over SGP4 dynamics, for real
-//!   TLE catalogs.
+//!
+//! Every variant propagates two-body orbits through the one contour
+//! Kepler solver, as the paper's evaluation does.
 
 pub mod assessment;
 pub mod cancel;
@@ -64,7 +65,6 @@ pub use planner::{MemoryModel, PlannerReport};
 pub use screener::cpu::{CpuScreener, GridScreener, HybridScreener};
 pub use screener::gpu::GpuScreener;
 pub use screener::legacy::LegacyScreener;
-pub use screener::sgp4_grid::Sgp4GridScreener;
 pub use screener::sieve::SieveScreener;
 pub use screener::stage::{group_pairs, refine_filtered_pair, Executor, GroupedPair, Host, Stage};
 pub use screener::{default_config_for, run_in_pool, screener_for, Refined, Screener};

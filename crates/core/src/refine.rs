@@ -50,29 +50,10 @@ pub fn refine_pair(
     interval: Interval,
     threshold_km: f64,
 ) -> Option<Conjunction> {
-    refine_pair_with(
-        |t| distance_sq_at(a, b, solver, t),
-        id_lo,
-        id_hi,
-        interval,
-        threshold_km,
-    )
-}
-
-/// Propagator-agnostic refinement core: minimise an arbitrary squared
-/// inter-satellite distance function over `interval` with the same edge-
-/// escape semantics as [`refine_pair`]. Used by the SGP4-backed screener,
-/// whose dynamics are not expressible as [`PropagationConstants`].
-pub fn refine_pair_with<D: Fn(f64) -> f64>(
-    d2: D,
-    id_lo: u32,
-    id_hi: u32,
-    interval: Interval,
-    threshold_km: f64,
-) -> Option<Conjunction> {
     if interval.is_empty() {
         return None;
     }
+    let d2 = |t| distance_sq_at(a, b, solver, t);
     let result = brent_minimize(&d2, interval.start, interval.end, BRENT_TOL, BRENT_ITER);
 
     let length = interval.length().max(1e-9);

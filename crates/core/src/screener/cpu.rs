@@ -71,14 +71,8 @@ impl CpuScreener {
                 // precomputed Kepler solver constants.
                 let propagator = BatchPropagator::new(population);
                 // Step 2: propagation, insertion, pair identification.
-                let phase = run_grid_phase(
-                    n,
-                    |t, out| propagator.positions_into(t, out),
-                    config.neighbor_scan,
-                    planner,
-                    timings,
-                    cancel,
-                )?;
+                let phase =
+                    run_grid_phase(&propagator, config.neighbor_scan, planner, timings, cancel)?;
                 let candidate_entries = phase.entries.len();
                 let host = Host {
                     propagator: &propagator,

@@ -1,13 +1,13 @@
 //! The CPU grid phase: propagate → insert → extract candidate pairs,
 //! repeated over all sampling steps (§III step 2).
 //!
-//! One step loop over a position source, driven by every CPU screen that
-//! has a grid (Kepler and SGP4 dynamics alike); the gpusim screener
-//! re-expresses the same phases as kernel launches. One grid is reused
-//! across steps via bulk reset (the paper allocates `p` grids and fills
-//! them in parallel — on the CPU the within-step rayon parallelism already
-//! saturates the cores, so the reuse trades no parallelism for a `p×`
-//! memory saving; the planner still reports `p` for the memory model).
+//! One step loop over the batch propagator, driven by every CPU screen that
+//! has a grid; the gpusim screener re-expresses the same phases as kernel
+//! launches. One grid is reused across steps via bulk reset (the paper
+//! allocates `p` grids and fills them in parallel — on the CPU the
+//! within-step rayon parallelism already saturates the cores, so the reuse
+//! trades no parallelism for a `p×` memory saving; the planner still
+//! reports `p` for the memory model).
 
 use crate::cancel::{check_opt, CancelToken, Cancelled};
 use crate::planner::PlannerReport;
@@ -16,6 +16,7 @@ use kessler_grid::grid::NeighborScan;
 use kessler_grid::pairset::{CandidatePair, PairSet};
 use kessler_grid::SpatialGrid;
 use kessler_math::Vec3;
+use kessler_orbits::BatchPropagator;
 
 /// Output of the grid phase.
 pub(crate) struct GridPhaseOutput {
@@ -26,18 +27,17 @@ pub(crate) struct GridPhaseOutput {
     pub regrows: usize,
 }
 
-/// Run the grid phase at the planner's cell size and step over `n`
-/// satellites whose positions at time `t` (seconds) `positions_at(t, out)`
-/// writes (in parallel, if it wants the cores). `cancel` is checked between
-/// sampling steps; a never-tripped token changes nothing.
+/// Run the grid phase at the planner's cell size and step over the
+/// satellites of `propagator`. `cancel` is checked between sampling steps;
+/// a never-tripped token changes nothing.
 pub(crate) fn run_grid_phase(
-    n: usize,
-    positions_at: impl Fn(f64, &mut [Vec3]),
+    propagator: &BatchPropagator,
     scan: NeighborScan,
     planner: &PlannerReport,
     timings: &mut PhaseTimings,
     cancel: Option<&CancelToken>,
 ) -> Result<GridPhaseOutput, Cancelled> {
+    let n = propagator.len();
     let grid = SpatialGrid::new(n, planner.cell_size_km);
     let mut pairs = PairSet::with_capacity(planner.pair_capacity);
     let mut positions: Vec<Vec3> = vec![Vec3::ZERO; n];
@@ -50,7 +50,7 @@ pub(crate) fn run_grid_phase(
         // INS: parallel propagation + parallel insertion.
         {
             let _timer = PhaseTimer::start(&mut timings.insertion);
-            positions_at(t, &mut positions);
+            propagator.positions_into(t, &mut positions);
             if step > 0 {
                 grid.reset();
             }
@@ -89,7 +89,7 @@ mod tests {
     use super::*;
     use crate::config::{ScreeningConfig, Variant};
     use crate::planner::MemoryModel;
-    use kessler_orbits::{BatchPropagator, KeplerElements};
+    use kessler_orbits::KeplerElements;
 
     fn kepler_phase(
         pop: &[KeplerElements],
@@ -97,10 +97,8 @@ mod tests {
         planner: &PlannerReport,
         timings: &mut PhaseTimings,
     ) -> GridPhaseOutput {
-        let propagator = BatchPropagator::new(pop);
         run_grid_phase(
-            pop.len(),
-            |t, out| propagator.positions_into(t, out),
+            &BatchPropagator::new(pop),
             config.neighbor_scan,
             planner,
             timings,

@@ -5,8 +5,8 @@
 //! kernels ([`gpu`]) extract candidate entries, a [`stage::Stage`] turns
 //! them into conjunctions, and `run_screen` assembles the report.
 //! [`cpu::CpuScreener`] and [`gpu::GpuScreener`] are the two backends over
-//! either stage; [`sgp4_grid`], [`sieve`] and [`legacy`] bring their own
-//! refinement but share the step loop and the report assembly.
+//! either stage; [`sieve`] and [`legacy`] bring their own refinement but
+//! share the report assembly.
 //!
 //! All variants implement [`Screener`] and produce the same
 //! [`crate::ScreeningReport`], which is what makes the paper's accuracy
@@ -15,7 +15,6 @@
 pub mod cpu;
 pub mod gpu;
 pub mod legacy;
-pub mod sgp4_grid;
 pub mod sieve;
 pub mod stage;
 

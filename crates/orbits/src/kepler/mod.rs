@@ -1,34 +1,24 @@
-//! Solvers for Kepler's equation `M = E − e·sin E`.
+//! Kepler's equation `M = E − e·sin E`, solved one way.
 //!
 //! The paper's propagation step is dominated by this transcendental solve —
-//! one per (satellite, time) tuple, millions per screening run — so the
-//! solver is pluggable:
+//! one per (satellite, time) tuple, millions per screening run. It is
+//! solved by [`ContourSolver`], the contour-integration method of Philcox,
+//! Goodman & Slepian 2021 ("Kepler's Goat Herd"), which the paper ports to
+//! the GPU (§IV-B): non-iterative and branch-free in its core loop, which
+//! is exactly why it maps well onto wide data-parallel hardware. The batch
+//! propagator, every scalar position and our GPU execution simulator's
+//! kernels all solve through it.
 //!
-//! * [`NewtonSolver`] — guarded Newton–Raphson; the conventional baseline.
-//! * [`DanbySolver`] — Danby's quartic-convergence iteration; usually the
-//!   fastest CPU method.
-//! * [`ContourSolver`] — the contour-integration method of Philcox, Goodman
-//!   & Slepian 2021 ("Kepler's Goat Herd"), which the paper ports to the
-//!   GPU (§IV-B). Non-iterative and branch-free in its core loop, which is
-//!   exactly why it maps well onto wide data-parallel hardware; our GPU
-//!   execution simulator runs this solver inside its kernels.
-//!
-//! All solvers implement [`KeplerSolver`] and are validated against each
-//! other and against the closed-form inverse in the test suite.
+//! The tests hold it to the residual `|E − e·sin E − M|` and to the
+//! closed-form inverse `M(E)`.
 
 mod contour;
-mod danby;
-mod markley;
-mod newton;
 
-pub use contour::{ContourNodes, ContourSolver};
-pub use danby::DanbySolver;
-pub use markley::MarkleySolver;
-pub use newton::NewtonSolver;
+pub use contour::ContourSolver;
 
-use kessler_math::angles::wrap_tau;
-
-/// A solver for Kepler's equation.
+/// A solver for Kepler's equation. [`ContourSolver`] is the one
+/// implementation; the trait remains because the benchmark harness
+/// imports it to call `ecc_anomaly`.
 ///
 /// Implementations must accept any finite mean anomaly (it is wrapped into
 /// `[0, 2π)`) and eccentricities in `[0, 1)`, and return the eccentric
@@ -36,44 +26,6 @@ use kessler_math::angles::wrap_tau;
 pub trait KeplerSolver: Send + Sync {
     /// Solve `M = E − e·sin E` for `E`.
     fn ecc_anomaly(&self, mean_anomaly: f64, eccentricity: f64) -> f64;
-
-    /// Human-readable solver name for benchmark labels.
-    fn name(&self) -> &'static str;
-}
-
-/// Reduce a solve to the half-period `M ∈ [0, π]` using the symmetry
-/// `E(2π − M) = 2π − E(M)`, and handle the trivial fixed points exactly.
-///
-/// Returns `Ok(ecc_anomaly)` if the anomaly was a fixed point, otherwise
-/// `Err((m_reduced, mirrored))` for the solver core, where `mirrored`
-/// indicates the result must be reflected back via `2π − E`.
-#[inline]
-pub(crate) fn reduce_to_half_period(mean_anomaly: f64, e: f64) -> Result<f64, (f64, bool)> {
-    let m = wrap_tau(mean_anomaly);
-    if e == 0.0 {
-        return Ok(m);
-    }
-    if m == 0.0 {
-        return Ok(0.0);
-    }
-    if (m - std::f64::consts::PI).abs() < f64::EPSILON {
-        return Ok(std::f64::consts::PI);
-    }
-    if m > std::f64::consts::PI {
-        Err((std::f64::consts::TAU - m, true))
-    } else {
-        Err((m, false))
-    }
-}
-
-/// Undo the reflection of [`reduce_to_half_period`].
-#[inline]
-pub(crate) fn unreduce(ecc_anomaly: f64, mirrored: bool) -> f64 {
-    if mirrored {
-        std::f64::consts::TAU - ecc_anomaly
-    } else {
-        ecc_anomaly
-    }
 }
 
 #[cfg(test)]
@@ -83,78 +35,37 @@ mod tests {
     use proptest::prelude::*;
     use std::f64::consts::{PI, TAU};
 
-    fn solvers() -> Vec<Box<dyn KeplerSolver>> {
-        vec![
-            Box::new(NewtonSolver::default()),
-            Box::new(DanbySolver::default()),
-            Box::new(ContourSolver::default()),
-            Box::new(MarkleySolver),
-        ]
-    }
-
     #[test]
     fn all_solvers_handle_fixed_points() {
-        for s in solvers() {
-            for e in [0.0, 0.2, 0.7, 0.95] {
-                assert!(
-                    s.ecc_anomaly(0.0, e).abs() < 1e-12,
-                    "{} M=0 e={e}",
-                    s.name()
-                );
-                assert!(
-                    (s.ecc_anomaly(PI, e) - PI).abs() < 1e-12,
-                    "{} M=π e={e}",
-                    s.name()
-                );
-            }
+        let s = ContourSolver::default();
+        for e in [0.0, 0.2, 0.7, 0.95] {
+            assert!(s.ecc_anomaly(0.0, e).abs() < 1e-12, "M=0 e={e}");
+            assert!((s.ecc_anomaly(PI, e) - PI).abs() < 1e-12, "M=π e={e}");
         }
     }
 
     #[test]
     fn all_solvers_are_exact_for_circular_orbits() {
-        for s in solvers() {
-            for m in [0.1, 1.0, 3.0, 5.0] {
-                assert!(
-                    (s.ecc_anomaly(m, 0.0) - m).abs() < 1e-14,
-                    "{} failed for circular orbit",
-                    s.name()
-                );
-            }
+        let s = ContourSolver::default();
+        for m in [0.1, 1.0, 3.0, 5.0] {
+            assert!(
+                (s.ecc_anomaly(m, 0.0) - m).abs() < 1e-14,
+                "failed for circular orbit"
+            );
         }
     }
 
     #[test]
     fn all_solvers_invert_keplers_equation_on_a_grid() {
-        for s in solvers() {
-            for i in 1..40 {
-                let ecc_anom = i as f64 * TAU / 40.0;
-                for e in [0.001, 0.01, 0.1, 0.3, 0.6, 0.9, 0.97] {
-                    let m = ecc_to_mean(ecc_anom, e);
-                    let back = s.ecc_anomaly(m, e);
-                    assert!(
-                        kessler_math::angles::separation(back, ecc_anom) < 1e-9,
-                        "{}: E = {ecc_anom}, e = {e}, back = {back}",
-                        s.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn solvers_agree_with_each_other() {
-        let all = solvers();
-        for i in 0..200 {
-            let m = i as f64 * TAU / 200.0;
-            let e = 0.005 + 0.95 * ((i * 7) % 200) as f64 / 200.0;
-            let reference = all[0].ecc_anomaly(m, e);
-            for s in &all[1..] {
-                let got = s.ecc_anomaly(m, e);
+        let s = ContourSolver::default();
+        for i in 1..200 {
+            let ecc_anom = i as f64 * TAU / 200.0;
+            for e in [0.001, 0.01, 0.1, 0.3, 0.6, 0.9, 0.97] {
+                let m = ecc_to_mean(ecc_anom, e);
+                let back = s.ecc_anomaly(m, e);
                 assert!(
-                    kessler_math::angles::separation(got, reference) < 1e-9,
-                    "{} disagrees with {} at M={m}, e={e}: {got} vs {reference}",
-                    s.name(),
-                    all[0].name()
+                    kessler_math::angles::separation(back, ecc_anom) < 1e-9,
+                    "E = {ecc_anom}, e = {e}, back = {back}"
                 );
             }
         }
@@ -162,41 +73,36 @@ mod tests {
 
     #[test]
     fn solvers_wrap_out_of_range_mean_anomaly() {
-        for s in solvers() {
-            let a = s.ecc_anomaly(1.0, 0.3);
-            let b = s.ecc_anomaly(1.0 + TAU, 0.3);
-            let c = s.ecc_anomaly(1.0 - TAU, 0.3);
-            assert!((a - b).abs() < 1e-9, "{}", s.name());
-            assert!((a - c).abs() < 1e-9, "{}", s.name());
-        }
+        let s = ContourSolver::default();
+        let a = s.ecc_anomaly(1.0, 0.3);
+        let b = s.ecc_anomaly(1.0 + TAU, 0.3);
+        let c = s.ecc_anomaly(1.0 - TAU, 0.3);
+        assert!((a - b).abs() < 1e-9);
+        assert!((a - c).abs() < 1e-9);
     }
 
     proptest! {
-        /// Fundamental inversion property, fuzzed across the full domain for
-        /// every solver: solving M(E) must return E.
+        /// Fundamental inversion property, fuzzed across the full domain:
+        /// solving M(E) must return E.
         #[test]
         fn fuzz_inversion(ecc_anom in 0.0..TAU, e in 0.0..0.98f64) {
             let m = ecc_to_mean(ecc_anom, e);
-            for s in solvers() {
-                let back = s.ecc_anomaly(m, e);
-                prop_assert!(
-                    kessler_math::angles::separation(back, ecc_anom) < 1e-8,
-                    "{}: E = {}, e = {}, back = {}", s.name(), ecc_anom, e, back
-                );
-            }
+            let back = ContourSolver::default().ecc_anomaly(m, e);
+            prop_assert!(
+                kessler_math::angles::separation(back, ecc_anom) < 1e-8,
+                "E = {}, e = {}, back = {}", ecc_anom, e, back
+            );
         }
 
         /// The residual of the returned anomaly must be at solver tolerance.
         #[test]
         fn fuzz_residual(m in 0.0..TAU, e in 0.0..0.98f64) {
-            for s in solvers() {
-                let ecc_anom = s.ecc_anomaly(m, e);
-                let resid = crate::anomaly::kepler_residual(ecc_anom, e, m).abs();
-                // Residual may be up to 2π off because of wrapping;
-                // normalise first.
-                let resid = resid.min((resid - TAU).abs());
-                prop_assert!(resid < 1e-8, "{}: M={}, e={}, resid={}", s.name(), m, e, resid);
-            }
+            let ecc_anom = ContourSolver::default().ecc_anomaly(m, e);
+            let resid = crate::anomaly::kepler_residual(ecc_anom, e, m).abs();
+            // Residual may be up to 2π off because of wrapping;
+            // normalise first.
+            let resid = resid.min((resid - TAU).abs());
+            prop_assert!(resid < 1e-8, "M={}, e={}, resid={}", m, e, resid);
         }
     }
 }

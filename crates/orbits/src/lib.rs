@@ -9,31 +9,28 @@
 //! * [`elements::KeplerElements`] — the six classical elements (Table II of
 //!   the paper), validation, and derived quantities (period, apsides).
 //! * [`anomaly`] — mean ↔ eccentric ↔ true anomaly conversions.
-//! * [`kepler`] — three interchangeable Kepler-equation solvers: a guarded
-//!   Newton iteration, Danby's quartic method, and the contour-integration
-//!   solver ("Kepler's Goat Herd", Philcox et al. 2021) that the paper's
-//!   GPU propagator uses.
+//! * [`kepler`] — the one Kepler-equation solver, the contour-integration
+//!   method ("Kepler's Goat Herd", Philcox et al. 2021) that the paper's
+//!   GPU propagator uses, with its trapezoid nodes computed once.
 //! * [`propagator`] — two-body propagation with per-satellite precomputed
 //!   constants (the paper's "Kepler solver data" `a_k`), including batched
 //!   parallel propagation via rayon.
 //! * [`geometry`] — orbit normals, relative inclination, mutual nodes and
 //!   per-anomaly radii, used by the apogee/perigee, coplanarity, orbit-path
 //!   and time filters.
+//! * [`sgp4`] — SGP4 mean elements to a state, which is how
+//!   `population::tle` turns real TLEs into osculating two-body elements.
 
 pub mod anomaly;
 pub mod constants;
 pub mod elements;
 pub mod geometry;
-pub mod j2;
 pub mod kepler;
 pub mod propagator;
 pub mod sgp4;
 pub mod state;
 
 pub use elements::KeplerElements;
-pub use j2::J2Propagator;
-pub use kepler::{
-    ContourNodes, ContourSolver, DanbySolver, KeplerSolver, MarkleySolver, NewtonSolver,
-};
+pub use kepler::{ContourSolver, KeplerSolver};
 pub use propagator::{BatchPropagator, PropagationConstants, SoaColumns};
 pub use state::CartesianState;

@@ -10,7 +10,7 @@
 //! it: one logical thread per (satellite, time) tuple (§V-E).
 
 use crate::elements::KeplerElements;
-use crate::kepler::{ContourNodes, ContourSolver, KeplerSolver};
+use crate::kepler::{ContourSolver, KeplerSolver};
 use crate::state::CartesianState;
 use kessler_math::angles::wrap_tau;
 use kessler_math::{Mat3, Vec3};
@@ -77,7 +77,7 @@ impl PropagationConstants {
 
     /// Propagate to `dt` seconds past epoch using `solver`.
     #[inline]
-    pub fn propagate<S: KeplerSolver + ?Sized>(&self, dt: f64, solver: &S) -> CartesianState {
+    pub fn propagate(&self, dt: f64, solver: &ContourSolver) -> CartesianState {
         let m = self.mean_anomaly_at(dt);
         let ecc_anom = solver.ecc_anomaly(m, self.e);
         self.state_at_ecc_anomaly(ecc_anom)
@@ -85,7 +85,7 @@ impl PropagationConstants {
 
     /// Position only — the hot path of grid insertion.
     #[inline]
-    pub fn position<S: KeplerSolver + ?Sized>(&self, dt: f64, solver: &S) -> Vec3 {
+    pub fn position(&self, dt: f64, solver: &ContourSolver) -> Vec3 {
         let m = self.mean_anomaly_at(dt);
         let ecc_anom = solver.ecc_anomaly(m, self.e);
         let (s, c) = ecc_anom.sin_cos();
@@ -193,7 +193,7 @@ impl<'a> SoaColumns<'a> {
     /// body the GPU simulator runs; identical arithmetic to
     /// [`PropagationConstants::position`].
     #[inline]
-    pub fn position<S: KeplerSolver + ?Sized>(&self, i: usize, dt: f64, solver: &S) -> Vec3 {
+    pub fn position(&self, i: usize, dt: f64, solver: &ContourSolver) -> Vec3 {
         self.gather(i).position(dt, solver)
     }
 }
@@ -256,12 +256,11 @@ fn state_lane(
 }
 
 /// Solve Kepler's equation for one tile into the `sin E`/`cos E` stack
-/// buffers. The solve itself is branchy (fixed points, polish early-out),
-/// but the precomputed node table removes its dominant cost — the
-/// 2 × `points` libm sin/cos calls per solve.
+/// buffers. The solve itself is branchy (fixed points, polish early-out);
+/// its trapezoid nodes come from the solver's table.
 fn solve_tile(
     cols: &SoaColumns<'_>,
-    nodes: &ContourNodes,
+    solver: &ContourSolver,
     dt: f64,
     base: usize,
     len: usize,
@@ -271,7 +270,7 @@ fn solve_tile(
     for k in 0..len {
         let i = base + k;
         let m = wrap_tau(cols.m0[i] + cols.mean_motion[i] * dt);
-        let ecc_anom = nodes.ecc_anomaly(m, cols.e[i]);
+        let ecc_anom = solver.ecc_anomaly(m, cols.e[i]);
         let (s, c) = ecc_anom.sin_cos();
         sin_e[k] = s;
         cos_e[k] = c;
@@ -283,7 +282,7 @@ fn solve_tile(
 /// the columns that rustc autovectorizes.
 fn position_tile(
     cols: &SoaColumns<'_>,
-    nodes: &ContourNodes,
+    solver: &ContourSolver,
     dt: f64,
     base: usize,
     out: &mut [Vec3],
@@ -292,7 +291,7 @@ fn position_tile(
     debug_assert!(len <= TILE);
     let mut sin_e = [0.0f64; TILE];
     let mut cos_e = [0.0f64; TILE];
-    solve_tile(cols, nodes, dt, base, len, &mut sin_e, &mut cos_e);
+    solve_tile(cols, solver, dt, base, len, &mut sin_e, &mut cos_e);
 
     let (a, e, s1) = (
         &cols.a[base..base + len],
@@ -335,7 +334,7 @@ fn position_tile(
 /// Full-state twin of [`position_tile`].
 fn state_tile(
     cols: &SoaColumns<'_>,
-    nodes: &ContourNodes,
+    solver: &ContourSolver,
     dt: f64,
     base: usize,
     out: &mut [CartesianState],
@@ -344,7 +343,7 @@ fn state_tile(
     debug_assert!(len <= TILE);
     let mut sin_e = [0.0f64; TILE];
     let mut cos_e = [0.0f64; TILE];
-    solve_tile(cols, nodes, dt, base, len, &mut sin_e, &mut cos_e);
+    solve_tile(cols, solver, dt, base, len, &mut sin_e, &mut cos_e);
 
     let (a, e, nn, s1) = (
         &cols.a[base..base + len],
@@ -390,16 +389,14 @@ fn state_tile(
 ///
 /// The per-satellite constants live in a structure-of-arrays layout (one
 /// contiguous `f64` column per field, [`SOA_COLUMNS`] columns total) so the
-/// Cartesian reconstruction loops autovectorize; the contour solver's
-/// trapezoid nodes are precomputed once ([`ContourNodes`]). Both changes
-/// are bit-preserving: batch output equals the scalar
-/// [`PropagationConstants`] path bit for bit.
+/// Cartesian reconstruction loops autovectorize. The layout is
+/// bit-preserving: batch output equals the scalar [`PropagationConstants`]
+/// path bit for bit.
 pub struct BatchPropagator {
     n: usize,
     /// [`SOA_COLUMNS`] columns of `n` values each, column-major.
     data: Vec<f64>,
     solver: ContourSolver,
-    nodes: ContourNodes,
 }
 
 impl BatchPropagator {
@@ -421,20 +418,11 @@ impl BatchPropagator {
             data[9 * n + i] = c.q_axis.y;
             data[10 * n + i] = c.q_axis.z;
         }
-        let solver = ContourSolver::default();
         BatchPropagator {
             n,
             data,
-            nodes: ContourNodes::new(&solver),
-            solver,
+            solver: ContourSolver::default(),
         }
-    }
-
-    /// Replace the default contour solver (the node table follows).
-    pub fn with_solver(mut self, solver: ContourSolver) -> BatchPropagator {
-        self.solver = solver;
-        self.nodes = ContourNodes::new(&solver);
-        self
     }
 
     pub fn len(&self) -> usize {
@@ -472,7 +460,7 @@ impl BatchPropagator {
         let cols = self.columns();
         out.par_chunks_mut(TILE)
             .enumerate()
-            .for_each(|(tile, chunk)| position_tile(&cols, &self.nodes, dt, tile * TILE, chunk));
+            .for_each(|(tile, chunk)| position_tile(&cols, &self.solver, dt, tile * TILE, chunk));
     }
 
     /// Positions of all satellites at `dt` (parallel, allocating).
@@ -489,7 +477,7 @@ impl BatchPropagator {
         let cols = self.columns();
         out.par_chunks_mut(TILE)
             .enumerate()
-            .for_each(|(tile, chunk)| state_tile(&cols, &self.nodes, dt, tile * TILE, chunk));
+            .for_each(|(tile, chunk)| state_tile(&cols, &self.solver, dt, tile * TILE, chunk));
     }
 
     /// Full states of all satellites at `dt` (parallel, allocating).
@@ -497,16 +485,6 @@ impl BatchPropagator {
         let mut out = vec![CartesianState::new(Vec3::ZERO, Vec3::ZERO); self.n];
         self.states_into(dt, &mut out);
         out
-    }
-
-    /// State of a single satellite at `dt`.
-    pub fn state_of(&self, index: usize, dt: f64) -> CartesianState {
-        self.constants_of(index).propagate(dt, &self.solver)
-    }
-
-    /// Position of a single satellite at `dt`.
-    pub fn position_of(&self, index: usize, dt: f64) -> Vec3 {
-        self.constants_of(index).position(dt, &self.solver)
     }
 }
 

@@ -11,7 +11,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`core`] | the screeners (grid / hybrid / legacy / gpusim), planner, reports |
-//! | [`orbits`] | Kepler elements, Kepler-equation solvers, two-body propagation |
+//! | [`orbits`] | Kepler elements, the contour Kepler solver, two-body propagation, SGP4 for TLE conversion |
 //! | [`grid`] | lock-free atomic hash maps, spatial grid, candidate-pair sets |
 //! | [`filters`] | apogee/perigee, coplanarity, orbit-path and time filters |
 //! | [`population`] | synthetic populations, constellations, debris clouds, TLE |
