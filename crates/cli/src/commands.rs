@@ -419,7 +419,8 @@ fn parse_shards(flags: &Flags) -> Result<Option<kessler_service::ShardSpec>, Str
             .parse()
             .map_err(|_| format!("bad radius in --shard-range: `{hi}`"))?;
     }
-    spec.validate().map_err(|e| e.to_string())?;
+    spec.validate()
+        .map_err(|e| kessler_service::ServiceError::Config(e).to_string())?;
     Ok(Some(spec))
 }
 

@@ -143,6 +143,44 @@ fn bad_flag_values_fail_cleanly() {
     assert!(err.contains("error:"));
 }
 
+/// A `--shards` value whose band × shell product wraps a u32 to within
+/// the shard cap is refused before the daemon starts, instead of serving
+/// one that panics on its first SCREEN.
+#[test]
+fn serve_refuses_a_shard_count_that_wraps() {
+    let mut child = kessler()
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--n",
+            "10",
+            "--shards",
+            "4096x1048577",
+        ])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // A daemon that started would never exit on its own.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            panic!("`serve --shards 4096x1048577` started a daemon");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let output = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(!status.success());
+    assert!(err.contains("invalid configuration"), "{err}");
+    assert!(err.contains("exceeds the 4096-shard cap"), "{err}");
+}
+
 /// `--retries` re-attempts transient failures: a dead port exhausts its
 /// retry budget (visible in stderr) and still fails; a live daemon
 /// answers on the first attempt with no retry chatter.

@@ -64,9 +64,6 @@ pub struct ScreeningConfig {
     /// Two refined TCAs of the same pair closer than this are the same
     /// physical conjunction (dedup across overlapping step intervals), s.
     pub tca_dedup_tolerance_s: f64,
-    /// Optional cap on the pair-set capacity (bytes guard for huge runs);
-    /// `None` sizes purely from the Extra-P model.
-    pub max_pair_capacity: Option<usize>,
 }
 
 impl ScreeningConfig {
@@ -80,7 +77,6 @@ impl ScreeningConfig {
             threads: None,
             memory_budget_bytes: 8 * 1024 * 1024 * 1024,
             tca_dedup_tolerance_s: 0.05,
-            max_pair_capacity: None,
         }
     }
 

@@ -73,9 +73,6 @@ pub struct ScreeningReport {
     pub candidate_entries: usize,
     /// Distinct candidate pairs examined.
     pub candidate_pairs: usize,
-    /// Times the grid phase regrew an overflowing pair set (0 when the
-    /// Extra-P sizing sufficed).
-    pub pair_set_regrows: usize,
     /// Phase timings.
     pub timings: PhaseTimings,
     /// Planner output for this run.

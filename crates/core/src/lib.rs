@@ -23,7 +23,10 @@
 //!
 //! A screen is an extraction backend (who produces the candidate entries)
 //! times a post-extraction [`Stage`] (what becomes of them); see
-//! [`screener`].
+//! [`screener`]. The CPU backend is one step loop, [`Extraction::run`]
+//! ([`shard`]): the cold screeners run it on the 1×1 [`ShardMap`], and the
+//! `kessler-service` daemon runs it for SCREEN, DELTA and ADVANCE under its
+//! shard layout.
 //!
 //! * [`GridScreener`] — the paper's purely grid-based variant: small cells
 //!   (Eq. 1), small time steps; every grid candidate goes straight to Brent
@@ -53,6 +56,7 @@ pub mod metrics;
 pub mod planner;
 pub mod refine;
 pub mod screener;
+pub mod shard;
 pub mod timing;
 
 pub use cancel::{CancelToken, Cancelled};
@@ -68,4 +72,5 @@ pub use screener::legacy::LegacyScreener;
 pub use screener::sieve::SieveScreener;
 pub use screener::stage::{group_pairs, refine_filtered_pair, Executor, GroupedPair, Host, Stage};
 pub use screener::{default_config_for, run_in_pool, screener_for, Refined, Screener};
+pub use shard::{Extraction, ShardMap, ShardScreenStats, ShardSpec};
 pub use timing::PhaseTimings;

@@ -108,12 +108,8 @@ impl MemoryModel {
     }
 
     /// Conjunction-map slot count: `max(c', 10 000) · 2 · 2`.
-    pub fn pair_capacity(&self, estimated: f64, cap: Option<usize>) -> usize {
-        let c = (estimated.max(MIN_CONJUNCTION_ESTIMATE) * 4.0) as usize;
-        match cap {
-            Some(max) => c.min(max),
-            None => c,
-        }
+    pub fn pair_capacity(&self, estimated: f64) -> usize {
+        (estimated.max(MIN_CONJUNCTION_ESTIMATE) * 4.0) as usize
     }
 
     /// Produce the full plan, applying the hybrid `s_ps` auto-reduction.
@@ -136,7 +132,7 @@ impl MemoryModel {
     fn plan_at(&self, n: usize, config: &ScreeningConfig, sps: f64) -> PlannerReport {
         let estimated =
             self.estimated_conjunctions(n, sps, config.span_seconds, config.threshold_km);
-        let pair_capacity = self.pair_capacity(estimated, config.max_pair_capacity);
+        let pair_capacity = self.pair_capacity(estimated);
 
         let bytes_satellites = n * SATELLITE_BYTES;
         let bytes_kepler = n * KEPLER_DATA_BYTES;
@@ -205,11 +201,9 @@ mod tests {
     fn capacity_floor_and_double_doubling() {
         let m = MemoryModel::new(Variant::Grid);
         // Tiny estimate → floor at 10 000, ×4.
-        assert_eq!(m.pair_capacity(5.0, None), 40_000);
+        assert_eq!(m.pair_capacity(5.0), 40_000);
         // Above the floor: c'·4.
-        assert_eq!(m.pair_capacity(100_000.0, None), 400_000);
-        // Cap applies last.
-        assert_eq!(m.pair_capacity(100_000.0, Some(123_456)), 123_456);
+        assert_eq!(m.pair_capacity(100_000.0), 400_000);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! The CPU screener over either stage: the purely grid-based variant and
 //! the hybrid variant (§III, §IV) are the same screen — allocate once, the
-//! shared step loop extracts candidates — and differ in the [`Stage`] the
+//! one step loop ([`Extraction::run`] on the 1×1 layout, everyone
+//! changed) extracts candidates — and differ in the [`Stage`] the
 //! candidates are handed to.
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::{ScreeningConfig, Variant};
 use crate::conjunction::ScreeningReport;
-use crate::screener::grid_phase::run_grid_phase;
 use crate::screener::stage::{Host, Stage};
 use crate::screener::{run_screen, Outcome, Screener};
+use crate::shard::{Extraction, ShardMap};
 use kessler_orbits::{BatchPropagator, KeplerElements};
 
 /// Grid extraction on the CPU, refined by `stage`.
@@ -70,18 +71,21 @@ impl CpuScreener {
                 // Step 1 (§III): fixed allocations — satellite data and the
                 // precomputed Kepler solver constants.
                 let propagator = BatchPropagator::new(population);
-                // Step 2: propagation, insertion, pair identification.
-                let phase =
-                    run_grid_phase(&propagator, config.neighbor_scan, planner, timings, cancel)?;
-                let candidate_entries = phase.entries.len();
+                // Step 2: propagation, insertion, pair identification —
+                // one grid, every satellite's pairs.
+                let everyone: Vec<u32> = (0..n as u32).collect();
+                let map = ShardMap::single();
+                let (entries, _) =
+                    Extraction::new(&map, &everyone, planner.cell_size_km, config.neighbor_scan)
+                        .run(&propagator, planner, timings, cancel)?;
+                let candidate_entries = entries.len();
                 let host = Host {
                     propagator: &propagator,
                     cancel,
                 };
-                let refined = stage.refine(&host, population, phase.entries, planner, timings)?;
+                let refined = stage.refine(&host, population, entries, planner, timings)?;
                 Ok(Outcome {
                     candidate_entries,
-                    pair_set_regrows: phase.regrows,
                     refined,
                     device_metrics: None,
                 })

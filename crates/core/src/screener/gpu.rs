@@ -234,7 +234,6 @@ impl Screener for GpuScreener {
                 let refined = stage.refine(&residents[0], population, entries, planner, timings)?;
                 Ok(Outcome {
                     candidate_entries,
-                    pair_set_regrows: 0,
                     refined,
                     device_metrics: Some(self.devices[0].metrics()),
                 })

@@ -142,7 +142,6 @@ impl Screener for LegacyScreener {
 
                 Ok(Outcome {
                     candidate_entries: 0,
-                    pair_set_regrows: 0,
                     refined: Refined::settle(found, pairs.len(), Some(filter_stats), config, true),
                     device_metrics: None,
                 })

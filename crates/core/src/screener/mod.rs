@@ -1,9 +1,10 @@
 //! The screening variants.
 //!
 //! A screen is *extraction backend × post-extraction stage*, and each half
-//! is written once: the CPU step loop (`grid_phase`) or the gpusim
-//! kernels ([`gpu`]) extract candidate entries, a [`stage::Stage`] turns
-//! them into conjunctions, and `run_screen` assembles the report.
+//! is written once: the CPU step loop ([`crate::shard::Extraction::run`],
+//! which the service's screens run too) or the gpusim kernels ([`gpu`])
+//! extract candidate entries, a [`stage::Stage`] turns them into
+//! conjunctions, and `run_screen` assembles the report.
 //! [`cpu::CpuScreener`] and [`gpu::GpuScreener`] are the two backends over
 //! either stage; [`sieve`] and [`legacy`] bring their own refinement but
 //! share the report assembly.
@@ -17,8 +18,6 @@ pub mod gpu;
 pub mod legacy;
 pub mod sieve;
 pub mod stage;
-
-mod grid_phase;
 
 use crate::cancel::Cancelled;
 use crate::config::ScreeningConfig;
@@ -150,7 +149,6 @@ impl Refined {
 /// What a screen's body hands to [`run_screen`] for the report.
 pub(crate) struct Outcome {
     pub candidate_entries: usize,
-    pub pair_set_regrows: usize,
     pub refined: Refined,
     pub device_metrics: Option<DeviceMetrics>,
 }
@@ -177,7 +175,6 @@ pub(crate) fn run_screen(
             conjunctions: outcome.refined.conjunctions,
             candidate_entries: outcome.candidate_entries,
             candidate_pairs: outcome.refined.candidate_pairs,
-            pair_set_regrows: outcome.pair_set_regrows,
             timings,
             planner,
             filter_stats: outcome.refined.filter_stats,

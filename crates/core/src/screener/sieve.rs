@@ -153,7 +153,6 @@ impl Screener for SieveScreener {
                 let candidate_pairs = distinct_pairs(&candidates);
                 Ok(Outcome {
                     candidate_entries: candidates.len(),
-                    pair_set_regrows: 0,
                     refined: Refined::settle(found, candidate_pairs, None, config, true),
                     device_metrics: None,
                 })

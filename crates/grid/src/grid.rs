@@ -175,10 +175,11 @@ impl SpatialGrid {
         });
     }
 
-    /// Candidate pairs contributed by one occupied cell. Public so kernel-
-    /// style executors (the GPU simulator) can parallelise over slots
-    /// themselves; [`SpatialGrid::collect_candidate_pairs`] is the rayon
-    /// driver over all occupied slots.
+    /// Candidate pairs contributed by one occupied cell, as `(id_lo,
+    /// id_hi, step)` entries into `pairs`. Public so kernel-style executors
+    /// (the GPU simulator) can parallelise over slots themselves;
+    /// [`SpatialGrid::collect_candidate_pairs`] is the rayon driver over
+    /// all occupied slots.
     pub fn collect_pairs_for_slot(
         &self,
         slot: usize,
@@ -186,18 +187,32 @@ impl SpatialGrid {
         scan: NeighborScan,
         pairs: &PairSet,
     ) {
+        self.for_each_pair_in_slot(slot, scan, |a, b| {
+            pairs.insert(CandidatePair::new(a, b, step));
+        });
+    }
+
+    /// Visit the candidate pairs one occupied cell contributes: every
+    /// unordered pair of its members, then every member against every
+    /// member of each neighbouring cell `scan` names. Under
+    /// [`NeighborScan::Half`] the occupied cells together visit each
+    /// adjacent pair exactly once; under [`NeighborScan::Full`] a
+    /// cross-cell pair is visited from both cells.
+    pub fn for_each_pair_in_slot(
+        &self,
+        slot: usize,
+        scan: NeighborScan,
+        mut visit: impl FnMut(u32, u32),
+    ) {
         let Some(key) = self.cell_key_at(slot) else {
             return;
         };
 
         // Pairs inside the cell itself: every unordered pair of members.
-        let mut members = Vec::new();
-        for id in self.cell_members(slot) {
-            members.push(id);
-        }
+        let members: Vec<u32> = self.cell_members(slot).collect();
         for (i, &a) in members.iter().enumerate() {
             for &b in &members[i + 1..] {
-                pairs.insert(CandidatePair::new(a, b, step));
+                visit(a, b);
             }
         }
 
@@ -213,9 +228,9 @@ impl SpatialGrid {
             let Some(nslot) = self.lookup_cell(nkey) else {
                 continue;
             };
-            for a in self.cell_members(slot) {
+            for &a in &members {
                 for b in self.cell_members(nslot) {
-                    pairs.insert(CandidatePair::new(a, b, step));
+                    visit(a, b);
                 }
             }
         }

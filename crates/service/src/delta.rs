@@ -9,10 +9,11 @@
 //! per step (O(n) inserts, the same cost the full screen pays) but extracts
 //! candidates only from the changed satellites' neighbourhoods — O(k ·
 //! occupancy) instead of O(occupied cells · occupancy), and refines only
-//! pairs involving changed satellites. That extraction is one step
-//! function, [`crate::shard::Extraction::step`], under whatever shard
-//! layout the [`Pipeline`] holds; a pipeline given no layout holds the
-//! 1×1 one.
+//! pairs involving changed satellites. That extraction is core's one
+//! step loop, [`kessler_core::Extraction::run`], under whatever shard
+//! layout the [`Pipeline`] holds (a pipeline given no layout holds the 1×1
+//! one); a full screen is the same job with everyone changed against an
+//! empty warm set, which the loop serves with its occupied-cell scan.
 //!
 //! Correctness invariant (checked by `tests/delta_correctness.rs`): a delta
 //! screen after `k` element updates produces *exactly* the conjunction set
@@ -27,12 +28,13 @@ use crate::catalog::Removal;
 use crate::error::ServiceError;
 use crate::persist::GlobalState;
 use crate::proto::LastScreen;
-use crate::shard::{Extraction, ShardMap, ShardScreenStats, ShardSpec};
 use kessler_core::cancel::{check_opt, CancelToken, Cancelled};
 use kessler_core::conjunction::{Conjunction, ScreeningReport};
-use kessler_core::timing::{PhaseTimer, PhaseTimings};
-use kessler_core::{run_in_pool, CpuScreener, Host, ScreeningConfig, Stage, Variant};
-use kessler_math::Vec3;
+use kessler_core::timing::PhaseTimings;
+use kessler_core::{
+    run_in_pool, Extraction, Host, ScreeningConfig, ShardMap, ShardScreenStats, ShardSpec, Stage,
+    Variant,
+};
 use kessler_orbits::{BatchPropagator, KeplerElements};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -54,7 +56,8 @@ pub const HYBRID_DELTA_VARIANT: &str = "hybrid-delta";
 #[derive(Clone, Copy)]
 pub struct Pipeline {
     stage: Stage,
-    /// The layout candidate extraction runs under (see [`crate::shard`]).
+    /// The layout candidate extraction runs under (see
+    /// [`kessler_core::shard`]).
     shard_map: ShardMap,
 }
 
@@ -73,7 +76,7 @@ impl Pipeline {
     /// are extracted, not what they are, so a warm set screened under one
     /// layout stays valid under another.
     pub fn with_shards(mut self, shards: Option<ShardSpec>) -> Result<Pipeline, ServiceError> {
-        self.shard_map = ShardMap::for_layout(shards)?;
+        self.shard_map = ShardMap::for_layout(shards).map_err(ServiceError::Config)?;
         Ok(self)
     }
 
@@ -402,33 +405,20 @@ pub(crate) fn apply_removal_to_pairs(pairs: &mut PairMap, removal: Removal, new_
 pub type ScreenJobOutput = (ScreeningReport, PairMap, Option<ShardScreenStats>);
 
 /// Cold full screen of `population` as a pure job, with the pipeline's
-/// variant. With a token, cancellation is checked at the screener's phase
-/// boundaries.
+/// variant: a delta over *every* satellite against an empty warm set,
+/// relabelled. With everyone changed the step loop scans occupied cells,
+/// as the cold screeners do, and the post-extraction stage is the same
+/// value, so the conjunction set is theirs. With a token, cancellation is
+/// checked at the job's phase boundaries.
 pub fn full_screen_job(
     pipeline: &Pipeline,
     population: &[KeplerElements],
     cancel: Option<&CancelToken>,
 ) -> Result<ScreenJobOutput, Cancelled> {
-    // One shard: core's own screener — the reference every equality suite
-    // holds the service against, and the cheaper extraction when everyone
-    // is "changed": its half-neighbourhood scan over occupied cells costs
-    // 2.4–2.9 ms/step where 27-cell point queries for all n cost 4.5–5.1
-    // (n = 16 000 grid, 120 steps, 2 vCPUs, offline stand-in build; ISSUE
-    // 14's own sizing had 2.6 against 5.0). Several shards: a delta over
-    // *every* satellite against an empty warm set, which is what produces
-    // per-shard SCREEN statistics. Every neighbourhood is queried and the
-    // post-extraction stage is the same value either way, so the
-    // conjunction set is the same; only the variant label has to be put
-    // back.
-    if pipeline.shard_map.shard_count() > 1 {
-        let all: Vec<u32> = (0..population.len() as u32).collect();
-        let mut output = delta_screen_job(pipeline, population, &all, &PairMap::new(), cancel)?;
-        output.0.variant = pipeline.variant().label().to_string();
-        return Ok(output);
-    }
-    let report = CpuScreener::new(pipeline.stage).screen_job(population, cancel)?;
-    let pairs = pairs_from_conjunctions(&report.conjunctions);
-    Ok((report, pairs, None))
+    let everyone: Vec<u32> = (0..population.len() as u32).collect();
+    let mut output = delta_screen_job(pipeline, population, &everyone, &PairMap::new(), cancel)?;
+    output.0.variant = pipeline.variant().label().to_string();
+    Ok(output)
 }
 
 /// Delta screen as a pure job: re-screen only the neighbourhoods of
@@ -474,25 +464,20 @@ pub fn delta_screen_job(
             .collect();
 
         // Candidate extraction: per step, bin everyone into the layout's
-        // grid(s) (same O(n) insert cost as the full screen) but query only
-        // the changed satellites' 27-cell neighbourhoods, each in its home
-        // shard (boundary mirroring makes that exact — see `crate::shard`).
+        // grid(s) (same O(n) insert cost as the full screen) but extract
+        // only the changed satellites' pairs, each in its home shard
+        // (boundary mirroring makes that exact — see `kessler_core::shard`).
         // The entries carry global indices, so nothing downstream knows
         // the layout.
         let propagator = BatchPropagator::new(population);
         let changed_list: Vec<u32> = changed_set.into_iter().collect();
-        let mut extraction =
-            Extraction::new(&pipeline.shard_map, &changed_list, planner.cell_size_km);
-        let mut positions: Vec<Vec3> = vec![Vec3::ZERO; n];
-        for step in 0..planner.total_steps {
-            check_opt(cancel)?;
-            {
-                let _timer = PhaseTimer::start(&mut timings.insertion);
-                propagator.positions_into(step as f64 * planner.seconds_per_sample, &mut positions);
-            }
-            extraction.step(step, &positions, &mut timings);
-        }
-        let (entry_list, shard_stats) = extraction.finish();
+        let (entry_list, shard_stats) = Extraction::new(
+            &pipeline.shard_map,
+            &changed_list,
+            planner.cell_size_km,
+            stage.config().neighbor_scan,
+        )
+        .run(&propagator, &planner, &mut timings, cancel)?;
 
         // Post-extraction: the stage the cold screen runs, so a changed
         // pair refines to bit-identical conjunctions.
@@ -514,7 +499,6 @@ pub fn delta_screen_job(
             conjunctions: sorted_conjunctions(&pairs),
             candidate_entries,
             candidate_pairs: refined.candidate_pairs,
-            pair_set_regrows: 0,
             timings,
             planner,
             filter_stats: refined.filter_stats,

@@ -25,10 +25,10 @@ use crate::delta::{
 };
 use crate::error::ServiceError;
 use crate::proto::LastScreen;
-use crate::shard::ShardScreenStats;
 use crate::sync::Mutex;
 use kessler_core::cancel::{CancelToken, Cancelled};
 use kessler_core::conjunction::ScreeningReport;
+use kessler_core::ShardScreenStats;
 use kessler_orbits::KeplerElements;
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -24,13 +24,15 @@
 //!   `DeltaEngine::advance_window` slides the screening horizon forward,
 //!   retiring expired conjunctions, carrying live ones, screening only
 //!   the freshly exposed tail.
-//! - [`shard`] — the [`ShardMap`] and the extraction step: partitions
-//!   the catalog by orbital regime (altitude band × |z| shell) so
-//!   candidate extraction runs one grid per shard in parallel, with
-//!   boundary mirroring so cross-shard pairs are never lost. Every layout
-//!   extracts bit-identical entries through the same step; a daemon given
-//!   no layout runs the 1×1 one. The persistence layer chunks snapshots
-//!   by shard.
+//!
+//!   Every screen — SCREEN, DELTA, ADVANCE tail — runs core's one step
+//!   loop, `kessler_core::Extraction::run`, under the pipeline's
+//!   [`ShardMap`]: core's orbital-regime partition (altitude band × |z|
+//!   shell) with one grid per shard and boundary mirroring, so every
+//!   layout extracts bit-identical entries; a daemon given no layout runs
+//!   the 1×1 one. The service re-exports [`ShardMap`], [`ShardSpec`] and
+//!   [`ShardScreenStats`], and the persistence layer chunks snapshots and
+//!   tracks dirty shards by [`ShardMap::assign`].
 //! - [`exec`] — the execution layer: screening work captured as
 //!   [`exec::ScreenJob`]s against immutable catalog snapshots, run by a
 //!   pool of supervised workers, cancellable via `CANCEL`, committed back
@@ -71,7 +73,6 @@ pub mod metrics;
 pub mod persist;
 pub mod proto;
 pub mod server;
-pub mod shard;
 mod sync;
 pub mod wal;
 
@@ -82,6 +83,7 @@ pub use delta::{
 pub use error::{PersistError, ServiceError};
 pub use exec::{CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 pub use fault::FaultPlan;
+pub use kessler_core::{ShardMap, ShardScreenStats, ShardSpec};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, RequestCounter};
 pub use persist::{PersistOptions, Snapshot};
 pub use proto::{
@@ -92,7 +94,6 @@ pub use server::{
     request, request_with_timeout, Client, RecoverySummary, Server, ServerHandle, ServerOptions,
     ServiceState, MAX_LINE_BYTES,
 };
-pub use shard::{ShardMap, ShardScreenStats, ShardSpec};
 
 /// Shared by the crate's unit tests.
 #[cfg(test)]

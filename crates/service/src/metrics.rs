@@ -124,7 +124,7 @@ impl MetricsRegistry {
     /// Fold one sharded screen's per-shard extraction stats into the
     /// registry. Empty shards (no satellites, no steps) stay absent so the
     /// METRICS payload lists only occupied shards.
-    pub fn record_shard_screen(&mut self, is_delta: bool, stats: &crate::shard::ShardScreenStats) {
+    pub fn record_shard_screen(&mut self, is_delta: bool, stats: &kessler_core::ShardScreenStats) {
         let series = if is_delta {
             &mut self.shard_delta
         } else {
@@ -563,7 +563,7 @@ mod tests {
 
     #[test]
     fn shard_stats_merge_by_shard_and_roundtrip() {
-        use crate::shard::ShardScreenStats;
+        use kessler_core::ShardScreenStats;
         let mut m = MetricsRegistry::new();
         assert!(m.snapshot().shard_full_step_us.is_empty());
 

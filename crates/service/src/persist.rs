@@ -50,9 +50,8 @@
 use crate::error::PersistError;
 use crate::fault::FaultPlan;
 use crate::proto::{ElementsSpec, LastScreen, Request};
-use crate::shard::{ShardMap, ShardSpec};
 use crate::wal::{self, WalWriter};
-use kessler_core::{Conjunction, Variant};
+use kessler_core::{Conjunction, ShardMap, ShardSpec, Variant};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fs::File;

@@ -20,10 +20,9 @@
 //! a `stale` flag set when a newer result was adopted first.
 
 use crate::error::ServiceError;
-use crate::shard::ShardScreenStats;
 use kessler_core::metrics::HistogramSummary;
 use kessler_core::timing::PhaseTimings;
-use kessler_core::{Conjunction, FilterStatsSnapshot, ScreeningReport};
+use kessler_core::{Conjunction, FilterStatsSnapshot, ScreeningReport, ShardScreenStats};
 use kessler_orbits::KeplerElements;
 use serde::{Deserialize, Serialize};
 

@@ -90,13 +90,12 @@ use crate::proto::{
     AdvanceAck, CatalogAck, ElementsSpec, LastScreen, Request, Response, ScreenSummary,
     ShardSummary, StatusInfo,
 };
-use crate::shard::ShardSpec;
 use crate::sync::Mutex;
 use degraded::{spawn_persist_probe, Health, HealthInner};
 use handlers::{
     handle_and_persist, spawn_metrics_reporter, spawn_supervised_worker, IoHub, Job, Shared,
 };
-use kessler_core::{ScreeningConfig, Variant};
+use kessler_core::{ScreeningConfig, ShardSpec, Variant};
 use kessler_orbits::KeplerElements;
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener};

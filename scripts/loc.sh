@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Production lines of Rust per crate.
+# Production lines of Rust per crate, then their sum.
 #
 # Counting rule: every `*.rs` under `crates/<crate>/src`; within a file only
 # the lines above its test module, i.e. above the first `#[cfg(test)]` that
@@ -13,6 +13,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 status=0
+total=0
 for dir in crates/*/; do
     crate="$(basename "$dir")"
     n="$(find "${dir}src" -name '*.rs' -print0 | sort -z | xargs -0 awk '
@@ -31,5 +32,7 @@ for dir in crates/*/; do
         END { printf "%d\n", n; exit bad }
     ')" || status=1
     printf '%-12s %6d\n' "$crate" "$n"
+    total=$((total + n))
 done
+printf '%-12s %6d\n' total "$total"
 exit "$status"

@@ -6,11 +6,11 @@
 //! seeded case holds every shard layout, the 1×1 one a daemon without
 //! `--shards` runs included, to the cold screeners bit for bit.
 
+use kessler::core::Extraction;
 use kessler::core::PhaseTimings;
-use kessler::math::Vec3;
+use kessler::grid::grid::NeighborScan;
 use kessler::orbits::BatchPropagator;
 use kessler::prelude::*;
-use kessler::service::shard::Extraction;
 use kessler::service::{DeltaEngine, Pipeline, ShardMap, ShardSpec, HYBRID_DELTA_VARIANT};
 use std::collections::BTreeSet;
 
@@ -302,19 +302,20 @@ fn every_layout_screens_and_deltas_bit_identical_to_the_cold_screeners() {
                 );
             }
 
-            // The same delta's extraction, walked by hand under the
+            // The same delta's extraction, run directly under the
             // one-shard layout: everyone is inserted once per step, nobody
             // is mirrored, and no entry crosses a shard edge.
             let planner = cold_after.planner;
             let map = ShardMap::single();
-            let mut extraction = Extraction::new(&map, &changed, planner.cell_size_km);
-            let propagator = BatchPropagator::new(&mutated);
-            let mut positions = vec![Vec3::ZERO; N];
-            for step in 0..planner.total_steps {
-                propagator.positions_into(step as f64 * planner.seconds_per_sample, &mut positions);
-                extraction.step(step, &positions, &mut PhaseTimings::default());
-            }
-            let (entries, stats) = extraction.finish();
+            let (entries, stats) =
+                Extraction::new(&map, &changed, planner.cell_size_km, NeighborScan::Half)
+                    .run(
+                        &BatchPropagator::new(&mutated),
+                        &planner,
+                        &mut PhaseTimings::default(),
+                        None,
+                    )
+                    .expect("no token, no cancellation");
             assert_eq!(Some(entries.len()), delta_entries, "{}", what(&None));
             assert_eq!(stats.mirrored_inserts, 0, "{}", what(&None));
             assert_eq!(stats.boundary_entries, 0, "{}", what(&None));

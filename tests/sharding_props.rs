@@ -2,13 +2,14 @@
 //! total and deterministic over arbitrary layouts, eccentric satellites
 //! overlap every altitude band their apsis range touches, and candidate
 //! extraction under an arbitrary multi-shard partition equals the
-//! single-shard (global) extraction — every cross-boundary pair found,
-//! each pair exactly once, mirroring symmetric in the pair's order.
+//! single-shard (global) extraction and a brute-force O(n²) reference, in
+//! both query modes — every cross-boundary pair found, each pair exactly
+//! once, mirroring symmetric in the pair's order.
 
-use kessler::core::PhaseTimings;
+use kessler::core::{Extraction, PhaseTimings};
+use kessler::grid::grid::NeighborScan;
 use kessler::grid::CandidatePair;
 use kessler::math::Vec3;
-use kessler::service::shard::Extraction;
 use kessler::service::{ShardMap, ShardScreenStats, ShardSpec};
 use proptest::prelude::*;
 use std::f64::consts::PI;
@@ -22,9 +23,25 @@ fn extract_step(
     cell: f64,
     step: u32,
 ) -> (Vec<CandidatePair>, ShardScreenStats) {
-    let mut extraction = Extraction::new(map, changed, cell);
+    let mut extraction = Extraction::new(map, changed, cell, NeighborScan::Half);
     extraction.step(step, positions, &mut PhaseTimings::default());
     extraction.finish()
+}
+
+/// The definition the grid implements, by brute force: every pair whose
+/// cells `floor(p / cell)` differ by at most one on every axis, sorted.
+fn brute_force_entries(positions: &[Vec3], cell: f64, step: u32) -> Vec<CandidatePair> {
+    let cell_of = |p: Vec3| [p.x, p.y, p.z].map(|c| (c / cell).floor() as i64);
+    let mut out = Vec::new();
+    for i in 0..positions.len() {
+        for j in i + 1..positions.len() {
+            let (a, b) = (cell_of(positions[i]), cell_of(positions[j]));
+            if (0..3).all(|k| (a[k] - b[k]).abs() <= 1) {
+                out.push(CandidatePair::new(i as u32, j as u32, step));
+            }
+        }
+    }
+    out
 }
 
 /// An arbitrary valid shard layout: 1–12 altitude bands, 1–6 |z| shells,
@@ -94,11 +111,12 @@ proptest! {
         }
     }
 
-    /// Candidate extraction under an arbitrary partition is exactly the
-    /// single-shard (global) extraction: the same entries, every boundary
-    /// pair among them exactly once.
-    /// Real satellites are inserted exactly once into their home shard;
-    /// everything beyond that is a mirror copy.
+    /// Candidate extraction of everyone (the occupied-cell scan) under an
+    /// arbitrary partition is exactly the single-shard (global) extraction
+    /// and the brute-force reference: the same entries, every boundary
+    /// pair among them exactly once. Real satellites are inserted exactly
+    /// once into their home shard; everything beyond that is a mirror
+    /// copy.
     #[test]
     fn sharded_extraction_equals_global_extraction(
         spec in arb_spec(),
@@ -115,6 +133,7 @@ proptest! {
         .unwrap();
         let (expected, stats) = extract_step(&global_map, &positions, &changed, cell, 3);
         prop_assert_eq!(stats.mirrored_inserts, 0, "one shard mirrors nothing");
+        prop_assert_eq!(&expected, &brute_force_entries(&positions, cell, 3));
 
         let map = ShardMap::new(spec).unwrap();
         let (got, stats) = extract_step(&map, &positions, &changed, cell, 3);
@@ -123,6 +142,32 @@ proptest! {
             stats.total_inserts - stats.mirrored_inserts,
             positions.len() as u64
         );
+    }
+
+    /// The subset twin: point queries for a random strict subset of
+    /// changed satellites, under an arbitrary partition, find exactly the
+    /// reference pairs that touch a changed satellite.
+    #[test]
+    fn subset_extraction_equals_the_reference_around_the_changed(
+        spec in arb_spec(),
+        positions in proptest::collection::vec(arb_position(), 2..40),
+        cell in 20.0..200.0f64,
+        mask in any::<u64>(),
+    ) {
+        let mut changed: Vec<u32> =
+            (0..positions.len() as u32).filter(|i| mask >> i & 1 == 1).collect();
+        if changed.len() == positions.len() {
+            changed.pop();
+        }
+        let touches = |e: &CandidatePair| {
+            changed.binary_search(&e.id_lo).is_ok() || changed.binary_search(&e.id_hi).is_ok()
+        };
+        let mut expected = brute_force_entries(&positions, cell, 5);
+        expected.retain(touches);
+
+        let map = ShardMap::new(spec).unwrap();
+        let (got, _) = extract_step(&map, &positions, &changed, cell, 5);
+        prop_assert_eq!(got, expected);
     }
 
     /// Boundary mirroring is symmetric: when two satellites share a grid
