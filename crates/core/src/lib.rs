@@ -23,10 +23,11 @@
 //!
 //! A screen is an extraction backend (who produces the candidate entries)
 //! times a post-extraction [`Stage`] (what becomes of them); see
-//! [`screener`]. The CPU backend is one step loop, [`Extraction::run`]
-//! ([`shard`]): the cold screeners run it on the 1×1 [`ShardMap`], and the
-//! `kessler-service` daemon runs it for SCREEN, DELTA and ADVANCE under its
-//! shard layout.
+//! [`screener`]. The CPU backend is one screener, [`CpuScreener`], over
+//! one step loop, [`Extraction::run`] ([`shard`]), and the shard layout is
+//! its configuration: the cold screeners run on the 1×1 [`ShardMap`], and
+//! the `kessler-service` daemon's SCREEN, DELTA and ADVANCE are
+//! [`CpuScreener::screen_changed`] calls under its layout.
 //!
 //! * [`GridScreener`] — the paper's purely grid-based variant: small cells
 //!   (Eq. 1), small time steps; every grid candidate goes straight to Brent
@@ -50,7 +51,6 @@ pub mod assessment;
 pub mod cancel;
 pub mod config;
 pub mod conjunction;
-pub mod cube;
 pub mod io;
 pub mod metrics;
 pub mod planner;

@@ -1,20 +1,25 @@
 //! The CPU screener over either stage: the purely grid-based variant and
 //! the hybrid variant (§III, §IV) are the same screen — allocate once, the
-//! one step loop ([`Extraction::run`] on the 1×1 layout, everyone
-//! changed) extracts candidates — and differ in the [`Stage`] the
-//! candidates are handed to.
+//! one step loop ([`Extraction::run`]) extracts candidates — and differ in
+//! the [`Stage`] the candidates are handed to. The shard layout is
+//! configuration, not code: `kessler screen` runs the 1×1 layout and the
+//! daemon runs its `--shards` one, through the same
+//! [`CpuScreener::screen_changed`].
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::{ScreeningConfig, Variant};
 use crate::conjunction::ScreeningReport;
 use crate::screener::stage::{Host, Stage};
 use crate::screener::{run_screen, Outcome, Screener};
-use crate::shard::{Extraction, ShardMap};
+use crate::shard::{Extraction, ShardMap, ShardScreenStats, ShardSpec};
 use kessler_orbits::{BatchPropagator, KeplerElements};
 
-/// Grid extraction on the CPU, refined by `stage`.
+/// Grid extraction on the CPU under a shard layout, refined by `stage`.
+#[derive(Clone, Copy)]
 pub struct CpuScreener {
     stage: Stage,
+    /// The layout extraction runs under (see [`crate::shard`]).
+    shard_map: ShardMap,
 }
 
 /// The purely grid-based variant: small cells (Eq. 1), small steps, every
@@ -27,41 +32,97 @@ pub struct HybridScreener;
 
 #[allow(clippy::new_ret_no_self)] // a constructor of the one CPU screener, under the variant's name
 impl GridScreener {
-    /// Panics on an invalid configuration; [`Stage::new`] is the fallible
-    /// way in.
+    /// Panics on an invalid configuration; [`CpuScreener::new`] is the
+    /// fallible way in.
     pub fn new(config: ScreeningConfig) -> CpuScreener {
-        CpuScreener::new(Stage::valid(Variant::Grid, config))
+        CpuScreener::valid(Variant::Grid, config)
     }
 }
 
 #[allow(clippy::new_ret_no_self)] // as above
 impl HybridScreener {
-    /// Panics on an invalid configuration; [`Stage::new`] is the fallible
-    /// way in.
+    /// Panics on an invalid configuration; [`CpuScreener::new`] is the
+    /// fallible way in.
     pub fn new(config: ScreeningConfig) -> CpuScreener {
-        CpuScreener::new(Stage::valid(Variant::Hybrid, config))
+        CpuScreener::valid(Variant::Hybrid, config)
     }
 }
 
 impl CpuScreener {
-    pub fn new(stage: Stage) -> CpuScreener {
-        CpuScreener { stage }
+    /// Grid or hybrid only — the variants with a post-extraction stage —
+    /// under a valid configuration, on the 1×1 layout. Fallible, so a bad
+    /// combination is an error here, never a panic inside a running job.
+    pub fn new(variant: Variant, config: ScreeningConfig) -> Result<CpuScreener, String> {
+        Ok(CpuScreener {
+            stage: Stage::new(variant, config)?,
+            shard_map: ShardMap::single(),
+        })
+    }
+
+    fn valid(variant: Variant, config: ScreeningConfig) -> CpuScreener {
+        CpuScreener::new(variant, config).expect("invalid screening configuration")
+    }
+
+    /// The same screener under the layout a `--shards` choice names;
+    /// `None` is the 1×1 layout ([`ShardMap::for_layout`]). The layout
+    /// only changes how candidates are extracted, not what they are.
+    pub fn with_shards(mut self, shards: Option<ShardSpec>) -> Result<CpuScreener, String> {
+        self.shard_map = ShardMap::for_layout(shards)?;
+        Ok(self)
+    }
+
+    /// The same screener over another span (the service screens a window
+    /// advance's freshly exposed tail this way).
+    pub fn with_span(mut self, span_seconds: f64) -> Result<CpuScreener, String> {
+        self.stage = self.stage.with_span(span_seconds)?;
+        Ok(self)
+    }
+
+    pub fn variant(&self) -> Variant {
+        self.stage.variant()
+    }
+
+    pub fn config(&self) -> &ScreeningConfig {
+        self.stage.config()
+    }
+
+    /// The shard layout extraction runs under.
+    pub fn shard_map(&self) -> &ShardMap {
+        &self.shard_map
     }
 
     /// The full pipeline as a cancellable job, on the configured thread
-    /// pool: `cancel`, when given, is checked at phase boundaries — between
-    /// grid sampling steps, between filter-evaluation chunks and between
-    /// refinement chunks. A job that completes returns the same report
-    /// with or without a token.
+    /// pool: [`CpuScreener::screen_changed`] with everyone changed.
     pub fn screen_job(
         &self,
         population: &[KeplerElements],
         cancel: Option<&CancelToken>,
     ) -> Result<ScreeningReport, Cancelled> {
+        let everyone: Vec<u32> = (0..population.len() as u32).collect();
+        Ok(self.screen_changed(population, &everyone, cancel)?.0)
+    }
+
+    /// Screen the pairs with at least one satellite in `changed` — the
+    /// ascending, distinct dense indices into `population` whose elements
+    /// are new; all of them for a cold screen. The report's conjunctions
+    /// are those pairs' alone, and the stats are the layout's per-shard
+    /// extraction figures. `cancel`, when given, is checked at phase
+    /// boundaries — between grid sampling steps, between filter-evaluation
+    /// chunks and between refinement chunks; a job that completes returns
+    /// the same report with or without a token.
+    pub fn screen_changed(
+        &self,
+        population: &[KeplerElements],
+        changed: &[u32],
+        cancel: Option<&CancelToken>,
+    ) -> Result<(ScreeningReport, ShardScreenStats), Cancelled> {
+        let n = population.len();
+        debug_assert!(changed.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(changed.last().is_none_or(|&c| (c as usize) < n));
         let stage = &self.stage;
         let config = stage.config();
-        let n = population.len();
-        run_screen(
+        let mut shard_stats = None;
+        let report = run_screen(
             self.label(),
             config.threads,
             n,
@@ -72,12 +133,15 @@ impl CpuScreener {
                 // precomputed Kepler solver constants.
                 let propagator = BatchPropagator::new(population);
                 // Step 2: propagation, insertion, pair identification —
-                // one grid, every satellite's pairs.
-                let everyone: Vec<u32> = (0..n as u32).collect();
-                let map = ShardMap::single();
-                let (entries, _) =
-                    Extraction::new(&map, &everyone, planner.cell_size_km, config.neighbor_scan)
-                        .run(&propagator, planner, timings, cancel)?;
+                // the changed satellites' pairs, each in its home shard.
+                let (entries, stats) = Extraction::new(
+                    &self.shard_map,
+                    changed,
+                    planner.cell_size_km,
+                    config.neighbor_scan,
+                )
+                .run(&propagator, planner, timings, cancel)?;
+                shard_stats = Some(stats);
                 let candidate_entries = entries.len();
                 let host = Host {
                     propagator: &propagator,
@@ -90,7 +154,11 @@ impl CpuScreener {
                     device_metrics: None,
                 })
             },
-        )
+        )?;
+        Ok((
+            report,
+            shard_stats.expect("a finished screen ran its extraction"),
+        ))
     }
 }
 
@@ -114,6 +182,89 @@ mod tests {
             KeplerElements::new(7_000.0, 0.0, 0.4, 0.0, 0.0, 0.0).unwrap(),
             KeplerElements::new(7_000.0, 0.0, 1.2, 0.0, 0.0, 0.0).unwrap(),
         ]
+    }
+
+    /// `n` generated satellites, then eight crossing pairs, each meeting
+    /// at its node inside the first 100 s.
+    fn catalog(n: usize) -> Vec<KeplerElements> {
+        let mut pop =
+            kessler_population::PopulationGenerator::new(kessler_population::PopulationConfig {
+                seed: 17,
+                ..Default::default()
+            })
+            .generate(n);
+        for k in 0..8 {
+            let a = 7_000.0 + 40.0 * k as f64;
+            let mean_motion = (kessler_orbits::constants::MU_EARTH / (a * a * a)).sqrt();
+            let m0 = (-mean_motion * (20.0 + 10.0 * k as f64)).rem_euclid(std::f64::consts::TAU);
+            for inclination in [0.4, 1.2] {
+                pop.push(KeplerElements::new(a, 0.0, inclination, k as f64, 0.0, m0).unwrap());
+            }
+        }
+        pop
+    }
+
+    fn assert_same_conjunctions(got: &ScreeningReport, want: &ScreeningReport) {
+        assert_eq!(got.conjunction_count(), want.conjunction_count());
+        for (g, w) in got.conjunctions.iter().zip(&want.conjunctions) {
+            assert_eq!(g.pair(), w.pair());
+            assert_eq!(g.tca.to_bits(), w.tca.to_bits());
+            assert_eq!(g.pca_km.to_bits(), w.pca_km.to_bits());
+        }
+    }
+
+    #[test]
+    fn screening_a_changed_list_finds_exactly_the_cold_conjunctions_touching_it() {
+        let pop = catalog(600);
+        for screener in [
+            GridScreener::new(ScreeningConfig::grid_defaults(10.0, 120.0)),
+            HybridScreener::new(ScreeningConfig::hybrid_defaults(10.0, 120.0)),
+        ] {
+            let cold = screener.screen(&pop);
+            // One member of every other cold conjunction, and two
+            // satellites that may meet nobody.
+            let mut changed: Vec<u32> = cold
+                .conjunctions
+                .iter()
+                .step_by(2)
+                .map(|c| c.id_hi)
+                .chain([0, 1])
+                .collect();
+            changed.sort_unstable();
+            changed.dedup();
+            let (subset, stats) = screener.screen_changed(&pop, &changed, None).unwrap();
+            assert_eq!(subset.variant, cold.variant);
+            assert_eq!(stats.shard_count(), 1);
+            let mut want = cold.clone();
+            want.conjunctions
+                .retain(|c| changed.contains(&c.id_lo) || changed.contains(&c.id_hi));
+            assert!(want.conjunction_count() > 0, "{}", cold.variant);
+            assert_same_conjunctions(&subset, &want);
+        }
+    }
+
+    #[test]
+    fn a_sharded_screen_is_the_one_shard_screen() {
+        let pop = catalog(600);
+        let layout = ShardSpec {
+            alt_bands: 4,
+            z_shells: 2,
+            ..ShardSpec::default()
+        };
+        let config = ScreeningConfig::grid_defaults(10.0, 120.0);
+        let flat = GridScreener::new(config);
+        let sharded = flat.with_shards(Some(layout)).unwrap();
+        assert_eq!(sharded.shard_map().shard_count(), 8);
+        assert_eq!(flat.shard_map().shard_count(), 1);
+        let (want, got) = (flat.screen(&pop), sharded.screen(&pop));
+        assert_eq!(got.candidate_entries, want.candidate_entries);
+        assert_eq!(got.candidate_pairs, want.candidate_pairs);
+        assert_same_conjunctions(&got, &want);
+        let bad = ShardSpec {
+            alt_bands: 0,
+            ..layout
+        };
+        assert!(flat.with_shards(Some(bad)).is_err());
     }
 
     mod grid {

@@ -2,7 +2,8 @@
 //!
 //! A screen is *extraction backend × post-extraction stage*, and each half
 //! is written once: the CPU step loop ([`crate::shard::Extraction::run`],
-//! which the service's screens run too) or the gpusim kernels ([`gpu`])
+//! which the service's screens reach through the same
+//! [`cpu::CpuScreener`]) or the gpusim kernels ([`gpu`])
 //! extract candidate entries, a [`stage::Stage`] turns them into
 //! conjunctions, and `run_screen` assembles the report.
 //! [`cpu::CpuScreener`] and [`gpu::GpuScreener`] are the two backends over

@@ -9,11 +9,10 @@
 //! per step (O(n) inserts, the same cost the full screen pays) but extracts
 //! candidates only from the changed satellites' neighbourhoods — O(k ·
 //! occupancy) instead of O(occupied cells · occupancy), and refines only
-//! pairs involving changed satellites. That extraction is core's one
-//! step loop, [`kessler_core::Extraction::run`], under whatever shard
-//! layout the [`Pipeline`] holds (a pipeline given no layout holds the 1×1
-//! one); a full screen is the same job with everyone changed against an
-//! empty warm set, which the loop serves with its occupied-cell scan.
+//! pairs involving changed satellites. That screen is core's
+//! [`CpuScreener::screen_changed`] under whatever shard layout the screener
+//! holds — the very call a cold screen makes with everyone changed — and a
+//! delta adds only the warm-set bookkeeping around it.
 //!
 //! Correctness invariant (checked by `tests/delta_correctness.rs`): a delta
 //! screen after `k` element updates produces *exactly* the conjunction set
@@ -26,17 +25,14 @@
 
 use crate::catalog::Removal;
 use crate::error::ServiceError;
+use crate::exec::Screened;
 use crate::persist::GlobalState;
 use crate::proto::LastScreen;
 use kessler_core::cancel::{check_opt, CancelToken, Cancelled};
 use kessler_core::conjunction::{Conjunction, ScreeningReport};
-use kessler_core::timing::PhaseTimings;
-use kessler_core::{
-    run_in_pool, Extraction, Host, ScreeningConfig, ShardMap, ShardScreenStats, ShardSpec, Stage,
-    Variant,
-};
-use kessler_orbits::{BatchPropagator, KeplerElements};
-use std::collections::{BTreeSet, HashMap};
+use kessler_core::{CpuScreener, ScreeningConfig, ShardScreenStats, Variant};
+use kessler_orbits::KeplerElements;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,60 +42,11 @@ pub const DELTA_VARIANT: &str = "grid-delta";
 /// Variant label hybrid delta reports carry.
 pub const HYBRID_DELTA_VARIANT: &str = "hybrid-delta";
 
-/// The screening pipeline a service engine runs — and the one options
-/// value every engine and state constructor takes: core's post-extraction
-/// [`Stage`] (which variant, its validated configuration, the filter and
-/// solver setup every job shares with the cold screeners) and the shard
-/// layout. Built only through the fallible [`Pipeline::new`] and
-/// [`Pipeline::with_shards`], so a bad combination is an error at
-/// construction time, never a panic inside a running job.
-#[derive(Clone, Copy)]
-pub struct Pipeline {
-    stage: Stage,
-    /// The layout candidate extraction runs under (see
-    /// [`kessler_core::shard`]).
-    shard_map: ShardMap,
-}
-
-impl Pipeline {
-    /// Grid or hybrid only: the variants that have a post-extraction stage.
-    pub fn new(config: ScreeningConfig, variant: Variant) -> Result<Pipeline, ServiceError> {
-        Ok(Pipeline {
-            stage: Stage::new(variant, config).map_err(ServiceError::Config)?,
-            shard_map: ShardMap::single(),
-        })
-    }
-
-    /// Choose the shard layout; `None` is the 1×1 layout
-    /// (`ShardMap::for_layout`). Validates the spec, so a running job
-    /// never sees a bad partition. The layout only changes how candidates
-    /// are extracted, not what they are, so a warm set screened under one
-    /// layout stays valid under another.
-    pub fn with_shards(mut self, shards: Option<ShardSpec>) -> Result<Pipeline, ServiceError> {
-        self.shard_map = ShardMap::for_layout(shards).map_err(ServiceError::Config)?;
-        Ok(self)
-    }
-
-    /// The shard layout extraction, dirty tracking and per-shard
-    /// statistics go by.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shard_map
-    }
-
-    pub fn variant(&self) -> Variant {
-        self.stage.variant()
-    }
-
-    pub fn config(&self) -> &ScreeningConfig {
-        self.stage.config()
-    }
-
-    /// Variant label this pipeline's delta screens report.
-    pub fn delta_variant(&self) -> &'static str {
-        match self.variant() {
-            Variant::Hybrid => HYBRID_DELTA_VARIANT,
-            _ => DELTA_VARIANT,
-        }
+/// Variant label a delta screen of `variant` reports.
+fn delta_label(variant: Variant) -> &'static str {
+    match variant {
+        Variant::Hybrid => HYBRID_DELTA_VARIANT,
+        _ => DELTA_VARIANT,
     }
 }
 
@@ -119,7 +66,7 @@ pub enum ScreenRun {
     Delta,
 }
 
-/// Result of a sliding-window advance (see [`DeltaEngine::advance_window`]).
+/// Result of a sliding-window advance (see [`advance_window_job`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdvanceOutcome {
     /// Conjunctions whose TCA slid out of the window.
@@ -128,9 +75,8 @@ pub struct AdvanceOutcome {
     pub discovered: usize,
 }
 
-/// The one ADVANCE validity rule: the window only slides forward, by a
-/// finite amount. Request planning and [`DeltaEngine::advance_window`]
-/// both answer with this error.
+/// The one ADVANCE `dt` rule: the window only slides forward, by a finite
+/// amount. Request planning answers with this error.
 pub fn check_advance_dt(dt: f64) -> Result<(), ServiceError> {
     if dt.is_finite() && dt > 0.0 {
         Ok(())
@@ -143,15 +89,15 @@ pub fn check_advance_dt(dt: f64) -> Result<(), ServiceError> {
 
 /// A conjunction-screening engine that stays warm between requests.
 ///
-/// The screening pipelines themselves live in the free functions
-/// [`full_screen_job`], [`delta_screen_job`] and [`advance_window_job`]:
-/// pure, cancellable computations over immutable inputs. The engine's
-/// methods capture their inputs, run the job uncancellably, and adopt the
-/// result — the same capture → run → adopt protocol the execution layer
-/// follows with worker threads, which is what keeps the concurrent path
-/// equivalent to this synchronous one.
+/// The screens themselves are the free functions [`screen_or_full`] (over
+/// [`full_screen_job`] and [`delta_screen_job`]) and
+/// [`advance_window_job`]: pure, cancellable computations over immutable
+/// inputs. The engine's methods run them uncancellably and adopt the
+/// result — the capture → run → adopt protocol the execution layer follows
+/// with worker threads; a window advance is served only through that
+/// layer (`ServiceState`).
 pub struct DeltaEngine {
-    pipeline: Pipeline,
+    screener: CpuScreener,
     /// Maintained conjunction set, grouped by satellite pair. TCAs are
     /// seconds past the *current* element epoch (window-relative). Behind
     /// `Arc` so jobs can hold the warm set while the engine moves on.
@@ -169,16 +115,16 @@ pub struct DeltaEngine {
 impl DeltaEngine {
     /// Grid-variant engine under the 1×1 layout.
     pub fn new(config: ScreeningConfig) -> Result<DeltaEngine, ServiceError> {
-        Ok(DeltaEngine::with_pipeline(Pipeline::new(
-            config,
-            Variant::Grid,
-        )?))
+        CpuScreener::new(Variant::Grid, config)
+            .map(DeltaEngine::with_screener)
+            .map_err(ServiceError::Config)
     }
 
-    /// Cold engine screening with `pipeline`.
-    pub fn with_pipeline(pipeline: Pipeline) -> DeltaEngine {
+    /// Cold engine screening with `screener` (variant, validated config
+    /// and shard layout).
+    pub fn with_screener(screener: CpuScreener) -> DeltaEngine {
         DeltaEngine {
-            pipeline,
+            screener,
             pairs: Arc::new(PairMap::new()),
             screened_n: None,
             full_screens: 0,
@@ -192,15 +138,18 @@ impl DeltaEngine {
     /// last adopted screen's info so a recovered daemon's STATUS keeps
     /// reporting the pre-crash screen. When the point was written under
     /// another variant the engine comes back cold, counters intact: warm
-    /// pairs from another variant's pipeline are not valid delta inputs,
+    /// pairs from another variant's screener are not valid delta inputs,
     /// so the first DELTA after restart falls back to a full screen.
-    pub fn restore(pipeline: Pipeline, global: &GlobalState) -> Result<DeltaEngine, ServiceError> {
+    pub fn restore(
+        screener: CpuScreener,
+        global: &GlobalState,
+    ) -> Result<DeltaEngine, ServiceError> {
         let mut engine = DeltaEngine {
             full_screens: global.full_screens,
             delta_screens: global.delta_screens,
-            ..DeltaEngine::with_pipeline(pipeline)
+            ..DeltaEngine::with_screener(screener)
         };
-        if pipeline.variant() != global.variant {
+        if screener.variant() != global.variant {
             return Ok(engine);
         }
         let conjunctions = &global.conjunctions;
@@ -225,17 +174,18 @@ impl DeltaEngine {
     }
 
     pub fn config(&self) -> &ScreeningConfig {
-        self.pipeline.config()
+        self.screener.config()
     }
 
     /// The screening variant this engine runs.
     pub fn variant(&self) -> Variant {
-        self.pipeline.variant()
+        self.screener.variant()
     }
 
-    /// The full screening pipeline (for capturing jobs against).
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.pipeline
+    /// The screener (variant, config, shard layout), for capturing jobs
+    /// against.
+    pub fn screener(&self) -> &CpuScreener {
+        &self.screener
     }
 
     /// `true` once a full screen has populated the maintained set.
@@ -296,11 +246,7 @@ impl DeltaEngine {
 
     /// Cold full screen; adopts the result as the maintained set.
     pub fn full_screen(&mut self, population: &[KeplerElements]) -> ScreeningReport {
-        let (report, pairs, _shard_stats) = full_screen_job(&self.pipeline, population, None)
-            .expect("uncancellable screen cannot be cancelled");
-        let last = LastScreen::from_report(&report);
-        self.adopt(pairs, report.n_satellites, ScreenRun::Full, last);
-        report
+        self.screen(population, &[], false)
     }
 
     /// Drop every maintained conjunction involving dense index `index`.
@@ -333,41 +279,28 @@ impl DeltaEngine {
         population: &[KeplerElements],
         changed: &[u32],
     ) -> ScreeningReport {
-        if self.screened_n.is_none() {
-            return self.full_screen(population);
-        }
-        let (report, pairs, _shard_stats) =
-            delta_screen_job(&self.pipeline, population, changed, &self.pairs, None)
-                .expect("uncancellable screen cannot be cancelled");
-        let last = LastScreen::from_report(&report);
-        self.adopt(pairs, report.n_satellites, ScreenRun::Delta, last);
-        report
+        self.screen(population, changed, true)
     }
 
-    /// Slide the window forward by `dt` seconds: retire conjunctions whose
-    /// TCA dropped before the new window start, shift the surviving TCAs to
-    /// the new epoch, and screen the freshly exposed tail. `population`
-    /// must already be advanced to the new epoch (`Catalog::advance_all`).
-    pub fn advance_window(
+    /// Run [`screen_or_full`] against the warm set when `delta` asks for
+    /// it, and adopt the result.
+    fn screen(
         &mut self,
         population: &[KeplerElements],
-        dt: f64,
-    ) -> Result<AdvanceOutcome, ServiceError> {
-        check_advance_dt(dt)?;
-        if self.screened_n.is_none() {
-            self.full_screen(population);
-            return Ok(AdvanceOutcome {
-                retired: 0,
-                discovered: self.conjunction_count(),
-            });
-        }
-
-        let warm = Arc::try_unwrap(std::mem::take(&mut self.pairs))
-            .unwrap_or_else(|shared| (*shared).clone());
-        let (pairs, outcome, last) = advance_window_job(&self.pipeline, population, dt, warm, None)
+        changed: &[u32],
+        delta: bool,
+    ) -> ScreeningReport {
+        let warm = (delta && self.is_warm()).then(|| &*self.pairs);
+        let screened = screen_or_full(&self.screener, population, changed, warm, None)
             .expect("uncancellable screen cannot be cancelled");
-        self.adopt(pairs, population.len(), ScreenRun::None, last);
-        Ok(outcome)
+        let last = LastScreen::from_report(&screened.report);
+        self.adopt(
+            screened.pairs,
+            screened.report.n_satellites,
+            screened.ran,
+            last,
+        );
+        *screened.report
     }
 }
 
@@ -399,115 +332,101 @@ pub(crate) fn apply_removal_to_pairs(pairs: &mut PairMap, removal: Removal, new_
     pairs.retain(|&(_, hi), _| (hi as usize) < new_len);
 }
 
-/// What a screen job hands back: the report, the conjunction set grouped
-/// by pair (what the engine adopts), and the per-shard extraction stats
-/// (`Some` iff the layout has more than one shard).
-pub type ScreenJobOutput = (ScreeningReport, PairMap, Option<ShardScreenStats>);
+/// The one rule for which screen runs, for SCREEN, DELTA and an
+/// ADVANCE's pre-screen alike: a delta of `changed` merged into `warm`
+/// when there is a warm set to merge into, a full screen otherwise — a
+/// SCREEN passes none, and a cold engine has none.
+pub fn screen_or_full(
+    screener: &CpuScreener,
+    population: &[KeplerElements],
+    changed: &[u32],
+    warm: Option<&PairMap>,
+    cancel: Option<&CancelToken>,
+) -> Result<Screened, Cancelled> {
+    match warm {
+        Some(warm) => delta_screen_job(screener, population, changed, warm, cancel),
+        None => full_screen_job(screener, population, cancel),
+    }
+}
 
-/// Cold full screen of `population` as a pure job, with the pipeline's
-/// variant: a delta over *every* satellite against an empty warm set,
-/// relabelled. With everyone changed the step loop scans occupied cells,
-/// as the cold screeners do, and the post-extraction stage is the same
-/// value, so the conjunction set is theirs. With a token, cancellation is
-/// checked at the job's phase boundaries.
+/// A one-shard layout has no per-shard story to tell: its wire and
+/// metrics stay those of a daemon that never heard of shards.
+fn per_shard(stats: ShardScreenStats) -> Option<ShardScreenStats> {
+    (stats.shard_count() > 1).then_some(stats)
+}
+
+/// Cold full screen of `population` as a pure job: the screener's own
+/// screen, with its conjunctions grouped into the pair map an engine
+/// adopts. With a token, cancellation is checked at the job's phase
+/// boundaries.
 pub fn full_screen_job(
-    pipeline: &Pipeline,
+    screener: &CpuScreener,
     population: &[KeplerElements],
     cancel: Option<&CancelToken>,
-) -> Result<ScreenJobOutput, Cancelled> {
+) -> Result<Screened, Cancelled> {
     let everyone: Vec<u32> = (0..population.len() as u32).collect();
-    let mut output = delta_screen_job(pipeline, population, &everyone, &PairMap::new(), cancel)?;
-    output.0.variant = pipeline.variant().label().to_string();
-    Ok(output)
+    let (report, stats) = screener.screen_changed(population, &everyone, cancel)?;
+    Ok(Screened {
+        pairs: pairs_from_conjunctions(&report.conjunctions),
+        report: Box::new(report),
+        shards: per_shard(stats),
+        ran: ScreenRun::Full,
+    })
 }
 
 /// Delta screen as a pure job: re-screen only the neighbourhoods of
 /// `changed` satellites against the `warm` maintained set and return the
 /// merged map plus a report whose `conjunctions` is the full merged set
 /// (directly comparable with a cold full re-screen) while
-/// `candidate_entries`/`candidate_pairs` count only the delta work. The
-/// configuration's `threads` picks the pool, as in the cold screen.
+/// `candidate_entries`/`candidate_pairs` count only the delta work, and
+/// whose `timings.total` covers the warm-set bookkeeping too.
 ///
 /// `cancel` is checked between grid sampling steps, between filter
 /// chunks, and between refinement chunks; the inputs are never mutated,
 /// so a cancelled job leaves no trace.
 pub fn delta_screen_job(
-    pipeline: &Pipeline,
+    screener: &CpuScreener,
     population: &[KeplerElements],
     changed: &[u32],
     warm: &PairMap,
     cancel: Option<&CancelToken>,
-) -> Result<ScreenJobOutput, Cancelled> {
-    let stage = &pipeline.stage;
-    run_in_pool(stage.config().threads, || {
-        let wall = Instant::now();
-        let mut timings = PhaseTimings::default();
-        let n = population.len();
-        // The stage's own plan, so extraction runs at the same cell/step
-        // sizes as the cold full screen it must exactly equal.
-        let planner = stage.plan(n);
+) -> Result<Screened, Cancelled> {
+    let wall = Instant::now();
+    let n = population.len();
+    let mut changed: Vec<u32> = changed
+        .iter()
+        .copied()
+        .filter(|&c| (c as usize) < n)
+        .collect();
+    changed.sort_unstable();
+    changed.dedup();
 
-        // Stale-pair invalidation: every pair involving a changed satellite
-        // is recomputed from scratch below; pairs past the population end
-        // cannot exist.
-        let changed_set: BTreeSet<u32> = changed
-            .iter()
-            .copied()
-            .filter(|&c| (c as usize) < n)
-            .collect();
-        let mut pairs: PairMap = warm
-            .iter()
-            .filter(|&(&(lo, hi), _)| {
-                (hi as usize) < n && !changed_set.contains(&lo) && !changed_set.contains(&hi)
-            })
-            .map(|(&key, list)| (key, list.clone()))
-            .collect();
+    // 1. Every warm pair involving a changed satellite is recomputed from
+    // scratch; pairs past the population end cannot exist.
+    let untouched = |i: u32| changed.binary_search(&i).is_err();
+    let mut pairs: PairMap = warm
+        .iter()
+        .filter(|&(&(lo, hi), _)| (hi as usize) < n && untouched(lo) && untouched(hi))
+        .map(|(&key, list)| (key, list.clone()))
+        .collect();
 
-        // Candidate extraction: per step, bin everyone into the layout's
-        // grid(s) (same O(n) insert cost as the full screen) but extract
-        // only the changed satellites' pairs, each in its home shard
-        // (boundary mirroring makes that exact — see `kessler_core::shard`).
-        // The entries carry global indices, so nothing downstream knows
-        // the layout.
-        let propagator = BatchPropagator::new(population);
-        let changed_list: Vec<u32> = changed_set.into_iter().collect();
-        let (entry_list, shard_stats) = Extraction::new(
-            &pipeline.shard_map,
-            &changed_list,
-            planner.cell_size_km,
-            stage.config().neighbor_scan,
-        )
-        .run(&propagator, &planner, &mut timings, cancel)?;
+    // 2. The changed satellites' pairs, screened as a cold screen would.
+    let (mut report, stats) = screener.screen_changed(population, &changed, cancel)?;
 
-        // Post-extraction: the stage the cold screen runs, so a changed
-        // pair refines to bit-identical conjunctions.
-        let candidate_entries = entry_list.len();
-        let host = Host {
-            propagator: &propagator,
-            cancel,
-        };
-        let refined = stage.refine(&host, population, entry_list, &planner, &mut timings)?;
-        for c in refined.conjunctions {
-            pairs.entry(c.pair()).or_default().push(c);
-        }
-        timings.total = wall.elapsed();
+    // 3. Merge them into what stayed warm.
+    for c in std::mem::take(&mut report.conjunctions) {
+        pairs.entry(c.pair()).or_default().push(c);
+    }
 
-        let report = ScreeningReport {
-            variant: pipeline.delta_variant().to_string(),
-            n_satellites: n,
-            config: *stage.config(),
-            conjunctions: sorted_conjunctions(&pairs),
-            candidate_entries,
-            candidate_pairs: refined.candidate_pairs,
-            timings,
-            planner,
-            filter_stats: refined.filter_stats,
-            device_metrics: None,
-        };
-        // A one-shard layout has no per-shard story to tell: its wire and
-        // metrics stay those of a daemon that never heard of shards.
-        let shard_stats = (shard_stats.shard_count() > 1).then_some(shard_stats);
-        Ok((report, pairs, shard_stats))
+    // 4. The report describes the merged set, under the delta label.
+    report.variant = delta_label(screener.variant()).to_string();
+    report.conjunctions = sorted_conjunctions(&pairs);
+    report.timings.total = wall.elapsed();
+    Ok(Screened {
+        report: Box::new(report),
+        pairs,
+        shards: per_shard(stats),
+        ran: ScreenRun::Delta,
     })
 }
 
@@ -518,13 +437,13 @@ pub fn delta_screen_job(
 /// info. `population` must already be advanced to the new epoch and `dt`
 /// must have passed [`check_advance_dt`].
 pub fn advance_window_job(
-    pipeline: &Pipeline,
+    screener: &CpuScreener,
     population: &[KeplerElements],
     dt: f64,
     mut pairs: PairMap,
     cancel: Option<&CancelToken>,
 ) -> Result<(PairMap, AdvanceOutcome, LastScreen), Cancelled> {
-    let config = pipeline.config();
+    let config = screener.config();
     let span = config.span_seconds;
     let overlap = config.seconds_per_sample;
     check_opt(cancel)?;
@@ -555,14 +474,10 @@ pub fn advance_window_job(
             advanced
         })
         .collect();
-    let tail = Pipeline {
-        stage: pipeline
-            .stage
-            .with_span(tail_span)
-            .expect("a positive tail of a validated span is valid"),
-        ..*pipeline
-    };
-    let (report, _, _) = full_screen_job(&tail, &tail_elements, cancel)?;
+    let report = screener
+        .with_span(tail_span)
+        .expect("a positive tail of a validated span is valid")
+        .screen_job(&tail_elements, cancel)?;
 
     let merge_tol = config.tca_dedup_tolerance_s.max(overlap);
     let mut discovered = 0usize;
@@ -596,7 +511,9 @@ pub fn advance_window_job(
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use kessler_core::{GridScreener, Screener};
+    use crate::proto::{ElementsSpec, Request};
+    use crate::server::ServiceState;
+    use kessler_core::{GridScreener, HybridScreener, Screener};
     use kessler_population::{PopulationConfig, PopulationGenerator};
 
     fn population(n: usize, seed: u64) -> Vec<KeplerElements> {
@@ -617,6 +534,40 @@ mod tests {
             el.mean_anomaly + 0.2,
         )
         .unwrap()
+    }
+
+    /// A daemon state holding `pop` under `screener`, screened once, and
+    /// the number of conjunctions that screen found.
+    fn screened_state(screener: CpuScreener, pop: &[KeplerElements]) -> (ServiceState, usize) {
+        let mut state = ServiceState::with_screener(screener);
+        for (id, el) in pop.iter().enumerate() {
+            let elements = ElementsSpec::from_elements(el);
+            assert!(
+                state
+                    .handle(&Request::Add {
+                        id: id as u64,
+                        elements
+                    })
+                    .ok
+            );
+        }
+        let screen = state
+            .handle(&Request::Screen)
+            .screen
+            .expect("SCREEN answers");
+        (state, screen.conjunctions)
+    }
+
+    /// ADVANCE through the request path, as the daemon serves it.
+    fn advance(state: &mut ServiceState, dt: f64) -> Result<AdvanceOutcome, String> {
+        let response = state.handle(&Request::Advance { dt });
+        match response.advance {
+            Some(ack) => Ok(AdvanceOutcome {
+                retired: ack.retired,
+                discovered: ack.discovered,
+            }),
+            None => Err(response.error.unwrap_or_default()),
+        }
     }
 
     #[test]
@@ -728,20 +679,15 @@ mod tests {
         ];
         let period = pop[0].period();
         let config = ScreeningConfig::grid_defaults(2.0, 0.3 * period);
-        let mut engine = DeltaEngine::new(config).unwrap();
-        let report = engine.full_screen(&pop);
-        assert!(report.conjunction_count() >= 1, "t = 0 crossing in window");
+        let (mut state, found) = screened_state(GridScreener::new(config), &pop);
+        assert!(found >= 1, "t = 0 crossing in window");
 
         // Advance past the t = 0 encounter but not yet to T/2.
-        let mut catalog = Catalog::new();
-        catalog.add(0, pop[0]).unwrap();
-        catalog.add(1, pop[1]).unwrap();
         let dt = 0.4 * period;
-        catalog.advance_all(dt);
-        let outcome = engine.advance_window(catalog.elements(), dt).unwrap();
+        let outcome = advance(&mut state, dt).unwrap();
         assert!(outcome.retired >= 1, "the t = 0 conjunction must retire");
         // Window now covers [0.4 T, 0.7 T]: the T/2 encounter is inside.
-        let live = engine.conjunctions();
+        let live = state.engine().conjunctions();
         assert!(
             live.iter()
                 .any(|c| { c.pair() == (0, 1) && (c.tca - (0.5 * period - dt)).abs() < 2.0 }),
@@ -754,10 +700,9 @@ mod tests {
 
         // A second slide, to [0.9 T, 1.2 T]: T/2 retires, T is discovered.
         let dt2 = 0.5 * period;
-        catalog.advance_all(dt2);
-        let outcome = engine.advance_window(catalog.elements(), dt2).unwrap();
+        let outcome = advance(&mut state, dt2).unwrap();
         assert!(outcome.retired >= 1, "the T/2 conjunction must retire");
-        let live = engine.conjunctions();
+        let live = state.engine().conjunctions();
         assert!(
             live.iter()
                 .any(|c| (c.tca - (period - dt - dt2)).abs() < 2.0),
@@ -773,15 +718,11 @@ mod tests {
             KeplerElements::new(9_000.0, 0.0, 1.2, 1.0, 0.0, 2.0).unwrap(),
         ];
         let config = ScreeningConfig::grid_defaults(2.0, 600.0);
-        let mut engine = DeltaEngine::new(config).unwrap();
-        assert_eq!(engine.full_screen(&pop).conjunction_count(), 0);
-        let mut catalog = Catalog::new();
-        catalog.add(0, pop[0]).unwrap();
-        catalog.add(1, pop[1]).unwrap();
-        catalog.advance_all(300.0);
-        let outcome = engine.advance_window(catalog.elements(), 300.0).unwrap();
+        let (mut state, found) = screened_state(GridScreener::new(config), &pop);
+        assert_eq!(found, 0);
+        let outcome = advance(&mut state, 300.0).unwrap();
         assert_eq!(outcome, AdvanceOutcome::default());
-        assert!(engine.conjunctions().is_empty());
+        assert!(state.engine().conjunctions().is_empty());
     }
 
     #[test]
@@ -805,7 +746,7 @@ mod tests {
             last_screen: engine.last_screen().cloned(),
             variant: engine.variant(),
         };
-        let mut back = DeltaEngine::restore(*engine.pipeline(), &global).unwrap();
+        let mut back = DeltaEngine::restore(*engine.screener(), &global).unwrap();
         assert!(back.is_warm());
         assert_eq!(back.conjunctions(), saved);
         assert_eq!(back.full_screens(), 1);
@@ -834,7 +775,7 @@ mod tests {
                 conjunctions: held.clone(),
                 ..global.clone()
             };
-            DeltaEngine::restore(*engine.pipeline(), &global)
+            DeltaEngine::restore(*engine.screener(), &global)
         };
         assert!(restore_with(Some(300)).is_ok());
         assert!(restore_with(None).is_err());
@@ -848,7 +789,7 @@ mod tests {
         let mut engine = DeltaEngine::new(config).unwrap();
         engine.full_screen(&pop);
         let warm = engine.warm_pairs();
-        let pipeline = *engine.pipeline();
+        let screener = *engine.screener();
 
         let mut updated = pop.clone();
         let changed = vec![3u32, 140, 271];
@@ -856,8 +797,11 @@ mod tests {
             updated[idx as usize] = perturb(&updated[idx as usize], 1.0);
         }
         let token = kessler_core::CancelToken::new();
-        let (job_report, job_pairs, _shards) =
-            delta_screen_job(&pipeline, &updated, &changed, &warm, Some(&token)).unwrap();
+        let Screened {
+            report: job_report,
+            pairs: job_pairs,
+            ..
+        } = delta_screen_job(&screener, &updated, &changed, &warm, Some(&token)).unwrap();
         let sync_report = engine.delta_screen(&updated, &changed);
         assert_eq!(
             job_report.conjunction_count(),
@@ -912,10 +856,10 @@ mod tests {
 
         let token = kessler_core::CancelToken::new();
         token.cancel();
-        let pipeline = *engine.pipeline();
-        assert!(full_screen_job(&pipeline, &pop, Some(&token)).is_err());
-        assert!(delta_screen_job(&pipeline, &pop, &[0], &warm, Some(&token)).is_err());
-        assert!(advance_window_job(&pipeline, &pop, 10.0, (*warm).clone(), Some(&token)).is_err());
+        let screener = *engine.screener();
+        assert!(full_screen_job(&screener, &pop, Some(&token)).is_err());
+        assert!(delta_screen_job(&screener, &pop, &[0], &warm, Some(&token)).is_err());
+        assert!(advance_window_job(&screener, &pop, 10.0, (*warm).clone(), Some(&token)).is_err());
         // The engine's maintained set is untouched by the aborted jobs.
         assert_eq!(engine.conjunctions(), before);
     }
@@ -923,12 +867,11 @@ mod tests {
     #[test]
     fn advance_rejects_bad_dt() {
         let config = ScreeningConfig::grid_defaults(2.0, 600.0);
-        let mut engine = DeltaEngine::new(config).unwrap();
+        let mut state = ServiceState::new(config).unwrap();
         for dt in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
-            let err = engine.advance_window(&[], dt).unwrap_err();
+            let err = advance(&mut state, dt).unwrap_err();
             assert!(
-                err.to_string()
-                    .contains("advance dt must be positive and finite"),
+                err.contains("advance dt must be positive and finite"),
                 "{err}"
             );
         }
@@ -936,15 +879,17 @@ mod tests {
 
     #[test]
     fn pipeline_rejects_unserved_variants() {
+        // The screening pipeline every engine and state runs is core's
+        // screener, built fallibly: grid or hybrid, valid config.
         let config = ScreeningConfig::grid_defaults(2.0, 600.0);
-        assert!(Pipeline::new(config, Variant::Grid).is_ok());
-        assert!(Pipeline::new(config, Variant::Hybrid).is_ok());
-        assert!(Pipeline::new(config, Variant::Legacy).is_err());
-        assert!(Pipeline::new(config, Variant::Sieve).is_err());
+        assert!(CpuScreener::new(Variant::Grid, config).is_ok());
+        assert!(CpuScreener::new(Variant::Hybrid, config).is_ok());
+        assert!(CpuScreener::new(Variant::Legacy, config).is_err());
+        assert!(CpuScreener::new(Variant::Sieve, config).is_err());
         let mut bad = config;
         bad.threshold_km = -1.0;
         assert!(
-            Pipeline::new(bad, Variant::Hybrid).is_err(),
+            CpuScreener::new(Variant::Hybrid, bad).is_err(),
             "invalid config must be an Err, not a panic"
         );
     }
@@ -974,8 +919,7 @@ mod tests {
     fn hybrid_engine_labels_and_stats() {
         let pop = population(80, 13);
         let config = ScreeningConfig::hybrid_defaults(5.0, 120.0);
-        let mut engine =
-            DeltaEngine::with_pipeline(Pipeline::new(config, Variant::Hybrid).unwrap());
+        let mut engine = DeltaEngine::with_screener(HybridScreener::new(config));
         assert_eq!(engine.variant(), Variant::Hybrid);
         let report = engine.full_screen(&pop);
         assert_eq!(report.variant, "hybrid");
@@ -992,8 +936,7 @@ mod tests {
     fn hybrid_delta_after_updates_matches_cold_hybrid_screen() {
         let pop = population(400, 42);
         let config = ScreeningConfig::hybrid_defaults(5.0, 120.0);
-        let mut engine =
-            DeltaEngine::with_pipeline(Pipeline::new(config, Variant::Hybrid).unwrap());
+        let mut engine = DeltaEngine::with_screener(HybridScreener::new(config));
         engine.full_screen(&pop);
 
         let mut updated = pop.clone();
@@ -1003,7 +946,7 @@ mod tests {
         }
         let delta = engine.delta_screen(&updated, &changed);
         assert_eq!(delta.variant, HYBRID_DELTA_VARIANT);
-        let cold = kessler_core::HybridScreener::new(config).screen(&updated);
+        let cold = HybridScreener::new(config).screen(&updated);
         assert_eq!(delta.pairs_missing_from(&cold), Vec::<(u32, u32)>::new());
         assert_eq!(cold.pairs_missing_from(&delta), Vec::<(u32, u32)>::new());
         assert_eq!(delta.conjunction_count(), cold.conjunction_count());
@@ -1022,23 +965,17 @@ mod tests {
         ];
         let period = pop[0].period();
         let config = ScreeningConfig::hybrid_defaults(2.0, 0.3 * period);
-        let mut engine =
-            DeltaEngine::with_pipeline(Pipeline::new(config, Variant::Hybrid).unwrap());
-        let report = engine.full_screen(&pop);
-        assert!(report.conjunction_count() >= 1, "t = 0 crossing in window");
+        let (mut state, found) = screened_state(HybridScreener::new(config), &pop);
+        assert!(found >= 1, "t = 0 crossing in window");
 
-        let mut catalog = Catalog::new();
-        catalog.add(0, pop[0]).unwrap();
-        catalog.add(1, pop[1]).unwrap();
         let dt = 0.4 * period;
-        catalog.advance_all(dt);
-        let outcome = engine.advance_window(catalog.elements(), dt).unwrap();
+        let outcome = advance(&mut state, dt).unwrap();
         assert!(outcome.retired >= 1, "the t = 0 conjunction must retire");
         // The tail screen ran the filter chain; the engine reports it.
-        let last = engine.last_screen().unwrap();
+        let last = state.engine().last_screen().unwrap();
         assert_eq!(last.variant, "hybrid");
         assert!(last.filter_stats.is_some());
-        let live = engine.conjunctions();
+        let live = state.engine().conjunctions();
         assert!(
             live.iter()
                 .any(|c| { c.pair() == (0, 1) && (c.tca - (0.5 * period - dt)).abs() < 2.0 }),

@@ -19,16 +19,13 @@
 //! connection can trip a job that another connection enqueued.
 
 use crate::catalog::CatalogSnapshot;
-use crate::delta::{
-    advance_window_job, delta_screen_job, full_screen_job, AdvanceOutcome, PairMap, Pipeline,
-    ScreenRun,
-};
+use crate::delta::{advance_window_job, screen_or_full, AdvanceOutcome, PairMap, ScreenRun};
 use crate::error::ServiceError;
 use crate::proto::LastScreen;
 use crate::sync::Mutex;
 use kessler_core::cancel::{CancelToken, Cancelled};
 use kessler_core::conjunction::ScreeningReport;
-use kessler_core::ShardScreenStats;
+use kessler_core::{CpuScreener, ShardScreenStats};
 use kessler_orbits::KeplerElements;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,8 +51,8 @@ pub struct ScreenJob {
     pub changed: Vec<u32>,
     /// Warm maintained set at capture; `None` while the engine was cold.
     pub warm: Option<Arc<PairMap>>,
-    /// The engine's screening pipeline (variant + validated config).
-    pub pipeline: Pipeline,
+    /// The engine's screener (variant, validated config, shard layout).
+    pub screener: CpuScreener,
 }
 
 impl ScreenJob {
@@ -72,7 +69,7 @@ pub struct Screened {
     /// through the worker channel.
     pub report: Box<ScreeningReport>,
     pub pairs: PairMap,
-    /// Per-shard extraction stats; `Some` iff the pipeline is sharded.
+    /// Per-shard extraction stats; `Some` iff the layout is sharded.
     pub shards: Option<ShardScreenStats>,
     /// Which screen ran: [`ScreenRun::Delta`], or [`ScreenRun::Full`]
     /// for SCREEN and for a DELTA on a cold engine.
@@ -94,31 +91,20 @@ pub enum ScreenOutput {
 }
 
 /// Screen the job's snapshot: a delta against the captured warm set when
-/// `delta` is asked for and the engine was warm, a cold full screen
-/// otherwise (the same fallback as `DeltaEngine::delta_screen`).
+/// `delta` is asked for, under [`screen_or_full`]'s cold ⇒ full rule.
 fn screen_snapshot(
     job: &ScreenJob,
     delta: bool,
     cancel: Option<&CancelToken>,
 ) -> Result<Screened, Cancelled> {
-    let pipeline = &job.pipeline;
-    let elements: &[KeplerElements] = &job.snapshot.elements;
-    let ((report, pairs, shards), ran) = match &job.warm {
-        Some(warm) if delta => (
-            delta_screen_job(pipeline, elements, &job.changed, warm, cancel)?,
-            ScreenRun::Delta,
-        ),
-        _ => (
-            full_screen_job(pipeline, elements, cancel)?,
-            ScreenRun::Full,
-        ),
-    };
-    Ok(Screened {
-        report: Box::new(report),
-        pairs,
-        shards,
-        ran,
-    })
+    let warm = job.warm.as_deref().filter(|_| delta);
+    screen_or_full(
+        &job.screener,
+        &job.snapshot.elements,
+        &job.changed,
+        warm,
+        cancel,
+    )
 }
 
 /// Run a captured job to completion (or to the next phase boundary after
@@ -158,7 +144,7 @@ pub fn run_screen_job(
             advanced
         })
         .collect();
-    let (pairs, outcome, tail) = advance_window_job(&job.pipeline, &advanced, dt, pairs, cancel)?;
+    let (pairs, outcome, tail) = advance_window_job(&job.screener, &advanced, dt, pairs, cancel)?;
     Ok(ScreenOutput::Advance {
         pairs,
         outcome,
@@ -265,6 +251,8 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::delta::{sorted_conjunctions, DeltaEngine};
+    use crate::proto::{ElementsSpec, Request};
+    use crate::server::ServiceState;
     use kessler_core::ScreeningConfig;
     use kessler_population::{PopulationConfig, PopulationGenerator};
 
@@ -289,7 +277,7 @@ mod tests {
             snapshot: catalog.snapshot(),
             changed: Vec::new(),
             warm: engine.is_warm().then(|| engine.warm_pairs()),
-            pipeline: *engine.pipeline(),
+            screener: *engine.screener(),
         }
     }
 
@@ -309,7 +297,7 @@ mod tests {
 
     #[test]
     fn advance_job_matches_the_sync_path_and_reports_its_fold() {
-        let (mut catalog, mut engine, _) = warm_setup(120, 6);
+        let (catalog, mut engine, config) = warm_setup(120, 6);
         engine.full_screen(catalog.elements());
         let dt = 30.0;
         let job = capture(ScreenKind::Advance { dt }, &catalog, &engine);
@@ -324,10 +312,30 @@ mod tests {
         };
         assert_eq!(fold, ScreenRun::None);
 
-        catalog.advance_all(dt);
-        let sync = engine.advance_window(catalog.elements(), dt).unwrap();
-        assert_eq!(outcome, sync);
-        assert_eq!(sorted_conjunctions(&pairs), engine.conjunctions());
+        // The synchronous path: the same catalog in a daemon state,
+        // screened, then advanced through the request path.
+        let mut state = ServiceState::new(config).unwrap();
+        for (id, el) in catalog.elements().iter().enumerate() {
+            let elements = ElementsSpec::from_elements(el);
+            assert!(
+                state
+                    .handle(&Request::Add {
+                        id: id as u64,
+                        elements
+                    })
+                    .ok
+            );
+        }
+        assert!(state.handle(&Request::Screen).ok);
+        let sync = state.handle(&Request::Advance { dt }).advance.unwrap();
+        assert_eq!(
+            outcome,
+            AdvanceOutcome {
+                retired: sync.retired,
+                discovered: sync.discovered,
+            }
+        );
+        assert_eq!(sorted_conjunctions(&pairs), state.engine().conjunctions());
     }
 
     #[test]

@@ -16,21 +16,22 @@
 //!   full re-screen, at a fraction of the cost when k ≪ n. Serves both the
 //!   grid and the hybrid variant: under hybrid, delta candidates run
 //!   through the orbital filter chain before refinement, exactly as a cold
-//!   hybrid screen would — by construction, because a delta ends in the
-//!   cold screen's own post-extraction stage. The screening pipelines are
-//!   pure, cancellable job functions the execution layer shares with the
-//!   synchronous path; [`Pipeline`] (variant + config + shard layout) is
-//!   the one options value every engine and state constructor takes, and
-//!   `DeltaEngine::advance_window` slides the screening horizon forward,
-//!   retiring expired conjunctions, carrying live ones, screening only
-//!   the freshly exposed tail.
+//!   hybrid screen would — by construction, because a delta *is* the cold
+//!   screen's call, `kessler_core::CpuScreener::screen_changed`, over the
+//!   changed list, with the warm-set bookkeeping around it. The screens
+//!   are pure, cancellable job functions the execution layer shares with
+//!   the synchronous path; the core `CpuScreener` (variant + config +
+//!   shard layout) is the one options value every engine and state
+//!   constructor takes, and the ADVANCE job slides the screening horizon
+//!   forward, retiring expired conjunctions, carrying live ones, screening
+//!   only the freshly exposed tail.
 //!
 //!   Every screen — SCREEN, DELTA, ADVANCE tail — runs core's one step
-//!   loop, `kessler_core::Extraction::run`, under the pipeline's
+//!   loop, `kessler_core::Extraction::run`, under the screener's
 //!   [`ShardMap`]: core's orbital-regime partition (altitude band × |z|
 //!   shell) with one grid per shard and boundary mirroring, so every
 //!   layout extracts bit-identical entries; a daemon given no layout runs
-//!   the 1×1 one. The service re-exports [`ShardMap`], [`ShardSpec`] and
+//!   the 1×1 one, as `kessler screen` does. The service re-exports [`ShardMap`], [`ShardSpec`] and
 //!   [`ShardScreenStats`], and the persistence layer chunks snapshots and
 //!   tracks dirty shards by [`ShardMap::assign`].
 //! - [`exec`] — the execution layer: screening work captured as
@@ -77,9 +78,7 @@ mod sync;
 pub mod wal;
 
 pub use catalog::{Catalog, CatalogError, CatalogSnapshot, Removal};
-pub use delta::{
-    AdvanceOutcome, DeltaEngine, PairMap, Pipeline, DELTA_VARIANT, HYBRID_DELTA_VARIANT,
-};
+pub use delta::{AdvanceOutcome, DeltaEngine, PairMap, DELTA_VARIANT, HYBRID_DELTA_VARIANT};
 pub use error::{PersistError, ServiceError};
 pub use exec::{CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 pub use fault::FaultPlan;

@@ -774,11 +774,10 @@ fn materialize_manifest(dir: &Path, manifest: Manifest) -> Result<Snapshot, Pers
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::Pipeline;
     use crate::proto::Response;
     use crate::server::ServiceState;
     use crate::testkit::SplitMix64;
-    use kessler_core::ScreeningConfig;
+    use kessler_core::{GridScreener, ScreeningConfig};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1574,12 +1573,10 @@ mod tests {
             assert_eq!(recovery.tail, tail, "{context}");
 
             let config = ScreeningConfig::grid_defaults(5.0, 120.0);
-            let pipeline = Pipeline::new(config, Variant::Grid)
-                .and_then(|p| p.with_shards(layout))
-                .unwrap();
+            let screener = GridScreener::new(config).with_shards(layout).unwrap();
             let mut state = match &recovery.snapshot {
-                Some(snapshot) => ServiceState::restore(pipeline, snapshot).unwrap(),
-                None => ServiceState::with_pipeline(pipeline),
+                Some(snapshot) => ServiceState::restore(screener, snapshot).unwrap(),
+                None => ServiceState::with_screener(screener),
             };
             for request in &recovery.tail {
                 assert!(state.handle(request).ok, "{context}: replay {request:?}");

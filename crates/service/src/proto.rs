@@ -385,7 +385,7 @@ pub struct ScreenSummary {
     #[serde(default, skip_serializing_if = "is_false")]
     pub ephemeral: bool,
     /// Per-shard extraction breakdown, present when the daemon screens
-    /// with a sharded pipeline.
+    /// with a sharded layout.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub shards: Option<ShardSummary>,
 }

@@ -714,9 +714,11 @@ impl Client {
             let reply = self.read_wire_line()?;
             match serde_json::from_str::<Response>(&reply) {
                 Ok(response) => return Ok(response),
-                Err(_) => match serde_json::from_str::<PushEvent>(&reply) {
+                // Not a response: a push event, or else a bad response,
+                // reported as such.
+                Err(not_response) => match serde_json::from_str::<PushEvent>(&reply) {
                     Ok(event) => self.events.push_back(event),
-                    Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e)),
+                    Err(_) => return Err(io::Error::new(io::ErrorKind::InvalidData, not_response)),
                 },
             }
         }
@@ -888,6 +890,26 @@ mod tests {
             budgets.windows(2).all(|w| w[1] < w[0]),
             "budgets {budgets:?}"
         );
+    }
+
+    #[test]
+    fn a_line_that_is_neither_reply_nor_event_reports_why_the_reply_failed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(&stream).read_line(&mut request).unwrap();
+            (&stream).write_all(b"{\"ok\":\"yes\"}\n").unwrap();
+            request
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.send(&Request::Status).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let message = err.to_string();
+        assert!(!message.contains("push"), "{message}");
+        assert!(message.contains("bool"), "{message}");
+        assert!(server.join().unwrap().contains("STATUS"));
     }
 
     #[test]

@@ -80,7 +80,7 @@ mod subs;
 pub use conn::{request, request_with_timeout, Client};
 
 use crate::catalog::{Catalog, CatalogError, Removal};
-use crate::delta::{apply_removal_to_pairs, check_advance_dt, DeltaEngine, Pipeline};
+use crate::delta::{apply_removal_to_pairs, check_advance_dt, DeltaEngine};
 use crate::error::{PersistError, ServiceError};
 use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
@@ -95,7 +95,7 @@ use degraded::{spawn_persist_probe, Health, HealthInner};
 use handlers::{
     handle_and_persist, spawn_metrics_reporter, spawn_supervised_worker, IoHub, Job, Shared,
 };
-use kessler_core::{ScreeningConfig, ShardSpec, Variant};
+use kessler_core::{CpuScreener, ScreeningConfig, ShardSpec, Variant};
 use kessler_orbits::KeplerElements;
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener};
@@ -209,7 +209,7 @@ pub struct ServiceState {
     started: Instant,
     /// `true` when this state came out of snapshot/WAL recovery.
     recovered: bool,
-    /// Shards (by the pipeline's static assignment) whose membership
+    /// Shards (by the layout's static assignment) whose membership
     /// changed since the last checkpoint, under every layout — the one
     /// shard of 1×1 included. The persister only rewrites chunk files for
     /// these.
@@ -254,19 +254,17 @@ const PLANNED: &str = "effect was planned against this state under the same lock
 impl ServiceState {
     /// Fresh state serving the grid variant under the 1×1 layout.
     pub fn new(config: ScreeningConfig) -> Result<ServiceState, ServiceError> {
-        Ok(ServiceState::with_pipeline(Pipeline::new(
-            config,
-            Variant::Grid,
-        )?))
+        let screener = CpuScreener::new(Variant::Grid, config).map_err(ServiceError::Config)?;
+        Ok(ServiceState::with_screener(screener))
     }
 
-    /// Fresh state screening with `pipeline` (variant, config and shard
+    /// Fresh state screening with `screener` (variant, config and shard
     /// layout). All shards start dirty so the first snapshot writes a full
     /// chunk set.
-    pub fn with_pipeline(pipeline: Pipeline) -> ServiceState {
+    pub fn with_screener(screener: CpuScreener) -> ServiceState {
         ServiceState {
             catalog: Catalog::new(),
-            engine: DeltaEngine::with_pipeline(pipeline),
+            engine: DeltaEngine::with_screener(screener),
             changed: BTreeSet::new(),
             window_start: 0.0,
             warm_epoch: 0,
@@ -274,18 +272,18 @@ impl ServiceState {
             requests: 0,
             started: Instant::now(),
             recovered: false,
-            dirty_shards: (0..pipeline.shard_map().shard_count()).collect(),
+            dirty_shards: (0..screener.shard_map().shard_count()).collect(),
         }
     }
 
     fn mark_shard_dirty(&mut self, el: &KeplerElements) {
-        let map = self.engine.pipeline().shard_map();
+        let map = self.engine.screener().shard_map();
         self.dirty_shards
             .insert(map.assign(el.semi_major_axis, el.inclination));
     }
 
     fn mark_all_shards_dirty(&mut self) {
-        let shard_count = self.engine.pipeline().shard_map().shard_count();
+        let shard_count = self.engine.screener().shard_map().shard_count();
         self.dirty_shards.extend(0..shard_count);
     }
 
@@ -336,14 +334,17 @@ impl ServiceState {
     }
 
     /// Rebuild the state a [`ServiceState::snapshot`] captured, serving
-    /// with `pipeline`: the catalog from the rows, the engine from the
+    /// with `screener`: the catalog from the rows, the engine from the
     /// global state (warm when the variants match, see
-    /// [`DeltaEngine::restore`]). The shard layout is the pipeline's,
+    /// [`DeltaEngine::restore`]). The shard layout is the screener's,
     /// whatever the snapshot was written under.
-    pub fn restore(pipeline: Pipeline, snapshot: &Snapshot) -> Result<ServiceState, ServiceError> {
+    pub fn restore(
+        screener: CpuScreener,
+        snapshot: &Snapshot,
+    ) -> Result<ServiceState, ServiceError> {
         let global = &snapshot.global;
         let catalog = Catalog::restore(global.epoch, global.time, &snapshot.rows)?;
-        let engine = DeltaEngine::restore(pipeline, global)?;
+        let engine = DeltaEngine::restore(screener, global)?;
         Ok(ServiceState {
             changed: global
                 .changed
@@ -359,7 +360,7 @@ impl ServiceState {
             window_start: global.window_start,
             requests: global.requests_served,
             recovered: true,
-            ..ServiceState::with_pipeline(pipeline)
+            ..ServiceState::with_screener(screener)
         })
     }
 
@@ -399,6 +400,17 @@ impl ServiceState {
             Request::Delta => Ok(Effect::Screen(ScreenKind::Delta)),
             Request::Advance { dt } => {
                 check_advance_dt(*dt)?;
+                // Catalog time and the window must stay finite: an infinite
+                // time turns every mean anomaly into NaN, and a non-finite
+                // window encodes as a `null` nobody can read back.
+                let time = self.catalog.time() + dt;
+                let end = self.window_start + dt + self.engine.config().span_seconds;
+                if !(time.is_finite() && end.is_finite()) {
+                    return Err(ServiceError::InvalidRequest(format!(
+                        "advance dt {dt} would carry catalog time or the window end past the \
+                         finite range"
+                    )));
+                }
                 Ok(Effect::Screen(ScreenKind::Advance { dt: *dt }))
             }
             Request::Status => Ok(Effect::Status),
@@ -496,7 +508,7 @@ impl ServiceState {
             snapshot: self.catalog.snapshot(),
             changed: self.changed.iter().copied().collect(),
             warm: self.engine.is_warm().then(|| self.engine.warm_pairs()),
-            pipeline: *self.engine.pipeline(),
+            screener: *self.engine.screener(),
         }
     }
 
@@ -681,7 +693,9 @@ impl Server {
         config: ScreeningConfig,
         options: ServerOptions,
     ) -> Result<Server, ServiceError> {
-        let pipeline = Pipeline::new(config, options.variant)?.with_shards(options.shards)?;
+        let screener = CpuScreener::new(options.variant, config)
+            .and_then(|screener| screener.with_shards(options.shards))
+            .map_err(ServiceError::Config)?;
         let mut persister = None;
         let mut recovery_summary = None;
         let state = match &options.persist {
@@ -693,8 +707,8 @@ impl Server {
                 let (mut p, recovery) =
                     Persister::open(&persist_options, Arc::clone(&options.faults))?;
                 let mut state = match &recovery.snapshot {
-                    Some(snapshot) => ServiceState::restore(pipeline, snapshot)?,
-                    None => ServiceState::with_pipeline(pipeline),
+                    Some(snapshot) => ServiceState::restore(screener, snapshot)?,
+                    None => ServiceState::with_screener(screener),
                 };
                 for request in &recovery.tail {
                     let response = state.handle(request);
@@ -720,7 +734,7 @@ impl Server {
                 persister = Some(p);
                 state
             }
-            None => ServiceState::with_pipeline(pipeline),
+            None => ServiceState::with_screener(screener),
         };
 
         let listener = TcpListener::bind(addr).map_err(|e| ServiceError::Bind {
@@ -910,6 +924,7 @@ mod tests {
     use crate::delta::{DELTA_VARIANT, HYBRID_DELTA_VARIANT};
     use crate::persist::Row;
     use crate::testkit::SplitMix64;
+    use kessler_core::{GridScreener, HybridScreener};
     use std::collections::BTreeMap;
     use std::path::PathBuf;
 
@@ -1413,8 +1428,8 @@ mod tests {
 
         let snapshot = state.snapshot(17);
         assert_eq!(snapshot.wal_seq, 17);
-        let pipeline = Pipeline::new(config, snapshot.global.variant).unwrap();
-        let restored = ServiceState::restore(pipeline, &snapshot).unwrap();
+        let screener = CpuScreener::new(snapshot.global.variant, config).unwrap();
+        let restored = ServiceState::restore(screener, &snapshot).unwrap();
 
         let a = state.status();
         let b = restored.status();
@@ -1447,7 +1462,7 @@ mod tests {
         // A corrupted snapshot is rejected, not silently accepted.
         let mut bad = snapshot.clone();
         bad.rows[1].id = bad.rows[0].id;
-        assert!(ServiceState::restore(pipeline, &bad).is_err());
+        assert!(ServiceState::restore(screener, &bad).is_err());
     }
 
     #[test]
@@ -1581,8 +1596,7 @@ mod tests {
     #[test]
     fn hybrid_state_serves_screens_with_filter_stats() {
         let config = ScreeningConfig::hybrid_defaults(5.0, 120.0);
-        let mut state =
-            ServiceState::with_pipeline(Pipeline::new(config, Variant::Hybrid).unwrap());
+        let mut state = ServiceState::with_screener(HybridScreener::new(config));
         for i in 0..12u64 {
             state.handle(&Request::Add {
                 id: i,
@@ -1632,7 +1646,7 @@ mod tests {
         assert_eq!(snapshot.global.variant, Variant::Grid);
 
         let hybrid_config = ScreeningConfig::hybrid_defaults(5.0, 120.0);
-        let hybrid = Pipeline::new(hybrid_config, Variant::Hybrid).unwrap();
+        let hybrid = HybridScreener::new(hybrid_config);
         let mut restored = ServiceState::restore(hybrid, &snapshot).unwrap();
         assert!(
             !restored.engine().is_warm(),
@@ -1646,7 +1660,7 @@ mod tests {
         assert_eq!(r.screen.unwrap().variant, "hybrid");
 
         // Same variant restores warm, exactly as before.
-        let grid = Pipeline::new(config, Variant::Grid).unwrap();
+        let grid = GridScreener::new(config);
         let warm = ServiceState::restore(grid, &snapshot).unwrap();
         assert!(warm.engine().is_warm());
         assert_eq!(warm.engine().conjunctions(), state.engine().conjunctions());

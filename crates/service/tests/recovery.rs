@@ -366,3 +366,56 @@ fn a_checkpoint_of_screen_commits_alone_rewrites_no_chunk() {
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn an_advance_past_finite_time_is_refused_and_recovery_stays_clean() {
+    // Two ADVANCEs of 1e308 s: the first keeps catalog time finite, the
+    // second would make it +inf (and every mean anomaly NaN, and the
+    // window a `null` on the wire and in every later snapshot).
+    let dir = temp_dir("overflow");
+    let adds: Vec<Request> = (0..4u64)
+        .map(|id| Request::Add {
+            id,
+            elements: spec_for(id),
+        })
+        .chain([Request::Screen])
+        .collect();
+    let huge = Request::Advance { dt: 1e308 };
+
+    let daemon = serve_persistent(&dir, 2);
+    drive(daemon.addr(), &adds);
+    drive(daemon.addr(), std::slice::from_ref(&huge));
+    let refused = request(daemon.addr(), &huge).expect("ADVANCE answers");
+    assert!(!refused.ok, "an overflowing ADVANCE must be refused");
+    assert!(
+        refused
+            .error
+            .as_deref()
+            .unwrap_or_default()
+            .contains("finite"),
+        "{:?}",
+        refused.error
+    );
+    // Later mutations checkpoint a state that still decodes.
+    drive(
+        daemon.addr(),
+        &[
+            Request::Add {
+                id: 4,
+                elements: spec_for(4),
+            },
+            Request::Delta,
+        ],
+    );
+    let live = status_of(daemon.addr());
+    assert!(live.window.0.is_finite() && live.window.1.is_finite());
+    daemon.shutdown();
+
+    let server = bind_persistent(&dir, 2);
+    let recovery = server.recovery().expect("persistent daemon").clone();
+    assert_eq!(recovery.corrupt_snapshots, 0, "{recovery:?}");
+    let daemon = server.spawn().expect("spawn server thread");
+    assert_eq!(durable_key(&status_of(daemon.addr())), durable_key(&live));
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

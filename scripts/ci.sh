@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml — run before pushing. Needs no
-# network: every registry crate the manifests name is patched to an in-tree
-# stand-in and Cargo.lock is committed.
+# Every offline CI check: .github/workflows/ci.yml runs this script after
+# setting up the toolchain, and it runs the same way locally before pushing.
+# Needs no network: every registry crate the manifests name is patched to an
+# in-tree stand-in and Cargo.lock is committed. (The SGP4 oracle, which needs
+# the registry, is the one check only the workflow runs.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -6,12 +6,12 @@
 //! seeded case holds every shard layout, the 1×1 one a daemon without
 //! `--shards` runs included, to the cold screeners bit for bit.
 
-use kessler::core::Extraction;
 use kessler::core::PhaseTimings;
+use kessler::core::{CpuScreener, Extraction};
 use kessler::grid::grid::NeighborScan;
 use kessler::orbits::BatchPropagator;
 use kessler::prelude::*;
-use kessler::service::{DeltaEngine, Pipeline, ShardMap, ShardSpec, HYBRID_DELTA_VARIANT};
+use kessler::service::{DeltaEngine, ShardMap, ShardSpec, HYBRID_DELTA_VARIANT};
 use std::collections::BTreeSet;
 
 const N: usize = 8_000;
@@ -93,10 +93,8 @@ fn sharded_screens_equal_unsharded_exactly_including_boundary_straddlers() {
     let config = ScreeningConfig::grid_defaults(5.0, 120.0);
 
     // Cold: the sharded full screen must already match the flat screener.
-    let pipeline = Pipeline::new(config, Variant::Grid)
-        .and_then(|pipeline| pipeline.with_shards(Some(spec)))
-        .unwrap();
-    let mut engine = DeltaEngine::with_pipeline(pipeline);
+    let screener = GridScreener::new(config).with_shards(Some(spec)).unwrap();
+    let mut engine = DeltaEngine::with_screener(screener);
     let sharded_full = engine.full_screen(&population);
     let cold_full = GridScreener::new(config).screen(&population);
     assert_reports_identical(&sharded_full, &cold_full);
@@ -137,7 +135,7 @@ fn hybrid_delta_rescreen_equals_cold_hybrid_rescreen_after_64_updates() {
     let config = ScreeningConfig::hybrid_defaults(5.0, 120.0);
 
     // Warm the engine on the original population.
-    let mut engine = DeltaEngine::with_pipeline(Pipeline::new(config, Variant::Hybrid).unwrap());
+    let mut engine = DeltaEngine::with_screener(HybridScreener::new(config));
     engine.full_screen(&population);
 
     // Perturb 64 distinct satellites (127 is coprime with 4000, so the
@@ -285,12 +283,27 @@ fn every_layout_screens_and_deltas_bit_identical_to_the_cold_screeners() {
 
             let mut delta_entries = None;
             for layout in &layouts {
-                let pipeline = Pipeline::new(config, variant)
-                    .and_then(|pipeline| pipeline.with_shards(*layout))
+                let screener = CpuScreener::new(variant, config)
+                    .and_then(|screener| screener.with_shards(*layout))
                     .unwrap();
-                let mut engine = DeltaEngine::with_pipeline(pipeline);
+                let mut engine = DeltaEngine::with_screener(screener);
                 let full = engine.full_screen(&population);
                 assert_bit_identical(&full, &cold_before, &what(layout));
+                // The full screen is the cold screen under another layout:
+                // the same candidates and filter decisions, not only the
+                // same conjunctions.
+                assert_eq!(
+                    (full.candidate_entries, full.candidate_pairs),
+                    (cold_before.candidate_entries, cold_before.candidate_pairs),
+                    "{}",
+                    what(layout)
+                );
+                assert_eq!(
+                    full.filter_stats,
+                    cold_before.filter_stats,
+                    "{}",
+                    what(layout)
+                );
                 let delta = engine.delta_screen(&mutated, &changed);
                 assert_bit_identical(&delta, &cold_after, &what(layout));
                 assert!(delta.conjunction_count() > 0, "{}", what(layout));
