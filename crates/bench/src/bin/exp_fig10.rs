@@ -27,10 +27,6 @@ fn main() {
     if !no_legacy {
         variants.insert(0, "legacy");
     }
-    if args.flag("--with-sieve") {
-        // The smart-sieve comparison variant (O(pairs · steps), §II).
-        variants.insert(variants.len() - 2, "sieve");
-    }
     if !no_gpusim {
         variants.push("grid-gpusim");
         variants.push("hybrid-gpusim");

@@ -5,14 +5,7 @@ use kessler_orbits::KeplerElements;
 use serde::Serialize;
 
 /// All variant labels in the paper's Fig. 10 ordering.
-pub const ALL_VARIANTS: [&str; 6] = [
-    "legacy",
-    "sieve",
-    "grid",
-    "hybrid",
-    "grid-gpusim",
-    "hybrid-gpusim",
-];
+pub const ALL_VARIANTS: [&str; 5] = ["legacy", "grid", "hybrid", "grid-gpusim", "hybrid-gpusim"];
 
 /// One measurement row (a point of a Fig. 10 series).
 #[derive(Debug, Clone, Serialize)]

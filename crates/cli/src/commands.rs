@@ -52,7 +52,7 @@ SUBCOMMANDS
   info       version and build info
 
 VARIANTS
-  grid | hybrid | legacy | sieve | grid-gpusim | hybrid-gpusim";
+  grid | hybrid | legacy | grid-gpusim | hybrid-gpusim";
 
 pub fn print_usage() {
     println!("{USAGE}");
@@ -170,14 +170,7 @@ pub fn plan(flags: &Flags) -> Result<(), String> {
     if n == 0 {
         return Err("--n N is required".into());
     }
-    let variant_label = flags.value_of("--variant").unwrap_or("hybrid");
-    let variant = match variant_label {
-        "grid" => Variant::Grid,
-        "hybrid" => Variant::Hybrid,
-        "legacy" => Variant::Legacy,
-        "sieve" => Variant::Sieve,
-        other => return Err(format!("unknown variant `{other}`")),
-    };
+    let variant: Variant = flags.value_of("--variant").unwrap_or("hybrid").parse()?;
     let mut config = build_config(
         flags,
         if matches!(variant, Variant::Hybrid) {
@@ -276,7 +269,7 @@ pub fn tle(flags: &Flags) -> Result<(), String> {
 
 pub fn compare(flags: &Flags) -> Result<(), String> {
     let population = load_or_generate(flags)?;
-    let variants = ["legacy", "sieve", "grid", "hybrid"];
+    let variants = ["legacy", "grid", "hybrid"];
     let mut reports = Vec::new();
     for v in variants {
         let report = screen_with(v, build_config(flags, v)?, &population)?;
@@ -435,10 +428,22 @@ fn submit_elements(flags: &Flags) -> Result<kessler_service::ElementsSpec, Strin
     })
 }
 
+/// `--timeout SECS` (default 10) as a socket timeout: zero or less waits
+/// forever, and a value no `Duration` can hold is refused.
+fn submit_timeout(flags: &Flags) -> Result<Option<std::time::Duration>, String> {
+    let secs = flags.f64_of("--timeout", 10.0)?;
+    if secs <= 0.0 {
+        return Ok(None);
+    }
+    std::time::Duration::try_from_secs_f64(secs)
+        .map(Some)
+        .map_err(|_| format!("bad value for --timeout: `{secs}`"))
+}
+
 pub fn submit(flags: &Flags) -> Result<(), String> {
     use kessler_service::Request;
     let addr = flags.value_of("--addr").unwrap_or("127.0.0.1:7878");
-    let timeout_s = flags.f64_of("--timeout", 10.0)?;
+    let timeout = submit_timeout(flags)?;
     let request = if let Some(raw) = flags.value_of("--json") {
         serde_json::from_str::<Request>(raw).map_err(|e| format!("bad --json request: {e}"))?
     } else {
@@ -469,8 +474,8 @@ pub fn submit(flags: &Flags) -> Result<(), String> {
                     .ok_or("usage: kessler submit cancel REQ_ID")?
                     .to_string(),
             },
-            "tle" => return submit_tle(flags, addr, timeout_s),
-            "subscribe" => return submit_subscribe(flags, addr, timeout_s),
+            "tle" => return submit_tle(flags, addr, timeout),
+            "subscribe" => return submit_subscribe(flags, addr, timeout),
             "status" => Request::Status,
             "metrics" => Request::Metrics,
             "shutdown" => Request::Shutdown,
@@ -478,13 +483,7 @@ pub fn submit(flags: &Flags) -> Result<(), String> {
         }
     };
     let retries = flags.u64_of("--retries", 0)?;
-    let response = send_request(
-        addr,
-        &request,
-        flags.value_of("--req-id"),
-        timeout_s,
-        retries,
-    )?;
+    let response = send_request(addr, &request, flags.value_of("--req-id"), timeout, retries)?;
     if let Some(metrics) = &response.metrics {
         print_metrics(metrics);
     } else {
@@ -554,9 +553,8 @@ fn send_request_once(
     addr: &str,
     request: &kessler_service::Request,
     req_id: Option<&str>,
-    timeout_s: f64,
+    timeout: Option<std::time::Duration>,
 ) -> std::io::Result<kessler_service::Response> {
-    let timeout = (timeout_s > 0.0).then(|| std::time::Duration::from_secs_f64(timeout_s));
     match req_id {
         None => match timeout {
             Some(t) => kessler_service::request_with_timeout(addr, request, t),
@@ -579,14 +577,14 @@ fn send_request(
     addr: &str,
     request: &kessler_service::Request,
     req_id: Option<&str>,
-    timeout_s: f64,
+    timeout: Option<std::time::Duration>,
     retries: u64,
 ) -> Result<kessler_service::Response, String> {
     let mutation = request.is_mutation();
     let mut backoff = Backoff::new(u64::from(std::process::id()));
     let mut attempt: u64 = 0;
     loop {
-        let why = match send_request_once(addr, request, req_id, timeout_s) {
+        let why = match send_request_once(addr, request, req_id, timeout) {
             Ok(response) => {
                 if response.ok || !response.not_applied || attempt >= retries {
                     return Ok(response);
@@ -639,7 +637,11 @@ fn send_record(
 /// `kessler submit tle FILE` — stream a 2LE/3LE catalog into the daemon:
 /// each parsed record becomes ADD (keyed by NORAD catalog number), falling
 /// back to UPDATE when the id already exists, all over one connection.
-fn submit_tle(flags: &Flags, addr: &str, timeout_s: f64) -> Result<(), String> {
+fn submit_tle(
+    flags: &Flags,
+    addr: &str,
+    timeout: Option<std::time::Duration>,
+) -> Result<(), String> {
     use kessler_service::Request;
     let Some(path) = flags.positional_at(1) else {
         return Err("usage: kessler submit tle FILE [--addr HOST:PORT]".into());
@@ -652,7 +654,6 @@ fn submit_tle(flags: &Flags, addr: &str, timeout_s: f64) -> Result<(), String> {
     }
     let mut client = kessler_service::Client::connect(addr)
         .map_err(|e| format!("connect to {addr} failed: {e}"))?;
-    let timeout = (timeout_s > 0.0).then(|| std::time::Duration::from_secs_f64(timeout_s));
     client
         .set_timeouts(timeout, timeout)
         .map_err(|e| e.to_string())?;
@@ -711,7 +712,11 @@ fn submit_tle(flags: &Flags, addr: &str, timeout_s: f64) -> Result<(), String> {
 /// `kessler submit subscribe` — register for conjunction delta events and
 /// stream them to stdout as screens commit. The ack goes to stderr so a
 /// piped stdout carries only events, one per line.
-fn submit_subscribe(flags: &Flags, addr: &str, timeout_s: f64) -> Result<(), String> {
+fn submit_subscribe(
+    flags: &Flags,
+    addr: &str,
+    timeout: Option<std::time::Duration>,
+) -> Result<(), String> {
     use kessler_service::{EventKind, Request};
     let all = flags.has("--all");
     let assets: Vec<u64> = match flags.value_of("--ids") {
@@ -734,7 +739,6 @@ fn submit_subscribe(flags: &Flags, addr: &str, timeout_s: f64) -> Result<(), Str
     let smoke = flags.has("--smoke");
     let mut client = kessler_service::Client::connect(addr)
         .map_err(|e| format!("connect to {addr} failed: {e}"))?;
-    let timeout = (timeout_s > 0.0).then(|| std::time::Duration::from_secs_f64(timeout_s));
     client
         .set_timeouts(timeout, timeout)
         .map_err(|e| e.to_string())?;
@@ -972,7 +976,7 @@ pub fn info() -> Result<(), String> {
         env!("CARGO_PKG_VERSION")
     );
     println!("reproduction of Hellwig et al., IPDPS 2023 (see DESIGN.md)");
-    println!("variants: grid, hybrid, legacy, sieve, grid-gpusim, hybrid-gpusim");
+    println!("variants: grid, hybrid, legacy, grid-gpusim, hybrid-gpusim");
     println!(
         "host: {} logical CPUs",
         std::thread::available_parallelism()
@@ -1033,7 +1037,7 @@ mod tests {
             .expect("usage ends with the variant list")
             .1;
         let labels: Vec<&str> = listed.split('|').map(str::trim).collect();
-        assert_eq!(labels.len(), 6, "{labels:?}");
+        assert_eq!(labels.len(), 5, "{labels:?}");
         for label in labels {
             let config = default_config_for(label, 2.0, 60.0).unwrap_or_else(|e| panic!("{e}"));
             assert_eq!(screener_for(label, config).unwrap().label(), label);

@@ -112,7 +112,7 @@ fn compare_runs_all_variants() {
         "300",
     ]);
     assert!(ok, "compare failed: {err}");
-    for v in ["legacy:", "sieve:", "grid:", "hybrid:"] {
+    for v in ["legacy:", "grid:", "hybrid:"] {
         assert!(out.contains(v), "missing variant {v} in:\n{out}");
     }
     assert!(out.contains("vs legacy"));
@@ -143,21 +143,14 @@ fn bad_flag_values_fail_cleanly() {
     assert!(err.contains("error:"));
 }
 
-/// A `--shards` value whose band × shell product wraps a u32 to within
-/// the shard cap is refused before the daemon starts, instead of serving
-/// one that panics on its first SCREEN.
-#[test]
-fn serve_refuses_a_shard_count_that_wraps() {
+/// Runs `kessler serve ARGS`, which must exit on its own (refuse its
+/// configuration) rather than start a daemon; returns the exit status and
+/// stderr.
+fn serve_must_exit(args: &[&str]) -> (std::process::ExitStatus, String) {
     let mut child = kessler()
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--n",
-            "10",
-            "--shards",
-            "4096x1048577",
-        ])
+        .arg("serve")
+        .args(["--addr", "127.0.0.1:0"])
+        .args(args)
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -170,15 +163,84 @@ fn serve_refuses_a_shard_count_that_wraps() {
         }
         if std::time::Instant::now() > deadline {
             child.kill().ok();
-            panic!("`serve --shards 4096x1048577` started a daemon");
+            panic!("`serve {}` started a daemon", args.join(" "));
         }
         std::thread::sleep(std::time::Duration::from_millis(20));
     };
     let output = child.wait_with_output().unwrap();
-    let err = String::from_utf8_lossy(&output.stderr);
+    (status, String::from_utf8_lossy(&output.stderr).into_owned())
+}
+
+/// A `--shards` value whose band × shell product wraps a u32 to within
+/// the shard cap is refused before the daemon starts, instead of serving
+/// one that panics on its first SCREEN.
+#[test]
+fn serve_refuses_a_shard_count_that_wraps() {
+    let (status, err) = serve_must_exit(&["--n", "10", "--shards", "4096x1048577"]);
     assert!(!status.success());
     assert!(err.contains("invalid configuration"), "{err}");
     assert!(err.contains("exceeds the 4096-shard cap"), "{err}");
+}
+
+/// An infinite threshold or step makes Eq. 1's cell size infinite. `screen`
+/// and `serve` refuse it with the validation message and exit 1, instead
+/// of a screen panicking on the grid (or a daemon whose every screen
+/// panics).
+#[test]
+fn screen_and_serve_refuse_an_infinite_threshold_or_step() {
+    for (flag, message) in [
+        ("--threshold", "threshold must be positive and finite"),
+        ("--sps", "seconds per sample must be positive and finite"),
+    ] {
+        for value in ["inf", "-inf"] {
+            let output = kessler()
+                .args(["screen", "--n", "50", "--span", "10", flag, value])
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(1),
+                "screen {flag} {value}: {err}"
+            );
+            assert!(err.contains(message), "screen {flag} {value}: {err}");
+
+            let (status, err) = serve_must_exit(&["--n", "20", "--span", "60", flag, value]);
+            assert_eq!(status.code(), Some(1), "serve {flag} {value}: {err}");
+            assert!(err.contains(message), "serve {flag} {value}: {err}");
+        }
+    }
+}
+
+/// A `--timeout` too large for a `Duration` is a bad flag value, not a
+/// panic, for every action (the plain request path and the streaming
+/// `tle` / `subscribe` connections alike).
+#[test]
+fn submit_refuses_a_timeout_no_duration_can_hold() {
+    let dead = {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap().to_string()
+    };
+    for value in ["1e30", "inf", "NaN"] {
+        for action in [
+            &["status"][..],
+            &["subscribe", "--all"],
+            &["tle", "none.tle"],
+        ] {
+            let output = kessler()
+                .arg("submit")
+                .args(action)
+                .args(["--addr", &dead, "--timeout", value])
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(1), "{action:?} {value}: {err}");
+            assert!(
+                err.contains("bad value for --timeout"),
+                "{action:?} {value}: {err}"
+            );
+        }
+    }
 }
 
 /// `--retries` re-attempts transient failures: a dead port exhausts its

@@ -11,7 +11,6 @@ pub enum Variant {
     Grid,
     Hybrid,
     Legacy,
-    Sieve,
 }
 
 impl Variant {
@@ -20,7 +19,6 @@ impl Variant {
             Variant::Grid => "grid",
             Variant::Hybrid => "hybrid",
             Variant::Legacy => "legacy",
-            Variant::Sieve => "sieve",
         }
     }
 }
@@ -34,9 +32,8 @@ impl std::str::FromStr for Variant {
             "grid" => Ok(Variant::Grid),
             "hybrid" => Ok(Variant::Hybrid),
             "legacy" => Ok(Variant::Legacy),
-            "sieve" => Ok(Variant::Sieve),
             other => Err(format!(
-                "unknown variant `{other}` (expected grid, hybrid, legacy, or sieve)"
+                "unknown variant `{other}` (expected grid, hybrid or legacy)"
             )),
         }
     }
@@ -107,16 +104,19 @@ impl ScreeningConfig {
         step as f64 * self.seconds_per_sample
     }
 
-    /// Validate the physical parameters.
+    /// Validate the physical parameters: threshold, step and span must be
+    /// positive and finite (an infinite one makes the cell size of Eq. 1
+    /// infinite, which no grid can be built with).
     pub fn validate(&self) -> Result<(), String> {
-        if self.threshold_km <= 0.0 || self.threshold_km.is_nan() {
-            return Err("threshold must be positive".into());
+        let positive = |x: f64| x > 0.0 && x.is_finite();
+        if !positive(self.threshold_km) {
+            return Err("threshold must be positive and finite".into());
         }
-        if self.seconds_per_sample <= 0.0 || self.seconds_per_sample.is_nan() {
-            return Err("seconds per sample must be positive".into());
+        if !positive(self.seconds_per_sample) {
+            return Err("seconds per sample must be positive and finite".into());
         }
-        if self.span_seconds <= 0.0 || self.span_seconds.is_nan() {
-            return Err("span must be positive".into());
+        if !positive(self.span_seconds) {
+            return Err("span must be positive and finite".into());
         }
         if self.total_steps() >= kessler_grid::pairset::MAX_STEP {
             return Err(format!(
@@ -168,6 +168,17 @@ mod tests {
         let mut bad = ok;
         bad.seconds_per_sample = -1.0;
         assert!(bad.validate().is_err());
+        for x in [f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad = ok;
+            bad.threshold_km = x;
+            assert!(bad.validate().is_err(), "threshold {x}");
+            let mut bad = ok;
+            bad.seconds_per_sample = x;
+            assert!(bad.validate().is_err(), "seconds per sample {x}");
+            let mut bad = ok;
+            bad.span_seconds = x;
+            assert!(bad.validate().is_err(), "span {x}");
+        }
         let mut bad = ok;
         bad.seconds_per_sample = 1e-4;
         bad.span_seconds = 1e6;
@@ -186,15 +197,11 @@ mod tests {
 
     #[test]
     fn variant_parses_its_own_labels() {
-        for v in [
-            Variant::Grid,
-            Variant::Hybrid,
-            Variant::Legacy,
-            Variant::Sieve,
-        ] {
+        for v in [Variant::Grid, Variant::Hybrid, Variant::Legacy] {
             assert_eq!(v.label().parse::<Variant>(), Ok(v));
         }
         assert!("cube".parse::<Variant>().is_err());
+        assert!("sieve".parse::<Variant>().is_err(), "the sieve is retired");
         assert!("Grid".parse::<Variant>().is_err(), "labels are lowercase");
     }
 }

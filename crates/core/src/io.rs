@@ -1,16 +1,12 @@
-//! Persistence for screening inputs and outputs.
-//!
-//! Operational screening pipelines exchange conjunction lists and element
-//! sets as flat files; this module provides the plumbing: conjunction CSV
-//! (the shape of an operator's screening summary), JSON round-trips for
-//! populations and full reports, and element-set CSV for spreadsheet
-//! interchange.
+//! Persistence for screening inputs and outputs: the file formats behind
+//! `kessler generate --out` / `screen --pop` (population JSON), `screen
+//! --json` (the full report) and `screen --csv` (conjunction CSV, the
+//! shape of an operator's screening summary), plus element-set CSV for
+//! spreadsheet interchange.
 
 use crate::conjunction::{Conjunction, ScreeningReport};
-use crate::metrics::{PhaseSeries, PhaseSummaries};
-use crate::timing::PhaseTimings;
 use kessler_orbits::KeplerElements;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
 
 /// I/O + parse errors.
@@ -18,7 +14,6 @@ use std::path::Path;
 pub enum IoError {
     Io(std::io::Error),
     Json(serde_json::Error),
-    Csv { line: usize, message: String },
 }
 
 impl std::fmt::Display for IoError {
@@ -26,7 +21,6 @@ impl std::fmt::Display for IoError {
         match self {
             IoError::Io(e) => write!(f, "i/o error: {e}"),
             IoError::Json(e) => write!(f, "json error: {e}"),
-            IoError::Csv { line, message } => write!(f, "csv error at line {line}: {message}"),
         }
     }
 }
@@ -59,38 +53,6 @@ pub fn write_conjunctions_csv<W: Write>(
     Ok(())
 }
 
-/// Read conjunctions from the CSV written by [`write_conjunctions_csv`].
-pub fn read_conjunctions_csv<R: Read>(input: R) -> Result<Vec<Conjunction>, IoError> {
-    let reader = BufReader::new(input);
-    let mut out = Vec::new();
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        if idx == 0 || line.trim().is_empty() {
-            continue; // header / blank
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 4 {
-            return Err(IoError::Csv {
-                line: idx + 1,
-                message: format!("expected 4 fields, got {}", fields.len()),
-            });
-        }
-        let parse = |s: &str, what: &str| -> Result<f64, IoError> {
-            s.trim().parse().map_err(|_| IoError::Csv {
-                line: idx + 1,
-                message: format!("bad {what}: `{s}`"),
-            })
-        };
-        out.push(Conjunction {
-            id_lo: parse(fields[0], "id_lo")? as u32,
-            id_hi: parse(fields[1], "id_hi")? as u32,
-            tca: parse(fields[2], "tca")?,
-            pca_km: parse(fields[3], "pca")?,
-        });
-    }
-    Ok(out)
-}
-
 /// Save a population (element set) as JSON.
 pub fn save_population<P: AsRef<Path>>(
     path: P,
@@ -111,28 +73,6 @@ pub fn load_population<P: AsRef<Path>>(path: P) -> Result<Vec<KeplerElements>, I
 pub fn save_report<P: AsRef<Path>>(path: P, report: &ScreeningReport) -> Result<(), IoError> {
     let file = std::fs::File::create(path)?;
     serde_json::to_writer_pretty(BufWriter::new(file), report)?;
-    Ok(())
-}
-
-/// Aggregate repeated screens into per-phase quantile digests
-/// (milliseconds) — the distribution companion to a single
-/// [`PhaseTimings`] breakdown.
-pub fn phase_summaries(timings: &[PhaseTimings]) -> PhaseSummaries {
-    let mut series = PhaseSeries::new();
-    for t in timings {
-        series.record(t);
-    }
-    series.summaries()
-}
-
-/// Save per-phase quantile digests as pretty JSON, so `results_*.json`
-/// trajectories carry p50/p90/p99 across repeats, not just means.
-pub fn save_phase_summaries<P: AsRef<Path>>(
-    path: P,
-    summaries: &PhaseSummaries,
-) -> Result<(), IoError> {
-    let file = std::fs::File::create(path)?;
-    serde_json::to_writer_pretty(BufWriter::new(file), summaries)?;
     Ok(())
 }
 
@@ -188,28 +128,12 @@ mod tests {
     fn conjunction_csv_round_trip() {
         let mut buf = Vec::new();
         write_conjunctions_csv(&mut buf, &sample_conjunctions()).unwrap();
-        let text = String::from_utf8(buf.clone()).unwrap();
-        assert!(text.starts_with("id_lo,id_hi,tca_s,pca_km\n"));
-        let back = read_conjunctions_csv(buf.as_slice()).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].pair(), (1, 2));
-        assert!((back[0].tca - 123.456).abs() < 1e-6);
-        assert!((back[1].pca_km - 1.999).abs() < 1e-6);
-    }
-
-    #[test]
-    fn malformed_csv_is_reported_with_line_numbers() {
-        let bad = "id_lo,id_hi,tca_s,pca_km\n1,2,3\n";
-        let err = read_conjunctions_csv(bad.as_bytes()).unwrap_err();
-        match err {
-            IoError::Csv { line, .. } => assert_eq!(line, 2),
-            other => panic!("unexpected error {other}"),
-        }
-        let bad2 = "id_lo,id_hi,tca_s,pca_km\n1,2,xyz,4\n";
-        assert!(matches!(
-            read_conjunctions_csv(bad2.as_bytes()).unwrap_err(),
-            IoError::Csv { line: 2, .. }
-        ));
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "id_lo,id_hi,tca_s,pca_km\n\
+             1,2,123.456000,0.789000\n\
+             3,40,9876.500000,1.999000\n"
+        );
     }
 
     #[test]
@@ -233,30 +157,6 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().nth(1).unwrap().starts_with("7000.000000,"));
-    }
-
-    #[test]
-    fn phase_summaries_aggregate_and_round_trip() {
-        use std::time::Duration;
-        let runs: Vec<PhaseTimings> = (1..=5u64)
-            .map(|i| PhaseTimings {
-                insertion: Duration::from_millis(i),
-                pair_extraction: Duration::from_millis(2 * i),
-                filters: Duration::ZERO,
-                refinement: Duration::from_millis(i),
-                total: Duration::from_millis(4 * i),
-            })
-            .collect();
-        let s = phase_summaries(&runs);
-        assert_eq!(s.screens, 5);
-        assert!(s.total.p50 >= s.total.min && s.total.p99 <= s.total.max + 1e-9);
-        let path = std::env::temp_dir().join("kessler_test_phases.json");
-        save_phase_summaries(&path, &s).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let back: PhaseSummaries = serde_json::from_str(&text).unwrap();
-        assert_eq!(back.screens, 5);
-        assert!((back.total.p99 - s.total.p99).abs() < 1e-9);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -38,16 +38,13 @@
 //!   [`CpuScreener`].
 //! * [`GpuScreener`] — either stage with the extraction expressed as
 //!   kernels on the [`kessler_gpusim`] execution simulator (CUDA
-//!   substitution; see DESIGN.md §3), on one device or several.
+//!   substitution; see DESIGN.md §3) on one simulated device.
 //! * [`LegacyScreener`] — the all-on-all filter-chain baseline
 //!   (quadratic pair enumeration).
-//! * [`SieveScreener`] — the (smart) sieve comparison variant from the
-//!   paper's related work (§II): per-step Cartesian rejection cascades.
 //!
 //! Every variant propagates two-body orbits through the one contour
 //! Kepler solver, as the paper's evaluation does.
 
-pub mod assessment;
 pub mod cancel;
 pub mod config;
 pub mod conjunction;
@@ -69,7 +66,6 @@ pub use planner::{MemoryModel, PlannerReport};
 pub use screener::cpu::{CpuScreener, GridScreener, HybridScreener};
 pub use screener::gpu::GpuScreener;
 pub use screener::legacy::LegacyScreener;
-pub use screener::sieve::SieveScreener;
 pub use screener::stage::{group_pairs, refine_filtered_pair, Executor, GroupedPair, Host, Stage};
 pub use screener::{default_config_for, run_in_pool, screener_for, Refined, Screener};
 pub use shard::{Extraction, ShardMap, ShardScreenStats, ShardSpec};

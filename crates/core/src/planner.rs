@@ -101,7 +101,7 @@ impl MemoryModel {
                     * span_seconds
                     * threshold_km.powf(7.0 / 4.0)
             }
-            Variant::Hybrid | Variant::Legacy | Variant::Sieve => {
+            Variant::Hybrid | Variant::Legacy => {
                 2.14e-9 * n * n * seconds_per_sample.powf(5.0 / 3.0) * span_seconds * threshold_km
             }
         }

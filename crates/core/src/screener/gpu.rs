@@ -18,14 +18,6 @@
 //! hash set and the conjunction map are charged against the device-memory
 //! budget, so a device that is too small fails loudly the way an actual
 //! CUDA allocation would.
-//!
-//! Several devices split the sampling steps into contiguous ranges, one
-//! per device — the paper's multi-GPU future work (§VI): "memory usage is
-//! the current limiting factor — using multiple GPUs would solve this
-//! problem to some degree". Every device holds its own copy of the
-//! satellite constants (the paper's replication cost) and extracts its
-//! range; the merged candidates are refined on the first device. One
-//! device is the degenerate case.
 
 use crate::cancel::Cancelled;
 use crate::config::{ScreeningConfig, Variant};
@@ -39,7 +31,6 @@ use kessler_grid::grid::NeighborScan;
 use kessler_grid::pairset::{CandidatePair, PairSet};
 use kessler_grid::SpatialGrid;
 use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements, SoaColumns};
-use rayon::prelude::*;
 
 /// A device with the satellite constants resident: `n` satellites as one
 /// flat structure-of-arrays f64 buffer (the `a_k` upload).
@@ -68,15 +59,13 @@ impl Executor for Resident<'_> {
     }
 }
 
-/// Device-side grid phase over a step range: the candidate entries of
-/// `steps` (a sub-range when several devices split the span).
+/// Device-side grid phase: the candidate entries of every sampling step.
 fn device_grid_phase(
     on: &Resident<'_>,
     planner: &PlannerReport,
     scan: NeighborScan,
     solver: &ContourSolver,
     timings: &mut PhaseTimings,
-    steps: std::ops::Range<u32>,
 ) -> Vec<CandidatePair> {
     let (device, n) = (on.device, on.n);
     // Device allocations for the grid structures (charged to the budget;
@@ -88,12 +77,11 @@ fn device_grid_phase(
     let _pairs_shadow = DeviceBuffer::<u8>::alloc(device, pairs.memory_bytes())
         .expect("device memory exhausted by the conjunction map");
 
-    let first_step = steps.start;
-    for step in steps {
+    for step in 0..planner.total_steps {
         let t = step as f64 * planner.seconds_per_sample;
         {
             let _timer = PhaseTimer::start(&mut timings.insertion);
-            if step > first_step {
+            if step > 0 {
                 grid.reset();
             }
             // Each thread gathers its satellite's lane of the constants.
@@ -124,11 +112,10 @@ fn device_grid_phase(
     pairs.drain_to_vec()
 }
 
-/// Grid extraction on one or more simulated devices, refined by `stage`
-/// on the first.
+/// Grid extraction and refinement by `stage` on one simulated device.
 pub struct GpuScreener {
     stage: Stage,
-    devices: Vec<Device>,
+    device: Device,
 }
 
 impl GpuScreener {
@@ -147,15 +134,8 @@ impl GpuScreener {
     fn new(stage: Stage) -> GpuScreener {
         GpuScreener {
             stage,
-            devices: vec![Device::rtx3090_like()],
+            device: Device::rtx3090_like(),
         }
-    }
-
-    /// Run on these devices instead of the default one.
-    pub fn on_devices(mut self, devices: Vec<Device>) -> GpuScreener {
-        assert!(!devices.is_empty(), "at least one device is required");
-        self.devices = devices;
-        self
     }
 }
 
@@ -164,78 +144,33 @@ impl Screener for GpuScreener {
         let stage = &self.stage;
         let config = stage.config();
         let n = population.len();
-        // Plan against the smallest device (every device must fit its own
-        // grid + map + constants).
-        let budget = self.devices.iter().map(Device::memory_budget).min();
-        let planner = stage.plan_within(n, budget.expect("non-empty device list"));
-        // One device reports under the plain label, `k` devices add `-x{k}`.
-        let mut label = self.label().to_string();
-        if self.devices.len() > 1 {
-            label += &format!("-x{}", self.devices.len());
-        }
+        let device = &self.device;
+        let planner = stage.plan_within(n, device.memory_budget());
         run_screen(
-            &label,
+            self.label(),
             config.threads,
             n,
             config,
             planner,
             |planner, timings| {
-                let host_propagator = BatchPropagator::new(population);
-                let total = planner.total_steps;
-                let per_device = total.div_ceil(self.devices.len() as u32);
-
-                // H→D: every device holds its own copy of the constants.
-                let residents: Vec<Resident<'_>> = self
-                    .devices
-                    .iter()
-                    .map(|device| {
-                        device.reset_metrics();
-                        let constants =
-                            DeviceBuffer::from_host(device, host_propagator.raw_columns())
-                                .expect("device memory exhausted by satellite data");
-                        Resident {
-                            device,
-                            constants,
-                            n,
-                        }
-                    })
-                    .collect();
-
-                // Each device runs its contiguous share of the steps; rayon
-                // parallelises across devices exactly as independent GPUs
-                // run concurrently.
-                let shares: Vec<(Vec<CandidatePair>, PhaseTimings)> = residents
-                    .par_iter()
-                    .enumerate()
-                    .map(|(d, on)| {
-                        let first = (d as u32 * per_device).min(total);
-                        let mut local = PhaseTimings::default();
-                        let entries = device_grid_phase(
-                            on,
-                            planner,
-                            config.neighbor_scan,
-                            stage.solver(),
-                            &mut local,
-                            first..(first + per_device).min(total),
-                        );
-                        (entries, local)
-                    })
-                    .collect();
-
-                let mut entries: Vec<CandidatePair> = Vec::new();
-                for (device_entries, local) in shares {
-                    entries.extend(device_entries);
-                    timings.insertion += local.insertion;
-                    timings.pair_extraction += local.pair_extraction;
-                }
+                // H→D: the satellite constants become resident on the device.
+                device.reset_metrics();
+                let constants =
+                    DeviceBuffer::from_host(device, BatchPropagator::new(population).raw_columns())
+                        .expect("device memory exhausted by satellite data");
+                let on = Resident {
+                    device,
+                    constants,
+                    n,
+                };
+                let entries =
+                    device_grid_phase(&on, planner, config.neighbor_scan, stage.solver(), timings);
                 let candidate_entries = entries.len();
-
-                // Refinement on the first device (the merge target).
-                let refined = stage.refine(&residents[0], population, entries, planner, timings)?;
+                let refined = stage.refine(&on, population, entries, planner, timings)?;
                 Ok(Outcome {
                     candidate_entries,
                     refined,
-                    device_metrics: Some(self.devices[0].metrics()),
+                    device_metrics: Some(device.metrics()),
                 })
             },
         )
@@ -299,53 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn multi_device_matches_single_device() {
-        let pop = crossing_pair_population();
-        let config = ScreeningConfig::grid_defaults(2.0, 600.0);
-        let single = GpuScreener::grid(config).screen(&pop);
-        let multi = GpuScreener::grid(config)
-            .on_devices(vec![
-                Device::rtx3090_like(),
-                Device::rtx3090_like(),
-                Device::rtx3090_like(),
-            ])
-            .screen(&pop);
-        assert_eq!(single.conjunction_count(), multi.conjunction_count());
-        assert_eq!(single.colliding_pairs(), multi.colliding_pairs());
-        for (a, b) in single.conjunctions.iter().zip(&multi.conjunctions) {
-            assert!((a.tca - b.tca).abs() < 1e-6);
-        }
-        assert_eq!(multi.variant, "grid-gpusim-x3");
-    }
-
-    #[test]
-    fn multi_device_boundary_conjunction_is_not_lost() {
-        // A conjunction right at the step boundary between two devices'
-        // ranges must be found by at least one of them (the refinement
-        // interval spans the seam).
-        use std::f64::consts::TAU;
-        let radius = 7_000.0f64;
-        let n_mean = (kessler_orbits::constants::MU_EARTH / radius.powi(3)).sqrt();
-        // 600 s span / 2 devices → seam at step 300 (s_ps = 1).
-        let t_conj = 300.0;
-        let m0 = (-n_mean * t_conj).rem_euclid(TAU);
-        let pop = vec![
-            KeplerElements::new(radius, 0.0, 0.4, 0.0, 0.0, m0).unwrap(),
-            KeplerElements::new(radius, 0.0, 1.2, 0.0, 0.0, m0).unwrap(),
-        ];
-        let config = ScreeningConfig::grid_defaults(2.0, 600.0);
-        let multi = GpuScreener::grid(config)
-            .on_devices(vec![Device::rtx3090_like(), Device::rtx3090_like()])
-            .screen(&pop);
-        assert!(multi.conjunction_count() >= 1, "seam conjunction lost");
-        assert!((multi.conjunctions[0].tca - t_conj).abs() < 1.0);
-    }
-
-    #[test]
     fn too_small_device_fails_loudly() {
         let config = ScreeningConfig::grid_defaults(2.0, 60.0);
-        let tiny = Device::with_memory(64);
-        let screener = GpuScreener::grid(config).on_devices(vec![tiny]);
+        let screener = GpuScreener {
+            device: Device::with_memory(64),
+            ..GpuScreener::grid(config)
+        };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             screener.screen(&crossing_pair_population())
         }));

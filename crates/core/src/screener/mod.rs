@@ -7,8 +7,8 @@
 //! extract candidate entries, a [`stage::Stage`] turns them into
 //! conjunctions, and `run_screen` assembles the report.
 //! [`cpu::CpuScreener`] and [`gpu::GpuScreener`] are the two backends over
-//! either stage; [`sieve`] and [`legacy`] bring their own refinement but
-//! share the report assembly.
+//! either stage; [`legacy`] brings its own refinement but shares the
+//! report assembly.
 //!
 //! All variants implement [`Screener`] and produce the same
 //! [`crate::ScreeningReport`], which is what makes the paper's accuracy
@@ -17,7 +17,6 @@
 pub mod cpu;
 pub mod gpu;
 pub mod legacy;
-pub mod sieve;
 pub mod stage;
 
 use crate::cancel::Cancelled;
@@ -57,10 +56,6 @@ pub fn default_config_for(
         "hybrid" | "hybrid-gpusim" => {
             Ok(ScreeningConfig::hybrid_defaults(threshold_km, span_seconds))
         }
-        "sieve" => Ok(sieve::SieveScreener::default_config(
-            threshold_km,
-            span_seconds,
-        )),
         other => Err(format!("unknown variant `{other}`")),
     }
 }
@@ -72,7 +67,6 @@ pub fn screener_for(label: &str, config: ScreeningConfig) -> Result<Box<dyn Scre
         "hybrid" => Box::new(cpu::HybridScreener::new(config)),
         "legacy" => Box::new(legacy::LegacyScreener::new(config)),
         "legacy-parallel" => Box::new(legacy::LegacyScreener::new(config).parallel(true)),
-        "sieve" => Box::new(sieve::SieveScreener::new(config)),
         "grid-gpusim" => Box::new(gpu::GpuScreener::grid(config)),
         "hybrid-gpusim" => Box::new(gpu::GpuScreener::hybrid(config)),
         other => return Err(format!("unknown variant `{other}`")),
@@ -204,12 +198,11 @@ mod tests {
     /// The labels `kessler screen --variant` accepts (the CLI's usage text
     /// is held to this list by a test of its own) and the experiment
     /// harness's ablation label.
-    const LABELS: [&str; 7] = [
+    const LABELS: [&str; 6] = [
         "grid",
         "hybrid",
         "legacy",
         "legacy-parallel",
-        "sieve",
         "grid-gpusim",
         "hybrid-gpusim",
     ];
@@ -251,7 +244,6 @@ mod tests {
         assert_eq!(sps("legacy-parallel"), 1.0);
         assert_eq!(sps("hybrid"), 9.0);
         assert_eq!(sps("hybrid-gpusim"), 9.0);
-        assert_eq!(sps("sieve"), 8.0);
         for label in LABELS {
             let config = default_config_for(label, 2.5, 600.0).unwrap();
             assert_eq!((config.threshold_km, config.span_seconds), (2.5, 600.0));

@@ -307,7 +307,6 @@ mod tests {
         assert!(Stage::new(Variant::Grid, config).is_ok());
         assert!(Stage::new(Variant::Hybrid, config).is_ok());
         assert!(Stage::new(Variant::Legacy, config).is_err());
-        assert!(Stage::new(Variant::Sieve, config).is_err());
         let mut bad = config;
         bad.threshold_km = -1.0;
         assert!(Stage::new(Variant::Grid, bad).is_err());

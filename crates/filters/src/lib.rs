@@ -19,18 +19,13 @@
 //!    same node simultaneously. The surviving windows are exactly the
 //!    Brent search intervals the hybrid variant uses ("the orbital filters
 //!    determine the interval to search in for non-coplanar pairs", §IV-C).
-//! 5. [`sieve`] — the (smart) sieve's Cartesian rejection cascade
-//!    (Healy 1995; Rodríguez et al. 2002), the other parallel-screening
-//!    family §II surveys; `kessler-core` builds a comparison screener on
-//!    top of it.
-//! 6. [`chain`] — the composed [`chain::FilterChain`]; per-stage counts
+//! 5. [`chain`] — the composed [`chain::FilterChain`]; per-stage counts
 //!    are read off its decisions ([`chain::FilterStatsSnapshot::record`]).
 
 pub mod apsis;
 pub mod chain;
 pub mod coplanar;
 pub mod path;
-pub mod sieve;
 pub mod timefilter;
 
 pub use chain::{FilterChain, FilterConfig, FilterDecision, FilterStatsSnapshot};

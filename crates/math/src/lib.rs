@@ -7,22 +7,19 @@
 //! * [`Vec3`] / [`Mat3`] — small fixed-size linear algebra used for orbital
 //!   state vectors and frame rotations.
 //! * [`Complex`] — minimal complex arithmetic for the contour Kepler solver.
-//! * [`erf`] — error function / normal CDF (collision-probability
-//!   integrals).
 //! * [`brent`] — Brent's bounded minimiser (the paper uses Boost's
 //!   `brent_find_minima`; this is a faithful reimplementation).
 //! * [`interval`] — closed time intervals with intersection/union, used by
 //!   the classical time filter.
 //! * [`angles`] — angle wrapping helpers.
-//! * [`stats`] — summary statistics, histograms and log–log power-law fits
-//!   (our stand-in for the Extra-P model fitting of §V-B).
+//! * [`stats`] — log–log power-law fits (our stand-in for the Extra-P
+//!   model fitting of §V-B).
 //! * [`kde`] — a two-dimensional Gaussian kernel density estimator used to
 //!   generate the synthetic satellite population of §V-A.
 
 pub mod angles;
 pub mod brent;
 pub mod complex;
-pub mod erf;
 pub mod interval;
 pub mod kde;
 pub mod mat3;

@@ -1,90 +1,11 @@
-//! Summary statistics, histograms, and power-law model fitting.
+//! Power-law model fitting.
 //!
 //! The paper calibrates the conjunction hash-map size with an Extra-P model
 //! (Eq. 3/4): `c' ≈ K · n^α · s^β · t^γ · d^δ`. We reproduce that workflow
 //! with an in-repo multivariate log–log least-squares fit
-//! ([`fit_power_law`]), plus the descriptive statistics used by the
-//! experiment harness.
+//! ([`fit_power_law`]).
 
 use serde::{Deserialize, Serialize};
-
-/// Descriptive statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    pub count: usize,
-    pub mean: f64,
-    pub std_dev: f64,
-    pub min: f64,
-    pub max: f64,
-    pub median: f64,
-}
-
-/// Compute descriptive statistics. Returns `None` for empty input.
-pub fn summarize(values: &[f64]) -> Option<Summary> {
-    if values.is_empty() {
-        return None;
-    }
-    let count = values.len();
-    let mean = values.iter().sum::<f64>() / count as f64;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / count as f64;
-    let mut sorted: Vec<f64> = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let median = if count % 2 == 1 {
-        sorted[count / 2]
-    } else {
-        0.5 * (sorted[count / 2 - 1] + sorted[count / 2])
-    };
-    Some(Summary {
-        count,
-        mean,
-        std_dev: var.sqrt(),
-        min: sorted[0],
-        max: sorted[count - 1],
-        median,
-    })
-}
-
-/// A fixed-width 1-D histogram over `[lo, hi]`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    pub lo: f64,
-    pub hi: f64,
-    pub counts: Vec<u64>,
-    /// Samples outside `[lo, hi]`.
-    pub outliers: u64,
-}
-
-impl Histogram {
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Histogram {
-        assert!(bins > 0 && hi > lo, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            outliers: 0,
-        }
-    }
-
-    pub fn add(&mut self, x: f64) {
-        if !(self.lo..=self.hi).contains(&x) || !x.is_finite() {
-            self.outliers += 1;
-            return;
-        }
-        let bins = self.counts.len();
-        let idx = (((x - self.lo) / (self.hi - self.lo)) * bins as f64) as usize;
-        self.counts[idx.min(bins - 1)] += 1;
-    }
-
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum::<u64>() + self.outliers
-    }
-
-    /// Center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-}
 
 /// Result of a multivariate power-law fit `y = K · Π xᵢ^eᵢ`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -210,48 +131,6 @@ fn solve_gauss(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn summarize_known_sample() {
-        let s = summarize(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.count, 4);
-        assert_eq!(s.mean, 2.5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert_eq!(s.median, 2.5);
-        assert!((s.std_dev - (1.25f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summarize_empty_is_none() {
-        assert!(summarize(&[]).is_none());
-    }
-
-    #[test]
-    fn summarize_odd_median() {
-        let s = summarize(&[5.0, 1.0, 3.0]).unwrap();
-        assert_eq!(s.median, 3.0);
-    }
-
-    #[test]
-    fn histogram_bins_and_outliers() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 9.9, 10.0, -1.0, 11.0, f64::NAN] {
-            h.add(x);
-        }
-        assert_eq!(h.counts[0], 2); // 0.5, 1.5
-        assert_eq!(h.counts[4], 2); // 9.9, 10.0 (upper edge folds into last bin)
-        assert_eq!(h.outliers, 3);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn histogram_bin_center() {
-        let h = Histogram::new(0.0, 10.0, 5);
-        assert_eq!(h.bin_center(0), 1.0);
-        assert_eq!(h.bin_center(4), 9.0);
-    }
 
     #[test]
     fn power_law_recovers_exact_model() {
@@ -305,26 +184,5 @@ mod tests {
         assert!((fit.exponents[1] - 4.0 / 3.0).abs() < 1e-6);
         assert!((fit.exponents[2] - 1.0).abs() < 1e-6);
         assert!((fit.exponents[3] - 7.0 / 4.0).abs() < 1e-6);
-    }
-
-    proptest! {
-        #[test]
-        fn summary_bounds_hold(values in proptest::collection::vec(-1e6..1e6f64, 1..200)) {
-            let s = summarize(&values).unwrap();
-            prop_assert!(s.min <= s.mean + 1e-9 && s.mean <= s.max + 1e-9);
-            prop_assert!(s.min <= s.median && s.median <= s.max);
-            prop_assert!(s.std_dev >= 0.0);
-        }
-
-        #[test]
-        fn histogram_total_counts_every_sample(
-            values in proptest::collection::vec(-20.0..20.0f64, 0..100)
-        ) {
-            let mut h = Histogram::new(-10.0, 10.0, 8);
-            for &v in &values {
-                h.add(v);
-            }
-            prop_assert_eq!(h.total(), values.len() as u64);
-        }
     }
 }

@@ -885,7 +885,6 @@ mod tests {
         assert!(CpuScreener::new(Variant::Grid, config).is_ok());
         assert!(CpuScreener::new(Variant::Hybrid, config).is_ok());
         assert!(CpuScreener::new(Variant::Legacy, config).is_err());
-        assert!(CpuScreener::new(Variant::Sieve, config).is_err());
         let mut bad = config;
         bad.threshold_km = -1.0;
         assert!(

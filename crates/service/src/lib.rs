@@ -58,7 +58,7 @@
 //! - [`metrics`] — rolling observability: per-phase screening histograms
 //!   (full vs delta), WAL-fsync and snapshot-write latency distributions,
 //!   request/error counters, queue high-water mark — served by the
-//!   `METRICS` verb and summarized in STATUS.
+//!   `METRICS` verb, with a digest in STATUS.
 //! - [`error`] / [`fault`] — typed startup/persistence errors and the
 //!   deterministic fault-injection hooks the crash-safety and disk-chaos
 //!   tests use: screening panics, worker kills, torn WAL tails, and

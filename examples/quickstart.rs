@@ -25,12 +25,9 @@ fn main() {
 
     let grid_cfg = ScreeningConfig::grid_defaults(threshold_km, span);
     let hybrid_cfg = ScreeningConfig::hybrid_defaults(threshold_km, span);
-
-    let sieve_cfg = SieveScreener::default_config(threshold_km, span);
     let screeners: Vec<Box<dyn Screener>> = vec![
         Box::new(GridScreener::new(grid_cfg)),
         Box::new(HybridScreener::new(hybrid_cfg)),
-        Box::new(SieveScreener::new(sieve_cfg)),
         Box::new(LegacyScreener::new(grid_cfg)),
     ];
 

@@ -43,6 +43,15 @@ RUST_BACKTRACE=1 ./target/release/kessler submit subscribe --all --smoke --addr 
 RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912
 wait "$KESSLER_SERVE_PID"
 
+# `cargo test` only compiles the examples; run each one, at a size that
+# finishes in seconds (fragmentation_event's cost grows with the square of
+# its fragment count, so it gets 20 instead of its default 2 000).
+echo "==> the examples run"
+for example in quickstart memory_planning tle_screening megaconstellation; do
+    RUST_BACKTRACE=1 cargo run --release --locked --quiet --example "$example"
+done
+RUST_BACKTRACE=1 cargo run --release --locked --quiet --example fragmentation_event -- 20
+
 echo "==> scripts/loc.sh (production lines per crate; fails on test-gated items among them)"
 scripts/loc.sh
 

@@ -16,7 +16,7 @@
 //! | [`filters`] | apogee/perigee, coplanarity, orbit-path and time filters |
 //! | [`population`] | synthetic populations, constellations, debris clouds, TLE |
 //! | [`gpusim`] | the GPU execution-model simulator |
-//! | [`math`] | Brent optimisation, intervals, KDE, statistics |
+//! | [`math`] | Brent optimisation, intervals, KDE, power-law fits |
 //! | [`service`] | long-running screening daemon: incremental catalog, delta re-screening, TCP server |
 //!
 //! ## Example
@@ -46,7 +46,7 @@ pub use kessler_service as service;
 pub mod prelude {
     pub use kessler_core::{
         Conjunction, GpuScreener, GridScreener, HybridScreener, LegacyScreener, MemoryModel,
-        Screener, ScreeningConfig, ScreeningReport, SieveScreener, Variant,
+        Screener, ScreeningConfig, ScreeningReport, Variant,
     };
     pub use kessler_orbits::{CartesianState, KeplerElements};
     pub use kessler_population::constellation::WalkerShell;
