@@ -37,6 +37,7 @@ SUBCOMMANDS
              [--a KM --e E --incl R --raan R --argp R --m R] [--dt S]
              [--req-id ID] tag the request (the CANCEL handle)
              [--json REQUEST] [--timeout SECS (0 = none, default 10)]
+             bounds the connect and each reply
              [--retries N] retry transient failures with jittered
              exponential backoff; mutations are retried only when the
              daemon confirms the request was not applied
@@ -180,6 +181,11 @@ pub fn plan(flags: &Flags) -> Result<(), String> {
         },
     )?;
     let memory_gib = flags.f64_of("--memory-gib", 8.0)?;
+    if !(memory_gib.is_finite() && memory_gib > 0.0) {
+        return Err(format!(
+            "bad value for --memory-gib: `{memory_gib}` (must be positive and finite)"
+        ));
+    }
     config.memory_budget_bytes = (memory_gib * 1024.0 * 1024.0 * 1024.0) as usize;
 
     let plan = MemoryModel::new(variant).plan(n, &config);
@@ -482,8 +488,18 @@ pub fn submit(flags: &Flags) -> Result<(), String> {
             other => return Err(format!("unknown submit action `{other}`")),
         }
     };
-    let retries = flags.u64_of("--retries", 0)?;
-    let response = send_request(addr, &request, flags.value_of("--req-id"), timeout, retries)?;
+    let req_id = flags.value_of("--req-id");
+    let response = submit_retry(flags)?
+        .send(request.is_mutation(), || {
+            send_maybe_tagged(
+                &mut kessler_service::Client::connect_within(addr, timeout)?,
+                &request,
+                req_id,
+            )
+        })
+        .map_err(|(err, attempts)| {
+            format!("request to {addr} failed after {attempts} attempt(s): {err}")
+        })?;
     if let Some(metrics) = &response.metrics {
         print_metrics(metrics);
     } else {
@@ -497,140 +513,35 @@ pub fn submit(flags: &Flags) -> Result<(), String> {
     }
 }
 
-/// Client-side retry pacing: exponential from 200 ms, capped at 5 s, with
-/// equal jitter so a burst of scripted submits does not stampede a daemon
-/// the moment it recovers.
-struct Backoff {
-    delay: std::time::Duration,
-    rng: u64,
-}
-
-impl Backoff {
-    fn new(seed: u64) -> Backoff {
-        Backoff {
-            delay: std::time::Duration::from_millis(200),
-            rng: seed ^ 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    /// The jittered delay to sleep before the next attempt (advances the
-    /// schedule).
-    fn next_delay(&mut self) -> std::time::Duration {
-        self.rng = self
-            .rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let half = self.delay.as_micros() as u64 / 2;
-        let jittered = std::time::Duration::from_micros(half + (self.rng >> 33) % (half + 1));
-        self.delay = (self.delay * 2).min(std::time::Duration::from_secs(5));
-        jittered
-    }
-}
-
-/// May this transport error be retried for this request? Connection
-/// refused means the request never reached a server, so even mutations
-/// are safe. Anything after the connection was up (timeout, reset, EOF)
-/// is ambiguous — the daemon may have applied the mutation and lost only
-/// the reply — so mutations give up and the caller must check server
-/// state, while read-only verbs retry freely.
-fn transport_retryable(kind: std::io::ErrorKind, mutation: bool) -> bool {
-    use std::io::ErrorKind;
-    match kind {
-        ErrorKind::ConnectionRefused => true,
-        ErrorKind::TimedOut
-        | ErrorKind::WouldBlock
-        | ErrorKind::ConnectionReset
-        | ErrorKind::ConnectionAborted
-        | ErrorKind::BrokenPipe
-        | ErrorKind::UnexpectedEof => !mutation,
-        _ => false,
-    }
-}
-
-/// One request/response exchange, optionally tagged with a `req_id` so a
-/// concurrent `kessler submit cancel ID` can abort it.
-fn send_request_once(
-    addr: &str,
-    request: &kessler_service::Request,
-    req_id: Option<&str>,
-    timeout: Option<std::time::Duration>,
-) -> std::io::Result<kessler_service::Response> {
-    match req_id {
-        None => match timeout {
-            Some(t) => kessler_service::request_with_timeout(addr, request, t),
-            None => kessler_service::request(addr, request),
+/// `--retries N` as the client's retry rule: jittered exponential backoff
+/// from 200 ms, capped at 5 s, each retry reported on stderr.
+fn submit_retry(
+    flags: &Flags,
+) -> Result<kessler_service::Retry<impl FnMut(u64, std::time::Duration, &str)>, String> {
+    let retries = flags.u64_of("--retries", 0)?;
+    Ok(kessler_service::Retry {
+        retries,
+        backoff: kessler_service::Backoff::new(
+            std::time::Duration::from_millis(200),
+            std::time::Duration::from_secs(5),
+            u64::from(std::process::id()),
+        ),
+        on_retry: move |attempt: u64, delay: std::time::Duration, why: &str| {
+            eprintln!("  retry {attempt}/{retries} in {delay:?}: {why}")
         },
-        Some(id) => {
-            let mut client = kessler_service::Client::connect(addr)?;
-            client.set_timeouts(timeout, timeout)?;
-            client.send_tagged(request, id)
-        }
-    }
+    })
 }
 
-/// Send with up to `retries` re-attempts. A response is retried only when
-/// the daemon explicitly reports `not_applied` (degraded mode, full
-/// queue): that flag is the server's guarantee the request changed
-/// nothing, so re-sending a mutation cannot double-apply it. Transport
-/// errors follow [`transport_retryable`].
-fn send_request(
-    addr: &str,
-    request: &kessler_service::Request,
-    req_id: Option<&str>,
-    timeout: Option<std::time::Duration>,
-    retries: u64,
-) -> Result<kessler_service::Response, String> {
-    let mutation = request.is_mutation();
-    let mut backoff = Backoff::new(u64::from(std::process::id()));
-    let mut attempt: u64 = 0;
-    loop {
-        let why = match send_request_once(addr, request, req_id, timeout) {
-            Ok(response) => {
-                if response.ok || !response.not_applied || attempt >= retries {
-                    return Ok(response);
-                }
-                response.error.unwrap_or_else(|| "not applied".into())
-            }
-            Err(err) => {
-                if attempt >= retries || !transport_retryable(err.kind(), mutation) {
-                    return Err(format!(
-                        "request to {addr} failed after {} attempt(s): {err}",
-                        attempt + 1
-                    ));
-                }
-                err.to_string()
-            }
-        };
-        attempt += 1;
-        let delay = backoff.next_delay();
-        eprintln!("  retry {attempt}/{retries} in {delay:?}: {why}");
-        std::thread::sleep(delay);
-    }
-}
-
-/// Send one catalog record's request over the streaming connection,
-/// re-trying (with backoff) while the daemon answers `not_applied` —
-/// e.g. mid-ingest degraded mode. `not_applied` guarantees nothing
-/// landed, so the re-send cannot double-apply.
-fn send_record(
+/// Send `request`, tagged with `req_id` (the handle a concurrent
+/// `kessler submit cancel ID` takes) when there is one.
+fn send_maybe_tagged(
     client: &mut kessler_service::Client,
     request: &kessler_service::Request,
-    retries: u64,
-    backoff: &mut Backoff,
+    req_id: Option<&str>,
 ) -> std::io::Result<kessler_service::Response> {
-    let mut attempt: u64 = 0;
-    loop {
-        let response = client.send(request)?;
-        if response.ok || !response.not_applied || attempt >= retries {
-            return Ok(response);
-        }
-        attempt += 1;
-        let delay = backoff.next_delay();
-        eprintln!(
-            "  retry {attempt}/{retries} in {delay:?}: {}",
-            response.error.unwrap_or_else(|| "not applied".into())
-        );
-        std::thread::sleep(delay);
+    match req_id {
+        Some(id) => client.send_tagged(request, id),
+        None => client.send(request),
     }
 }
 
@@ -646,32 +557,24 @@ fn submit_tle(
     let Some(path) = flags.positional_at(1) else {
         return Err("usage: kessler submit tle FILE [--addr HOST:PORT]".into());
     };
-    let retries = flags.u64_of("--retries", 0)?;
+    let mut retry = submit_retry(flags)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let (records, errors) = tle_mod::parse_catalog(&text);
     for (line, err) in errors.iter().take(5) {
         eprintln!("  near line {line}: {err}");
     }
-    let mut client = kessler_service::Client::connect(addr)
-        .map_err(|e| format!("connect to {addr} failed: {e}"))?;
-    client
-        .set_timeouts(timeout, timeout)
-        .map_err(|e| e.to_string())?;
-    let mut backoff = Backoff::new(u64::from(std::process::id()));
+    let mut client = retry
+        .connect(addr, timeout)
+        .map_err(|(e, _)| format!("connect to {addr} failed: {e}"))?;
     let (mut added, mut updated) = (0usize, 0usize);
     let mut rejected = errors.len();
     for record in &records {
         let id = u64::from(record.catalog_number);
-        let response = send_record(
-            &mut client,
-            &Request::Add {
-                id,
-                elements: kessler_service::ElementsSpec::from_elements(&record.elements),
-            },
-            retries,
-            &mut backoff,
-        )
-        .map_err(|e| format!("ADD {id} failed: {e}"))?;
+        let elements = kessler_service::ElementsSpec::from_elements(&record.elements);
+        let add = Request::Add { id, elements };
+        let response = retry
+            .send(true, || client.send(&add))
+            .map_err(|(e, _)| format!("ADD {id} failed: {e}"))?;
         if response.ok {
             added += 1;
             continue;
@@ -681,16 +584,10 @@ fn submit_tle(
             .as_deref()
             .is_some_and(|e| e.contains("already exists"));
         if duplicate {
-            let response = send_record(
-                &mut client,
-                &Request::Update {
-                    id,
-                    elements: kessler_service::ElementsSpec::from_elements(&record.elements),
-                },
-                retries,
-                &mut backoff,
-            )
-            .map_err(|e| format!("UPDATE {id} failed: {e}"))?;
+            let update = Request::Update { id, elements };
+            let response = retry
+                .send(true, || client.send(&update))
+                .map_err(|(e, _)| format!("UPDATE {id} failed: {e}"))?;
             if response.ok {
                 updated += 1;
                 continue;
@@ -737,17 +634,11 @@ fn submit_subscribe(
     }
     let count = flags.u64_of("--count", 0)?;
     let smoke = flags.has("--smoke");
-    let mut client = kessler_service::Client::connect(addr)
+    let mut client = kessler_service::Client::connect_within(addr, timeout)
         .map_err(|e| format!("connect to {addr} failed: {e}"))?;
-    client
-        .set_timeouts(timeout, timeout)
-        .map_err(|e| e.to_string())?;
     let request = Request::Subscribe { assets, all };
-    let response = match flags.value_of("--req-id") {
-        Some(id) => client.send_tagged(&request, id),
-        None => client.send(&request),
-    }
-    .map_err(|e| format!("SUBSCRIBE failed: {e}"))?;
+    let response = send_maybe_tagged(&mut client, &request, flags.value_of("--req-id"))
+        .map_err(|e| format!("SUBSCRIBE failed: {e}"))?;
     if !response.ok {
         return Err(response
             .error
@@ -989,46 +880,6 @@ pub fn info() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backoff_is_exponential_jittered_and_capped() {
-        let mut backoff = Backoff::new(42);
-        let mut previous_nominal = std::time::Duration::from_millis(200);
-        for _ in 0..8 {
-            let delay = backoff.next_delay();
-            // Equal jitter: between half the nominal delay and the full
-            // nominal delay.
-            assert!(delay >= previous_nominal / 2, "{delay:?} too short");
-            assert!(delay <= previous_nominal, "{delay:?} too long");
-            previous_nominal = (previous_nominal * 2).min(std::time::Duration::from_secs(5));
-        }
-        assert_eq!(backoff.delay, std::time::Duration::from_secs(5), "capped");
-        // Different seeds walk different jitter schedules.
-        let a: Vec<_> = (0..4).map(|_| Backoff::new(1).next_delay()).collect();
-        let b: Vec<_> = (0..4).map(|_| Backoff::new(2).next_delay()).collect();
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn transport_retry_policy_is_conservative_for_mutations() {
-        use std::io::ErrorKind;
-        // Connection refused = the request never arrived; safe for all.
-        assert!(transport_retryable(ErrorKind::ConnectionRefused, true));
-        assert!(transport_retryable(ErrorKind::ConnectionRefused, false));
-        // Post-connect failures are ambiguous: the daemon may have applied
-        // the mutation and lost only the reply.
-        for kind in [
-            ErrorKind::TimedOut,
-            ErrorKind::ConnectionReset,
-            ErrorKind::BrokenPipe,
-            ErrorKind::UnexpectedEof,
-        ] {
-            assert!(!transport_retryable(kind, true), "{kind:?} must not retry");
-            assert!(transport_retryable(kind, false), "{kind:?} should retry");
-        }
-        // Unknown errors never retry.
-        assert!(!transport_retryable(ErrorKind::PermissionDenied, false));
-    }
 
     #[test]
     fn every_variant_the_usage_text_lists_is_one_the_factory_builds() {

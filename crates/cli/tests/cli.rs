@@ -212,6 +212,26 @@ fn screen_and_serve_refuse_an_infinite_threshold_or_step() {
     }
 }
 
+/// A memory budget that is not a positive, finite number of GiB is a bad
+/// flag value: `plan` exits 1 instead of planning against a 0-byte or
+/// saturated budget.
+#[test]
+fn plan_refuses_a_memory_budget_that_is_not_positive_and_finite() {
+    for value in ["nan", "-1", "0", "inf"] {
+        let output = kessler()
+            .args(["plan", "--n", "1000", "--memory-gib", value])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "--memory-gib {value}: {err}");
+        assert!(
+            err.contains("bad value for --memory-gib"),
+            "--memory-gib {value}: {err}"
+        );
+        assert!(output.stdout.is_empty(), "--memory-gib {value} planned");
+    }
+}
+
 /// A `--timeout` too large for a `Duration` is a bad flag value, not a
 /// panic, for every action (the plain request path and the streaming
 /// `tle` / `subscribe` connections alike).
@@ -243,13 +263,30 @@ fn submit_refuses_a_timeout_no_duration_can_hold() {
     }
 }
 
-/// `--retries` re-attempts transient failures: a dead port exhausts its
-/// retry budget (visible in stderr) and still fails; a live daemon
-/// answers on the first attempt with no retry chatter.
+/// `--retries` re-attempts transient failures under the one retry rule,
+/// whether the request goes plain, tagged (`--req-id`) or as a `tle`
+/// stream: a dead port exhausts its retry budget (visible in stderr) and
+/// still fails; a live daemon answers on the first attempt with no retry
+/// chatter.
 #[test]
 fn submit_retries_transient_failures_with_backoff() {
     use kessler_core::ScreeningConfig;
     use kessler_service::{request, Request, Server};
+
+    let catalog =
+        std::env::temp_dir().join(format!("kessler_cli_retry_{}.tle", std::process::id()));
+    std::fs::write(
+        &catalog,
+        "1 25544U 98067A   08264.51782528 -.00002182  00000-0 -11606-4 0  2927\n\
+         2 25544  51.6416 247.4627 0006703 130.5360 325.0288 15.72125391563537\n",
+    )
+    .unwrap();
+    let catalog = catalog.to_str().unwrap();
+    let submits: [&[&str]; 3] = [
+        &["status"],
+        &["status", "--req-id", "ready"],
+        &["tle", catalog],
+    ];
 
     // Nothing listens here: connection refused is retryable even for
     // mutations (the request never reached a server).
@@ -257,20 +294,30 @@ fn submit_retries_transient_failures_with_backoff() {
         let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         probe.local_addr().unwrap().to_string()
     };
-    let (ok, _, err) = run(&[
-        "submit",
-        "status",
-        "--addr",
-        &dead,
-        "--retries",
-        "2",
-        "--timeout",
-        "1",
-    ]);
-    assert!(!ok, "dead port must still fail after retries");
-    assert!(err.contains("retry 1/2"), "first retry not logged: {err}");
-    assert!(err.contains("retry 2/2"), "second retry not logged: {err}");
-    assert!(err.contains("after 3 attempt(s)"), "{err}");
+    for args in submits {
+        let (ok, _, err) = run(&[
+            &["submit"][..],
+            args,
+            &["--addr", &dead, "--retries", "2", "--timeout", "1"],
+        ]
+        .concat());
+        assert!(!ok, "{args:?}: dead port must still fail after retries");
+        assert!(
+            err.contains("retry 1/2 in "),
+            "{args:?}: first retry not logged: {err}"
+        );
+        assert!(
+            err.contains("retry 2/2 in "),
+            "{args:?}: second retry not logged: {err}"
+        );
+        assert!(!err.contains("retry 3/2"), "{args:?}: {err}");
+        let failure = if args[0] == "tle" {
+            format!("connect to {dead} failed: ")
+        } else {
+            format!("request to {dead} failed after 3 attempt(s): ")
+        };
+        assert!(err.contains(&failure), "{args:?}: {err}");
+    }
 
     // Against a live daemon the same flag is a no-op.
     let config = ScreeningConfig::grid_defaults(5.0, 120.0);
@@ -293,9 +340,26 @@ fn submit_retries_transient_failures_with_backoff() {
     assert!(ok, "add with retries failed: {err}");
     assert!(out.contains("\"ok\": true"), "{out}");
     assert!(!err.contains("retry"), "no retries expected: {err}");
+    for args in submits {
+        let (ok, out, err) = run(&[
+            &["submit"][..],
+            args,
+            &["--addr", &addr_s, "--retries", "3"],
+        ]
+        .concat());
+        assert!(ok, "{args:?} with retries failed: {err}");
+        assert!(
+            !err.contains("retry"),
+            "{args:?}: no retries expected: {err}"
+        );
+        if args.contains(&"--req-id") {
+            assert!(out.contains("\"req_id\": \"ready\""), "{out}");
+        }
+    }
 
     request(addr, &Request::Shutdown).expect("SHUTDOWN");
     handle.shutdown();
+    std::fs::remove_file(catalog).ok();
 }
 
 /// `kessler submit tle FILE` streams a catalog into a live daemon: first

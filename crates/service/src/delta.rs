@@ -249,11 +249,6 @@ impl DeltaEngine {
         self.screen(population, &[], false)
     }
 
-    /// Drop every maintained conjunction involving dense index `index`.
-    pub fn invalidate_index(&mut self, index: u32) {
-        Arc::make_mut(&mut self.pairs).retain(|&(lo, hi), _| lo != index && hi != index);
-    }
-
     /// Account for a catalog `swap_remove`: pairs of the removed satellite
     /// are gone, pairs keyed under the mover's old index are stale, and the
     /// caller must mark `removal.removed_index` as changed when a satellite

@@ -45,7 +45,12 @@
 //!   slow-consumer shedding) and hands screening work to the pool of
 //!   supervised workers. `SUBSCRIBE` turns a connection into a push
 //!   stream of conjunction deltas (`new`/`updated`/`retired`) emitted as
-//!   screens commit. Std networking only; `nc` is a valid client.
+//!   screens commit. Std networking only; `nc` is a valid client. The
+//!   library's one client is [`Client`]: one socket read through the
+//!   server's own line framer, one connect-with-deadline
+//!   ([`Client::connect_within`]), and one retry rule ([`Retry`], paced by
+//!   the [`Backoff`] the degraded-mode probe also uses) — what
+//!   `kessler submit` drives, and what any other front end can.
 //! - [`wal`] / [`persist`] — crash safety: a checksummed write-ahead log
 //!   of acknowledged mutations plus periodic atomic snapshots, so a
 //!   restarted daemon recovers the exact catalog, window, and warm
@@ -53,7 +58,7 @@
 //!   → apply: only planning can refuse, and applying a logged mutation
 //!   cannot fail. When the disk fails mid-flight the daemon rejects the
 //!   request (`not_applied`), drops into degraded (read-only) mode, and a
-//!   background probe retries under jittered exponential backoff until an
+//!   background probe retries under that same [`Backoff`] until an
 //!   emergency snapshot restores normal service.
 //! - [`metrics`] — rolling observability: per-phase screening histograms
 //!   (full vs delta), WAL-fsync and snapshot-write latency distributions,
@@ -90,7 +95,7 @@ pub use proto::{
     PUSH_CONJUNCTION,
 };
 pub use server::{
-    request, request_with_timeout, Client, RecoverySummary, Server, ServerHandle, ServerOptions,
+    request, Backoff, Client, RecoverySummary, Retry, Server, ServerHandle, ServerOptions,
     ServiceState, MAX_LINE_BYTES,
 };
 

@@ -1,6 +1,8 @@
 //! The wire layer: bounded line framing, the poll(2)-driven event loop
-//! that fronts every connection, and the client helpers (`request`,
-//! `request_with_timeout`, [`Client`]).
+//! that fronts every connection, and the one client: [`Client`] (one
+//! socket, read through the same [`LineFramer`] as the server, one
+//! connect-with-deadline), the [`Backoff`] it and the degraded-mode probe
+//! share, its one retry rule [`Retry`], and the one-shot [`request`].
 //!
 //! One I/O thread owns every socket. Requests are framed by
 //! [`LineFramer`] (1 MiB cap with drain-to-newline resync), screening
@@ -20,7 +22,7 @@ use super::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use super::MAX_LINE_BYTES;
 use crate::proto::{Envelope, PushEvent, Request, Response};
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -31,57 +33,6 @@ use std::time::{Duration, Instant};
 /// before the loop exits regardless.
 const SHUTDOWN_DRAIN: Duration = Duration::from_secs(2);
 
-pub(crate) enum LineOutcome {
-    /// A complete line is in the buffer (newline included if present).
-    Line,
-    /// The line blew past the cap; the remainder was drained.
-    Oversized,
-    Eof,
-}
-
-/// Read one newline-terminated line of at most `max` bytes. An oversized
-/// line is drained to its newline so the connection can resync, and
-/// reported as [`LineOutcome::Oversized`] rather than an error — the
-/// client gets a protocol-level ERROR and keeps its connection.
-pub(crate) fn read_bounded_line<R: BufRead>(
-    reader: &mut R,
-    buf: &mut Vec<u8>,
-    max: usize,
-) -> io::Result<LineOutcome> {
-    buf.clear();
-    // UFCS so `take` borrows the reader (via `impl Read for &mut R`)
-    // instead of consuming it — the caller reuses it across lines.
-    let n = Read::take(&mut *reader, max as u64 + 1).read_until(b'\n', buf)?;
-    if n == 0 {
-        return Ok(LineOutcome::Eof);
-    }
-    if buf.len() > max && !buf.ends_with(b"\n") {
-        drain_line(reader)?;
-        return Ok(LineOutcome::Oversized);
-    }
-    Ok(LineOutcome::Line)
-}
-
-/// Consume input up to and including the next newline (or EOF).
-fn drain_line<R: BufRead>(reader: &mut R) -> io::Result<()> {
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return Ok(());
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                reader.consume(pos + 1);
-                return Ok(());
-            }
-            None => {
-                let len = available.len();
-                reader.consume(len);
-            }
-        }
-    }
-}
-
 /// A framed unit from the inbound byte stream.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Frame {
@@ -91,10 +42,11 @@ pub(crate) enum Frame {
     Oversized,
 }
 
-/// Incremental newline framer with the same cap-and-resync semantics as
-/// [`read_bounded_line`], but fed from nonblocking reads: an oversized
-/// line is reported once, immediately, and everything up to its newline
-/// is discarded.
+/// Incremental newline framer, fed whatever each read returned, for the
+/// server's nonblocking sockets and [`Client`]'s blocking one alike: a
+/// line over the cap is reported once, as soon as it crosses the cap, and
+/// everything up to its newline is discarded, so the stream resyncs at
+/// the next line.
 pub(crate) struct LineFramer {
     buf: Vec<u8>,
     max: usize,
@@ -581,35 +533,13 @@ fn close_conn(shared: &Shared, conns: &mut HashMap<u64, Conn>, id: u64) {
 
 /// One-shot request/response over a fresh connection.
 pub fn request<A: ToSocketAddrs>(addr: A, req: &Request) -> io::Result<Response> {
-    let mut client = Client::connect(addr)?;
-    client.send(req)
-}
-
-/// One-shot request/response with a single overall deadline covering
-/// address resolution fan-out, connect, write, and read.
-pub fn request_with_timeout<A: ToSocketAddrs>(
-    addr: A,
-    req: &Request,
-    timeout: Duration,
-) -> io::Result<Response> {
-    let deadline = Instant::now() + timeout;
-    let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-    let stream = connect_by_deadline(&addrs, deadline)?;
-    let budget = deadline
-        .saturating_duration_since(Instant::now())
-        .max(Duration::from_millis(1));
-    let mut client = Client::over(stream)?;
-    client.set_timeouts(Some(budget), Some(budget))?;
-    client.send(req)
+    Client::connect(addr)?.send(req)
 }
 
 /// Try each candidate address under one shared deadline. The budget
 /// shrinks as candidates fail, so a multi-A-record hostname cannot block
 /// for candidate-count × timeout.
-pub(crate) fn connect_by_deadline(
-    addrs: &[SocketAddr],
-    deadline: Instant,
-) -> io::Result<TcpStream> {
+fn connect_by_deadline(addrs: &[SocketAddr], deadline: Instant) -> io::Result<TcpStream> {
     connect_with(addrs, deadline, TcpStream::connect_timeout)
 }
 
@@ -643,18 +573,44 @@ fn connect_with<T>(
     Err(last_err.unwrap_or_else(|| io::Error::other("no addresses to connect to")))
 }
 
-/// A persistent JSON-lines client connection. Push events that arrive
-/// interleaved with responses (on subscribed connections) are queued and
-/// handed out via [`Client::next_event`].
+/// A persistent JSON-lines client connection: one socket, its replies
+/// framed by the server's own `LineFramer` under [`MAX_LINE_BYTES`]. Push
+/// events that arrive interleaved with responses (on subscribed
+/// connections) are queued and handed out via [`Client::next_event`].
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    framer: LineFramer,
+    /// Frames read off the socket but not handed out yet, in order.
+    pending: std::vec::IntoIter<Frame>,
     events: VecDeque<PushEvent>,
 }
 
 impl Client {
+    /// Connect with no deadline and no socket timeouts.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        Client::over(TcpStream::connect(addr)?)
+        Client::connect_within(addr, None)
+    }
+
+    /// Connect under one deadline `timeout` from now, shared by address
+    /// resolution, the dial of every candidate address and the socket's
+    /// read and write timeouts, which get what the connect left of it: a
+    /// one-shot exchange ends within `timeout`, and each reply of a longer
+    /// stream is bounded by that remainder. `None`, or a timeout too long
+    /// for any deadline, waits forever.
+    pub fn connect_within<A: ToSocketAddrs>(
+        addr: A,
+        timeout: Option<Duration>,
+    ) -> io::Result<Client> {
+        let Some(deadline) = timeout.and_then(|t| Instant::now().checked_add(t)) else {
+            return Client::over(TcpStream::connect(addr)?);
+        };
+        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+        let client = Client::over(connect_by_deadline(&addrs, deadline)?)?;
+        let budget = deadline
+            .saturating_duration_since(Instant::now())
+            .max(Duration::from_millis(1));
+        client.set_timeouts(Some(budget), Some(budget))?;
+        Ok(client)
     }
 
     /// A client over a connected socket. Requests are single small lines
@@ -663,16 +619,17 @@ impl Client {
     fn over(stream: TcpStream) -> io::Result<Client> {
         stream.set_nodelay(true)?;
         Ok(Client {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
+            stream,
+            framer: LineFramer::new(MAX_LINE_BYTES),
+            pending: Vec::new().into_iter(),
             events: VecDeque::new(),
         })
     }
 
     /// Apply read/write deadlines to the connection (`None` = blocking).
     pub fn set_timeouts(&self, read: Option<Duration>, write: Option<Duration>) -> io::Result<()> {
-        self.writer.set_read_timeout(read)?;
-        self.writer.set_write_timeout(write)
+        self.stream.set_read_timeout(read)?;
+        self.stream.set_write_timeout(write)
     }
 
     /// Send a request and block for its response.
@@ -709,7 +666,7 @@ impl Client {
         }
         // One segment: a line and its newline written separately meet
         // delayed ACK on the far side (40 ms a request on loopback).
-        self.writer.write_all(format!("{line}\n").as_bytes())?;
+        self.stream.write_all(format!("{line}\n").as_bytes())?;
         loop {
             let reply = self.read_wire_line()?;
             match serde_json::from_str::<Response>(&reply) {
@@ -740,20 +697,166 @@ impl Client {
         self.events.len()
     }
 
+    /// The next line the server sent. A line over the cap is an
+    /// `InvalidData` error; the framer drops the rest of it, so the next
+    /// call reads the line after it.
     fn read_wire_line(&mut self) -> io::Result<String> {
-        let mut buf = Vec::new();
-        match read_bounded_line(&mut self.reader, &mut buf, MAX_LINE_BYTES)? {
-            LineOutcome::Eof => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )),
-            LineOutcome::Oversized => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "server line exceeds the protocol cap",
-            )),
-            LineOutcome::Line => {
-                String::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            match self.pending.next() {
+                Some(Frame::Line(bytes)) => {
+                    return String::from_utf8(bytes)
+                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+                }
+                Some(Frame::Oversized) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "server line exceeds the protocol cap",
+                    ))
+                }
+                None => {}
             }
+            let n = match self.stream.read(&mut chunk) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "server closed the connection",
+                    ))
+                }
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            let mut frames = Vec::new();
+            self.framer.feed(&chunk[..n], &mut frames);
+            self.pending = frames.into_iter();
+        }
+    }
+}
+
+/// Equal-jitter exponential backoff: each delay is half the nominal one
+/// plus a uniformly random share of the other half, and the nominal delay
+/// doubles from `initial` up to `max`. Clients re-trying a daemon that
+/// just came back, or the probes of daemons degraded by one disk outage,
+/// so do not retry in lockstep. The jitter is an LCG seeded by the caller.
+pub struct Backoff {
+    delay: Duration,
+    max: Duration,
+    rng: u64,
+}
+
+impl Backoff {
+    /// A zero `initial` is taken as 1 ms, so the schedule still grows.
+    pub fn new(initial: Duration, max: Duration, seed: u64) -> Backoff {
+        Backoff {
+            delay: initial.max(Duration::from_millis(1)),
+            max,
+            rng: seed ^ 0x9e37_79b9_7f4a_7c15,
+        }
+    }
+
+    /// The jittered delay to sleep before the next attempt (advances the
+    /// schedule).
+    pub fn next_delay(&mut self) -> Duration {
+        self.rng = self
+            .rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let half = self.delay.as_micros() as u64 / 2;
+        let jittered = Duration::from_micros(half + (self.rng >> 33) % (half + 1));
+        self.delay = self.delay.saturating_mul(2).min(self.max);
+        jittered
+    }
+}
+
+/// May this transport error be retried for this request? Connection
+/// refused means the request never reached a server, so even mutations
+/// are safe. Anything after the connection was up (timeout, reset, EOF)
+/// is ambiguous — the daemon may have applied the mutation and lost only
+/// the reply — so mutations give up and the caller must check server
+/// state, while read-only verbs retry freely.
+fn transport_retryable(kind: io::ErrorKind, mutation: bool) -> bool {
+    use io::ErrorKind;
+    match kind {
+        ErrorKind::ConnectionRefused => true,
+        ErrorKind::TimedOut
+        | ErrorKind::WouldBlock
+        | ErrorKind::ConnectionReset
+        | ErrorKind::ConnectionAborted
+        | ErrorKind::BrokenPipe
+        | ErrorKind::UnexpectedEof => !mutation,
+        _ => false,
+    }
+}
+
+/// The client's one retry rule: up to `retries` re-attempts of an
+/// exchange, each after the next [`Backoff`] delay. A reply is re-sent
+/// for only when the daemon answers `not_applied` (degraded mode, a full
+/// queue), its guarantee that the request changed nothing, so a re-sent
+/// mutation cannot apply twice. A transport error is retried when the
+/// connection was refused, and for a read-only request also after a
+/// timeout, reset or early close. Each retry is reported to
+/// `on_retry(attempt, delay, why)` before its sleep; the library prints
+/// nothing.
+pub struct Retry<F> {
+    pub retries: u64,
+    pub backoff: Backoff,
+    pub on_retry: F,
+}
+
+impl<F: FnMut(u64, Duration, &str)> Retry<F> {
+    /// Run `exchange` (a connect and send, or a send over an open
+    /// [`Client`]) under the rule; `mutation` says whether its request can
+    /// change daemon state. A failure carries the attempts it took.
+    pub fn send(
+        &mut self,
+        mutation: bool,
+        exchange: impl FnMut() -> io::Result<Response>,
+    ) -> Result<Response, (io::Error, u64)> {
+        self.run(mutation, exchange, |response| {
+            (!response.ok && response.not_applied).then(|| {
+                response
+                    .error
+                    .clone()
+                    .unwrap_or_else(|| "not applied".into())
+            })
+        })
+    }
+
+    /// Open a connection that will carry mutations: only a refused
+    /// connection is retried.
+    pub fn connect(
+        &mut self,
+        addr: &str,
+        timeout: Option<Duration>,
+    ) -> Result<Client, (io::Error, u64)> {
+        self.run(true, || Client::connect_within(addr, timeout), |_| None)
+    }
+
+    fn run<T>(
+        &mut self,
+        mutation: bool,
+        mut attempt: impl FnMut() -> io::Result<T>,
+        not_applied: impl Fn(&T) -> Option<String>,
+    ) -> Result<T, (io::Error, u64)> {
+        let mut attempts: u64 = 1;
+        loop {
+            let why = match attempt() {
+                Ok(reply) => match not_applied(&reply) {
+                    Some(why) if attempts <= self.retries => why,
+                    _ => return Ok(reply),
+                },
+                Err(err)
+                    if attempts <= self.retries && transport_retryable(err.kind(), mutation) =>
+                {
+                    err.to_string()
+                }
+                Err(err) => return Err((err, attempts)),
+            };
+            let delay = self.backoff.next_delay();
+            (self.on_retry)(attempts, delay, &why);
+            std::thread::sleep(delay);
+            attempts += 1;
         }
     }
 }
@@ -761,6 +864,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
     use std::net::TcpListener;
 
     fn lines(frames: &[Frame]) -> Vec<String> {
@@ -910,6 +1014,129 @@ mod tests {
         assert!(!message.contains("push"), "{message}");
         assert!(message.contains("bool"), "{message}");
         assert!(server.join().unwrap().contains("STATUS"));
+    }
+
+    /// The client frames replies with the server's `LineFramer` over a
+    /// real socket: a reply over the cap is refused and skipped, the
+    /// connection carries on, a reply exactly at the cap parses, and a
+    /// close is an unexpected EOF.
+    #[test]
+    fn client_reads_replies_through_the_line_framer() {
+        let prefix = r#"{"ok":true,"error":""#;
+        let at_cap = format!(
+            "{prefix}{}\"}}",
+            "y".repeat(MAX_LINE_BYTES - prefix.len() - 2)
+        );
+        assert_eq!(at_cap.len(), MAX_LINE_BYTES);
+        let replies = [
+            "x".repeat(MAX_LINE_BYTES + 1),
+            r#"{"ok":true,"req_id":"after"}"#.to_string(),
+            at_cap,
+        ];
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut requests = BufReader::new(&stream);
+            for reply in replies {
+                requests.read_line(&mut String::new()).unwrap();
+                (&stream)
+                    .write_all(format!("{reply}\n").as_bytes())
+                    .unwrap();
+            }
+            // Read the last request, then close without answering it.
+            requests.read_line(&mut String::new()).unwrap();
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let err = client.send(&Request::Status).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let after = client.send(&Request::Status).unwrap();
+        assert_eq!(after.req_id.as_deref(), Some("after"));
+        let exact = client.send(&Request::Status).unwrap();
+        assert_eq!(exact.error.unwrap().len(), MAX_LINE_BYTES - 22);
+        let err = client.send(&Request::Status).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn backoff_is_exponential_jittered_and_capped() {
+        for (initial, max) in [
+            (Duration::from_millis(200), Duration::from_secs(5)),
+            (Duration::from_millis(1), Duration::from_millis(5)),
+        ] {
+            let mut backoff = Backoff::new(initial, max, 42);
+            let mut nominal = initial;
+            for _ in 0..8 {
+                let delay = backoff.next_delay();
+                // Equal jitter: between half the nominal delay and the
+                // full nominal delay.
+                assert!(delay >= nominal / 2, "{delay:?} too short");
+                assert!(delay <= nominal, "{delay:?} too long");
+                nominal = (nominal * 2).min(max);
+            }
+            assert_eq!(backoff.delay, max, "capped");
+        }
+        // Different seeds walk different jitter schedules.
+        let schedule = |seed| {
+            let mut backoff =
+                Backoff::new(Duration::from_millis(200), Duration::from_secs(5), seed);
+            (0..4).map(|_| backoff.next_delay()).collect::<Vec<_>>()
+        };
+        assert_ne!(schedule(1), schedule(2));
+    }
+
+    #[test]
+    fn transport_retry_policy_is_conservative_for_mutations() {
+        use std::io::ErrorKind;
+        // Connection refused = the request never arrived; safe for all.
+        assert!(transport_retryable(ErrorKind::ConnectionRefused, true));
+        assert!(transport_retryable(ErrorKind::ConnectionRefused, false));
+        // Post-connect failures are ambiguous: the daemon may have applied
+        // the mutation and lost only the reply.
+        for kind in [
+            ErrorKind::TimedOut,
+            ErrorKind::ConnectionReset,
+            ErrorKind::BrokenPipe,
+            ErrorKind::UnexpectedEof,
+        ] {
+            assert!(!transport_retryable(kind, true), "{kind:?} must not retry");
+            assert!(transport_retryable(kind, false), "{kind:?} should retry");
+        }
+        // Unknown errors never retry.
+        assert!(!transport_retryable(ErrorKind::PermissionDenied, false));
+    }
+
+    /// `Retry` re-sends a `not_applied` rejection until the budget runs
+    /// out, reporting each retry, and gives up at once on a transport
+    /// error the rule does not allow for a mutation.
+    #[test]
+    fn retry_resends_only_what_did_not_apply() {
+        let mut reported = Vec::new();
+        let mut retry = Retry {
+            retries: 2,
+            backoff: Backoff::new(Duration::from_millis(1), Duration::from_millis(2), 7),
+            on_retry: |attempt: u64, _: Duration, why: &str| {
+                reported.push(format!("{attempt} {why}"))
+            },
+        };
+        let rejected = || {
+            let mut response = Response::error("degraded");
+            response.not_applied = true;
+            Ok(response)
+        };
+        let response = retry.send(true, rejected).unwrap();
+        assert!(response.not_applied, "the last rejection is the answer");
+        let (err, attempts) = retry
+            .send(true, || Err(io::ErrorKind::TimedOut.into()))
+            .unwrap_err();
+        assert_eq!((err.kind(), attempts), (io::ErrorKind::TimedOut, 1));
+        let (_, attempts) = retry
+            .send(false, || Err(io::ErrorKind::TimedOut.into()))
+            .unwrap_err();
+        assert_eq!(attempts, 3);
+        assert_eq!(reported.len(), 4, "{reported:?}");
+        assert_eq!(reported[..2], ["1 degraded", "2 degraded"]);
     }
 
     #[test]

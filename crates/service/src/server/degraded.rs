@@ -1,7 +1,8 @@
-//! Degraded (read-only) mode: the health flag, the jittered-backoff
-//! persistence probe, and the emergency-snapshot recovery attempt that
-//! brings the daemon back to normal service.
+//! Degraded (read-only) mode: the health flag, the persistence probe
+//! (paced by the client's [`Backoff`]), and the emergency-snapshot
+//! recovery attempt that brings the daemon back to normal service.
 
+use super::conn::Backoff;
 use super::handlers::Shared;
 use crate::error::{PersistError, ServiceError};
 use crate::sync::{unpoisoned, Mutex};
@@ -43,17 +44,6 @@ pub(crate) fn sleep_with_shutdown(shared: &Shared, total: Duration) {
     }
 }
 
-/// Equal-jitter backoff: half the nominal delay guaranteed, the other
-/// half uniformly random, so probes from daemons degraded by the same
-/// outage do not hammer the disk in lockstep.
-pub(crate) fn jittered(delay: Duration, rng: &mut u64) -> Duration {
-    *rng = rng
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    let half = delay.as_micros() as u64 / 2;
-    Duration::from_micros(half + (*rng >> 33) % (half + 1))
-}
-
 /// One recovery attempt: prove the disk accepts writes again, then make
 /// every in-memory mutation durable at once with an emergency snapshot.
 /// The snapshot covers the full current state at the persister's last
@@ -83,7 +73,7 @@ pub(crate) fn attempt_recovery(shared: &Shared) -> Result<(), PersistError> {
 /// exponential backoff until an emergency snapshot lands — at which point
 /// the daemon leaves degraded mode and the probe parks again.
 pub(crate) fn persist_probe_loop(shared: &Shared, initial: Duration, max: Duration) {
-    let mut rng = (shared as *const Shared as usize as u64) ^ 0x9e37_79b9_7f4a_7c15;
+    let seed = shared as *const Shared as usize as u64;
     loop {
         {
             let mut health = shared.health.inner.lock();
@@ -98,12 +88,13 @@ pub(crate) fn persist_probe_loop(shared: &Shared, initial: Duration, max: Durati
                 health = unpoisoned(parked).0;
             }
         }
-        let mut delay = initial.max(Duration::from_millis(1));
+        let mut backoff = Backoff::new(initial, max, seed);
+        let mut delay = backoff.next_delay();
         loop {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            sleep_with_shutdown(shared, jittered(delay, &mut rng));
+            sleep_with_shutdown(shared, delay);
             if shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -114,11 +105,10 @@ pub(crate) fn persist_probe_loop(shared: &Shared, initial: Duration, max: Durati
                 }
                 Err(err) => {
                     shared.metrics.lock().note_probe_failure();
+                    delay = backoff.next_delay();
                     eprintln!(
-                        "kessler-service: persistence probe failed (retrying in ~{:?}): {err}",
-                        (delay * 2).min(max)
+                        "kessler-service: persistence probe failed (retrying in {delay:?}): {err}"
                     );
-                    delay = (delay * 2).min(max);
                 }
             }
         }

@@ -77,7 +77,7 @@ mod handlers;
 mod poll;
 mod subs;
 
-pub use conn::{request, request_with_timeout, Client};
+pub use conn::{request, Backoff, Client, Retry};
 
 use crate::catalog::{Catalog, CatalogError, Removal};
 use crate::delta::{apply_removal_to_pairs, check_advance_dt, DeltaEngine};
@@ -919,7 +919,6 @@ impl ServerHandle {
 
 #[cfg(test)]
 mod tests {
-    use super::conn::{read_bounded_line, LineOutcome};
     use super::*;
     use crate::delta::{DELTA_VARIANT, HYBRID_DELTA_VARIANT};
     use crate::persist::Row;
@@ -1671,45 +1670,5 @@ mod tests {
         assert_eq!(resolve_workers(3), 3);
         let auto = resolve_workers(0);
         assert!((1..=4).contains(&auto), "auto workers {auto} out of [1, 4]");
-    }
-
-    #[test]
-    fn bounded_line_reader_enforces_the_cap() {
-        use std::io::Cursor;
-        let mut buf = Vec::new();
-
-        let mut ok = Cursor::new(b"{\"cmd\":\"STATUS\"}\nrest\n".to_vec());
-        assert!(matches!(
-            read_bounded_line(&mut ok, &mut buf, 64).unwrap(),
-            LineOutcome::Line
-        ));
-        assert_eq!(buf, b"{\"cmd\":\"STATUS\"}\n");
-
-        // An oversized line is drained; the next line still parses.
-        let mut big = Vec::new();
-        big.extend(std::iter::repeat_n(b'x', 100));
-        big.push(b'\n');
-        big.extend_from_slice(b"after\n");
-        let mut oversized = Cursor::new(big);
-        assert!(matches!(
-            read_bounded_line(&mut oversized, &mut buf, 64).unwrap(),
-            LineOutcome::Oversized
-        ));
-        assert!(matches!(
-            read_bounded_line(&mut oversized, &mut buf, 64).unwrap(),
-            LineOutcome::Line
-        ));
-        assert_eq!(buf, b"after\n");
-        assert!(matches!(
-            read_bounded_line(&mut oversized, &mut buf, 64).unwrap(),
-            LineOutcome::Eof
-        ));
-
-        // Exactly at the cap (plus newline) is still fine.
-        let mut exact = Cursor::new([vec![b'y'; 64], vec![b'\n']].concat());
-        assert!(matches!(
-            read_bounded_line(&mut exact, &mut buf, 64).unwrap(),
-            LineOutcome::Line
-        ));
     }
 }

@@ -38,7 +38,7 @@ echo "==> kessler submit subscribe --smoke (push registration over a live daemon
 ./target/release/kessler serve --addr 127.0.0.1:7912 --n 32 &
 KESSLER_SERVE_PID=$!
 trap 'kill "$KESSLER_SERVE_PID" 2>/dev/null || true' EXIT
-RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 --retries 8
+RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 --retries 8 --req-id ci-ready
 RUST_BACKTRACE=1 ./target/release/kessler submit subscribe --all --smoke --addr 127.0.0.1:7912
 RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912
 wait "$KESSLER_SERVE_PID"
