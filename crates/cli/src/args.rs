@@ -40,6 +40,17 @@ impl Flags {
         }
     }
 
+    /// [`Flags::f64_of`], refusing NaN and ±∞ (which JSON would carry as
+    /// `null`).
+    pub fn finite_of(&self, flag: &str, default: f64) -> Result<f64, String> {
+        let value = self.f64_of(flag, default)?;
+        if value.is_finite() {
+            Ok(value)
+        } else {
+            Err(format!("bad value for {flag}: `{value}` (must be finite)"))
+        }
+    }
+
     pub fn u64_of(&self, flag: &str, default: u64) -> Result<u64, String> {
         match self.value_of(flag) {
             None => Ok(default),

@@ -425,12 +425,12 @@ fn parse_shards(flags: &Flags) -> Result<Option<kessler_service::ShardSpec>, Str
 
 fn submit_elements(flags: &Flags) -> Result<kessler_service::ElementsSpec, String> {
     Ok(kessler_service::ElementsSpec {
-        a: flags.f64_of("--a", 7_000.0)?,
-        e: flags.f64_of("--e", 0.0)?,
-        incl: flags.f64_of("--incl", 0.0)?,
-        raan: flags.f64_of("--raan", 0.0)?,
-        argp: flags.f64_of("--argp", 0.0)?,
-        mean_anomaly: flags.f64_of("--m", 0.0)?,
+        a: flags.finite_of("--a", 7_000.0)?,
+        e: flags.finite_of("--e", 0.0)?,
+        incl: flags.finite_of("--incl", 0.0)?,
+        raan: flags.finite_of("--raan", 0.0)?,
+        argp: flags.finite_of("--argp", 0.0)?,
+        mean_anomaly: flags.finite_of("--m", 0.0)?,
     })
 }
 
@@ -471,7 +471,7 @@ pub fn submit(flags: &Flags) -> Result<(), String> {
             "screen" => Request::Screen,
             "delta" => Request::Delta,
             "advance" => Request::Advance {
-                dt: flags.f64_of("--dt", 60.0)?,
+                dt: flags.finite_of("--dt", 60.0)?,
             },
             "cancel" => Request::Cancel {
                 id: flags

@@ -263,6 +263,28 @@ fn submit_refuses_a_timeout_no_duration_can_hold() {
     }
 }
 
+/// NaN and ±∞ would go out as JSON `null` and come back as a decode error
+/// from the daemon; `submit` refuses them before it connects, so a dead
+/// port answers with the flag instead of "connection refused".
+#[test]
+fn submit_refuses_non_finite_elements_and_dt_before_connecting() {
+    let dead = {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap().to_string()
+    };
+    for value in ["nan", "inf"] {
+        for (action, flag) in [("add", "--a"), ("add", "--m"), ("advance", "--dt")] {
+            let (ok, _, err) = run(&["submit", action, "--addr", &dead, flag, value]);
+            assert!(!ok, "{action} {flag} {value}");
+            assert!(
+                err.contains(&format!("bad value for {flag}:")) && err.contains("must be finite"),
+                "{action} {flag} {value}: {err}"
+            );
+            assert!(!err.contains("refused"), "{action} {flag} {value}: {err}");
+        }
+    }
+}
+
 /// `--retries` re-attempts transient failures under the one retry rule,
 /// whether the request goes plain, tagged (`--req-id`) or as a `tle`
 /// stream: a dead port exhausts its retry budget (visible in stderr) and

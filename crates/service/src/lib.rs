@@ -54,12 +54,15 @@
 //! - [`wal`] / [`persist`] — crash safety: a checksummed write-ahead log
 //!   of acknowledged mutations plus periodic atomic snapshots, so a
 //!   restarted daemon recovers the exact catalog, window, and warm
-//!   conjunction set it had when it died. Every mutation goes plan → log
-//!   → apply: only planning can refuse, and applying a logged mutation
-//!   cannot fail. When the disk fails mid-flight the daemon rejects the
-//!   request (`not_applied`), drops into degraded (read-only) mode, and a
-//!   background probe retries under that same [`Backoff`] until an
-//!   emergency snapshot restores normal service.
+//!   conjunction set it had when it died. [`ServiceState`] owns the
+//!   persister and the degraded flag, and [`ServiceState::handle`] is the
+//!   one inline path: plan → log → apply → checkpoint-if-due. Only
+//!   planning can refuse, and applying a logged mutation cannot fail;
+//!   recovery replays the WAL tail through the same `handle` before the
+//!   persister is attached. When the disk fails mid-flight the state
+//!   rejects the request (`not_applied`) and drops into degraded
+//!   (read-only) mode, and a background probe retries the emergency
+//!   snapshot under that same [`Backoff`] until normal service returns.
 //! - [`metrics`] — rolling observability: per-phase screening histograms
 //!   (full vs delta), WAL-fsync and snapshot-write latency distributions,
 //!   request/error counters, queue high-water mark — served by the

@@ -33,7 +33,7 @@
 //! Recovery loads the *newest materializable* manifest — one with a
 //! missing or corrupt chunk is skipped whole — then replays WAL records
 //! with `seq > point.wal_seq`. To keep fallback sound, retention keeps
-//! every manifest at or after the `keep_snapshots`-th-newest *full* one
+//! every manifest at or after the `KEEP_SNAPSHOTS`-th-newest *full* one
 //! (all chunks written at its own seq), deletes the rest, and WAL
 //! compaction retains every record newer than the oldest kept point.
 //!
@@ -68,6 +68,10 @@ pub const WAL_FILE: &str = "wal.log";
 /// Name prefix of the single-file snapshots this build no longer reads.
 const V1_PREFIX: &str = "snapshot-";
 
+/// *Full* recovery points retained on disk: two, so a corrupt newest
+/// snapshot has a fallback. Incrementals in between ride along.
+const KEEP_SNAPSHOTS: usize = 2;
+
 /// Force a full chunk set after this many incremental manifests, so the
 /// chain of still-referenced old chunks stays short and retention can
 /// reclaim disk.
@@ -80,9 +84,6 @@ pub struct PersistOptions {
     pub dir: PathBuf,
     /// Mutations between snapshots (and WAL compactions).
     pub snapshot_every: u64,
-    /// *Full* recovery points retained on disk; at least 2 so a corrupt
-    /// newest snapshot has a fallback. Incrementals in between ride along.
-    pub keep_snapshots: usize,
     /// Shard layout snapshots are chunked by; `None` is the 1×1 layout
     /// (one chunk). Names a layout, not a format: every layout writes
     /// manifest + chunks and reads whatever any layout wrote.
@@ -94,7 +95,6 @@ impl PersistOptions {
         PersistOptions {
             dir: dir.into(),
             snapshot_every: 256,
-            keep_snapshots: 2,
             shards: None,
         }
     }
@@ -225,7 +225,6 @@ pub struct Persister {
     /// Last assigned WAL sequence number.
     seq: u64,
     snapshot_every: u64,
-    keep_snapshots: usize,
     since_snapshot: u64,
     /// Shard layout snapshots are chunked by.
     shards: ShardMap,
@@ -293,7 +292,6 @@ impl Persister {
             wal: WalWriter::open_append_with(&wal_path, Arc::clone(&faults))?,
             seq: last_seq,
             snapshot_every: options.snapshot_every.max(1),
-            keep_snapshots: options.keep_snapshots.max(2),
             since_snapshot: recovery.tail.len() as u64,
             shards,
             incrementals_since_full: 0,
@@ -515,7 +513,7 @@ impl Persister {
         Ok(line.len() as u64)
     }
 
-    /// Delete recovery points older than the `keep_snapshots`-th-newest
+    /// Delete recovery points older than the `KEEP_SNAPSHOTS`-th-newest
     /// *full* point, plus any chunk file no kept manifest references.
     /// Stateless by design — it re-lists the directory, so it also mops
     /// up debris from crashed writes. Best-effort: a file that refuses to
@@ -535,10 +533,10 @@ impl Persister {
             .filter(|(_, m)| m.is_full())
             .map(|(seq, _)| *seq)
             .collect();
-        if full_seqs.len() < self.keep_snapshots {
+        if full_seqs.len() < KEEP_SNAPSHOTS {
             return points.first().map_or(0, |(seq, _)| *seq);
         }
-        let cutoff = full_seqs[full_seqs.len() - self.keep_snapshots];
+        let cutoff = full_seqs[full_seqs.len() - KEEP_SNAPSHOTS];
 
         // v1 files an upgraded directory still holds go the same way, by
         // name: nothing here reads one.
@@ -1537,13 +1535,14 @@ mod tests {
     }
 
     /// One daemon lifetime of the layout matrix, without the daemon: a
-    /// `ServiceState` (which tracks the dirty set) and a `Persister` under
-    /// the same layout, driven plan → log → apply like `handle_and_persist`
-    /// with checkpoints at a random cadence. `expected` is the in-memory
-    /// snapshot at the last checkpoint, `tail` the records logged since.
+    /// durable `ServiceState` (which tracks the dirty set) under the
+    /// layout, driven through `ServiceState::handle` with checkpoints at a
+    /// random cadence. `expected` is the in-memory snapshot at the last
+    /// checkpoint, `tail` the records logged since, `seq` the WAL seq of
+    /// the last record.
     struct Lifetime {
         state: ServiceState,
-        persister: Persister,
+        seq: u64,
         expected: Option<Snapshot>,
         tail: Vec<Request>,
     }
@@ -1551,7 +1550,7 @@ mod tests {
     impl Lifetime {
         /// Open `dir` under `layout`, hold what recovery found against
         /// what the previous lifetime left (`expected`, `tail`), and come
-        /// up the way `Server::bind_with` does: restore, replay.
+        /// up the way `Server::bind_with` does: `ServiceState::recover`.
         fn open(
             dir: &Path,
             layout: Option<ShardSpec>,
@@ -1574,16 +1573,12 @@ mod tests {
 
             let config = ScreeningConfig::grid_defaults(5.0, 120.0);
             let screener = GridScreener::new(config).with_shards(layout).unwrap();
-            let mut state = match &recovery.snapshot {
-                Some(snapshot) => ServiceState::restore(screener, snapshot).unwrap(),
-                None => ServiceState::with_screener(screener),
-            };
-            for request in &recovery.tail {
-                assert!(state.handle(request).ok, "{context}: replay {request:?}");
-            }
+            let seq = persister.last_seq();
+            let state = ServiceState::recover(screener, persister, &recovery)
+                .unwrap_or_else(|err| panic!("{context}: {err}"));
             Lifetime {
                 state,
-                persister,
+                seq,
                 expected,
                 tail,
             }
@@ -1628,17 +1623,15 @@ mod tests {
             }
         }
 
-        /// Plan → log → apply, as `handle_and_persist` does it: a refused
-        /// request is answered and leaves no record.
+        /// A refused request is answered and leaves no record; every
+        /// other one here is a mutation, logged and applied.
         fn submit(&mut self, request: Request, context: &str) -> Response {
-            let effect = match self.state.plan(&request) {
-                Ok(effect) => effect,
-                Err(refusal) => return self.state.refuse(&refusal),
-            };
-            self.persister.append(&request).unwrap();
-            let response = self.state.apply(effect);
-            assert!(response.ok, "{context}: {request:?}");
-            self.tail.push(request);
+            let response = self.state.handle(&request);
+            assert!(!response.not_applied, "{context}: {request:?}");
+            if response.ok {
+                self.seq += 1;
+                self.tail.push(request);
+            }
             response
         }
 
@@ -1647,8 +1640,8 @@ mod tests {
                 let request = self.generated_request(rng);
                 self.submit(request, &format!("{context} step {step}"));
                 if rng.below(4) == 0 {
-                    self.state.checkpoint(&mut self.persister).unwrap();
-                    self.expected = Some(self.state.snapshot(self.persister.last_seq()));
+                    self.state.checkpoint().unwrap();
+                    self.expected = Some(self.state.snapshot(self.seq));
                     self.tail.clear();
                 }
             }
@@ -1657,8 +1650,8 @@ mod tests {
         /// Die, leaving what a crash mid-checkpoint leaves: half-written
         /// `.tmp` files and a chunk no manifest references.
         fn crash(self, dir: &Path) -> (Option<Snapshot>, Vec<Request>) {
-            let next = self.persister.last_seq() + 1;
-            drop(self.persister);
+            let next = self.seq + 1;
+            drop(self.state);
             let debris = |name: String| std::fs::write(dir.join(name), "{\"seq\":").unwrap();
             debris(format!("manifest-{next:020}.json.tmp"));
             debris(format!("shard-{next:020}-0000.json.tmp"));

@@ -864,6 +864,7 @@ impl<F: FnMut(u64, Duration, &str)> Retry<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::SplitMix64;
     use std::io::{BufRead, BufReader};
     use std::net::TcpListener;
 
@@ -884,6 +885,61 @@ mod tests {
         framer.feed(b"one\ntw", &mut frames);
         framer.feed(b"o\nthree\n", &mut frames);
         assert_eq!(lines(&frames), ["one", "two", "three"]);
+    }
+
+    #[test]
+    fn framer_output_does_not_depend_on_how_reads_split_the_stream() {
+        // Ordinary lines, an empty line, a line exactly at the cap, one of
+        // cap + 1, an over-cap run whose newline comes much later, and a
+        // trailing partial line — framed whole, under every two-way split
+        // and under 1 000 seeded k-way splits. The closing newline fed
+        // after each run shows the partial line was buffered identically.
+        const CAP: usize = 16;
+        let mut stream = b"alpha\nbeta gamma\n\n".to_vec();
+        stream.extend_from_slice(&[b'c'; CAP]);
+        stream.push(b'\n');
+        stream.extend_from_slice(&[b'd'; CAP + 1]);
+        stream.push(b'\n');
+        stream.extend_from_slice(&[b'x'; 10 * CAP]);
+        stream.extend_from_slice(b"\nafter\npartial");
+        let framed = |cuts: &[usize]| {
+            let mut framer = LineFramer::new(CAP);
+            let mut frames = Vec::new();
+            let mut from = 0;
+            for &cut in cuts.iter().chain([&stream.len()]) {
+                framer.feed(&stream[from..cut], &mut frames);
+                from = cut;
+            }
+            framer.feed(b"\n", &mut frames);
+            lines(&frames)
+        };
+        let whole = framed(&[]);
+        let at_cap = "c".repeat(CAP);
+        assert_eq!(
+            whole,
+            [
+                "alpha",
+                "beta gamma",
+                "",
+                at_cap.as_str(),
+                "<oversized>",
+                "<oversized>",
+                "after",
+                "partial"
+            ]
+        );
+        for cut in 0..=stream.len() {
+            assert_eq!(framed(&[cut]), whole, "split at {cut}");
+        }
+        let mut rng = SplitMix64(0x5eed_0f2a);
+        for run in 0..1_000 {
+            let k = 2 + rng.below(30);
+            let mut cuts: Vec<usize> = (1..k)
+                .map(|_| rng.below(stream.len() as u64 + 1) as usize)
+                .collect();
+            cuts.sort_unstable();
+            assert_eq!(framed(&cuts), whole, "run {run}: cuts {cuts:?}");
+        }
     }
 
     #[test]

@@ -1,18 +1,16 @@
 //! The daemon's request-handling core: the [`Shared`] hub the I/O event
-//! loop, workers, and probes all hang off; the WAL-before-apply gate;
-//! the inline mutation path; the screening enqueue/commit path; the
+//! loop, workers, and probes all hang off; the inline request path around
+//! [`ServiceState::handle`]; the screening enqueue/commit path; the
 //! [`IoHub`] queue that carries worker completions and subscription
 //! pushes back to the event loop; and the supervised worker pool.
 
-use super::degraded::Health;
 use super::subs::SubHub;
 use super::{CommitDecision, Effect, ServiceState};
 use crate::delta::ScreenRun;
 use crate::error::ServiceError;
-use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenOutput, Screened};
+use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
-use crate::persist::Persister;
 use crate::proto::{Request, Response, ScreenSummary};
 use crate::sync::Mutex;
 use kessler_core::CancelToken;
@@ -55,7 +53,8 @@ pub(crate) enum IoMsg {
 }
 
 /// The queue into the event loop plus the pipe that wakes its poll.
-/// Lock order: after `subs`, before `metrics`.
+/// Lock order (state → subs → io → metrics): after `subs`, before
+/// `metrics`.
 pub(crate) struct IoHub {
     queue: Mutex<Vec<IoMsg>>,
     wake: UnixStream,
@@ -99,15 +98,14 @@ impl IoHub {
     }
 }
 
+/// Lock order: `state` → `subs` → `io` → `metrics`. The persister and
+/// degraded mode live inside the state, so the state lock covers them.
 pub(crate) struct Shared {
     pub(crate) state: Mutex<ServiceState>,
-    pub(crate) persist: Option<Mutex<Persister>>,
-    /// Operating mode (normal/degraded); see [`Health`] for lock order.
-    pub(crate) health: Health,
-    /// Rolling observability counters/histograms. Lock order: always last
-    /// (after `state`, `persist`, `health`, `subs`, and the io queue) —
-    /// the METRICS fast path takes only this.
-    pub(crate) metrics: Mutex<MetricsRegistry>,
+    /// Rolling observability counters/histograms, shared with the state's
+    /// durability steps. Lock order: always last (after `state`, `subs`,
+    /// and the io queue) — the METRICS fast path takes only this.
+    pub(crate) metrics: Arc<Mutex<MetricsRegistry>>,
     /// Live screening jobs' cancel tokens, keyed by req_id for CANCEL.
     pub(crate) registry: CancelRegistry,
     /// Subscription registry + published-pair baseline for push fan-out.
@@ -129,103 +127,12 @@ pub(crate) struct Shared {
     pub(crate) write_highwater: usize,
 }
 
-impl Shared {
-    pub(crate) fn is_degraded(&self) -> bool {
-        self.health.inner.lock().degraded
-    }
-
-    pub(crate) fn mode_label(&self) -> &'static str {
-        if self.is_degraded() {
-            "degraded"
-        } else {
-            "normal"
-        }
-    }
-
-    pub(crate) fn degraded_reason(&self) -> String {
-        self.health.inner.lock().reason.clone()
-    }
-
-    /// Flip into degraded (read-only) mode and wake the probe thread.
-    /// Idempotent: re-entering while already degraded changes nothing.
-    pub(crate) fn enter_degraded(&self, reason: &str) {
-        let mut health = self.health.inner.lock();
-        if health.degraded {
-            return;
-        }
-        health.degraded = true;
-        health.reason = reason.to_string();
-        drop(health);
-        self.health.probe_wake.notify_all();
-        self.metrics.lock().note_degraded_entry();
-        eprintln!(
-            "kessler-service: entering degraded (read-only) mode, mutations rejected: {reason}"
-        );
-    }
-
-    /// Return to normal mode (the probe calls this after a successful
-    /// emergency snapshot).
-    pub(crate) fn exit_degraded(&self) {
-        let mut health = self.health.inner.lock();
-        if !health.degraded {
-            return;
-        }
-        health.degraded = false;
-        health.reason.clear();
-        drop(health);
-        self.metrics.lock().note_degraded_recovery();
-        eprintln!("kessler-service: persistence recovered; back to normal mode");
-    }
-}
-
-/// WAL-before-apply gate: log the mutation *before* it touches in-memory
-/// state. Returns `None` when the caller may proceed with the apply (the
-/// record is durable, or the daemon is ephemeral), or `Some(rejection)`
-/// when the mutation must not happen — either the daemon is already
-/// degraded, or this append just failed (which flips it into degraded
-/// mode). Because nothing was applied yet, a rejection leaves state
-/// byte-identical to never having seen the request: `not_applied` in the
-/// rejection is a hard guarantee, and the client may retry safely.
-///
-/// Callers own the metrics `count_request` for the rejection; this
-/// function only touches the failure counters, so the ephemeral-screen
-/// path can reuse it without double-counting.
-pub(crate) fn ensure_logged(shared: &Shared, request: &Request) -> Option<Response> {
-    let persist = shared.persist.as_ref()?;
-    if shared.is_degraded() {
-        let reason = shared.degraded_reason();
-        return Some(Response::rejected(
-            ServiceError::Degraded { reason }.to_string(),
-        ));
-    }
-    let mut persister = persist.lock();
-    let append_started = Instant::now();
-    match persister.append(request) {
-        Ok(()) => {
-            drop(persister);
-            shared
-                .metrics
-                .lock()
-                .record_wal_fsync(append_started.elapsed());
-            None
-        }
-        Err(err) => {
-            drop(persister);
-            shared.metrics.lock().note_wal_append_failure();
-            shared.enter_degraded(&format!("wal append failed: {err}"));
-            Some(Response::rejected(format!(
-                "not applied: wal append failed: {err}"
-            )))
-        }
-    }
-}
-
-/// Metrics + snapshot tail shared by the inline path and the worker
-/// commit path. `adopted` (computed here) says whether the request changed
-/// the state the WAL describes: it was planned, logged and applied. A
-/// refused request, and a stale or ephemeral screen result, did not — they
-/// were never logged (WAL order must match commit order) and owe neither a
-/// snapshot nor a push.
+/// Push + metrics tail shared by the inline path and the worker commit
+/// path. `adopted` (computed here) says whether the request changed the
+/// state the WAL describes: it was planned, logged and applied. A refused
+/// or `not_applied` request, and a stale or ephemeral screen result, did
+/// not — they were never logged (WAL order must match commit order) and
+/// owe no push.
 pub(crate) fn finish_record(
     shared: &Shared,
     request: &Request,
@@ -238,32 +145,6 @@ pub(crate) fn finish_record(
             .screen
             .as_ref()
             .is_some_and(|s| s.stale || s.ephemeral);
-    if let Some(persist) = &shared.persist {
-        if adopted && !shared.is_degraded() {
-            let mut persister = persist.lock();
-            if persister.should_snapshot() {
-                let snapshot_started = Instant::now();
-                match state.checkpoint(&mut persister) {
-                    Ok(written) => {
-                        drop(persister);
-                        shared
-                            .metrics
-                            .lock()
-                            .record_snapshot(snapshot_started.elapsed(), &written);
-                    }
-                    Err(err) => {
-                        let wal_bytes = persister.wal_size();
-                        drop(persister);
-                        shared.metrics.lock().note_snapshot_failure();
-                        eprintln!(
-                            "kessler-service: snapshot failed (wal still intact at {wal_bytes} \
-                             bytes, compaction starved; retrying on the next mutation): {err}"
-                        );
-                    }
-                }
-            }
-        }
-    }
     if adopted && (response.screen.is_some() || response.advance.is_some()) {
         // An adopted commit changed the maintained pair set: fan delta
         // events out to subscribers now, while the state lock still
@@ -280,9 +161,6 @@ pub(crate) fn finish_record(
             .publish(&pairs, state.catalog().ids(), epoch, false);
         shared.io.push_events(msgs);
     }
-    // Mode is read before the metrics lock: health sits *before* metrics
-    // in the lock order.
-    let mode = shared.mode_label();
     let mut metrics = shared.metrics.lock();
     metrics.count_request(request.kind(), response.ok);
     if response.ok {
@@ -305,17 +183,14 @@ pub(crate) fn finish_record(
     }
     if let Some(status) = &mut response.status {
         status.metrics = Some(metrics.one_line());
-        status.mode = mode.to_string();
     }
     response
 }
 
-/// Execute a non-screening request inline, under the state lock: plan,
-/// log the planned mutation, apply it, then the shared metrics tail. The
-/// WAL append sits between the step that can refuse and the step that
-/// cannot fail, so a record on disk always describes a mutation that
-/// happened and a refused or `not_applied` request leaves no trace.
-/// METRICS short-circuits without ever touching the state lock.
+/// Execute a non-screening request inline, under the state lock, through
+/// [`ServiceState::handle`] (plan → log → apply → checkpoint-if-due), then
+/// the shared push + metrics tail. METRICS short-circuits without ever
+/// touching the state lock.
 pub(crate) fn handle_and_persist(shared: &Shared, request: &Request) -> Response {
     if matches!(request, Request::Metrics) {
         // Served entirely at this layer: never touches the state lock,
@@ -329,18 +204,7 @@ pub(crate) fn handle_and_persist(shared: &Shared, request: &Request) -> Response
         return Response::with_metrics(snapshot);
     }
     let state = &mut *shared.state.lock();
-    let response = match state.plan(request) {
-        Ok(effect) => {
-            if request.is_mutation() {
-                if let Some(rejection) = ensure_logged(shared, request) {
-                    shared.metrics.lock().count_request(request.kind(), false);
-                    return rejection;
-                }
-            }
-            state.apply(effect)
-        }
-        Err(refusal) => state.refuse(&refusal),
-    };
+    let response = state.handle(request);
     finish_record(shared, request, state, response)
 }
 
@@ -377,21 +241,20 @@ pub(crate) fn enqueue_screen(
         shared.metrics.lock().count_request(verb, false);
         Enqueued::done(response)
     };
-    let planned = shared.state.lock().plan(&request);
-    let kind = match planned {
+    let state = shared.state.lock();
+    let kind = match state.plan(&request) {
+        // ADVANCE only means anything if it mutates the catalog, so there
+        // is no ephemeral fallback — reject before burning a worker on a
+        // propagation that could never commit.
+        Ok(Effect::Screen(kind @ ScreenKind::Advance { .. })) => match state.degraded_rejection() {
+            Some(rejection) => return refuse(rejection),
+            None => kind,
+        },
         Ok(Effect::Screen(kind)) => kind,
         Ok(_) => unreachable!("only screening verbs are enqueued"),
         Err(refusal) => return refuse(Response::error(refusal.to_string())),
     };
-    if matches!(request, Request::Advance { .. }) && shared.is_degraded() {
-        // ADVANCE only means anything if it mutates the catalog, so there
-        // is no ephemeral fallback — reject before burning a worker on a
-        // propagation that could never commit.
-        let reason = shared.degraded_reason();
-        return refuse(Response::rejected(
-            ServiceError::Degraded { reason }.to_string(),
-        ));
-    }
+    drop(state);
     let (seq, token) = match shared.registry.register(req_id.as_deref()) {
         Ok(registered) => registered,
         Err(err) => return refuse(Response::error(err.to_string())),
@@ -429,11 +292,12 @@ pub(crate) fn enqueue_screen(
     }
 }
 
-/// Commit one finished screening job with the same plan → log → apply
-/// discipline as the inline path: the adoption decision is made once,
-/// under the state lock, logged only if it is `Adopt`, and then carried
-/// out as decided — so a logged record always corresponds to a real
-/// commit. When the record cannot be logged, full/delta screens are still
+/// Commit one finished screening job with the same plan → log → apply →
+/// checkpoint steps as [`ServiceState::handle`], through the state's own
+/// log gate and checkpoint: the adoption decision is made once, under the
+/// state lock, logged only if it is `Adopt`, and then carried out as
+/// decided — so a logged record always corresponds to a real commit.
+/// When the record cannot be logged, full/delta screens are still
 /// answered from the completed computation — marked `ephemeral` and *not*
 /// adopted, so the served result never diverges from the replayable
 /// history — while ADVANCE (which must mutate the catalog to mean
@@ -447,7 +311,7 @@ pub(crate) fn commit_with_wal(
 ) -> Response {
     let decision = state.decide_commit(job);
     if decision == CommitDecision::Adopt {
-        if let Some(rejection) = ensure_logged(shared, request) {
+        if let Some(rejection) = state.log(request) {
             return match output {
                 ScreenOutput::Screen(Screened { report, pairs, .. }) => {
                     let mut summary = ScreenSummary::from_report(&report);
@@ -488,6 +352,9 @@ pub(crate) fn commit_with_wal(
             .record_shard_screen(*ran == ScreenRun::Delta, stats);
     }
     let response = state.apply_commit(job, output, decision);
+    if decision == CommitDecision::Adopt {
+        state.checkpoint_if_due();
+    }
     finish_record(shared, request, state, response)
 }
 

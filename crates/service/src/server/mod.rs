@@ -2,9 +2,11 @@
 //!
 //! Architecture, three layers:
 //!
-//! - **State** ([`ServiceState`]): catalog + warm delta engine behind a
-//!   mutex that a panicking holder does not poison (`crate::sync`). Cheap
-//!   mutations and STATUS execute inline under the lock. Screening is a
+//! - **State** ([`ServiceState`]): catalog + warm delta engine, plus the
+//!   durability layer (the WAL/snapshot persister and the degraded flag),
+//!   behind a mutex that a panicking holder does not poison
+//!   (`crate::sync`). Cheap mutations and STATUS execute inline under the
+//!   lock through [`ServiceState::handle`]. Screening is a
 //!   capture → run → commit sequence: the request
 //!   is *captured* as an [`ScreenJob`] against an immutable
 //!   [`crate::catalog::CatalogSnapshot`] (O(1), copy-on-write), *run*
@@ -34,12 +36,14 @@
 //! The implementation is split across focused submodules:
 //! [`conn`](self) holds the wire layer (line framing, the poll event
 //! loop, the client helpers), `poll` the raw poll(2) binding, `subs` the
-//! subscription hub and pair-diff fan-out, `handlers` the WAL-gated
-//! request paths and the worker pool, and `degraded` the read-only mode
-//! and its recovery probe. This file owns the state machine and the
-//! server lifecycle.
+//! subscription hub and pair-diff fan-out, `handlers` the daemon hub, the
+//! request paths around the state and the worker pool, and `degraded` the
+//! persistence probe. This file owns the state machine — durability
+//! included — and the server lifecycle. Lock order: state → subs → io →
+//! metrics.
 //!
-//! Crash safety: every mutation goes plan → log → apply. Planning
+//! Crash safety: every mutation goes plan → log → apply → checkpoint, in
+//! [`ServiceState::handle`] and in the worker commit path alike. Planning
 //! (`ServiceState::plan`, and `ServiceState::decide_commit` for a
 //! finished screening job) is read-only and is the only step that can
 //! refuse; with [`ServerOptions::persist`] set, a planned mutation is then
@@ -47,18 +51,20 @@
 //! are not logged); applying a planned, logged mutation cannot fail. The
 //! full state is snapshotted every `snapshot_every` mutations (see
 //! [`crate::persist`]). Restart recovery loads the newest valid snapshot
-//! and replays the WAL tail through [`ServiceState::handle`] — the same
-//! plan and apply steps — which the delta correctness invariant makes
-//! deterministic: a recovered daemon answers STATUS/DELTA exactly as an
-//! uninterrupted one would.
+//! and replays the WAL tail through [`ServiceState::handle`] before the
+//! persister is attached — the live path with empty log and checkpoint
+//! steps — which the delta correctness invariant makes deterministic: a
+//! recovered daemon answers STATUS/DELTA exactly as an uninterrupted one
+//! would.
 //!
 //! Storage-fault resilience: a failed WAL append rejects that mutation
 //! (`not_applied` on the wire — memory and log never diverge) and flips
 //! the daemon into **degraded (read-only) mode**: further mutations are
 //! rejected with [`ServiceError::Degraded`], while STATUS/METRICS and
 //! even SCREEN/DELTA keep answering (screen results are served flagged
-//! `ephemeral`, not adopted). A background probe re-checks the state
-//! directory with jittered exponential backoff and, once the disk
+//! `ephemeral`, not adopted). A background probe, which reads the flag on
+//! a 250 ms tick, re-checks the state directory with jittered exponential
+//! backoff and, once the disk
 //! returns, writes an emergency snapshot covering the full in-memory
 //! state before switching back to normal mode — nothing acknowledged is
 //! ever lost to the outage. STATUS reports the `mode`; METRICS counts
@@ -85,13 +91,13 @@ use crate::error::{PersistError, ServiceError};
 use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
-use crate::persist::{GlobalState, PersistOptions, Persister, Snapshot, Written};
+use crate::persist::{GlobalState, PersistOptions, Persister, Recovery, Snapshot, Written};
 use crate::proto::{
     AdvanceAck, CatalogAck, ElementsSpec, LastScreen, Request, Response, ScreenSummary,
     ShardSummary, StatusInfo,
 };
 use crate::sync::Mutex;
-use degraded::{spawn_persist_probe, Health, HealthInner};
+use degraded::spawn_persist_probe;
 use handlers::{
     handle_and_persist, spawn_metrics_reporter, spawn_supervised_worker, IoHub, Job, Shared,
 };
@@ -102,7 +108,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use subs::SubHub;
@@ -214,6 +220,16 @@ pub struct ServiceState {
     /// shard of 1×1 included. The persister only rewrites chunk files for
     /// these.
     dirty_shards: BTreeSet<u32>,
+    /// The WAL + snapshot layer; `None` for an ephemeral state, whose log
+    /// step has nothing to append to.
+    persister: Option<Persister>,
+    /// Why the state is degraded (read-only), if it is: set by a failed
+    /// WAL append, cleared by the emergency checkpoint.
+    degraded: Option<String>,
+    /// Where the durability steps record; the daemon shares its registry
+    /// here, a bare state keeps a private one. Lock order: after the state
+    /// lock this state lives under.
+    metrics: Arc<Mutex<MetricsRegistry>>,
 }
 
 /// A request that passed `ServiceState::plan`: validated against the
@@ -250,6 +266,7 @@ pub(crate) enum CommitDecision {
 }
 
 const PLANNED: &str = "effect was planned against this state under the same lock";
+const DURABLE: &str = "only a durable state checkpoints";
 
 impl ServiceState {
     /// Fresh state serving the grid variant under the 1×1 layout.
@@ -273,6 +290,9 @@ impl ServiceState {
             started: Instant::now(),
             recovered: false,
             dirty_shards: (0..screener.shard_map().shard_count()).collect(),
+            persister: None,
+            degraded: None,
+            metrics: Arc::default(),
         }
     }
 
@@ -292,15 +312,116 @@ impl ServiceState {
     /// persister's last seq, write it with the shards dirtied since the
     /// previous checkpoint, and on success start tracking afresh — every
     /// dirtied shard now has a fresh chunk on disk. Returns what was
-    /// written; a failed write leaves the dirty set as it was.
-    pub(crate) fn checkpoint(
-        &mut self,
-        persister: &mut Persister,
-    ) -> Result<Written, PersistError> {
-        let snapshot = self.snapshot(persister.last_seq());
+    /// written; a failed write leaves the dirty set as it was. Only called
+    /// with a persister attached.
+    pub(crate) fn checkpoint(&mut self) -> Result<Written, PersistError> {
+        let seq = self.persister.as_ref().expect(DURABLE).last_seq();
+        let snapshot = self.snapshot(seq);
+        let persister = self.persister.as_mut().expect(DURABLE);
         let written = persister.write_snapshot(snapshot, &self.dirty_shards)?;
         self.dirty_shards.clear();
         Ok(written)
+    }
+
+    /// The log step, WAL-before-apply: append a planned mutation *before*
+    /// it touches the state. `None` when the caller may apply (the record
+    /// is durable, or the state is ephemeral); `Some(rejection)` when it
+    /// must not — the state is already degraded, or this append just
+    /// failed, which degrades it. Nothing was applied yet, so `not_applied`
+    /// in the rejection is a hard guarantee and the client may retry
+    /// safely.
+    pub(crate) fn log(&mut self, request: &Request) -> Option<Response> {
+        // Only a failed append degrades a state, so a degraded state has a
+        // persister.
+        if let Some(rejection) = self.degraded_rejection() {
+            return Some(rejection);
+        }
+        let persister = self.persister.as_mut()?;
+        let append_started = Instant::now();
+        match persister.append(request) {
+            Ok(()) => {
+                let elapsed = append_started.elapsed();
+                self.metrics.lock().record_wal_fsync(elapsed);
+                None
+            }
+            Err(err) => {
+                let reason = format!("wal append failed: {err}");
+                {
+                    let mut metrics = self.metrics.lock();
+                    metrics.note_wal_append_failure();
+                    metrics.note_degraded_entry();
+                }
+                eprintln!(
+                    "kessler-service: entering degraded (read-only) mode, mutations rejected: {reason}"
+                );
+                let rejection = Response::rejected(format!("not applied: {reason}"));
+                self.degraded = Some(reason);
+                Some(rejection)
+            }
+        }
+    }
+
+    /// The checkpoint step: after a logged mutation was applied, write a
+    /// snapshot once `snapshot_every` of them accumulated. A failed write
+    /// rejects nothing — the WAL still covers every mutation — and is
+    /// retried on the next one.
+    pub(crate) fn checkpoint_if_due(&mut self) {
+        if !self
+            .persister
+            .as_ref()
+            .is_some_and(Persister::should_snapshot)
+        {
+            return;
+        }
+        let snapshot_started = Instant::now();
+        match self.checkpoint() {
+            Ok(written) => {
+                let elapsed = snapshot_started.elapsed();
+                self.metrics.lock().record_snapshot(elapsed, &written);
+            }
+            Err(err) => {
+                let wal_bytes = self.persister.as_ref().map_or(0, Persister::wal_size);
+                self.metrics.lock().note_snapshot_failure();
+                eprintln!(
+                    "kessler-service: snapshot failed (wal still intact at {wal_bytes} \
+                     bytes, compaction starved; retrying on the next mutation): {err}"
+                );
+            }
+        }
+    }
+
+    /// End degraded mode: prove the disk accepts writes again, then make
+    /// every in-memory mutation durable at once with an emergency
+    /// checkpoint. It covers the full state at the persister's last seq —
+    /// nothing was applied while degraded, so that is exactly what the WAL
+    /// describes. A no-op when not degraded.
+    pub(crate) fn end_degraded(&mut self) -> Result<(), PersistError> {
+        let Some(persister) = self.persister.as_ref().filter(|_| self.degraded.is_some()) else {
+            return Ok(());
+        };
+        persister.probe()?;
+        let started = Instant::now();
+        let written = self.checkpoint()?;
+        {
+            let mut metrics = self.metrics.lock();
+            metrics.record_snapshot(started.elapsed(), &written);
+            metrics.note_degraded_recovery();
+        }
+        self.degraded = None;
+        eprintln!("kessler-service: persistence recovered; back to normal mode");
+        Ok(())
+    }
+
+    pub(crate) fn is_degraded(&self) -> bool {
+        self.degraded.is_some()
+    }
+
+    /// The rejection every mutation gets while degraded.
+    pub(crate) fn degraded_rejection(&self) -> Option<Response> {
+        let reason = self.degraded.clone()?;
+        Some(Response::rejected(
+            ServiceError::Degraded { reason }.to_string(),
+        ))
     }
 
     pub fn catalog(&self) -> &Catalog {
@@ -489,15 +610,58 @@ impl ServiceState {
         Response::error(refusal.to_string())
     }
 
-    /// Execute one request against the state: plan, then apply or refuse.
-    /// Pure request→response; all I/O (and the WAL append the daemon puts
-    /// between the two steps) lives in the connection handler. Recovery
-    /// replays the WAL tail through this.
+    /// Execute one request against the state: plan → log → apply →
+    /// checkpoint-if-due, the daemon's one inline path. Only planning can
+    /// refuse; a planned mutation is then logged (a failed append answers
+    /// `not_applied` and changes nothing), applied — which cannot fail —
+    /// and folded into a snapshot when one is due. With no persister
+    /// attached the log and checkpoint steps are empty, which is how
+    /// recovery replays the WAL tail through this same path.
     pub fn handle(&mut self, request: &Request) -> Response {
-        match self.plan(request) {
-            Ok(effect) => self.apply(effect),
-            Err(refusal) => self.refuse(&refusal),
+        let effect = match self.plan(request) {
+            Ok(effect) => effect,
+            Err(refusal) => return self.refuse(&refusal),
+        };
+        let mutation = request.is_mutation();
+        if mutation {
+            if let Some(rejection) = self.log(request) {
+                return rejection;
+            }
         }
+        let response = self.apply(effect);
+        if mutation {
+            self.checkpoint_if_due();
+        }
+        response
+    }
+
+    /// Come back from a state directory `Persister::open` just read:
+    /// restore its snapshot, replay the WAL tail through
+    /// [`ServiceState::handle`], then attach the persister. Replay runs
+    /// *before* the attach, so its log step is empty and it appends
+    /// nothing: replay is the live path without the disk, not a second
+    /// path.
+    pub(crate) fn recover(
+        screener: CpuScreener,
+        persister: Persister,
+        recovery: &Recovery,
+    ) -> Result<ServiceState, ServiceError> {
+        let mut state = match &recovery.snapshot {
+            Some(snapshot) => ServiceState::restore(screener, snapshot)?,
+            None => ServiceState::with_screener(screener),
+        };
+        for request in &recovery.tail {
+            let response = state.handle(request);
+            if !response.ok {
+                return Err(ServiceError::Recovery(format!(
+                    "replaying wal record {request:?}: {}",
+                    response.error.unwrap_or_default()
+                )));
+            }
+        }
+        state.recovered |= !recovery.tail.is_empty();
+        state.persister = Some(persister);
+        Ok(state)
     }
 
     /// Capture a screening job at the current epoch. Cheap: the snapshot
@@ -657,9 +821,12 @@ impl ServiceState {
             // point, not that the last screen was one.
             last_screen: self.engine.last_screen().cloned(),
             recovered: self.recovered,
-            // The daemon layer overwrites this with the live health mode;
-            // a bare state (tests, ephemeral daemons) is always normal.
-            mode: "normal".to_string(),
+            mode: if self.is_degraded() {
+                "degraded"
+            } else {
+                "normal"
+            }
+            .to_string(),
             metrics: None, // the daemon layer fills this in
         }
     }
@@ -696,7 +863,6 @@ impl Server {
         let screener = CpuScreener::new(options.variant, config)
             .and_then(|screener| screener.with_shards(options.shards))
             .map_err(ServiceError::Config)?;
-        let mut persister = None;
         let mut recovery_summary = None;
         let state = match &options.persist {
             Some(persist_options) => {
@@ -704,26 +870,13 @@ impl Server {
                 // inherits it so snapshots chunk the same way.
                 let mut persist_options = persist_options.clone();
                 persist_options.shards = options.shards;
-                let (mut p, recovery) =
+                let (persister, recovery) =
                     Persister::open(&persist_options, Arc::clone(&options.faults))?;
-                let mut state = match &recovery.snapshot {
-                    Some(snapshot) => ServiceState::restore(screener, snapshot)?,
-                    None => ServiceState::with_screener(screener),
-                };
-                for request in &recovery.tail {
-                    let response = state.handle(request);
-                    if !response.ok {
-                        return Err(ServiceError::Recovery(format!(
-                            "replaying wal record {request:?}: {}",
-                            response.error.unwrap_or_default()
-                        )));
-                    }
-                }
+                let mut state = ServiceState::recover(screener, persister, &recovery)?;
                 if !recovery.tail.is_empty() {
-                    state.recovered = true;
                     // Fold the replay into a fresh snapshot so the next
                     // restart starts from here.
-                    state.checkpoint(&mut p)?;
+                    state.checkpoint()?;
                 }
                 recovery_summary = Some(RecoverySummary {
                     snapshot_seq: recovery.snapshot.as_ref().map(|s| s.wal_seq),
@@ -731,7 +884,6 @@ impl Server {
                     torn_tail: recovery.torn_tail.is_some(),
                     corrupt_snapshots: recovery.corrupt_snapshots,
                 });
-                persister = Some(p);
                 state
             }
             None => ServiceState::with_screener(screener),
@@ -769,13 +921,9 @@ impl Server {
             subs.prime(&state.engine.warm_pairs(), state.catalog.ids());
         }
         let shared = Arc::new(Shared {
+            // The daemon's registry is the state's, shared.
+            metrics: Arc::clone(&state.metrics),
             state: Mutex::new(state),
-            persist: persister.map(Mutex::new),
-            health: Health {
-                inner: Mutex::new(HealthInner::default()),
-                probe_wake: Condvar::new(),
-            },
-            metrics: Mutex::new(MetricsRegistry::new()),
             registry: CancelRegistry::new(),
             subs,
             io: IoHub::new(wake_tx),
@@ -800,7 +948,7 @@ impl Server {
             .metrics_every
             .and_then(|every| spawn_metrics_reporter(Arc::clone(&shared), every));
         // Ephemeral daemons cannot lose persistence, so they get no probe.
-        let probe = if shared.persist.is_some() {
+        let probe = if options.persist.is_some() {
             Some(spawn_persist_probe(
                 Arc::clone(&shared),
                 options.probe_initial,
@@ -878,9 +1026,6 @@ impl Server {
             let _ = reporter.join();
         }
         if let Some(probe) = self.probe.take() {
-            // Wake it if it is parked on the healthy-mode condvar so the
-            // shutdown flag is seen immediately.
-            self.shared.health.probe_wake.notify_all();
             let _ = probe.join();
         }
     }
@@ -1165,7 +1310,7 @@ mod tests {
             .expect("bind persistent server");
         let shared = Arc::clone(&server.shared);
         let handle = server.spawn().expect("spawn server");
-        let last_seq = || shared.persist.as_ref().unwrap().lock().last_seq();
+        let last_seq = || shared.state.lock().persister.as_ref().unwrap().last_seq();
 
         let mut uninterrupted = ServiceState::new(config).unwrap();
         let steps = 600;
@@ -1264,6 +1409,76 @@ mod tests {
                 assert!((a.pca_km - b.pca_km).abs() < 1e-6, "{context}");
             }
         }
+    }
+
+    #[test]
+    fn handle_alone_keeps_acks_durable_and_rejections_absent() {
+        // The durability contract on `ServiceState::handle` with a
+        // persister attached: no server, no thread, no sleep.
+        let config = ScreeningConfig::grid_defaults(5.0, 120.0);
+        let dir = temp_dir("handle");
+        let faults = Arc::new(FaultPlan::default());
+        let restart = |faults: Arc<FaultPlan>| {
+            let (persister, recovery) =
+                Persister::open(&PersistOptions::new(&dir), faults).expect("open state dir");
+            let screener = CpuScreener::new(Variant::Grid, config).unwrap();
+            ServiceState::recover(screener, persister, &recovery).expect("recover")
+        };
+        let wal_records = || {
+            crate::wal::read_wal(&dir.join(crate::persist::WAL_FILE))
+                .unwrap()
+                .records
+                .len()
+        };
+        let add = |id: u64| Request::Add {
+            id,
+            elements: spec(7_000.0 + 3.0 * id as f64, 0.5, 0.4 * id as f64),
+        };
+
+        let mut state = restart(Arc::clone(&faults));
+        for id in 0..4 {
+            assert!(state.handle(&add(id)).ok, "add {id}");
+        }
+        assert_eq!(wal_records(), 4);
+
+        // A failed append answers `not_applied`, leaves no trace in memory
+        // or on disk, and degrades the state.
+        faults.arm_wal_append_eio();
+        let r = state.handle(&add(4));
+        assert!(!r.ok && r.not_applied, "{r:?}");
+        assert_eq!(state.catalog().index_of(4), None);
+        assert_eq!(wal_records(), 4);
+        assert_eq!(state.status().mode, "degraded");
+        let r = state.handle(&add(5));
+        assert!(r.not_applied, "{r:?}");
+        assert!(r.error.unwrap().contains("degraded (read-only)"));
+        assert!(state.handle(&Request::Status).ok, "reads are still served");
+
+        // The emergency checkpoint fails while the disk does, and returns
+        // the state to normal once it is back.
+        faults.set_wal_broken(true);
+        assert!(state.end_degraded().is_err());
+        assert_eq!(state.status().mode, "degraded");
+        faults.set_wal_broken(false);
+        state.end_degraded().expect("emergency checkpoint");
+        assert_eq!(state.status().mode, "normal");
+        assert!(state.handle(&add(5)).ok);
+
+        let records = wal_records();
+        let seq = state.persister.as_ref().unwrap().last_seq();
+        let live = state.catalog().ids().to_vec();
+        drop(state);
+        let state = restart(FaultPlan::inert());
+        assert_eq!(state.catalog().ids(), live);
+        assert_eq!(state.catalog().index_of(4), None);
+        assert!((0..4)
+            .chain([5])
+            .all(|id| state.catalog().index_of(id).is_some()));
+        // Replay went through `handle` before the persister was attached,
+        // so it appended nothing.
+        assert_eq!(wal_records(), records, "replay appended to the wal");
+        assert_eq!(state.persister.as_ref().unwrap().last_seq(), seq);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! compare exactly equal, so exact `f64` comparison never fires a
 //! spurious `updated`.
 //!
-//! Lock order: the hub's mutex sits *after* the state lock and *before*
-//! `IoHub::queue` and the metrics lock (publishers hold state while
-//! fanning out; the event loop takes the hub alone).
+//! Lock order (state → subs → io → metrics): the hub's mutex sits *after*
+//! the state lock and *before* `IoHub::queue` and the metrics lock
+//! (publishers hold state while fanning out; the event loop takes the hub
+//! alone).
 
 use std::collections::{HashMap, HashSet};
 

@@ -58,7 +58,6 @@ fn serve_chaos(dir: &Path, snapshot_every: u64, faults: Arc<FaultPlan>) -> Serve
         persist: Some(PersistOptions {
             dir: dir.to_path_buf(),
             snapshot_every,
-            keep_snapshots: 2,
             shards: None,
         }),
         faults,

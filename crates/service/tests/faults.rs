@@ -149,7 +149,6 @@ fn corrupt_newest_snapshot_falls_back_to_the_previous_one() {
         persist: Some(PersistOptions {
             dir: dir.clone(),
             snapshot_every: 1,
-            keep_snapshots: 2,
             shards: None,
         }),
         ..ServerOptions::default()
@@ -188,7 +187,6 @@ fn torn_wal_append_loses_only_the_unsynced_record() {
         persist: Some(PersistOptions {
             dir: dir.clone(),
             snapshot_every: 1_000_000,
-            keep_snapshots: 2,
             shards: None,
         }),
         faults,

@@ -69,7 +69,6 @@ fn persist_options(dir: &Path) -> PersistOptions {
     PersistOptions {
         dir: dir.to_path_buf(),
         snapshot_every: 1,
-        keep_snapshots: 2,
         shards: None,
     }
 }

@@ -75,7 +75,6 @@ fn metrics_distinguish_full_and_delta_and_time_durability() {
         persist: Some(PersistOptions {
             dir: dir.clone(),
             snapshot_every: 4,
-            keep_snapshots: 2,
             shards: None,
         }),
         ..ServerOptions::default()

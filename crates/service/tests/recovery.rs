@@ -42,7 +42,6 @@ fn bind_persistent(dir: &Path, snapshot_every: u64) -> Server {
         persist: Some(PersistOptions {
             dir: dir.to_path_buf(),
             snapshot_every,
-            keep_snapshots: 2,
             shards: None,
         }),
         ..ServerOptions::default()

@@ -45,7 +45,6 @@ fn serve(dir: &Path, shards: Option<ShardSpec>, snapshot_every: u64) -> ServerHa
         persist: Some(PersistOptions {
             dir: dir.to_path_buf(),
             snapshot_every,
-            keep_snapshots: 2,
             shards: None,
         }),
         shards,

@@ -360,7 +360,6 @@ fn degraded_screens_push_ephemeral_events() {
         persist: Some(PersistOptions {
             dir: dir.clone(),
             snapshot_every: 1_000,
-            keep_snapshots: 2,
             shards: None,
         }),
         faults: faults.clone(),

@@ -34,12 +34,26 @@ RUST_BACKTRACE=1 benchmark/run.sh test
 echo "==> benchmark/run.sh (smoke: every workload and gate at small n)"
 RUST_BACKTRACE=1 benchmark/run.sh
 
-echo "==> kessler submit subscribe --smoke (push registration over a live daemon)"
-./target/release/kessler serve --addr 127.0.0.1:7912 --n 32 &
+echo "==> kessler submit subscribe --smoke (push registration over a live durable daemon)"
+KESSLER_STATE_DIR="$(mktemp -d)"
+./target/release/kessler serve --addr 127.0.0.1:7912 --n 32 --state-dir "$KESSLER_STATE_DIR" &
 KESSLER_SERVE_PID=$!
-trap 'kill "$KESSLER_SERVE_PID" 2>/dev/null || true' EXIT
+trap 'kill "$KESSLER_SERVE_PID" 2>/dev/null || true; rm -rf "$KESSLER_STATE_DIR"' EXIT
 RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 --retries 8 --req-id ci-ready
 RUST_BACKTRACE=1 ./target/release/kessler submit subscribe --all --smoke --addr 127.0.0.1:7912
+RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912
+wait "$KESSLER_SERVE_PID"
+
+# The same state directory, served again: startup replays the WAL the first
+# daemon left and must come back with its catalog.
+echo "==> kessler serve restarts on its state directory and recovers the catalog"
+./target/release/kessler serve --addr 127.0.0.1:7912 --n 32 --state-dir "$KESSLER_STATE_DIR" &
+KESSLER_SERVE_PID=$!
+status="$(RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 --retries 8)"
+if ! grep -q '"recovered": true' <<<"$status" || ! grep -q '"n_satellites": 32,' <<<"$status"; then
+    echo "restarted daemon did not recover its 32 satellites: $status" >&2
+    exit 1
+fi
 RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912
 wait "$KESSLER_SERVE_PID"
 
