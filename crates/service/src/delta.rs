@@ -89,8 +89,7 @@ pub fn check_advance_dt(dt: f64) -> Result<(), ServiceError> {
 
 /// A conjunction-screening engine that stays warm between requests.
 ///
-/// The screens themselves are the free functions [`screen_or_full`] (over
-/// [`full_screen_job`] and [`delta_screen_job`]) and
+/// The screens themselves are the free functions [`screen_or_full`] and
 /// [`advance_window_job`]: pure, cancellable computations over immutable
 /// inputs. The engine's methods run them uncancellably and adopt the
 /// result — the capture → run → adopt protocol the execution layer follows
@@ -327,10 +326,26 @@ pub(crate) fn apply_removal_to_pairs(pairs: &mut PairMap, removal: Removal, new_
     pairs.retain(|&(_, hi), _| (hi as usize) < new_len);
 }
 
-/// The one rule for which screen runs, for SCREEN, DELTA and an
-/// ADVANCE's pre-screen alike: a delta of `changed` merged into `warm`
-/// when there is a warm set to merge into, a full screen otherwise — a
-/// SCREEN passes none, and a cold engine has none.
+/// A one-shard layout has no per-shard story to tell: its wire and
+/// metrics stay those of a daemon that never heard of shards.
+fn per_shard(stats: ShardScreenStats) -> Option<ShardScreenStats> {
+    (stats.shard_count() > 1).then_some(stats)
+}
+
+/// The one screen job, for SCREEN, DELTA and an ADVANCE's pre-screen
+/// alike: pure, with cancellation checked at its phase boundaries (between
+/// grid sampling steps, filter chunks and refinement chunks); the inputs
+/// are never mutated, so a cancelled job leaves no trace.
+///
+/// Without a `warm` set — a SCREEN passes none, and a cold engine has
+/// none — it is the screener's own cold screen of `population`, its
+/// report as the screener returned it, its conjunctions grouped into the
+/// pair map an engine adopts. With one, it is a delta: only the
+/// neighbourhoods of `changed` satellites are re-screened and merged into
+/// what stayed warm, and the report's `conjunctions` is the full merged
+/// set (directly comparable with a cold full re-screen) while
+/// `candidate_entries`/`candidate_pairs` count only the delta work and
+/// `timings.total` covers the warm-set bookkeeping too.
 pub fn screen_or_full(
     screener: &CpuScreener,
     population: &[KeplerElements],
@@ -338,56 +353,18 @@ pub fn screen_or_full(
     warm: Option<&PairMap>,
     cancel: Option<&CancelToken>,
 ) -> Result<Screened, Cancelled> {
-    match warm {
-        Some(warm) => delta_screen_job(screener, population, changed, warm, cancel),
-        None => full_screen_job(screener, population, cancel),
-    }
-}
-
-/// A one-shard layout has no per-shard story to tell: its wire and
-/// metrics stay those of a daemon that never heard of shards.
-fn per_shard(stats: ShardScreenStats) -> Option<ShardScreenStats> {
-    (stats.shard_count() > 1).then_some(stats)
-}
-
-/// Cold full screen of `population` as a pure job: the screener's own
-/// screen, with its conjunctions grouped into the pair map an engine
-/// adopts. With a token, cancellation is checked at the job's phase
-/// boundaries.
-pub fn full_screen_job(
-    screener: &CpuScreener,
-    population: &[KeplerElements],
-    cancel: Option<&CancelToken>,
-) -> Result<Screened, Cancelled> {
-    let everyone: Vec<u32> = (0..population.len() as u32).collect();
-    let (report, stats) = screener.screen_changed(population, &everyone, cancel)?;
-    Ok(Screened {
-        pairs: pairs_from_conjunctions(&report.conjunctions),
-        report: Box::new(report),
-        shards: per_shard(stats),
-        ran: ScreenRun::Full,
-    })
-}
-
-/// Delta screen as a pure job: re-screen only the neighbourhoods of
-/// `changed` satellites against the `warm` maintained set and return the
-/// merged map plus a report whose `conjunctions` is the full merged set
-/// (directly comparable with a cold full re-screen) while
-/// `candidate_entries`/`candidate_pairs` count only the delta work, and
-/// whose `timings.total` covers the warm-set bookkeeping too.
-///
-/// `cancel` is checked between grid sampling steps, between filter
-/// chunks, and between refinement chunks; the inputs are never mutated,
-/// so a cancelled job leaves no trace.
-pub fn delta_screen_job(
-    screener: &CpuScreener,
-    population: &[KeplerElements],
-    changed: &[u32],
-    warm: &PairMap,
-    cancel: Option<&CancelToken>,
-) -> Result<Screened, Cancelled> {
-    let wall = Instant::now();
     let n = population.len();
+    let Some(warm) = warm else {
+        let everyone: Vec<u32> = (0..n as u32).collect();
+        let (report, stats) = screener.screen_changed(population, &everyone, cancel)?;
+        return Ok(Screened {
+            pairs: pairs_from_conjunctions(&report.conjunctions),
+            report: Box::new(report),
+            shards: per_shard(stats),
+            ran: ScreenRun::Full,
+        });
+    };
+    let wall = Instant::now();
     let mut changed: Vec<u32> = changed
         .iter()
         .copied()
@@ -796,7 +773,7 @@ mod tests {
             report: job_report,
             pairs: job_pairs,
             ..
-        } = delta_screen_job(&screener, &updated, &changed, &warm, Some(&token)).unwrap();
+        } = screen_or_full(&screener, &updated, &changed, Some(&*warm), Some(&token)).unwrap();
         let sync_report = engine.delta_screen(&updated, &changed);
         assert_eq!(
             job_report.conjunction_count(),
@@ -852,8 +829,8 @@ mod tests {
         let token = kessler_core::CancelToken::new();
         token.cancel();
         let screener = *engine.screener();
-        assert!(full_screen_job(&screener, &pop, Some(&token)).is_err());
-        assert!(delta_screen_job(&screener, &pop, &[0], &warm, Some(&token)).is_err());
+        assert!(screen_or_full(&screener, &pop, &[], None, Some(&token)).is_err());
+        assert!(screen_or_full(&screener, &pop, &[0], Some(&*warm), Some(&token)).is_err());
         assert!(advance_window_job(&screener, &pop, 10.0, (*warm).clone(), Some(&token)).is_err());
         // The engine's maintained set is untouched by the aborted jobs.
         assert_eq!(engine.conjunctions(), before);

@@ -1,13 +1,14 @@
 //! The execution layer: snapshot-isolated screening jobs.
 //!
 //! Screening requests are *captured* into a [`ScreenJob`] under the state
-//! lock — an immutable [`CatalogSnapshot`] plus the warm conjunction set
-//! and change list as of that epoch — then *run* lock-free on a worker
-//! thread via [`run_screen_job`], and finally *committed* back under the
-//! lock, latest-epoch-wins. The synchronous [`crate::server::ServiceState`]
-//! path runs the exact same capture → run → commit sequence inline, which
-//! is what makes a pool of concurrent workers observationally equivalent
-//! to the old single serialized worker at matching epochs. Adopted
+//! lock by `ServiceState::begin` — an immutable [`CatalogSnapshot`] plus
+//! the warm conjunction set and change list as of that epoch — then *run*
+//! lock-free via [`run_screen_job`], and finally *committed* back under
+//! the lock by `ServiceState::commit`, latest-epoch-wins. A worker thread
+//! and `ServiceState::handle` call the same three functions; `handle`
+//! only keeps the lock across the run, which is what makes a pool of
+//! concurrent workers observationally equivalent to one serialized worker
+//! at matching epochs. Adopted
 //! commits are also the publication point for `SUBSCRIBE` push streams:
 //! the daemon layer diffs the warm pair set against its last published
 //! baseline right where a screen or advance lands, so subscribers see
@@ -21,7 +22,7 @@
 use crate::catalog::CatalogSnapshot;
 use crate::delta::{advance_window_job, screen_or_full, AdvanceOutcome, PairMap, ScreenRun};
 use crate::error::ServiceError;
-use crate::proto::LastScreen;
+use crate::proto::{LastScreen, Request};
 use crate::sync::Mutex;
 use kessler_core::cancel::{CancelToken, Cancelled};
 use kessler_core::conjunction::ScreeningReport;
@@ -39,6 +40,17 @@ pub enum ScreenKind {
     Delta,
     /// Slide the window forward by `dt` seconds.
     Advance { dt: f64 },
+}
+
+impl ScreenKind {
+    /// The request this kind of job serves — what its adoption logs.
+    pub(crate) fn request(self) -> Request {
+        match self {
+            ScreenKind::Full => Request::Screen,
+            ScreenKind::Delta => Request::Delta,
+            ScreenKind::Advance { dt } => Request::Advance { dt },
+        }
+    }
 }
 
 /// A screening job captured at one catalog epoch. Everything a worker
@@ -90,32 +102,25 @@ pub enum ScreenOutput {
     },
 }
 
-/// Screen the job's snapshot: a delta against the captured warm set when
-/// `delta` is asked for, under [`screen_or_full`]'s cold ⇒ full rule.
-fn screen_snapshot(
-    job: &ScreenJob,
-    delta: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<Screened, Cancelled> {
-    let warm = job.warm.as_deref().filter(|_| delta);
-    screen_or_full(
-        &job.screener,
-        &job.snapshot.elements,
-        &job.changed,
-        warm,
-        cancel,
-    )
-}
-
 /// Run a captured job to completion (or to the next phase boundary after
 /// `cancel` trips). Pure: reads only the job, mutates nothing shared.
 pub fn run_screen_job(
     job: &ScreenJob,
     cancel: Option<&CancelToken>,
 ) -> Result<ScreenOutput, Cancelled> {
+    // A delta against the captured warm set, or a full screen without one.
+    let screen = |warm: Option<&PairMap>| {
+        screen_or_full(
+            &job.screener,
+            &job.snapshot.elements,
+            &job.changed,
+            warm,
+            cancel,
+        )
+    };
     let dt = match job.kind {
-        ScreenKind::Full => return Ok(ScreenOutput::Screen(screen_snapshot(job, false, cancel)?)),
-        ScreenKind::Delta => return Ok(ScreenOutput::Screen(screen_snapshot(job, true, cancel)?)),
+        ScreenKind::Full => return Ok(ScreenOutput::Screen(screen(None)?)),
+        ScreenKind::Delta => return Ok(ScreenOutput::Screen(screen(job.warm.as_deref())?)),
         ScreenKind::Advance { dt } => dt,
     };
     // Bring the maintained set current at the captured epoch before
@@ -124,7 +129,7 @@ pub fn run_screen_job(
     let (pairs, fold) = match &job.warm {
         Some(warm) if job.changed.is_empty() => ((**warm).clone(), ScreenRun::None),
         _ => {
-            let screened = screen_snapshot(job, true, cancel)?;
+            let screened = screen(job.warm.as_deref())?;
             (screened.pairs, screened.ran)
         }
     };
@@ -251,7 +256,7 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::delta::{sorted_conjunctions, DeltaEngine};
-    use crate::proto::{ElementsSpec, Request};
+    use crate::proto::ElementsSpec;
     use crate::server::ServiceState;
     use kessler_core::ScreeningConfig;
     use kessler_population::{PopulationConfig, PopulationGenerator};

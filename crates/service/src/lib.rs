@@ -35,9 +35,12 @@
 //!   [`ShardScreenStats`], and the persistence layer chunks snapshots and
 //!   tracks dirty shards by [`ShardMap::assign`].
 //! - [`exec`] — the execution layer: screening work captured as
-//!   [`exec::ScreenJob`]s against immutable catalog snapshots, run by a
-//!   pool of supervised workers, cancellable via `CANCEL`, committed back
-//!   latest-epoch-wins.
+//!   [`exec::ScreenJob`]s against immutable catalog snapshots
+//!   ([`ServiceState::begin`]), run by a pool of supervised workers,
+//!   cancellable via `CANCEL`, and committed back latest-epoch-wins by
+//!   [`ServiceState::commit`] — the one way a screen reaches the
+//!   maintained set, for the workers and for [`ServiceState::handle`]
+//!   alike.
 //! - [`proto`] / [`server`] — a JSON-lines-over-TCP protocol
 //!   (ADD/UPDATE/REMOVE/SCREEN/DELTA/ADVANCE/CANCEL/STATUS/SUBSCRIBE/
 //!   SHUTDOWN) and an evented front end: one poll(2)-driven I/O thread
@@ -56,7 +59,8 @@
 //!   restarted daemon recovers the exact catalog, window, and warm
 //!   conjunction set it had when it died. [`ServiceState`] owns the
 //!   persister and the degraded flag, and [`ServiceState::handle`] is the
-//!   one inline path: plan → log → apply → checkpoint-if-due. Only
+//!   one inline path: plan → log → apply → checkpoint-if-due, with a
+//!   screen's log step inside its commit. Only
 //!   planning can refuse, and applying a logged mutation cannot fail;
 //!   recovery replays the WAL tail through the same `handle` before the
 //!   persister is attached. When the disk fails mid-flight the state

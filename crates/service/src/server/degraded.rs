@@ -15,8 +15,9 @@ use std::time::Duration;
 /// How often a healthy daemon's probe looks at the degraded flag.
 const TICK: Duration = Duration::from_millis(250);
 
-/// Sleep in ~50 ms steps, bailing out early at shutdown so the probe
-/// never pins the process open through a long backoff interval.
+/// Sleep in ~50 ms steps, bailing out early at shutdown so neither the
+/// probe nor the metrics reporter pins the process open through a long
+/// backoff or reporting interval.
 pub(crate) fn sleep_with_shutdown(shared: &Shared, total: Duration) {
     let step = Duration::from_millis(50).min(total);
     let mut slept = Duration::ZERO;

@@ -1,17 +1,20 @@
 //! The daemon's request-handling core: the [`Shared`] hub the I/O event
 //! loop, workers, and probes all hang off; the inline request path around
-//! [`ServiceState::handle`]; the screening enqueue/commit path; the
-//! [`IoHub`] queue that carries worker completions and subscription
-//! pushes back to the event loop; and the supervised worker pool.
+//! [`ServiceState::handle`]; the screening path, which enqueues a job
+//! [`ServiceState::begin`] captured and has a worker run it and hand it to
+//! [`ServiceState::commit`]; the [`IoHub`] queue that carries worker
+//! completions and subscription pushes back to the event loop; and the
+//! supervised worker pool.
 
+use super::degraded::sleep_with_shutdown;
 use super::subs::SubHub;
-use super::{CommitDecision, Effect, ServiceState};
+use super::ServiceState;
 use crate::delta::ScreenRun;
 use crate::error::ServiceError;
-use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
+use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
-use crate::proto::{Request, Response, ScreenSummary};
+use crate::proto::{Request, Response};
 use crate::sync::Mutex;
 use kessler_core::CancelToken;
 use std::io::Write;
@@ -127,9 +130,9 @@ pub(crate) struct Shared {
     pub(crate) write_highwater: usize,
 }
 
-/// Push + metrics tail shared by the inline path and the worker commit
-/// path. `adopted` (computed here) says whether the request changed the
-/// state the WAL describes: it was planned, logged and applied. A refused
+/// Push + metrics tail shared by the inline path and the workers.
+/// `adopted` (computed here) says whether the request changed the state
+/// the WAL describes: it was planned, logged and applied. A refused
 /// or `not_applied` request, and a stale or ephemeral screen result, did
 /// not — they were never logged (WAL order must match commit order) and
 /// owe no push.
@@ -225,10 +228,12 @@ impl Enqueued {
     }
 }
 
-/// Register, capture, and enqueue one screening request without blocking:
-/// the worker answers through the io queue. The snapshot is captured *at
-/// enqueue time*, so the job screens the catalog as the client saw it,
-/// whatever lands in between.
+/// Register, begin, and enqueue one screening request without blocking:
+/// the worker answers through the io queue. The job is captured *at
+/// enqueue time* ([`ServiceState::begin`]), so it screens the catalog as
+/// the client saw it, whatever lands in between. The `req_id` is
+/// registered first, so a duplicate is answered before anything is
+/// planned.
 pub(crate) fn enqueue_screen(
     shared: &Shared,
     request: Request,
@@ -241,26 +246,19 @@ pub(crate) fn enqueue_screen(
         shared.metrics.lock().count_request(verb, false);
         Enqueued::done(response)
     };
-    let state = shared.state.lock();
-    let kind = match state.plan(&request) {
-        // ADVANCE only means anything if it mutates the catalog, so there
-        // is no ephemeral fallback — reject before burning a worker on a
-        // propagation that could never commit.
-        Ok(Effect::Screen(kind @ ScreenKind::Advance { .. })) => match state.degraded_rejection() {
-            Some(rejection) => return refuse(rejection),
-            None => kind,
-        },
-        Ok(Effect::Screen(kind)) => kind,
-        Ok(_) => unreachable!("only screening verbs are enqueued"),
-        Err(refusal) => return refuse(Response::error(refusal.to_string())),
-    };
-    drop(state);
     let (seq, token) = match shared.registry.register(req_id.as_deref()) {
         Ok(registered) => registered,
         Err(err) => return refuse(Response::error(err.to_string())),
     };
     let capture_started = Instant::now();
-    let job = shared.state.lock().capture_screen_job(kind);
+    let begun = shared.state.lock().begin(&request);
+    let job = match begun {
+        Ok(job) => job,
+        Err(refusal) => {
+            shared.registry.unregister(seq);
+            return refuse(*refusal);
+        }
+    };
     shared
         .metrics
         .lock()
@@ -290,72 +288,6 @@ pub(crate) fn enqueue_screen(
             }))
         }
     }
-}
-
-/// Commit one finished screening job with the same plan → log → apply →
-/// checkpoint steps as [`ServiceState::handle`], through the state's own
-/// log gate and checkpoint: the adoption decision is made once, under the
-/// state lock, logged only if it is `Adopt`, and then carried out as
-/// decided — so a logged record always corresponds to a real commit.
-/// When the record cannot be logged, full/delta screens are still
-/// answered from the completed computation — marked `ephemeral` and *not*
-/// adopted, so the served result never diverges from the replayable
-/// history — while ADVANCE (which must mutate the catalog to mean
-/// anything) is rejected outright.
-pub(crate) fn commit_with_wal(
-    shared: &Shared,
-    request: &Request,
-    state: &mut ServiceState,
-    job: &ScreenJob,
-    output: ScreenOutput,
-) -> Response {
-    let decision = state.decide_commit(job);
-    if decision == CommitDecision::Adopt {
-        if let Some(rejection) = state.log(request) {
-            return match output {
-                ScreenOutput::Screen(Screened { report, pairs, .. }) => {
-                    let mut summary = ScreenSummary::from_report(&report);
-                    summary.epoch = job.epoch();
-                    summary.ephemeral = true;
-                    // Ephemeral results are served but never adopted; push
-                    // them to subscribers too, tagged, as long as the
-                    // dense→external translation is still exact (degraded
-                    // mode rejects mutations, so the epoch normally holds).
-                    if state.catalog().epoch() == job.epoch() {
-                        let msgs =
-                            shared
-                                .subs
-                                .publish(&pairs, state.catalog().ids(), job.epoch(), true);
-                        shared.io.push_events(msgs);
-                    }
-                    finish_record(shared, request, state, Response::with_screen(summary))
-                }
-                ScreenOutput::Advance { .. } => {
-                    shared.metrics.lock().count_request(request.kind(), false);
-                    rejection
-                }
-            };
-        }
-    }
-    // Sharded screens carry per-shard extraction stats; fold them into the
-    // registry before the commit consumes the output. Recorded even for
-    // stale results — the extraction work happened either way.
-    if let ScreenOutput::Screen(Screened {
-        shards: Some(stats),
-        ran,
-        ..
-    }) = &output
-    {
-        shared
-            .metrics
-            .lock()
-            .record_shard_screen(*ran == ScreenRun::Delta, stats);
-    }
-    let response = state.apply_commit(job, output, decision);
-    if decision == CommitDecision::Adopt {
-        state.checkpoint_if_due();
-    }
-    finish_record(shared, request, state, response)
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -401,7 +333,8 @@ impl Drop for Reply<'_> {
 }
 
 /// One screening worker: drains jobs, runs each against its captured
-/// snapshot (lock-free), commits the result under the state lock, and
+/// snapshot (lock-free), records its shard stats, commits the result
+/// under the state lock, pushes an ephemeral result's pairs, and
 /// isolates panics inside `catch_unwind` so a panicking screen answers
 /// that one request with an ERROR instead of killing the thread.
 pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: &str) {
@@ -454,8 +387,28 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: 
                 }));
                 let response = match outcome {
                     Ok(Ok(output)) => {
+                        // The extraction work happened whatever the commit
+                        // decides, so a sharded screen's per-shard stats
+                        // are recorded for every outcome.
+                        if let ScreenOutput::Screen(Screened {
+                            shards: Some(stats),
+                            ran,
+                            ..
+                        }) = &output
+                        {
+                            shared
+                                .metrics
+                                .lock()
+                                .record_shard_screen(*ran == ScreenRun::Delta, stats);
+                        }
                         let state = &mut *shared.state.lock();
-                        commit_with_wal(shared, &request, state, &job, output)
+                        let committed = state.commit(&job, output);
+                        if let Some(pairs) = &committed.ephemeral_pairs {
+                            let ids = state.catalog().ids();
+                            let msgs = shared.subs.publish(pairs, ids, job.epoch(), true);
+                            shared.io.push_events(msgs);
+                        }
+                        finish_record(shared, &request, state, committed.response)
                     }
                     Ok(Err(_cancelled)) => {
                         let mut metrics = shared.metrics.lock();
@@ -518,33 +471,26 @@ pub(crate) fn spawn_supervised_worker(
         })
 }
 
-/// Periodically log the one-line metrics digest to stderr. Sleeps in
-/// short steps so the thread notices shutdown within ~250 ms instead of
-/// lingering a full interval; failure to spawn just disables the log. The
-/// handle is joined at shutdown so the daemon exits with no stray threads.
+/// Periodically log the one-line metrics digest to stderr. Sleeps through
+/// `sleep_with_shutdown`, so the thread notices shutdown within one of
+/// its steps instead of lingering a full interval; failure to spawn just
+/// disables the log. The handle is joined at shutdown so the daemon exits
+/// with no stray threads.
 pub(crate) fn spawn_metrics_reporter(
     shared: Arc<Shared>,
     every: Duration,
 ) -> Option<JoinHandle<()>> {
     let spawned = thread::Builder::new()
         .name("kessler-metrics".into())
-        .spawn(move || {
-            let step = Duration::from_millis(250).min(every);
-            let mut elapsed = Duration::ZERO;
-            loop {
-                thread::sleep(step);
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                elapsed += step;
-                if elapsed >= every {
-                    elapsed = Duration::ZERO;
-                    eprintln!(
-                        "kessler-service metrics: {}",
-                        shared.metrics.lock().one_line()
-                    );
-                }
+        .spawn(move || loop {
+            sleep_with_shutdown(&shared, every);
+            if shared.shutdown.load(Ordering::SeqCst) {
+                return;
             }
+            eprintln!(
+                "kessler-service metrics: {}",
+                shared.metrics.lock().one_line()
+            );
         });
     match spawned {
         Ok(handle) => Some(handle),

@@ -8,7 +8,7 @@
 //!   (`crate::sync`). Cheap mutations and STATUS execute inline under the
 //!   lock through [`ServiceState::handle`]. Screening is a
 //!   capture → run → commit sequence: the request
-//!   is *captured* as an [`ScreenJob`] against an immutable
+//!   is *captured* as a [`ScreenJob`] against an immutable
 //!   [`crate::catalog::CatalogSnapshot`] (O(1), copy-on-write), *run*
 //!   lock-free, and *committed* back under the lock, latest-epoch-wins —
 //!   a result captured before an already-adopted newer one answers its
@@ -42,20 +42,23 @@
 //! included — and the server lifecycle. Lock order: state → subs → io →
 //! metrics.
 //!
-//! Crash safety: every mutation goes plan → log → apply → checkpoint, in
-//! [`ServiceState::handle`] and in the worker commit path alike. Planning
-//! (`ServiceState::plan`, and `ServiceState::decide_commit` for a
-//! finished screening job) is read-only and is the only step that can
-//! refuse; with [`ServerOptions::persist`] set, a planned mutation is then
-//! appended to a write-ahead log (in commit order; stale screen results
-//! are not logged); applying a planned, logged mutation cannot fail. The
-//! full state is snapshotted every `snapshot_every` mutations (see
-//! [`crate::persist`]). Restart recovery loads the newest valid snapshot
-//! and replays the WAL tail through [`ServiceState::handle`] before the
-//! persister is attached — the live path with empty log and checkpoint
-//! steps — which the delta correctness invariant makes deterministic: a
-//! recovered daemon answers STATUS/DELTA exactly as an uninterrupted one
-//! would.
+//! Crash safety: every mutation goes plan → log → apply → checkpoint. A
+//! catalog mutation takes those steps inline in [`ServiceState::handle`].
+//! A SCREEN, DELTA or ADVANCE — inline in `handle` and on the workers
+//! alike — is [`ServiceState::begin`] (plan, capture) →
+//! [`crate::exec::run_screen_job`] (lock-free) → [`ServiceState::commit`]
+//! (decide adopt/stale/raced, log an adoption, apply it, checkpoint).
+//! Planning is read-only and refuses up front; with
+//! [`ServerOptions::persist`] set, a planned mutation or an adopted screen
+//! is then appended to a write-ahead log (in commit order; stale and
+//! ephemeral screen results are not logged); applying a logged mutation
+//! cannot fail. The full state is snapshotted every `snapshot_every`
+//! mutations (see [`crate::persist`]). Restart recovery loads the newest
+//! valid snapshot and replays the WAL tail through
+//! [`ServiceState::handle`] before the persister is attached — the live
+//! path with empty log and checkpoint steps — which the delta correctness
+//! invariant makes deterministic: a recovered daemon answers STATUS/DELTA
+//! exactly as an uninterrupted one would.
 //!
 //! Storage-fault resilience: a failed WAL append rejects that mutation
 //! (`not_applied` on the wire — memory and log never diverge) and flips
@@ -86,7 +89,7 @@ mod subs;
 pub use conn::{request, Backoff, Client, Retry};
 
 use crate::catalog::{Catalog, CatalogError, Removal};
-use crate::delta::{apply_removal_to_pairs, check_advance_dt, DeltaEngine};
+use crate::delta::{apply_removal_to_pairs, check_advance_dt, DeltaEngine, PairMap};
 use crate::error::{PersistError, ServiceError};
 use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
@@ -253,19 +256,18 @@ pub(crate) enum Effect {
     Shutdown,
 }
 
-/// What committing a finished screening job will do to the live state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CommitDecision {
-    /// The result becomes the maintained set (and is owed a WAL record).
-    Adopt,
-    /// A screen captured before an already-adopted newer one: answered,
-    /// flagged `stale`, not adopted.
-    Stale,
-    /// An advance whose catalog mutated since capture: refused.
-    Raced,
+/// What [`ServiceState::commit`] did with a finished screening job: the
+/// answer, and for a screen served `ephemeral` — computed, but not
+/// adopted because its record could not be logged — the pairs to push to
+/// subscribers, tagged, while the job's epoch is still current (its
+/// dense → external id translation is then still exact).
+pub struct Committed {
+    pub response: Response,
+    pub ephemeral_pairs: Option<PairMap>,
 }
 
 const PLANNED: &str = "effect was planned against this state under the same lock";
+const UNCANCELLABLE: &str = "uncancellable screen cannot be cancelled";
 const DURABLE: &str = "only a durable state checkpoints";
 
 impl ServiceState {
@@ -543,8 +545,8 @@ impl ServiceState {
 
     /// Carry out a planned effect. Infallible: everything that can refuse
     /// a request was checked by `ServiceState::plan` against this state.
-    /// Screening effects run the same capture → run → commit sequence the
-    /// worker pool does, inline.
+    /// A screening effect runs capture → run → [`ServiceState::commit`],
+    /// inline.
     pub(crate) fn apply(&mut self, effect: Effect) -> Response {
         self.requests += 1;
         match effect {
@@ -590,14 +592,10 @@ impl ServiceState {
                 Response::with_catalog(self.catalog_ack(id, removal.removed_index))
             }
             Effect::Screen(kind) => {
-                // Byte-identical to a pool worker running the same job at
-                // the same epoch — both go through `run_screen_job` and
-                // `commit_screen_job`. The lock is held from capture to
-                // commit, so the commit always adopts.
+                // The lock is held from capture to commit, so the commit
+                // adopts unless the state is degraded.
                 let job = self.capture(kind);
-                let output =
-                    run_screen_job(&job, None).expect("uncancellable screen cannot be cancelled");
-                self.commit_screen_job(&job, output)
+                self.run_and_commit(&job)
             }
             Effect::Status => Response::with_status(self.status()),
             Effect::Shutdown => Response::ack(),
@@ -610,14 +608,26 @@ impl ServiceState {
         Response::error(refusal.to_string())
     }
 
-    /// Execute one request against the state: plan → log → apply →
-    /// checkpoint-if-due, the daemon's one inline path. Only planning can
-    /// refuse; a planned mutation is then logged (a failed append answers
+    /// Execute one request against the state. A SCREEN, DELTA or ADVANCE
+    /// runs [`ServiceState::begin`] → [`run_screen_job`] →
+    /// [`ServiceState::commit`], the sequence the worker pool runs with the
+    /// lock released around the middle step. Every other request goes
+    /// plan → log → apply → checkpoint-if-due: only planning can refuse; a
+    /// planned mutation is then logged (a failed append answers
     /// `not_applied` and changes nothing), applied — which cannot fail —
     /// and folded into a snapshot when one is due. With no persister
     /// attached the log and checkpoint steps are empty, which is how
     /// recovery replays the WAL tail through this same path.
     pub fn handle(&mut self, request: &Request) -> Response {
+        if matches!(
+            request,
+            Request::Screen | Request::Delta | Request::Advance { .. }
+        ) {
+            return match self.begin(request) {
+                Ok(job) => self.run_and_commit(&job),
+                Err(refusal) => *refusal,
+            };
+        }
         let effect = match self.plan(request) {
             Ok(effect) => effect,
             Err(refusal) => return self.refuse(&refusal),
@@ -633,6 +643,11 @@ impl ServiceState {
             self.checkpoint_if_due();
         }
         response
+    }
+
+    fn run_and_commit(&mut self, job: &ScreenJob) -> Response {
+        let output = run_screen_job(job, None).expect(UNCANCELLABLE);
+        self.commit(job, output).response
     }
 
     /// Come back from a state directory `Persister::open` just read:
@@ -676,52 +691,56 @@ impl ServiceState {
         }
     }
 
-    /// Capture a job for the worker pool, counting the request the way the
-    /// inline `ServiceState::apply` path does.
-    pub fn capture_screen_job(&mut self, kind: ScreenKind) -> ScreenJob {
-        self.requests += 1;
-        self.capture(kind)
-    }
-
-    /// What `ServiceState::apply_commit` will do with `job`'s result —
-    /// the commit path's planning step, read-only, so the daemon can log
-    /// exactly the commits that adopt. Screens are latest-epoch-wins: a
-    /// job older than the adopted set is stale. Advances mutate the
-    /// catalog, so they refuse to commit over any concurrent mutation.
-    pub(crate) fn decide_commit(&self, job: &ScreenJob) -> CommitDecision {
-        match job.kind {
-            ScreenKind::Advance { .. } if self.catalog.epoch() != job.epoch() => {
-                CommitDecision::Raced
+    /// Start a SCREEN, DELTA or ADVANCE, in one lock hold: plan it, refuse
+    /// an ADVANCE while degraded — it only means anything if it mutates the
+    /// catalog, so there is no ephemeral fallback and no worker is burnt on
+    /// it — and capture the job, counting the request. The job is then run
+    /// lock-free ([`run_screen_job`]) and handed to
+    /// [`ServiceState::commit`]. The refusal is boxed: a [`Response`]
+    /// runs to kilobytes.
+    pub fn begin(&mut self, request: &Request) -> Result<ScreenJob, Box<Response>> {
+        let kind = match self.plan(request) {
+            Ok(Effect::Screen(kind)) => kind,
+            Ok(_) => {
+                let refusal = ServiceError::InvalidRequest(format!(
+                    "{} is not a screening request",
+                    request.kind()
+                ));
+                return Err(Box::new(self.refuse(&refusal)));
             }
-            ScreenKind::Full | ScreenKind::Delta if job.epoch() < self.warm_epoch => {
-                CommitDecision::Stale
+            Err(refusal) => return Err(Box::new(self.refuse(&refusal))),
+        };
+        if matches!(kind, ScreenKind::Advance { .. }) {
+            if let Some(rejection) = self.degraded_rejection() {
+                return Err(Box::new(rejection));
             }
-            _ => CommitDecision::Adopt,
         }
+        self.requests += 1;
+        Ok(self.capture(kind))
     }
 
-    /// Merge a completed job back into live state: decide, then apply.
-    pub fn commit_screen_job(&mut self, job: &ScreenJob, output: ScreenOutput) -> Response {
-        let decision = self.decide_commit(job);
-        self.apply_commit(job, output, decision)
-    }
-
-    /// Carry out `decision` (from `ServiceState::decide_commit` under
-    /// the same lock hold) for a completed job.
+    /// Merge a finished job back into the live state — the only way a
+    /// screen reaches the maintained set. Screens are latest-epoch-wins: a
+    /// result captured before the adopted set answers `stale`. An advance
+    /// mutates the catalog, so it is refused if any mutation landed since
+    /// capture. Anything else is an adoption, logged first: a screen whose
+    /// record cannot be logged is served `ephemeral` and not adopted, so
+    /// the served result never diverges from the replayable history, and
+    /// such an advance is refused. Only an adoption is logged, so WAL order
+    /// is commit order.
     ///
     /// An adopted screen has the removals that landed after its capture
     /// replayed onto it, becomes the maintained set, and leaves only
     /// satellites mutated *after* capture pending. An adopted advance
-    /// re-propagates the catalog and slides the window.
-    pub(crate) fn apply_commit(
-        &mut self,
-        job: &ScreenJob,
-        output: ScreenOutput,
-        decision: CommitDecision,
-    ) -> Response {
+    /// re-propagates the catalog and slides the window. Either is then
+    /// folded into a snapshot when one is due.
+    pub fn commit(&mut self, job: &ScreenJob, output: ScreenOutput) -> Committed {
         let epoch = job.epoch();
-        let adopt = decision == CommitDecision::Adopt;
-        match output {
+        let answer = |response| Committed {
+            response,
+            ephemeral_pairs: None,
+        };
+        let response = match output {
             ScreenOutput::Screen(Screened {
                 report,
                 mut pairs,
@@ -731,9 +750,16 @@ impl ServiceState {
                 let mut summary = ScreenSummary::from_report(&report);
                 summary.epoch = epoch;
                 summary.shards = shards.as_ref().map(ShardSummary::from_stats);
-                if !adopt {
+                if epoch < self.warm_epoch {
                     summary.stale = true;
-                    return Response::with_screen(summary);
+                    return answer(Response::with_screen(summary));
+                }
+                if self.log(&job.kind.request()).is_some() {
+                    summary.ephemeral = true;
+                    return Committed {
+                        response: Response::with_screen(summary),
+                        ephemeral_pairs: (self.catalog.epoch() == epoch).then_some(pairs),
+                    };
                 }
                 for &(removed_at, removal, new_len) in &self.removals {
                     if removed_at > epoch {
@@ -762,12 +788,15 @@ impl ServiceState {
                 dt,
                 fold,
             } => {
-                if !adopt {
-                    return Response::error(format!(
+                if self.catalog.epoch() != epoch {
+                    return answer(Response::error(format!(
                         "advance raced concurrent mutations (catalog at epoch {}, captured at \
                          {epoch}); retry",
                         self.catalog.epoch()
-                    ));
+                    )));
+                }
+                if let Some(rejection) = self.log(&job.kind.request()) {
+                    return answer(rejection);
                 }
                 // Identical propagation to the job's: absolute, from the
                 // stored epoch-0 base elements.
@@ -785,7 +814,9 @@ impl ServiceState {
                     window: self.window(),
                 })
             }
-        }
+        };
+        self.checkpoint_if_due();
+        answer(response)
     }
 
     fn catalog_ack(&self, id: u64, index: u32) -> CatalogAck {
@@ -1284,6 +1315,17 @@ mod tests {
         dir
     }
 
+    /// The maintained set and the full and delta screen counters: what
+    /// adopting a screen changes.
+    fn maintained(state: &ServiceState) -> (Vec<kessler_core::Conjunction>, u64, u64) {
+        let engine = state.engine();
+        (
+            engine.conjunctions(),
+            engine.full_screens(),
+            engine.delta_screens(),
+        )
+    }
+
     #[test]
     fn a_failed_wal_append_is_not_applied_and_recovery_equals_the_uninterrupted_model() {
         // The same generated traffic through the daemon's plan → log →
@@ -1312,6 +1354,7 @@ mod tests {
         let handle = server.spawn().expect("spawn server");
         let last_seq = || shared.state.lock().persister.as_ref().unwrap().last_seq();
 
+        let screened = || maintained(&shared.state.lock());
         let mut uninterrupted = ServiceState::new(config).unwrap();
         let steps = 600;
         let fault_step = 100 + rng.below(200);
@@ -1333,8 +1376,17 @@ mod tests {
             };
             let context = format!("seed {seed:#x} step {step}: {request:?}");
             let seq_before = last_seq();
+            let screened_before = screened();
             let response = handle_and_persist(&shared, &request);
             let logged = last_seq() - seq_before;
+            if response.screen.as_ref().is_some_and(|s| s.ephemeral) {
+                // A screen served while degraded: answered, but neither
+                // adopted nor logged, so the model never sees it.
+                assert!(response.ok, "{context}");
+                assert_eq!(logged, 0, "{context}");
+                assert_eq!(screened(), screened_before, "{context}");
+                continue;
+            }
             if response.not_applied {
                 // Only a planned mutation reaches the log gate, and a
                 // rejected one leaves neither a record nor a trace.
@@ -1478,6 +1530,78 @@ mod tests {
         // so it appended nothing.
         assert_eq!(wal_records(), records, "replay appended to the wal");
         assert_eq!(state.persister.as_ref().unwrap().last_seq(), seq);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn handle_alone_serves_degraded_screens_ephemeral_and_adopts_after_recovery() {
+        // Degraded screening on `ServiceState::handle` with a persister
+        // attached: no server, no thread, no sleep.
+        let config = ScreeningConfig::grid_defaults(5.0, 120.0);
+        let dir = temp_dir("degraded-screens");
+        let faults = Arc::new(FaultPlan::default());
+        let (persister, recovery) =
+            Persister::open(&PersistOptions::new(&dir), Arc::clone(&faults)).expect("open");
+        let screener = CpuScreener::new(Variant::Grid, config).unwrap();
+        let mut state = ServiceState::recover(screener, persister, &recovery).expect("recover");
+        let wal = || {
+            crate::wal::read_wal(&dir.join(crate::persist::WAL_FILE))
+                .unwrap()
+                .records
+        };
+        for id in 0..12u64 {
+            let elements = spec(
+                7_000.0 + id as f64 * 3.0,
+                0.4 + (id % 5) as f64 * 0.3,
+                id as f64 * 0.37,
+            );
+            assert!(state.handle(&Request::Add { id, elements }).ok);
+        }
+        assert!(state.handle(&Request::Screen).ok);
+        let update = Request::Update {
+            id: 3,
+            elements: spec(7_009.5, 1.6, 2.0),
+        };
+        assert!(state.handle(&update).ok);
+        let before = maintained(&state);
+        let records = wal().len();
+
+        // The SCREEN's commit hits the failed append, the DELTA the
+        // degraded state: both are answered from the computation, flagged
+        // `ephemeral`, and leave the maintained set, the counters and the
+        // log as they were.
+        faults.arm_wal_append_eio();
+        for request in [Request::Screen, Request::Delta] {
+            let r = state.handle(&request);
+            assert!(r.ok, "{request:?}: {:?}", r.error);
+            let summary = r.screen.expect("screen summary");
+            assert!(summary.ephemeral && !summary.stale, "{request:?}");
+            assert_eq!(summary.n_satellites, 12);
+            assert_eq!(maintained(&state), before, "{request:?} was adopted");
+            assert_eq!(wal().len(), records, "{request:?} was logged");
+        }
+        assert_eq!(state.status().mode, "degraded");
+        assert_eq!(state.status().pending_changes, 1);
+
+        // ADVANCE must mutate the catalog to mean anything: refused.
+        let (time, window) = (state.catalog().time(), state.status().window);
+        let r = state.handle(&Request::Advance { dt: 30.0 });
+        assert!(!r.ok && r.not_applied, "{r:?}");
+        assert!(r.error.unwrap().contains("degraded (read-only)"));
+        assert_eq!(state.catalog().time(), time);
+        assert_eq!(state.status().window, window);
+        assert_eq!(wal().len(), records);
+
+        // Back to normal, a SCREEN is adopted and logged once.
+        state.end_degraded().expect("emergency checkpoint");
+        let records = wal().len();
+        let r = state.handle(&Request::Screen);
+        assert!(r.ok && !r.screen.unwrap().ephemeral);
+        assert_eq!(state.engine().full_screens(), before.1 + 1);
+        assert_eq!(state.status().pending_changes, 0);
+        let log = wal();
+        assert_eq!(log.len(), records + 1);
+        assert_eq!(log.last().map(|(_, r)| r), Some(&Request::Screen));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1695,7 +1819,7 @@ mod tests {
         }
         // Capture a job, then let the catalog move on and adopt a newer
         // screen before the old job commits.
-        let old_job = state.capture_screen_job(ScreenKind::Full);
+        let old_job = state.begin(&Request::Screen).unwrap();
         let old_output = run_screen_job(&old_job, None).unwrap();
         state.handle(&Request::Update {
             id: 3,
@@ -1705,7 +1829,7 @@ mod tests {
         let adopted = state.engine().conjunctions();
         let adopted_epoch = state.catalog().epoch();
 
-        let r = state.commit_screen_job(&old_job, old_output);
+        let r = state.commit(&old_job, old_output).response;
         let summary = r.screen.unwrap();
         assert!(summary.stale, "older-epoch result must be flagged stale");
         assert_eq!(summary.epoch, old_job.epoch());
@@ -1728,12 +1852,12 @@ mod tests {
                 elements: spec(7_000.0 + i as f64 * 0.5, 0.9, i as f64 * 0.01),
             });
         }
-        let job = state.capture_screen_job(ScreenKind::Full);
+        let job = state.begin(&Request::Screen).unwrap();
         let output = run_screen_job(&job, None).unwrap();
         assert!(state.handle(&Request::Remove { id: 4 }).ok);
         let new_len = state.catalog().len() as u32;
 
-        let r = state.commit_screen_job(&job, output);
+        let r = state.commit(&job, output).response;
         assert!(r.ok && !r.screen.unwrap().stale);
         for c in state.engine().conjunctions() {
             assert!(
@@ -1755,7 +1879,7 @@ mod tests {
                 elements: spec(7_000.0 + i as f64 * 5.0, 0.4 + i as f64 * 0.2, i as f64),
             });
         }
-        let job = state.capture_screen_job(ScreenKind::Advance { dt: 30.0 });
+        let job = state.begin(&Request::Advance { dt: 30.0 }).unwrap();
         let output = run_screen_job(&job, None).unwrap();
         state.handle(&Request::Update {
             id: 2,
@@ -1764,7 +1888,7 @@ mod tests {
         let time_before = state.catalog().time();
         let window_before = state.status().window;
 
-        let r = state.commit_screen_job(&job, output);
+        let r = state.commit(&job, output).response;
         assert!(!r.ok);
         assert!(
             r.error.unwrap().contains("advance raced"),

@@ -17,7 +17,7 @@ use kessler_service::proto::{ElementsSpec, StatusInfo};
 use kessler_service::MetricsSnapshot;
 use kessler_service::{
     request, Client, FaultPlan, PersistOptions, Request, Response, Server, ServerHandle,
-    ServerOptions,
+    ServerOptions, ShardSpec,
 };
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -52,8 +52,14 @@ fn config() -> ScreeningConfig {
 }
 
 /// A persistent daemon with injectable storage faults and a fast probe,
-/// so degraded→normal recovery happens within test timescales.
-fn serve_chaos(dir: &Path, snapshot_every: u64, faults: Arc<FaultPlan>) -> ServerHandle {
+/// so degraded→normal recovery happens within test timescales, under the
+/// shard layout `shards` (`None`: the 1×1 one).
+fn serve_chaos(
+    dir: &Path,
+    snapshot_every: u64,
+    faults: Arc<FaultPlan>,
+    shards: Option<ShardSpec>,
+) -> ServerHandle {
     let options = ServerOptions {
         persist: Some(PersistOptions {
             dir: dir.to_path_buf(),
@@ -61,6 +67,7 @@ fn serve_chaos(dir: &Path, snapshot_every: u64, faults: Arc<FaultPlan>) -> Serve
             shards: None,
         }),
         faults,
+        shards,
         probe_initial: Duration::from_millis(20),
         probe_max: Duration::from_millis(200),
         ..ServerOptions::default()
@@ -174,7 +181,7 @@ fn debris_cloud(fragments: usize) -> Vec<ElementsSpec> {
 fn failed_append_rolls_back_and_the_daemon_self_heals() {
     let dir = temp_dir("append-eio");
     let faults = Arc::new(FaultPlan::default());
-    let chaos = serve_chaos(&dir, 1_000, Arc::clone(&faults));
+    let chaos = serve_chaos(&dir, 1_000, Arc::clone(&faults), None);
     let mut client = Client::connect(chaos.addr()).expect("connect");
 
     let mut acked: Vec<Request> = Vec::new();
@@ -221,7 +228,7 @@ fn failed_append_rolls_back_and_the_daemon_self_heals() {
     chaos.shutdown();
 
     // Restart from disk; control replays only the acknowledged script.
-    let reborn = serve_chaos(&dir, 1_000, Arc::new(FaultPlan::default()));
+    let reborn = serve_chaos(&dir, 1_000, Arc::new(FaultPlan::default()), None);
     let control = serve_control();
     drive(control.addr(), &acked);
 
@@ -247,11 +254,19 @@ fn failed_append_rolls_back_and_the_daemon_self_heals() {
 /// keep serving STATUS/METRICS and ephemeral screens, back off and
 /// re-probe, recover when the disk returns, finish the ingest, and after
 /// a kill → restart be indistinguishable from an uninterrupted control.
+/// Under the 1×1 layout and the default sharded one, whose degraded
+/// screen must keep its per-shard figures.
 #[test]
 fn sticky_outage_degrades_serves_reads_and_recovers() {
+    for shards in [None, Some(ShardSpec::default())] {
+        sticky_outage(shards);
+    }
+}
+
+fn sticky_outage(shards: Option<ShardSpec>) {
     let dir = temp_dir("sticky");
     let faults = Arc::new(FaultPlan::default());
-    let chaos = serve_chaos(&dir, 25, Arc::clone(&faults));
+    let chaos = serve_chaos(&dir, 25, Arc::clone(&faults), shards);
     let control = serve_control();
     let mut chaos_client = Client::connect(chaos.addr()).expect("connect chaos");
     let mut control_client = Client::connect(control.addr()).expect("connect control");
@@ -297,12 +312,25 @@ fn sticky_outage_degrades_serves_reads_and_recovers() {
     assert_eq!(status_of(chaos.addr()).mode, "degraded");
 
     // Reads still work: SCREEN is computed and served, but marked
-    // ephemeral — it must not enter the replayable history.
+    // ephemeral — it must not enter the replayable history. A sharded one
+    // still reports its shards, and METRICS still records their steps.
+    let shard_steps = || -> u64 {
+        let metrics = metrics_of(chaos.addr());
+        metrics.shard_full_step_us.values().map(|h| h.count).sum()
+    };
+    let steps_before = shard_steps();
     let screen = chaos_client.send(&Request::Screen).expect("SCREEN");
     assert!(screen.ok, "{:?}", screen.error);
     let summary = screen.screen.expect("screen summary");
     assert!(summary.ephemeral, "degraded screen must be ephemeral");
     assert_eq!(summary.n_satellites, 60);
+    assert_eq!(summary.shards.is_some(), shards.is_some(), "{shards:?}");
+    let steps_after = shard_steps();
+    if shards.is_some() {
+        assert!(steps_after > steps_before, "{steps_before} → {steps_after}");
+    } else {
+        assert_eq!(steps_after, 0);
+    }
 
     // ADVANCE would have to mutate the catalog: rejected outright.
     let advance = chaos_client
@@ -367,7 +395,7 @@ fn sticky_outage_degrades_serves_reads_and_recovers() {
     // Kill → restart: the outage must be invisible in the recovered state.
     let pre_kill = status_of(chaos.addr());
     chaos.shutdown();
-    let reborn = serve_chaos(&dir, 25, Arc::new(FaultPlan::default()));
+    let reborn = serve_chaos(&dir, 25, Arc::new(FaultPlan::default()), shards);
     let reborn_status = status_of(reborn.addr());
     assert_eq!(durable_key(&reborn_status), durable_key(&pre_kill));
     assert_eq!(
@@ -406,7 +434,7 @@ fn sticky_outage_degrades_serves_reads_and_recovers() {
 fn snapshot_failure_keeps_the_ack_and_retries_next_mutation() {
     let dir = temp_dir("snapfail");
     let faults = Arc::new(FaultPlan::default());
-    let chaos = serve_chaos(&dir, 4, Arc::clone(&faults));
+    let chaos = serve_chaos(&dir, 4, Arc::clone(&faults), None);
     let mut client = Client::connect(chaos.addr()).expect("connect");
 
     for id in 0..3u64 {
@@ -466,7 +494,7 @@ fn snapshot_failure_keeps_the_ack_and_retries_next_mutation() {
 fn enospc_is_reported_and_transient() {
     let dir = temp_dir("enospc");
     let faults = Arc::new(FaultPlan::default());
-    let chaos = serve_chaos(&dir, 1_000, Arc::clone(&faults));
+    let chaos = serve_chaos(&dir, 1_000, Arc::clone(&faults), None);
     let mut client = Client::connect(chaos.addr()).expect("connect");
     assert!(
         client
@@ -518,7 +546,7 @@ fn enospc_is_reported_and_transient() {
 fn fsync_failure_leaves_no_phantom_record_across_restart() {
     let dir = temp_dir("fsync");
     let faults = Arc::new(FaultPlan::default());
-    let chaos = serve_chaos(&dir, 1_000, Arc::clone(&faults));
+    let chaos = serve_chaos(&dir, 1_000, Arc::clone(&faults), None);
     let mut client = Client::connect(chaos.addr()).expect("connect");
 
     let acked: Vec<Request> = (0..5u64)
@@ -543,7 +571,7 @@ fn fsync_failure_leaves_no_phantom_record_across_restart() {
     // Kill immediately — recovery may or may not have run; either way the
     // failed record's bytes must not replay.
     chaos.shutdown();
-    let reborn = serve_chaos(&dir, 1_000, Arc::new(FaultPlan::default()));
+    let reborn = serve_chaos(&dir, 1_000, Arc::new(FaultPlan::default()), None);
     let control = serve_control();
     drive(control.addr(), &acked);
     assert_eq!(

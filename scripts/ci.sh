@@ -41,17 +41,24 @@ KESSLER_SERVE_PID=$!
 trap 'kill "$KESSLER_SERVE_PID" 2>/dev/null || true; rm -rf "$KESSLER_STATE_DIR"' EXIT
 RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 --retries 8 --req-id ci-ready
 RUST_BACKTRACE=1 ./target/release/kessler submit subscribe --all --smoke --addr 127.0.0.1:7912
+# A SCREEN and an ADVANCE: 32 ADDs are far below the snapshot cadence, so
+# both records stay in the WAL tail the restart below replays.
+RUST_BACKTRACE=1 ./target/release/kessler submit screen --addr 127.0.0.1:7912
+RUST_BACKTRACE=1 ./target/release/kessler submit advance --dt 30 --addr 127.0.0.1:7912
 RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912
 wait "$KESSLER_SERVE_PID"
 
 # The same state directory, served again: startup replays the WAL the first
-# daemon left and must come back with its catalog.
-echo "==> kessler serve restarts on its state directory and recovers the catalog"
+# daemon left, screen records included, and must come back with its
+# catalog, its adopted screen and its advanced window.
+echo "==> kessler serve restarts on its state directory and recovers the catalog, screen and window"
 ./target/release/kessler serve --addr 127.0.0.1:7912 --n 32 --state-dir "$KESSLER_STATE_DIR" &
 KESSLER_SERVE_PID=$!
 status="$(RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 --retries 8)"
-if ! grep -q '"recovered": true' <<<"$status" || ! grep -q '"n_satellites": 32,' <<<"$status"; then
-    echo "restarted daemon did not recover its 32 satellites: $status" >&2
+compact="$(tr -d ' \n' <<<"$status")"
+if ! grep -q '"recovered":true' <<<"$compact" || ! grep -q '"n_satellites":32,' <<<"$compact" \
+    || ! grep -q '"full_screens":1,' <<<"$compact" || ! grep -q '"window":\[30\.0,' <<<"$compact"; then
+    echo "restarted daemon did not recover its 32 satellites, 1 full screen and window at 30 s: $status" >&2
     exit 1
 fi
 RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912
