@@ -1,6 +1,6 @@
 //! Simulated device with explicit memory management and transfers.
 
-use crate::metrics::MetricsInner;
+use crate::metrics::DeviceMetrics;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -33,13 +33,13 @@ impl std::error::Error for DeviceError {}
 pub(crate) struct DeviceInner {
     pub(crate) memory_budget: usize,
     pub(crate) allocated: AtomicUsize,
-    metrics: Mutex<MetricsInner>,
+    metrics: Mutex<DeviceMetrics>,
 }
 
 impl DeviceInner {
     /// The counters. Every update leaves them valid at each step, so a lock
     /// a panicking thread held is still good: poison is not an error here.
-    pub(crate) fn metrics(&self) -> MutexGuard<'_, MetricsInner> {
+    pub(crate) fn metrics(&self) -> MutexGuard<'_, DeviceMetrics> {
         self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -62,7 +62,7 @@ impl Device {
             inner: Arc::new(DeviceInner {
                 memory_budget: bytes,
                 allocated: AtomicUsize::new(0),
-                metrics: Mutex::new(MetricsInner::default()),
+                metrics: Mutex::default(),
             }),
         }
     }
@@ -83,13 +83,16 @@ impl Device {
     }
 
     /// Snapshot the accumulated metrics.
-    pub fn metrics(&self) -> crate::metrics::DeviceMetrics {
-        self.inner.metrics().snapshot(self.allocated())
+    pub fn metrics(&self) -> DeviceMetrics {
+        DeviceMetrics {
+            allocated_bytes: self.allocated() as u64,
+            ..self.inner.metrics().clone()
+        }
     }
 
     /// Reset the metrics counters (not the allocations).
     pub fn reset_metrics(&self) {
-        *self.inner.metrics() = MetricsInner::default();
+        *self.inner.metrics() = DeviceMetrics::default();
     }
 
     pub(crate) fn try_reserve(&self, bytes: usize) -> Result<(), DeviceError> {

@@ -1,35 +1,15 @@
 //! Device metrics: kernel launches, thread counts, transfer volumes and
-//! per-kernel wall time.
+//! per-kernel wall time, kept in the one [`DeviceMetrics`] shape the device
+//! accumulates and reports.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Mutable accumulator behind the device mutex.
-#[derive(Debug, Default)]
-pub(crate) struct MetricsInner {
-    pub(crate) kernel_launches: u64,
-    pub(crate) threads_executed: u64,
-    pub(crate) bytes_h2d: u64,
-    pub(crate) bytes_d2h: u64,
-    pub(crate) kernel_time: BTreeMap<String, Duration>,
-}
-
-impl MetricsInner {
-    pub(crate) fn snapshot(&self, allocated: usize) -> DeviceMetrics {
-        DeviceMetrics {
-            kernel_launches: self.kernel_launches,
-            threads_executed: self.threads_executed,
-            bytes_h2d: self.bytes_h2d,
-            bytes_d2h: self.bytes_d2h,
-            allocated_bytes: allocated as u64,
-            kernel_time: self.kernel_time.clone(),
-        }
-    }
-}
-
-/// Immutable snapshot of a device's counters.
-#[derive(Debug, Clone, Serialize)]
+/// A device's counters: accumulated in place behind the device mutex, and
+/// handed out as a clone by [`crate::Device::metrics`], which fills in
+/// `allocated_bytes` from the live allocation count.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct DeviceMetrics {
     pub kernel_launches: u64,
     pub threads_executed: u64,
@@ -68,14 +48,11 @@ mod tests {
 
     #[test]
     fn time_fraction_partitions() {
-        let mut inner = MetricsInner::default();
-        inner
-            .kernel_time
+        let mut snap = DeviceMetrics::default();
+        snap.kernel_time
             .insert("insert".into(), Duration::from_millis(30));
-        inner
-            .kernel_time
+        snap.kernel_time
             .insert("detect".into(), Duration::from_millis(70));
-        let snap = inner.snapshot(0);
         assert!((snap.time_fraction("insert") - 0.3).abs() < 1e-9);
         assert!((snap.time_fraction("detect") - 0.7).abs() < 1e-9);
         assert_eq!(snap.time_fraction("absent"), 0.0);
@@ -84,7 +61,10 @@ mod tests {
 
     #[test]
     fn empty_metrics_are_zero() {
-        let snap = MetricsInner::default().snapshot(42);
+        let snap = DeviceMetrics {
+            allocated_bytes: 42,
+            ..DeviceMetrics::default()
+        };
         assert_eq!(snap.kernel_launches, 0);
         assert_eq!(snap.allocated_bytes, 42);
         assert_eq!(snap.time_fraction("x"), 0.0);

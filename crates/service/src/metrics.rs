@@ -1,14 +1,21 @@
 //! Rolling service metrics: per-phase screening histograms, durability
 //! latencies, request/error counters, queue pressure.
 //!
-//! The daemon previously surfaced only the *last* screen's
-//! [`PhaseTimings`] via STATUS; this registry keeps the full distribution
-//! (p50/p90/p99 over every screen since startup) per phase, tracked
-//! separately for full and delta screens — the operational counterpart of
-//! the paper's §V-C.1 per-phase breakdowns. It also times every WAL fsync
-//! and snapshot write, counts requests and errors per command, and records
-//! screening-queue pressure and worker respawns. A [`MetricsSnapshot`] is
-//! served verbatim by the `METRICS` protocol verb.
+//! STATUS carries only the *last* screen's [`PhaseTimings`]; this registry
+//! keeps the full distribution (p50/p90/p99 over every screen since
+//! startup) per phase, separately for full and delta screens — the
+//! operational counterpart of the paper's §V-C.1 per-phase breakdowns. It
+//! also times every WAL fsync and every checkpoint (`ServiceState::checkpoint`
+//! records each one, the one folding a replayed WAL tail in at startup
+//! included), counts answers and errors per command, and records
+//! screening-queue pressure and worker respawns.
+//!
+//! The registry stores its counters as served: they live in a
+//! [`MetricsSnapshot`], which [`MetricsRegistry::snapshot`] completes with
+//! the histograms' digests for the `METRICS` verb. Each answer is counted
+//! once, where it leaves for its connection: the event loop for an inline
+//! answer, the worker's owed-response guard for a worker's answer, and
+//! `Server::preload` for its ADDs.
 
 use crate::persist::Written;
 use kessler_core::metrics::{Histogram, HistogramSummary, PhaseSeries, PhaseSummaries};
@@ -29,76 +36,45 @@ pub struct RequestCounter {
 }
 
 /// In-memory rolling metrics; lives behind the server's metrics mutex.
+/// The code that counts writes the counters straight into `served`; the
+/// distributions live beside it and [`MetricsRegistry::snapshot`] digests
+/// them.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
+    /// Every counter, in the shape METRICS serves it. Its digest fields
+    /// stay empty, and `subscribers` stays 0: the daemon layer fills it in.
+    pub(crate) served: MetricsSnapshot,
     /// Phase distributions over cold full screens (SCREEN and cold DELTA).
-    full: PhaseSeries,
+    pub(crate) full: PhaseSeries,
     /// Phase distributions over warm delta screens.
-    delta: PhaseSeries,
+    pub(crate) delta: PhaseSeries,
     /// Tail-screen distributions from ADVANCE window slides.
-    advance: PhaseSeries,
+    pub(crate) advance: PhaseSeries,
     /// WAL append (write + flush + fsync) latency, µs.
-    wal_fsync: Histogram,
+    pub(crate) wal_fsync: Histogram,
     /// Snapshot write + rotate + WAL-compaction duration, µs.
-    snapshot_write: Histogram,
+    pub(crate) snapshot_write: Histogram,
     /// Snapshot sizes on disk, bytes.
-    snapshot_bytes: Histogram,
-    /// Snapshot-capture (catalog snapshot + warm-set handle) duration, µs.
-    snapshot_build: Histogram,
+    pub(crate) snapshot_bytes: Histogram,
+    /// Screening-job capture under the state lock, µs — the price every
+    /// enqueue pays, which the copy-on-write snapshots keep near zero.
+    pub(crate) snapshot_build: Histogram,
     /// Per-worker screening-job wall times, µs, keyed by worker name.
-    worker_jobs: BTreeMap<String, Histogram>,
-    /// Per-command ok/error counts.
-    requests: BTreeMap<String, RequestCounter>,
-    /// Deepest the screening queue has been.
-    queue_highwater: usize,
-    /// Times the supervisor respawned a dead screening worker.
-    worker_respawns: u64,
-    /// Jobs cancelled via CANCEL (queued or mid-screen).
-    jobs_cancelled: u64,
-    /// WAL appends that failed (each one rejects a mutation).
-    wal_append_failures: u64,
-    /// Snapshot writes that failed (retried on the next mutation).
-    snapshot_failures: u64,
-    /// Transitions into degraded (read-only) mode.
-    degraded_entries: u64,
-    /// Recoveries back to normal mode (emergency snapshot succeeded).
-    degraded_recoveries: u64,
-    /// Persistence probes that failed while degraded.
-    probe_failures: u64,
-    /// Running totals over every hybrid screen's filter-chain counters;
-    /// `None` until the first hybrid screen.
-    filter_chain: Option<FilterStatsSnapshot>,
+    pub(crate) worker_jobs: BTreeMap<String, Histogram>,
     /// Per-shard extraction-step latencies over sharded full screens, µs,
     /// keyed by shard id. Only shards that held satellites appear.
-    shard_full: BTreeMap<u32, Histogram>,
+    pub(crate) shard_full: BTreeMap<u32, Histogram>,
     /// Same, over sharded delta screens.
-    shard_delta: BTreeMap<u32, Histogram>,
+    pub(crate) shard_delta: BTreeMap<u32, Histogram>,
     /// Chunks rewritten by each successful snapshot write under a
     /// multi-shard layout — how incremental the snapshots actually are.
-    dirty_shards: Histogram,
-    /// Candidate entries whose neighbour lives in another shard (pairs
-    /// that only exist because of boundary mirroring).
-    boundary_entries: u64,
-    /// Grid inserts beyond one-per-satellite: boundary mirrors copied
-    /// into neighbouring shards' grids.
-    mirrored_inserts: u64,
-    /// Conjunction push events queued to subscriber connections.
-    events_pushed: u64,
-    /// Push events shed because a subscriber's write buffer sat at the
-    /// high-water mark (or the connection vanished mid-publish).
-    events_dropped: u64,
-    /// Connections dropped for letting responses pile past the hard cap.
-    slow_consumer_disconnects: u64,
+    pub(crate) dirty_shards: Histogram,
     /// Per-connection write-buffer high-water marks, bytes, recorded as
     /// each connection closes.
-    write_buffer_peak: Histogram,
+    pub(crate) write_buffer_peak: Histogram,
 }
 
 impl MetricsRegistry {
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
     /// Record one screen's phase breakdown under its report variant
     /// (`"grid-delta"`/`"hybrid-delta"` → delta series, anything else →
     /// full series).
@@ -113,12 +89,7 @@ impl MetricsRegistry {
     /// Fold one hybrid screen's filter-chain counters into the running
     /// totals.
     pub fn record_filter_chain(&mut self, stats: &FilterStatsSnapshot) {
-        self.filter_chain = Some(self.filter_chain.unwrap_or_default() + *stats);
-    }
-
-    /// Record the tail screen an ADVANCE ran while sliding the window.
-    pub fn record_advance_tail(&mut self, timings: &PhaseTimings) {
-        self.advance.record(timings);
+        self.served.filter_chain = Some(self.served.filter_chain.unwrap_or_default() + *stats);
     }
 
     /// Fold one sharded screen's per-shard extraction stats into the
@@ -136,12 +107,8 @@ impl MetricsRegistry {
             }
             series.entry(shard as u32).or_default().merge(hist);
         }
-        self.boundary_entries += stats.boundary_entries;
-        self.mirrored_inserts += stats.mirrored_inserts;
-    }
-
-    pub fn record_wal_fsync(&mut self, elapsed: Duration) {
-        self.wal_fsync.record_duration(elapsed);
+        self.served.boundary_entries += stats.boundary_entries;
+        self.served.mirrored_inserts += stats.mirrored_inserts;
     }
 
     /// Record one successful checkpoint from what the persister reports
@@ -156,24 +123,9 @@ impl MetricsRegistry {
         }
     }
 
-    /// Time spent capturing a screening job under the state lock — the
-    /// price every enqueue pays, and the cost the copy-on-write snapshot
-    /// design is supposed to keep near zero.
-    pub fn record_snapshot_build(&mut self, elapsed: Duration) {
-        self.snapshot_build.record_duration(elapsed);
-    }
-
-    /// One screening job's wall time on the named worker.
-    pub fn record_worker_job(&mut self, worker: &str, elapsed: Duration) {
-        self.worker_jobs
-            .entry(worker.to_string())
-            .or_default()
-            .record_duration(elapsed);
-    }
-
-    /// Count one request by command word.
+    /// Count one answered request by command word.
     pub fn count_request(&mut self, kind: &str, ok: bool) {
-        let counter = self.requests.entry(kind.to_string()).or_default();
+        let counter = self.served.requests.entry(kind.to_string()).or_default();
         if ok {
             counter.ok += 1;
         } else {
@@ -181,129 +133,41 @@ impl MetricsRegistry {
         }
     }
 
-    /// Note the screening-queue depth observed after an enqueue.
-    pub fn note_queue_depth(&mut self, depth: usize) {
-        self.queue_highwater = self.queue_highwater.max(depth);
-    }
-
-    pub fn note_respawn(&mut self) {
-        self.worker_respawns += 1;
-    }
-
-    pub fn worker_respawns(&self) -> u64 {
-        self.worker_respawns
-    }
-
-    /// Count one cancelled screening job (queued or mid-screen).
-    pub fn note_cancelled(&mut self) {
-        self.jobs_cancelled += 1;
-    }
-
-    pub fn jobs_cancelled(&self) -> u64 {
-        self.jobs_cancelled
-    }
-
-    /// Count one failed WAL append (the mutation it carried was rejected).
-    pub fn note_wal_append_failure(&mut self) {
-        self.wal_append_failures += 1;
-    }
-
-    /// Count one failed snapshot write.
-    pub fn note_snapshot_failure(&mut self) {
-        self.snapshot_failures += 1;
-    }
-
-    /// Count one transition into degraded (read-only) mode.
-    pub fn note_degraded_entry(&mut self) {
-        self.degraded_entries += 1;
-    }
-
-    /// Count one recovery back to normal mode.
-    pub fn note_degraded_recovery(&mut self) {
-        self.degraded_recoveries += 1;
-    }
-
-    /// Count one failed persistence probe while degraded.
-    pub fn note_probe_failure(&mut self) {
-        self.probe_failures += 1;
-    }
-
-    /// Count push events queued to subscriber connections.
-    pub fn note_events_pushed(&mut self, n: u64) {
-        self.events_pushed += n;
-    }
-
-    /// Count push events shed under backpressure.
-    pub fn note_events_dropped(&mut self, n: u64) {
-        self.events_dropped += n;
-    }
-
-    /// Count one connection dropped for consuming responses too slowly.
-    pub fn note_slow_consumer_disconnect(&mut self) {
-        self.slow_consumer_disconnects += 1;
-    }
-
-    /// Record a closing connection's write-buffer high-water mark.
-    pub fn record_write_buffer_peak(&mut self, bytes: u64) {
-        self.write_buffer_peak.record(bytes);
-    }
-
-    /// Point-in-time JSON-ready digest (the METRICS payload).
+    /// Point-in-time JSON-ready digest (the METRICS payload): the
+    /// distributions digested, everything else as stored.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let digest = |h: &Histogram, scale: f64| (!h.is_empty()).then(|| h.summary(scale));
+        let per_shard = |series: &BTreeMap<u32, Histogram>| {
+            series
+                .iter()
+                .map(|(shard, h)| (*shard, h.summary(1.0)))
+                .collect()
+        };
         MetricsSnapshot {
             full_screens: (!self.full.is_empty()).then(|| self.full.summaries()),
             delta_screens: (!self.delta.is_empty()).then(|| self.delta.summaries()),
             advance_tails: (!self.advance.is_empty()).then(|| self.advance.summaries()),
-            wal_fsync_ms: (!self.wal_fsync.is_empty()).then(|| self.wal_fsync.summary(US_TO_MS)),
-            snapshot_write_ms: (!self.snapshot_write.is_empty())
-                .then(|| self.snapshot_write.summary(US_TO_MS)),
-            snapshot_bytes: (!self.snapshot_bytes.is_empty())
-                .then(|| self.snapshot_bytes.summary(1.0)),
-            snapshot_build_ms: (!self.snapshot_build.is_empty())
-                .then(|| self.snapshot_build.summary(US_TO_MS)),
+            wal_fsync_ms: digest(&self.wal_fsync, US_TO_MS),
+            snapshot_write_ms: digest(&self.snapshot_write, US_TO_MS),
+            snapshot_bytes: digest(&self.snapshot_bytes, 1.0),
+            snapshot_build_ms: digest(&self.snapshot_build, US_TO_MS),
             worker_screen_ms: self
                 .worker_jobs
                 .iter()
                 .filter(|(_, h)| !h.is_empty())
                 .map(|(name, h)| (name.clone(), h.summary(US_TO_MS)))
                 .collect(),
-            requests: self.requests.clone(),
-            queue_highwater: self.queue_highwater,
-            worker_respawns: self.worker_respawns,
-            jobs_cancelled: self.jobs_cancelled,
-            wal_append_failures: self.wal_append_failures,
-            snapshot_failures: self.snapshot_failures,
-            degraded_entries: self.degraded_entries,
-            degraded_recoveries: self.degraded_recoveries,
-            probe_failures: self.probe_failures,
-            filter_chain: self.filter_chain,
-            shard_full_step_us: self
-                .shard_full
-                .iter()
-                .map(|(shard, h)| (*shard, h.summary(1.0)))
-                .collect(),
-            shard_delta_step_us: self
-                .shard_delta
-                .iter()
-                .map(|(shard, h)| (*shard, h.summary(1.0)))
-                .collect(),
-            dirty_shards_per_snapshot: (!self.dirty_shards.is_empty())
-                .then(|| self.dirty_shards.summary(1.0)),
-            boundary_entries: self.boundary_entries,
-            mirrored_inserts: self.mirrored_inserts,
-            // A registry only counts; the daemon layer overwrites this
-            // with the live subscription count when serving METRICS.
-            subscribers: 0,
-            events_pushed: self.events_pushed,
-            events_dropped: self.events_dropped,
-            slow_consumer_disconnects: self.slow_consumer_disconnects,
-            write_buffer_peak_bytes: (!self.write_buffer_peak.is_empty())
-                .then(|| self.write_buffer_peak.summary(1.0)),
+            shard_full_step_us: per_shard(&self.shard_full),
+            shard_delta_step_us: per_shard(&self.shard_delta),
+            dirty_shards_per_snapshot: digest(&self.dirty_shards, 1.0),
+            write_buffer_peak_bytes: digest(&self.write_buffer_peak, 1.0),
+            ..self.served.clone()
         }
     }
 
     /// One-line digest for STATUS and the periodic `--metrics-every` log.
     pub fn one_line(&self) -> String {
+        let served = &self.served;
         let mut parts: Vec<String> = Vec::new();
         if !self.full.is_empty() {
             parts.push(format!(
@@ -337,35 +201,35 @@ impl MetricsRegistry {
             parts.push(format!(
                 "shards {} occupied, boundary {}, mirrored {}",
                 occupied.len(),
-                self.boundary_entries,
-                self.mirrored_inserts
+                served.boundary_entries,
+                served.mirrored_inserts
             ));
         }
         if parts.is_empty() {
             parts.push("no screens yet".to_string());
         }
-        let errors: u64 = self.requests.values().map(|c| c.errors).sum();
+        let errors: u64 = served.requests.values().map(|c| c.errors).sum();
         parts.push(format!(
             "queue hw {}, respawns {}, cancelled {}, errors {}",
-            self.queue_highwater, self.worker_respawns, self.jobs_cancelled, errors
+            served.queue_highwater, served.worker_respawns, served.jobs_cancelled, errors
         ));
         // Push traffic only shows up once someone subscribed, keeping the
         // request/response-only digest unchanged.
-        if self.events_pushed + self.events_dropped + self.slow_consumer_disconnects > 0 {
+        if served.events_pushed + served.events_dropped + served.slow_consumer_disconnects > 0 {
             parts.push(format!(
                 "pushed {}, shed {}, slow-consumer drops {}",
-                self.events_pushed, self.events_dropped, self.slow_consumer_disconnects
+                served.events_pushed, served.events_dropped, served.slow_consumer_disconnects
             ));
         }
         // Persistence trouble is rare; mention it only once it happened so
         // the healthy digest stays short.
-        if self.wal_append_failures + self.snapshot_failures + self.degraded_entries > 0 {
+        if served.wal_append_failures + served.snapshot_failures + served.degraded_entries > 0 {
             parts.push(format!(
                 "wal fails {}, snap fails {}, degraded {}/{} recovered",
-                self.wal_append_failures,
-                self.snapshot_failures,
-                self.degraded_recoveries,
-                self.degraded_entries
+                served.wal_append_failures,
+                served.snapshot_failures,
+                served.degraded_recoveries,
+                served.degraded_entries
             ));
         }
         parts.join("; ")
@@ -480,7 +344,7 @@ mod tests {
 
     #[test]
     fn screens_split_by_variant() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         m.record_screen("grid", &timings(10));
         m.record_screen("grid", &timings(20));
         m.record_screen(DELTA_VARIANT, &timings(2));
@@ -499,7 +363,7 @@ mod tests {
 
     #[test]
     fn filter_chain_counters_accumulate_across_screens() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         assert!(
             m.snapshot().filter_chain.is_none(),
             "grid-only daemons omit it"
@@ -525,16 +389,15 @@ mod tests {
 
     #[test]
     fn counters_and_highwater_accumulate() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         m.count_request("ADD", true);
         m.count_request("ADD", true);
         m.count_request("ADD", false);
-        m.note_queue_depth(1);
-        m.note_queue_depth(5);
-        m.note_queue_depth(2);
-        m.note_respawn();
-        m.note_cancelled();
-        m.note_cancelled();
+        for depth in [1, 5, 2] {
+            m.served.queue_highwater = m.served.queue_highwater.max(depth);
+        }
+        m.served.worker_respawns += 1;
+        m.served.jobs_cancelled += 2;
         let snap = m.snapshot();
         assert_eq!(
             snap.requests.get("ADD"),
@@ -547,11 +410,12 @@ mod tests {
 
     #[test]
     fn worker_and_capture_histograms_key_by_name() {
-        let mut m = MetricsRegistry::new();
-        m.record_snapshot_build(Duration::from_micros(50));
-        m.record_worker_job("worker-0", Duration::from_millis(8));
-        m.record_worker_job("worker-0", Duration::from_millis(12));
-        m.record_worker_job("worker-1", Duration::from_millis(3));
+        let mut m = MetricsRegistry::default();
+        m.snapshot_build.record_duration(Duration::from_micros(50));
+        for (worker, ms) in [("worker-0", 8), ("worker-0", 12), ("worker-1", 3)] {
+            let jobs = m.worker_jobs.entry(worker.to_string()).or_default();
+            jobs.record_duration(Duration::from_millis(ms));
+        }
         let snap = m.snapshot();
         assert_eq!(snap.snapshot_build_ms.unwrap().count, 1);
         assert_eq!(snap.worker_screen_ms.len(), 2);
@@ -564,7 +428,7 @@ mod tests {
     #[test]
     fn shard_stats_merge_by_shard_and_roundtrip() {
         use kessler_core::ShardScreenStats;
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         assert!(m.snapshot().shard_full_step_us.is_empty());
 
         let mut stats = ShardScreenStats::new(4);
@@ -613,9 +477,9 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_through_json() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         m.record_screen("grid", &timings(10));
-        m.record_wal_fsync(Duration::from_micros(800));
+        m.wal_fsync.record_duration(Duration::from_micros(800));
         let written = Written {
             bytes: 12_345,
             chunks: 1,
@@ -635,7 +499,7 @@ mod tests {
 
     #[test]
     fn one_line_mentions_what_exists() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         assert!(m.one_line().contains("no screens yet"));
         m.record_screen("grid", &timings(10));
         m.record_screen(DELTA_VARIANT, &timings(1));
@@ -652,17 +516,17 @@ mod tests {
 
     #[test]
     fn push_counters_accumulate_and_roundtrip() {
-        let mut m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::default();
         assert!(
             !m.one_line().contains("pushed"),
             "request/response-only daemons omit the push part"
         );
-        m.note_events_pushed(5);
-        m.note_events_pushed(2);
-        m.note_events_dropped(1);
-        m.note_slow_consumer_disconnect();
-        m.record_write_buffer_peak(4096);
-        m.record_write_buffer_peak(128);
+        m.served.events_pushed += 5;
+        m.served.events_pushed += 2;
+        m.served.events_dropped += 1;
+        m.served.slow_consumer_disconnects += 1;
+        m.write_buffer_peak.record(4096);
+        m.write_buffer_peak.record(128);
         let snap = m.snapshot();
         assert_eq!(snap.events_pushed, 7);
         assert_eq!(snap.events_dropped, 1);
@@ -690,15 +554,12 @@ mod tests {
 
     #[test]
     fn resilience_counters_accumulate_and_roundtrip() {
-        let mut m = MetricsRegistry::new();
-        m.note_wal_append_failure();
-        m.note_wal_append_failure();
-        m.note_snapshot_failure();
-        m.note_degraded_entry();
-        m.note_probe_failure();
-        m.note_probe_failure();
-        m.note_probe_failure();
-        m.note_degraded_recovery();
+        let mut m = MetricsRegistry::default();
+        m.served.wal_append_failures += 2;
+        m.served.snapshot_failures += 1;
+        m.served.degraded_entries += 1;
+        m.served.probe_failures += 3;
+        m.served.degraded_recoveries += 1;
         let snap = m.snapshot();
         assert_eq!(snap.wal_append_failures, 2);
         assert_eq!(snap.snapshot_failures, 1);
@@ -719,4 +580,60 @@ mod tests {
         assert!(line.contains("snap fails 1"), "{line}");
         assert!(line.contains("degraded 1/1 recovered"), "{line}");
     }
+
+    /// The METRICS wire shape, pinned to the byte: every series, histogram,
+    /// map and counter is touched with fixed values (distinct per counter,
+    /// no clock readings), so a renamed, reordered or un-omitted field
+    /// fails here. The golden string was generated at the commit before the
+    /// registry stored its counters as served.
+    #[test]
+    fn metrics_wire_shape_is_pinned() {
+        use kessler_core::ShardScreenStats;
+        let mut m = MetricsRegistry::default();
+        m.record_screen("grid", &timings(10));
+        m.record_screen(DELTA_VARIANT, &timings(2));
+        m.advance.record(&timings(4));
+        m.record_filter_chain(&FilterStatsSnapshot {
+            tested: 10,
+            excluded_apsis: 4,
+            excluded_path: 2,
+            excluded_time: 1,
+            coplanar: 1,
+            kept: 2,
+        });
+        let mut stats = ShardScreenStats::new(2);
+        stats.step_us[1].record(250);
+        stats.boundary_entries = 3;
+        stats.mirrored_inserts = 5;
+        m.record_shard_screen(false, &stats);
+        m.record_shard_screen(true, &stats);
+        m.wal_fsync.record_duration(Duration::from_micros(800));
+        let written = Written {
+            bytes: 12_345,
+            chunks: 2,
+            shard_count: 4,
+        };
+        m.record_snapshot(Duration::from_millis(4), &written);
+        m.snapshot_build.record_duration(Duration::from_micros(50));
+        let jobs = m.worker_jobs.entry("worker-0".to_string()).or_default();
+        jobs.record_duration(Duration::from_millis(8));
+        m.write_buffer_peak.record(4096);
+        m.count_request("ADD", true);
+        m.count_request("SCREEN", false);
+        let served = &mut m.served;
+        served.queue_highwater = 3;
+        served.worker_respawns = 1;
+        served.jobs_cancelled = 2;
+        served.wal_append_failures = 4;
+        served.snapshot_failures = 5;
+        served.degraded_entries = 6;
+        served.degraded_recoveries = 7;
+        served.probe_failures = 8;
+        served.events_pushed = 9;
+        served.events_dropped = 10;
+        served.slow_consumer_disconnects = 11;
+        assert_eq!(serde_json::to_string(&m.snapshot()).unwrap(), GOLDEN);
+    }
+
+    const GOLDEN: &str = r#"{"full_screens":{"screens":1,"insertion":{"count":1,"min":10.0,"max":10.0,"mean":10.0,"p50":10.0,"p90":10.0,"p99":10.0},"pair_extraction":{"count":1,"min":10.0,"max":10.0,"mean":10.0,"p50":10.0,"p90":10.0,"p99":10.0},"filters":{"count":1,"min":0.0,"max":0.0,"mean":0.0,"p50":0.0,"p90":0.0,"p99":0.0},"refinement":{"count":1,"min":10.0,"max":10.0,"mean":10.0,"p50":10.0,"p90":10.0,"p99":10.0},"total":{"count":1,"min":30.0,"max":30.0,"mean":30.0,"p50":30.0,"p90":30.0,"p99":30.0}},"delta_screens":{"screens":1,"insertion":{"count":1,"min":2.0,"max":2.0,"mean":2.0,"p50":2.0,"p90":2.0,"p99":2.0},"pair_extraction":{"count":1,"min":2.0,"max":2.0,"mean":2.0,"p50":2.0,"p90":2.0,"p99":2.0},"filters":{"count":1,"min":0.0,"max":0.0,"mean":0.0,"p50":0.0,"p90":0.0,"p99":0.0},"refinement":{"count":1,"min":2.0,"max":2.0,"mean":2.0,"p50":2.0,"p90":2.0,"p99":2.0},"total":{"count":1,"min":6.0,"max":6.0,"mean":6.0,"p50":6.0,"p90":6.0,"p99":6.0}},"advance_tails":{"screens":1,"insertion":{"count":1,"min":4.0,"max":4.0,"mean":4.0,"p50":4.0,"p90":4.0,"p99":4.0},"pair_extraction":{"count":1,"min":4.0,"max":4.0,"mean":4.0,"p50":4.0,"p90":4.0,"p99":4.0},"filters":{"count":1,"min":0.0,"max":0.0,"mean":0.0,"p50":0.0,"p90":0.0,"p99":0.0},"refinement":{"count":1,"min":4.0,"max":4.0,"mean":4.0,"p50":4.0,"p90":4.0,"p99":4.0},"total":{"count":1,"min":12.0,"max":12.0,"mean":12.0,"p50":12.0,"p90":12.0,"p99":12.0}},"wal_fsync_ms":{"count":1,"min":0.8,"max":0.8,"mean":0.8,"p50":0.8,"p90":0.8,"p99":0.8},"snapshot_write_ms":{"count":1,"min":4.0,"max":4.0,"mean":4.0,"p50":4.0,"p90":4.0,"p99":4.0},"snapshot_bytes":{"count":1,"min":12345.0,"max":12345.0,"mean":12345.0,"p50":12345.0,"p90":12345.0,"p99":12345.0},"snapshot_build_ms":{"count":1,"min":0.05,"max":0.05,"mean":0.05,"p50":0.05,"p90":0.05,"p99":0.05},"worker_screen_ms":{"worker-0":{"count":1,"min":8.0,"max":8.0,"mean":8.0,"p50":8.0,"p90":8.0,"p99":8.0}},"requests":{"ADD":{"ok":1,"errors":0},"SCREEN":{"ok":0,"errors":1}},"queue_highwater":3,"worker_respawns":1,"jobs_cancelled":2,"wal_append_failures":4,"snapshot_failures":5,"degraded_entries":6,"degraded_recoveries":7,"probe_failures":8,"filter_chain":{"tested":10,"excluded_apsis":4,"excluded_path":2,"excluded_time":1,"coplanar":1,"kept":2},"shard_full_step_us":{"1":{"count":1,"min":250.0,"max":250.0,"mean":250.0,"p50":250.0,"p90":250.0,"p99":250.0}},"shard_delta_step_us":{"1":{"count":1,"min":250.0,"max":250.0,"mean":250.0,"p50":250.0,"p90":250.0,"p99":250.0}},"dirty_shards_per_snapshot":{"count":1,"min":2.0,"max":2.0,"mean":2.0,"p50":2.0,"p90":2.0,"p99":2.0},"boundary_entries":6,"mirrored_inserts":10,"subscribers":0,"events_pushed":9,"events_dropped":10,"slow_consumer_disconnects":11,"write_buffer_peak_bytes":{"count":1,"min":4096.0,"max":4096.0,"mean":4096.0,"p50":4096.0,"p90":4096.0,"p99":4096.0}}"#;
 }

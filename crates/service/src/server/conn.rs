@@ -12,6 +12,11 @@
 //! may complete out of order across pipelined worker-pool verbs — the
 //! `req_id` echo is the correlation key.
 //!
+//! Every inline answer is counted in METRICS by `handle_frame`, as it is
+//! queued for its connection (METRICS itself just before it is answered,
+//! so its payload includes it); a worker's answer is counted by the
+//! worker. Lines that do not parse as a request are not counted.
+//!
 //! Backpressure is a bounded write buffer: push events are shed once a
 //! connection's buffer crosses the high-water mark, and a consumer so
 //! slow that even responses would exceed the mark plus two max-size
@@ -395,6 +400,8 @@ fn handle_frame(shared: &Shared, id: u64, conn: &mut Conn, frame: Frame) {
             match serde_json::from_str::<Envelope>(line) {
                 Err(e) => Response::error(format!("bad request: {e}")),
                 Ok(Envelope { req_id, request }) => {
+                    let verb = request.kind();
+                    let counted_early = matches!(request, Request::Metrics);
                     let mut response = match request {
                         req @ (Request::Screen | Request::Delta | Request::Advance { .. }) => {
                             // Screening runs on the worker pool against an
@@ -409,9 +416,7 @@ fn handle_frame(shared: &Shared, id: u64, conn: &mut Conn, frame: Frame) {
                             }
                         }
                         Request::Cancel { id: job } => {
-                            let hit = shared.registry.cancel(&job);
-                            shared.metrics.lock().count_request("CANCEL", hit);
-                            if hit {
+                            if shared.registry.cancel(&job) {
                                 Response::ack()
                             } else {
                                 Response::error(format!(
@@ -420,27 +425,29 @@ fn handle_frame(shared: &Shared, id: u64, conn: &mut Conn, frame: Frame) {
                             }
                         }
                         Request::Subscribe { assets, all } => {
-                            let outcome =
-                                shared.subs.subscribe(id, req_id.as_deref(), &assets, all);
-                            shared
-                                .metrics
-                                .lock()
-                                .count_request("SUBSCRIBE", outcome.is_ok());
-                            match outcome {
+                            match shared.subs.subscribe(id, req_id.as_deref(), &assets, all) {
                                 Ok(ack) => Response::with_subscription(ack),
                                 Err(e) => Response::error(e),
                             }
                         }
                         Request::Unsubscribe { sub_id } => {
-                            let outcome = shared.subs.unsubscribe(id, sub_id.as_deref());
-                            shared
-                                .metrics
-                                .lock()
-                                .count_request("UNSUBSCRIBE", outcome.is_ok());
-                            match outcome {
+                            match shared.subs.unsubscribe(id, sub_id.as_deref()) {
                                 Ok(ack) => Response::with_subscription(ack),
                                 Err(e) => Response::error(e),
                             }
+                        }
+                        Request::Metrics => {
+                            // Never touches the state lock or the WAL, and
+                            // is counted before it is answered, so its own
+                            // payload includes it. The subscriber gauge is
+                            // read first: subs sits before metrics in the
+                            // lock order.
+                            let subscribers = shared.subs.active();
+                            let mut metrics = shared.metrics.lock();
+                            metrics.count_request(verb, true);
+                            let mut snapshot = metrics.snapshot();
+                            snapshot.subscribers = subscribers;
+                            Response::with_metrics(snapshot)
                         }
                         req => {
                             if matches!(req, Request::Shutdown) {
@@ -449,6 +456,9 @@ fn handle_frame(shared: &Shared, id: u64, conn: &mut Conn, frame: Frame) {
                             handle_and_persist(shared, &req)
                         }
                     };
+                    if !counted_early {
+                        shared.metrics.lock().count_request(verb, response.ok);
+                    }
                     response.req_id = req_id;
                     response
                 }
@@ -470,7 +480,7 @@ fn queue_response(shared: &Shared, conn: &mut Conn, response: &Response) {
 fn queue_response_line(shared: &Shared, conn: &mut Conn, line: &str) {
     let hard_cap = shared.write_highwater + 2 * shared.max_line_bytes;
     if conn.out.pending() + line.len() + 1 > hard_cap {
-        shared.metrics.lock().note_slow_consumer_disconnect();
+        shared.metrics.lock().served.slow_consumer_disconnects += 1;
         conn.dead = true;
         return;
     }
@@ -515,9 +525,9 @@ fn route_io(shared: &Shared, conns: &mut HashMap<u64, Conn>) {
         }
     }
     if pushed > 0 || dropped > 0 {
-        let mut metrics = shared.metrics.lock();
-        metrics.note_events_pushed(pushed);
-        metrics.note_events_dropped(dropped);
+        let served = &mut shared.metrics.lock().served;
+        served.events_pushed += pushed;
+        served.events_dropped += dropped;
     }
 }
 
@@ -527,7 +537,8 @@ fn close_conn(shared: &Shared, conns: &mut HashMap<u64, Conn>, id: u64) {
         shared
             .metrics
             .lock()
-            .record_write_buffer_peak(conn.out.peak() as u64);
+            .write_buffer_peak
+            .record(conn.out.peak() as u64);
     }
 }
 

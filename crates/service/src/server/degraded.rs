@@ -60,7 +60,7 @@ pub(crate) fn persist_probe_loop(shared: &Shared, initial: Duration, max: Durati
             match attempt {
                 Ok(()) => break,
                 Err(err) => {
-                    shared.metrics.lock().note_probe_failure();
+                    shared.metrics.lock().served.probe_failures += 1;
                     delay = backoff.next_delay();
                     eprintln!(
                         "kessler-service: persistence probe failed (retrying in {delay:?}): {err}"

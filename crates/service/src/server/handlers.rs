@@ -5,6 +5,10 @@
 //! [`ServiceState::commit`]; the [`IoHub`] queue that carries worker
 //! completions and subscription pushes back to the event loop; and the
 //! supervised worker pool.
+//!
+//! Nothing here counts an inline answer: the event loop does, as it
+//! queues the answer for its connection. A worker's answer is counted by
+//! the owed-response guard `Reply` as it is handed to the io queue.
 
 use super::degraded::sleep_with_shutdown;
 use super::subs::SubHub;
@@ -130,12 +134,13 @@ pub(crate) struct Shared {
     pub(crate) write_highwater: usize,
 }
 
-/// Push + metrics tail shared by the inline path and the workers.
+/// Push + metrics tail shared by the inline path and the workers: the
+/// push, a screen's or advance's phase timings, STATUS's one-line digest.
 /// `adopted` (computed here) says whether the request changed the state
 /// the WAL describes: it was planned, logged and applied. A refused
 /// or `not_applied` request, and a stale or ephemeral screen result, did
 /// not — they were never logged (WAL order must match commit order) and
-/// owe no push.
+/// owe no push. The answer itself is counted where it leaves.
 pub(crate) fn finish_record(
     shared: &Shared,
     request: &Request,
@@ -164,8 +169,11 @@ pub(crate) fn finish_record(
             .publish(&pairs, state.catalog().ids(), epoch, false);
         shared.io.push_events(msgs);
     }
+    let screened = response.ok && (response.screen.is_some() || response.advance.is_some());
+    if !screened && response.status.is_none() {
+        return response;
+    }
     let mut metrics = shared.metrics.lock();
-    metrics.count_request(request.kind(), response.ok);
     if response.ok {
         if let Some(screen) = &response.screen {
             metrics.record_screen(&screen.variant, &screen.timings);
@@ -177,7 +185,7 @@ pub(crate) fn finish_record(
             // ADVANCE's reply has no timings; the tail screen it ran left
             // them (and, under hybrid, its filter stats) on the engine.
             if let Some(tail) = state.engine.last_screen() {
-                metrics.record_advance_tail(&tail.timings);
+                metrics.advance.record(&tail.timings);
                 if let Some(stats) = &tail.filter_stats {
                     metrics.record_filter_chain(stats);
                 }
@@ -190,22 +198,10 @@ pub(crate) fn finish_record(
     response
 }
 
-/// Execute a non-screening request inline, under the state lock, through
+/// Execute a state request inline, under the state lock, through
 /// [`ServiceState::handle`] (plan → log → apply → checkpoint-if-due), then
-/// the shared push + metrics tail. METRICS short-circuits without ever
-/// touching the state lock.
+/// the shared push + metrics tail.
 pub(crate) fn handle_and_persist(shared: &Shared, request: &Request) -> Response {
-    if matches!(request, Request::Metrics) {
-        // Served entirely at this layer: never touches the state lock,
-        // never enters the WAL. The subscriber gauge is read before the
-        // metrics lock (subs sits earlier in the lock order).
-        let subscribers = shared.subs.active();
-        let mut metrics = shared.metrics.lock();
-        metrics.count_request(request.kind(), true);
-        let mut snapshot = metrics.snapshot();
-        snapshot.subscribers = subscribers;
-        return Response::with_metrics(snapshot);
-    }
     let state = &mut *shared.state.lock();
     let response = state.handle(request);
     finish_record(shared, request, state, response)
@@ -216,7 +212,8 @@ pub(crate) enum Enqueued {
     /// Queued: the response reaches the connection later through the io
     /// queue, tagged with the task's `req_id`.
     Queued,
-    /// Settled immediately (validation error, degraded, busy, shutdown).
+    /// Settled immediately (validation error, degraded, busy, shutdown);
+    /// counted by the caller, like any inline answer.
     /// Boxed: a [`Response`] is two orders of magnitude bigger than the
     /// empty `Queued` arm this enum usually is.
     Done(Box<Response>),
@@ -240,15 +237,9 @@ pub(crate) fn enqueue_screen(
     req_id: Option<String>,
     conn: u64,
 ) -> Enqueued {
-    // Every answer given here instead of by a worker is counted here.
-    let verb = request.kind();
-    let refuse = |response: Response| {
-        shared.metrics.lock().count_request(verb, false);
-        Enqueued::done(response)
-    };
     let (seq, token) = match shared.registry.register(req_id.as_deref()) {
         Ok(registered) => registered,
-        Err(err) => return refuse(Response::error(err.to_string())),
+        Err(err) => return Enqueued::done(Response::error(err.to_string())),
     };
     let capture_started = Instant::now();
     let begun = shared.state.lock().begin(&request);
@@ -256,13 +247,14 @@ pub(crate) fn enqueue_screen(
         Ok(job) => job,
         Err(refusal) => {
             shared.registry.unregister(seq);
-            return refuse(*refusal);
+            return Enqueued::Done(refusal);
         }
     };
     shared
         .metrics
         .lock()
-        .record_snapshot_build(capture_started.elapsed());
+        .snapshot_build
+        .record_duration(capture_started.elapsed());
     let task = ScreenTask {
         request,
         job,
@@ -276,13 +268,14 @@ pub(crate) fn enqueue_screen(
     let depth = shared.queued.fetch_add(1, Ordering::Relaxed) + 1;
     match shared.jobs.try_send(Job::Screen(Box::new(task))) {
         Ok(()) => {
-            shared.metrics.lock().note_queue_depth(depth);
+            let served = &mut shared.metrics.lock().served;
+            served.queue_highwater = served.queue_highwater.max(depth);
             Enqueued::Queued
         }
         Err(refused) => {
             shared.queued.fetch_sub(1, Ordering::Relaxed);
             shared.registry.unregister(seq);
-            refuse(Response::rejected(match refused {
+            Enqueued::done(Response::rejected(match refused {
                 TrySendError::Full(_) => "server busy: screening queue is full, retry later",
                 TrySendError::Disconnected(_) => "server is shutting down",
             }))
@@ -303,8 +296,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Owed-response guard: exactly one response reaches the client's
 /// connection per dequeued task, even if the worker thread dies mid-job
 /// (fault injection, un-caught panic) — the drop handler then answers
-/// with the same "worker unavailable" error the old blocking reply
-/// channel produced when its sender was dropped, and counts it.
+/// with a "worker unavailable" error. Every worker answer is counted
+/// here, once, as it leaves.
 struct Reply<'a> {
     shared: &'a Shared,
     verb: &'static str,
@@ -314,7 +307,13 @@ struct Reply<'a> {
 }
 
 impl Reply<'_> {
-    fn send(mut self, mut response: Response) {
+    /// Count the answer, then queue it for its connection: counted first,
+    /// so a client that reads it and then asks for METRICS finds it there.
+    fn send(&mut self, mut response: Response) {
+        self.shared
+            .metrics
+            .lock()
+            .count_request(self.verb, response.ok);
         response.req_id = self.req_id.take();
         self.shared.io.respond(self.conn, &response);
         self.sent = true;
@@ -324,10 +323,7 @@ impl Reply<'_> {
 impl Drop for Reply<'_> {
     fn drop(&mut self) {
         if !self.sent {
-            self.shared.metrics.lock().count_request(self.verb, false);
-            let mut response = Response::error("screening worker unavailable, retry");
-            response.req_id = self.req_id.take();
-            self.shared.io.respond(self.conn, &response);
+            self.send(Response::error("screening worker unavailable, retry"));
         }
     }
 }
@@ -353,7 +349,7 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: 
                     token,
                     seq,
                 } = *task;
-                let reply = Reply {
+                let mut reply = Reply {
                     shared,
                     verb: request.kind(),
                     conn,
@@ -371,10 +367,7 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: 
                 if token.is_cancelled() {
                     // Cancelled while still queued: never ran.
                     shared.registry.unregister(seq);
-                    let mut metrics = shared.metrics.lock();
-                    metrics.note_cancelled();
-                    metrics.count_request(request.kind(), false);
-                    drop(metrics);
+                    shared.metrics.lock().served.jobs_cancelled += 1;
                     reply.send(Response::error("cancelled while queued"));
                     continue;
                 }
@@ -411,20 +404,20 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: 
                         finish_record(shared, &request, state, committed.response)
                     }
                     Ok(Err(_cancelled)) => {
-                        let mut metrics = shared.metrics.lock();
-                        metrics.note_cancelled();
-                        metrics.count_request(request.kind(), false);
+                        shared.metrics.lock().served.jobs_cancelled += 1;
                         Response::error("cancelled mid-screen at a phase boundary")
                     }
                     Err(payload) => {
-                        shared.metrics.lock().count_request(request.kind(), false);
                         Response::error(format!("screening panicked: {}", panic_message(&*payload)))
                     }
                 };
                 shared
                     .metrics
                     .lock()
-                    .record_worker_job(worker, started.elapsed());
+                    .worker_jobs
+                    .entry(worker.to_string())
+                    .or_default()
+                    .record_duration(started.elapsed());
                 shared.registry.unregister(seq);
                 reply.send(response);
             }
@@ -460,7 +453,7 @@ pub(crate) fn spawn_supervised_worker(
                 Ok(()) => return,
                 Err(_) if shared.shutdown.load(Ordering::SeqCst) => return,
                 Err(_) => {
-                    shared.metrics.lock().note_respawn();
+                    shared.metrics.lock().served.worker_respawns += 1;
                     eprintln!("kessler-service: screening worker died; respawning");
                 }
             }

@@ -94,7 +94,7 @@ use crate::error::{PersistError, ServiceError};
 use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
-use crate::persist::{GlobalState, PersistOptions, Persister, Recovery, Snapshot, Written};
+use crate::persist::{GlobalState, PersistOptions, Persister, Recovery, Snapshot};
 use crate::proto::{
     AdvanceAck, CatalogAck, ElementsSpec, LastScreen, Request, Response, ScreenSummary,
     ShardSummary, StatusInfo,
@@ -313,16 +313,20 @@ impl ServiceState {
     /// cadence and degraded-mode recovery alike: capture the state at the
     /// persister's last seq, write it with the shards dirtied since the
     /// previous checkpoint, and on success start tracking afresh — every
-    /// dirtied shard now has a fresh chunk on disk. Returns what was
-    /// written; a failed write leaves the dirty set as it was. Only called
-    /// with a persister attached.
-    pub(crate) fn checkpoint(&mut self) -> Result<Written, PersistError> {
+    /// dirtied shard now has a fresh chunk on disk — and record the write
+    /// in METRICS. A failed write leaves the dirty set as it was. Only
+    /// called with a persister attached.
+    pub(crate) fn checkpoint(&mut self) -> Result<(), PersistError> {
+        let started = Instant::now();
         let seq = self.persister.as_ref().expect(DURABLE).last_seq();
         let snapshot = self.snapshot(seq);
         let persister = self.persister.as_mut().expect(DURABLE);
         let written = persister.write_snapshot(snapshot, &self.dirty_shards)?;
         self.dirty_shards.clear();
-        Ok(written)
+        self.metrics
+            .lock()
+            .record_snapshot(started.elapsed(), &written);
+        Ok(())
     }
 
     /// The log step, WAL-before-apply: append a planned mutation *before*
@@ -343,15 +347,15 @@ impl ServiceState {
         match persister.append(request) {
             Ok(()) => {
                 let elapsed = append_started.elapsed();
-                self.metrics.lock().record_wal_fsync(elapsed);
+                self.metrics.lock().wal_fsync.record_duration(elapsed);
                 None
             }
             Err(err) => {
                 let reason = format!("wal append failed: {err}");
                 {
-                    let mut metrics = self.metrics.lock();
-                    metrics.note_wal_append_failure();
-                    metrics.note_degraded_entry();
+                    let served = &mut self.metrics.lock().served;
+                    served.wal_append_failures += 1;
+                    served.degraded_entries += 1;
                 }
                 eprintln!(
                     "kessler-service: entering degraded (read-only) mode, mutations rejected: {reason}"
@@ -375,20 +379,13 @@ impl ServiceState {
         {
             return;
         }
-        let snapshot_started = Instant::now();
-        match self.checkpoint() {
-            Ok(written) => {
-                let elapsed = snapshot_started.elapsed();
-                self.metrics.lock().record_snapshot(elapsed, &written);
-            }
-            Err(err) => {
-                let wal_bytes = self.persister.as_ref().map_or(0, Persister::wal_size);
-                self.metrics.lock().note_snapshot_failure();
-                eprintln!(
-                    "kessler-service: snapshot failed (wal still intact at {wal_bytes} \
-                     bytes, compaction starved; retrying on the next mutation): {err}"
-                );
-            }
+        if let Err(err) = self.checkpoint() {
+            let wal_bytes = self.persister.as_ref().map_or(0, Persister::wal_size);
+            self.metrics.lock().served.snapshot_failures += 1;
+            eprintln!(
+                "kessler-service: snapshot failed (wal still intact at {wal_bytes} \
+                 bytes, compaction starved; retrying on the next mutation): {err}"
+            );
         }
     }
 
@@ -402,13 +399,8 @@ impl ServiceState {
             return Ok(());
         };
         persister.probe()?;
-        let started = Instant::now();
-        let written = self.checkpoint()?;
-        {
-            let mut metrics = self.metrics.lock();
-            metrics.record_snapshot(started.elapsed(), &written);
-            metrics.note_degraded_recovery();
-        }
+        self.checkpoint()?;
+        self.metrics.lock().served.degraded_recoveries += 1;
         self.degraded = None;
         eprintln!("kessler-service: persistence recovered; back to normal mode");
         Ok(())
@@ -906,7 +898,8 @@ impl Server {
                 let mut state = ServiceState::recover(screener, persister, &recovery)?;
                 if !recovery.tail.is_empty() {
                     // Fold the replay into a fresh snapshot so the next
-                    // restart starts from here.
+                    // restart starts from here; METRICS counts it like any
+                    // other checkpoint.
                     state.checkpoint()?;
                 }
                 recovery_summary = Some(RecoverySummary {
@@ -1022,7 +1015,8 @@ impl Server {
     }
 
     /// Seed the catalog before serving, using dense indices as external
-    /// ids. Goes through the normal request path so the WAL covers it.
+    /// ids. Goes through the normal request path so the WAL covers it, and
+    /// each ADD is counted in METRICS like one that came over the wire.
     pub fn preload(&self, population: &[KeplerElements]) -> Result<usize, ServiceError> {
         for (i, el) in population.iter().enumerate() {
             let request = Request::Add {
@@ -1030,6 +1024,10 @@ impl Server {
                 elements: ElementsSpec::from_elements(el),
             };
             let response = handle_and_persist(&self.shared, &request);
+            self.shared
+                .metrics
+                .lock()
+                .count_request(request.kind(), response.ok);
             if !response.ok {
                 return Err(ServiceError::Recovery(format!(
                     "preload of satellite {i} failed: {}",
@@ -1377,7 +1375,11 @@ mod tests {
             let context = format!("seed {seed:#x} step {step}: {request:?}");
             let seq_before = last_seq();
             let screened_before = screened();
-            let response = handle_and_persist(&shared, &request);
+            let response = match request {
+                // The event loop answers METRICS; the state never sees it.
+                Request::Metrics => super::request(handle.addr(), &request).expect("METRICS"),
+                _ => handle_and_persist(&shared, &request),
+            };
             let logged = last_seq() - seq_before;
             if response.screen.as_ref().is_some_and(|s| s.ephemeral) {
                 // A screen served while degraded: answered, but neither

@@ -11,6 +11,7 @@ use kessler_service::{
     request, Client, FaultPlan, PersistOptions, Request, Response, Server, ServerHandle,
     ServerOptions,
 };
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -272,4 +273,110 @@ fn every_answered_screening_request_is_counted_exactly_once() {
         );
     }
     handle.shutdown();
+}
+
+/// The inline verbs, answered on the event loop, ok and refused alike:
+/// per verb, `ok + errors` equals the answers received, and the METRICS
+/// payload already includes the METRICS request that asked for it.
+#[test]
+fn every_inline_answer_is_counted_exactly_once() {
+    let handle = serve(ServerOptions::default());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let script = [
+        Request::Cancel {
+            id: "no-such-job".into(),
+        },
+        Request::Subscribe {
+            assets: vec![],
+            all: true,
+        },
+        Request::Unsubscribe {
+            sub_id: Some("no-such-sub".into()),
+        },
+        Request::Update {
+            id: 99,
+            elements: spec_for(0),
+        },
+        Request::Status,
+    ];
+    let mut answered = BTreeMap::<&str, (u64, u64)>::new();
+    for req in &script {
+        let response = client.send(req).expect("request");
+        let counter = answered.entry(req.kind()).or_default();
+        if response.ok {
+            counter.0 += 1;
+        } else {
+            counter.1 += 1;
+        }
+    }
+    assert_eq!(answered["CANCEL"], (0, 1), "the CANCEL misses");
+    assert_eq!(answered["SUBSCRIBE"], (1, 0));
+    assert_eq!(answered["UNSUBSCRIBE"], (0, 1), "the sub_id is unknown");
+    assert_eq!(answered["UPDATE"], (0, 1), "the id is absent");
+
+    let response = client.send(&Request::Metrics).expect("METRICS");
+    assert!(response.ok, "{:?}", response.error);
+    let metrics = response.metrics.expect("metrics payload");
+    answered.insert("METRICS", (1, 0));
+    let counted: BTreeMap<&str, (u64, u64)> = metrics
+        .requests
+        .iter()
+        .map(|(verb, c)| (verb.as_str(), (c.ok, c.errors)))
+        .collect();
+    assert_eq!(counted, answered);
+    handle.shutdown();
+}
+
+/// `Server::preload` seeds the catalog through the request path, and its
+/// ADDs are counted like ones that came over the wire.
+#[test]
+fn preloaded_adds_are_counted() {
+    let k = 7;
+    let population: Vec<_> = (0..k)
+        .map(|id| spec_for(id).into_elements().expect("valid elements"))
+        .collect();
+    let server =
+        Server::bind_with("127.0.0.1:0", config(), ServerOptions::default()).expect("bind server");
+    assert_eq!(server.preload(&population).expect("preload"), k as usize);
+    let handle = server.spawn().expect("spawn server thread");
+    let add = metrics_of(&handle).requests["ADD"];
+    assert_eq!((add.ok, add.errors), (k, 0));
+    handle.shutdown();
+}
+
+/// The snapshot a restart writes to fold a replayed WAL tail in is a
+/// checkpoint like any other, and METRICS reports it before anything
+/// else is written.
+#[test]
+fn the_post_replay_checkpoint_is_reported() {
+    let dir = temp_dir("replay");
+    let options = || ServerOptions {
+        persist: Some(PersistOptions {
+            dir: dir.clone(),
+            snapshot_every: 1_000,
+            shards: None,
+        }),
+        ..ServerOptions::default()
+    };
+    let handle = serve(options());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for id in 0..5u64 {
+        let elements = spec_for(id);
+        assert!(client.send(&Request::Add { id, elements }).expect("ADD").ok);
+    }
+    drop(client);
+    handle.shutdown();
+
+    let server = Server::bind_with("127.0.0.1:0", config(), options()).expect("restart");
+    let replayed = server.recovery().expect("durable daemon").replayed;
+    assert_eq!(replayed, 5, "the adds were left in the WAL tail");
+    let handle = server.spawn().expect("spawn server thread");
+    let metrics = metrics_of(&handle);
+    let written = metrics.snapshot_write_ms.expect("snapshot write digest");
+    let bytes = metrics.snapshot_bytes.expect("snapshot size digest");
+    assert_eq!((written.count, bytes.count), (1, 1));
+    assert!(bytes.min > 0.0, "snapshots are never empty");
+    assert!(metrics.wal_fsync_ms.is_none(), "the replay appends nothing");
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -45,6 +45,19 @@ RUST_BACKTRACE=1 ./target/release/kessler submit subscribe --all --smoke --addr 
 # both records stay in the WAL tail the restart below replays.
 RUST_BACKTRACE=1 ./target/release/kessler submit screen --addr 127.0.0.1:7912
 RUST_BACKTRACE=1 ./target/release/kessler submit advance --dt 30 --addr 127.0.0.1:7912
+# METRICS over the wire: every answer so far is on the books once, the
+# 32 preloaded ADDs included. Each requests row, spaces squeezed out, is
+# e.g. `SCREENok1errors0`.
+echo "==> kessler submit metrics counts every answer of the smoke, preload included"
+metrics="$(RUST_BACKTRACE=1 ./target/release/kessler submit metrics --addr 127.0.0.1:7912)"
+rows="$(tr -d ' ' <<<"$metrics")"
+for row in ADDok32errors0 SCREENok1errors0 ADVANCEok1errors0 SUBSCRIBEok1errors0 \
+    UNSUBSCRIBEok1errors0; do
+    if ! grep -qx "$row" <<<"$rows"; then
+        echo "METRICS requests table lacks the row $row: $metrics" >&2
+        exit 1
+    fi
+done
 RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912
 wait "$KESSLER_SERVE_PID"
 
