@@ -182,6 +182,29 @@ fn serve_refuses_a_shard_count_that_wraps() {
     assert!(err.contains("exceeds the 4096-shard cap"), "{err}");
 }
 
+/// A `--queue-depth` past the limit is refused with exit 1 before the
+/// state directory is opened, instead of the queue's allocation
+/// panicking on `capacity overflow`.
+#[test]
+fn serve_refuses_an_oversized_queue_depth() {
+    let dir = std::env::temp_dir().join(format!("kessler-cli-queue-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let state_dir = dir.to_str().unwrap();
+    let (status, err) = serve_must_exit(&[
+        "--n",
+        "10",
+        "--state-dir",
+        state_dir,
+        "--queue-depth",
+        "18446744073709551615",
+    ]);
+    assert_eq!(status.code(), Some(1), "{err}");
+    assert!(err.contains("invalid configuration"), "{err}");
+    assert!(err.contains("queue depth"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(!dir.exists(), "the state directory was opened");
+}
+
 /// An infinite threshold or step makes Eq. 1's cell size infinite. `screen`
 /// and `serve` refuse it with the validation message and exit 1, instead
 /// of a screen panicking on the grid (or a daemon whose every screen

@@ -199,21 +199,10 @@ impl<T: Copy + Send + Sync> DeviceBuffer<T> {
         Ok(())
     }
 
-    /// D→H transfer into a fresh vector.
-    pub fn to_host_vec(&self) -> Vec<T> {
-        self.device.inner.metrics().bytes_d2h += self.bytes as u64;
-        self.data.clone()
-    }
-
     /// Device-side view for kernels (no transfer metering — kernels read
     /// device memory directly, as on hardware).
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Mutable device-side view for kernels.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
     }
 }
 

@@ -22,13 +22,6 @@ pub fn fmix64(mut k: u64) -> u64 {
     k
 }
 
-/// Hash a cell key with an additional seed (used to derive independent
-/// probe sequences in tests and ablations).
-#[inline]
-pub fn hash_u64(key: u64, seed: u64) -> u64 {
-    fmix64(key ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-}
-
 /// MurmurHash3 x64 128-bit for arbitrary byte strings.
 ///
 /// Returns the two 64-bit halves `(h1, h2)`.

@@ -53,12 +53,6 @@ impl Interval {
         !self.intersect(other).is_empty()
     }
 
-    /// Clamp the interval to `bounds`.
-    #[inline]
-    pub fn clamp_to(&self, bounds: &Interval) -> Interval {
-        self.intersect(bounds)
-    }
-
     /// Grow symmetrically by `pad` on each side.
     #[inline]
     pub fn padded(&self, pad: f64) -> Interval {

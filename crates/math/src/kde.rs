@@ -66,10 +66,6 @@ impl Kde2d {
         self.bandwidth
     }
 
-    pub fn anchor_count(&self) -> usize {
-        self.anchors.len()
-    }
-
     /// Evaluate the density at `(x, y)`.
     pub fn density(&self, x: f64, y: f64) -> f64 {
         let (hx, hy) = self.bandwidth;

@@ -19,13 +19,6 @@ impl Mat3 {
         rows: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
     };
 
-    /// Build from three row vectors.
-    pub fn from_rows(r0: Vec3, r1: Vec3, r2: Vec3) -> Mat3 {
-        Mat3 {
-            rows: [[r0.x, r0.y, r0.z], [r1.x, r1.y, r1.z], [r2.x, r2.y, r2.z]],
-        }
-    }
-
     /// Build from three column vectors.
     pub fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Mat3 {
         Mat3 {

@@ -221,40 +221,6 @@ fn position_lane(
     Vec3::new(px * xp + qx * yp, py * xp + qy * yp, pz * xp + qz * yp)
 }
 
-/// One lane of the full-state reconstruction; operation order matches
-/// [`PropagationConstants::state_at_ecc_anomaly`].
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn state_lane(
-    a: f64,
-    e: f64,
-    n: f64,
-    s1me2: f64,
-    sin_e: f64,
-    cos_e: f64,
-    px: f64,
-    py: f64,
-    pz: f64,
-    qx: f64,
-    qy: f64,
-    qz: f64,
-) -> CartesianState {
-    let xp = a * (cos_e - e);
-    let yp = a * s1me2 * sin_e;
-    let r = a * (1.0 - e * cos_e);
-    let k = n * a * a / r;
-    let vxp = -k * sin_e;
-    let vyp = k * s1me2 * cos_e;
-    CartesianState {
-        position: Vec3::new(px * xp + qx * yp, py * xp + qy * yp, pz * xp + qz * yp),
-        velocity: Vec3::new(
-            px * vxp + qx * vyp,
-            py * vxp + qy * vyp,
-            pz * vxp + qz * vyp,
-        ),
-    }
-}
-
 /// Solve Kepler's equation for one tile into the `sin E`/`cos E` stack
 /// buffers. The solve itself is branchy (fixed points, polish early-out);
 /// its trapezoid nodes come from the solver's table.
@@ -327,57 +293,6 @@ fn position_tile(
         let i = off + l;
         *slot = position_lane(
             a[i], e[i], s1[i], sin_e[i], cos_e[i], px[i], py[i], pz[i], qx[i], qy[i], qz[i],
-        );
-    }
-}
-
-/// Full-state twin of [`position_tile`].
-fn state_tile(
-    cols: &SoaColumns<'_>,
-    solver: &ContourSolver,
-    dt: f64,
-    base: usize,
-    out: &mut [CartesianState],
-) {
-    let len = out.len();
-    debug_assert!(len <= TILE);
-    let mut sin_e = [0.0f64; TILE];
-    let mut cos_e = [0.0f64; TILE];
-    solve_tile(cols, solver, dt, base, len, &mut sin_e, &mut cos_e);
-
-    let (a, e, nn, s1) = (
-        &cols.a[base..base + len],
-        &cols.e[base..base + len],
-        &cols.mean_motion[base..base + len],
-        &cols.sqrt_one_minus_e2[base..base + len],
-    );
-    let (px, py, pz) = (
-        &cols.px[base..base + len],
-        &cols.py[base..base + len],
-        &cols.pz[base..base + len],
-    );
-    let (qx, qy, qz) = (
-        &cols.qx[base..base + len],
-        &cols.qy[base..base + len],
-        &cols.qz[base..base + len],
-    );
-
-    let mut off = 0usize;
-    let mut blocks = out.chunks_exact_mut(LANES);
-    for block in &mut blocks {
-        for (l, slot) in block.iter_mut().enumerate() {
-            let i = off + l;
-            *slot = state_lane(
-                a[i], e[i], nn[i], s1[i], sin_e[i], cos_e[i], px[i], py[i], pz[i], qx[i], qy[i],
-                qz[i],
-            );
-        }
-        off += LANES;
-    }
-    for (l, slot) in blocks.into_remainder().iter_mut().enumerate() {
-        let i = off + l;
-        *slot = state_lane(
-            a[i], e[i], nn[i], s1[i], sin_e[i], cos_e[i], px[i], py[i], pz[i], qx[i], qy[i], qz[i],
         );
     }
 }
@@ -467,23 +382,6 @@ impl BatchPropagator {
     pub fn positions(&self, dt: f64) -> Vec<Vec3> {
         let mut out = vec![Vec3::ZERO; self.n];
         self.positions_into(dt, &mut out);
-        out
-    }
-
-    /// Full states of all satellites at `dt`, written into `out`
-    /// (parallel).
-    pub fn states_into(&self, dt: f64, out: &mut [CartesianState]) {
-        assert_eq!(out.len(), self.n);
-        let cols = self.columns();
-        out.par_chunks_mut(TILE)
-            .enumerate()
-            .for_each(|(tile, chunk)| state_tile(&cols, &self.solver, dt, tile * TILE, chunk));
-    }
-
-    /// Full states of all satellites at `dt` (parallel, allocating).
-    pub fn states(&self, dt: f64) -> Vec<CartesianState> {
-        let mut out = vec![CartesianState::new(Vec3::ZERO, Vec3::ZERO); self.n];
-        self.states_into(dt, &mut out);
         out
     }
 }
@@ -615,29 +513,12 @@ mod tests {
         // so batch output is bit-identical to the per-satellite path — the
         // property the service's delta-vs-cold equality guarantee rests on.
         let positions = batch.positions(t);
-        let states = batch.states(t);
         for (i, el) in els.iter().enumerate() {
             let pc = PropagationConstants::from_elements(el);
             let scalar_p = pc.position(t, &solver);
-            let scalar_s = pc.propagate(t, &solver);
             assert_eq!(positions[i].x.to_bits(), scalar_p.x.to_bits(), "sat {i}");
             assert_eq!(positions[i].y.to_bits(), scalar_p.y.to_bits(), "sat {i}");
             assert_eq!(positions[i].z.to_bits(), scalar_p.z.to_bits(), "sat {i}");
-            assert_eq!(
-                states[i].position.x.to_bits(),
-                scalar_s.position.x.to_bits(),
-                "sat {i}"
-            );
-            assert_eq!(
-                states[i].velocity.x.to_bits(),
-                scalar_s.velocity.x.to_bits(),
-                "sat {i}"
-            );
-            assert_eq!(
-                states[i].velocity.z.to_bits(),
-                scalar_s.velocity.z.to_bits(),
-                "sat {i}"
-            );
         }
     }
 

@@ -25,11 +25,6 @@ impl CartesianState {
     pub fn specific_energy(&self, mu: f64) -> f64 {
         0.5 * self.velocity.norm_sq() - mu / self.position.norm()
     }
-
-    /// Speed in km/s.
-    pub fn speed(&self) -> f64 {
-        self.velocity.norm()
-    }
 }
 
 #[cfg(test)]

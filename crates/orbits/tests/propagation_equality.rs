@@ -1,7 +1,7 @@
 //! SoA batch propagation must agree with the scalar reference path.
 //!
-//! The structure-of-arrays [`BatchPropagator`] reconstructs positions and
-//! velocities through lane-oriented kernels (`chunks_exact` blocks plus a
+//! The structure-of-arrays [`BatchPropagator`] reconstructs positions
+//! through lane-oriented kernels (`chunks_exact` blocks plus a
 //! remainder tail) over a precomputed contour-node table, while
 //! [`PropagationConstants::propagate`] walks one satellite at a time with a
 //! per-call [`ContourSolver`]. The two paths share every arithmetic step in
@@ -34,9 +34,7 @@ fn check_population(population: &[KeplerElements], dt: f64) {
     let solver = ContourSolver::default();
     let batch = BatchPropagator::new(population);
     let positions = batch.positions(dt);
-    let states = batch.states(dt);
     assert_eq!(positions.len(), population.len());
-    assert_eq!(states.len(), population.len());
     for (i, el) in population.iter().enumerate() {
         let scalar = PropagationConstants::from_elements(el).propagate(dt, &solver);
         for (axis, (b, s)) in [
@@ -50,24 +48,6 @@ fn check_population(population: &[KeplerElements], dt: f64) {
         {
             assert_close(b, s, &format!("sat {i} position axis {axis}"));
         }
-        for (axis, (b, s)) in [
-            (states[i].velocity.x, scalar.velocity.x),
-            (states[i].velocity.y, scalar.velocity.y),
-            (states[i].velocity.z, scalar.velocity.z),
-        ]
-        .iter()
-        .enumerate()
-        .map(|(axis, pair)| (axis, *pair))
-        {
-            assert_close(b, s, &format!("sat {i} velocity axis {axis}"));
-        }
-        // The batch states' positions must also match the positions-only
-        // entry point (they run different tile kernels).
-        assert_eq!(
-            states[i].position.x.to_bits(),
-            positions[i].x.to_bits(),
-            "sat {i}: states() and positions() disagree"
-        );
     }
 }
 
@@ -169,15 +149,12 @@ fn batch_propagation_is_bit_identical_to_scalar() {
     let population = spread_population(27, &base);
     let solver = ContourSolver::default();
     let batch = BatchPropagator::new(&population);
-    let states = batch.states(1_234.5);
+    let positions = batch.positions(1_234.5);
     for (i, el) in population.iter().enumerate() {
         let scalar = PropagationConstants::from_elements(el).propagate(1_234.5, &solver);
-        assert_eq!(states[i].position.x.to_bits(), scalar.position.x.to_bits());
-        assert_eq!(states[i].position.y.to_bits(), scalar.position.y.to_bits());
-        assert_eq!(states[i].position.z.to_bits(), scalar.position.z.to_bits());
-        assert_eq!(states[i].velocity.x.to_bits(), scalar.velocity.x.to_bits());
-        assert_eq!(states[i].velocity.y.to_bits(), scalar.velocity.y.to_bits());
-        assert_eq!(states[i].velocity.z.to_bits(), scalar.velocity.z.to_bits());
+        assert_eq!(positions[i].x.to_bits(), scalar.position.x.to_bits());
+        assert_eq!(positions[i].y.to_bits(), scalar.position.y.to_bits());
+        assert_eq!(positions[i].z.to_bits(), scalar.position.z.to_bits());
     }
 }
 
@@ -201,16 +178,12 @@ proptest! {
         let solver = ContourSolver::default();
         let batch = BatchPropagator::new(&population);
         let positions = batch.positions(dt);
-        let states = batch.states(dt);
         for (i, el) in population.iter().enumerate() {
             let scalar = PropagationConstants::from_elements(el).propagate(dt, &solver);
             for (b, s) in [
                 (positions[i].x, scalar.position.x),
                 (positions[i].y, scalar.position.y),
                 (positions[i].z, scalar.position.z),
-                (states[i].velocity.x, scalar.velocity.x),
-                (states[i].velocity.y, scalar.velocity.y),
-                (states[i].velocity.z, scalar.velocity.z),
             ] {
                 let bound = TOL * (1.0 + s.abs());
                 prop_assert!(

@@ -119,16 +119,6 @@ impl PopulationGenerator {
         }
         out
     }
-
-    /// Generate `n` satellites plus the raw (a, e) draws (for Fig. 9).
-    pub fn generate_with_samples(&self, n: usize) -> (Vec<KeplerElements>, Vec<(f64, f64)>) {
-        let els = self.generate(n);
-        let samples = els
-            .iter()
-            .map(|e| (e.semi_major_axis, e.eccentricity))
-            .collect();
-        (els, samples)
-    }
 }
 
 #[cfg(test)]

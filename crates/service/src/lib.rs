@@ -103,7 +103,7 @@ pub use proto::{
 };
 pub use server::{
     request, Backoff, Client, RecoverySummary, Retry, Server, ServerHandle, ServerOptions,
-    ServiceState, MAX_LINE_BYTES,
+    ServiceState, MAX_LINE_BYTES, MAX_QUEUE_DEPTH, MAX_WORKERS,
 };
 
 /// Shared by the crate's unit tests.

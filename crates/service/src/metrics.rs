@@ -3,8 +3,10 @@
 //!
 //! STATUS carries only the *last* screen's [`PhaseTimings`]; this registry
 //! keeps the full distribution (p50/p90/p99 over every screen since
-//! startup) per phase, separately for full and delta screens — the
-//! operational counterpart of the paper's §V-C.1 per-phase breakdowns. It
+//! startup, `ServiceState::commit` recording each one, those a WAL replay
+//! runs again included) per phase, separately for full and delta screens
+//! — the operational counterpart of the paper's §V-C.1 per-phase
+//! breakdowns. It
 //! also times every WAL fsync and every checkpoint (`ServiceState::checkpoint`
 //! records each one, the one folding a replayed WAL tail in at startup
 //! included), counts answers and errors per command, and records

@@ -7,7 +7,9 @@
 //! One I/O thread owns every socket. Requests are framed by
 //! [`LineFramer`] (1 MiB cap with drain-to-newline resync), screening
 //! verbs are handed to the worker pool tagged with the connection id,
-//! and completions plus subscription pushes come back through the
+//! catalog mutations, STATUS and SHUTDOWN are answered inline by
+//! [`ServiceState::handle`](super::ServiceState::handle) under the state
+//! lock, and completions plus subscription pushes come back through the
 //! [`IoHub`](super::handlers::IoHub) queue, woken via a pipe. Responses
 //! may complete out of order across pipelined worker-pool verbs — the
 //! `req_id` echo is the correlation key.
@@ -22,7 +24,7 @@
 //! slow that even responses would exceed the mark plus two max-size
 //! lines is disconnected outright.
 
-use super::handlers::{enqueue_screen, handle_and_persist, Enqueued, IoMsg, Shared};
+use super::handlers::{enqueue_screen, Enqueued, IoMsg, Shared};
 use super::poll::{poll_fds, PollFd, POLLIN, POLLOUT};
 use super::MAX_LINE_BYTES;
 use crate::proto::{Envelope, PushEvent, Request, Response};
@@ -453,7 +455,7 @@ fn handle_frame(shared: &Shared, id: u64, conn: &mut Conn, frame: Frame) {
                             if matches!(req, Request::Shutdown) {
                                 shared.shutdown.store(true, Ordering::SeqCst);
                             }
-                            handle_and_persist(shared, &req)
+                            shared.state.lock().handle(&req)
                         }
                     };
                     if !counted_early {

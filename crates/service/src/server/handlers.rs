@@ -1,10 +1,12 @@
 //! The daemon's request-handling core: the [`Shared`] hub the I/O event
-//! loop, workers, and probes all hang off; the inline request path around
-//! [`ServiceState::handle`]; the screening path, which enqueues a job
-//! [`ServiceState::begin`] captured and has a worker run it and hand it to
-//! [`ServiceState::commit`]; the [`IoHub`] queue that carries worker
+//! loop, workers, and probes all hang off; the screening path, which
+//! enqueues a job [`ServiceState::begin`] captured, has a worker run it
+//! and hand it to [`ServiceState::commit`], and publishes to subscribers
+//! what the commit hands back; the [`IoHub`] queue that carries worker
 //! completions and subscription pushes back to the event loop; and the
-//! supervised worker pool.
+//! supervised worker pool. `commit` itself records the screen in METRICS,
+//! and an inline request is just [`ServiceState::handle`] under the state
+//! lock, so neither needs anything from here.
 //!
 //! Nothing here counts an inline answer: the event loop does, as it
 //! queues the answer for its connection. A worker's answer is counted by
@@ -13,9 +15,8 @@
 use super::degraded::sleep_with_shutdown;
 use super::subs::SubHub;
 use super::ServiceState;
-use crate::delta::ScreenRun;
 use crate::error::ServiceError;
-use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenOutput, Screened};
+use crate::exec::{run_screen_job, CancelRegistry, ScreenJob};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::proto::{Request, Response};
@@ -34,7 +35,8 @@ use std::time::{Duration, Instant};
 /// A screening request captured for the worker pool: the immutable job,
 /// the connection owed the response, and the cancellation bookkeeping.
 pub(crate) struct ScreenTask {
-    pub(crate) request: Request,
+    /// The request's command word, for counting its answer.
+    pub(crate) verb: &'static str,
     pub(crate) job: ScreenJob,
     /// Event-loop connection id the response is owed to.
     pub(crate) conn: u64,
@@ -134,79 +136,6 @@ pub(crate) struct Shared {
     pub(crate) write_highwater: usize,
 }
 
-/// Push + metrics tail shared by the inline path and the workers: the
-/// push, a screen's or advance's phase timings, STATUS's one-line digest.
-/// `adopted` (computed here) says whether the request changed the state
-/// the WAL describes: it was planned, logged and applied. A refused
-/// or `not_applied` request, and a stale or ephemeral screen result, did
-/// not — they were never logged (WAL order must match commit order) and
-/// owe no push. The answer itself is counted where it leaves.
-pub(crate) fn finish_record(
-    shared: &Shared,
-    request: &Request,
-    state: &mut ServiceState,
-    mut response: Response,
-) -> Response {
-    let adopted = response.ok
-        && request.is_mutation()
-        && !response
-            .screen
-            .as_ref()
-            .is_some_and(|s| s.stale || s.ephemeral);
-    if adopted && (response.screen.is_some() || response.advance.is_some()) {
-        // An adopted commit changed the maintained pair set: fan delta
-        // events out to subscribers now, while the state lock still
-        // guarantees the dense→external id translation matches the set.
-        // (subs and the io queue sit before metrics in the lock order.)
-        let epoch = response
-            .screen
-            .as_ref()
-            .map(|s| s.epoch)
-            .unwrap_or_else(|| state.catalog().epoch());
-        let pairs = state.engine.warm_pairs();
-        let msgs = shared
-            .subs
-            .publish(&pairs, state.catalog().ids(), epoch, false);
-        shared.io.push_events(msgs);
-    }
-    let screened = response.ok && (response.screen.is_some() || response.advance.is_some());
-    if !screened && response.status.is_none() {
-        return response;
-    }
-    let mut metrics = shared.metrics.lock();
-    if response.ok {
-        if let Some(screen) = &response.screen {
-            metrics.record_screen(&screen.variant, &screen.timings);
-            if let Some(stats) = &screen.filter_stats {
-                metrics.record_filter_chain(stats);
-            }
-        }
-        if response.advance.is_some() {
-            // ADVANCE's reply has no timings; the tail screen it ran left
-            // them (and, under hybrid, its filter stats) on the engine.
-            if let Some(tail) = state.engine.last_screen() {
-                metrics.advance.record(&tail.timings);
-                if let Some(stats) = &tail.filter_stats {
-                    metrics.record_filter_chain(stats);
-                }
-            }
-        }
-    }
-    if let Some(status) = &mut response.status {
-        status.metrics = Some(metrics.one_line());
-    }
-    response
-}
-
-/// Execute a state request inline, under the state lock, through
-/// [`ServiceState::handle`] (plan → log → apply → checkpoint-if-due), then
-/// the shared push + metrics tail.
-pub(crate) fn handle_and_persist(shared: &Shared, request: &Request) -> Response {
-    let state = &mut *shared.state.lock();
-    let response = state.handle(request);
-    finish_record(shared, request, state, response)
-}
-
 /// Outcome of handing a screening verb to the worker pool.
 pub(crate) enum Enqueued {
     /// Queued: the response reaches the connection later through the io
@@ -256,7 +185,7 @@ pub(crate) fn enqueue_screen(
         .snapshot_build
         .record_duration(capture_started.elapsed());
     let task = ScreenTask {
-        request,
+        verb: request.kind(),
         job,
         conn,
         req_id,
@@ -329,8 +258,8 @@ impl Drop for Reply<'_> {
 }
 
 /// One screening worker: drains jobs, runs each against its captured
-/// snapshot (lock-free), records its shard stats, commits the result
-/// under the state lock, pushes an ephemeral result's pairs, and
+/// snapshot (lock-free), commits the result under the state lock,
+/// publishes what the commit hands back to subscribers, answers, and
 /// isolates panics inside `catch_unwind` so a panicking screen answers
 /// that one request with an ERROR instead of killing the thread.
 pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: &str) {
@@ -342,7 +271,7 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: 
             Job::Screen(task) => {
                 shared.queued.fetch_sub(1, Ordering::Relaxed);
                 let ScreenTask {
-                    request,
+                    verb,
                     job,
                     conn,
                     req_id,
@@ -351,7 +280,7 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: 
                 } = *task;
                 let mut reply = Reply {
                     shared,
-                    verb: request.kind(),
+                    verb,
                     conn,
                     req_id,
                     sent: false,
@@ -380,28 +309,22 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: 
                 }));
                 let response = match outcome {
                     Ok(Ok(output)) => {
-                        // The extraction work happened whatever the commit
-                        // decides, so a sharded screen's per-shard stats
-                        // are recorded for every outcome.
-                        if let ScreenOutput::Screen(Screened {
-                            shards: Some(stats),
-                            ran,
-                            ..
-                        }) = &output
-                        {
-                            shared
-                                .metrics
-                                .lock()
-                                .record_shard_screen(*ran == ScreenRun::Delta, stats);
-                        }
                         let state = &mut *shared.state.lock();
                         let committed = state.commit(&job, output);
-                        if let Some(pairs) = &committed.ephemeral_pairs {
-                            let ids = state.catalog().ids();
-                            let msgs = shared.subs.publish(pairs, ids, job.epoch(), true);
+                        if let Some(publication) = &committed.publication {
+                            // Under the lock that committed it, so the
+                            // dense → external id translation matches the
+                            // set (subs and io sit before metrics in the
+                            // lock order).
+                            let msgs = shared.subs.publish(
+                                &publication.pairs,
+                                state.catalog().ids(),
+                                publication.epoch,
+                                publication.ephemeral,
+                            );
                             shared.io.push_events(msgs);
                         }
-                        finish_record(shared, &request, state, committed.response)
+                        committed.response
                     }
                     Ok(Err(_cancelled)) => {
                         shared.metrics.lock().served.jobs_cancelled += 1;

@@ -37,17 +37,19 @@
 //! [`conn`](self) holds the wire layer (line framing, the poll event
 //! loop, the client helpers), `poll` the raw poll(2) binding, `subs` the
 //! subscription hub and pair-diff fan-out, `handlers` the daemon hub, the
-//! request paths around the state and the worker pool, and `degraded` the
-//! persistence probe. This file owns the state machine — durability
-//! included — and the server lifecycle. Lock order: state → subs → io →
-//! metrics.
+//! screening path and the worker pool, and `degraded` the persistence
+//! probe. This file owns the state machine — durability and the screens'
+//! METRICS records included — and the server lifecycle. Lock order:
+//! state → subs → io → metrics.
 //!
 //! Crash safety: every mutation goes plan → log → apply → checkpoint. A
 //! catalog mutation takes those steps inline in [`ServiceState::handle`].
 //! A SCREEN, DELTA or ADVANCE — inline in `handle` and on the workers
 //! alike — is [`ServiceState::begin`] (plan, capture) →
 //! [`crate::exec::run_screen_job`] (lock-free) → [`ServiceState::commit`]
-//! (decide adopt/stale/raced, log an adoption, apply it, checkpoint).
+//! (decide adopt/stale/raced, log an adoption, apply it, checkpoint,
+//! record the screen in METRICS and hand back the [`Publication`] a
+//! worker pushes to subscribers).
 //! Planning is read-only and refuses up front; with
 //! [`ServerOptions::persist`] set, a planned mutation or an adopted screen
 //! is then appended to a write-ahead log (in commit order; stale and
@@ -56,9 +58,10 @@
 //! mutations (see [`crate::persist`]). Restart recovery loads the newest
 //! valid snapshot and replays the WAL tail through
 //! [`ServiceState::handle`] before the persister is attached — the live
-//! path with empty log and checkpoint steps — which the delta correctness
-//! invariant makes deterministic: a recovered daemon answers STATUS/DELTA
-//! exactly as an uninterrupted one would.
+//! path with empty log and checkpoint steps, whose screens METRICS shows
+//! like live ones — which the delta correctness invariant makes
+//! deterministic: a recovered daemon answers STATUS/DELTA exactly as an
+//! uninterrupted one would.
 //!
 //! Storage-fault resilience: a failed WAL append rejects that mutation
 //! (`not_applied` on the wire — memory and log never diverge) and flips
@@ -89,7 +92,7 @@ mod subs;
 pub use conn::{request, Backoff, Client, Retry};
 
 use crate::catalog::{Catalog, CatalogError, Removal};
-use crate::delta::{apply_removal_to_pairs, check_advance_dt, DeltaEngine, PairMap};
+use crate::delta::{apply_removal_to_pairs, check_advance_dt, DeltaEngine, PairMap, ScreenRun};
 use crate::error::{PersistError, ServiceError};
 use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
@@ -101,9 +104,7 @@ use crate::proto::{
 };
 use crate::sync::Mutex;
 use degraded::spawn_persist_probe;
-use handlers::{
-    handle_and_persist, spawn_metrics_reporter, spawn_supervised_worker, IoHub, Job, Shared,
-};
+use handlers::{spawn_metrics_reporter, spawn_supervised_worker, IoHub, Job, Shared};
 use kessler_core::{CpuScreener, ScreeningConfig, ShardSpec, Variant};
 use kessler_orbits::KeplerElements;
 use std::collections::BTreeSet;
@@ -126,9 +127,11 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 pub struct ServerOptions {
     /// Enable the WAL + snapshot durability layer.
     pub persist: Option<PersistOptions>,
-    /// Screening requests queued before clients get "server busy".
+    /// Screening requests queued before clients get "server busy"; at
+    /// most [`MAX_QUEUE_DEPTH`].
     pub queue_depth: usize,
-    /// Screening worker threads; `0` picks `min(4, cores / 2)` (≥ 1).
+    /// Screening worker threads; `0` picks `min(4, cores / 2)` (≥ 1); at
+    /// most [`MAX_WORKERS`].
     pub workers: usize,
     /// Per-connection idle timeout (`None` = wait forever): connections
     /// with no inbound bytes, no job in flight, and no subscription for
@@ -173,6 +176,32 @@ impl Default for ServerOptions {
             probe_max: Duration::from_secs(5),
         }
     }
+}
+
+/// Largest [`ServerOptions::queue_depth`]: the queue's slots are
+/// allocated when the server binds.
+pub const MAX_QUEUE_DEPTH: usize = 1 << 16;
+
+/// Largest [`ServerOptions::workers`]: each worker is two threads, itself
+/// and its supervisor.
+pub const MAX_WORKERS: usize = 64;
+
+/// Refuse a queue or a worker pool above its limit, before anything is
+/// opened, bound or spawned.
+fn check_pool(options: &ServerOptions) -> Result<(), ServiceError> {
+    if options.queue_depth > MAX_QUEUE_DEPTH {
+        return Err(ServiceError::Config(format!(
+            "queue depth {} is above the limit of {MAX_QUEUE_DEPTH}",
+            options.queue_depth
+        )));
+    }
+    if options.workers > MAX_WORKERS {
+        return Err(ServiceError::Config(format!(
+            "{} screening workers is above the limit of {MAX_WORKERS}",
+            options.workers
+        )));
+    }
+    Ok(())
 }
 
 /// `0` means auto: half the cores, clamped to `[1, 4]` — screening is
@@ -229,9 +258,10 @@ pub struct ServiceState {
     /// Why the state is degraded (read-only), if it is: set by a failed
     /// WAL append, cleared by the emergency checkpoint.
     degraded: Option<String>,
-    /// Where the durability steps record; the daemon shares its registry
-    /// here, a bare state keeps a private one. Lock order: after the state
-    /// lock this state lives under.
+    /// Where the durability steps and the commits record, and what STATUS
+    /// digests; the daemon shares its registry here, a bare state keeps a
+    /// private one. Lock order: after the state lock this state lives
+    /// under.
     metrics: Arc<Mutex<MetricsRegistry>>,
 }
 
@@ -257,13 +287,23 @@ pub(crate) enum Effect {
 }
 
 /// What [`ServiceState::commit`] did with a finished screening job: the
-/// answer, and for a screen served `ephemeral` — computed, but not
-/// adopted because its record could not be logged — the pairs to push to
-/// subscribers, tagged, while the job's epoch is still current (its
-/// dense → external id translation is then still exact).
+/// answer, and what subscribers are to be shown, if anything.
 pub struct Committed {
     pub response: Response,
-    pub ephemeral_pairs: Option<PairMap>,
+    pub publication: Option<Publication>,
+}
+
+/// A pair set for the subscription push: the maintained set an adoption
+/// produced, or the pairs of a screen served `ephemeral` — computed, but
+/// not adopted because its record could not be logged — while the job's
+/// epoch is still current. Either way its dense indices match the catalog
+/// as it stands under the lock that committed it, so it is published
+/// under that same lock hold.
+pub struct Publication {
+    pub pairs: Arc<PairMap>,
+    /// Catalog epoch the pairs describe.
+    pub epoch: u64,
+    pub ephemeral: bool,
 }
 
 const PLANNED: &str = "effect was planned against this state under the same lock";
@@ -486,10 +526,10 @@ impl ServiceState {
     /// with, and the state is untouched.
     pub(crate) fn plan(&self, request: &Request) -> Result<Effect, ServiceError> {
         let refused = |e: CatalogError| ServiceError::InvalidRequest(e.to_string());
-        // Metrics, cancellation and subscriptions live with the daemon
-        // (`Shared`) and the connection layer: none of them may cost the
-        // state lock. Reaching one here means a caller bypassed
-        // `handle_and_persist`/the connection layer.
+        // METRICS, cancellation and subscriptions are answered by the
+        // daemon (`Shared`) and the connection layer: none of them may cost
+        // the state lock. Reaching one here means a caller bypassed the
+        // connection layer.
         let elsewhere = |layer: &str| {
             ServiceError::InvalidRequest(format!(
                 "{} is served by the {layer} layer",
@@ -726,13 +766,18 @@ impl ServiceState {
     /// satellites mutated *after* capture pending. An adopted advance
     /// re-propagates the catalog and slides the window. Either is then
     /// folded into a snapshot when one is due.
+    ///
+    /// This is also the one outcome point: it records in METRICS every
+    /// answered screen (adopted, stale or ephemeral) with its filter and
+    /// shard stats, and an adopted advance's tail screen, and hands back
+    /// the [`Publication`] subscribers are to see.
     pub fn commit(&mut self, job: &ScreenJob, output: ScreenOutput) -> Committed {
         let epoch = job.epoch();
         let answer = |response| Committed {
             response,
-            ephemeral_pairs: None,
+            publication: None,
         };
-        let response = match output {
+        let committed = match output {
             ScreenOutput::Screen(Screened {
                 report,
                 mut pairs,
@@ -742,6 +787,18 @@ impl ServiceState {
                 let mut summary = ScreenSummary::from_report(&report);
                 summary.epoch = epoch;
                 summary.shards = shards.as_ref().map(ShardSummary::from_stats);
+                // The screen ran whatever the commit decides, so every
+                // outcome is recorded.
+                {
+                    let mut metrics = self.metrics.lock();
+                    metrics.record_screen(&summary.variant, &summary.timings);
+                    if let Some(stats) = &summary.filter_stats {
+                        metrics.record_filter_chain(stats);
+                    }
+                    if let Some(stats) = &shards {
+                        metrics.record_shard_screen(ran == ScreenRun::Delta, stats);
+                    }
+                }
                 if epoch < self.warm_epoch {
                     summary.stale = true;
                     return answer(Response::with_screen(summary));
@@ -750,7 +807,11 @@ impl ServiceState {
                     summary.ephemeral = true;
                     return Committed {
                         response: Response::with_screen(summary),
-                        ephemeral_pairs: (self.catalog.epoch() == epoch).then_some(pairs),
+                        publication: (self.catalog.epoch() == epoch).then(|| Publication {
+                            pairs: Arc::new(pairs),
+                            epoch,
+                            ephemeral: true,
+                        }),
                     };
                 }
                 for &(removed_at, removal, new_len) in &self.removals {
@@ -771,7 +832,7 @@ impl ServiceState {
                 // movers) were not covered by this screen and stay pending.
                 self.changed
                     .retain(|&i| self.catalog.generation_at(i).is_some_and(|g| g > epoch));
-                Response::with_screen(summary)
+                self.adopted(Response::with_screen(summary), epoch)
             }
             ScreenOutput::Advance {
                 pairs,
@@ -790,6 +851,13 @@ impl ServiceState {
                 if let Some(rejection) = self.log(&job.kind.request()) {
                     return answer(rejection);
                 }
+                {
+                    let mut metrics = self.metrics.lock();
+                    metrics.advance.record(&tail.timings);
+                    if let Some(stats) = &tail.filter_stats {
+                        metrics.record_filter_chain(stats);
+                    }
+                }
                 // Identical propagation to the job's: absolute, from the
                 // stored epoch-0 base elements.
                 self.catalog.advance_all(dt);
@@ -800,15 +868,28 @@ impl ServiceState {
                 self.warm_epoch = self.catalog.epoch();
                 self.removals.clear();
                 self.window_start += dt;
-                Response::with_advance(AdvanceAck {
+                let response = Response::with_advance(AdvanceAck {
                     retired: outcome.retired,
                     discovered: outcome.discovered,
                     window: self.window(),
-                })
+                });
+                self.adopted(response, self.warm_epoch)
             }
         };
         self.checkpoint_if_due();
-        answer(response)
+        committed
+    }
+
+    /// An adoption's answer with the new maintained set to publish.
+    fn adopted(&self, response: Response, epoch: u64) -> Committed {
+        Committed {
+            response,
+            publication: Some(Publication {
+                pairs: self.engine.warm_pairs(),
+                epoch,
+                ephemeral: false,
+            }),
+        }
     }
 
     fn catalog_ack(&self, id: u64, index: u32) -> CatalogAck {
@@ -850,7 +931,7 @@ impl ServiceState {
                 "normal"
             }
             .to_string(),
-            metrics: None, // the daemon layer fills this in
+            metrics: Some(self.metrics.lock().one_line()),
         }
     }
 }
@@ -883,6 +964,7 @@ impl Server {
         config: ScreeningConfig,
         options: ServerOptions,
     ) -> Result<Server, ServiceError> {
+        check_pool(&options)?;
         let screener = CpuScreener::new(options.variant, config)
             .and_then(|screener| screener.with_shards(options.shards))
             .map_err(ServiceError::Config)?;
@@ -1023,7 +1105,7 @@ impl Server {
                 id: i as u64,
                 elements: ElementsSpec::from_elements(el),
             };
-            let response = handle_and_persist(&self.shared, &request);
+            let response = self.shared.state.lock().handle(&request);
             self.shared
                 .metrics
                 .lock()
@@ -1378,7 +1460,7 @@ mod tests {
             let response = match request {
                 // The event loop answers METRICS; the state never sees it.
                 Request::Metrics => super::request(handle.addr(), &request).expect("METRICS"),
-                _ => handle_and_persist(&shared, &request),
+                _ => shared.state.lock().handle(&request),
             };
             let logged = last_seq() - seq_before;
             if response.screen.as_ref().is_some_and(|s| s.ephemeral) {
@@ -1646,6 +1728,52 @@ mod tests {
         assert_eq!(status.full_screens, 1);
         assert_eq!(status.delta_screens, 1);
         assert!(status.last_screen.is_some());
+    }
+
+    #[test]
+    fn a_bare_state_records_its_screens_and_publishes_its_adoptions() {
+        let config = ScreeningConfig::grid_defaults(5.0, 120.0);
+        let mut state = ServiceState::new(config).unwrap();
+        for i in 0..12u64 {
+            state.handle(&Request::Add {
+                id: i,
+                elements: spec(
+                    7_000.0 + i as f64 * 3.0,
+                    0.4 + (i % 5) as f64 * 0.3,
+                    i as f64 * 0.37,
+                ),
+            });
+        }
+        // A worker's sequence: the adoption hands back the new maintained
+        // set; the stale commit of an older capture hands back nothing.
+        let old_job = state.begin(&Request::Screen).unwrap();
+        let old_output = run_screen_job(&old_job, None).unwrap();
+        state.handle(&Request::Update {
+            id: 3,
+            elements: spec(7_009.5, 1.6, 2.0),
+        });
+        let job = state.begin(&Request::Screen).unwrap();
+        let output = run_screen_job(&job, None).unwrap();
+        let committed = state.commit(&job, output);
+        let publication = committed.publication.expect("an adoption publishes");
+        assert!(!publication.ephemeral);
+        assert_eq!(publication.epoch, job.epoch());
+        assert_eq!(*publication.pairs, *state.engine().warm_pairs());
+        let stale = state.commit(&old_job, old_output);
+        assert!(stale.response.screen.unwrap().stale);
+        assert!(stale.publication.is_none());
+
+        assert!(state.handle(&Request::Delta).ok);
+        assert!(state.handle(&Request::Advance { dt: 30.0 }).ok);
+        let snapshot = state.metrics.lock().snapshot();
+        let screens = |series: Option<kessler_core::PhaseSummaries>| series.map(|s| s.screens);
+        assert_eq!(screens(snapshot.full_screens), Some(2), "adopted + stale");
+        assert_eq!(screens(snapshot.delta_screens), Some(1));
+        assert_eq!(screens(snapshot.advance_tails), Some(1));
+        let status = state.handle(&Request::Status).status.unwrap();
+        let digest = status.metrics.expect("STATUS carries the digest");
+        assert!(digest.contains("full p50/p99"), "{digest}");
+        assert!(digest.contains("delta p50/p99"), "{digest}");
     }
 
     #[test]
@@ -2004,6 +2132,26 @@ mod tests {
         let warm = ServiceState::restore(grid, &snapshot).unwrap();
         assert!(warm.engine().is_warm());
         assert_eq!(warm.engine().conjunctions(), state.engine().conjunctions());
+    }
+
+    #[test]
+    fn an_oversized_queue_or_pool_is_refused_as_configuration() {
+        let with = |queue_depth, workers| ServerOptions {
+            queue_depth,
+            workers,
+            ..ServerOptions::default()
+        };
+        assert!(check_pool(&with(MAX_QUEUE_DEPTH, MAX_WORKERS)).is_ok());
+        for options in [
+            with(MAX_QUEUE_DEPTH + 1, 0),
+            with(usize::MAX, 0),
+            with(1, MAX_WORKERS + 1),
+            with(1, usize::MAX),
+        ] {
+            let err = check_pool(&options).expect_err("above the limit");
+            assert!(matches!(err, ServiceError::Config(_)), "{err}");
+            assert!(err.to_string().contains("above the limit"), "{err}");
+        }
     }
 
     #[test]

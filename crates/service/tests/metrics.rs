@@ -380,3 +380,58 @@ fn the_post_replay_checkpoint_is_reported() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The screens a restart replays from the WAL tail ran in the restarted
+/// process, so its METRICS reports them like screens served live.
+#[test]
+fn replayed_screens_are_reported() {
+    let dir = temp_dir("replayed-screens");
+    let options = || ServerOptions {
+        persist: Some(PersistOptions {
+            dir: dir.clone(),
+            snapshot_every: 1_000,
+            shards: None,
+        }),
+        ..ServerOptions::default()
+    };
+    let handle = serve(options());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for id in 0..6u64 {
+        let elements = spec_for(id);
+        assert!(client.send(&Request::Add { id, elements }).expect("ADD").ok);
+    }
+    assert!(client.send(&Request::Screen).expect("SCREEN").ok);
+    let elements = spec_for(9);
+    assert!(
+        client
+            .send(&Request::Update { id: 2, elements })
+            .expect("UPDATE")
+            .ok
+    );
+    assert!(client.send(&Request::Delta).expect("DELTA").ok);
+    drop(client);
+    handle.shutdown();
+
+    let server = Server::bind_with("127.0.0.1:0", config(), options()).expect("restart");
+    let replayed = server.recovery().expect("durable daemon").replayed;
+    assert_eq!(replayed, 9, "every record was left in the WAL tail");
+    let handle = server.spawn().expect("spawn server thread");
+    let metrics = metrics_of(&handle);
+    let screens = |series: Option<kessler_core::PhaseSummaries>| series.map(|s| s.screens);
+    assert_eq!(
+        screens(metrics.full_screens),
+        Some(1),
+        "the replayed SCREEN"
+    );
+    assert_eq!(
+        screens(metrics.delta_screens),
+        Some(1),
+        "the replayed DELTA"
+    );
+    assert!(
+        !metrics.requests.contains_key("SCREEN") && !metrics.requests.contains_key("DELTA"),
+        "a replayed record is not an answered request"
+    );
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -74,6 +74,15 @@ if ! grep -q '"recovered":true' <<<"$compact" || ! grep -q '"n_satellites":32,' 
     echo "restarted daemon did not recover its 32 satellites, 1 full screen and window at 30 s: $status" >&2
     exit 1
 fi
+# The replayed SCREEN and ADVANCE ran in this process, so its METRICS shows them.
+echo "==> the restarted daemon's METRICS shows the screens its WAL replay ran"
+metrics="$(RUST_BACKTRACE=1 ./target/release/kessler submit metrics --addr 127.0.0.1:7912)"
+for block in "full screens — 1 screens" "advance tail screens — 1 screens"; do
+    if ! grep -qF "$block" <<<"$metrics"; then
+        echo "restarted daemon's METRICS lacks \"$block\": $metrics" >&2
+        exit 1
+    fi
+done
 RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912
 wait "$KESSLER_SERVE_PID"
 
