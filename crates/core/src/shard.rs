@@ -58,12 +58,39 @@
 //!   one grid (DESIGN §2.7); a shard also scans the cells of its mirrors,
 //!   whose pairs among themselves fail the home test.
 //! - **A subset changed** (a DELTA): each changed satellite's 27-cell
-//!   neighbourhood is queried in its home shard only.
+//!   neighbourhood is queried in its home shard only, and only the
+//!   satellites that can reach a changed one are propagated and binned
+//!   (the cull below).
 //!
 //! Either way the entries carry global indices and [`Extraction::finish`]
 //! sorts and deduplicates them, so every layout and both modes hand the
 //! refinement stage *bit-identical* entries (`tests/delta_correctness.rs`
 //! and `tests/sharding_props.rs` enforce this).
+//!
+//! # The space-time cull of a DELTA
+//!
+//! A DELTA walks the steps in blocks of `B = ⌈T / s_ps⌉` steps, a fixed
+//! stretch of simulated time `T` ([`CULL_BLOCK_SECONDS`]) whatever the
+//! variant's step size. At a block's first step everyone is propagated,
+//! and a satellite `g` survives the block only if some changed `c` lies
+//! within its reach:
+//!
+//! ```text
+//!   |p_g − p_c| < 2√3·g_c + (v_g + v_c)·(B − 1)·s_ps + slack
+//! ```
+//!
+//! where `v` is a satellite's perigee speed `n·a·√((1+e)/(1−e))` (which
+//! is `√(μ(1+e)/(a(1−e)))`), the fastest it moves anywhere on its orbit.
+//! The rest of the block propagates and bins survivors only. This is
+//! exact: an entry needs the two positions within `2√3·g_c` (the
+//! boundary-pair rule's margin), and two satellites' separation changes
+//! by at most `(v_g + v_c)·Δt`, so a satellite outside every changed
+//! one's reach at the block start has no entry with any of them before
+//! the block ends. The slack (1 km) covers the Kepler solve's and the
+//! arithmetic's rounding many times over. Changed satellites are within
+//! reach of themselves, so they always survive. The survivors are found
+//! by querying a coarse [`SpatialGrid`] that holds the changed positions,
+//! with cells as wide as the largest reach.
 //!
 //! Membership is recomputed from instantaneous positions every step, so
 //! eccentric satellites sweep through every band their apsis range
@@ -86,6 +113,16 @@ use std::time::Instant;
 /// Upper bound on `alt_bands × z_shells`: keeps per-step membership
 /// bookkeeping (one member list per shard) trivially cheap.
 pub const MAX_SHARDS: u32 = 4096;
+
+/// Simulated time one block of a DELTA's space-time cull covers, seconds:
+/// `⌈T / s_ps⌉` steps, so grid and hybrid step sizes cull over the same
+/// stretch. Shorter blocks propagate everyone more often; longer ones
+/// keep more survivors, because the reach grows with the block.
+pub const CULL_BLOCK_SECONDS: f64 = 20.0;
+
+/// Distance added to every reach of the cull (km), far above the
+/// rounding of the Kepler solve and of the position arithmetic.
+const CULL_SLACK_KM: f64 = 1.0;
 
 /// User-facing sharding configuration: how many altitude bands and |z|
 /// shells, over what radial extent. Validated by [`ShardSpec::validate`];
@@ -260,9 +297,12 @@ pub struct ShardScreenStats {
     /// query counts such a pair once from each changed side; the
     /// everyone scan emits it once.
     pub boundary_entries: u64,
-    /// Grid inserts beyond one-per-satellite, i.e. boundary mirrors.
+    /// Grid inserts into a shard that is not the satellite's home, i.e.
+    /// boundary mirrors.
     pub mirrored_inserts: u64,
-    /// Total per-step grid inserts across all shards and steps.
+    /// Total per-step grid inserts across all shards and steps. Only a
+    /// shard that extracts for someone builds a grid, so a shard's
+    /// members count only at the steps it did.
     pub total_inserts: u64,
 }
 
@@ -290,6 +330,8 @@ struct ShardSlot {
     /// Global indices binned into this shard's grid: home members and
     /// mirrors, in no particular order.
     members: Vec<u32>,
+    /// How many of `members` are mirrors (their home is another shard).
+    mirrors: u64,
     /// Changed satellites whose home this shard is: the ones it extracts
     /// for. A shard without any builds no grid.
     queries: Vec<u32>,
@@ -348,10 +390,14 @@ impl<'a> Extraction<'a> {
     }
 
     /// The step loop (§III step 2): at every sampling step of `planner`,
-    /// propagate everyone — booked as `insertion` — then
-    /// [`Extraction::step`]. `cancel` is checked before each step; a
-    /// never-tripped token changes nothing. `planner` must be the plan
-    /// whose cell size this extraction was built with.
+    /// propagate — booked as `insertion` — then extract. When everyone
+    /// changed, every step propagates everyone and runs
+    /// [`Extraction::step`]; when a subset changed, the steps go in
+    /// culled blocks (see the module docs) that propagate and bin only
+    /// the satellites that can reach a changed one, with the same
+    /// entries. `cancel` is checked before each step; a never-tripped
+    /// token changes nothing. `planner` must be the plan whose cell size
+    /// this extraction was built with.
     pub fn run(
         mut self,
         propagator: &BatchPropagator,
@@ -361,6 +407,10 @@ impl<'a> Extraction<'a> {
     ) -> Result<(Vec<CandidatePair>, ShardScreenStats), Cancelled> {
         debug_assert_eq!(self.cell_size_km, planner.cell_size_km);
         let mut positions = vec![Vec3::ZERO; propagator.len()];
+        if self.changed.len() < positions.len() {
+            self.run_culled(propagator, planner, &mut positions, timings, cancel)?;
+            return Ok(self.finish());
+        }
         for step in 0..planner.total_steps {
             check_opt(cancel)?;
             {
@@ -370,6 +420,92 @@ impl<'a> Extraction<'a> {
             self.step(step, &positions, timings);
         }
         Ok(self.finish())
+    }
+
+    /// The subset branch of [`Extraction::run`]: blocks of
+    /// `⌈CULL_BLOCK_SECONDS / s_ps⌉` steps, each propagating everyone at
+    /// its first step to find the survivors, and only the survivors at
+    /// the others. `positions` holds a survivor's current position; the
+    /// others keep their block-start one, which nothing reads.
+    fn run_culled(
+        &mut self,
+        propagator: &BatchPropagator,
+        planner: &PlannerReport,
+        positions: &mut [Vec3],
+        timings: &mut PhaseTimings,
+        cancel: Option<&CancelToken>,
+    ) -> Result<(), Cancelled> {
+        let sps = planner.seconds_per_sample;
+        let block = ((CULL_BLOCK_SECONDS / sps).ceil() as u32).max(1);
+        let speeds = perigee_speeds(propagator);
+        // The largest `v_g + v_c` of any satellite and any changed one.
+        let closing = speeds.iter().copied().fold(0.0, f64::max)
+            + self
+                .changed
+                .iter()
+                .map(|&c| speeds[c as usize])
+                .fold(0.0, f64::max);
+        let mut live = Vec::new();
+        let mut moved = Vec::new();
+        for start in (0..planner.total_steps).step_by(block as usize) {
+            let end = (start + block).min(planner.total_steps);
+            for step in start..end {
+                check_opt(cancel)?;
+                {
+                    let _timer = PhaseTimer::start(&mut timings.insertion);
+                    let dt = step as f64 * sps;
+                    if step == start {
+                        propagator.positions_into(dt, positions);
+                        let span = f64::from(end - 1 - start) * sps;
+                        live = self.reachable(positions, &speeds, closing, span);
+                        moved.resize(live.len(), Vec3::ZERO);
+                    } else {
+                        propagator.positions_of(&live, dt, &mut moved);
+                        for (&g, &p) in live.iter().zip(&moved) {
+                            positions[g as usize] = p;
+                        }
+                    }
+                }
+                self.step_among(step, positions, Some(&live), timings);
+            }
+        }
+        Ok(())
+    }
+
+    /// The satellites within reach of a changed one for a block whose
+    /// last step is `span` seconds after `positions` (see the module
+    /// docs), ascending. `closing` bounds every `v_g + v_c`.
+    fn reachable(&self, positions: &[Vec3], speeds: &[f64], closing: f64, span: f64) -> Vec<u32> {
+        let changed = self.changed;
+        let entry = 2.0 * 3.0_f64.sqrt() * self.cell_size_km + CULL_SLACK_KM;
+        // Cells wider than every reach (by the slack again, for the
+        // rounding of the cell coordinates), so the 27 cells around a
+        // satellite hold every changed one that can reach it.
+        let cell = entry + closing * span + CULL_SLACK_KM;
+        if changed.is_empty() {
+            return Vec::new();
+        }
+        if !cell.is_finite() {
+            return (0..positions.len() as u32).collect();
+        }
+        let near = SpatialGrid::new(changed.len(), cell);
+        changed
+            .par_iter()
+            .enumerate()
+            .try_for_each(|(local, &c)| near.insert(local as u32, positions[c as usize]))
+            .expect("a grid sized for the changed list cannot fill up");
+        (0..positions.len() as u32)
+            .into_par_iter()
+            .filter(|&g| {
+                let (p, v) = (positions[g as usize], speeds[g as usize]);
+                let mut reached = false;
+                near.for_each_near(p, |local| {
+                    let c = changed[local as usize] as usize;
+                    reached |= p.dist(positions[c]) < entry + (v + speeds[c]) * span;
+                });
+                reached
+            })
+            .collect()
     }
 
     /// One sampling step: recompute shard membership from the step's
@@ -384,9 +520,22 @@ impl<'a> Extraction<'a> {
     /// downstream of extraction (refinement, dedup, the warm pair map) is
     /// untouched by the layout — which is what makes every layout exact.
     pub fn step(&mut self, step: u32, positions: &[Vec3], timings: &mut PhaseTimings) {
+        self.step_among(step, positions, None, timings);
+    }
+
+    /// [`Extraction::step`] over the satellites `live` lists (a changed
+    /// superset, ascending), or over everyone for `None`: only they are
+    /// binned, and only their entries of `positions` are read.
+    fn step_among(
+        &mut self,
+        step: u32,
+        positions: &[Vec3],
+        live: Option<&[u32]>,
+        timings: &mut PhaseTimings,
+    ) {
         {
             let _timer = PhaseTimer::start(&mut timings.insertion);
-            self.bin(positions);
+            self.bin(positions, live);
             self.slots
                 .par_iter_mut()
                 .for_each(|slot| slot.build(positions, self.cell_size_km));
@@ -405,7 +554,6 @@ impl<'a> Extraction<'a> {
                 .for_each(|slot| slot.query(positions, step));
         }
 
-        let mut step_inserts = 0u64;
         for (s, slot) in self.slots.iter_mut().enumerate() {
             let members = slot.members.len() as u64;
             self.stats.step_us[s].record(slot.micros);
@@ -416,22 +564,34 @@ impl<'a> Extraction<'a> {
                 .iter()
                 .filter(|e| home[e.id_lo as usize] != home[e.id_hi as usize])
                 .count() as u64;
-            step_inserts += members;
+            // What `build` inserted: nothing where nobody is queried.
+            if !slot.queries.is_empty() {
+                self.stats.total_inserts += members;
+                self.stats.mirrored_inserts += slot.mirrors;
+            }
             self.entries.append(&mut slot.found);
         }
-        self.stats.total_inserts += step_inserts;
-        self.stats.mirrored_inserts += step_inserts.saturating_sub(positions.len() as u64);
     }
 
-    /// Shard membership and home shards for this step's positions.
-    fn bin(&mut self, positions: &[Vec3]) {
+    /// Shard membership and home shards of the satellites `live` lists
+    /// (everyone for `None`) at this step's positions.
+    fn bin(&mut self, positions: &[Vec3], live: Option<&[u32]>) {
+        let n = positions.len();
         if let [only] = &mut self.slots[..] {
-            // One shard takes everyone: no radius or |z| to compute, and
-            // the membership is the same list at every step.
-            if only.members.len() != positions.len() {
-                only.members = (0..positions.len() as u32).collect();
+            // One shard takes everyone binned: no radius or |z| to
+            // compute, and without a cull the membership is the same list
+            // at every step.
+            if self.home.len() != n {
                 only.queries = self.changed.to_vec();
-                self.home = vec![0; positions.len()];
+                self.home = vec![0; n];
+            }
+            match live {
+                Some(live) => {
+                    only.members.clear();
+                    only.members.extend_from_slice(live);
+                }
+                None if only.members.len() != n => only.members = (0..n as u32).collect(),
+                None => {}
             }
             return;
         }
@@ -444,22 +604,30 @@ impl<'a> Extraction<'a> {
         for slot in &mut self.slots {
             slot.members.clear();
             slot.queries.clear();
+            slot.mirrors = 0;
         }
-        self.home.clear();
-        for (i, p) in positions.iter().enumerate() {
+        self.home.resize(n, 0);
+        let (home, slots) = (&mut self.home, &mut self.slots);
+        let mut place = |i: u32| {
+            let p = positions[i as usize];
             let r = p.norm();
             let z = p.z.abs();
-            self.home
-                .push(map.shard_id(map.band_of(r), map.shell_of(z)));
+            let own = map.shard_id(map.band_of(r), map.shell_of(z));
+            home[i as usize] = own;
             let (b_lo, b_hi) = map.bands_overlapping(r - margin, r + margin);
             let (s_lo, s_hi) = map.shells_overlapping(z - margin, z + margin);
             for band in b_lo..=b_hi {
                 for shell in s_lo..=s_hi {
-                    self.slots[map.shard_id(band, shell) as usize]
-                        .members
-                        .push(i as u32);
+                    let shard = map.shard_id(band, shell);
+                    let slot = &mut slots[shard as usize];
+                    slot.members.push(i);
+                    slot.mirrors += u64::from(shard != own);
                 }
             }
+        };
+        match live {
+            Some(live) => live.iter().for_each(|&i| place(i)),
+            None => (0..n as u32).for_each(place),
         }
         for &c in self.changed {
             self.slots[self.home[c as usize] as usize].queries.push(c);
@@ -473,6 +641,18 @@ impl<'a> Extraction<'a> {
         self.entries.dedup();
         (self.entries, self.stats)
     }
+}
+
+/// Each satellite's perigee speed `n·a·√((1+e)/(1−e))`, km/s: the most
+/// its propagated position moves per second anywhere on its orbit.
+fn perigee_speeds(propagator: &BatchPropagator) -> Vec<f64> {
+    let cols = propagator.columns();
+    (0..cols.len())
+        .map(|i| {
+            let e = cols.e[i];
+            cols.mean_motion[i] * cols.a[i] * ((1.0 + e) / (1.0 - e)).sqrt()
+        })
+        .collect()
 }
 
 impl ShardSlot {
@@ -747,6 +927,43 @@ mod tests {
         assert_eq!(stats.entries[home], 1);
         assert_eq!(stats.entries.iter().sum::<u64>(), 1);
         assert!(stats.mirrored_inserts >= 2);
+    }
+
+    #[test]
+    fn inserts_count_only_the_grids_that_were_built() {
+        let m = map(8, 4);
+        let cell = 40.0;
+        // Band edges every 312.5 km from 6 500 km; the margin is 2√3·40 ≈
+        // 139 km. Satellite 0 (home band 1) mirrors into band 2, satellite
+        // 1 (home band 2) into band 1, and satellite 2 (home band 6) into
+        // band 5, which holds nothing but that mirror. All sit in shell 0.
+        let positions = vec![
+            Vec3::new(7_124.0, 0.0, 0.0),
+            Vec3::new(7_126.0, 0.0, 0.0),
+            Vec3::new(0.0, 8_500.0, 0.0),
+        ];
+        let shard = |band| m.shard_id(band, 0) as usize;
+        assert_eq!(
+            [0, 1, 2].map(|i| m.home_of(positions[i]) as usize),
+            [shard(1), shard(2), shard(6)]
+        );
+
+        // Everyone changed: bands 1, 2 and 6 extract and insert their two,
+        // two and one members; band 5, only a mirror, builds nothing.
+        let (_, stats) = extract_one_step(&m, &positions, &[0, 1, 2], cell, 0);
+        assert_eq!((stats.total_inserts, stats.mirrored_inserts), (5, 2));
+        assert_eq!(stats.peak_members[shard(5)], 1);
+
+        // Only satellite 0 changed: band 1 alone builds, home member 0 and
+        // mirror 1.
+        let (got, stats) = extract_one_step(&m, &positions, &[0], cell, 0);
+        assert_eq!(got, HashSet::from([CandidatePair::new(0, 1, 0)]));
+        assert_eq!((stats.total_inserts, stats.mirrored_inserts), (2, 1));
+
+        // Only satellite 2 changed: band 6 inserts it alone.
+        let (got, stats) = extract_one_step(&m, &positions, &[2], cell, 0);
+        assert!(got.is_empty());
+        assert_eq!((stats.total_inserts, stats.mirrored_inserts), (1, 0));
     }
 
     /// `Extraction::run` over a population's own plan, everyone changed.

@@ -378,6 +378,22 @@ impl BatchPropagator {
             .for_each(|(tile, chunk)| position_tile(&cols, &self.solver, dt, tile * TILE, chunk));
     }
 
+    /// Positions of the satellites `indices` names at `dt`, in that order,
+    /// written into `out` (parallel): `out[k]` is bit-identical to what
+    /// [`BatchPropagator::positions_into`] writes for `indices[k]`. A
+    /// subset costs its own length, not the population's.
+    pub fn positions_of(&self, indices: &[u32], dt: f64, out: &mut [Vec3]) {
+        assert_eq!(out.len(), indices.len());
+        let cols = self.columns();
+        out.par_chunks_mut(TILE)
+            .enumerate()
+            .for_each(|(tile, chunk)| {
+                for (slot, &i) in chunk.iter_mut().zip(&indices[tile * TILE..]) {
+                    *slot = cols.position(i as usize, dt, &self.solver);
+                }
+            });
+    }
+
     /// Positions of all satellites at `dt` (parallel, allocating).
     pub fn positions(&self, dt: f64) -> Vec<Vec3> {
         let mut out = vec![Vec3::ZERO; self.n];
@@ -519,6 +535,53 @@ mod tests {
             assert_eq!(positions[i].x.to_bits(), scalar_p.x.to_bits(), "sat {i}");
             assert_eq!(positions[i].y.to_bits(), scalar_p.y.to_bits(), "sat {i}");
             assert_eq!(positions[i].z.to_bits(), scalar_p.z.to_bits(), "sat {i}");
+        }
+    }
+
+    #[test]
+    fn positions_of_equals_positions_into_to_the_bit() {
+        // 2 · TILE + 37 satellites: two full tiles, a tile remainder that
+        // is not a multiple of LANES, and n not a multiple of TILE.
+        let n = 2 * TILE + 37;
+        let els: Vec<KeplerElements> = (0..n)
+            .map(|i| {
+                let i = i as f64;
+                elements(
+                    6_700.0 + 13.0 * i % 30_000.0,
+                    0.0007 * i % 0.75,
+                    0.31 * i % PI,
+                    0.53 * i % TAU,
+                    0.71 * i % TAU,
+                    0.97 * i % TAU,
+                )
+            })
+            .collect();
+        let batch = BatchPropagator::new(&els);
+        let n = n as u32;
+        let everyone: Vec<u32> = (0..n).collect();
+        let unsorted: Vec<u32> = (0..n).map(|i| (i * 977 + 5) % n).collect();
+        let lists: [Vec<u32>; 6] = [
+            Vec::new(),
+            vec![n - 1],
+            vec![3, 3, 0, 3, n - 1, 0],
+            unsorted.clone(),
+            // Longer than the population: every index twice.
+            [everyone.clone(), unsorted].concat(),
+            // One full tile and a remainder of the tail.
+            (n - TILE as u32 - 37..n).collect(),
+        ];
+        for dt in [0.0, 777.25, -3_600.5] {
+            let all = batch.positions(dt);
+            for list in &lists {
+                let mut out = vec![Vec3::ZERO; list.len()];
+                batch.positions_of(list, dt, &mut out);
+                for (&i, got) in list.iter().zip(&out) {
+                    let want = all[i as usize];
+                    assert_eq!(got.x.to_bits(), want.x.to_bits(), "sat {i} at {dt}");
+                    assert_eq!(got.y.to_bits(), want.y.to_bits(), "sat {i} at {dt}");
+                    assert_eq!(got.z.to_bits(), want.z.to_bits(), "sat {i} at {dt}");
+                }
+            }
         }
     }
 

@@ -426,9 +426,11 @@ pub struct ShardSummary {
     /// Candidate entries whose two satellites live in different home
     /// shards — the pairs mirroring exists to keep.
     pub boundary_entries: u64,
-    /// Grid inserts beyond one-per-satellite-per-step (the mirror copies).
+    /// Grid inserts into a shard that is not the satellite's home (the
+    /// mirror copies).
     pub mirrored_inserts: u64,
-    /// Total grid inserts across shards and steps.
+    /// Total grid inserts across shards and steps, counting only the
+    /// shards that built a grid.
     pub total_inserts: u64,
     /// Per-occupied-shard rows, ascending by shard id.
     pub rows: Vec<ShardRow>,

@@ -41,9 +41,12 @@ KESSLER_SERVE_PID=$!
 trap 'kill "$KESSLER_SERVE_PID" 2>/dev/null || true; rm -rf "$KESSLER_STATE_DIR"' EXIT
 RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 --retries 8 --req-id ci-ready
 RUST_BACKTRACE=1 ./target/release/kessler submit subscribe --all --smoke --addr 127.0.0.1:7912
-# A SCREEN and an ADVANCE: 32 ADDs are far below the snapshot cadence, so
-# both records stay in the WAL tail the restart below replays.
+# A SCREEN, an UPDATE absorbed by a DELTA, and an ADVANCE: 32 ADDs are far
+# below the snapshot cadence, so every record stays in the WAL tail the
+# restart below replays.
 RUST_BACKTRACE=1 ./target/release/kessler submit screen --addr 127.0.0.1:7912
+RUST_BACKTRACE=1 ./target/release/kessler submit update --id 17 --a 7012 --incl 0.9 --addr 127.0.0.1:7912
+RUST_BACKTRACE=1 ./target/release/kessler submit delta --addr 127.0.0.1:7912
 RUST_BACKTRACE=1 ./target/release/kessler submit advance --dt 30 --addr 127.0.0.1:7912
 # METRICS over the wire: every answer so far is on the books once, the
 # 32 preloaded ADDs included. Each requests row, spaces squeezed out, is
@@ -51,8 +54,8 @@ RUST_BACKTRACE=1 ./target/release/kessler submit advance --dt 30 --addr 127.0.0.
 echo "==> kessler submit metrics counts every answer of the smoke, preload included"
 metrics="$(RUST_BACKTRACE=1 ./target/release/kessler submit metrics --addr 127.0.0.1:7912)"
 rows="$(tr -d ' ' <<<"$metrics")"
-for row in ADDok32errors0 SCREENok1errors0 ADVANCEok1errors0 SUBSCRIBEok1errors0 \
-    UNSUBSCRIBEok1errors0; do
+for row in ADDok32errors0 SCREENok1errors0 UPDATEok1errors0 DELTAok1errors0 \
+    ADVANCEok1errors0 SUBSCRIBEok1errors0 UNSUBSCRIBEok1errors0; do
     if ! grep -qx "$row" <<<"$rows"; then
         echo "METRICS requests table lacks the row $row: $metrics" >&2
         exit 1
@@ -63,21 +66,24 @@ wait "$KESSLER_SERVE_PID"
 
 # The same state directory, served again: startup replays the WAL the first
 # daemon left, screen records included, and must come back with its
-# catalog, its adopted screen and its advanced window.
-echo "==> kessler serve restarts on its state directory and recovers the catalog, screen and window"
+# catalog, its adopted screen and delta and its advanced window.
+echo "==> kessler serve restarts on its state directory and recovers the catalog, screens and window"
 ./target/release/kessler serve --addr 127.0.0.1:7912 --n 32 --state-dir "$KESSLER_STATE_DIR" &
 KESSLER_SERVE_PID=$!
 status="$(RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 --retries 8)"
 compact="$(tr -d ' \n' <<<"$status")"
 if ! grep -q '"recovered":true' <<<"$compact" || ! grep -q '"n_satellites":32,' <<<"$compact" \
-    || ! grep -q '"full_screens":1,' <<<"$compact" || ! grep -q '"window":\[30\.0,' <<<"$compact"; then
-    echo "restarted daemon did not recover its 32 satellites, 1 full screen and window at 30 s: $status" >&2
+    || ! grep -q '"full_screens":1,' <<<"$compact" || ! grep -q '"delta_screens":1' <<<"$compact" \
+    || ! grep -q '"window":\[30\.0,' <<<"$compact"; then
+    echo "restarted daemon did not recover its 32 satellites, 1 full screen, 1 delta screen and window at 30 s: $status" >&2
     exit 1
 fi
-# The replayed SCREEN and ADVANCE ran in this process, so its METRICS shows them.
+# The replayed SCREEN, DELTA and ADVANCE ran in this process, so its METRICS
+# shows them.
 echo "==> the restarted daemon's METRICS shows the screens its WAL replay ran"
 metrics="$(RUST_BACKTRACE=1 ./target/release/kessler submit metrics --addr 127.0.0.1:7912)"
-for block in "full screens — 1 screens" "advance tail screens — 1 screens"; do
+for block in "full screens — 1 screens" "delta screens — 1 screens" \
+    "advance tail screens — 1 screens"; do
     if ! grep -qF "$block" <<<"$metrics"; then
         echo "restarted daemon's METRICS lacks \"$block\": $metrics" >&2
         exit 1

@@ -9,6 +9,7 @@
 use kessler::core::PhaseTimings;
 use kessler::core::{CpuScreener, Extraction};
 use kessler::grid::grid::NeighborScan;
+use kessler::math::Vec3;
 use kessler::orbits::BatchPropagator;
 use kessler::prelude::*;
 use kessler::service::{DeltaEngine, ShardMap, ShardSpec, HYBRID_DELTA_VARIANT};
@@ -316,25 +317,40 @@ fn every_layout_screens_and_deltas_bit_identical_to_the_cold_screeners() {
             }
 
             // The same delta's extraction, run directly under the
-            // one-shard layout: everyone is inserted once per step, nobody
-            // is mirrored, and no entry crosses a shard edge.
+            // one-shard layout: nobody is mirrored and no entry crosses a
+            // shard edge. The per-step path inserts everyone once per
+            // step; the culled run finds the same entries inserting every
+            // changed satellite at every step and fewer than everyone.
             let planner = cold_after.planner;
             let map = ShardMap::single();
+            let propagator = BatchPropagator::new(&mutated);
             let (entries, stats) =
                 Extraction::new(&map, &changed, planner.cell_size_km, NeighborScan::Half)
-                    .run(
-                        &BatchPropagator::new(&mutated),
-                        &planner,
-                        &mut PhaseTimings::default(),
-                        None,
-                    )
+                    .run(&propagator, &planner, &mut PhaseTimings::default(), None)
                     .expect("no token, no cancellation");
             assert_eq!(Some(entries.len()), delta_entries, "{}", what(&None));
             assert_eq!(stats.mirrored_inserts, 0, "{}", what(&None));
             assert_eq!(stats.boundary_entries, 0, "{}", what(&None));
+            let steps = u64::from(planner.total_steps);
+            assert!(
+                (changed.len() as u64 * steps..N as u64 * steps).contains(&stats.total_inserts),
+                "{}: {} inserts",
+                what(&None),
+                stats.total_inserts
+            );
+
+            let mut every_step =
+                Extraction::new(&map, &changed, planner.cell_size_km, NeighborScan::Half);
+            let mut positions = vec![Vec3::ZERO; N];
+            for step in 0..planner.total_steps {
+                propagator.positions_into(step as f64 * planner.seconds_per_sample, &mut positions);
+                every_step.step(step, &positions, &mut PhaseTimings::default());
+            }
+            let (every_entries, every_stats) = every_step.finish();
+            assert_eq!(every_entries, entries, "{}", what(&None));
             assert_eq!(
-                stats.total_inserts,
-                N as u64 * u64::from(planner.total_steps),
+                (every_stats.total_inserts, every_stats.mirrored_inserts),
+                (N as u64 * steps, 0),
                 "{}",
                 what(&None)
             );

@@ -4,15 +4,20 @@
 //! extraction under an arbitrary multi-shard partition equals the
 //! single-shard (global) extraction and a brute-force O(n²) reference, in
 //! both query modes — every cross-boundary pair found, each pair exactly
-//! once, mirroring symmetric in the pair's order.
+//! once, mirroring symmetric in the pair's order. A DELTA's space-time cull
+//! (`Extraction::run` with a strict subset changed) finds exactly the
+//! entries of the per-step path that propagates and bins everyone.
 
-use kessler::core::{Extraction, PhaseTimings};
+use kessler::core::shard::CULL_BLOCK_SECONDS;
+use kessler::core::{Extraction, MemoryModel, PhaseTimings, PlannerReport};
 use kessler::grid::grid::NeighborScan;
 use kessler::grid::CandidatePair;
 use kessler::math::Vec3;
+use kessler::orbits::BatchPropagator;
+use kessler::prelude::{KeplerElements, ScreeningConfig, Variant};
 use kessler::service::{ShardMap, ShardScreenStats, ShardSpec};
 use proptest::prelude::*;
-use std::f64::consts::PI;
+use std::f64::consts::{PI, TAU};
 
 /// One step of a fresh extraction: its entries, sorted and each exactly
 /// once, and the per-shard statistics.
@@ -42,6 +47,69 @@ fn brute_force_entries(positions: &[Vec3], cell: f64, step: u32) -> Vec<Candidat
         }
     }
     out
+}
+
+/// The per-step path a culled run must agree with: every satellite
+/// propagated and binned at every step, then [`Extraction::step`].
+fn extract_every_step(
+    map: &ShardMap,
+    propagator: &BatchPropagator,
+    planner: &PlannerReport,
+    changed: &[u32],
+) -> (Vec<CandidatePair>, ShardScreenStats) {
+    let mut extraction = Extraction::new(map, changed, planner.cell_size_km, NeighborScan::Half);
+    let mut positions = vec![Vec3::ZERO; propagator.len()];
+    for step in 0..planner.total_steps {
+        propagator.positions_into(step as f64 * planner.seconds_per_sample, &mut positions);
+        extraction.step(step, &positions, &mut PhaseTimings::default());
+    }
+    extraction.finish()
+}
+
+/// `Extraction::run`, which culls when `changed` is a strict subset.
+fn extract_culled(
+    map: &ShardMap,
+    propagator: &BatchPropagator,
+    planner: &PlannerReport,
+    changed: &[u32],
+) -> (Vec<CandidatePair>, ShardScreenStats) {
+    Extraction::new(map, changed, planner.cell_size_km, NeighborScan::Half)
+        .run(propagator, planner, &mut PhaseTimings::default(), None)
+        .expect("no token, no cancellation")
+}
+
+/// Perigee radius shared by every orbit of the cull tests (km).
+const PERIGEE_KM: f64 = 6_720.0;
+
+/// An orbit through `(PERIGEE_KM, 0, 0)` at `t_node` seconds, crossing the
+/// x axis at inclination `incl` (π − incl flies the other way round):
+/// circular, or the fast eccentric a = 24 000 km, e = 0.72 one at its
+/// perigee there, at √(μ·1.72/6 720) ≈ 10.1 km/s (Eq. 1 assumes 7.8).
+fn through_the_node(eccentric: bool, incl: f64, raan: f64, t_node: f64) -> KeplerElements {
+    let (a, e) = if eccentric {
+        (PERIGEE_KM / (1.0 - 0.72), 0.72)
+    } else {
+        (PERIGEE_KM, 0.0)
+    };
+    let mean_motion = (kessler::orbits::constants::MU_EARTH / (a * a * a)).sqrt();
+    KeplerElements::new(
+        a,
+        e,
+        incl,
+        raan,
+        0.0,
+        (-mean_motion * t_node).rem_euclid(TAU),
+    )
+    .unwrap()
+}
+
+/// The plans the cull tests run at: 1 s grid steps (blocks of 20) and the
+/// hybrid's 9 s (blocks of 3, the last one a single step).
+fn cull_plans(n: usize) -> [PlannerReport; 2] {
+    [
+        MemoryModel::new(Variant::Grid).plan(n, &ScreeningConfig::grid_defaults(5.0, 60.0)),
+        MemoryModel::new(Variant::Hybrid).plan(n, &ScreeningConfig::hybrid_defaults(5.0, 90.0)),
+    ]
 }
 
 /// An arbitrary valid shard layout: 1–12 altitude bands, 1–6 |z| shells,
@@ -196,5 +264,105 @@ proptest! {
             map.home_of(base),
             map.home_of(other)
         );
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The cull is exact: over crossing swarms of circular and fast
+    /// eccentric orbits that all pass the same point at random times, with
+    /// k ∈ {1, 3, n/2, n − 1} changed, under the 1×1 and 8×4 layouts and at
+    /// grid and hybrid step sizes, `run` finds exactly the entries of the
+    /// per-step path.
+    #[test]
+    fn culled_run_equals_the_per_step_path(
+        seed in any::<u64>(),
+        n in 8usize..48,
+    ) {
+        let mut rng = seed | 1;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let population: Vec<KeplerElements> = (0..n)
+            .map(|_| {
+                let incl = if next() < 0.5 { 0.4 } else { PI - 0.4 } + 0.05 * next();
+                through_the_node(next() < 0.5, incl, 0.02 * next(), 90.0 * next())
+            })
+            .collect();
+        let propagator = BatchPropagator::new(&population);
+        for k in [1, 3, n / 2, n - 1] {
+            let mut changed: Vec<u32> = (0..n as u32).collect();
+            for i in 0..n {
+                changed.swap(i, i + (next() * (n - i) as f64) as usize);
+            }
+            changed.truncate(k);
+            changed.sort_unstable();
+            for planner in cull_plans(n) {
+                for map in [ShardMap::single(), ShardMap::new(ShardSpec::default()).unwrap()] {
+                    let (want, _) = extract_every_step(&map, &propagator, &planner, &changed);
+                    let (got, _) = extract_culled(&map, &propagator, &planner, &changed);
+                    prop_assert_eq!(
+                        got,
+                        want,
+                        "k = {}, s_ps = {}, {} shards",
+                        k,
+                        planner.seconds_per_sample,
+                        map.shard_count()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Head-on pairs of the fast eccentric orbit, one pair meeting at its
+/// shared perigee at each step of the span: every offset from a block
+/// start is covered, so some pair meets at the last step of a block (the
+/// reach's tightest case) and some just after a block start where they
+/// were beyond the reach. Only one side of each pair changed, so a reach
+/// too short for the closing speed loses that pair's entries.
+#[test]
+fn head_on_pairs_meeting_at_every_step_survive_the_cull() {
+    for planner in cull_plans(2) {
+        let steps = planner.total_steps;
+        let t = |s: u32| f64::from(s) * planner.seconds_per_sample;
+        // Each pair meets in its own direction, 2π/steps apart: at least
+        // 350 km between meeting points, farther than any entry.
+        let population: Vec<KeplerElements> = (0..steps)
+            .flat_map(|s| {
+                let raan = TAU * f64::from(s) / f64::from(steps);
+                [
+                    through_the_node(true, 0.0, raan, t(s)),
+                    through_the_node(true, PI, raan, t(s)),
+                ]
+            })
+            .collect();
+        let propagator = BatchPropagator::new(&population);
+        let changed: Vec<u32> = (0..steps).map(|s| 2 * s).collect();
+        let block = (CULL_BLOCK_SECONDS / planner.seconds_per_sample).ceil() as u32;
+        for map in [
+            ShardMap::single(),
+            ShardMap::new(ShardSpec::default()).unwrap(),
+        ] {
+            let (want, every) = extract_every_step(&map, &propagator, &planner, &changed);
+            let (got, culled) = extract_culled(&map, &propagator, &planner, &changed);
+            assert_eq!(got, want, "s_ps = {}", planner.seconds_per_sample);
+            // Every pair is found at its meeting step.
+            for s in 0..steps {
+                assert!(
+                    want.contains(&CandidatePair::new(2 * s, 2 * s + 1, s)),
+                    "pair {s} at its meeting step"
+                );
+            }
+            // The cull dropped work: a pair meeting beyond the end of a
+            // block is not binned in it.
+            assert!(block < steps);
+            assert!(culled.total_inserts < every.total_inserts);
+        }
     }
 }
