@@ -1,11 +1,12 @@
 //! The one step loop of every CPU screen, and the orbital-regime shard
 //! layout it runs under.
 //!
-//! [`Extraction::run`] is the paper's grid phase (§III step 2): per
-//! sampling step, propagate everyone, bin them into the layout's grid(s),
-//! extract candidate (pair, step) entries. The cold screeners run it on
-//! the 1×1 layout ([`ShardMap::single`]) with everyone changed — one grid
-//! per sampling step, as the paper builds it (§III-A) — and the service's
+//! [`Extraction::run`] is the paper's grid phase (§III step 2): one loop
+//! that, per sampling step, propagates the live satellites, bins them into
+//! the layout's grid(s) and extracts candidate (pair, step) entries. The
+//! cold screeners run it on the 1×1 layout ([`ShardMap::single`]) with
+//! everyone changed — one grid per sampling step, as the paper builds it
+//! (§III-A) — and the service's
 //! SCREEN, DELTA and ADVANCE tail run it on the daemon's layout. Each
 //! shard's grid is reused across steps via bulk reset: the paper allocates
 //! `p` grids and fills them in parallel, but on the CPU the within-step
@@ -46,21 +47,23 @@
 //! shard bins on the same global cell lattice — so each satellite's home
 //! grid holds all of its neighbours, exactly as one global grid would.
 //!
-//! # Two query modes, picked by the changed list
+//! # One live list and two query modes, picked by the changed list
 //!
-//! - **Everyone changed** (`changed.len() == n`; a cold screen): each
-//!   shard scans its occupied cells (the half neighbourhood under
-//!   [`NeighborScan::Half`]) and keeps a pair only where the shard is the
-//!   home of its lower id. By the rule above that shard holds the pair, so
+//! Every step works on one `live` list: the satellites it propagates and
+//! bins. The changed list decides what it holds and how a shard extracts.
+//!
+//! - **Everyone changed** (`changed.len() == n`; a cold screen): everyone
+//!   is live at every step, and each shard scans its occupied cells (the
+//!   half neighbourhood under [`NeighborScan::Half`]) and keeps a pair
+//!   only where the shard is the home of its lower id. By the rule above that shard holds the pair, so
 //!   every pair is emitted once; under 1×1 the home test always passes.
 //!   The scan enumerates each adjacent pair once instead of querying 27
 //!   cells for every satellite, which makes it the cheaper of the two on
 //!   one grid (DESIGN §2.7); a shard also scans the cells of its mirrors,
 //!   whose pairs among themselves fail the home test.
 //! - **A subset changed** (a DELTA): each changed satellite's 27-cell
-//!   neighbourhood is queried in its home shard only, and only the
-//!   satellites that can reach a changed one are propagated and binned
-//!   (the cull below).
+//!   neighbourhood is queried in its home shard only, and `live` holds
+//!   only the satellites that can reach a changed one (the cull below).
 //!
 //! Either way the entries carry global indices and [`Extraction::finish`]
 //! sorts and deduplicates them, so every layout and both modes hand the
@@ -69,11 +72,11 @@
 //!
 //! # The space-time cull of a DELTA
 //!
-//! A DELTA walks the steps in blocks of `B = ⌈T / s_ps⌉` steps, a fixed
-//! stretch of simulated time `T` ([`CULL_BLOCK_SECONDS`]) whatever the
-//! variant's step size. At a block's first step everyone is propagated,
-//! and a satellite `g` survives the block only if some changed `c` lies
-//! within its reach:
+//! A DELTA recomputes `live` at the first step of each block of
+//! `B = ⌈T / s_ps⌉` steps, a fixed stretch of simulated time `T`
+//! ([`CULL_BLOCK_SECONDS`]) whatever the variant's step size. At a block's
+//! first step everyone is propagated, and a satellite `g` is live for the
+//! block only if some changed `c` lies within its reach:
 //!
 //! ```text
 //!   |p_g − p_c| < 2√3·g_c + (v_g + v_c)·(B − 1)·s_ps + slack
@@ -81,16 +84,18 @@
 //!
 //! where `v` is a satellite's perigee speed `n·a·√((1+e)/(1−e))` (which
 //! is `√(μ(1+e)/(a(1−e)))`), the fastest it moves anywhere on its orbit.
-//! The rest of the block propagates and bins survivors only. This is
+//! The rest of the block propagates and bins the live ones only. This is
 //! exact: an entry needs the two positions within `2√3·g_c` (the
 //! boundary-pair rule's margin), and two satellites' separation changes
 //! by at most `(v_g + v_c)·Δt`, so a satellite outside every changed
 //! one's reach at the block start has no entry with any of them before
 //! the block ends. The slack (1 km) covers the Kepler solve's and the
 //! arithmetic's rounding many times over. Changed satellites are within
-//! reach of themselves, so they always survive. The survivors are found
-//! by querying a coarse [`SpatialGrid`] that holds the changed positions,
-//! with cells as wide as the largest reach.
+//! reach of themselves, so they are always live. Everyone changed is the
+//! degenerate cull where every satellite survives, so it needs no reach
+//! and no loop of its own. The survivors are found by querying a coarse
+//! [`SpatialGrid`] that holds the changed positions, with cells as wide
+//! as the largest reach.
 //!
 //! Membership is recomputed from instantaneous positions every step, so
 //! eccentric satellites sweep through every band their apsis range
@@ -224,10 +229,6 @@ impl ShardMap {
     /// and persistence alike.
     pub fn for_layout(shards: Option<ShardSpec>) -> Result<ShardMap, String> {
         shards.map_or_else(|| Ok(ShardMap::single()), ShardMap::new)
-    }
-
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
     }
 
     pub fn shard_count(&self) -> u32 {
@@ -390,14 +391,15 @@ impl<'a> Extraction<'a> {
     }
 
     /// The step loop (§III step 2): at every sampling step of `planner`,
-    /// propagate — booked as `insertion` — then extract. When everyone
-    /// changed, every step propagates everyone and runs
-    /// [`Extraction::step`]; when a subset changed, the steps go in
-    /// culled blocks (see the module docs) that propagate and bin only
-    /// the satellites that can reach a changed one, with the same
-    /// entries. `cancel` is checked before each step; a never-tripped
-    /// token changes nothing. `planner` must be the plan whose cell size
-    /// this extraction was built with.
+    /// propagate — booked as `insertion` — then run [`Extraction::step`]
+    /// over the live list. When everyone changed, everyone is live at
+    /// every step. When a subset changed, each block's first step
+    /// propagates everyone and keeps live only the satellites that can
+    /// reach a changed one during the block (the cull of the module docs);
+    /// its other steps propagate only them. Entries are the same either
+    /// way. `cancel` is checked before each step; a never-tripped token
+    /// changes nothing. `planner` must be the plan whose cell size this
+    /// extraction was built with.
     pub fn run(
         mut self,
         propagator: &BatchPropagator,
@@ -406,70 +408,54 @@ impl<'a> Extraction<'a> {
         cancel: Option<&CancelToken>,
     ) -> Result<(Vec<CandidatePair>, ShardScreenStats), Cancelled> {
         debug_assert_eq!(self.cell_size_km, planner.cell_size_km);
-        let mut positions = vec![Vec3::ZERO; propagator.len()];
-        if self.changed.len() < positions.len() {
-            self.run_culled(propagator, planner, &mut positions, timings, cancel)?;
-            return Ok(self.finish());
-        }
+        let n = propagator.len();
+        let sps = planner.seconds_per_sample;
+        let everyone = self.changed.len() == n;
+        let block = ((CULL_BLOCK_SECONDS / sps).ceil() as u32).max(1);
+        // Only the cull reads the perigee speeds and `closing`, the
+        // largest `v_g + v_c` of any satellite and any changed one.
+        let (speeds, closing) = if everyone {
+            (Vec::new(), 0.0)
+        } else {
+            let speeds = perigee_speeds(propagator);
+            let closing = speeds.iter().copied().fold(0.0, f64::max)
+                + self
+                    .changed
+                    .iter()
+                    .map(|&c| speeds[c as usize])
+                    .fold(0.0, f64::max);
+            (speeds, closing)
+        };
+        // A live satellite's current position; the others keep their
+        // block-start one, which nothing reads.
+        let mut positions = vec![Vec3::ZERO; n];
+        // Everyone, until a DELTA's first block start culls it.
+        let mut live: Vec<u32> = (0..n as u32).collect();
+        let mut moved = Vec::new();
         for step in 0..planner.total_steps {
             check_opt(cancel)?;
             {
                 let _timer = PhaseTimer::start(&mut timings.insertion);
-                propagator.positions_into(step as f64 * planner.seconds_per_sample, &mut positions);
-            }
-            self.step(step, &positions, timings);
-        }
-        Ok(self.finish())
-    }
-
-    /// The subset branch of [`Extraction::run`]: blocks of
-    /// `⌈CULL_BLOCK_SECONDS / s_ps⌉` steps, each propagating everyone at
-    /// its first step to find the survivors, and only the survivors at
-    /// the others. `positions` holds a survivor's current position; the
-    /// others keep their block-start one, which nothing reads.
-    fn run_culled(
-        &mut self,
-        propagator: &BatchPropagator,
-        planner: &PlannerReport,
-        positions: &mut [Vec3],
-        timings: &mut PhaseTimings,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(), Cancelled> {
-        let sps = planner.seconds_per_sample;
-        let block = ((CULL_BLOCK_SECONDS / sps).ceil() as u32).max(1);
-        let speeds = perigee_speeds(propagator);
-        // The largest `v_g + v_c` of any satellite and any changed one.
-        let closing = speeds.iter().copied().fold(0.0, f64::max)
-            + self
-                .changed
-                .iter()
-                .map(|&c| speeds[c as usize])
-                .fold(0.0, f64::max);
-        let mut live = Vec::new();
-        let mut moved = Vec::new();
-        for start in (0..planner.total_steps).step_by(block as usize) {
-            let end = (start + block).min(planner.total_steps);
-            for step in start..end {
-                check_opt(cancel)?;
-                {
-                    let _timer = PhaseTimer::start(&mut timings.insertion);
-                    let dt = step as f64 * sps;
-                    if step == start {
-                        propagator.positions_into(dt, positions);
-                        let span = f64::from(end - 1 - start) * sps;
-                        live = self.reachable(positions, &speeds, closing, span);
-                        moved.resize(live.len(), Vec3::ZERO);
-                    } else {
-                        propagator.positions_of(&live, dt, &mut moved);
-                        for (&g, &p) in live.iter().zip(&moved) {
-                            positions[g as usize] = p;
-                        }
+                let dt = step as f64 * sps;
+                let starts_block = step % block == 0;
+                if starts_block || live.len() == n {
+                    propagator.positions_into(dt, &mut positions);
+                } else {
+                    propagator.positions_of(&live, dt, &mut moved);
+                    for (&g, &p) in live.iter().zip(&moved) {
+                        positions[g as usize] = p;
                     }
                 }
-                self.step_among(step, positions, Some(&live), timings);
+                if starts_block && !everyone {
+                    let last = (step + block).min(planner.total_steps) - 1;
+                    let span = f64::from(last - step) * sps;
+                    live = self.reachable(&positions, &speeds, closing, span);
+                    moved.resize(live.len(), Vec3::ZERO);
+                }
             }
+            self.step(step, &positions, &live, timings);
         }
-        Ok(())
+        Ok(self.finish())
     }
 
     /// The satellites within reach of a changed one for a block whose
@@ -508,29 +494,25 @@ impl<'a> Extraction<'a> {
             .collect()
     }
 
-    /// One sampling step: recompute shard membership from the step's
-    /// positions (mirroring satellites within `m = 2√3·cell` of a shard
-    /// edge into the adjacent shards) and bin every shard that extracts
-    /// for someone into its grid — booked as `insertion` — then extract,
-    /// booked as `pair_extraction`: the occupied-cell scan when everyone
-    /// changed, else each changed satellite's 27-cell query in its home
-    /// shard. Shards run in parallel, and so does the work inside each.
+    /// One sampling step over the satellites `live` lists (a superset of
+    /// the changed ones, ascending): recompute their shard membership from
+    /// the step's positions (mirroring satellites within `m = 2√3·cell` of
+    /// a shard edge into the adjacent shards) and bin them into the grid
+    /// of every shard that extracts for someone — booked as `insertion` —
+    /// then extract, booked as `pair_extraction`: the occupied-cell scan
+    /// when everyone changed, else each changed satellite's 27-cell query
+    /// in its home shard. Shards run in parallel, and so does the work
+    /// inside each.
     ///
     /// The emitted `CandidatePair`s carry *global* indices, so everything
     /// downstream of extraction (refinement, dedup, the warm pair map) is
     /// untouched by the layout — which is what makes every layout exact.
-    pub fn step(&mut self, step: u32, positions: &[Vec3], timings: &mut PhaseTimings) {
-        self.step_among(step, positions, None, timings);
-    }
-
-    /// [`Extraction::step`] over the satellites `live` lists (a changed
-    /// superset, ascending), or over everyone for `None`: only they are
-    /// binned, and only their entries of `positions` are read.
-    fn step_among(
+    /// Only the live entries of `positions` are read.
+    pub fn step(
         &mut self,
         step: u32,
         positions: &[Vec3],
-        live: Option<&[u32]>,
+        live: &[u32],
         timings: &mut PhaseTimings,
     ) {
         {
@@ -574,25 +556,17 @@ impl<'a> Extraction<'a> {
     }
 
     /// Shard membership and home shards of the satellites `live` lists
-    /// (everyone for `None`) at this step's positions.
-    fn bin(&mut self, positions: &[Vec3], live: Option<&[u32]>) {
+    /// at this step's positions.
+    fn bin(&mut self, positions: &[Vec3], live: &[u32]) {
         let n = positions.len();
         if let [only] = &mut self.slots[..] {
-            // One shard takes everyone binned: no radius or |z| to
-            // compute, and without a cull the membership is the same list
-            // at every step.
+            // One shard takes everyone live: no radius or |z| to compute.
             if self.home.len() != n {
                 only.queries = self.changed.to_vec();
                 self.home = vec![0; n];
             }
-            match live {
-                Some(live) => {
-                    only.members.clear();
-                    only.members.extend_from_slice(live);
-                }
-                None if only.members.len() != n => only.members = (0..n as u32).collect(),
-                None => {}
-            }
+            only.members.clear();
+            only.members.extend_from_slice(live);
             return;
         }
         // Anything within the 27-cell neighbourhood differs by < 2·cell per
@@ -625,10 +599,7 @@ impl<'a> Extraction<'a> {
                 }
             }
         };
-        match live {
-            Some(live) => live.iter().for_each(|&i| place(i)),
-            None => (0..n as u32).for_each(place),
-        }
+        live.iter().for_each(|&i| place(i));
         for &c in self.changed {
             self.slots[self.home[c as usize] as usize].queries.push(c);
         }
@@ -745,8 +716,9 @@ mod tests {
         cell: f64,
         step: u32,
     ) -> (HashSet<CandidatePair>, ShardScreenStats) {
+        let everyone: Vec<u32> = (0..positions.len() as u32).collect();
         let mut extraction = Extraction::new(map, changed, cell, NeighborScan::Half);
-        extraction.step(step, positions, &mut PhaseTimings::default());
+        extraction.step(step, positions, &everyone, &mut PhaseTimings::default());
         let (entries, stats) = extraction.finish();
         let set: HashSet<CandidatePair> = entries.iter().copied().collect();
         assert_eq!(set.len(), entries.len(), "each entry exactly once");

@@ -320,11 +320,7 @@ impl Catalog {
     pub fn advance_all(&mut self, dt: f64) {
         self.epoch += 1;
         self.time += dt;
-        let time = self.time;
-        let elements = Arc::make_mut(&mut self.elements);
-        for (el, base) in elements.iter_mut().zip(self.base_elements.iter()) {
-            el.mean_anomaly = base.mean_anomaly_at(time);
-        }
+        self.elements = Arc::new(elements_at(&self.elements, &self.base_elements, self.time));
     }
 
     /// De-propagate elements received *now* (at `self.time`) back to the
@@ -334,6 +330,26 @@ impl Catalog {
         base.mean_anomaly = elements.mean_anomaly_at(-self.time);
         base
     }
+}
+
+/// The catalog-time rule: each satellite of `elements` at `time` seconds
+/// past the base epoch, its mean anomaly propagated from its epoch-0
+/// `base` and every other element kept. [`Catalog::advance_all`] and a
+/// screening job's ADVANCE both apply it, so an adopted advance leaves
+/// the catalog holding the very elements the job screened.
+pub(crate) fn elements_at(
+    elements: &[KeplerElements],
+    base: &[KeplerElements],
+    time: f64,
+) -> Vec<KeplerElements> {
+    elements
+        .iter()
+        .zip(base)
+        .map(|(el, base)| KeplerElements {
+            mean_anomaly: base.mean_anomaly_at(time),
+            ..*el
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! client-supplied request ids to tokens so a `CANCEL <id>` from any
 //! connection can trip a job that another connection enqueued.
 
-use crate::catalog::CatalogSnapshot;
+use crate::catalog::{elements_at, CatalogSnapshot};
 use crate::delta::{advance_window_job, screen_or_full, AdvanceOutcome, PairMap, ScreenRun};
 use crate::error::ServiceError;
 use crate::proto::{LastScreen, Request};
@@ -27,7 +27,6 @@ use crate::sync::Mutex;
 use kessler_core::cancel::{CancelToken, Cancelled};
 use kessler_core::conjunction::ScreeningReport;
 use kessler_core::{CpuScreener, ShardScreenStats};
-use kessler_orbits::KeplerElements;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -134,21 +133,12 @@ pub fn run_screen_job(
         }
     };
 
-    // Advance the snapshot's elements bit-identically to
-    // `Catalog::advance_all`: absolute propagation from the stored
-    // epoch-0 base to `time + dt`.
-    let time = job.snapshot.time + dt;
-    let advanced: Vec<KeplerElements> = job
-        .snapshot
-        .elements
-        .iter()
-        .zip(job.snapshot.base_elements.iter())
-        .map(|(el, base)| {
-            let mut advanced = *el;
-            advanced.mean_anomaly = base.mean_anomaly_at(time);
-            advanced
-        })
-        .collect();
+    let snapshot = &job.snapshot;
+    let advanced = elements_at(
+        &snapshot.elements,
+        &snapshot.base_elements,
+        snapshot.time + dt,
+    );
     let (pairs, outcome, tail) = advance_window_job(&job.screener, &advanced, dt, pairs, cancel)?;
     Ok(ScreenOutput::Advance {
         pairs,

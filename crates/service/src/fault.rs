@@ -33,8 +33,8 @@ pub struct FaultPlan {
     /// Panic *inside* the worker's `catch_unwind` guard while screening:
     /// the request must get an ERROR response and the worker must survive.
     panic_screen: AtomicU32,
-    /// Panic *outside* the guard: the worker thread dies and the
-    /// supervisor must respawn it.
+    /// Panic *outside* the guard: the worker loop unwinds and its
+    /// thread must restart it.
     kill_worker: AtomicU32,
     /// Tear the next WAL append: write only a prefix of the record (as a
     /// crash mid-`write` would) while still reporting success.

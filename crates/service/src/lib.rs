@@ -36,7 +36,7 @@
 //!   tracks dirty shards by [`ShardMap::assign`].
 //! - [`exec`] — the execution layer: screening work captured as
 //!   [`exec::ScreenJob`]s against immutable catalog snapshots
-//!   ([`ServiceState::begin`]), run by a pool of supervised workers,
+//!   ([`ServiceState::begin`]), run by a pool of worker threads,
 //!   cancellable via `CANCEL`, and committed back latest-epoch-wins by
 //!   [`ServiceState::commit`] — the one way a screen reaches the
 //!   maintained set, for the workers and for [`ServiceState::handle`]
@@ -45,10 +45,11 @@
 //!   (ADD/UPDATE/REMOVE/SCREEN/DELTA/ADVANCE/CANCEL/STATUS/SUBSCRIBE/
 //!   SHUTDOWN) and an evented front end: one poll(2)-driven I/O thread
 //!   owns every socket (pipelined requests, bounded write buffers with
-//!   slow-consumer shedding) and hands screening work to the pool of
-//!   supervised workers. `SUBSCRIBE` turns a connection into a push
-//!   stream of conjunction deltas (`new`/`updated`/`retired`) emitted as
-//!   screens commit. Std networking only; `nc` is a valid client. The
+//!   slow-consumer shedding) and hands screening work to the worker
+//!   pool, whose threads restart their loop after a panic. `SUBSCRIBE`
+//!   turns a connection into a push stream of conjunction deltas
+//!   (`new`/`updated`/`retired`) emitted as screens commit. Std
+//!   networking only; `nc` is a valid client. The
 //!   library's one client is [`Client`]: one socket read through the
 //!   server's own line framer, one connect-with-deadline
 //!   ([`Client::connect_within`]), and one retry rule ([`Retry`], paced by

@@ -77,11 +77,10 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Record one screen's phase breakdown under its report variant
-    /// (`"grid-delta"`/`"hybrid-delta"` → delta series, anything else →
-    /// full series).
-    pub fn record_screen(&mut self, variant: &str, timings: &PhaseTimings) {
-        if variant == crate::delta::DELTA_VARIANT || variant == crate::delta::HYBRID_DELTA_VARIANT {
+    /// Record one screen's phase breakdown in the delta series if a delta
+    /// screen ran, else in the full series.
+    pub fn record_screen(&mut self, delta: bool, timings: &PhaseTimings) {
+        if delta {
             self.delta.record(timings);
         } else {
             self.full.record(timings);
@@ -332,7 +331,6 @@ pub struct MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delta::{DELTA_VARIANT, HYBRID_DELTA_VARIANT};
 
     fn timings(ms: u64) -> PhaseTimings {
         PhaseTimings {
@@ -347,17 +345,17 @@ mod tests {
     #[test]
     fn screens_split_by_variant() {
         let mut m = MetricsRegistry::default();
-        m.record_screen("grid", &timings(10));
-        m.record_screen("grid", &timings(20));
-        m.record_screen(DELTA_VARIANT, &timings(2));
-        m.record_screen("hybrid", &timings(15));
-        m.record_screen(HYBRID_DELTA_VARIANT, &timings(3));
+        m.record_screen(false, &timings(10));
+        m.record_screen(false, &timings(20));
+        m.record_screen(true, &timings(2));
+        m.record_screen(false, &timings(15));
+        m.record_screen(true, &timings(3));
         let snap = m.snapshot();
         assert_eq!(snap.full_screens.unwrap().screens, 3);
         assert_eq!(
             snap.delta_screens.unwrap().screens,
             2,
-            "hybrid-delta lands in the delta series"
+            "every delta screen lands in the delta series"
         );
         assert!(snap.advance_tails.is_none());
         assert!(snap.wal_fsync_ms.is_none());
@@ -480,7 +478,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_through_json() {
         let mut m = MetricsRegistry::default();
-        m.record_screen("grid", &timings(10));
+        m.record_screen(false, &timings(10));
         m.wal_fsync.record_duration(Duration::from_micros(800));
         let written = Written {
             bytes: 12_345,
@@ -503,8 +501,8 @@ mod tests {
     fn one_line_mentions_what_exists() {
         let mut m = MetricsRegistry::default();
         assert!(m.one_line().contains("no screens yet"));
-        m.record_screen("grid", &timings(10));
-        m.record_screen(DELTA_VARIANT, &timings(1));
+        m.record_screen(false, &timings(10));
+        m.record_screen(true, &timings(1));
         let line = m.one_line();
         assert!(line.contains("full"), "{line}");
         assert!(line.contains("delta"), "{line}");
@@ -592,8 +590,8 @@ mod tests {
     fn metrics_wire_shape_is_pinned() {
         use kessler_core::ShardScreenStats;
         let mut m = MetricsRegistry::default();
-        m.record_screen("grid", &timings(10));
-        m.record_screen(DELTA_VARIANT, &timings(2));
+        m.record_screen(false, &timings(10));
+        m.record_screen(true, &timings(2));
         m.advance.record(&timings(4));
         m.record_filter_chain(&FilterStatsSnapshot {
             tested: 10,

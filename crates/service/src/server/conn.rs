@@ -176,10 +176,10 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, max_line_bytes: usize) -> Conn {
+    fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            framer: LineFramer::new(max_line_bytes),
+            framer: LineFramer::new(MAX_LINE_BYTES),
             out: WriteQueue::new(),
             inflight: 0,
             eof: false,
@@ -244,7 +244,7 @@ pub(crate) fn event_loop(listener: &TcpListener, wake_rx: &UnixStream, shared: &
             drain_wake(wake_rx);
         }
         if accepting && fds[1].readable() {
-            accept_new(listener, shared, &mut conns, &mut next_id);
+            accept_new(listener, &mut conns, &mut next_id);
         }
         for (i, &id) in order.iter().enumerate() {
             if !fds[base + i].readable() {
@@ -316,12 +316,7 @@ fn drain_wake(wake_rx: &UnixStream) {
     while matches!(reader.read(&mut sink), Ok(n) if n > 0) {}
 }
 
-fn accept_new(
-    listener: &TcpListener,
-    shared: &Shared,
-    conns: &mut HashMap<u64, Conn>,
-    next_id: &mut u64,
-) {
+fn accept_new(listener: &TcpListener, conns: &mut HashMap<u64, Conn>, next_id: &mut u64) {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -331,7 +326,7 @@ fn accept_new(
                 let _ = stream.set_nodelay(true);
                 let id = *next_id;
                 *next_id += 1;
-                conns.insert(id, Conn::new(stream, shared.max_line_bytes));
+                conns.insert(id, Conn::new(stream));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -380,8 +375,7 @@ fn service_reads(shared: &Shared, id: u64, conn: &mut Conn, scratch: &mut [u8]) 
 fn handle_frame(shared: &Shared, id: u64, conn: &mut Conn, frame: Frame) {
     let response = match frame {
         Frame::Oversized => Response::error(format!(
-            "request line exceeds the {}-byte cap",
-            shared.max_line_bytes
+            "request line exceeds the {MAX_LINE_BYTES}-byte cap"
         )),
         Frame::Line(bytes) => {
             // Strict UTF-8: lossy U+FFFD replacement could silently turn a
@@ -480,7 +474,7 @@ fn queue_response(shared: &Shared, conn: &mut Conn, response: &Response) {
 /// buffer would cross the high-water mark plus two max-size lines, at
 /// which point it is disconnected as unrecoverable.
 fn queue_response_line(shared: &Shared, conn: &mut Conn, line: &str) {
-    let hard_cap = shared.write_highwater + 2 * shared.max_line_bytes;
+    let hard_cap = shared.write_highwater + 2 * MAX_LINE_BYTES;
     if conn.out.pending() + line.len() + 1 > hard_cap {
         shared.metrics.lock().served.slow_consumer_disconnects += 1;
         conn.dead = true;

@@ -4,9 +4,10 @@
 //! and hand it to [`ServiceState::commit`], and publishes to subscribers
 //! what the commit hands back; the [`IoHub`] queue that carries worker
 //! completions and subscription pushes back to the event loop; and the
-//! supervised worker pool. `commit` itself records the screen in METRICS,
-//! and an inline request is just [`ServiceState::handle`] under the state
-//! lock, so neither needs anything from here.
+//! worker pool, whose threads restart their loop in place after a panic.
+//! `commit` itself records the screen in METRICS, and an inline request
+//! is just [`ServiceState::handle`] under the state lock, so neither needs
+//! anything from here.
 //!
 //! Nothing here counts an inline answer: the event loop does, as it
 //! queues the answer for its connection. A worker's answer is counted by
@@ -129,7 +130,6 @@ pub(crate) struct Shared {
     pub(crate) addr: SocketAddr,
     pub(crate) faults: Arc<FaultPlan>,
     pub(crate) read_timeout: Option<Duration>,
-    pub(crate) max_line_bytes: usize,
     /// Per-connection write-buffer high-water mark (bytes): pushes are
     /// shed above it, and responses disconnect the consumer at the mark
     /// plus two max-size lines.
@@ -286,9 +286,9 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: 
                     sent: false,
                 };
                 if shared.faults.take_kill_worker() {
-                    // Outside the guard: the thread dies and the supervisor
-                    // must respawn it. Unregister first so the req_id is
-                    // not blocked forever; `reply` unwinds into the
+                    // Outside the guard: the loop unwinds and its thread
+                    // restarts it. Unregister first so the req_id is not
+                    // blocked forever; `reply` unwinds into the
                     // "unavailable" answer.
                     shared.registry.unregister(seq);
                     panic!("fault injection: kill worker");
@@ -349,40 +349,30 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: 
     }
 }
 
-/// Spawn worker `index` under a supervisor that respawns it if it ever
-/// dies from an un-caught panic (graceful `Job::Stop` exits both).
-pub(crate) fn spawn_supervised_worker(
+/// Spawn worker `index` on its own thread. A panic that escapes the
+/// job's own guard (the kill-worker fault, a panic in commit) has already
+/// answered its client through `Reply`'s drop; the thread counts a
+/// respawn and re-enters the loop in place. It returns on `Job::Stop`,
+/// and on a panic during shutdown.
+pub(crate) fn spawn_worker(
     shared: Arc<Shared>,
     jobs: Arc<Mutex<Receiver<Job>>>,
     index: usize,
 ) -> Result<JoinHandle<()>, ServiceError> {
+    let worker = format!("worker-{index}");
     thread::Builder::new()
-        .name(format!("kessler-screen-supervisor-{index}"))
+        .name(format!("kessler-screen-{index}"))
         .spawn(move || loop {
-            let worker_shared = Arc::clone(&shared);
-            let worker_jobs = Arc::clone(&jobs);
-            let worker = match thread::Builder::new()
-                .name(format!("kessler-screen-{index}"))
-                .spawn(move || {
-                    worker_loop(&worker_shared, &worker_jobs, &format!("worker-{index}"))
-                }) {
-                Ok(handle) => handle,
-                Err(err) => {
-                    eprintln!("kessler-service: could not respawn screening worker: {err}");
-                    return;
-                }
-            };
-            match worker.join() {
-                Ok(()) => return,
-                Err(_) if shared.shutdown.load(Ordering::SeqCst) => return,
-                Err(_) => {
-                    shared.metrics.lock().served.worker_respawns += 1;
-                    eprintln!("kessler-service: screening worker died; respawning");
-                }
+            let ran =
+                panic::catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, &jobs, &worker)));
+            if ran.is_ok() || shared.shutdown.load(Ordering::SeqCst) {
+                return;
             }
+            shared.metrics.lock().served.worker_respawns += 1;
+            eprintln!("kessler-service: screening worker panicked; restarting it");
         })
         .map_err(|e| ServiceError::Spawn {
-            what: "screening supervisor",
+            what: "screening worker",
             source: e,
         })
 }

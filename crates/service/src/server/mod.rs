@@ -13,7 +13,7 @@
 //!   lock-free, and *committed* back under the lock, latest-epoch-wins —
 //!   a result captured before an already-adopted newer one answers its
 //!   client (flagged `stale`) but does not clobber the maintained set.
-//! - **Execution**: a pool of supervised screening workers (see
+//! - **Execution**: a pool of screening worker threads (see
 //!   [`ServerOptions::workers`]) drains a *bounded* `mpsc::sync_channel`
 //!   whose receiver the workers share, so concurrent clients cannot
 //!   stampede the rayon pool — and when the
@@ -77,8 +77,9 @@
 //! failures, transitions, and recoveries.
 //!
 //! Panic isolation: screening runs inside `catch_unwind`, so a panic
-//! mid-screen becomes an ERROR response instead of a dead worker; if a
-//! worker thread dies anyway, its supervisor respawns it.
+//! mid-screen becomes an ERROR response instead of a dead worker; a panic
+//! that escapes it anyway unwinds the worker's loop, which its thread
+//! counts and restarts in place.
 //!
 //! Everything is std networking and `std::sync` — no async runtime, no
 //! protocol framework.
@@ -104,7 +105,7 @@ use crate::proto::{
 };
 use crate::sync::Mutex;
 use degraded::spawn_persist_probe;
-use handlers::{spawn_metrics_reporter, spawn_supervised_worker, IoHub, Job, Shared};
+use handlers::{spawn_metrics_reporter, spawn_worker, IoHub, Job, Shared};
 use kessler_core::{CpuScreener, ScreeningConfig, ShardSpec, Variant};
 use kessler_orbits::KeplerElements;
 use std::collections::BTreeSet;
@@ -137,8 +138,6 @@ pub struct ServerOptions {
     /// with no inbound bytes, no job in flight, and no subscription for
     /// this long are reaped.
     pub read_timeout: Option<Duration>,
-    /// Per-line byte cap; oversized lines get an error response.
-    pub max_line_bytes: usize,
     /// Per-connection write-buffer high-water mark in bytes: push events
     /// are shed above it, and a consumer whose buffered responses exceed
     /// it by two max-size lines is disconnected.
@@ -166,7 +165,6 @@ impl Default for ServerOptions {
             queue_depth: 32,
             workers: 0,
             read_timeout: Some(Duration::from_secs(120)),
-            max_line_bytes: MAX_LINE_BYTES,
             write_highwater: MAX_LINE_BYTES,
             faults: FaultPlan::inert(),
             metrics_every: None,
@@ -182,8 +180,7 @@ impl Default for ServerOptions {
 /// allocated when the server binds.
 pub const MAX_QUEUE_DEPTH: usize = 1 << 16;
 
-/// Largest [`ServerOptions::workers`]: each worker is two threads, itself
-/// and its supervisor.
+/// Largest [`ServerOptions::workers`]: each worker is one thread.
 pub const MAX_WORKERS: usize = 64;
 
 /// Refuse a queue or a worker pool above its limit, before anything is
@@ -791,7 +788,7 @@ impl ServiceState {
                 // outcome is recorded.
                 {
                     let mut metrics = self.metrics.lock();
-                    metrics.record_screen(&summary.variant, &summary.timings);
+                    metrics.record_screen(ran == ScreenRun::Delta, &summary.timings);
                     if let Some(stats) = &summary.filter_stats {
                         metrics.record_filter_chain(stats);
                     }
@@ -941,10 +938,9 @@ pub struct Server {
     listener: TcpListener,
     wake_rx: UnixStream,
     shared: Arc<Shared>,
-    supervisors: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     reporter: Option<JoinHandle<()>>,
     probe: Option<JoinHandle<()>>,
-    workers: usize,
     recovery: Option<RecoverySummary>,
 }
 
@@ -1003,7 +999,7 @@ impl Server {
             addr: addr.to_string(),
             source: e,
         })?;
-        let workers = resolve_workers(options.workers);
+        let worker_count = resolve_workers(options.workers);
         let (jobs_tx, jobs_rx) = sync_channel::<Job>(options.queue_depth.max(1));
         // One receiver, taken in turn by whichever worker is idle.
         let jobs_rx = Arc::new(Mutex::new(jobs_rx));
@@ -1039,17 +1035,11 @@ impl Server {
             addr: local,
             faults: options.faults,
             read_timeout: options.read_timeout,
-            max_line_bytes: options.max_line_bytes.max(1024),
             write_highwater: options.write_highwater.max(1),
         });
-        let mut supervisors = Vec::with_capacity(workers);
-        for index in 0..workers {
-            supervisors.push(spawn_supervised_worker(
-                Arc::clone(&shared),
-                Arc::clone(&jobs_rx),
-                index,
-            )?);
-        }
+        let workers = (0..worker_count)
+            .map(|index| spawn_worker(Arc::clone(&shared), Arc::clone(&jobs_rx), index))
+            .collect::<Result<Vec<_>, _>>()?;
         let reporter = options
             .metrics_every
             .and_then(|every| spawn_metrics_reporter(Arc::clone(&shared), every));
@@ -1067,7 +1057,6 @@ impl Server {
             listener,
             wake_rx,
             shared,
-            supervisors,
             reporter,
             probe,
             workers,
@@ -1087,7 +1076,7 @@ impl Server {
 
     /// Screening worker threads this server runs.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.workers.len()
     }
 
     /// Current catalog size (used by the CLI to skip preloading over a
@@ -1123,15 +1112,15 @@ impl Server {
     /// Serve connections on the evented I/O loop until a SHUTDOWN request
     /// arrives and in-flight work drains. Blocks. On the way out: trips
     /// every live job's token, stops each worker, and joins the
-    /// supervisors and the metrics reporter — no stray threads.
+    /// workers and the metrics reporter — no stray threads.
     pub fn run(mut self) {
         conn::event_loop(&self.listener, &self.wake_rx, &self.shared);
         self.shared.registry.cancel_all();
-        for _ in 0..self.workers {
+        for _ in &self.workers {
             let _ = self.shared.jobs.send(Job::Stop);
         }
-        for supervisor in self.supervisors.drain(..) {
-            let _ = supervisor.join();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
         if let Some(reporter) = self.reporter.take() {
             let _ = reporter.join();
@@ -1997,6 +1986,51 @@ mod tests {
                 c.id_hi
             );
         }
+    }
+
+    #[test]
+    fn an_adopted_advance_leaves_the_elements_its_job_screened() {
+        let config = ScreeningConfig::grid_defaults(5.0, 120.0);
+        let mut state = ServiceState::new(config).unwrap();
+        for i in 0..6u64 {
+            state.handle(&Request::Add {
+                id: i,
+                elements: spec(7_000.0 + i as f64 * 5.0, 0.4 + i as f64 * 0.2, i as f64),
+            });
+        }
+        assert!(state.handle(&Request::Advance { dt: 12.5 }).ok);
+        // Elements delivered mid-flight are rebased onto catalog time.
+        state.handle(&Request::Update {
+            id: 3,
+            elements: spec(7_021.0, 0.9, 2.0),
+        });
+        let dt = 30.0;
+        let job = state.begin(&Request::Advance { dt }).unwrap();
+        let snapshot = &job.snapshot;
+        let screened = crate::catalog::elements_at(
+            &snapshot.elements,
+            &snapshot.base_elements,
+            snapshot.time + dt,
+        );
+        let output = run_screen_job(&job, None).unwrap();
+        assert!(state.commit(&job, output).response.ok);
+        let bits = |elements: &[KeplerElements]| {
+            elements
+                .iter()
+                .map(|e| {
+                    [
+                        e.semi_major_axis,
+                        e.eccentricity,
+                        e.inclination,
+                        e.raan,
+                        e.arg_perigee,
+                        e.mean_anomaly,
+                    ]
+                    .map(f64::to_bits)
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(state.catalog().elements()), bits(&screened));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 
 use kessler_core::ScreeningConfig;
 use kessler_service::proto::ElementsSpec;
-use kessler_service::{Client, Request, Response, Server, ServerHandle, ServerOptions};
+use kessler_service::{
+    Client, Request, Response, Server, ServerHandle, ServerOptions, MAX_LINE_BYTES,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -166,16 +168,12 @@ fn worker_pool_verbs_complete_out_of_order_with_inline_verbs() {
 
 #[test]
 fn oversized_line_is_rejected_once_and_the_stream_resyncs() {
-    let options = ServerOptions {
-        max_line_bytes: 2_048,
-        ..ServerOptions::default()
-    };
-    let server = serve(options);
+    let server = serve(ServerOptions::default());
     let mut raw = Raw::connect(server.addr());
 
-    // 6 KiB of garbage with no newline, then the newline, then a valid
-    // request: exactly one cap error, then normal service.
-    let mut junk = vec![b'x'; 6 * 1024];
+    // Three caps of garbage with no newline, then the newline, then a
+    // valid request: exactly one cap error, then normal service.
+    let mut junk = vec![b'x'; 3 * MAX_LINE_BYTES];
     junk.push(b'\n');
     junk.extend_from_slice(b"{\"cmd\":\"STATUS\"}\n");
     raw.write_all(&junk);
@@ -187,7 +185,7 @@ fn oversized_line_is_rejected_once_and_the_stream_resyncs() {
             .error
             .as_deref()
             .unwrap_or("")
-            .contains("exceeds the 2048-byte cap"),
+            .contains(&format!("exceeds the {MAX_LINE_BYTES}-byte cap")),
         "{:?}",
         first.error
     );
@@ -198,7 +196,7 @@ fn oversized_line_is_rejected_once_and_the_stream_resyncs() {
     // A line just under the cap still goes through (the cap excludes the
     // newline itself): pad a STATUS request with ignored whitespace.
     let mut line = b"{\"cmd\":\"STATUS\"}".to_vec();
-    line.resize(2_047, b' ');
+    line.resize(MAX_LINE_BYTES - 1, b' ');
     line.push(b'\n');
     raw.write_all(&line);
     assert!(raw.read_response().ok);

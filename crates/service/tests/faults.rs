@@ -10,6 +10,7 @@ use kessler_core::ScreeningConfig;
 use kessler_service::proto::ElementsSpec;
 use kessler_service::{
     request, Client, FaultPlan, PersistOptions, Request, Server, ServerHandle, ServerOptions,
+    MAX_LINE_BYTES,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -232,11 +233,7 @@ fn torn_wal_append_loses_only_the_unsynced_record() {
 
 #[test]
 fn garbage_and_oversized_lines_get_errors_without_collateral() {
-    let handle = serve(ServerOptions {
-        // Small cap so the test doesn't shovel megabytes through TCP.
-        max_line_bytes: 4096,
-        ..ServerOptions::default()
-    });
+    let handle = serve(ServerOptions::default());
     let mut bystander = Client::connect(handle.addr()).expect("connect bystander");
     populate(&mut bystander, 2);
 
@@ -248,22 +245,34 @@ fn garbage_and_oversized_lines_get_errors_without_collateral() {
     assert!(!response.ok);
     assert!(response.error.unwrap().starts_with("bad request"));
 
-    // Oversized: raw socket, 64 KiB of x's. The server drains the line,
-    // answers with an error, and the connection still serves valid
-    // requests afterwards.
+    // Oversized: raw socket, a line of x's 64 KiB over the protocol cap.
+    // The server drains the line, answers with an error, and the
+    // connection still serves valid requests afterwards, up to a line
+    // just under the cap.
     let mut raw = TcpStream::connect(handle.addr()).expect("raw connect");
-    let mut big = vec![b'x'; 64 * 1024];
+    let mut big = vec![b'x'; MAX_LINE_BYTES + 64 * 1024];
     big.push(b'\n');
     raw.write_all(&big).expect("oversized write");
     raw.flush().unwrap();
     let mut reader = BufReader::new(raw.try_clone().unwrap());
     let mut reply = String::new();
     reader.read_line(&mut reply).expect("oversized reply");
-    assert!(reply.contains("exceeds"), "{reply}");
+    assert!(
+        reply.contains(&format!("exceeds the {MAX_LINE_BYTES}-byte cap")),
+        "{reply}"
+    );
     raw.write_all(b"{\"cmd\":\"STATUS\"}\n").expect("follow-up");
     raw.flush().unwrap();
     reply.clear();
     reader.read_line(&mut reply).expect("follow-up reply");
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    let mut under = b"{\"cmd\":\"STATUS\"}".to_vec();
+    under.resize(MAX_LINE_BYTES - 1, b' ');
+    under.push(b'\n');
+    raw.write_all(&under).expect("line just under the cap");
+    raw.flush().unwrap();
+    reply.clear();
+    reader.read_line(&mut reply).expect("reply under the cap");
     assert!(reply.contains("\"ok\":true"), "{reply}");
 
     // The bystander connection never noticed.

@@ -7,6 +7,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A run leaves the tree as it found it: whatever building, testing and
+# running write goes to an ignored directory or a temporary one. The one
+# exception is benchmark/Cargo.lock, which building the benchmark rewrites
+# and which only a change to the benchmark commits.
+tree_status() {
+    git status --porcelain --untracked-files=all | grep -vx '.. benchmark/Cargo.lock' || true
+}
+tree_before="$(tree_status)"
+
 # The tier-1 line of ROADMAP.md, literally. `default-members` makes it cover
 # every package: unit, integration, property and doc tests of all of them.
 echo "==> cargo build --release && cargo test -q"
@@ -113,5 +122,13 @@ cargo clippy --locked --workspace --all-targets -- -D warnings
 # A renamed or deleted item must take its doc links with it.
 echo "==> RUSTDOCFLAGS=-D warnings cargo doc --locked --workspace --no-deps"
 RUSTDOCFLAGS="-D warnings" cargo doc --locked --workspace --no-deps
+
+echo "==> the run left the tree as it found it (benchmark/Cargo.lock aside)"
+tree_after="$(tree_status)"
+if [ "$tree_before" != "$tree_after" ]; then
+    echo "the run changed the tree; git status before and after:" >&2
+    diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+    exit 1
+fi
 
 echo "CI checks passed."

@@ -342,9 +342,10 @@ fn every_layout_screens_and_deltas_bit_identical_to_the_cold_screeners() {
             let mut every_step =
                 Extraction::new(&map, &changed, planner.cell_size_km, NeighborScan::Half);
             let mut positions = vec![Vec3::ZERO; N];
+            let everyone: Vec<u32> = (0..N as u32).collect();
             for step in 0..planner.total_steps {
                 propagator.positions_into(step as f64 * planner.seconds_per_sample, &mut positions);
-                every_step.step(step, &positions, &mut PhaseTimings::default());
+                every_step.step(step, &positions, &everyone, &mut PhaseTimings::default());
             }
             let (every_entries, every_stats) = every_step.finish();
             assert_eq!(every_entries, entries, "{}", what(&None));

@@ -28,8 +28,9 @@ fn extract_step(
     cell: f64,
     step: u32,
 ) -> (Vec<CandidatePair>, ShardScreenStats) {
+    let everyone: Vec<u32> = (0..positions.len() as u32).collect();
     let mut extraction = Extraction::new(map, changed, cell, NeighborScan::Half);
-    extraction.step(step, positions, &mut PhaseTimings::default());
+    extraction.step(step, positions, &everyone, &mut PhaseTimings::default());
     extraction.finish()
 }
 
@@ -59,9 +60,10 @@ fn extract_every_step(
 ) -> (Vec<CandidatePair>, ShardScreenStats) {
     let mut extraction = Extraction::new(map, changed, planner.cell_size_km, NeighborScan::Half);
     let mut positions = vec![Vec3::ZERO; propagator.len()];
+    let everyone: Vec<u32> = (0..propagator.len() as u32).collect();
     for step in 0..planner.total_steps {
         propagator.positions_into(step as f64 * planner.seconds_per_sample, &mut positions);
-        extraction.step(step, &positions, &mut PhaseTimings::default());
+        extraction.step(step, &positions, &everyone, &mut PhaseTimings::default());
     }
     extraction.finish()
 }
