@@ -26,9 +26,9 @@ SUBCOMMANDS
              [--threshold KM] [--span S] [--sps S] [--threads T]
              [--workers N (0 = auto)] screening worker pool size
              [--state-dir DIR] [--snapshot-every N] [--queue-depth N]
-             [--shards BANDSxSHELLS | --shards default] partition the
-             catalog by orbital regime (per-shard grids, incremental
-             per-shard snapshots); [--shard-range RMIN:RMAX] radii, km
+             [--shards BANDSxSHELLS | --shards default] chunk snapshots
+             by orbital regime (a checkpoint rewrites only changed
+             chunks); [--shard-range RMIN:RMAX] radii, km
              [--read-timeout SECS (0 = none)]
              [--metrics-every SECS (0 = off)] log a metrics digest to stderr
              with --state-dir, mutations are WAL-logged and state is
@@ -367,7 +367,7 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
     }
     let sharding = match shards {
         Some(spec) => format!(
-            ", {} shards ({}x{} regimes)",
+            ", snapshots in {} chunks ({}x{} regimes)",
             spec.shard_count(),
             spec.alt_bands,
             spec.z_shells
@@ -387,10 +387,11 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `--shards BANDSxSHELLS` (e.g. `--shards 8x4`) partitions the catalog
-/// by orbital regime; `--shards default` takes the built-in layout, and
+/// `--shards BANDSxSHELLS` (e.g. `--shards 8x4`) chunks snapshots by
+/// orbital regime; `--shards default` takes the built-in layout, and
 /// `--shard-range RMIN:RMAX` overrides the altitude-band span (radii,
-/// km). No flag means the 1×1 layout (one grid, one snapshot chunk).
+/// km). No flag means the 1×1 layout (one snapshot chunk). Screens run
+/// on one grid whatever the layout.
 fn parse_shards(flags: &Flags) -> Result<Option<kessler_service::ShardSpec>, String> {
     let Some(value) = flags.value_of("--shards") else {
         return Ok(None);
@@ -745,6 +746,7 @@ fn print_metrics(metrics: &kessler_service::MetricsSnapshot) {
     if metrics.wal_fsync_ms.is_some()
         || metrics.snapshot_write_ms.is_some()
         || metrics.snapshot_bytes.is_some()
+        || metrics.dirty_shards_per_snapshot.is_some()
     {
         println!("durability");
         println!(
@@ -760,6 +762,9 @@ fn print_metrics(metrics: &kessler_service::MetricsSnapshot) {
         if let Some(d) = &metrics.snapshot_bytes {
             print_quantile_row("snapshot size", d, "B");
         }
+        if let Some(d) = &metrics.dirty_shards_per_snapshot {
+            print_quantile_row("dirty shards", d, "");
+        }
     }
     if metrics.snapshot_build_ms.is_some() || !metrics.worker_screen_ms.is_empty() {
         println!("execution");
@@ -773,35 +778,6 @@ fn print_metrics(metrics: &kessler_service::MetricsSnapshot) {
         for (worker, d) in &metrics.worker_screen_ms {
             print_quantile_row(worker, d, "ms");
         }
-    }
-    if !metrics.shard_full_step_us.is_empty() || !metrics.shard_delta_step_us.is_empty() {
-        println!("shards (extraction step, µs per step)");
-        println!(
-            "  {:<6} {:>7} {:>9} {:>9}   {:>7} {:>9} {:>9}",
-            "shard", "full n", "full p50", "full p99", "delta n", "del p50", "del p99"
-        );
-        let ids: std::collections::BTreeSet<u32> = metrics
-            .shard_full_step_us
-            .keys()
-            .chain(metrics.shard_delta_step_us.keys())
-            .copied()
-            .collect();
-        for id in ids {
-            let cell = |h: Option<&kessler_core::HistogramSummary>| match h {
-                Some(h) => (h.count, h.p50, h.p99),
-                None => (0, 0.0, 0.0),
-            };
-            let (fc, f50, f99) = cell(metrics.shard_full_step_us.get(&id));
-            let (dc, d50, d99) = cell(metrics.shard_delta_step_us.get(&id));
-            println!("  {id:<6} {fc:>7} {f50:>9.1} {f99:>9.1}   {dc:>7} {d50:>9.1} {d99:>9.1}");
-        }
-        if let Some(d) = &metrics.dirty_shards_per_snapshot {
-            print_quantile_row("dirty shards", d, "");
-        }
-        println!(
-            "  boundary entries {}, mirrored inserts {}",
-            metrics.boundary_entries, metrics.mirrored_inserts
-        );
     }
     if let Some(chain) = &metrics.filter_chain {
         println!("filter chain (hybrid screens)");

@@ -24,10 +24,10 @@
 //! A screen is an extraction backend (who produces the candidate entries)
 //! times a post-extraction [`Stage`] (what becomes of them); see
 //! [`screener`]. The CPU backend is one screener, [`CpuScreener`], over
-//! one step loop, [`Extraction::run`] ([`shard`]), and the shard layout is
-//! its configuration: the cold screeners run on the 1×1 [`ShardMap`], and
-//! the `kessler-service` daemon's SCREEN, DELTA and ADVANCE are
-//! [`CpuScreener::screen_changed`] calls under its layout.
+//! one step loop, [`Extraction::run`] ([`shard`]), on one grid per step:
+//! the cold screeners and the `kessler-service` daemon's SCREEN, DELTA and
+//! ADVANCE are all [`CpuScreener::screen_changed`] calls. The daemon's
+//! [`ShardMap`] chunks its snapshots and nothing else.
 //!
 //! * [`GridScreener`] — the paper's purely grid-based variant: small cells
 //!   (Eq. 1), small time steps; every grid candidate goes straight to Brent
@@ -68,5 +68,5 @@ pub use screener::gpu::GpuScreener;
 pub use screener::legacy::LegacyScreener;
 pub use screener::stage::{group_pairs, refine_filtered_pair, Executor, GroupedPair, Host, Stage};
 pub use screener::{default_config_for, run_in_pool, screener_for, Refined, Screener};
-pub use shard::{Extraction, ShardMap, ShardScreenStats, ShardSpec};
+pub use shard::{Extraction, ShardMap, ShardSpec};
 pub use timing::PhaseTimings;

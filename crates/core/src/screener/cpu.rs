@@ -1,25 +1,21 @@
 //! The CPU screener over either stage: the purely grid-based variant and
 //! the hybrid variant (§III, §IV) are the same screen — allocate once, the
 //! one step loop ([`Extraction::run`]) extracts candidates — and differ in
-//! the [`Stage`] the candidates are handed to. The shard layout is
-//! configuration, not code: `kessler screen` runs the 1×1 layout and the
-//! daemon runs its `--shards` one, through the same
-//! [`CpuScreener::screen_changed`].
+//! the [`Stage`] the candidates are handed to. `kessler screen` and the
+//! daemon run the same [`CpuScreener::screen_changed`].
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::{ScreeningConfig, Variant};
 use crate::conjunction::ScreeningReport;
 use crate::screener::stage::{Host, Stage};
 use crate::screener::{run_screen, Outcome, Screener};
-use crate::shard::{Extraction, ShardMap, ShardScreenStats, ShardSpec};
+use crate::shard::Extraction;
 use kessler_orbits::{BatchPropagator, KeplerElements};
 
-/// Grid extraction on the CPU under a shard layout, refined by `stage`.
+/// Grid extraction on the CPU, refined by `stage`.
 #[derive(Clone, Copy)]
 pub struct CpuScreener {
     stage: Stage,
-    /// The layout extraction runs under (see [`crate::shard`]).
-    shard_map: ShardMap,
 }
 
 /// The purely grid-based variant: small cells (Eq. 1), small steps, every
@@ -50,25 +46,16 @@ impl HybridScreener {
 
 impl CpuScreener {
     /// Grid or hybrid only — the variants with a post-extraction stage —
-    /// under a valid configuration, on the 1×1 layout. Fallible, so a bad
-    /// combination is an error here, never a panic inside a running job.
+    /// under a valid configuration. Fallible, so a bad combination is an
+    /// error here, never a panic inside a running job.
     pub fn new(variant: Variant, config: ScreeningConfig) -> Result<CpuScreener, String> {
         Ok(CpuScreener {
             stage: Stage::new(variant, config)?,
-            shard_map: ShardMap::single(),
         })
     }
 
     fn valid(variant: Variant, config: ScreeningConfig) -> CpuScreener {
         CpuScreener::new(variant, config).expect("invalid screening configuration")
-    }
-
-    /// The same screener under the layout a `--shards` choice names;
-    /// `None` is the 1×1 layout ([`ShardMap::for_layout`]). The layout
-    /// only changes how candidates are extracted, not what they are.
-    pub fn with_shards(mut self, shards: Option<ShardSpec>) -> Result<CpuScreener, String> {
-        self.shard_map = ShardMap::for_layout(shards)?;
-        Ok(self)
     }
 
     /// The same screener over another span (the service screens a window
@@ -86,11 +73,6 @@ impl CpuScreener {
         self.stage.config()
     }
 
-    /// The shard layout extraction runs under.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shard_map
-    }
-
     /// The full pipeline as a cancellable job, on the configured thread
     /// pool: [`CpuScreener::screen_changed`] with everyone changed.
     pub fn screen_job(
@@ -105,8 +87,8 @@ impl CpuScreener {
     /// Screen the pairs with at least one satellite in `changed` — the
     /// ascending, distinct dense indices into `population` whose elements
     /// are new; all of them for a cold screen. The report's conjunctions
-    /// are those pairs' alone, and the stats are the layout's per-shard
-    /// extraction figures. `cancel`, when given, is checked at phase
+    /// are those pairs' alone, and the number is the grid inserts its
+    /// extraction made. `cancel`, when given, is checked at phase
     /// boundaries — between grid sampling steps, between filter-evaluation
     /// chunks and between refinement chunks; a job that completes returns
     /// the same report with or without a token.
@@ -115,13 +97,13 @@ impl CpuScreener {
         population: &[KeplerElements],
         changed: &[u32],
         cancel: Option<&CancelToken>,
-    ) -> Result<(ScreeningReport, ShardScreenStats), Cancelled> {
+    ) -> Result<(ScreeningReport, u64), Cancelled> {
         let n = population.len();
         debug_assert!(changed.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(changed.last().is_none_or(|&c| (c as usize) < n));
         let stage = &self.stage;
         let config = stage.config();
-        let mut shard_stats = None;
+        let mut inserts = None;
         let report = run_screen(
             self.label(),
             config.threads,
@@ -133,15 +115,14 @@ impl CpuScreener {
                 // precomputed Kepler solver constants.
                 let propagator = BatchPropagator::new(population);
                 // Step 2: propagation, insertion, pair identification —
-                // the changed satellites' pairs, each in its home shard.
-                let (entries, stats) = Extraction::new(
-                    &self.shard_map,
+                // the changed satellites' pairs.
+                let (entries, grid_inserts) = Extraction::new(
                     changed,
                     planner.cell_size_km,
                     config.neighbor_scan,
                 )
                 .run(&propagator, planner, timings, cancel)?;
-                shard_stats = Some(stats);
+                inserts = Some(grid_inserts);
                 let candidate_entries = entries.len();
                 let host = Host {
                     propagator: &propagator,
@@ -157,7 +138,7 @@ impl CpuScreener {
         )?;
         Ok((
             report,
-            shard_stats.expect("a finished screen ran its extraction"),
+            inserts.expect("a finished screen ran its extraction"),
         ))
     }
 }
@@ -232,39 +213,14 @@ mod tests {
                 .collect();
             changed.sort_unstable();
             changed.dedup();
-            let (subset, stats) = screener.screen_changed(&pop, &changed, None).unwrap();
+            let (subset, _) = screener.screen_changed(&pop, &changed, None).unwrap();
             assert_eq!(subset.variant, cold.variant);
-            assert_eq!(stats.shard_count(), 1);
             let mut want = cold.clone();
             want.conjunctions
                 .retain(|c| changed.contains(&c.id_lo) || changed.contains(&c.id_hi));
             assert!(want.conjunction_count() > 0, "{}", cold.variant);
             assert_same_conjunctions(&subset, &want);
         }
-    }
-
-    #[test]
-    fn a_sharded_screen_is_the_one_shard_screen() {
-        let pop = catalog(600);
-        let layout = ShardSpec {
-            alt_bands: 4,
-            z_shells: 2,
-            ..ShardSpec::default()
-        };
-        let config = ScreeningConfig::grid_defaults(10.0, 120.0);
-        let flat = GridScreener::new(config);
-        let sharded = flat.with_shards(Some(layout)).unwrap();
-        assert_eq!(sharded.shard_map().shard_count(), 8);
-        assert_eq!(flat.shard_map().shard_count(), 1);
-        let (want, got) = (flat.screen(&pop), sharded.screen(&pop));
-        assert_eq!(got.candidate_entries, want.candidate_entries);
-        assert_eq!(got.candidate_pairs, want.candidate_pairs);
-        assert_same_conjunctions(&got, &want);
-        let bad = ShardSpec {
-            alt_bands: 0,
-            ..layout
-        };
-        assert!(flat.with_shards(Some(bad)).is_err());
     }
 
     mod grid {

@@ -11,9 +11,9 @@
 //! the changed satellites' neighbourhoods — O(k · occupancy) instead of
 //! O(occupied cells · occupancy) — and refines only pairs involving changed
 //! satellites. That screen is core's
-//! [`CpuScreener::screen_changed`] under whatever shard layout the screener
-//! holds — the very call a cold screen makes with everyone changed — and a
-//! delta adds only the warm-set bookkeeping around it.
+//! [`CpuScreener::screen_changed`] — the very call a cold screen makes
+//! with everyone changed — and a delta adds only the warm-set bookkeeping
+//! around it.
 //!
 //! Correctness invariant (checked by `tests/delta_correctness.rs`): a delta
 //! screen after `k` element updates produces *exactly* the conjunction set
@@ -31,7 +31,7 @@ use crate::persist::GlobalState;
 use crate::proto::LastScreen;
 use kessler_core::cancel::{check_opt, CancelToken, Cancelled};
 use kessler_core::conjunction::{Conjunction, ScreeningReport};
-use kessler_core::{CpuScreener, ScreeningConfig, ShardScreenStats, Variant};
+use kessler_core::{CpuScreener, ScreeningConfig, Variant};
 use kessler_orbits::KeplerElements;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -113,15 +113,15 @@ pub struct DeltaEngine {
 }
 
 impl DeltaEngine {
-    /// Grid-variant engine under the 1×1 layout.
+    /// Grid-variant engine.
     pub fn new(config: ScreeningConfig) -> Result<DeltaEngine, ServiceError> {
         CpuScreener::new(Variant::Grid, config)
             .map(DeltaEngine::with_screener)
             .map_err(ServiceError::Config)
     }
 
-    /// Cold engine screening with `screener` (variant, validated config
-    /// and shard layout).
+    /// Cold engine screening with `screener` (variant and validated
+    /// config).
     pub fn with_screener(screener: CpuScreener) -> DeltaEngine {
         DeltaEngine {
             screener,
@@ -182,7 +182,7 @@ impl DeltaEngine {
         self.screener.variant()
     }
 
-    /// The screener (variant, config, shard layout), for capturing jobs
+    /// The screener (variant and config), for capturing jobs
     /// against.
     pub fn screener(&self) -> &CpuScreener {
         &self.screener
@@ -327,12 +327,6 @@ pub(crate) fn apply_removal_to_pairs(pairs: &mut PairMap, removal: Removal, new_
     pairs.retain(|&(_, hi), _| (hi as usize) < new_len);
 }
 
-/// A one-shard layout has no per-shard story to tell: its wire and
-/// metrics stay those of a daemon that never heard of shards.
-fn per_shard(stats: ShardScreenStats) -> Option<ShardScreenStats> {
-    (stats.shard_count() > 1).then_some(stats)
-}
-
 /// The one screen job, for SCREEN, DELTA and an ADVANCE's pre-screen
 /// alike: pure, with cancellation checked at its phase boundaries (between
 /// grid sampling steps, filter chunks and refinement chunks); the inputs
@@ -357,11 +351,10 @@ pub fn screen_or_full(
     let n = population.len();
     let Some(warm) = warm else {
         let everyone: Vec<u32> = (0..n as u32).collect();
-        let (report, stats) = screener.screen_changed(population, &everyone, cancel)?;
+        let (report, _) = screener.screen_changed(population, &everyone, cancel)?;
         return Ok(Screened {
             pairs: pairs_from_conjunctions(&report.conjunctions),
             report: Box::new(report),
-            shards: per_shard(stats),
             ran: ScreenRun::Full,
         });
     };
@@ -384,7 +377,7 @@ pub fn screen_or_full(
         .collect();
 
     // 2. The changed satellites' pairs, screened as a cold screen would.
-    let (mut report, stats) = screener.screen_changed(population, &changed, cancel)?;
+    let (mut report, _) = screener.screen_changed(population, &changed, cancel)?;
 
     // 3. Merge them into what stayed warm.
     for c in std::mem::take(&mut report.conjunctions) {
@@ -398,7 +391,6 @@ pub fn screen_or_full(
     Ok(Screened {
         report: Box::new(report),
         pairs,
-        shards: per_shard(stats),
         ran: ScreenRun::Delta,
     })
 }

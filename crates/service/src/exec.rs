@@ -26,7 +26,7 @@ use crate::proto::{LastScreen, Request};
 use crate::sync::Mutex;
 use kessler_core::cancel::{CancelToken, Cancelled};
 use kessler_core::conjunction::ScreeningReport;
-use kessler_core::{CpuScreener, ShardScreenStats};
+use kessler_core::CpuScreener;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -62,7 +62,7 @@ pub struct ScreenJob {
     pub changed: Vec<u32>,
     /// Warm maintained set at capture; `None` while the engine was cold.
     pub warm: Option<Arc<PairMap>>,
-    /// The engine's screener (variant, validated config, shard layout).
+    /// The engine's screener (variant and validated config).
     pub screener: CpuScreener,
 }
 
@@ -80,8 +80,6 @@ pub struct Screened {
     /// through the worker channel.
     pub report: Box<ScreeningReport>,
     pub pairs: PairMap,
-    /// Per-shard extraction stats; `Some` iff the layout is sharded.
-    pub shards: Option<ShardScreenStats>,
     /// Which screen ran: [`ScreenRun::Delta`], or [`ScreenRun::Full`]
     /// for SCREEN and for a DELTA on a cold engine.
     pub ran: ScreenRun,

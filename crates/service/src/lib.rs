@@ -20,20 +20,19 @@
 //!   screen's call, `kessler_core::CpuScreener::screen_changed`, over the
 //!   changed list, with the warm-set bookkeeping around it. The screens
 //!   are pure, cancellable job functions the execution layer shares with
-//!   the synchronous path; the core `CpuScreener` (variant + config +
-//!   shard layout) is the one options value every engine and state
+//!   the synchronous path; the core `CpuScreener` (variant + config) is
+//!   the one options value every engine and state
 //!   constructor takes, and the ADVANCE job slides the screening horizon
 //!   forward, retiring expired conjunctions, carrying live ones, screening
 //!   only the freshly exposed tail.
 //!
 //!   Every screen — SCREEN, DELTA, ADVANCE tail — runs core's one step
-//!   loop, `kessler_core::Extraction::run`, under the screener's
-//!   [`ShardMap`]: core's orbital-regime partition (altitude band × |z|
-//!   shell) with one grid per shard and boundary mirroring, so every
-//!   layout extracts bit-identical entries; a daemon given no layout runs
-//!   the 1×1 one, as `kessler screen` does. The service re-exports [`ShardMap`], [`ShardSpec`] and
-//!   [`ShardScreenStats`], and the persistence layer chunks snapshots and
-//!   tracks dirty shards by [`ShardMap::assign`].
+//!   loop, `kessler_core::Extraction::run`, on one grid per sampling
+//!   step, as `kessler screen` does. The `--shards` layout, core's
+//!   [`ShardMap`] (altitude band × |z| shell), is storage only: the
+//!   persistence layer chunks snapshots and tracks dirty shards by
+//!   [`ShardMap::assign`]. The service re-exports [`ShardMap`] and
+//!   [`ShardSpec`].
 //! - [`exec`] — the execution layer: screening work captured as
 //!   [`exec::ScreenJob`]s against immutable catalog snapshots
 //!   ([`ServiceState::begin`]), run by a pool of worker threads,
@@ -95,7 +94,7 @@ pub use delta::{AdvanceOutcome, DeltaEngine, PairMap, DELTA_VARIANT, HYBRID_DELT
 pub use error::{PersistError, ServiceError};
 pub use exec::{CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 pub use fault::FaultPlan;
-pub use kessler_core::{ShardMap, ShardScreenStats, ShardSpec};
+pub use kessler_core::{ShardMap, ShardSpec};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, RequestCounter};
 pub use persist::{PersistOptions, Snapshot};
 pub use proto::{

@@ -63,11 +63,6 @@ pub struct MetricsRegistry {
     pub(crate) snapshot_build: Histogram,
     /// Per-worker screening-job wall times, µs, keyed by worker name.
     pub(crate) worker_jobs: BTreeMap<String, Histogram>,
-    /// Per-shard extraction-step latencies over sharded full screens, µs,
-    /// keyed by shard id. Only shards that held satellites appear.
-    pub(crate) shard_full: BTreeMap<u32, Histogram>,
-    /// Same, over sharded delta screens.
-    pub(crate) shard_delta: BTreeMap<u32, Histogram>,
     /// Chunks rewritten by each successful snapshot write under a
     /// multi-shard layout — how incremental the snapshots actually are.
     pub(crate) dirty_shards: Histogram,
@@ -91,25 +86,6 @@ impl MetricsRegistry {
     /// totals.
     pub fn record_filter_chain(&mut self, stats: &FilterStatsSnapshot) {
         self.served.filter_chain = Some(self.served.filter_chain.unwrap_or_default() + *stats);
-    }
-
-    /// Fold one sharded screen's per-shard extraction stats into the
-    /// registry. Empty shards (no satellites, no steps) stay absent so the
-    /// METRICS payload lists only occupied shards.
-    pub fn record_shard_screen(&mut self, is_delta: bool, stats: &kessler_core::ShardScreenStats) {
-        let series = if is_delta {
-            &mut self.shard_delta
-        } else {
-            &mut self.shard_full
-        };
-        for (shard, hist) in stats.step_us.iter().enumerate() {
-            if hist.is_empty() {
-                continue;
-            }
-            series.entry(shard as u32).or_default().merge(hist);
-        }
-        self.served.boundary_entries += stats.boundary_entries;
-        self.served.mirrored_inserts += stats.mirrored_inserts;
     }
 
     /// Record one successful checkpoint from what the persister reports
@@ -138,12 +114,6 @@ impl MetricsRegistry {
     /// distributions digested, everything else as stored.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let digest = |h: &Histogram, scale: f64| (!h.is_empty()).then(|| h.summary(scale));
-        let per_shard = |series: &BTreeMap<u32, Histogram>| {
-            series
-                .iter()
-                .map(|(shard, h)| (*shard, h.summary(1.0)))
-                .collect()
-        };
         MetricsSnapshot {
             full_screens: (!self.full.is_empty()).then(|| self.full.summaries()),
             delta_screens: (!self.delta.is_empty()).then(|| self.delta.summaries()),
@@ -158,8 +128,6 @@ impl MetricsRegistry {
                 .filter(|(_, h)| !h.is_empty())
                 .map(|(name, h)| (name.clone(), h.summary(US_TO_MS)))
                 .collect(),
-            shard_full_step_us: per_shard(&self.shard_full),
-            shard_delta_step_us: per_shard(&self.shard_delta),
             dirty_shards_per_snapshot: digest(&self.dirty_shards, 1.0),
             write_buffer_peak_bytes: digest(&self.write_buffer_peak, 1.0),
             ..self.served.clone()
@@ -190,20 +158,6 @@ impl MetricsRegistry {
             parts.push(format!(
                 "wal fsync p99 {:.2}ms",
                 self.wal_fsync.p99() as f64 * US_TO_MS
-            ));
-        }
-        if !self.shard_full.is_empty() || !self.shard_delta.is_empty() {
-            let occupied: std::collections::BTreeSet<u32> = self
-                .shard_full
-                .keys()
-                .chain(self.shard_delta.keys())
-                .copied()
-                .collect();
-            parts.push(format!(
-                "shards {} occupied, boundary {}, mirrored {}",
-                occupied.len(),
-                served.boundary_entries,
-                served.mirrored_inserts
             ));
         }
         if parts.is_empty() {
@@ -295,22 +249,9 @@ pub struct MetricsSnapshot {
     /// Summed filter-chain counters over all hybrid screens since startup.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub filter_chain: Option<FilterStatsSnapshot>,
-    /// Per-shard extraction-step quantiles over sharded full screens, µs.
-    /// Only shards that held satellites appear.
-    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
-    pub shard_full_step_us: BTreeMap<u32, HistogramSummary>,
-    /// Per-shard extraction-step quantiles over sharded delta screens, µs.
-    #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
-    pub shard_delta_step_us: BTreeMap<u32, HistogramSummary>,
     /// Shard chunks rewritten per snapshot write (multi-shard layouts only).
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub dirty_shards_per_snapshot: Option<HistogramSummary>,
-    /// Cross-shard candidate entries found via boundary mirroring.
-    #[serde(default)]
-    pub boundary_entries: u64,
-    /// Satellites mirrored into neighbouring shards' grids.
-    #[serde(default)]
-    pub mirrored_inserts: u64,
     /// Live subscriptions at snapshot time (filled by the daemon layer).
     #[serde(default)]
     pub subscribers: usize,
@@ -426,56 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_merge_by_shard_and_roundtrip() {
-        use kessler_core::ShardScreenStats;
-        let mut m = MetricsRegistry::default();
-        assert!(m.snapshot().shard_full_step_us.is_empty());
-
-        let mut stats = ShardScreenStats::new(4);
-        stats.step_us[0].record(100);
-        stats.step_us[2].record(300);
-        stats.boundary_entries = 5;
-        stats.mirrored_inserts = 7;
-        m.record_shard_screen(false, &stats);
-        m.record_shard_screen(true, &stats);
-        m.record_shard_screen(false, &stats);
-        let wrote = |chunks, shard_count| Written {
-            bytes: 1,
-            chunks,
-            shard_count,
-        };
-        m.record_snapshot(Duration::from_millis(1), &wrote(3, 4));
-        // A 1×1 layout's checkpoints are not "dirty shard" samples.
-        m.record_snapshot(Duration::from_millis(1), &wrote(1, 1));
-
-        let snap = m.snapshot();
-        // Shards 1 and 3 never recorded a step; they must stay absent.
-        assert_eq!(
-            snap.shard_full_step_us.keys().copied().collect::<Vec<_>>(),
-            vec![0, 2]
-        );
-        assert_eq!(snap.shard_full_step_us[&0].count, 2);
-        assert_eq!(snap.shard_delta_step_us[&2].count, 1);
-        assert_eq!(snap.boundary_entries, 15);
-        assert_eq!(snap.mirrored_inserts, 21);
-        let dirty = snap.dirty_shards_per_snapshot.as_ref().unwrap();
-        assert_eq!((dirty.count, dirty.min, dirty.max), (1, 3.0, 3.0));
-        assert_eq!(snap.snapshot_bytes.as_ref().unwrap().count, 2);
-
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.shard_full_step_us[&2].count, 2);
-        assert_eq!(back.boundary_entries, 15);
-        // Payloads from pre-sharding servers default to empty.
-        let back: MetricsSnapshot = serde_json::from_str("{}").unwrap();
-        assert!(back.shard_full_step_us.is_empty());
-        assert_eq!(back.mirrored_inserts, 0);
-
-        let line = m.one_line();
-        assert!(line.contains("shards 2 occupied"), "{line}");
-    }
-
-    #[test]
     fn snapshot_roundtrips_through_json() {
         let mut m = MetricsRegistry::default();
         m.record_screen(false, &timings(10));
@@ -495,6 +386,8 @@ mod tests {
         assert_eq!(fsync.count, 1);
         assert!((fsync.min - 0.8).abs() < 1e-9, "{fsync:?}");
         assert_eq!(back.snapshot_bytes.unwrap().max, 12_345.0);
+        // A 1×1 layout's checkpoints are not "dirty shard" samples.
+        assert!(back.dirty_shards_per_snapshot.is_none());
     }
 
     #[test]
@@ -588,7 +481,6 @@ mod tests {
     /// registry stored its counters as served.
     #[test]
     fn metrics_wire_shape_is_pinned() {
-        use kessler_core::ShardScreenStats;
         let mut m = MetricsRegistry::default();
         m.record_screen(false, &timings(10));
         m.record_screen(true, &timings(2));
@@ -601,12 +493,6 @@ mod tests {
             coplanar: 1,
             kept: 2,
         });
-        let mut stats = ShardScreenStats::new(2);
-        stats.step_us[1].record(250);
-        stats.boundary_entries = 3;
-        stats.mirrored_inserts = 5;
-        m.record_shard_screen(false, &stats);
-        m.record_shard_screen(true, &stats);
         m.wal_fsync.record_duration(Duration::from_micros(800));
         let written = Written {
             bytes: 12_345,
@@ -635,5 +521,5 @@ mod tests {
         assert_eq!(serde_json::to_string(&m.snapshot()).unwrap(), GOLDEN);
     }
 
-    const GOLDEN: &str = r#"{"full_screens":{"screens":1,"insertion":{"count":1,"min":10.0,"max":10.0,"mean":10.0,"p50":10.0,"p90":10.0,"p99":10.0},"pair_extraction":{"count":1,"min":10.0,"max":10.0,"mean":10.0,"p50":10.0,"p90":10.0,"p99":10.0},"filters":{"count":1,"min":0.0,"max":0.0,"mean":0.0,"p50":0.0,"p90":0.0,"p99":0.0},"refinement":{"count":1,"min":10.0,"max":10.0,"mean":10.0,"p50":10.0,"p90":10.0,"p99":10.0},"total":{"count":1,"min":30.0,"max":30.0,"mean":30.0,"p50":30.0,"p90":30.0,"p99":30.0}},"delta_screens":{"screens":1,"insertion":{"count":1,"min":2.0,"max":2.0,"mean":2.0,"p50":2.0,"p90":2.0,"p99":2.0},"pair_extraction":{"count":1,"min":2.0,"max":2.0,"mean":2.0,"p50":2.0,"p90":2.0,"p99":2.0},"filters":{"count":1,"min":0.0,"max":0.0,"mean":0.0,"p50":0.0,"p90":0.0,"p99":0.0},"refinement":{"count":1,"min":2.0,"max":2.0,"mean":2.0,"p50":2.0,"p90":2.0,"p99":2.0},"total":{"count":1,"min":6.0,"max":6.0,"mean":6.0,"p50":6.0,"p90":6.0,"p99":6.0}},"advance_tails":{"screens":1,"insertion":{"count":1,"min":4.0,"max":4.0,"mean":4.0,"p50":4.0,"p90":4.0,"p99":4.0},"pair_extraction":{"count":1,"min":4.0,"max":4.0,"mean":4.0,"p50":4.0,"p90":4.0,"p99":4.0},"filters":{"count":1,"min":0.0,"max":0.0,"mean":0.0,"p50":0.0,"p90":0.0,"p99":0.0},"refinement":{"count":1,"min":4.0,"max":4.0,"mean":4.0,"p50":4.0,"p90":4.0,"p99":4.0},"total":{"count":1,"min":12.0,"max":12.0,"mean":12.0,"p50":12.0,"p90":12.0,"p99":12.0}},"wal_fsync_ms":{"count":1,"min":0.8,"max":0.8,"mean":0.8,"p50":0.8,"p90":0.8,"p99":0.8},"snapshot_write_ms":{"count":1,"min":4.0,"max":4.0,"mean":4.0,"p50":4.0,"p90":4.0,"p99":4.0},"snapshot_bytes":{"count":1,"min":12345.0,"max":12345.0,"mean":12345.0,"p50":12345.0,"p90":12345.0,"p99":12345.0},"snapshot_build_ms":{"count":1,"min":0.05,"max":0.05,"mean":0.05,"p50":0.05,"p90":0.05,"p99":0.05},"worker_screen_ms":{"worker-0":{"count":1,"min":8.0,"max":8.0,"mean":8.0,"p50":8.0,"p90":8.0,"p99":8.0}},"requests":{"ADD":{"ok":1,"errors":0},"SCREEN":{"ok":0,"errors":1}},"queue_highwater":3,"worker_respawns":1,"jobs_cancelled":2,"wal_append_failures":4,"snapshot_failures":5,"degraded_entries":6,"degraded_recoveries":7,"probe_failures":8,"filter_chain":{"tested":10,"excluded_apsis":4,"excluded_path":2,"excluded_time":1,"coplanar":1,"kept":2},"shard_full_step_us":{"1":{"count":1,"min":250.0,"max":250.0,"mean":250.0,"p50":250.0,"p90":250.0,"p99":250.0}},"shard_delta_step_us":{"1":{"count":1,"min":250.0,"max":250.0,"mean":250.0,"p50":250.0,"p90":250.0,"p99":250.0}},"dirty_shards_per_snapshot":{"count":1,"min":2.0,"max":2.0,"mean":2.0,"p50":2.0,"p90":2.0,"p99":2.0},"boundary_entries":6,"mirrored_inserts":10,"subscribers":0,"events_pushed":9,"events_dropped":10,"slow_consumer_disconnects":11,"write_buffer_peak_bytes":{"count":1,"min":4096.0,"max":4096.0,"mean":4096.0,"p50":4096.0,"p90":4096.0,"p99":4096.0}}"#;
+    const GOLDEN: &str = r#"{"full_screens":{"screens":1,"insertion":{"count":1,"min":10.0,"max":10.0,"mean":10.0,"p50":10.0,"p90":10.0,"p99":10.0},"pair_extraction":{"count":1,"min":10.0,"max":10.0,"mean":10.0,"p50":10.0,"p90":10.0,"p99":10.0},"filters":{"count":1,"min":0.0,"max":0.0,"mean":0.0,"p50":0.0,"p90":0.0,"p99":0.0},"refinement":{"count":1,"min":10.0,"max":10.0,"mean":10.0,"p50":10.0,"p90":10.0,"p99":10.0},"total":{"count":1,"min":30.0,"max":30.0,"mean":30.0,"p50":30.0,"p90":30.0,"p99":30.0}},"delta_screens":{"screens":1,"insertion":{"count":1,"min":2.0,"max":2.0,"mean":2.0,"p50":2.0,"p90":2.0,"p99":2.0},"pair_extraction":{"count":1,"min":2.0,"max":2.0,"mean":2.0,"p50":2.0,"p90":2.0,"p99":2.0},"filters":{"count":1,"min":0.0,"max":0.0,"mean":0.0,"p50":0.0,"p90":0.0,"p99":0.0},"refinement":{"count":1,"min":2.0,"max":2.0,"mean":2.0,"p50":2.0,"p90":2.0,"p99":2.0},"total":{"count":1,"min":6.0,"max":6.0,"mean":6.0,"p50":6.0,"p90":6.0,"p99":6.0}},"advance_tails":{"screens":1,"insertion":{"count":1,"min":4.0,"max":4.0,"mean":4.0,"p50":4.0,"p90":4.0,"p99":4.0},"pair_extraction":{"count":1,"min":4.0,"max":4.0,"mean":4.0,"p50":4.0,"p90":4.0,"p99":4.0},"filters":{"count":1,"min":0.0,"max":0.0,"mean":0.0,"p50":0.0,"p90":0.0,"p99":0.0},"refinement":{"count":1,"min":4.0,"max":4.0,"mean":4.0,"p50":4.0,"p90":4.0,"p99":4.0},"total":{"count":1,"min":12.0,"max":12.0,"mean":12.0,"p50":12.0,"p90":12.0,"p99":12.0}},"wal_fsync_ms":{"count":1,"min":0.8,"max":0.8,"mean":0.8,"p50":0.8,"p90":0.8,"p99":0.8},"snapshot_write_ms":{"count":1,"min":4.0,"max":4.0,"mean":4.0,"p50":4.0,"p90":4.0,"p99":4.0},"snapshot_bytes":{"count":1,"min":12345.0,"max":12345.0,"mean":12345.0,"p50":12345.0,"p90":12345.0,"p99":12345.0},"snapshot_build_ms":{"count":1,"min":0.05,"max":0.05,"mean":0.05,"p50":0.05,"p90":0.05,"p99":0.05},"worker_screen_ms":{"worker-0":{"count":1,"min":8.0,"max":8.0,"mean":8.0,"p50":8.0,"p90":8.0,"p99":8.0}},"requests":{"ADD":{"ok":1,"errors":0},"SCREEN":{"ok":0,"errors":1}},"queue_highwater":3,"worker_respawns":1,"jobs_cancelled":2,"wal_append_failures":4,"snapshot_failures":5,"degraded_entries":6,"degraded_recoveries":7,"probe_failures":8,"filter_chain":{"tested":10,"excluded_apsis":4,"excluded_path":2,"excluded_time":1,"coplanar":1,"kept":2},"dirty_shards_per_snapshot":{"count":1,"min":2.0,"max":2.0,"mean":2.0,"p50":2.0,"p90":2.0,"p99":2.0},"subscribers":0,"events_pushed":9,"events_dropped":10,"slow_consumer_disconnects":11,"write_buffer_peak_bytes":{"count":1,"min":4096.0,"max":4096.0,"mean":4096.0,"p50":4096.0,"p90":4096.0,"p99":4096.0}}"#;
 }

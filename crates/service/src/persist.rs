@@ -85,8 +85,10 @@ pub struct PersistOptions {
     /// Mutations between snapshots (and WAL compactions).
     pub snapshot_every: u64,
     /// Shard layout snapshots are chunked by; `None` is the 1×1 layout
-    /// (one chunk). Names a layout, not a format: every layout writes
-    /// manifest + chunks and reads whatever any layout wrote.
+    /// (one chunk). This is all a layout does: screens run on one grid
+    /// whatever it is. Names a layout, not a format: every layout writes
+    /// manifest + chunks and reads whatever any layout wrote. A server
+    /// sets it from [`crate::ServerOptions::shards`].
     pub shards: Option<ShardSpec>,
 }
 
@@ -311,6 +313,11 @@ impl Persister {
     /// Last assigned WAL sequence number.
     pub fn last_seq(&self) -> u64 {
         self.seq
+    }
+
+    /// The layout snapshots are chunked by.
+    pub(crate) fn layout(&self) -> ShardMap {
+        self.shards
     }
 
     /// Durably append one mutation. The sequence number is committed only
@@ -1572,7 +1579,7 @@ mod tests {
             assert_eq!(recovery.tail, tail, "{context}");
 
             let config = ScreeningConfig::grid_defaults(5.0, 120.0);
-            let screener = GridScreener::new(config).with_shards(layout).unwrap();
+            let screener = GridScreener::new(config);
             let seq = persister.last_seq();
             let state = ServiceState::recover(screener, persister, &recovery)
                 .unwrap_or_else(|err| panic!("{context}: {err}"));

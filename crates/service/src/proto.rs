@@ -20,9 +20,8 @@
 //! a `stale` flag set when a newer result was adopted first.
 
 use crate::error::ServiceError;
-use kessler_core::metrics::HistogramSummary;
 use kessler_core::timing::PhaseTimings;
-use kessler_core::{Conjunction, FilterStatsSnapshot, ScreeningReport, ShardScreenStats};
+use kessler_core::{Conjunction, FilterStatsSnapshot, ScreeningReport};
 use kessler_orbits::KeplerElements;
 use serde::{Deserialize, Serialize};
 
@@ -384,8 +383,9 @@ pub struct ScreenSummary {
     /// not survive a restart.
     #[serde(default, skip_serializing_if = "is_false")]
     pub ephemeral: bool,
-    /// Per-shard extraction breakdown, present when the daemon screens
-    /// with a sharded layout.
+    /// Always `None`: extraction runs on one grid whatever the snapshot
+    /// layout, so there is no per-shard breakdown to report. Kept for the
+    /// clients that still read it.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub shards: Option<ShardSummary>,
 }
@@ -416,57 +416,14 @@ impl ScreenSummary {
     }
 }
 
-/// Compact wire form of one screen's per-shard extraction stats: one row
-/// per *occupied* shard (empty shards carry no information), plus the
-/// boundary-mirroring counters that price the cross-shard machinery.
+/// A screen's mirror copies among its grid inserts. Nothing fills it:
+/// screens run on one grid (see [`ScreenSummary::shards`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardSummary {
-    /// Total shards in the partition (occupied or not).
-    pub shard_count: u32,
-    /// Candidate entries whose two satellites live in different home
-    /// shards — the pairs mirroring exists to keep.
-    pub boundary_entries: u64,
-    /// Grid inserts into a shard that is not the satellite's home (the
-    /// mirror copies).
+    /// Grid inserts into a shard that is not the satellite's home.
     pub mirrored_inserts: u64,
-    /// Total grid inserts across shards and steps, counting only the
-    /// shards that built a grid.
+    /// Total grid inserts across shards and steps.
     pub total_inserts: u64,
-    /// Per-occupied-shard rows, ascending by shard id.
-    pub rows: Vec<ShardRow>,
-}
-
-/// One occupied shard's extraction stats for a single screen.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardRow {
-    pub shard: u32,
-    /// Candidate entries this shard's queries emitted.
-    pub entries: u64,
-    /// Peak member count across steps (mirrors included).
-    pub peak_members: u64,
-    /// Per-step extraction wall time, µs.
-    pub step_us: HistogramSummary,
-}
-
-impl ShardSummary {
-    pub fn from_stats(stats: &ShardScreenStats) -> ShardSummary {
-        let rows = (0..stats.shard_count())
-            .filter(|&s| stats.peak_members[s] > 0)
-            .map(|s| ShardRow {
-                shard: s as u32,
-                entries: stats.entries[s],
-                peak_members: stats.peak_members[s],
-                step_us: stats.step_us[s].summary(1.0),
-            })
-            .collect();
-        ShardSummary {
-            shard_count: stats.shard_count() as u32,
-            boundary_entries: stats.boundary_entries,
-            mirrored_inserts: stats.mirrored_inserts,
-            total_inserts: stats.total_inserts,
-            rows,
-        }
-    }
 }
 
 /// Acknowledgement of an ADVANCE.

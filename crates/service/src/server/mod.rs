@@ -100,13 +100,12 @@ use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
 use crate::persist::{GlobalState, PersistOptions, Persister, Recovery, Snapshot};
 use crate::proto::{
-    AdvanceAck, CatalogAck, ElementsSpec, LastScreen, Request, Response, ScreenSummary,
-    ShardSummary, StatusInfo,
+    AdvanceAck, CatalogAck, ElementsSpec, LastScreen, Request, Response, ScreenSummary, StatusInfo,
 };
 use crate::sync::Mutex;
 use degraded::spawn_persist_probe;
 use handlers::{spawn_metrics_reporter, spawn_worker, IoHub, Job, Shared};
-use kessler_core::{CpuScreener, ScreeningConfig, ShardSpec, Variant};
+use kessler_core::{CpuScreener, ScreeningConfig, ShardMap, ShardSpec, Variant};
 use kessler_orbits::KeplerElements;
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener};
@@ -148,8 +147,10 @@ pub struct ServerOptions {
     pub metrics_every: Option<Duration>,
     /// Screening variant the daemon serves with (grid or hybrid).
     pub variant: Variant,
-    /// Partition candidate extraction (and snapshot chunks) by orbital
-    /// regime. `None` serves the 1×1 layout: one grid, one chunk.
+    /// Chunk snapshots by orbital regime (altitude band × |z| shell), so a
+    /// checkpoint rewrites only the chunks whose satellites changed.
+    /// `None` is the 1×1 layout: one chunk. Screens run on one grid
+    /// whatever the layout.
     pub shards: Option<ShardSpec>,
     /// First persistence re-probe delay after entering degraded mode;
     /// doubles (with jitter) up to [`ServerOptions::probe_max`].
@@ -244,11 +245,13 @@ pub struct ServiceState {
     started: Instant,
     /// `true` when this state came out of snapshot/WAL recovery.
     recovered: bool,
-    /// Shards (by the layout's static assignment) whose membership
-    /// changed since the last checkpoint, under every layout — the one
-    /// shard of 1×1 included. The persister only rewrites chunk files for
-    /// these.
+    /// Shards (by `layout`'s static assignment) whose membership changed
+    /// since the last checkpoint, under every layout — the one shard of
+    /// 1×1 included. The persister only rewrites chunk files for these.
     dirty_shards: BTreeSet<u32>,
+    /// The layout the persister chunks snapshots by, taken over before
+    /// recovery replays the WAL tail; 1×1 for an ephemeral state.
+    layout: ShardMap,
     /// The WAL + snapshot layer; `None` for an ephemeral state, whose log
     /// step has nothing to append to.
     persister: Option<Persister>,
@@ -314,9 +317,10 @@ impl ServiceState {
         Ok(ServiceState::with_screener(screener))
     }
 
-    /// Fresh state screening with `screener` (variant, config and shard
-    /// layout). All shards start dirty so the first snapshot writes a full
-    /// chunk set.
+    /// Fresh state screening with `screener` (variant and config), under
+    /// the 1×1 layout until recovery attaches a persister.
+    /// All shards start dirty so the first snapshot writes a full chunk
+    /// set.
     pub fn with_screener(screener: CpuScreener) -> ServiceState {
         ServiceState {
             catalog: Catalog::new(),
@@ -328,7 +332,8 @@ impl ServiceState {
             requests: 0,
             started: Instant::now(),
             recovered: false,
-            dirty_shards: (0..screener.shard_map().shard_count()).collect(),
+            dirty_shards: BTreeSet::from([0]),
+            layout: ShardMap::single(),
             persister: None,
             degraded: None,
             metrics: Arc::default(),
@@ -336,14 +341,12 @@ impl ServiceState {
     }
 
     fn mark_shard_dirty(&mut self, el: &KeplerElements) {
-        let map = self.engine.screener().shard_map();
         self.dirty_shards
-            .insert(map.assign(el.semi_major_axis, el.inclination));
+            .insert(self.layout.assign(el.semi_major_axis, el.inclination));
     }
 
     fn mark_all_shards_dirty(&mut self) {
-        let shard_count = self.engine.screener().shard_map().shard_count();
-        self.dirty_shards.extend(0..shard_count);
+        self.dirty_shards.extend(0..self.layout.shard_count());
     }
 
     /// The one snapshot protocol, for startup, the `snapshot_every`
@@ -488,8 +491,9 @@ impl ServiceState {
     /// Rebuild the state a [`ServiceState::snapshot`] captured, serving
     /// with `screener`: the catalog from the rows, the engine from the
     /// global state (warm when the variants match, see
-    /// [`DeltaEngine::restore`]). The shard layout is the screener's,
-    /// whatever the snapshot was written under.
+    /// [`DeltaEngine::restore`]). Dirty shards are counted under the 1×1
+    /// layout until recovery attaches a persister, whatever the snapshot
+    /// was written under.
     pub fn restore(
         screener: CpuScreener,
         snapshot: &Snapshot,
@@ -694,6 +698,9 @@ impl ServiceState {
             Some(snapshot) => ServiceState::restore(screener, snapshot)?,
             None => ServiceState::with_screener(screener),
         };
+        // Replay dirties shards in the layout the next checkpoint writes.
+        state.layout = persister.layout();
+        state.mark_all_shards_dirty();
         for request in &recovery.tail {
             let response = state.handle(request);
             if !response.ok {
@@ -765,8 +772,8 @@ impl ServiceState {
     /// folded into a snapshot when one is due.
     ///
     /// This is also the one outcome point: it records in METRICS every
-    /// answered screen (adopted, stale or ephemeral) with its filter and
-    /// shard stats, and an adopted advance's tail screen, and hands back
+    /// answered screen (adopted, stale or ephemeral) with its filter
+    /// stats, and an adopted advance's tail screen, and hands back
     /// the [`Publication`] subscribers are to see.
     pub fn commit(&mut self, job: &ScreenJob, output: ScreenOutput) -> Committed {
         let epoch = job.epoch();
@@ -778,12 +785,10 @@ impl ServiceState {
             ScreenOutput::Screen(Screened {
                 report,
                 mut pairs,
-                shards,
                 ran,
             }) => {
                 let mut summary = ScreenSummary::from_report(&report);
                 summary.epoch = epoch;
-                summary.shards = shards.as_ref().map(ShardSummary::from_stats);
                 // The screen ran whatever the commit decides, so every
                 // outcome is recorded.
                 {
@@ -791,9 +796,6 @@ impl ServiceState {
                     metrics.record_screen(ran == ScreenRun::Delta, &summary.timings);
                     if let Some(stats) = &summary.filter_stats {
                         metrics.record_filter_chain(stats);
-                    }
-                    if let Some(stats) = &shards {
-                        metrics.record_shard_screen(ran == ScreenRun::Delta, stats);
                     }
                 }
                 if epoch < self.warm_epoch {
@@ -961,9 +963,9 @@ impl Server {
         options: ServerOptions,
     ) -> Result<Server, ServiceError> {
         check_pool(&options)?;
-        let screener = CpuScreener::new(options.variant, config)
-            .and_then(|screener| screener.with_shards(options.shards))
-            .map_err(ServiceError::Config)?;
+        let screener = CpuScreener::new(options.variant, config).map_err(ServiceError::Config)?;
+        // A bad layout is refused with or without a state directory.
+        ShardMap::for_layout(options.shards).map_err(ServiceError::Config)?;
         let mut recovery_summary = None;
         let state = match &options.persist {
             Some(persist_options) => {

@@ -190,7 +190,7 @@ fn four_concurrent_clients_drive_the_daemon() {
 }
 
 /// Every daemon thread is named `kessler-*`; after shutdown none may
-/// linger (workers, supervisors, reporter, the event loop). Give them a
+/// linger (workers, reporter, the event loop). Give them a
 /// moment to observe the shutdown.
 fn wait_for_no_daemon_threads(when: &str) {
     let deadline = Instant::now() + Duration::from_secs(5);

@@ -87,7 +87,7 @@ fn screening_panic_answers_error_and_the_worker_survives() {
 }
 
 #[test]
-fn dead_worker_is_respawned_by_the_supervisor() {
+fn a_killed_worker_restarts_its_loop_in_place() {
     let faults = Arc::new(FaultPlan::default());
     let handle = serve(ServerOptions {
         faults: Arc::clone(&faults),
@@ -111,7 +111,7 @@ fn dead_worker_is_respawned_by_the_supervisor() {
         response.error
     );
 
-    // ...and the supervisor respawns a worker that serves the next one.
+    // ...and the worker thread restarts its loop and serves the next one.
     let response = client.send(&Request::Screen).expect("SCREEN after respawn");
     assert!(response.ok, "{:?}", response.error);
     assert_eq!(response.screen.unwrap().n_satellites, 8);
@@ -122,7 +122,7 @@ fn dead_worker_is_respawned_by_the_supervisor() {
     let metrics = response.metrics.expect("metrics payload");
     assert!(
         metrics.worker_respawns >= 1,
-        "supervisor respawn not counted: {}",
+        "worker restart not counted: {}",
         metrics.worker_respawns
     );
     handle.shutdown();

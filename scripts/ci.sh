@@ -73,11 +73,13 @@ done
 RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912
 wait "$KESSLER_SERVE_PID"
 
-# The same state directory, served again: startup replays the WAL the first
-# daemon left, screen records included, and must come back with its
-# catalog, its adopted screen and delta and its advanced window.
-echo "==> kessler serve restarts on its state directory and recovers the catalog, screens and window"
-./target/release/kessler serve --addr 127.0.0.1:7912 --n 32 --state-dir "$KESSLER_STATE_DIR" &
+# The same state directory, served again under another snapshot layout:
+# startup replays the WAL the flat daemon left, screen records included,
+# and must come back with its catalog, its adopted screen and delta and its
+# advanced window.
+echo "==> kessler serve restarts on its state directory under --shards 4x2 and recovers the catalog, screens and window"
+./target/release/kessler serve --addr 127.0.0.1:7912 --n 32 --state-dir "$KESSLER_STATE_DIR" \
+    --shards 4x2 &
 KESSLER_SERVE_PID=$!
 status="$(RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 --retries 8)"
 compact="$(tr -d ' \n' <<<"$status")"
@@ -98,6 +100,13 @@ for block in "full screens — 1 screens" "delta screens — 1 screens" \
         exit 1
     fi
 done
+# The checkpoint folding the replay in wrote the 4x2 chunks, and METRICS
+# samples the chunks of every checkpoint under a layout of more than one.
+echo "==> the restarted daemon's METRICS shows the chunks its post-replay checkpoint wrote"
+if ! grep -q "dirty shards" <<<"$metrics"; then
+    echo "restarted daemon's METRICS lacks the dirty shards row: $metrics" >&2
+    exit 1
+fi
 RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912
 wait "$KESSLER_SERVE_PID"
 

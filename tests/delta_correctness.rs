@@ -3,8 +3,8 @@
 //! conjunction set a cold full re-screen of the mutated population produces —
 //! same pairs in both directions, same TCAs and PCAs. The hybrid twin runs
 //! the same invariant through the orbital filter chain at n = 4000, and a
-//! seeded case holds every shard layout, the 1×1 one a daemon without
-//! `--shards` runs included, to the cold screeners bit for bit.
+//! seeded case holds the daemon's screens and a DELTA's culled extraction
+//! to the cold screeners bit for bit.
 
 use kessler::core::PhaseTimings;
 use kessler::core::{CpuScreener, Extraction};
@@ -12,7 +12,7 @@ use kessler::grid::grid::NeighborScan;
 use kessler::math::Vec3;
 use kessler::orbits::BatchPropagator;
 use kessler::prelude::*;
-use kessler::service::{DeltaEngine, ShardMap, ShardSpec, HYBRID_DELTA_VARIANT};
+use kessler::service::{DeltaEngine, ShardSpec, HYBRID_DELTA_VARIANT};
 use std::collections::BTreeSet;
 
 const N: usize = 8_000;
@@ -53,75 +53,6 @@ fn delta_rescreen_equals_cold_rescreen_after_64_updates() {
     let delta_report = engine.delta_screen(&mutated, &changed);
     let cold_report = GridScreener::new(config).screen(&mutated);
 
-    assert_reports_identical(&delta_report, &cold_report);
-}
-
-/// The ISSUE 9 acceptance invariant: with the catalog sharded by orbital
-/// regime, both the sharded full screen and a warm sharded delta re-screen
-/// must equal the flat, unsharded result *exactly* — same pairs, same TCAs
-/// and PCAs to 1e-9 — including satellites parked right on a shard band
-/// edge (whose grid cells straddle two shards) and eccentric satellites
-/// whose apsis range spans several altitude bands.
-#[test]
-fn sharded_screens_equal_unsharded_exactly_including_boundary_straddlers() {
-    let mut population = PopulationGenerator::new(PopulationConfig {
-        seed: 0xDE17A,
-        ..Default::default()
-    })
-    .generate(N);
-
-    // Park satellites on and around an interior altitude-band edge of the
-    // default shard layout (8 bands over [6500, 9000] km put edges at
-    // 6812.5, 7125, …), plus a few eccentric ones whose perigee and apogee
-    // fall in different bands. Their candidate cells are mirrored across
-    // the shard boundary, which is exactly the machinery under test.
-    let spec = ShardSpec::default();
-    let band_edge = spec.r_min_km + (spec.r_max_km - spec.r_min_km) * 2.0 / spec.alt_bands as f64;
-    for j in 0..48 {
-        let idx = N - 1 - j * 31;
-        let el = &population[idx];
-        let ecc = if j % 5 == 0 { 0.04 } else { el.eccentricity };
-        population[idx] = KeplerElements::new(
-            band_edge + (j as f64 - 24.0) * 0.05,
-            ecc,
-            el.inclination,
-            el.raan,
-            el.arg_perigee,
-            el.mean_anomaly,
-        )
-        .unwrap();
-    }
-    let config = ScreeningConfig::grid_defaults(5.0, 120.0);
-
-    // Cold: the sharded full screen must already match the flat screener.
-    let screener = GridScreener::new(config).with_shards(Some(spec)).unwrap();
-    let mut engine = DeltaEngine::with_screener(screener);
-    let sharded_full = engine.full_screen(&population);
-    let cold_full = GridScreener::new(config).screen(&population);
-    assert_reports_identical(&sharded_full, &cold_full);
-
-    // Warm: perturb 64 satellites — the usual stride plus a handful of the
-    // boundary straddlers — and compare the sharded delta re-screen against
-    // a cold unsharded screen of the mutated population.
-    let mut mutated = population.clone();
-    let mut changed: Vec<u32> = Vec::with_capacity(K);
-    for j in 0..K {
-        let idx = if j < 8 { N - 1 - j * 31 } else { (j * 127) % N };
-        let el = &mutated[idx];
-        mutated[idx] = KeplerElements::new(
-            el.semi_major_axis + 0.5,
-            el.eccentricity,
-            el.inclination,
-            el.raan + 0.01,
-            el.arg_perigee,
-            el.mean_anomaly + 0.3,
-        )
-        .unwrap();
-        changed.push(idx as u32);
-    }
-
-    let delta_report = engine.delta_screen(&mutated, &changed);
-    let cold_report = GridScreener::new(config).screen(&mutated);
     assert_reports_identical(&delta_report, &cold_report);
 }
 
@@ -187,10 +118,10 @@ impl SplitMix64 {
     }
 }
 
-/// Whatever the shard layout — none given, 1×1, shells only, bands only,
-/// the default 8×4 — a SCREEN and a DELTA find the cold screener's
-/// conjunctions to the bit, from the same number of candidate entries. The
-/// population has satellites meeting on band edges of the 8- and 2-band
+/// Whatever the snapshot layout, a screen runs on one grid: a SCREEN and a
+/// DELTA find the cold screener's conjunctions to the bit, from the same
+/// number of candidate entries. The population has groups of four meeting
+/// at one node at one moment, at radii on band edges of the 8- and 2-band
 /// layouts, among them eccentric ones whose apsides lie bands apart; the
 /// changed set is drawn at random, half of it from those.
 #[test]
@@ -198,13 +129,6 @@ fn every_layout_screens_and_deltas_bit_identical_to_the_cold_screeners() {
     const N: usize = 1_500;
     const SPECIAL: usize = 120;
     let spec = ShardSpec::default();
-    let layouts = [None, Some((1, 1)), Some((1, 3)), Some((2, 1)), Some((8, 4))].map(|layout| {
-        layout.map(|(alt_bands, z_shells)| ShardSpec {
-            alt_bands,
-            z_shells,
-            ..spec
-        })
-    });
     let band_width = (spec.r_max_km - spec.r_min_km) / 8.0;
 
     for seed in [1u64, 2, 3] {
@@ -257,10 +181,7 @@ fn every_layout_screens_and_deltas_bit_identical_to_the_cold_screeners() {
         }
 
         for variant in [Variant::Grid, Variant::Hybrid] {
-            let what = |layout: &Option<ShardSpec>| {
-                let layout = layout.map(|spec| (spec.alt_bands, spec.z_shells));
-                format!("seed {seed}, {}, layout {layout:?}", variant.label())
-            };
+            let what = format!("seed {seed}, {}", variant.label());
             let (config, cold_before, cold_after) = match variant {
                 Variant::Hybrid => {
                     let config = ScreeningConfig::hybrid_defaults(10.0, 180.0);
@@ -282,79 +203,49 @@ fn every_layout_screens_and_deltas_bit_identical_to_the_cold_screeners() {
                 }
             };
 
-            let mut delta_entries = None;
-            for layout in &layouts {
-                let screener = CpuScreener::new(variant, config)
-                    .and_then(|screener| screener.with_shards(*layout))
-                    .unwrap();
-                let mut engine = DeltaEngine::with_screener(screener);
-                let full = engine.full_screen(&population);
-                assert_bit_identical(&full, &cold_before, &what(layout));
-                // The full screen is the cold screen under another layout:
-                // the same candidates and filter decisions, not only the
-                // same conjunctions.
-                assert_eq!(
-                    (full.candidate_entries, full.candidate_pairs),
-                    (cold_before.candidate_entries, cold_before.candidate_pairs),
-                    "{}",
-                    what(layout)
-                );
-                assert_eq!(
-                    full.filter_stats,
-                    cold_before.filter_stats,
-                    "{}",
-                    what(layout)
-                );
-                let delta = engine.delta_screen(&mutated, &changed);
-                assert_bit_identical(&delta, &cold_after, &what(layout));
-                assert!(delta.conjunction_count() > 0, "{}", what(layout));
-                assert_eq!(
-                    *delta_entries.get_or_insert(delta.candidate_entries),
-                    delta.candidate_entries,
-                    "{}",
-                    what(layout)
-                );
-            }
+            let mut engine = DeltaEngine::with_screener(CpuScreener::new(variant, config).unwrap());
+            let full = engine.full_screen(&population);
+            assert_bit_identical(&full, &cold_before, &what);
+            // The full screen is the cold screen: the same candidates and
+            // filter decisions, not only the same conjunctions.
+            assert_eq!(
+                (full.candidate_entries, full.candidate_pairs),
+                (cold_before.candidate_entries, cold_before.candidate_pairs),
+                "{what}"
+            );
+            assert_eq!(full.filter_stats, cold_before.filter_stats, "{what}");
+            let delta = engine.delta_screen(&mutated, &changed);
+            assert_bit_identical(&delta, &cold_after, &what);
+            assert!(delta.conjunction_count() > 0, "{what}");
 
-            // The same delta's extraction, run directly under the
-            // one-shard layout: nobody is mirrored and no entry crosses a
-            // shard edge. The per-step path inserts everyone once per
-            // step; the culled run finds the same entries inserting every
-            // changed satellite at every step and fewer than everyone.
+            // The same delta's extraction, run directly. The per-step path
+            // inserts everyone once per step; the culled run finds the same
+            // entries inserting every changed satellite at every step and
+            // fewer than everyone.
             let planner = cold_after.planner;
-            let map = ShardMap::single();
             let propagator = BatchPropagator::new(&mutated);
-            let (entries, stats) =
-                Extraction::new(&map, &changed, planner.cell_size_km, NeighborScan::Half)
+            let (entries, inserts) =
+                Extraction::new(&changed, planner.cell_size_km, NeighborScan::Half)
                     .run(&propagator, &planner, &mut PhaseTimings::default(), None)
                     .expect("no token, no cancellation");
-            assert_eq!(Some(entries.len()), delta_entries, "{}", what(&None));
-            assert_eq!(stats.mirrored_inserts, 0, "{}", what(&None));
-            assert_eq!(stats.boundary_entries, 0, "{}", what(&None));
+            assert_eq!(entries.len(), delta.candidate_entries, "{what}");
             let steps = u64::from(planner.total_steps);
             assert!(
-                (changed.len() as u64 * steps..N as u64 * steps).contains(&stats.total_inserts),
-                "{}: {} inserts",
-                what(&None),
-                stats.total_inserts
+                (changed.len() as u64 * steps..N as u64 * steps).contains(&inserts),
+                "{what}: {inserts} inserts"
             );
 
             let mut every_step =
-                Extraction::new(&map, &changed, planner.cell_size_km, NeighborScan::Half);
+                Extraction::new(&changed, planner.cell_size_km, NeighborScan::Half);
             let mut positions = vec![Vec3::ZERO; N];
             let everyone: Vec<u32> = (0..N as u32).collect();
             for step in 0..planner.total_steps {
                 propagator.positions_into(step as f64 * planner.seconds_per_sample, &mut positions);
                 every_step.step(step, &positions, &everyone, &mut PhaseTimings::default());
             }
-            let (every_entries, every_stats) = every_step.finish();
-            assert_eq!(every_entries, entries, "{}", what(&None));
-            assert_eq!(
-                (every_stats.total_inserts, every_stats.mirrored_inserts),
-                (N as u64 * steps, 0),
-                "{}",
-                what(&None)
-            );
+            let (every_entries, every_inserts) = every_step.finish();
+            assert_eq!(every_entries, entries, "{what}");
+            assert_eq!(every_inserts, N as u64 * steps, "{what}");
         }
     }
 }

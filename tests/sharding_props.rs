@@ -1,12 +1,10 @@
-//! Property-based tests of the orbital-regime shard layer: assignment is
-//! total and deterministic over arbitrary layouts, eccentric satellites
-//! overlap every altitude band their apsis range touches, and candidate
-//! extraction under an arbitrary multi-shard partition equals the
-//! single-shard (global) extraction and a brute-force O(n²) reference, in
-//! both query modes — every cross-boundary pair found, each pair exactly
-//! once, mirroring symmetric in the pair's order. A DELTA's space-time cull
-//! (`Extraction::run` with a strict subset changed) finds exactly the
-//! entries of the per-step path that propagates and bins everyone.
+//! Property-based tests of the shard layout and of candidate extraction:
+//! snapshot-chunk assignment is total and deterministic over arbitrary
+//! layouts, and one step's extraction equals a brute-force O(n²)
+//! reference in both query modes, each pair exactly once. A DELTA's
+//! space-time cull (`Extraction::run` with a strict subset changed) finds
+//! exactly the entries of the per-step path that propagates and bins
+//! everyone.
 
 use kessler::core::shard::CULL_BLOCK_SECONDS;
 use kessler::core::{Extraction, MemoryModel, PhaseTimings, PlannerReport};
@@ -15,21 +13,20 @@ use kessler::grid::CandidatePair;
 use kessler::math::Vec3;
 use kessler::orbits::BatchPropagator;
 use kessler::prelude::{KeplerElements, ScreeningConfig, Variant};
-use kessler::service::{ShardMap, ShardScreenStats, ShardSpec};
+use kessler::service::{ShardMap, ShardSpec};
 use proptest::prelude::*;
 use std::f64::consts::{PI, TAU};
 
 /// One step of a fresh extraction: its entries, sorted and each exactly
-/// once, and the per-shard statistics.
+/// once, and the grid inserts.
 fn extract_step(
-    map: &ShardMap,
     positions: &[Vec3],
     changed: &[u32],
     cell: f64,
     step: u32,
-) -> (Vec<CandidatePair>, ShardScreenStats) {
+) -> (Vec<CandidatePair>, u64) {
     let everyone: Vec<u32> = (0..positions.len() as u32).collect();
-    let mut extraction = Extraction::new(map, changed, cell, NeighborScan::Half);
+    let mut extraction = Extraction::new(changed, cell, NeighborScan::Half);
     extraction.step(step, positions, &everyone, &mut PhaseTimings::default());
     extraction.finish()
 }
@@ -53,12 +50,11 @@ fn brute_force_entries(positions: &[Vec3], cell: f64, step: u32) -> Vec<Candidat
 /// The per-step path a culled run must agree with: every satellite
 /// propagated and binned at every step, then [`Extraction::step`].
 fn extract_every_step(
-    map: &ShardMap,
     propagator: &BatchPropagator,
     planner: &PlannerReport,
     changed: &[u32],
-) -> (Vec<CandidatePair>, ShardScreenStats) {
-    let mut extraction = Extraction::new(map, changed, planner.cell_size_km, NeighborScan::Half);
+) -> (Vec<CandidatePair>, u64) {
+    let mut extraction = Extraction::new(changed, planner.cell_size_km, NeighborScan::Half);
     let mut positions = vec![Vec3::ZERO; propagator.len()];
     let everyone: Vec<u32> = (0..propagator.len() as u32).collect();
     for step in 0..planner.total_steps {
@@ -70,12 +66,11 @@ fn extract_every_step(
 
 /// `Extraction::run`, which culls when `changed` is a strict subset.
 fn extract_culled(
-    map: &ShardMap,
     propagator: &BatchPropagator,
     planner: &PlannerReport,
     changed: &[u32],
-) -> (Vec<CandidatePair>, ShardScreenStats) {
-    Extraction::new(map, changed, planner.cell_size_km, NeighborScan::Half)
+) -> (Vec<CandidatePair>, u64) {
+    Extraction::new(changed, planner.cell_size_km, NeighborScan::Half)
         .run(propagator, planner, &mut PhaseTimings::default(), None)
         .expect("no token, no cancellation")
 }
@@ -128,8 +123,6 @@ fn arb_spec() -> impl Strategy<Value = ShardSpec> {
 }
 
 fn arb_position() -> impl Strategy<Value = Vec3> {
-    // Radii deliberately overflow the shard span on both sides: the map
-    // must clamp, never panic or drop.
     (5_000.0..18_000.0f64, 0.0..PI, -1.0..1.0f64).prop_map(|(r, theta, zfrac)| {
         let z = r * zfrac;
         let rho = (r * r - z * z).max(0.0).sqrt();
@@ -156,70 +149,24 @@ proptest! {
         prop_assert_eq!(shard, again);
     }
 
-    /// An eccentric satellite's apsis range covers a contiguous band run
-    /// containing the perigee band, the apogee band, and the band its
-    /// semi-major axis (the static assignment) falls in.
+    /// Candidate extraction of everyone (the occupied-cell scan) is
+    /// exactly the brute-force reference, each satellite inserted once.
     #[test]
-    fn apsis_span_overlaps_every_band_between_perigee_and_apogee(
-        spec in arb_spec(),
-        a in 6_600.0..12_000.0f64,
-        e in 0.0..0.3f64,
-    ) {
-        let map = ShardMap::new(spec).unwrap();
-        let perigee = a * (1.0 - e);
-        let apogee = a * (1.0 + e);
-        let (lo, hi) = map.bands_overlapping(perigee, apogee);
-        prop_assert!(lo <= hi && hi < spec.alt_bands);
-        prop_assert!((lo..=hi).contains(&map.band_of(perigee)));
-        prop_assert!((lo..=hi).contains(&map.band_of(apogee)));
-        prop_assert!((lo..=hi).contains(&map.band_of(a)));
-        // Contiguity: every radius strictly inside the apsis range maps
-        // into the run — no band the satellite can visit is skipped.
-        for k in 0..8 {
-            let r = perigee + (apogee - perigee) * k as f64 / 7.0;
-            prop_assert!((lo..=hi).contains(&map.band_of(r)));
-        }
-    }
-
-    /// Candidate extraction of everyone (the occupied-cell scan) under an
-    /// arbitrary partition is exactly the single-shard (global) extraction
-    /// and the brute-force reference: the same entries, every boundary
-    /// pair among them exactly once. Real satellites are inserted exactly
-    /// once into their home shard; everything beyond that is a mirror
-    /// copy.
-    #[test]
-    fn sharded_extraction_equals_global_extraction(
-        spec in arb_spec(),
+    fn extraction_of_everyone_equals_the_brute_force_reference(
         positions in proptest::collection::vec(arb_position(), 2..40),
         cell in 20.0..200.0f64,
     ) {
         let changed: Vec<u32> = (0..positions.len() as u32).collect();
-
-        let global_map = ShardMap::new(ShardSpec {
-            alt_bands: 1,
-            z_shells: 1,
-            ..spec
-        })
-        .unwrap();
-        let (expected, stats) = extract_step(&global_map, &positions, &changed, cell, 3);
-        prop_assert_eq!(stats.mirrored_inserts, 0, "one shard mirrors nothing");
-        prop_assert_eq!(&expected, &brute_force_entries(&positions, cell, 3));
-
-        let map = ShardMap::new(spec).unwrap();
-        let (got, stats) = extract_step(&map, &positions, &changed, cell, 3);
-        prop_assert_eq!(&got, &expected);
-        prop_assert_eq!(
-            stats.total_inserts - stats.mirrored_inserts,
-            positions.len() as u64
-        );
+        let (got, inserts) = extract_step(&positions, &changed, cell, 3);
+        prop_assert_eq!(&got, &brute_force_entries(&positions, cell, 3));
+        prop_assert_eq!(inserts, positions.len() as u64);
     }
 
     /// The subset twin: point queries for a random strict subset of
-    /// changed satellites, under an arbitrary partition, find exactly the
-    /// reference pairs that touch a changed satellite.
+    /// changed satellites find exactly the reference pairs that touch a
+    /// changed satellite.
     #[test]
     fn subset_extraction_equals_the_reference_around_the_changed(
-        spec in arb_spec(),
         positions in proptest::collection::vec(arb_position(), 2..40),
         cell in 20.0..200.0f64,
         mask in any::<u64>(),
@@ -235,39 +182,9 @@ proptest! {
         let mut expected = brute_force_entries(&positions, cell, 5);
         expected.retain(touches);
 
-        let map = ShardMap::new(spec).unwrap();
-        let (got, _) = extract_step(&map, &positions, &changed, cell, 5);
+        let (got, _) = extract_step(&positions, &changed, cell, 5);
         prop_assert_eq!(got, expected);
     }
-
-    /// Boundary mirroring is symmetric: when two satellites share a grid
-    /// cell but live in different home shards, the pair is found whether
-    /// the query runs from A's home or from B's.
-    #[test]
-    fn boundary_mirroring_is_symmetric(
-        spec in arb_spec(),
-        base in arb_position(),
-        dx in -30.0..30.0f64,
-        dz in -30.0..30.0f64,
-    ) {
-        let other = Vec3::new(base.x + dx, base.y, base.z + dz);
-        let positions = vec![base, other];
-        let map = ShardMap::new(spec).unwrap();
-        let cell = 50.0;
-
-        let extract_from = |who: u32| extract_step(&map, &positions, &[who], cell, 0).0;
-        let from_a = extract_from(0);
-        let from_b = extract_from(1);
-        prop_assert_eq!(
-            from_a.is_empty(),
-            from_b.is_empty(),
-            "pair visibility must not depend on which side queries \
-             (homes {} and {})",
-            map.home_of(base),
-            map.home_of(other)
-        );
-    }
-
 }
 
 proptest! {
@@ -275,9 +192,8 @@ proptest! {
 
     /// The cull is exact: over crossing swarms of circular and fast
     /// eccentric orbits that all pass the same point at random times, with
-    /// k ∈ {1, 3, n/2, n − 1} changed, under the 1×1 and 8×4 layouts and at
-    /// grid and hybrid step sizes, `run` finds exactly the entries of the
-    /// per-step path.
+    /// k ∈ {1, 3, n/2, n − 1} changed, at grid and hybrid step sizes, `run`
+    /// finds exactly the entries of the per-step path.
     #[test]
     fn culled_run_equals_the_per_step_path(
         seed in any::<u64>(),
@@ -305,18 +221,15 @@ proptest! {
             changed.truncate(k);
             changed.sort_unstable();
             for planner in cull_plans(n) {
-                for map in [ShardMap::single(), ShardMap::new(ShardSpec::default()).unwrap()] {
-                    let (want, _) = extract_every_step(&map, &propagator, &planner, &changed);
-                    let (got, _) = extract_culled(&map, &propagator, &planner, &changed);
-                    prop_assert_eq!(
-                        got,
-                        want,
-                        "k = {}, s_ps = {}, {} shards",
-                        k,
-                        planner.seconds_per_sample,
-                        map.shard_count()
-                    );
-                }
+                let (want, _) = extract_every_step(&propagator, &planner, &changed);
+                let (got, _) = extract_culled(&propagator, &planner, &changed);
+                prop_assert_eq!(
+                    got,
+                    want,
+                    "k = {}, s_ps = {}",
+                    k,
+                    planner.seconds_per_sample
+                );
             }
         }
     }
@@ -347,24 +260,19 @@ fn head_on_pairs_meeting_at_every_step_survive_the_cull() {
         let propagator = BatchPropagator::new(&population);
         let changed: Vec<u32> = (0..steps).map(|s| 2 * s).collect();
         let block = (CULL_BLOCK_SECONDS / planner.seconds_per_sample).ceil() as u32;
-        for map in [
-            ShardMap::single(),
-            ShardMap::new(ShardSpec::default()).unwrap(),
-        ] {
-            let (want, every) = extract_every_step(&map, &propagator, &planner, &changed);
-            let (got, culled) = extract_culled(&map, &propagator, &planner, &changed);
-            assert_eq!(got, want, "s_ps = {}", planner.seconds_per_sample);
-            // Every pair is found at its meeting step.
-            for s in 0..steps {
-                assert!(
-                    want.contains(&CandidatePair::new(2 * s, 2 * s + 1, s)),
-                    "pair {s} at its meeting step"
-                );
-            }
-            // The cull dropped work: a pair meeting beyond the end of a
-            // block is not binned in it.
-            assert!(block < steps);
-            assert!(culled.total_inserts < every.total_inserts);
+        let (want, every) = extract_every_step(&propagator, &planner, &changed);
+        let (got, culled) = extract_culled(&propagator, &planner, &changed);
+        assert_eq!(got, want, "s_ps = {}", planner.seconds_per_sample);
+        // Every pair is found at its meeting step.
+        for s in 0..steps {
+            assert!(
+                want.contains(&CandidatePair::new(2 * s, 2 * s + 1, s)),
+                "pair {s} at its meeting step"
+            );
         }
+        // The cull dropped work: a pair meeting beyond the end of a
+        // block is not binned in it.
+        assert!(block < steps);
+        assert!(culled < every);
     }
 }
