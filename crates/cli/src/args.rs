@@ -10,6 +10,20 @@ impl Flags {
         Flags { raw }
     }
 
+    /// Refuse the first `--flag` that no group of `accepted` (each a
+    /// space-separated list) names, for the subcommand `command`.
+    pub fn check(&self, command: &str, accepted: &[&str]) -> Result<(), String> {
+        let known = |flag: &str| {
+            accepted
+                .iter()
+                .any(|g| g.split_whitespace().any(|a| a == flag))
+        };
+        match self.raw.iter().find(|a| a.starts_with("--") && !known(a)) {
+            Some(flag) => Err(format!("unknown flag {flag} for {command}")),
+            None => Ok(()),
+        }
+    }
+
     pub fn value_of(&self, flag: &str) -> Option<&str> {
         self.raw
             .iter()
@@ -107,6 +121,14 @@ mod tests {
         assert_eq!(f.positional(), Some("input.txt"));
         assert_eq!(f.f64_of("--span", 0.0).unwrap(), 60.0);
         assert_eq!(f.f64_of("--absent", 7.5).unwrap(), 7.5);
+    }
+
+    #[test]
+    fn flags_outside_the_accepted_list_are_refused() {
+        let f = flags(&["--n", "100", "--csv", "input.txt"]);
+        assert!(f.check("generate", &["--seed --n", "--csv"]).is_ok());
+        let err = f.check("generate", &["--n --csvx"]).unwrap_err();
+        assert_eq!(err, "unknown flag --csv for generate");
     }
 
     #[test]

@@ -28,7 +28,7 @@ SUBCOMMANDS
              [--state-dir DIR] [--snapshot-every N] [--queue-depth N]
              [--shards BANDSxSHELLS | --shards default] chunk snapshots
              by orbital regime (a checkpoint rewrites only changed
-             chunks); [--shard-range RMIN:RMAX] radii, km
+             chunks)
              [--read-timeout SECS (0 = none)]
              [--metrics-every SECS (0 = off)] log a metrics digest to stderr
              with --state-dir, mutations are WAL-logged and state is
@@ -58,6 +58,48 @@ VARIANTS
 pub fn print_usage() {
     println!("{USAGE}");
 }
+
+/// A subcommand: its name, the flags it accepts as space-separated
+/// groups — any other `--flag` is refused before it runs, so a mistyped
+/// one cannot fall back to a default — and what it runs.
+pub type Subcommand = (&'static str, &'static [&'static str], Run);
+type Run = fn(&Flags) -> Result<(), String>;
+
+/// The flags [`load_or_generate`] reads.
+const POPULATION: &str = "--pop --n --seed";
+/// The flags [`build_config`] reads.
+const CONFIG: &str = "--threshold --span --sps --threads";
+
+pub const SUBCOMMANDS: &[Subcommand] = &[
+    ("generate", &["--n --seed --out --csv"], generate),
+    (
+        "screen",
+        &[POPULATION, CONFIG, "--variant --json --csv"],
+        screen,
+    ),
+    ("plan", &[CONFIG, "--n --variant --memory-gib"], plan),
+    ("tle", &["--stats"], tle),
+    ("compare", &[POPULATION, CONFIG], compare),
+    (
+        "serve",
+        &[
+            POPULATION,
+            CONFIG,
+            "--addr --variant --workers --queue-depth --read-timeout --metrics-every",
+            "--state-dir --snapshot-every --shards",
+        ],
+        serve,
+    ),
+    (
+        "submit",
+        &[
+            "--addr --timeout --retries --req-id --json --id --dt",
+            "--a --e --incl --raan --argp --m --all --ids --count --smoke",
+        ],
+        submit,
+    ),
+    ("info", &[], info),
+];
 
 fn load_or_generate(flags: &Flags) -> Result<Vec<KeplerElements>, String> {
     if let Some(path) = flags.value_of("--pop") {
@@ -111,7 +153,7 @@ fn print_report_summary(report: &ScreeningReport) {
     );
 }
 
-pub fn generate(flags: &Flags) -> Result<(), String> {
+fn generate(flags: &Flags) -> Result<(), String> {
     let n = flags.usize_of("--n", 0)?;
     if n == 0 {
         return Err("--n N is required".into());
@@ -139,7 +181,7 @@ pub fn generate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-pub fn screen(flags: &Flags) -> Result<(), String> {
+fn screen(flags: &Flags) -> Result<(), String> {
     let variant = flags.value_of("--variant").unwrap_or("grid").to_string();
     let population = load_or_generate(flags)?;
     let config = build_config(flags, &variant)?;
@@ -166,7 +208,7 @@ pub fn screen(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-pub fn plan(flags: &Flags) -> Result<(), String> {
+fn plan(flags: &Flags) -> Result<(), String> {
     let n = flags.usize_of("--n", 0)?;
     if n == 0 {
         return Err("--n N is required".into());
@@ -232,7 +274,7 @@ pub fn plan(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-pub fn tle(flags: &Flags) -> Result<(), String> {
+fn tle(flags: &Flags) -> Result<(), String> {
     let Some(path) = flags.positional() else {
         return Err("usage: kessler tle FILE [--stats]".into());
     };
@@ -273,7 +315,7 @@ pub fn tle(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-pub fn compare(flags: &Flags) -> Result<(), String> {
+fn compare(flags: &Flags) -> Result<(), String> {
     let population = load_or_generate(flags)?;
     let variants = ["legacy", "grid", "hybrid"];
     let mut reports = Vec::new();
@@ -295,7 +337,7 @@ pub fn compare(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-pub fn serve(flags: &Flags) -> Result<(), String> {
+fn serve(flags: &Flags) -> Result<(), String> {
     let addr = flags.value_of("--addr").unwrap_or("127.0.0.1:7878");
     let variant: Variant = flags.value_of("--variant").unwrap_or("grid").parse()?;
     if !matches!(variant, Variant::Grid | Variant::Hybrid) {
@@ -388,10 +430,9 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
 }
 
 /// `--shards BANDSxSHELLS` (e.g. `--shards 8x4`) chunks snapshots by
-/// orbital regime; `--shards default` takes the built-in layout, and
-/// `--shard-range RMIN:RMAX` overrides the altitude-band span (radii,
-/// km). No flag means the 1×1 layout (one snapshot chunk). Screens run
-/// on one grid whatever the layout.
+/// orbital regime; `--shards default` takes the built-in layout. No flag
+/// means the 1×1 layout (one snapshot chunk). Screens run on one grid
+/// whatever the layout.
 fn parse_shards(flags: &Flags) -> Result<Option<kessler_service::ShardSpec>, String> {
     let Some(value) = flags.value_of("--shards") else {
         return Ok(None);
@@ -407,17 +448,6 @@ fn parse_shards(flags: &Flags) -> Result<Option<kessler_service::ShardSpec>, Str
         spec.z_shells = shells
             .parse()
             .map_err(|_| format!("bad shell count in --shards: `{shells}`"))?;
-    }
-    if let Some(range) = flags.value_of("--shard-range") {
-        let (lo, hi) = range
-            .split_once(':')
-            .ok_or_else(|| format!("bad value for --shard-range: `{range}` (want RMIN:RMAX)"))?;
-        spec.r_min_km = lo
-            .parse()
-            .map_err(|_| format!("bad radius in --shard-range: `{lo}`"))?;
-        spec.r_max_km = hi
-            .parse()
-            .map_err(|_| format!("bad radius in --shard-range: `{hi}`"))?;
     }
     spec.validate()
         .map_err(|e| kessler_service::ServiceError::Config(e).to_string())?;
@@ -447,7 +477,7 @@ fn submit_timeout(flags: &Flags) -> Result<Option<std::time::Duration>, String> 
         .map_err(|_| format!("bad value for --timeout: `{secs}`"))
 }
 
-pub fn submit(flags: &Flags) -> Result<(), String> {
+fn submit(flags: &Flags) -> Result<(), String> {
     use kessler_service::Request;
     let addr = flags.value_of("--addr").unwrap_or("127.0.0.1:7878");
     let timeout = submit_timeout(flags)?;
@@ -837,7 +867,7 @@ fn print_metrics(metrics: &kessler_service::MetricsSnapshot) {
     }
 }
 
-pub fn info() -> Result<(), String> {
+fn info(_: &Flags) -> Result<(), String> {
     println!(
         "kessler {} — conjunction screening with lock-free spatial grids",
         env!("CARGO_PKG_VERSION")

@@ -22,19 +22,17 @@ fn main() {
     };
     let flags = args::Flags::new(argv.collect());
     let result = match cmd.as_str() {
-        "generate" => commands::generate(&flags),
-        "screen" => commands::screen(&flags),
-        "plan" => commands::plan(&flags),
-        "tle" => commands::tle(&flags),
-        "compare" => commands::compare(&flags),
-        "serve" => commands::serve(&flags),
-        "submit" => commands::submit(&flags),
-        "info" => commands::info(),
         "help" | "--help" | "-h" => {
             commands::print_usage();
             Ok(())
         }
-        other => Err(format!("unknown subcommand `{other}` (try `kessler help`)")),
+        name => match commands::SUBCOMMANDS
+            .iter()
+            .find(|(sub, _, _)| *sub == name)
+        {
+            Some((sub, accepted, run)) => flags.check(sub, accepted).and_then(|()| run(&flags)),
+            None => Err(format!("unknown subcommand `{name}` (try `kessler help`)")),
+        },
     };
     if let Err(message) = result {
         eprintln!("error: {message}");

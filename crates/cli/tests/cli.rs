@@ -182,6 +182,28 @@ fn serve_refuses_a_shard_count_that_wraps() {
     assert!(err.contains("exceeds the 4096-shard cap"), "{err}");
 }
 
+/// A mistyped flag is refused with exit 1 instead of falling back to its
+/// default: `--statedir` would otherwise serve an ephemeral daemon, and
+/// the retired `--shard-range` would be ignored.
+#[test]
+fn serve_refuses_a_flag_it_does_not_know() {
+    let dir = std::env::temp_dir().join(format!("kessler-cli-typo-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let state_dir = dir.to_str().unwrap();
+    for (args, flag) in [
+        (["--statedir", state_dir], "--statedir"),
+        (["--shard-range", "1:2"], "--shard-range"),
+    ] {
+        let (status, err) = serve_must_exit(&args);
+        assert_eq!(status.code(), Some(1), "{err}");
+        assert!(
+            err.contains(&format!("unknown flag {flag} for serve")),
+            "{err}"
+        );
+    }
+    assert!(!dir.exists(), "a state directory was opened");
+}
+
 /// A `--queue-depth` past the limit is refused with exit 1 before the
 /// state directory is opened, instead of the queue's allocation
 /// panicking on `capacity overflow`.

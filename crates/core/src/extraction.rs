@@ -1,22 +1,15 @@
-//! The one step loop of every CPU screen, and the orbital-regime shard
-//! layout snapshots are chunked by.
+//! The one step loop of every CPU screen.
 //!
 //! [`Extraction::run`] is the paper's grid phase (§III step 2): one loop
 //! that, per sampling step, propagates the live satellites, inserts them
 //! into one spatial grid and extracts candidate (pair, step) entries — one
 //! grid per sampling step, as the paper builds it (§III-A). The cold
 //! screeners run it with everyone changed, and the service's SCREEN, DELTA
-//! and ADVANCE tail run the same loop whatever `--shards` layout the
-//! daemon persists with. The grid is reused across steps via bulk reset:
-//! the paper allocates `p` grids and fills them in parallel, but on the CPU
-//! the within-step rayon parallelism already saturates the cores, so reuse
-//! trades no parallelism for a `p×` memory saving (the planner still
-//! reports `p` for the memory model).
-//!
-//! A [`ShardMap`] partitions the catalog into altitude bands × |z| shells
-//! by orbital elements ([`ShardMap::assign`]): the persistence layer's
-//! snapshot chunk and dirty-tracking key. It decides nothing about what a
-//! screen extracts or how.
+//! and ADVANCE tail run the same loop. The grid is reused across steps via
+//! bulk reset: the paper allocates `p` grids and fills them in parallel,
+//! but on the CPU the within-step rayon parallelism already saturates the
+//! cores, so reuse trades no parallelism for a `p×` memory saving (the
+//! planner still reports `p` for the memory model).
 //!
 //! # One live list and two query modes, picked by the changed list
 //!
@@ -78,10 +71,6 @@ use kessler_math::Vec3;
 use kessler_orbits::BatchPropagator;
 use rayon::prelude::*;
 
-/// Upper bound on `alt_bands × z_shells`: a snapshot writes one chunk
-/// file per shard, so this bounds the files of one recovery point.
-pub const MAX_SHARDS: u32 = 4096;
-
 /// Simulated time one block of a DELTA's space-time cull covers, seconds:
 /// `⌈T / s_ps⌉` steps, so grid and hybrid step sizes cull over the same
 /// stretch. Shorter blocks propagate everyone more often; longer ones
@@ -91,138 +80,6 @@ pub const CULL_BLOCK_SECONDS: f64 = 20.0;
 /// Distance added to every reach of the cull (km), far above the
 /// rounding of the Kepler solve and of the position arithmetic.
 const CULL_SLACK_KM: f64 = 1.0;
-
-/// User-facing snapshot layout: how many altitude bands and |z| shells,
-/// over what radial extent. Validated by [`ShardSpec::validate`];
-/// [`ShardMap`] derives the uniform band/shell widths from it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardSpec {
-    /// Number of altitude (geocentric radius) bands.
-    pub alt_bands: u32,
-    /// Number of |z| shells per band.
-    pub z_shells: u32,
-    /// Radius where band 0 starts (km); radii below clamp into band 0.
-    pub r_min_km: f64,
-    /// Radius where the last band ends (km); radii above clamp into it.
-    /// |z| shells span `[0, r_max_km]` (|z| never exceeds the radius).
-    pub r_max_km: f64,
-}
-
-impl Default for ShardSpec {
-    fn default() -> ShardSpec {
-        // 8 × 4 = 32 shards over the LEO belt; outliers clamp to the edge
-        // bands, which stays correct (just less balanced).
-        ShardSpec {
-            alt_bands: 8,
-            z_shells: 4,
-            r_min_km: 6_500.0,
-            r_max_km: 9_000.0,
-        }
-    }
-}
-
-impl ShardSpec {
-    /// `alt_bands × z_shells`; meaningful once [`ShardSpec::validate`]
-    /// has passed, which bounds it by [`MAX_SHARDS`].
-    pub fn shard_count(&self) -> u32 {
-        self.alt_bands * self.z_shells
-    }
-
-    pub fn validate(&self) -> Result<(), String> {
-        if self.alt_bands == 0 || self.z_shells == 0 {
-            return Err(format!(
-                "shard spec needs at least one band and one shell (got {}×{})",
-                self.alt_bands, self.z_shells
-            ));
-        }
-        // In u64: the u32 product of two large counts wraps below the cap.
-        let shards = u64::from(self.alt_bands) * u64::from(self.z_shells);
-        if shards > u64::from(MAX_SHARDS) {
-            return Err(format!(
-                "{} bands × {} shells = {shards} shards exceeds the {MAX_SHARDS}-shard cap",
-                self.alt_bands, self.z_shells
-            ));
-        }
-        if !self.r_min_km.is_finite() || !self.r_max_km.is_finite() {
-            return Err("shard radii must be finite".to_string());
-        }
-        if self.r_min_km <= 0.0 || self.r_max_km <= self.r_min_km {
-            return Err(format!(
-                "shard radius range [{}, {}] km must satisfy 0 < r_min < r_max",
-                self.r_min_km, self.r_max_km
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// The partition itself: uniform-width bands over `[r_min, r_max]` and
-/// uniform-width shells over `[0, r_max]`, with O(1) lookup.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardMap {
-    spec: ShardSpec,
-    band_width_km: f64,
-    shell_width_km: f64,
-}
-
-impl ShardMap {
-    pub fn new(spec: ShardSpec) -> Result<ShardMap, String> {
-        spec.validate()?;
-        Ok(ShardMap {
-            spec,
-            band_width_km: (spec.r_max_km - spec.r_min_km) / spec.alt_bands as f64,
-            shell_width_km: spec.r_max_km / spec.z_shells as f64,
-        })
-    }
-
-    /// The 1×1 layout: one band and one shell hold every satellite, so
-    /// the radial extent (the default's) decides nothing.
-    pub fn single() -> ShardMap {
-        ShardMap::new(ShardSpec {
-            alt_bands: 1,
-            z_shells: 1,
-            ..ShardSpec::default()
-        })
-        .expect("the 1×1 layout over the default radii is valid")
-    }
-
-    /// The layout an optional `--shards` choice names — `None` is the 1×1
-    /// layout, and this is the one place that is decided.
-    pub fn for_layout(shards: Option<ShardSpec>) -> Result<ShardMap, String> {
-        shards.map_or_else(|| Ok(ShardMap::single()), ShardMap::new)
-    }
-
-    pub fn shard_count(&self) -> u32 {
-        self.spec.shard_count()
-    }
-
-    /// Altitude band holding radius `r_km`, clamped into range.
-    pub fn band_of(&self, r_km: f64) -> u32 {
-        let raw = (r_km - self.spec.r_min_km) / self.band_width_km;
-        (raw.floor().max(0.0) as u32).min(self.spec.alt_bands - 1)
-    }
-
-    /// |z| shell holding height `z_km` (absolute value taken), clamped.
-    pub fn shell_of(&self, z_km: f64) -> u32 {
-        let raw = z_km.abs() / self.shell_width_km;
-        (raw.floor().max(0.0) as u32).min(self.spec.z_shells - 1)
-    }
-
-    fn shard_id(&self, band: u32, shell: u32) -> u32 {
-        band * self.spec.z_shells + shell
-    }
-
-    /// Static shard assignment from orbital elements — the persistence
-    /// layer's chunking key and the dirty-shard key. Deliberately
-    /// position-independent (a satellite's chunk must not migrate as time
-    /// advances unless its elements change): band from the semi-major
-    /// axis, shell from the characteristic maximum height `a·|sin i|`.
-    pub fn assign(&self, semi_major_axis_km: f64, inclination_rad: f64) -> u32 {
-        let band = self.band_of(semi_major_axis_km);
-        let shell = self.shell_of(semi_major_axis_km * inclination_rad.sin().abs());
-        self.shard_id(band, shell)
-    }
-}
 
 /// Candidate extraction over the sampling steps of one screen: which
 /// satellites changed, the grid the steps reuse, the candidate entries
@@ -455,66 +312,6 @@ mod tests {
     use crate::config::{ScreeningConfig, Variant};
     use crate::planner::MemoryModel;
     use kessler_orbits::KeplerElements;
-
-    fn map(bands: u32, shells: u32) -> ShardMap {
-        ShardMap::new(ShardSpec {
-            alt_bands: bands,
-            z_shells: shells,
-            r_min_km: 6_500.0,
-            r_max_km: 9_000.0,
-        })
-        .unwrap()
-    }
-
-    #[test]
-    fn spec_validation_rejects_bad_geometry() {
-        assert!(ShardSpec::default().validate().is_ok());
-        let zero = ShardSpec {
-            alt_bands: 0,
-            ..Default::default()
-        };
-        assert!(zero.validate().is_err());
-        let too_many = ShardSpec {
-            alt_bands: MAX_SHARDS,
-            z_shells: 2,
-            ..Default::default()
-        };
-        assert!(too_many.validate().is_err());
-        // Products that wrap a u32 to within the cap (4096) or to 0.
-        for (alt_bands, z_shells) in [(4096, 1_048_577), (65_536, 65_536)] {
-            let wrapping = ShardSpec {
-                alt_bands,
-                z_shells,
-                ..Default::default()
-            };
-            let err = wrapping.validate().unwrap_err();
-            assert!(err.contains("exceeds the 4096-shard cap"), "{err}");
-            assert!(ShardMap::new(wrapping).is_err());
-        }
-        let inverted = ShardSpec {
-            r_min_km: 9_000.0,
-            r_max_km: 6_500.0,
-            ..Default::default()
-        };
-        assert!(inverted.validate().is_err());
-        let nan = ShardSpec {
-            r_max_km: f64::NAN,
-            ..Default::default()
-        };
-        assert!(nan.validate().is_err());
-    }
-
-    #[test]
-    fn lookup_clamps_out_of_range_values() {
-        let m = map(4, 4);
-        assert_eq!(m.band_of(1_000.0), 0);
-        assert_eq!(m.band_of(6_500.0), 0);
-        assert_eq!(m.band_of(8_999.0), 3);
-        assert_eq!(m.band_of(50_000.0), 3);
-        assert_eq!(m.shell_of(-100.0), 0);
-        assert_eq!(m.shell_of(0.0), 0);
-        assert_eq!(m.shell_of(50_000.0), 3);
-    }
 
     /// `Extraction::run` over a population's own plan, everyone changed.
     fn run_everyone(

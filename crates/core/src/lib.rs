@@ -24,10 +24,9 @@
 //! A screen is an extraction backend (who produces the candidate entries)
 //! times a post-extraction [`Stage`] (what becomes of them); see
 //! [`screener`]. The CPU backend is one screener, [`CpuScreener`], over
-//! one step loop, [`Extraction::run`] ([`shard`]), on one grid per step:
-//! the cold screeners and the `kessler-service` daemon's SCREEN, DELTA and
-//! ADVANCE are all [`CpuScreener::screen_changed`] calls. The daemon's
-//! [`ShardMap`] chunks its snapshots and nothing else.
+//! one step loop, [`Extraction::run`] ([`extraction`]), on one grid per
+//! step: the cold screeners and the `kessler-service` daemon's SCREEN,
+//! DELTA and ADVANCE are all [`CpuScreener::screen_changed`] calls.
 //!
 //! * [`GridScreener`] — the paper's purely grid-based variant: small cells
 //!   (Eq. 1), small time steps; every grid candidate goes straight to Brent
@@ -48,17 +47,18 @@
 pub mod cancel;
 pub mod config;
 pub mod conjunction;
+pub mod extraction;
 pub mod io;
 pub mod metrics;
 pub mod planner;
 pub mod refine;
 pub mod screener;
-pub mod shard;
 pub mod timing;
 
 pub use cancel::{CancelToken, Cancelled};
 pub use config::{ScreeningConfig, Variant};
 pub use conjunction::{Conjunction, ScreeningReport};
+pub use extraction::Extraction;
 pub use kessler_filters::chain::FilterStatsSnapshot;
 pub use kessler_filters::{FilterChain, FilterConfig, FilterDecision};
 pub use metrics::{Histogram, HistogramSummary, PhaseSeries, PhaseSummaries};
@@ -68,5 +68,4 @@ pub use screener::gpu::GpuScreener;
 pub use screener::legacy::LegacyScreener;
 pub use screener::stage::{group_pairs, refine_filtered_pair, Executor, GroupedPair, Host, Stage};
 pub use screener::{default_config_for, run_in_pool, screener_for, Refined, Screener};
-pub use shard::{Extraction, ShardMap, ShardSpec};
 pub use timing::PhaseTimings;

@@ -7,9 +7,9 @@
 use crate::cancel::{CancelToken, Cancelled};
 use crate::config::{ScreeningConfig, Variant};
 use crate::conjunction::ScreeningReport;
+use crate::extraction::Extraction;
 use crate::screener::stage::{Host, Stage};
 use crate::screener::{run_screen, Outcome, Screener};
-use crate::shard::Extraction;
 use kessler_orbits::{BatchPropagator, KeplerElements};
 
 /// Grid extraction on the CPU, refined by `stage`.

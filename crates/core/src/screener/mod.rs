@@ -1,10 +1,10 @@
 //! The screening variants.
 //!
 //! A screen is *extraction backend × post-extraction stage*, and each half
-//! is written once: the CPU step loop ([`crate::shard::Extraction::run`],
-//! which the service's screens reach through the same
-//! [`cpu::CpuScreener`]) or the gpusim kernels ([`gpu`])
-//! extract candidate entries, a [`stage::Stage`] turns them into
+//! is written once: the CPU step loop
+//! ([`crate::extraction::Extraction::run`], which the service's screens
+//! reach through the same [`cpu::CpuScreener`]) or the gpusim kernels
+//! ([`gpu`]) extract candidate entries, a [`stage::Stage`] turns them into
 //! conjunctions, and `run_screen` assembles the report.
 //! [`cpu::CpuScreener`] and [`gpu::GpuScreener`] are the two backends over
 //! either stage; [`legacy`] brings its own refinement but shares the

@@ -150,10 +150,6 @@ impl Catalog {
         self.ids.get(index as usize).copied()
     }
 
-    pub fn elements_at(&self, index: u32) -> Option<&KeplerElements> {
-        self.elements.get(index as usize)
-    }
-
     /// Epoch at which the satellite at `index` last changed.
     pub fn generation_at(&self, index: u32) -> Option<u64> {
         self.generations.get(index as usize).copied()

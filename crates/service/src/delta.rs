@@ -7,10 +7,10 @@
 //! cell lookup plus its 26 neighbours (§III-A). The engine therefore keeps
 //! the maintained conjunction set warm and, per delta, bins only the
 //! satellites that can reach a changed one within a block of steps (the
-//! space-time cull of `kessler_core::shard`), extracts candidates only from
-//! the changed satellites' neighbourhoods — O(k · occupancy) instead of
-//! O(occupied cells · occupancy) — and refines only pairs involving changed
-//! satellites. That screen is core's
+//! space-time cull of `kessler_core::extraction`), extracts candidates
+//! only from the changed satellites' neighbourhoods — O(k · occupancy)
+//! instead of O(occupied cells · occupancy) — and refines only pairs
+//! involving changed satellites. That screen is core's
 //! [`CpuScreener::screen_changed`] — the very call a cold screen makes
 //! with everyone changed — and a delta adds only the warm-set bookkeeping
 //! around it.

@@ -28,11 +28,7 @@
 //!
 //!   Every screen — SCREEN, DELTA, ADVANCE tail — runs core's one step
 //!   loop, `kessler_core::Extraction::run`, on one grid per sampling
-//!   step, as `kessler screen` does. The `--shards` layout, core's
-//!   [`ShardMap`] (altitude band × |z| shell), is storage only: the
-//!   persistence layer chunks snapshots and tracks dirty shards by
-//!   [`ShardMap::assign`]. The service re-exports [`ShardMap`] and
-//!   [`ShardSpec`].
+//!   step, as `kessler screen` does, whatever the `--shards` layout.
 //! - [`exec`] — the execution layer: screening work captured as
 //!   [`exec::ScreenJob`]s against immutable catalog snapshots
 //!   ([`ServiceState::begin`]), run by a pool of worker threads,
@@ -57,7 +53,10 @@
 //! - [`wal`] / [`persist`] — crash safety: a checksummed write-ahead log
 //!   of acknowledged mutations plus periodic atomic snapshots, so a
 //!   restarted daemon recovers the exact catalog, window, and warm
-//!   conjunction set it had when it died. [`ServiceState`] owns the
+//!   conjunction set it had when it died. The `--shards` layout,
+//!   [`ShardMap`] (altitude band × |z| shell), is the persister's alone:
+//!   it chunks snapshots by [`ShardMap::assign`] and decides itself which
+//!   chunks a checkpoint rewrites. [`ServiceState`] owns the
 //!   persister and the degraded flag, and [`ServiceState::handle`] is the
 //!   one inline path: plan → log → apply → checkpoint-if-due, with a
 //!   screen's log step inside its commit. Only
@@ -94,9 +93,8 @@ pub use delta::{AdvanceOutcome, DeltaEngine, PairMap, DELTA_VARIANT, HYBRID_DELT
 pub use error::{PersistError, ServiceError};
 pub use exec::{CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 pub use fault::FaultPlan;
-pub use kessler_core::{ShardMap, ShardSpec};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, RequestCounter};
-pub use persist::{PersistOptions, Snapshot};
+pub use persist::{PersistOptions, ShardMap, ShardSpec, Snapshot};
 pub use proto::{
     ElementsSpec, Envelope, EventKind, PushEvent, Request, Response, SubscriptionAck,
     PUSH_CONJUNCTION,

@@ -63,8 +63,8 @@ pub struct MetricsRegistry {
     pub(crate) snapshot_build: Histogram,
     /// Per-worker screening-job wall times, µs, keyed by worker name.
     pub(crate) worker_jobs: BTreeMap<String, Histogram>,
-    /// Chunks rewritten by each successful snapshot write under a
-    /// multi-shard layout — how incremental the snapshots actually are.
+    /// Chunks rewritten by each successful snapshot write — how
+    /// incremental the snapshots actually are.
     pub(crate) dirty_shards: Histogram,
     /// Per-connection write-buffer high-water marks, bytes, recorded as
     /// each connection closes.
@@ -89,15 +89,11 @@ impl MetricsRegistry {
     }
 
     /// Record one successful checkpoint from what the persister reports
-    /// it wrote: wall time, bytes, and — when the layout has more than one
-    /// shard, the one place that rule lives — how many shard chunks it had
-    /// to rewrite (a 1×1 layout has nothing to be incremental about).
+    /// it wrote: wall time, bytes, and how many shard chunks it rewrote.
     pub(crate) fn record_snapshot(&mut self, elapsed: Duration, written: &Written) {
         self.snapshot_write.record_duration(elapsed);
         self.snapshot_bytes.record(written.bytes);
-        if written.shard_count > 1 {
-            self.dirty_shards.record(u64::from(written.chunks));
-        }
+        self.dirty_shards.record(u64::from(written.chunks));
     }
 
     /// Count one answered request by command word.
@@ -249,7 +245,7 @@ pub struct MetricsSnapshot {
     /// Summed filter-chain counters over all hybrid screens since startup.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub filter_chain: Option<FilterStatsSnapshot>,
-    /// Shard chunks rewritten per snapshot write (multi-shard layouts only).
+    /// Shard chunks rewritten per snapshot write.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub dirty_shards_per_snapshot: Option<HistogramSummary>,
     /// Live subscriptions at snapshot time (filled by the daemon layer).
@@ -374,7 +370,6 @@ mod tests {
         let written = Written {
             bytes: 12_345,
             chunks: 1,
-            shard_count: 1,
         };
         m.record_snapshot(Duration::from_millis(4), &written);
         m.count_request("SCREEN", true);
@@ -386,8 +381,8 @@ mod tests {
         assert_eq!(fsync.count, 1);
         assert!((fsync.min - 0.8).abs() < 1e-9, "{fsync:?}");
         assert_eq!(back.snapshot_bytes.unwrap().max, 12_345.0);
-        // A 1×1 layout's checkpoints are not "dirty shard" samples.
-        assert!(back.dirty_shards_per_snapshot.is_none());
+        // Every checkpoint samples the chunks it rewrote, 1×1 included.
+        assert_eq!(back.dirty_shards_per_snapshot.unwrap().count, 1);
     }
 
     #[test]
@@ -497,7 +492,6 @@ mod tests {
         let written = Written {
             bytes: 12_345,
             chunks: 2,
-            shard_count: 4,
         };
         m.record_snapshot(Duration::from_millis(4), &written);
         m.snapshot_build.record_duration(Duration::from_micros(50));

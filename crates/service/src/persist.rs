@@ -21,14 +21,44 @@
 //! written to a `.tmp` name, fsynced, atomically renamed into place and
 //! never modified afterwards.
 //!
-//! Snapshots are *incremental*: a write rewrites only the chunks of
-//! shards dirtied since the previous snapshot (the caller tracks the set
-//! and passes it in) and the manifest's `chunk_seqs[s]` names the sequence
-//! number of the chunk file holding shard `s`, so recovery reads the
-//! manifest plus `shard_count` chunk files directly — no chain walk.
-//! Chunks are written before the manifest, so a crash mid-write leaves the
-//! previous manifest's set fully intact. A full chunk set is forced
-//! periodically so retention can reclaim old chunks.
+//! # The shard layout
+//!
+//! A [`ShardMap`] partitions the catalog into altitude bands × |z| shells
+//! by orbital elements ([`ShardMap::assign`]) over a fixed radial extent,
+//! [`SHARD_R_MIN_KM`]..[`SHARD_R_MAX_KM`]; a [`ShardSpec`] names only the
+//! band and shell counts. It is a storage layout and nothing else: every
+//! screen runs on one grid whatever it is, and every layout reads what
+//! every other layout wrote.
+//!
+//! # Incremental checkpoints
+//!
+//! A write rewrites only the chunks whose rows changed since this
+//! persister's last successful write, and the manifest's `chunk_seqs[s]`
+//! names the sequence number of the chunk file holding shard `s`, so
+//! recovery reads the manifest plus `shard_count` chunk files directly —
+//! no chain walk. The persister decides which chunks changed by itself,
+//! from the rows it is handed and three things it kept from its last
+//! write: the snapshot's catalog epoch `E`, each shard's row count, and
+//! the `chunk_seqs`. Shard `s` is rewritten when this persister has not
+//! written yet (the first write after [`Persister::open`] is full), a full
+//! set is due (after `FULL_MANIFEST_EVERY` incremental writes), an ADVANCE
+//! was appended since the last write, `s`'s row count changed, or some row
+//! in `s` has `generation > E`. That is exact:
+//!
+//! - every row change but ADVANCE's bumps the row's generation past the
+//!   epoch it happened after — ADD and UPDATE the row's own, REMOVE the
+//!   swap-removed mover's, whose dense index changed;
+//! - a row that leaves `s` while no new-generation row enters lowers
+//!   `s`'s count;
+//! - ADVANCE recomputes every row's elements and bumps no generation, so
+//!   the log tells the persister instead. The catalog's `time` could not:
+//!   at a time of 1e18 s a 1 s ADVANCE leaves its bits where they were
+//!   and still moves the elements of a satellite added at that time.
+//!
+//! A failed write changes none of what was kept. Chunks are written
+//! before the manifest, so a crash mid-write leaves the previous
+//! manifest's set fully intact. A full chunk set is forced periodically so
+//! retention can reclaim old chunks.
 //!
 //! Recovery loads the *newest materializable* manifest — one with a
 //! missing or corrupt chunk is skipped whole — then replays WAL records
@@ -51,7 +81,7 @@ use crate::error::PersistError;
 use crate::fault::FaultPlan;
 use crate::proto::{ElementsSpec, LastScreen, Request};
 use crate::wal::{self, WalWriter};
-use kessler_core::{Conjunction, ShardMap, ShardSpec, Variant};
+use kessler_core::{Conjunction, Variant};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fs::File;
@@ -76,6 +106,133 @@ const KEEP_SNAPSHOTS: usize = 2;
 /// chain of still-referenced old chunks stays short and retention can
 /// reclaim disk.
 const FULL_MANIFEST_EVERY: u64 = 8;
+
+/// Upper bound on `alt_bands × z_shells`: a snapshot writes one chunk
+/// file per shard, so this bounds the files of one recovery point.
+pub const MAX_SHARDS: u32 = 4096;
+
+/// Radius where band 0 starts (km); radii below clamp into band 0.
+pub const SHARD_R_MIN_KM: f64 = 6_500.0;
+
+/// Radius where the last band ends (km); radii above clamp into it. The
+/// |z| shells span `[0, SHARD_R_MAX_KM]` (|z| never exceeds the radius).
+pub const SHARD_R_MAX_KM: f64 = 9_000.0;
+
+/// User-facing snapshot layout: how many altitude bands and |z| shells
+/// over the fixed extent [`SHARD_R_MIN_KM`]..[`SHARD_R_MAX_KM`].
+/// Validated by [`ShardSpec::validate`]; [`ShardMap`] derives the uniform
+/// band/shell widths from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShardSpec {
+    /// Number of altitude (geocentric radius) bands.
+    pub alt_bands: u32,
+    /// Number of |z| shells per band.
+    pub z_shells: u32,
+}
+
+impl Default for ShardSpec {
+    fn default() -> ShardSpec {
+        // 8 × 4 = 32 shards over the LEO belt; outliers clamp to the edge
+        // bands, which stays correct (just less balanced).
+        ShardSpec {
+            alt_bands: 8,
+            z_shells: 4,
+        }
+    }
+}
+
+impl ShardSpec {
+    /// `alt_bands × z_shells`; meaningful once [`ShardSpec::validate`]
+    /// has passed, which bounds it by [`MAX_SHARDS`].
+    pub fn shard_count(&self) -> u32 {
+        self.alt_bands * self.z_shells
+    }
+
+    pub fn validate(&self) -> Result<(), String> {
+        if self.alt_bands == 0 || self.z_shells == 0 {
+            return Err(format!(
+                "shard spec needs at least one band and one shell (got {}×{})",
+                self.alt_bands, self.z_shells
+            ));
+        }
+        // In u64: the u32 product of two large counts wraps below the cap.
+        let shards = u64::from(self.alt_bands) * u64::from(self.z_shells);
+        if shards > u64::from(MAX_SHARDS) {
+            return Err(format!(
+                "{} bands × {} shells = {shards} shards exceeds the {MAX_SHARDS}-shard cap",
+                self.alt_bands, self.z_shells
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The partition itself: uniform-width bands over
+/// `[SHARD_R_MIN_KM, SHARD_R_MAX_KM]` and uniform-width shells over
+/// `[0, SHARD_R_MAX_KM]`, with O(1) lookup.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardMap {
+    spec: ShardSpec,
+    band_width_km: f64,
+    shell_width_km: f64,
+}
+
+impl ShardMap {
+    pub fn new(spec: ShardSpec) -> Result<ShardMap, String> {
+        spec.validate()?;
+        Ok(ShardMap {
+            spec,
+            band_width_km: (SHARD_R_MAX_KM - SHARD_R_MIN_KM) / spec.alt_bands as f64,
+            shell_width_km: SHARD_R_MAX_KM / spec.z_shells as f64,
+        })
+    }
+
+    /// The 1×1 layout: one band and one shell hold every satellite.
+    pub fn single() -> ShardMap {
+        ShardMap::new(ShardSpec {
+            alt_bands: 1,
+            z_shells: 1,
+        })
+        .expect("the 1×1 layout is valid")
+    }
+
+    /// The layout an optional `--shards` choice names — `None` is the 1×1
+    /// layout, and this is the one place that is decided.
+    pub fn for_layout(shards: Option<ShardSpec>) -> Result<ShardMap, String> {
+        shards.map_or_else(|| Ok(ShardMap::single()), ShardMap::new)
+    }
+
+    pub fn shard_count(&self) -> u32 {
+        self.spec.shard_count()
+    }
+
+    /// Altitude band holding radius `r_km`, clamped into range.
+    pub fn band_of(&self, r_km: f64) -> u32 {
+        let raw = (r_km - SHARD_R_MIN_KM) / self.band_width_km;
+        (raw.floor().max(0.0) as u32).min(self.spec.alt_bands - 1)
+    }
+
+    /// |z| shell holding height `z_km` (absolute value taken), clamped.
+    pub fn shell_of(&self, z_km: f64) -> u32 {
+        let raw = z_km.abs() / self.shell_width_km;
+        (raw.floor().max(0.0) as u32).min(self.spec.z_shells - 1)
+    }
+
+    fn shard_id(&self, band: u32, shell: u32) -> u32 {
+        band * self.spec.z_shells + shell
+    }
+
+    /// Static shard assignment from orbital elements — the snapshot chunk
+    /// key. Deliberately position-independent (a satellite's chunk must
+    /// not migrate as time advances unless its elements change): band
+    /// from the semi-major axis, shell from the characteristic maximum
+    /// height `a·|sin i|`.
+    pub fn assign(&self, semi_major_axis_km: f64, inclination_rad: f64) -> u32 {
+        let band = self.band_of(semi_major_axis_km);
+        let shell = self.shell_of(semi_major_axis_km * inclination_rad.sin().abs());
+        self.shard_id(band, shell)
+    }
+}
 
 /// Where and how often to persist.
 #[derive(Debug, Clone)]
@@ -183,11 +340,22 @@ pub struct Recovery {
 pub(crate) struct Written {
     /// Bytes written by this call: the manifest plus the rewritten chunks.
     pub(crate) bytes: u64,
-    /// Chunk files rewritten — the dirty shards handed in, or every shard
-    /// of the layout when the persister had to force a full set.
+    /// Chunk files rewritten: the shards whose rows changed, or every
+    /// shard of the layout when the write was full.
     pub(crate) chunks: u32,
-    /// Shards in the layout written under.
-    pub(crate) shard_count: u32,
+}
+
+/// What a successful [`Persister::write_snapshot`] keeps for the next
+/// write to be incremental against (see the module docs).
+#[derive(Debug, Clone)]
+struct LastWrite {
+    /// Catalog epoch of the snapshot written: a row whose generation is
+    /// past it changed since.
+    epoch: u64,
+    /// Rows each shard held.
+    counts: Vec<usize>,
+    /// The manifest's chunk refs.
+    chunk_seqs: Vec<u64>,
 }
 
 /// The manifest file: the references that stitch chunk files into one
@@ -230,6 +398,12 @@ pub struct Persister {
     since_snapshot: u64,
     /// Shard layout snapshots are chunked by.
     shards: ShardMap,
+    /// What the last successful snapshot write left on disk; `None` until
+    /// this persister has written, so its first write is full.
+    last_write: Option<LastWrite>,
+    /// Set when an ADVANCE is appended — it changes rows without bumping
+    /// their generations — and cleared by the next successful snapshot.
+    advanced: bool,
     /// Incremental manifests written since the last full chunk set; at
     /// [`FULL_MANIFEST_EVERY`] the next write is forced full.
     incrementals_since_full: u64,
@@ -296,6 +470,8 @@ impl Persister {
             snapshot_every: options.snapshot_every.max(1),
             since_snapshot: recovery.tail.len() as u64,
             shards,
+            last_write: None,
+            advanced: false,
             incrementals_since_full: 0,
             faults,
             dirty: false,
@@ -313,11 +489,6 @@ impl Persister {
     /// Last assigned WAL sequence number.
     pub fn last_seq(&self) -> u64 {
         self.seq
-    }
-
-    /// The layout snapshots are chunked by.
-    pub(crate) fn layout(&self) -> ShardMap {
-        self.shards
     }
 
     /// Durably append one mutation. The sequence number is committed only
@@ -339,6 +510,7 @@ impl Persister {
             Ok(()) => {
                 self.seq = seq;
                 self.since_snapshot += 1;
+                self.advanced |= matches!(request, Request::Advance { .. });
                 Ok(())
             }
             Err(err) => {
@@ -393,16 +565,14 @@ impl Persister {
     }
 
     /// Write a snapshot atomically, apply retention, compact the WAL:
-    /// rewrite the chunks of the `dirty` shards (by this persister's
-    /// layout), then a manifest referencing the rest from their previous
-    /// chunks. Chunks land before the manifest, so a crash anywhere leaves
-    /// the previous manifest's set fully intact; orphaned new chunks are
-    /// reclaimed by the next retention pass.
-    pub(crate) fn write_snapshot(
-        &mut self,
-        snapshot: Snapshot,
-        dirty: &BTreeSet<u32>,
-    ) -> Result<Written, PersistError> {
+    /// rewrite the chunks of the shards whose rows changed since this
+    /// persister's last successful write (the rule of the module docs),
+    /// then a manifest referencing the rest from their previous chunks.
+    /// Chunks land before the manifest, so a crash anywhere leaves the
+    /// previous manifest's set fully intact; orphaned new chunks are
+    /// reclaimed by the next retention pass. A failed write leaves what
+    /// the next write is incremental against as it was.
+    pub(crate) fn write_snapshot(&mut self, snapshot: Snapshot) -> Result<Written, PersistError> {
         let Snapshot {
             wal_seq: seq,
             rows,
@@ -410,36 +580,38 @@ impl Persister {
         } = snapshot;
         let shard_count = self.shards.shard_count();
 
-        // The previous manifest tells us which chunks can be reused: per
-        // shard, the seq of the chunk a clean shard keeps. No usable
-        // predecessor (fresh dir, relaid shards) or an overdue full forces
-        // a complete chunk set.
-        let prev = newest_manifest(&self.dir)
-            .filter(|m| m.shard_count == shard_count && m.wal_seq <= seq)
-            .filter(|_| self.incrementals_since_full < FULL_MANIFEST_EVERY);
-        let kept: Vec<Option<u64>> = (0..shard_count)
-            .map(|shard| {
-                let prev = prev.as_ref().filter(|_| !dirty.contains(&shard))?;
-                Some(prev.chunk_seqs[shard as usize])
-            })
-            .collect();
-
         // Chunk the rows by static assignment on the stored elements
         // (position-independent, stable under ADVANCE rebasing).
         let n_satellites = rows.len();
         let mut members: Vec<Vec<Row>> = vec![Vec::new(); shard_count as usize];
         for row in rows {
             let shard = self.shards.assign(row.elements.a, row.elements.incl) as usize;
-            if kept[shard].is_none() {
-                members[shard].push(row);
-            }
+            members[shard].push(row);
         }
+
+        // Per shard, the seq of the chunk it keeps, if it is unchanged
+        // since the last write. A first write, an overdue full set or an
+        // ADVANCE since keeps none.
+        let prev = self
+            .last_write
+            .as_ref()
+            .filter(|_| !self.advanced && self.incrementals_since_full < FULL_MANIFEST_EVERY);
+        let kept: Vec<Option<u64>> = members
+            .iter()
+            .enumerate()
+            .map(|(shard, rows)| {
+                let prev = prev?;
+                let unchanged = prev.counts[shard] == rows.len()
+                    && rows.iter().all(|row| row.generation <= prev.epoch);
+                unchanged.then_some(prev.chunk_seqs[shard])
+            })
+            .collect();
 
         let mut written = Written {
             bytes: 0,
             chunks: 0,
-            shard_count,
         };
+        let counts: Vec<usize> = members.iter().map(Vec::len).collect();
         let mut chunk_seqs = Vec::with_capacity(shard_count as usize);
         for (shard, entries) in (0..shard_count).zip(members) {
             if let Some(kept_seq) = kept[shard as usize] {
@@ -455,6 +627,7 @@ impl Persister {
             chunk_seqs.push(seq);
         }
 
+        let epoch = global.epoch;
         let manifest = Manifest {
             version: MANIFEST_VERSION,
             wal_seq: seq,
@@ -466,11 +639,6 @@ impl Persister {
         let body = serde_json::to_string(&manifest)
             .map_err(|e| PersistError::corrupt("manifest", format!("unserializable: {e}")))?;
         written.bytes += self.write_frame_file(seq, &body, &manifest_path(&self.dir, seq))?;
-        self.incrementals_since_full = if manifest.is_full() {
-            0
-        } else {
-            self.incrementals_since_full + 1
-        };
 
         // Keep every WAL record the *oldest kept* recovery point does not
         // cover, so falling back past a corrupt newest point still
@@ -481,6 +649,17 @@ impl Persister {
         // Compaction rewrote the WAL from committed records only, so any
         // residue of a failed append is gone.
         self.dirty = false;
+        self.incrementals_since_full = if manifest.is_full() {
+            0
+        } else {
+            self.incrementals_since_full + 1
+        };
+        self.advanced = false;
+        self.last_write = Some(LastWrite {
+            epoch,
+            counts,
+            chunk_seqs: manifest.chunk_seqs,
+        });
         Ok(written)
     }
 
@@ -725,15 +904,6 @@ fn chunk_path(dir: &Path, seq: u64, shard: u32) -> PathBuf {
     dir.join(format!("shard-{seq:020}-{shard:04}.json"))
 }
 
-/// Newest manifest in the directory that parses, if any.
-fn newest_manifest(dir: &Path) -> Option<Manifest> {
-    let points = list_manifests(dir).ok()?;
-    points
-        .iter()
-        .rev()
-        .find_map(|(_, path)| load_manifest(path).ok())
-}
-
 /// Read every chunk a manifest references and put their rows back in
 /// dense-index order; any missing or corrupt chunk fails the whole point.
 fn materialize_manifest(dir: &Path, manifest: Manifest) -> Result<Snapshot, PersistError> {
@@ -852,13 +1022,15 @@ mod tests {
         snapshot_of(wal_seq, &alts)
     }
 
-    /// A dirty set naming every shard of an `n`-shard layout.
-    fn all(n: u32) -> BTreeSet<u32> {
-        (0..n).collect()
-    }
-
-    fn dirty(shards: &[u32]) -> BTreeSet<u32> {
-        shards.iter().copied().collect()
+    /// `snapshot` at catalog epoch `epoch` (past every generation it
+    /// holds), with the satellites `touched` changed at that epoch: the
+    /// rows a persister reads what changed from.
+    fn touching(mut snapshot: Snapshot, epoch: u64, touched: &[u32]) -> Snapshot {
+        snapshot.global.epoch = epoch;
+        for &index in touched {
+            snapshot.rows[index as usize].generation = epoch;
+        }
+        snapshot
     }
 
     /// No `--shards`: the 1×1 layout.
@@ -876,8 +1048,6 @@ mod tests {
             shards: Some(ShardSpec {
                 alt_bands: 2,
                 z_shells: 1,
-                r_min_km: 6_500.0,
-                r_max_km: 9_000.0,
             }),
             ..options(dir)
         }
@@ -919,6 +1089,47 @@ mod tests {
     }
 
     #[test]
+    fn spec_validation_rejects_bad_geometry() {
+        assert!(ShardSpec::default().validate().is_ok());
+        let zero = ShardSpec {
+            alt_bands: 0,
+            ..Default::default()
+        };
+        assert!(zero.validate().is_err());
+        let too_many = ShardSpec {
+            alt_bands: MAX_SHARDS,
+            z_shells: 2,
+        };
+        assert!(too_many.validate().is_err());
+        // Products that wrap a u32 to within the cap (4096) or to 0.
+        for (alt_bands, z_shells) in [(4096, 1_048_577), (65_536, 65_536)] {
+            let wrapping = ShardSpec {
+                alt_bands,
+                z_shells,
+            };
+            let err = wrapping.validate().unwrap_err();
+            assert!(err.contains("exceeds the 4096-shard cap"), "{err}");
+            assert!(ShardMap::new(wrapping).is_err());
+        }
+    }
+
+    #[test]
+    fn lookup_clamps_out_of_range_values() {
+        let m = ShardMap::new(ShardSpec {
+            alt_bands: 4,
+            z_shells: 4,
+        })
+        .unwrap();
+        assert_eq!(m.band_of(1_000.0), 0);
+        assert_eq!(m.band_of(6_500.0), 0);
+        assert_eq!(m.band_of(8_999.0), 3);
+        assert_eq!(m.band_of(50_000.0), 3);
+        assert_eq!(m.shell_of(-100.0), 0);
+        assert_eq!(m.shell_of(0.0), 0);
+        assert_eq!(m.shell_of(50_000.0), 3);
+    }
+
+    #[test]
     fn fresh_dir_recovers_nothing_and_replays_appends() {
         let dir = temp_dir("fresh");
         let (mut persister, recovery) =
@@ -949,7 +1160,7 @@ mod tests {
                 persister.append(&add(round * 3 + j)).unwrap();
             }
             let snapshot = snapshot_at(persister.last_seq(), (round + 1) * 3);
-            persister.write_snapshot(snapshot, &all(1)).unwrap();
+            persister.write_snapshot(snapshot).unwrap();
         }
         assert_eq!(point_seqs(&dir), vec![9, 12], "rotation keeps two");
         assert_eq!(chunk_keys(&dir), vec![(9, 0), (12, 0)]);
@@ -969,14 +1180,10 @@ mod tests {
         // Snapshot at seq 2, then at seq 4; then two more appends.
         persister.append(&add(0)).unwrap();
         persister.append(&add(1)).unwrap();
-        persister
-            .write_snapshot(snapshot_at(2, 2), &all(1))
-            .unwrap();
+        persister.write_snapshot(snapshot_at(2, 2)).unwrap();
         persister.append(&add(2)).unwrap();
         persister.append(&add(3)).unwrap();
-        persister
-            .write_snapshot(snapshot_at(4, 4), &all(1))
-            .unwrap();
+        persister.write_snapshot(snapshot_at(4, 4)).unwrap();
         persister.append(&add(4)).unwrap();
         drop(persister);
 
@@ -1024,9 +1231,7 @@ mod tests {
         let (mut persister, _) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         persister.append(&add(0)).unwrap();
         persister.append(&add(1)).unwrap();
-        persister
-            .write_snapshot(snapshot_at(2, 2), &all(1))
-            .unwrap();
+        persister.write_snapshot(snapshot_at(2, 2)).unwrap();
         persister.append(&add(2)).unwrap();
         drop(persister);
 
@@ -1034,7 +1239,7 @@ mod tests {
         // total is 1e300 ms: finite, non-negative, checksummed — but past
         // what Duration can hold. Recovery must reject the body (not panic
         // in serde) and fall back to the snapshot at seq 2.
-        let mut forged = newest_manifest(&dir).unwrap();
+        let mut forged = load_manifest(&manifest_path(&dir, 2)).unwrap();
         forged.wal_seq = 3;
         forged.global.last_screen = Some(LastScreen {
             variant: "grid".to_string(),
@@ -1062,7 +1267,7 @@ mod tests {
         persister.append(&add(0)).unwrap();
         let mut snapshot = snapshot_at(1, 1);
         snapshot.global.variant = Variant::Hybrid;
-        persister.write_snapshot(snapshot, &all(1)).unwrap();
+        persister.write_snapshot(snapshot).unwrap();
         let (_, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         assert_eq!(recovery.snapshot.unwrap().global.variant, Variant::Hybrid);
 
@@ -1172,11 +1377,11 @@ mod tests {
 
         faults.arm_snapshot_write_fail();
         persister
-            .write_snapshot(snapshot_at(1, 1), &all(1))
+            .write_snapshot(snapshot_at(1, 1))
             .expect_err("injected tmp-write failure");
         faults.arm_snapshot_rename_fail();
         persister
-            .write_snapshot(snapshot_at(1, 1), &all(1))
+            .write_snapshot(snapshot_at(1, 1))
             .expect_err("injected rename failure");
         assert!(
             point_seqs(&dir).is_empty(),
@@ -1184,9 +1389,7 @@ mod tests {
         );
 
         // Un-faulted retry succeeds, and recovery reads it.
-        persister
-            .write_snapshot(snapshot_at(1, 1), &all(1))
-            .unwrap();
+        persister.write_snapshot(snapshot_at(1, 1)).unwrap();
         let (_, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         assert_eq!(recovery.snapshot.expect("snapshot").wal_seq, 1);
         assert!(recovery.tail.is_empty());
@@ -1219,9 +1422,7 @@ mod tests {
         for id in 0..4 {
             persister.append(&add(id)).unwrap();
         }
-        let full = persister
-            .write_snapshot(snapshot_of(4, &alts), &all(2))
-            .unwrap();
+        let full = persister.write_snapshot(snapshot_of(4, &alts)).unwrap();
         assert_eq!(point_seqs(&dir), vec![4]);
         assert_eq!(chunk_keys(&dir), vec![(4, 0), (4, 1)]);
 
@@ -1229,9 +1430,7 @@ mod tests {
         // rewrite only that shard's chunk (plus the manifest).
         let alts = [7_000.0, 7_100.0, 7_200.0, 8_000.0, 8_200.0];
         persister.append(&add(4)).unwrap();
-        let incremental = persister
-            .write_snapshot(snapshot_of(5, &alts), &dirty(&[1]))
-            .unwrap();
+        let incremental = persister.write_snapshot(snapshot_of(5, &alts)).unwrap();
         assert_eq!(
             chunk_keys(&dir),
             vec![(4, 0), (4, 1), (5, 1)],
@@ -1255,40 +1454,46 @@ mod tests {
     }
 
     #[test]
-    fn written_counts_the_chunks_rewritten_not_the_set_handed_over() {
+    fn written_counts_the_chunks_whose_rows_changed() {
         let dir = temp_dir("written");
         let (mut persister, _) =
             Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
-        let alts = [7_000.0, 8_000.0];
+        // Satellite 0 in shard 0, satellites 1 and 2 in shard 1.
+        let (two, three) = ([7_000.0, 8_000.0], [7_000.0, 8_000.0, 8_100.0]);
         let mut seq = 0;
-        let mut write = |persister: &mut Persister, dirty: &BTreeSet<u32>| {
+        let mut write = |persister: &mut Persister, alts: &[f64], touched: &[u32]| {
             seq += 1;
             persister.append(&add(seq)).unwrap();
-            persister
-                .write_snapshot(snapshot_of(seq, &alts), dirty)
-                .unwrap()
+            // An epoch past every generation `snapshot_of` hands out.
+            let snapshot = touching(snapshot_of(seq, alts), seq + 3, touched);
+            persister.write_snapshot(snapshot).unwrap().chunks
         };
-        let wrote = |chunks| (chunks, 2);
-        let counts = |w: Written| (w.chunks, w.shard_count);
 
-        // No usable predecessor: the set handed over names one shard, the
-        // persister rewrites both.
-        assert_eq!(counts(write(&mut persister, &dirty(&[1]))), wrote(2));
-        // Incremental writes rewrite exactly the dirty chunks — none, for a
-        // point whose records were all screen commits.
+        // No write before it: one satellite changed, both chunks are
+        // rewritten.
+        assert_eq!(write(&mut persister, &two, &[1]), 2);
+        // Incremental writes rewrite exactly the chunks whose rows changed
+        // — none, for a point whose records were all screen commits.
         for _ in 0..FULL_MANIFEST_EVERY / 2 {
-            assert_eq!(counts(write(&mut persister, &dirty(&[1]))), wrote(1));
-            assert_eq!(counts(write(&mut persister, &dirty(&[]))), wrote(0));
+            assert_eq!(write(&mut persister, &two, &[1]), 1);
+            assert_eq!(write(&mut persister, &two, &[]), 0);
         }
         // The full set forced after FULL_MANIFEST_EVERY incrementals.
-        assert_eq!(counts(write(&mut persister, &dirty(&[]))), wrote(2));
-        assert_eq!(counts(write(&mut persister, &dirty(&[0]))), wrote(1));
+        assert_eq!(write(&mut persister, &two, &[]), 2);
+        assert_eq!(write(&mut persister, &two, &[0]), 1);
+        // A satellite joins shard 1, then leaves it with no new generation
+        // behind: its count alone marks the chunk.
+        assert_eq!(write(&mut persister, &three, &[2]), 1);
+        assert_eq!(write(&mut persister, &two, &[]), 1);
         drop(persister);
 
-        // Relaid (here: to 1×1) there is no chunk to reuse either.
+        // Reopened (here: relaid to 1×1), a persister has nothing to be
+        // incremental against.
         let (mut persister, _) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
-        let relaid = write(&mut persister, &dirty(&[]));
-        assert_eq!((relaid.chunks, relaid.shard_count), (1, 1));
+        assert_eq!(write(&mut persister, &two, &[]), 1);
+        let newest = *point_seqs(&dir).last().unwrap();
+        let manifest = load_manifest(&manifest_path(&dir, newest)).unwrap();
+        assert_eq!(manifest.shard_count, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1300,15 +1505,12 @@ mod tests {
         persister.append(&add(0)).unwrap();
         persister.append(&add(1)).unwrap();
         persister
-            .write_snapshot(snapshot_of(2, &[7_000.0, 8_000.0]), &all(2))
+            .write_snapshot(snapshot_of(2, &[7_000.0, 8_000.0]))
             .unwrap();
         persister.append(&add(2)).unwrap();
         persister.append(&add(3)).unwrap();
         persister
-            .write_snapshot(
-                snapshot_of(4, &[7_000.0, 8_000.0, 8_100.0, 8_200.0]),
-                &dirty(&[1]),
-            )
+            .write_snapshot(snapshot_of(4, &[7_000.0, 8_000.0, 8_100.0, 8_200.0]))
             .unwrap();
         drop(persister);
 
@@ -1344,7 +1546,7 @@ mod tests {
             persister.append(&add(0)).unwrap();
             persister.append(&add(1)).unwrap();
             persister
-                .write_snapshot(snapshot_of(2, &alts[..2]), &all(2))
+                .write_snapshot(snapshot_of(2, &alts[..2]))
                 .unwrap();
             persister.append(&add(2)).unwrap();
             persister.append(&add(3)).unwrap();
@@ -1355,7 +1557,7 @@ mod tests {
                 rows,
                 ..snapshot_of(4, &alts)
             };
-            persister.write_snapshot(broken, &all(2)).unwrap();
+            persister.write_snapshot(broken).unwrap();
             drop(persister);
 
             let (_, recovery) =
@@ -1381,27 +1583,23 @@ mod tests {
         let v1 = leave_v1(&dir, 0);
         for seq in 1..=2 {
             persister.append(&add(seq - 1)).unwrap();
-            persister
-                .write_snapshot(snapshot_at(seq, seq), &all(1))
-                .unwrap();
+            persister.write_snapshot(snapshot_at(seq, seq)).unwrap();
         }
         assert!(!v1.exists(), "a v1 file below the cutoff is swept by name");
         drop(persister);
 
         // A sharded reopen recovers it, and supersedes it with a full
-        // manifest (a chunk of another layout is no predecessor).
+        // manifest (a reopened persister has written nothing yet).
         let (mut persister, recovery) =
             Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
         assert_eq!(recovery.snapshot.expect("1×1 readable").wal_seq, 2);
         assert_eq!(persister.last_seq(), 2);
         persister.append(&add(2)).unwrap();
         let alts = [7_000.0, 7_001.0, 8_000.0];
-        let written = persister
-            .write_snapshot(snapshot_of(3, &alts), &dirty(&[1]))
-            .unwrap();
+        let written = persister.write_snapshot(snapshot_of(3, &alts)).unwrap();
         assert_eq!(
             written.chunks, 2,
-            "without a predecessor of this layout the write must be forced full"
+            "the first write of a persister must be full"
         );
         // The newest two full points are 1×1@2 and 2×1@3, so 1×1@1 ages
         // out with its chunk…
@@ -1418,14 +1616,10 @@ mod tests {
         assert_eq!(recovery.tail, vec![add(2)]);
 
         // An unsharded reopen relays to one chunk and reads it back.
-        persister
-            .write_snapshot(snapshot_of(3, &alts), &all(1))
-            .unwrap();
+        persister.write_snapshot(snapshot_of(3, &alts)).unwrap();
         persister.append(&add(3)).unwrap();
         let alts = [7_000.0, 7_001.0, 8_000.0, 8_001.0];
-        persister
-            .write_snapshot(snapshot_of(4, &alts), &all(1))
-            .unwrap();
+        persister.write_snapshot(snapshot_of(4, &alts)).unwrap();
         assert_eq!(point_seqs(&dir), vec![3, 4]);
         assert_eq!(chunk_keys(&dir), vec![(3, 0), (4, 0)]);
         drop(persister);
@@ -1440,12 +1634,14 @@ mod tests {
         let dir = temp_dir("chunkgc");
         let (mut persister, _) =
             Persister::open(&sharded_options(&dir), FaultPlan::inert()).unwrap();
-        // Every shard dirty = rewrite everything, so each write is a full
-        // recovery point and retention trims to the newest two.
+        // Both satellites change between writes, so every shard is
+        // rewritten, each write is a full recovery point and retention
+        // trims to the newest two.
         for round in 0..4u64 {
             persister.append(&add(round)).unwrap();
+            let snapshot = snapshot_of(round + 1, &[7_000.0, 8_000.0]);
             persister
-                .write_snapshot(snapshot_of(round + 1, &[7_000.0, 8_000.0]), &all(2))
+                .write_snapshot(touching(snapshot, round + 3, &[0, 1]))
                 .unwrap();
         }
         assert_eq!(
@@ -1466,9 +1662,7 @@ mod tests {
         let dir = temp_dir("size");
         let (mut persister, _) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
         persister.append(&add(0)).unwrap();
-        let written = persister
-            .write_snapshot(snapshot_at(1, 1), &all(1))
-            .unwrap();
+        let written = persister.write_snapshot(snapshot_at(1, 1)).unwrap();
         let on_disk = |path: PathBuf| std::fs::metadata(path).unwrap().len();
         assert_eq!(
             written.bytes,
@@ -1542,12 +1736,12 @@ mod tests {
     }
 
     /// One daemon lifetime of the layout matrix, without the daemon: a
-    /// durable `ServiceState` (which tracks the dirty set) under the
-    /// layout, driven through `ServiceState::handle` with checkpoints at a
-    /// random cadence. `expected` is the in-memory snapshot at the last
-    /// checkpoint, `tail` the records logged since, `seq` the WAL seq of
-    /// the last record.
+    /// durable `ServiceState` under the layout, driven through
+    /// `ServiceState::handle` with checkpoints at a random cadence.
+    /// `expected` is the in-memory snapshot at the last checkpoint, `tail`
+    /// the records logged since, `seq` the WAL seq of the last record.
     struct Lifetime {
+        dir: PathBuf,
         state: ServiceState,
         seq: u64,
         expected: Option<Snapshot>,
@@ -1584,6 +1778,7 @@ mod tests {
             let state = ServiceState::recover(screener, persister, &recovery)
                 .unwrap_or_else(|err| panic!("{context}: {err}"));
             Lifetime {
+                dir: dir.to_path_buf(),
                 state,
                 seq,
                 expected,
@@ -1594,9 +1789,10 @@ mod tests {
         /// ADD / UPDATE (a fresh `a` and inclination, so most cross a band
         /// or shell of the 2×1 and 8×4 layouts) / REMOVE / ADVANCE (which
         /// moves every satellite's stored elements) / SCREEN and DELTA
-        /// (which dirty no shard and change the manifest's warm set) / an
-        /// ADD of a known id, which is refused.
-        fn generated_request(&self, rng: &mut SplitMix64) -> Request {
+        /// (which change no row and change the manifest's warm set) / an
+        /// ADD of a new id and the REMOVE of it (which leave every row as
+        /// it was) / an ADD of a known id, which is refused.
+        fn generated_requests(&self, rng: &mut SplitMix64) -> Vec<Request> {
             let ids = self.state.catalog().ids();
             let elements = ElementsSpec {
                 a: 6_600.0 + 2_300.0 * rng.unit(),
@@ -1607,10 +1803,11 @@ mod tests {
                 mean_anomaly: std::f64::consts::TAU * rng.unit(),
             };
             let known = |rng: &mut SplitMix64| ids[rng.below(ids.len() as u64) as usize];
-            match rng.below(13) {
+            let fresh = ids.iter().max().map_or(0, |max| max + 1);
+            let request = match rng.below(14) {
                 _ if ids.is_empty() => Request::Add { id: 0, elements },
                 0..=3 => Request::Add {
-                    id: ids.iter().max().unwrap() + 1,
+                    id: fresh,
                     elements,
                 },
                 4..=6 => Request::Update {
@@ -1623,11 +1820,21 @@ mod tests {
                 },
                 9 => Request::Screen,
                 10 | 11 => Request::Delta,
+                12 => {
+                    return vec![
+                        Request::Add {
+                            id: fresh,
+                            elements,
+                        },
+                        Request::Remove { id: fresh },
+                    ]
+                }
                 _ => Request::Add {
                     id: known(rng),
                     elements,
                 },
-            }
+            };
+            vec![request]
         }
 
         /// A refused request is answered and leaves no record; every
@@ -1642,13 +1849,25 @@ mod tests {
             response
         }
 
+        /// Submit `steps` generated request groups, checkpointing at
+        /// random; after every checkpoint the newest manifest on disk must
+        /// materialize into the live state's snapshot, bit for bit.
         fn run(&mut self, rng: &mut SplitMix64, steps: usize, context: &str) {
             for step in 0..steps {
-                let request = self.generated_request(rng);
-                self.submit(request, &format!("{context} step {step}"));
+                let context = format!("{context} step {step}");
+                for request in self.generated_requests(rng) {
+                    self.submit(request, &context);
+                }
                 if rng.below(4) == 0 {
                     self.state.checkpoint().unwrap();
-                    self.expected = Some(self.state.snapshot(self.seq));
+                    let expected = self.state.snapshot(self.seq);
+                    let (seq, path) = list_manifests(&self.dir).unwrap().pop().unwrap();
+                    assert_eq!(seq, self.seq, "{context}");
+                    let written = load_manifest(&path)
+                        .and_then(|manifest| materialize_manifest(&self.dir, manifest))
+                        .unwrap_or_else(|err| panic!("{context}: {err}"));
+                    assert_same_snapshot(&written, &expected, &context);
+                    self.expected = Some(expected);
                     self.tail.clear();
                 }
             }
@@ -1673,7 +1892,6 @@ mod tests {
             Some(ShardSpec {
                 alt_bands,
                 z_shells,
-                ..ShardSpec::default()
             })
         };
         let layouts = [None, spec(1, 1), spec(2, 1), spec(8, 4)];
@@ -1714,5 +1932,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_advance_that_leaves_the_time_bits_as_they_were_still_rewrites_the_rows() {
+        let dir = temp_dir("advance-bits");
+        let (persister, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
+        let screener = GridScreener::new(ScreeningConfig::grid_defaults(5.0, 120.0));
+        let mut state = ServiceState::recover(screener, persister, &recovery).unwrap();
+        assert!(state.handle(&Request::Advance { dt: 1e18 }).ok);
+        assert!(state.handle(&add(0)).ok);
+        state.checkpoint().unwrap();
+        let (time, added) = (state.catalog().time(), state.snapshot(2));
+
+        // At 1e18 s a 1 s step is below half an ulp: catalog time keeps its
+        // bits, yet the satellite's elements are recomputed from its base.
+        assert!(state.handle(&Request::Advance { dt: 1.0 }).ok);
+        assert_eq!(state.catalog().time().to_bits(), time.to_bits());
+        let advanced = state.snapshot(3);
+        let bits = |row: &Row| row.elements.mean_anomaly.to_bits();
+        assert_ne!(bits(&advanced.rows[0]), bits(&added.rows[0]));
+        assert_eq!(advanced.rows[0].generation, added.rows[0].generation);
+        state.checkpoint().unwrap();
+        drop(state);
+
+        let (_, recovery) = Persister::open(&options(&dir), FaultPlan::inert()).unwrap();
+        let recovered = recovery.snapshot.expect("the second checkpoint recovers");
+        assert_same_snapshot(&recovered, &advanced, "after ADVANCE 1 at 1e18 s");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

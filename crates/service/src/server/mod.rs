@@ -98,14 +98,16 @@ use crate::error::{PersistError, ServiceError};
 use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsRegistry;
-use crate::persist::{GlobalState, PersistOptions, Persister, Recovery, Snapshot};
+use crate::persist::{
+    GlobalState, PersistOptions, Persister, Recovery, ShardMap, ShardSpec, Snapshot,
+};
 use crate::proto::{
     AdvanceAck, CatalogAck, ElementsSpec, LastScreen, Request, Response, ScreenSummary, StatusInfo,
 };
 use crate::sync::Mutex;
 use degraded::spawn_persist_probe;
 use handlers::{spawn_metrics_reporter, spawn_worker, IoHub, Job, Shared};
-use kessler_core::{CpuScreener, ScreeningConfig, ShardMap, ShardSpec, Variant};
+use kessler_core::{CpuScreener, ScreeningConfig, Variant};
 use kessler_orbits::KeplerElements;
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener};
@@ -245,13 +247,6 @@ pub struct ServiceState {
     started: Instant,
     /// `true` when this state came out of snapshot/WAL recovery.
     recovered: bool,
-    /// Shards (by `layout`'s static assignment) whose membership changed
-    /// since the last checkpoint, under every layout — the one shard of
-    /// 1×1 included. The persister only rewrites chunk files for these.
-    dirty_shards: BTreeSet<u32>,
-    /// The layout the persister chunks snapshots by, taken over before
-    /// recovery replays the WAL tail; 1×1 for an ephemeral state.
-    layout: ShardMap,
     /// The WAL + snapshot layer; `None` for an ephemeral state, whose log
     /// step has nothing to append to.
     persister: Option<Persister>,
@@ -311,16 +306,13 @@ const UNCANCELLABLE: &str = "uncancellable screen cannot be cancelled";
 const DURABLE: &str = "only a durable state checkpoints";
 
 impl ServiceState {
-    /// Fresh state serving the grid variant under the 1×1 layout.
+    /// Fresh state serving the grid variant.
     pub fn new(config: ScreeningConfig) -> Result<ServiceState, ServiceError> {
         let screener = CpuScreener::new(Variant::Grid, config).map_err(ServiceError::Config)?;
         Ok(ServiceState::with_screener(screener))
     }
 
-    /// Fresh state screening with `screener` (variant and config), under
-    /// the 1×1 layout until recovery attaches a persister.
-    /// All shards start dirty so the first snapshot writes a full chunk
-    /// set.
+    /// Fresh state screening with `screener` (variant and config).
     pub fn with_screener(screener: CpuScreener) -> ServiceState {
         ServiceState {
             catalog: Catalog::new(),
@@ -332,37 +324,23 @@ impl ServiceState {
             requests: 0,
             started: Instant::now(),
             recovered: false,
-            dirty_shards: BTreeSet::from([0]),
-            layout: ShardMap::single(),
             persister: None,
             degraded: None,
             metrics: Arc::default(),
         }
     }
 
-    fn mark_shard_dirty(&mut self, el: &KeplerElements) {
-        self.dirty_shards
-            .insert(self.layout.assign(el.semi_major_axis, el.inclination));
-    }
-
-    fn mark_all_shards_dirty(&mut self) {
-        self.dirty_shards.extend(0..self.layout.shard_count());
-    }
-
     /// The one snapshot protocol, for startup, the `snapshot_every`
     /// cadence and degraded-mode recovery alike: capture the state at the
-    /// persister's last seq, write it with the shards dirtied since the
-    /// previous checkpoint, and on success start tracking afresh — every
-    /// dirtied shard now has a fresh chunk on disk — and record the write
-    /// in METRICS. A failed write leaves the dirty set as it was. Only
-    /// called with a persister attached.
+    /// persister's last seq, hand it to the persister — which works out
+    /// for itself which chunks changed — and record the write in METRICS.
+    /// Only called with a persister attached.
     pub(crate) fn checkpoint(&mut self) -> Result<(), PersistError> {
         let started = Instant::now();
         let seq = self.persister.as_ref().expect(DURABLE).last_seq();
         let snapshot = self.snapshot(seq);
         let persister = self.persister.as_mut().expect(DURABLE);
-        let written = persister.write_snapshot(snapshot, &self.dirty_shards)?;
-        self.dirty_shards.clear();
+        let written = persister.write_snapshot(snapshot)?;
         self.metrics
             .lock()
             .record_snapshot(started.elapsed(), &written);
@@ -491,9 +469,7 @@ impl ServiceState {
     /// Rebuild the state a [`ServiceState::snapshot`] captured, serving
     /// with `screener`: the catalog from the rows, the engine from the
     /// global state (warm when the variants match, see
-    /// [`DeltaEngine::restore`]). Dirty shards are counted under the 1×1
-    /// layout until recovery attaches a persister, whatever the snapshot
-    /// was written under.
+    /// [`DeltaEngine::restore`]).
     pub fn restore(
         screener: CpuScreener,
         snapshot: &Snapshot,
@@ -586,30 +562,15 @@ impl ServiceState {
             Effect::Add { id, elements } => {
                 let index = self.catalog.add(id, elements).expect(PLANNED);
                 self.changed.insert(index);
-                self.mark_shard_dirty(&elements);
                 Response::with_catalog(self.catalog_ack(id, index))
             }
             Effect::Update { id, elements } => {
-                // An update can move the satellite between shards; both the
-                // shard it leaves and the one it enters need new chunks.
-                let index = self.catalog.check_present(id).expect(PLANNED);
-                let old = self.catalog.elements()[index as usize];
-                self.catalog.update(id, elements).expect(PLANNED);
+                let index = self.catalog.update(id, elements).expect(PLANNED);
                 self.changed.insert(index);
-                self.mark_shard_dirty(&old);
-                self.mark_shard_dirty(&elements);
                 Response::with_catalog(self.catalog_ack(id, index))
             }
             Effect::Remove { id } => {
-                let index = self.catalog.check_present(id).expect(PLANNED);
-                let old = self.catalog.elements()[index as usize];
                 let removal = self.catalog.remove(id).expect(PLANNED);
-                self.mark_shard_dirty(&old);
-                // The swap-removed mover keeps its elements but its
-                // dense index changes, so its chunk changes too.
-                if let Some(moved) = self.catalog.elements_at(removal.removed_index).copied() {
-                    self.mark_shard_dirty(&moved);
-                }
                 let new_len = self.catalog.len();
                 self.engine.apply_removal(removal, new_len);
                 self.removals.push((self.catalog.epoch(), removal, new_len));
@@ -698,9 +659,6 @@ impl ServiceState {
             Some(snapshot) => ServiceState::restore(screener, snapshot)?,
             None => ServiceState::with_screener(screener),
         };
-        // Replay dirties shards in the layout the next checkpoint writes.
-        state.layout = persister.layout();
-        state.mark_all_shards_dirty();
         for request in &recovery.tail {
             let response = state.handle(request);
             if !response.ok {
@@ -860,8 +818,6 @@ impl ServiceState {
                 // Identical propagation to the job's: absolute, from the
                 // stored epoch-0 base elements.
                 self.catalog.advance_all(dt);
-                // Every satellite's stored elements just changed.
-                self.mark_all_shards_dirty();
                 self.engine.adopt(pairs, self.catalog.len(), fold, tail);
                 self.changed.clear();
                 self.warm_epoch = self.catalog.epoch();

@@ -153,12 +153,9 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    pub fn open_append(path: &Path) -> Result<WalWriter, PersistError> {
-        WalWriter::open_append_with(path, FaultPlan::inert())
-    }
-
-    /// Like [`WalWriter::open_append`], with a fault plan the writer
-    /// consults on every fsync (an inert plan costs one atomic load).
+    /// Open (creating if missing) the log at `path` for appending, with a
+    /// fault plan the writer consults on every fsync (an inert plan costs
+    /// one atomic load).
     pub fn open_append_with(
         path: &Path,
         faults: Arc<FaultPlan>,
@@ -173,10 +170,6 @@ impl WalWriter {
             path: path.to_path_buf(),
             faults,
         })
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Current byte length of the log, so a caller can capture a rollback
@@ -288,7 +281,7 @@ mod tests {
     fn wal_roundtrips_records_in_order() {
         let path = temp_wal("roundtrip");
         let _ = std::fs::remove_file(&path);
-        let mut writer = WalWriter::open_append(&path).unwrap();
+        let mut writer = WalWriter::open_append_with(&path, FaultPlan::inert()).unwrap();
         let records = [
             Request::Add {
                 id: 1,
@@ -314,7 +307,7 @@ mod tests {
     fn torn_tail_keeps_the_valid_prefix() {
         let path = temp_wal("torn");
         let _ = std::fs::remove_file(&path);
-        let mut writer = WalWriter::open_append(&path).unwrap();
+        let mut writer = WalWriter::open_append_with(&path, FaultPlan::inert()).unwrap();
         writer
             .append(
                 1,
@@ -336,7 +329,7 @@ mod tests {
     fn corruption_mid_file_stops_replay_there() {
         let path = temp_wal("midcorrupt");
         let _ = std::fs::remove_file(&path);
-        let mut writer = WalWriter::open_append(&path).unwrap();
+        let mut writer = WalWriter::open_append_with(&path, FaultPlan::inert()).unwrap();
         for seq in 1..=4u64 {
             writer.append(seq, &Request::Screen).unwrap();
         }
@@ -357,7 +350,7 @@ mod tests {
     fn truncate_to_rolls_back_a_partial_append() {
         let path = temp_wal("rollback");
         let _ = std::fs::remove_file(&path);
-        let mut writer = WalWriter::open_append(&path).unwrap();
+        let mut writer = WalWriter::open_append_with(&path, FaultPlan::inert()).unwrap();
         writer.append(1, &Request::Screen).unwrap();
         let pre_len = writer.len().unwrap();
         writer.append_torn(2, &Request::Screen).unwrap();

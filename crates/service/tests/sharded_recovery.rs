@@ -277,7 +277,6 @@ fn golden_fixtures() -> [(&'static str, Option<ShardSpec>); 2] {
     let two_by_two = ShardSpec {
         alt_bands: 2,
         z_shells: 2,
-        ..ShardSpec::default()
     };
     [("parent_flat", None), ("parent_sharded", Some(two_by_two))]
 }

@@ -76,10 +76,11 @@ wait "$KESSLER_SERVE_PID"
 # The same state directory, served again under another snapshot layout:
 # startup replays the WAL the flat daemon left, screen records included,
 # and must come back with its catalog, its adopted screen and delta and its
-# advanced window.
+# advanced window. It checkpoints every 4 mutations, for the incremental
+# check at the end.
 echo "==> kessler serve restarts on its state directory under --shards 4x2 and recovers the catalog, screens and window"
 ./target/release/kessler serve --addr 127.0.0.1:7912 --n 32 --state-dir "$KESSLER_STATE_DIR" \
-    --shards 4x2 &
+    --shards 4x2 --snapshot-every 4 &
 KESSLER_SERVE_PID=$!
 status="$(RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 --retries 8)"
 compact="$(tr -d ' \n' <<<"$status")"
@@ -105,6 +106,21 @@ done
 echo "==> the restarted daemon's METRICS shows the chunks its post-replay checkpoint wrote"
 if ! grep -q "dirty shards" <<<"$metrics"; then
     echo "restarted daemon's METRICS lacks the dirty shards row: $metrics" >&2
+    exit 1
+fi
+# Four UPDATEs of one satellite make one cadence checkpoint, which
+# rewrites only that satellite's chunk: the row holds the full post-replay
+# checkpoint (8 chunks) and that one, so its p50 is below 8.
+echo "==> four UPDATEs of one satellite checkpoint incrementally: METRICS shows 2 checkpoints, p50 below 8 chunks"
+for _ in 1 2 3 4; do
+    RUST_BACKTRACE=1 ./target/release/kessler submit update --id 17 --a 7012 --incl 0.9 --addr 127.0.0.1:7912
+done
+metrics="$(RUST_BACKTRACE=1 ./target/release/kessler submit metrics --addr 127.0.0.1:7912)"
+dirty="$(grep "dirty shards" <<<"$metrics" || true)"
+count="$(awk '{print $3}' <<<"$dirty")"
+p50="$(awk '{print $4}' <<<"$dirty")"
+if [ "$count" != 2 ] || ! awk -v p50="$p50" 'BEGIN { exit !(p50 != "" && p50 < 8) }'; then
+    echo "dirty shards row is not 2 checkpoints with p50 below 8: $metrics" >&2
     exit 1
 fi
 RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912

@@ -12,7 +12,8 @@ use kessler::grid::grid::NeighborScan;
 use kessler::math::Vec3;
 use kessler::orbits::BatchPropagator;
 use kessler::prelude::*;
-use kessler::service::{DeltaEngine, ShardSpec, HYBRID_DELTA_VARIANT};
+use kessler::service::persist::{SHARD_R_MAX_KM, SHARD_R_MIN_KM};
+use kessler::service::{DeltaEngine, HYBRID_DELTA_VARIANT};
 use std::collections::BTreeSet;
 
 const N: usize = 8_000;
@@ -128,8 +129,7 @@ impl SplitMix64 {
 fn every_layout_screens_and_deltas_bit_identical_to_the_cold_screeners() {
     const N: usize = 1_500;
     const SPECIAL: usize = 120;
-    let spec = ShardSpec::default();
-    let band_width = (spec.r_max_km - spec.r_min_km) / 8.0;
+    let band_width = (SHARD_R_MAX_KM - SHARD_R_MIN_KM) / 8.0;
 
     for seed in [1u64, 2, 3] {
         let mut rng = SplitMix64(seed);
@@ -143,7 +143,7 @@ fn every_layout_screens_and_deltas_bit_identical_to_the_cold_screeners() {
         // fourth of which is also the 2-band layout's only edge. One of
         // the four is eccentric, at perigee there.
         for group in 0..SPECIAL / 4 {
-            let edge = spec.r_min_km + band_width * (1 + group % 4) as f64;
+            let edge = SHARD_R_MIN_KM + band_width * (1 + group % 4) as f64;
             let raan = std::f64::consts::TAU * rng.unit();
             let at_node = 20.0 + 140.0 * rng.unit();
             for member in 0..4 {

@@ -6,7 +6,7 @@
 //! exactly the entries of the per-step path that propagates and bins
 //! everyone.
 
-use kessler::core::shard::CULL_BLOCK_SECONDS;
+use kessler::core::extraction::CULL_BLOCK_SECONDS;
 use kessler::core::{Extraction, MemoryModel, PhaseTimings, PlannerReport};
 use kessler::grid::grid::NeighborScan;
 use kessler::grid::CandidatePair;
@@ -109,17 +109,12 @@ fn cull_plans(n: usize) -> [PlannerReport; 2] {
     ]
 }
 
-/// An arbitrary valid shard layout: 1–12 altitude bands, 1–6 |z| shells,
-/// a radius span somewhere in LEO/MEO.
+/// An arbitrary valid shard layout: 1–12 altitude bands, 1–6 |z| shells.
 fn arb_spec() -> impl Strategy<Value = ShardSpec> {
-    (1u32..12, 1u32..6, 6_400.0..7_500.0f64, 500.0..8_000.0f64).prop_map(
-        |(alt_bands, z_shells, r_min_km, span)| ShardSpec {
-            alt_bands,
-            z_shells,
-            r_min_km,
-            r_max_km: r_min_km + span,
-        },
-    )
+    (1u32..12, 1u32..6).prop_map(|(alt_bands, z_shells)| ShardSpec {
+        alt_bands,
+        z_shells,
+    })
 }
 
 fn arb_position() -> impl Strategy<Value = Vec3> {
