@@ -36,7 +36,7 @@ fn sorted(v: HashSet<(u32, u32)>) -> Vec<(u32, u32)> {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("exp_accuracy", &["--n", "--span", "--threshold", "--json"]);
     let n = args.usize_of("--n", 2_000);
     let span = args.f64_of("--span", 600.0);
     let threshold = args.f64_of("--threshold", 2.0);

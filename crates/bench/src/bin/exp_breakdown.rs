@@ -27,7 +27,10 @@ struct BreakdownRow {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        "exp_breakdown",
+        &["--n", "--span", "--threshold", "--repeat", "--json"],
+    );
     let n = args.usize_of("--n", 4_000);
     let span = args.f64_of("--span", 300.0);
     let threshold = args.f64_of("--threshold", 2.0);

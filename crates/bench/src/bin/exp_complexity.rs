@@ -71,7 +71,7 @@ struct Row {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("exp_complexity", &["--sizes", "--span", "--json"]);
     let sizes = args.usize_list_of("--sizes", &[250, 500, 1_000, 2_000]);
     let span = args.f64_of("--span", 120.0);
 

@@ -15,7 +15,18 @@ use kessler_bench::runner::{print_rows, run_once, RunRow};
 use kessler_bench::{experiment_population, maybe_write_json, Args};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        "exp_fig10",
+        &[
+            "--sizes",
+            "--span",
+            "--threshold",
+            "--repeats",
+            "--no-legacy",
+            "--no-gpusim",
+            "--json",
+        ],
+    );
     let sizes = args.usize_list_of("--sizes", &[1_000, 2_000, 4_000]);
     let span = args.f64_of("--span", 300.0);
     let threshold = args.f64_of("--threshold", 2.0);

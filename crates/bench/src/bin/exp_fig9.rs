@@ -19,7 +19,7 @@ struct Fig9Report {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("exp_fig9", &["--n", "--json"]);
     let n = args.usize_of("--n", 20_000);
     let population = experiment_population(n);
 

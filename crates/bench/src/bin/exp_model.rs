@@ -72,7 +72,7 @@ fn sweep(variant: &str, args: &Args) -> ModelFit {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("exp_model", &["--sizes", "--json"]);
     println!("Eq. 3/4 analogue — power-law re-fit of measured candidate-entry counts\n");
     println!(
         "{:<8} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6}",

@@ -7,7 +7,7 @@ use kessler_bench::sysinfo::SystemInfo;
 use kessler_bench::{maybe_write_json, Args};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("exp_sysinfo", &["--json"]);
     let info = SystemInfo::collect();
 
     println!("Table I analogue — benchmark system configuration");

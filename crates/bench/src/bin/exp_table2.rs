@@ -16,7 +16,7 @@ struct RangeRow {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env("exp_table2", &["--n", "--json"]);
     let n = args.usize_of("--n", 50_000);
     let pop = experiment_population(n);
 

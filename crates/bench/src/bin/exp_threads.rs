@@ -19,7 +19,10 @@ struct ThreadRow {
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(
+        "exp_threads",
+        &["--n", "--span", "--threshold", "--max-threads", "--json"],
+    );
     let n = args.usize_of("--n", 4_000);
     let span = args.f64_of("--span", 300.0);
     let threshold = args.f64_of("--threshold", 2.0);

@@ -39,9 +39,29 @@ pub struct Args {
 }
 
 impl Args {
-    pub fn from_env() -> Args {
-        Args {
+    /// The process arguments of the binary `name`, which reads the flags
+    /// `accepted` (`--json` among them). Any other flag is reported and
+    /// the process exits 1, so no run prints parameters nobody asked for.
+    pub fn from_env(name: &str, accepted: &[&str]) -> Args {
+        let args = Args {
             raw: std::env::args().skip(1).collect(),
+        };
+        if let Err(msg) = args.check(name, accepted) {
+            eprintln!("{msg}");
+            std::process::exit(1);
+        }
+        args
+    }
+
+    /// Refuse the first `--flag` that `accepted` does not name.
+    fn check(&self, name: &str, accepted: &[&str]) -> Result<(), String> {
+        match self
+            .raw
+            .iter()
+            .find(|a| a.starts_with("--") && !accepted.contains(&a.as_str()))
+        {
+            Some(flag) => Err(format!("unknown flag {flag} for {name}")),
+            None => Ok(()),
         }
     }
 
@@ -118,5 +138,26 @@ mod tests {
         assert!(args.flag("--no-legacy"));
         assert!(!args.flag("--missing"));
         assert_eq!(args.usize_of("--absent", 7), 7);
+    }
+
+    #[test]
+    fn flags_a_binary_does_not_read_are_refused() {
+        let args = Args {
+            raw: vec!["--sizes".into(), "100".into(), "--with-sieve".into()],
+        };
+        assert!(args
+            .check("exp_fig10", &["--sizes", "--with-sieve", "--json"])
+            .is_ok());
+        assert_eq!(
+            args.check("exp_fig10", &["--sizes", "--json"]),
+            Err("unknown flag --with-sieve for exp_fig10".to_string())
+        );
+        let typo = Args {
+            raw: vec!["--threads".into(), "4".into()],
+        };
+        assert_eq!(
+            typo.check("exp_threads", &["--n", "--max-threads", "--json"]),
+            Err("unknown flag --threads for exp_threads".to_string())
+        );
     }
 }

@@ -300,8 +300,8 @@ fn perigee_speeds(propagator: &BatchPropagator) -> Vec<f64> {
     let cols = propagator.columns();
     (0..cols.len())
         .map(|i| {
-            let e = cols.e[i];
-            cols.mean_motion[i] * cols.a[i] * ((1.0 + e) / (1.0 - e)).sqrt()
+            let c = cols.gather(i);
+            c.n * c.a * ((1.0 + c.e) / (1.0 - c.e)).sqrt()
         })
         .collect()
 }

@@ -33,7 +33,8 @@ pub const GRID_SLOT_BYTES: usize = 12;
 pub const LIST_ENTRY_BYTES: usize = 4;
 /// Satellite record (six f64 elements).
 pub const SATELLITE_BYTES: usize = 48;
-/// Precomputed propagation constants per satellite.
+/// Precomputed propagation constants per satellite: one
+/// `PropagationConstants` record.
 pub const KEPLER_DATA_BYTES: usize = 88;
 /// Floor of the conjunction-map element estimate.
 pub const MIN_CONJUNCTION_ESTIMATE: f64 = 10_000.0;
@@ -204,6 +205,14 @@ mod tests {
         assert_eq!(m.pair_capacity(5.0), 40_000);
         // Above the floor: c'·4.
         assert_eq!(m.pair_capacity(100_000.0), 400_000);
+    }
+
+    #[test]
+    fn kepler_data_is_one_propagation_record() {
+        assert_eq!(
+            KEPLER_DATA_BYTES,
+            std::mem::size_of::<kessler_orbits::PropagationConstants>()
+        );
     }
 
     #[test]

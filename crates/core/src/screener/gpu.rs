@@ -30,19 +30,18 @@ use kessler_gpusim::{Device, DeviceBuffer, LaunchConfig};
 use kessler_grid::grid::NeighborScan;
 use kessler_grid::pairset::{CandidatePair, PairSet};
 use kessler_grid::SpatialGrid;
-use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements, SoaColumns};
+use kessler_orbits::{ConstantsView, ContourSolver, KeplerElements, PropagationConstants};
 
-/// A device with the satellite constants resident: `n` satellites as one
-/// flat structure-of-arrays f64 buffer (the `a_k` upload).
+/// A device with the satellite constants resident: one
+/// [`PropagationConstants`] record per satellite (the `a_k` upload).
 struct Resident<'a> {
     device: &'a Device,
-    constants: DeviceBuffer<f64>,
-    n: usize,
+    constants: DeviceBuffer<PropagationConstants>,
 }
 
 impl Executor for Resident<'_> {
-    fn columns(&self) -> SoaColumns<'_> {
-        SoaColumns::from_flat(self.constants.as_slice(), self.n)
+    fn columns(&self) -> ConstantsView<'_> {
+        ConstantsView::new(self.constants.as_slice())
     }
 
     /// One kernel launch, one thread per item.
@@ -67,7 +66,7 @@ fn device_grid_phase(
     solver: &ContourSolver,
     timings: &mut PhaseTimings,
 ) -> Vec<CandidatePair> {
-    let (device, n) = (on.device, on.n);
+    let (device, n) = (on.device, on.constants.len());
     // Device allocations for the grid structures (charged to the budget;
     // the actual data structures live host-side, shadowed byte-for-byte).
     let grid = SpatialGrid::new(n, planner.cell_size_km);
@@ -84,7 +83,7 @@ fn device_grid_phase(
             if step > 0 {
                 grid.reset();
             }
-            // Each thread gathers its satellite's lane of the constants.
+            // Each thread reads its satellite's record of the constants.
             let cols = on.columns();
             device.launch("propagate_insert", LaunchConfig::for_elements(n), |tid| {
                 let pos = cols.position(tid.global, t, solver);
@@ -155,14 +154,13 @@ impl Screener for GpuScreener {
             |planner, timings| {
                 // H→D: the satellite constants become resident on the device.
                 device.reset_metrics();
-                let constants =
-                    DeviceBuffer::from_host(device, BatchPropagator::new(population).raw_columns())
-                        .expect("device memory exhausted by satellite data");
-                let on = Resident {
-                    device,
-                    constants,
-                    n,
-                };
+                let records: Vec<PropagationConstants> = population
+                    .iter()
+                    .map(PropagationConstants::from_elements)
+                    .collect();
+                let constants = DeviceBuffer::from_host(device, &records)
+                    .expect("device memory exhausted by satellite data");
+                let on = Resident { device, constants };
                 let entries =
                     device_grid_phase(&on, planner, config.neighbor_scan, stage.solver(), timings);
                 let candidate_entries = entries.len();

@@ -50,7 +50,7 @@ impl LegacyScreener {
         &self,
         chain: &FilterChain,
         population: &[KeplerElements],
-        columns: &kessler_orbits::SoaColumns<'_>,
+        columns: &kessler_orbits::ConstantsView<'_>,
         span: Interval,
         (i, j): (u32, u32),
         stats: &mut FilterStatsSnapshot,

@@ -23,7 +23,7 @@ use kessler_filters::{FilterChain, FilterConfig, FilterDecision, FilterStatsSnap
 use kessler_grid::CandidatePair;
 use kessler_math::Interval;
 use kessler_orbits::propagator::PropagationConstants;
-use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements, SoaColumns};
+use kessler_orbits::{BatchPropagator, ConstantsView, ContourSolver, KeplerElements};
 use rayon::prelude::*;
 
 /// The host executor hands rayon this many items between cancellation
@@ -36,7 +36,7 @@ const REFINE_CHUNK: usize = 8192;
 /// propagation constants.
 pub trait Executor {
     /// The constants, where this executor's items read them.
-    fn columns(&self) -> SoaColumns<'_>;
+    fn columns(&self) -> ConstantsView<'_>;
 
     /// `f(i)` for every `i < n`, the outputs concatenated in index order.
     /// `kernel` names the batch for executors that account per kernel.
@@ -55,7 +55,7 @@ pub struct Host<'a> {
 }
 
 impl Executor for Host<'_> {
-    fn columns(&self) -> SoaColumns<'_> {
+    fn columns(&self) -> ConstantsView<'_> {
         self.propagator.columns()
     }
 

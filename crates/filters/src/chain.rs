@@ -15,31 +15,26 @@ use kessler_orbits::KeplerElements;
 use serde::{Deserialize, Serialize};
 use std::ops::Add;
 
+/// Extra padding added to the threshold inside the geometric filters to
+/// absorb the node-approximation error of the orbit-path filter, km.
+const PADDING_KM: f64 = 15.0;
+
 /// Filter chain configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct FilterConfig {
     /// Screening threshold `d` in km (the paper evaluates with 2 km).
     pub threshold_km: f64,
-    /// Extra padding added to the threshold inside the geometric filters to
-    /// absorb the node-approximation error of the orbit-path filter, km.
-    pub padding_km: f64,
-    /// Angular tolerance of the coplanarity check, radians.
-    pub coplanar_tolerance: f64,
 }
 
 impl FilterConfig {
     pub fn new(threshold_km: f64) -> FilterConfig {
-        FilterConfig {
-            threshold_km,
-            padding_km: 15.0,
-            coplanar_tolerance: DEFAULT_COPLANAR_TOLERANCE,
-        }
+        FilterConfig { threshold_km }
     }
 
     /// Effective distance used by the exclusion filters.
     #[inline]
     pub fn padded_threshold(&self) -> f64 {
-        self.threshold_km + self.padding_km
+        self.threshold_km + PADDING_KM
     }
 }
 
@@ -133,7 +128,7 @@ impl FilterChain {
         // Stage 2: coplanarity split. Coplanar pairs bypass the node-based
         // filters (§IV-C: "For the coplanar ones, the procedure is the same
         // as for the grid-based variant").
-        if are_coplanar(&fa, &fb, self.config.coplanar_tolerance) {
+        if are_coplanar(&fa, &fb, DEFAULT_COPLANAR_TOLERANCE) {
             return FilterDecision::Coplanar;
         }
 

@@ -12,9 +12,10 @@
 //! * [`kepler`] — the one Kepler-equation solver, the contour-integration
 //!   method ("Kepler's Goat Herd", Philcox et al. 2021) that the paper's
 //!   GPU propagator uses, with its trapezoid nodes computed once.
-//! * [`propagator`] — two-body propagation with per-satellite precomputed
-//!   constants (the paper's "Kepler solver data" `a_k`), including batched
-//!   parallel propagation via rayon.
+//! * [`propagator`] — two-body propagation from one precomputed record per
+//!   satellite (the paper's "Kepler solver data" `a_k`) through one
+//!   position kernel, which batched parallel propagation via rayon also
+//!   runs.
 //! * [`geometry`] — orbit normals, relative inclination, mutual nodes and
 //!   per-anomaly radii, used by the apogee/perigee, coplanarity, orbit-path
 //!   and time filters.
@@ -32,5 +33,5 @@ pub mod state;
 
 pub use elements::KeplerElements;
 pub use kepler::{ContourSolver, KeplerSolver};
-pub use propagator::{BatchPropagator, PropagationConstants, SoaColumns};
+pub use propagator::{BatchPropagator, ConstantsView, PropagationConstants};
 pub use state::CartesianState;

@@ -7,7 +7,10 @@
 //! (§IV-B). [`PropagationConstants`] is exactly that per-satellite record —
 //! the "Kepler solver data" `a_k` of the memory model in §V-B — and
 //! [`BatchPropagator`] is the data-parallel propagation step that consumes
-//! it: one logical thread per (satellite, time) tuple (§V-E).
+//! it: one logical thread per (satellite, time) tuple (§V-E). Every path —
+//! batch, subset, refinement, the legacy baseline and the GPU execution
+//! simulator — evaluates a position through the one formula,
+//! [`PropagationConstants::position`].
 
 use crate::elements::KeplerElements;
 use crate::kepler::{ContourSolver, KeplerSolver};
@@ -16,26 +19,14 @@ use kessler_math::angles::wrap_tau;
 use kessler_math::{Mat3, Vec3};
 use rayon::prelude::*;
 
-/// Number of `f64` columns in the structure-of-arrays layout: `a`, `e`,
-/// `m0`, `n`, `√(1−e²)`, and the two rotation columns `p`/`q` (3 each).
-pub const SOA_COLUMNS: usize = 11;
-
-/// Lanes per `chunks_exact` block in the branch-free reconstruction loops —
-/// wide enough for two 4-wide f64 vectors, small enough to stay in
-/// registers.
-const LANES: usize = 8;
-
-/// Satellites per work tile: each tile solves
-/// Kepler's equation lane by lane into stack buffers, then reconstructs
-/// Cartesian output through the vectorizable column loops.
-const TILE: usize = 1024;
+/// Satellites per parallel work item of [`BatchPropagator`]'s loop.
+const CHUNK: usize = 1024;
 
 /// Precomputed, time-independent propagation data for one satellite.
 ///
 /// Eleven `f64` values (88 bytes) per satellite; computed once at screening
-/// start, reused at every sample step. [`BatchPropagator`] stores the same
-/// values as [`SOA_COLUMNS`] structure-of-arrays columns and gathers this
-/// struct back on demand for the scalar refinement paths.
+/// start, reused at every sample step. [`BatchPropagator`] holds one record
+/// per satellite, and the GPU execution simulator uploads the same records.
 #[derive(Debug, Clone, Copy)]
 pub struct PropagationConstants {
     /// Semi-major axis (km).
@@ -89,18 +80,22 @@ impl PropagationConstants {
         let m = self.mean_anomaly_at(dt);
         let ecc_anom = solver.ecc_anomaly(m, self.e);
         let (s, c) = ecc_anom.sin_cos();
-        let xp = self.a * (c - self.e);
-        let yp = self.a * self.sqrt_one_minus_e2 * s;
+        let (xp, yp) = self.perifocal_position(s, c);
         self.p_axis * xp + self.q_axis * yp
+    }
+
+    /// Perifocal position `(a·(cos E − e), a·√(1−e²)·sin E)` from
+    /// `sin E` and `cos E`.
+    #[inline]
+    fn perifocal_position(&self, s: f64, c: f64) -> (f64, f64) {
+        (self.a * (c - self.e), self.a * self.sqrt_one_minus_e2 * s)
     }
 
     /// Cartesian state from a solved eccentric anomaly.
     #[inline]
     pub fn state_at_ecc_anomaly(&self, ecc_anom: f64) -> CartesianState {
         let (s, c) = ecc_anom.sin_cos();
-        // Perifocal position.
-        let xp = self.a * (c - self.e);
-        let yp = self.a * self.sqrt_one_minus_e2 * s;
+        let (xp, yp) = self.perifocal_position(s, c);
         // Perifocal velocity: ẋ = −(n a² / r)·sin E, ẏ = (n a² / r)·√(1−e²)·cos E.
         let r = self.a * (1.0 - self.e * c);
         let k = self.n * self.a * self.a / r;
@@ -119,181 +114,38 @@ pub fn perifocal_to_eci(raan: f64, inclination: f64, arg_perigee: f64) -> Mat3 {
     Mat3::rot_z(raan) * Mat3::rot_x(inclination) * Mat3::rot_z(arg_perigee)
 }
 
-/// Borrowed structure-of-arrays view over the per-satellite constants: one
-/// contiguous `f64` column per field. This is what the propagation kernels
-/// iterate (the columns autovectorize where an array-of-structs layout
-/// defeats the compiler), and what the GPU execution simulator uploads as
-/// a single flat device buffer.
+/// Borrowed view over the per-satellite records: what the propagation
+/// kernels, the refinement stage and the legacy baseline read, whether the
+/// records sit in host memory or in a simulated device buffer.
 #[derive(Debug, Clone, Copy)]
-pub struct SoaColumns<'a> {
-    pub a: &'a [f64],
-    pub e: &'a [f64],
-    pub m0: &'a [f64],
-    pub mean_motion: &'a [f64],
-    pub sqrt_one_minus_e2: &'a [f64],
-    pub px: &'a [f64],
-    pub py: &'a [f64],
-    pub pz: &'a [f64],
-    pub qx: &'a [f64],
-    pub qy: &'a [f64],
-    pub qz: &'a [f64],
+pub struct ConstantsView<'a> {
+    records: &'a [PropagationConstants],
 }
 
-impl<'a> SoaColumns<'a> {
-    /// Reconstruct the view from a flat buffer of [`SOA_COLUMNS`] columns
-    /// of `n` values each, laid out column-major (the layout of
-    /// [`BatchPropagator::raw_columns`] and of the device upload).
-    pub fn from_flat(data: &'a [f64], n: usize) -> SoaColumns<'a> {
-        assert_eq!(data.len(), SOA_COLUMNS * n, "flat SoA buffer size mismatch");
-        let mut rest = data;
-        let mut col = || {
-            let (head, tail) = rest.split_at(n);
-            rest = tail;
-            head
-        };
-        SoaColumns {
-            a: col(),
-            e: col(),
-            m0: col(),
-            mean_motion: col(),
-            sqrt_one_minus_e2: col(),
-            px: col(),
-            py: col(),
-            pz: col(),
-            qx: col(),
-            qy: col(),
-            qz: col(),
-        }
+impl<'a> ConstantsView<'a> {
+    pub fn new(records: &'a [PropagationConstants]) -> ConstantsView<'a> {
+        ConstantsView { records }
     }
 
     pub fn len(&self) -> usize {
-        self.a.len()
+        self.records.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.a.is_empty()
+        self.records.is_empty()
     }
 
-    /// Gather one satellite's constants back into the struct form the
-    /// scalar refinement paths (Brent PCA/TCA search) consume.
+    /// Satellite `i`'s constants, for the scalar refinement paths.
     #[inline]
     pub fn gather(&self, i: usize) -> PropagationConstants {
-        PropagationConstants {
-            a: self.a[i],
-            e: self.e[i],
-            m0: self.m0[i],
-            n: self.mean_motion[i],
-            sqrt_one_minus_e2: self.sqrt_one_minus_e2[i],
-            p_axis: Vec3::new(self.px[i], self.py[i], self.pz[i]),
-            q_axis: Vec3::new(self.qx[i], self.qy[i], self.qz[i]),
-        }
+        self.records[i]
     }
 
-    /// Scalar position of satellite `i` at `dt` — the per-thread kernel
-    /// body the GPU simulator runs; identical arithmetic to
-    /// [`PropagationConstants::position`].
+    /// Position of satellite `i` at `dt` — the per-thread kernel body of
+    /// every propagation path.
     #[inline]
     pub fn position(&self, i: usize, dt: f64, solver: &ContourSolver) -> Vec3 {
-        self.gather(i).position(dt, solver)
-    }
-}
-
-/// One lane of the branch-free position reconstruction. Operation order
-/// matches [`PropagationConstants::position`] exactly (`p·xp + q·yp`
-/// componentwise), so batch output is bit-identical to the scalar path.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn position_lane(
-    a: f64,
-    e: f64,
-    s1me2: f64,
-    sin_e: f64,
-    cos_e: f64,
-    px: f64,
-    py: f64,
-    pz: f64,
-    qx: f64,
-    qy: f64,
-    qz: f64,
-) -> Vec3 {
-    let xp = a * (cos_e - e);
-    let yp = a * s1me2 * sin_e;
-    Vec3::new(px * xp + qx * yp, py * xp + qy * yp, pz * xp + qz * yp)
-}
-
-/// Solve Kepler's equation for one tile into the `sin E`/`cos E` stack
-/// buffers. The solve itself is branchy (fixed points, polish early-out);
-/// its trapezoid nodes come from the solver's table.
-fn solve_tile(
-    cols: &SoaColumns<'_>,
-    solver: &ContourSolver,
-    dt: f64,
-    base: usize,
-    len: usize,
-    sin_e: &mut [f64; TILE],
-    cos_e: &mut [f64; TILE],
-) {
-    for k in 0..len {
-        let i = base + k;
-        let m = wrap_tau(cols.m0[i] + cols.mean_motion[i] * dt);
-        let ecc_anom = solver.ecc_anomaly(m, cols.e[i]);
-        let (s, c) = ecc_anom.sin_cos();
-        sin_e[k] = s;
-        cos_e[k] = c;
-    }
-}
-
-/// Propagate one tile of satellites: Kepler solves into stack buffers,
-/// then a `chunks_exact`-driven, branch-free Cartesian reconstruction over
-/// the columns that rustc autovectorizes.
-fn position_tile(
-    cols: &SoaColumns<'_>,
-    solver: &ContourSolver,
-    dt: f64,
-    base: usize,
-    out: &mut [Vec3],
-) {
-    let len = out.len();
-    debug_assert!(len <= TILE);
-    let mut sin_e = [0.0f64; TILE];
-    let mut cos_e = [0.0f64; TILE];
-    solve_tile(cols, solver, dt, base, len, &mut sin_e, &mut cos_e);
-
-    let (a, e, s1) = (
-        &cols.a[base..base + len],
-        &cols.e[base..base + len],
-        &cols.sqrt_one_minus_e2[base..base + len],
-    );
-    let (px, py, pz) = (
-        &cols.px[base..base + len],
-        &cols.py[base..base + len],
-        &cols.pz[base..base + len],
-    );
-    let (qx, qy, qz) = (
-        &cols.qx[base..base + len],
-        &cols.qy[base..base + len],
-        &cols.qz[base..base + len],
-    );
-
-    let mut off = 0usize;
-    let mut blocks = out.chunks_exact_mut(LANES);
-    for block in &mut blocks {
-        // Fixed-length, branch-free block: every lane runs the identical
-        // instruction sequence over contiguous columns.
-        for (l, slot) in block.iter_mut().enumerate() {
-            let i = off + l;
-            *slot = position_lane(
-                a[i], e[i], s1[i], sin_e[i], cos_e[i], px[i], py[i], pz[i], qx[i], qy[i], qz[i],
-            );
-        }
-        off += LANES;
-    }
-    // Remainder lane (n % LANES trailing satellites).
-    for (l, slot) in blocks.into_remainder().iter_mut().enumerate() {
-        let i = off + l;
-        *slot = position_lane(
-            a[i], e[i], s1[i], sin_e[i], cos_e[i], px[i], py[i], pz[i], qx[i], qy[i], qz[i],
-        );
+        self.records[i].position(dt, solver)
     }
 }
 
@@ -301,81 +153,45 @@ fn position_tile(
 /// (satellite, time) tuple — the paper's preferred data-parallelism shape
 /// (§V-E). This is the CPU realisation; the GPU execution simulator runs
 /// the same kernel body through its launch API.
-///
-/// The per-satellite constants live in a structure-of-arrays layout (one
-/// contiguous `f64` column per field, [`SOA_COLUMNS`] columns total) so the
-/// Cartesian reconstruction loops autovectorize. The layout is
-/// bit-preserving: batch output equals the scalar [`PropagationConstants`]
-/// path bit for bit.
 pub struct BatchPropagator {
-    n: usize,
-    /// [`SOA_COLUMNS`] columns of `n` values each, column-major.
-    data: Vec<f64>,
+    records: Vec<PropagationConstants>,
     solver: ContourSolver,
 }
 
 impl BatchPropagator {
     /// Precompute constants for every satellite (the `a_k` allocation).
     pub fn new(elements: &[KeplerElements]) -> BatchPropagator {
-        let n = elements.len();
-        let mut data = vec![0.0f64; SOA_COLUMNS * n];
-        for (i, el) in elements.iter().enumerate() {
-            let c = PropagationConstants::from_elements(el);
-            data[i] = c.a;
-            data[n + i] = c.e;
-            data[2 * n + i] = c.m0;
-            data[3 * n + i] = c.n;
-            data[4 * n + i] = c.sqrt_one_minus_e2;
-            data[5 * n + i] = c.p_axis.x;
-            data[6 * n + i] = c.p_axis.y;
-            data[7 * n + i] = c.p_axis.z;
-            data[8 * n + i] = c.q_axis.x;
-            data[9 * n + i] = c.q_axis.y;
-            data[10 * n + i] = c.q_axis.z;
-        }
         BatchPropagator {
-            n,
-            data,
+            records: elements
+                .iter()
+                .map(PropagationConstants::from_elements)
+                .collect(),
             solver: ContourSolver::default(),
         }
     }
 
     pub fn len(&self) -> usize {
-        self.n
+        self.records.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.records.is_empty()
     }
 
-    /// The structure-of-arrays view the propagation kernels iterate.
-    pub fn columns(&self) -> SoaColumns<'_> {
-        SoaColumns::from_flat(&self.data, self.n)
-    }
-
-    /// The flat column buffer ([`SOA_COLUMNS`] × `len` values) — what the
-    /// GPU execution simulator uploads as the `a_k` device allocation.
-    pub fn raw_columns(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Gather one satellite's constants for the scalar refinement paths.
-    pub fn constants_of(&self, index: usize) -> PropagationConstants {
-        self.columns().gather(index)
+    /// The per-satellite records the kernels read.
+    pub fn columns(&self) -> ConstantsView<'_> {
+        ConstantsView::new(&self.records)
     }
 
     /// Approximate resident size of the precomputed data in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.data.len() * std::mem::size_of::<f64>()
+        std::mem::size_of_val(self.records.as_slice())
     }
 
     /// Positions of all satellites at `dt`, written into `out` (parallel).
     pub fn positions_into(&self, dt: f64, out: &mut [Vec3]) {
-        assert_eq!(out.len(), self.n);
-        let cols = self.columns();
-        out.par_chunks_mut(TILE)
-            .enumerate()
-            .for_each(|(tile, chunk)| position_tile(&cols, &self.solver, dt, tile * TILE, chunk));
+        assert_eq!(out.len(), self.len());
+        self.write_positions(|k| k, dt, out);
     }
 
     /// Positions of the satellites `indices` names at `dt`, in that order,
@@ -384,21 +200,26 @@ impl BatchPropagator {
     /// subset costs its own length, not the population's.
     pub fn positions_of(&self, indices: &[u32], dt: f64, out: &mut [Vec3]) {
         assert_eq!(out.len(), indices.len());
-        let cols = self.columns();
-        out.par_chunks_mut(TILE)
-            .enumerate()
-            .for_each(|(tile, chunk)| {
-                for (slot, &i) in chunk.iter_mut().zip(&indices[tile * TILE..]) {
-                    *slot = cols.position(i as usize, dt, &self.solver);
-                }
-            });
+        self.write_positions(|k| indices[k] as usize, dt, out);
     }
 
-    /// Positions of all satellites at `dt` (parallel, allocating).
-    pub fn positions(&self, dt: f64) -> Vec<Vec3> {
-        let mut out = vec![Vec3::ZERO; self.n];
-        self.positions_into(dt, &mut out);
-        out
+    /// The one propagation loop: `out[k]` is the position at `dt` of
+    /// satellite `satellite(k)`, in parallel chunks of [`CHUNK`] slots.
+    fn write_positions(
+        &self,
+        satellite: impl Fn(usize) -> usize + Sync,
+        dt: f64,
+        out: &mut [Vec3],
+    ) {
+        let cols = self.columns();
+        out.par_chunks_mut(CHUNK)
+            .enumerate()
+            .for_each(|(chunk, slots)| {
+                let base = chunk * CHUNK;
+                for (k, slot) in slots.iter_mut().enumerate() {
+                    *slot = cols.position(satellite(base + k), dt, &self.solver);
+                }
+            });
     }
 }
 
@@ -508,8 +329,7 @@ mod tests {
 
     #[test]
     fn batch_matches_scalar_propagation() {
-        // 37 satellites: covers four full LANES blocks plus a 5-wide
-        // chunks_exact remainder.
+        // 37 satellites: a population that is not a multiple of anything.
         let els: Vec<KeplerElements> = (0..37)
             .map(|i| {
                 elements(
@@ -525,10 +345,11 @@ mod tests {
         let batch = BatchPropagator::new(&els);
         let solver = ContourSolver::default();
         let t = 777.0;
-        // The SoA kernel replicates the scalar arithmetic sequence exactly,
-        // so batch output is bit-identical to the per-satellite path — the
-        // property the service's delta-vs-cold equality guarantee rests on.
-        let positions = batch.positions(t);
+        // The batch loop runs the scalar kernel, so batch output is
+        // bit-identical to the per-satellite path — the property the
+        // service's delta-vs-cold equality guarantee rests on.
+        let mut positions = vec![Vec3::ZERO; els.len()];
+        batch.positions_into(t, &mut positions);
         for (i, el) in els.iter().enumerate() {
             let pc = PropagationConstants::from_elements(el);
             let scalar_p = pc.position(t, &solver);
@@ -540,9 +361,9 @@ mod tests {
 
     #[test]
     fn positions_of_equals_positions_into_to_the_bit() {
-        // 2 · TILE + 37 satellites: two full tiles, a tile remainder that
-        // is not a multiple of LANES, and n not a multiple of TILE.
-        let n = 2 * TILE + 37;
+        // 2 · CHUNK + 37 satellites: two full chunks and a remainder, n
+        // not a multiple of CHUNK.
+        let n = 2 * CHUNK + 37;
         let els: Vec<KeplerElements> = (0..n)
             .map(|i| {
                 let i = i as f64;
@@ -567,11 +388,12 @@ mod tests {
             unsorted.clone(),
             // Longer than the population: every index twice.
             [everyone.clone(), unsorted].concat(),
-            // One full tile and a remainder of the tail.
-            (n - TILE as u32 - 37..n).collect(),
+            // One full chunk and a remainder of the tail.
+            (n - CHUNK as u32 - 37..n).collect(),
         ];
         for dt in [0.0, 777.25, -3_600.5] {
-            let all = batch.positions(dt);
+            let mut all = vec![Vec3::ZERO; everyone.len()];
+            batch.positions_into(dt, &mut all);
             for list in &lists {
                 let mut out = vec![Vec3::ZERO; list.len()];
                 batch.positions_of(list, dt, &mut out);
@@ -586,14 +408,14 @@ mod tests {
     }
 
     #[test]
-    fn constants_round_trip_through_the_soa_layout() {
+    fn gathered_records_equal_from_elements_to_the_bit() {
         let els: Vec<KeplerElements> = (0..5)
             .map(|i| elements(7_000.0 + i as f64, 0.01 * i as f64, 0.5, 1.0, 2.0, 3.0))
             .collect();
         let batch = BatchPropagator::new(&els);
         for (i, el) in els.iter().enumerate() {
             let direct = PropagationConstants::from_elements(el);
-            let gathered = batch.constants_of(i);
+            let gathered = batch.columns().gather(i);
             assert_eq!(direct.a.to_bits(), gathered.a.to_bits());
             assert_eq!(direct.e.to_bits(), gathered.e.to_bits());
             assert_eq!(direct.m0.to_bits(), gathered.m0.to_bits());
@@ -616,9 +438,9 @@ mod tests {
         assert_eq!(batch.len(), 10);
         assert_eq!(
             batch.memory_bytes(),
-            10 * SOA_COLUMNS * std::mem::size_of::<f64>()
+            10 * std::mem::size_of::<PropagationConstants>()
         );
-        assert_eq!(batch.raw_columns().len(), 10 * SOA_COLUMNS);
+        assert_eq!(batch.memory_bytes(), 880);
     }
 
     proptest! {

@@ -1,16 +1,16 @@
-//! SoA batch propagation must agree with the scalar reference path.
+//! Batch propagation must agree with the scalar reference path.
 //!
-//! The structure-of-arrays [`BatchPropagator`] reconstructs positions
-//! through lane-oriented kernels (`chunks_exact` blocks plus a
-//! remainder tail) over a precomputed contour-node table, while
-//! [`PropagationConstants::propagate`] walks one satellite at a time with a
-//! per-call [`ContourSolver`]. The two paths share every arithmetic step in
-//! the same order, so they are required to agree to 1e-12 (and in fact
-//! bit-for-bit) across the full element domain: near-circular and highly
-//! eccentric (e → 0.9), prograde and retrograde, near-equatorial and
-//! near-polar — including populations whose length exercises the
-//! remainder lane of the vectorized loops.
+//! [`BatchPropagator`] computes positions in parallel chunks over its
+//! per-satellite records, while [`PropagationConstants::propagate`] walks
+//! one satellite at a time with a per-call [`ContourSolver`] and also
+//! derives the velocity. The two paths share every arithmetic step of the
+//! position in the same order, so they are required to agree to 1e-12
+//! (and in fact bit-for-bit) across the full element domain:
+//! near-circular and highly eccentric (e → 0.9), prograde and retrograde,
+//! near-equatorial and near-polar — including empty, tiny and odd-sized
+//! populations.
 
+use kessler_math::Vec3;
 use kessler_orbits::propagator::PropagationConstants;
 use kessler_orbits::{BatchPropagator, ContourSolver, KeplerElements};
 use proptest::prelude::*;
@@ -33,7 +33,8 @@ fn assert_close(batch: f64, scalar: f64, what: &str) {
 fn check_population(population: &[KeplerElements], dt: f64) {
     let solver = ContourSolver::default();
     let batch = BatchPropagator::new(population);
-    let positions = batch.positions(dt);
+    let mut positions = vec![Vec3::ZERO; population.len()];
+    batch.positions_into(dt, &mut positions);
     assert_eq!(positions.len(), population.len());
     for (i, el) in population.iter().enumerate() {
         let scalar = PropagationConstants::from_elements(el).propagate(dt, &solver);
@@ -51,8 +52,8 @@ fn check_population(population: &[KeplerElements], dt: f64) {
     }
 }
 
-/// A deterministic population spread across the element domain, sized to
-/// leave a remainder after the vector lanes (width 8) and tiles.
+/// A deterministic population of `n` satellites spread across the element
+/// domain.
 fn spread_population(n: usize, base: &KeplerElements) -> Vec<KeplerElements> {
     (0..n)
         .map(|i| {
@@ -130,9 +131,8 @@ fn near_equatorial_orbits_match_scalar_propagation() {
 
 #[test]
 fn remainder_lane_widths_match_scalar_propagation() {
-    // The tile kernels process LANES = 8 satellites per block and finish
-    // with `chunks_exact`'s remainder: cover empty, sub-lane, exact-lane,
-    // lane-plus-one and multi-block-plus-tail populations.
+    // Population sizes from empty through small and odd, with the powers
+    // of two and their neighbours among them.
     let base = KeplerElements::new(7_000.0, 0.01, 0.9, 0.1, 0.2, 0.3).unwrap();
     for n in [0usize, 1, 5, 7, 8, 9, 16, 17, 37] {
         let population = spread_population(n, &base);
@@ -142,14 +142,15 @@ fn remainder_lane_widths_match_scalar_propagation() {
 
 #[test]
 fn batch_propagation_is_bit_identical_to_scalar() {
-    // Stronger than the 1e-12 contract: the SoA kernels replicate the
-    // scalar arithmetic order exactly, so the delta-screening layer's
-    // exact-equality invariants (delta == cold full screen) stay sound.
+    // Stronger than the 1e-12 contract: the batch loop runs the scalar
+    // position kernel, so the delta-screening layer's exact-equality
+    // invariants (delta == cold full screen) stay sound.
     let base = KeplerElements::new(8_000.0, 0.4, 2.3, 1.0, 3.0, 5.0).unwrap();
     let population = spread_population(27, &base);
     let solver = ContourSolver::default();
     let batch = BatchPropagator::new(&population);
-    let positions = batch.positions(1_234.5);
+    let mut positions = vec![Vec3::ZERO; population.len()];
+    batch.positions_into(1_234.5, &mut positions);
     for (i, el) in population.iter().enumerate() {
         let scalar = PropagationConstants::from_elements(el).propagate(1_234.5, &solver);
         assert_eq!(positions[i].x.to_bits(), scalar.position.x.to_bits());
@@ -160,8 +161,7 @@ fn batch_propagation_is_bit_identical_to_scalar() {
 
 proptest! {
     /// Fuzz the full element domain: any valid orbit, any time offset up
-    /// to ~8 hours, at a population width that exercises both full lanes
-    /// and the remainder tail.
+    /// to ~8 hours, at population widths from 1 to 12.
     #[test]
     fn fuzz_batch_matches_scalar(
         a in 6_800.0..45_000.0f64,
@@ -177,7 +177,8 @@ proptest! {
         let population = spread_population(n, &base);
         let solver = ContourSolver::default();
         let batch = BatchPropagator::new(&population);
-        let positions = batch.positions(dt);
+        let mut positions = vec![Vec3::ZERO; population.len()];
+        batch.positions_into(dt, &mut positions);
         for (i, el) in population.iter().enumerate() {
             let scalar = PropagationConstants::from_elements(el).propagate(dt, &solver);
             for (b, s) in [

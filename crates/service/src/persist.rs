@@ -245,7 +245,8 @@ pub struct PersistOptions {
     /// (one chunk). This is all a layout does: screens run on one grid
     /// whatever it is. Names a layout, not a format: every layout writes
     /// manifest + chunks and reads whatever any layout wrote. A server
-    /// sets it from [`crate::ServerOptions::shards`].
+    /// uses this or [`crate::ServerOptions::shards`], whichever is set, and
+    /// refuses the two set to different layouts.
     pub shards: Option<ShardSpec>,
 }
 

@@ -151,8 +151,9 @@ pub struct ServerOptions {
     pub variant: Variant,
     /// Chunk snapshots by orbital regime (altitude band × |z| shell), so a
     /// checkpoint rewrites only the chunks whose satellites changed.
-    /// `None` is the 1×1 layout: one chunk. Screens run on one grid
-    /// whatever the layout.
+    /// `None` defers to the persist options' `shards`; both `None` is the
+    /// 1×1 layout, one chunk, and both set must name the same layout.
+    /// Screens run on one grid whatever the layout.
     pub shards: Option<ShardSpec>,
     /// First persistence re-probe delay after entering degraded mode;
     /// doubles (with jitter) up to [`ServerOptions::probe_max`].
@@ -202,6 +203,20 @@ fn check_pool(options: &ServerOptions) -> Result<(), ServiceError> {
         )));
     }
     Ok(())
+}
+
+/// The snapshot layout in effect: whichever of [`ServerOptions::shards`]
+/// and the persist options' `shards` is set. Both set and different is a
+/// configuration error, refused before any state directory is opened.
+fn snapshot_layout(options: &ServerOptions) -> Result<Option<ShardSpec>, ServiceError> {
+    let persisted = options.persist.as_ref().and_then(|p| p.shards);
+    match (options.shards, persisted) {
+        (Some(server), Some(persist)) if server != persist => Err(ServiceError::Config(format!(
+            "server shard layout {}×{} differs from the persist options' {}×{}",
+            server.alt_bands, server.z_shells, persist.alt_bands, persist.z_shells
+        ))),
+        (server, persist) => Ok(server.or(persist)),
+    }
 }
 
 /// `0` means auto: half the cores, clamped to `[1, 4]` — screening is
@@ -921,14 +936,13 @@ impl Server {
         check_pool(&options)?;
         let screener = CpuScreener::new(options.variant, config).map_err(ServiceError::Config)?;
         // A bad layout is refused with or without a state directory.
-        ShardMap::for_layout(options.shards).map_err(ServiceError::Config)?;
+        let shards = snapshot_layout(&options)?;
+        ShardMap::for_layout(shards).map_err(ServiceError::Config)?;
         let mut recovery_summary = None;
         let state = match &options.persist {
             Some(persist_options) => {
-                // The shard layout is a server-level choice; the persister
-                // inherits it so snapshots chunk the same way.
                 let mut persist_options = persist_options.clone();
-                persist_options.shards = options.shards;
+                persist_options.shards = shards;
                 let (persister, recovery) =
                     Persister::open(&persist_options, Arc::clone(&options.faults))?;
                 let mut state = ServiceState::recover(screener, persister, &recovery)?;

@@ -10,7 +10,8 @@ mod common;
 use kessler_core::ScreeningConfig;
 use kessler_service::proto::{ElementsSpec, StatusInfo};
 use kessler_service::{
-    request, PersistOptions, Request, Response, Server, ServerHandle, ServerOptions, ShardSpec,
+    request, PersistOptions, Request, Response, Server, ServerHandle, ServerOptions, ServiceError,
+    ShardSpec,
 };
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -212,6 +213,72 @@ fn sharded_restart_resumes_warm_and_matches_uninterrupted() {
 
     assert_restart_matches(&dir, shards, &final_a, &script());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `shard_count` of every manifest in a state directory.
+fn manifest_shard_counts(dir: &Path) -> Vec<u64> {
+    file_names(dir)
+        .iter()
+        .filter(|n| n.starts_with("manifest-"))
+        .map(|n| {
+            let text = std::fs::read_to_string(dir.join(n)).expect("read manifest");
+            let frame: serde_json::Value = serde_json::from_str(&text).expect("frame JSON");
+            let body = frame["body"].as_str().expect("frame body");
+            let manifest: serde_json::Value = serde_json::from_str(body).expect("manifest JSON");
+            manifest["shard_count"].as_u64().expect("shard_count")
+        })
+        .collect()
+}
+
+#[test]
+fn a_layout_set_only_on_the_persist_options_chunks_the_snapshots() {
+    let dir = temp_dir("persist-only");
+    let two_bands = ShardSpec {
+        alt_bands: 2,
+        z_shells: 1,
+    };
+    let options = ServerOptions {
+        persist: Some(PersistOptions {
+            dir: dir.clone(),
+            snapshot_every: 4,
+            shards: Some(two_bands),
+        }),
+        ..ServerOptions::default()
+    };
+    let daemon = Server::bind_with("127.0.0.1:0", config(), options)
+        .expect("bind persistent server")
+        .spawn()
+        .expect("spawn server thread");
+    drive(daemon.addr(), &script());
+    daemon.shutdown();
+
+    let counts = manifest_shard_counts(&dir);
+    assert!(!counts.is_empty(), "no manifest written");
+    assert!(counts.iter().all(|&c| c == 2), "shard counts {counts:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn conflicting_layouts_are_refused_before_the_state_directory_is_made() {
+    let dir = temp_dir("conflict");
+    let options = ServerOptions {
+        persist: Some(PersistOptions {
+            dir: dir.clone(),
+            snapshot_every: 4,
+            shards: Some(ShardSpec {
+                alt_bands: 2,
+                z_shells: 1,
+            }),
+        }),
+        shards: Some(ShardSpec::default()),
+        ..ServerOptions::default()
+    };
+    match Server::bind_with("127.0.0.1:0", config(), options) {
+        Err(ServiceError::Config(msg)) => assert!(msg.contains("differs"), "{msg}"),
+        Err(other) => panic!("expected a configuration error, got {other}"),
+        Ok(_) => panic!("conflicting layouts were accepted"),
+    }
+    assert!(!dir.exists(), "the state directory was created");
 }
 
 #[test]

@@ -135,6 +135,25 @@ for example in quickstart memory_planning tle_screening megaconstellation; do
 done
 RUST_BACKTRACE=1 cargo run --release --locked --quiet --example fragmentation_event -- 20
 
+# EXPERIMENTS.md's commands must still run: each experiment binary once, at
+# a size that finishes in seconds. No `--json`, so nothing lands in the tree.
+echo "==> the experiment binaries run"
+while read -r bin flags; do
+    # shellcheck disable=SC2086 # the flags split on purpose
+    RUST_BACKTRACE=1 cargo run --release --locked --quiet -p kessler-bench --bin "$bin" -- $flags \
+        </dev/null >/dev/null
+done <<'EXPERIMENTS'
+exp_sysinfo
+exp_fig9 --n 2000
+exp_table2 --n 2000
+exp_fig10 --sizes 200,400 --span 60 --threshold 10
+exp_breakdown --n 400 --span 60 --threshold 10
+exp_threads --n 400 --span 60 --threshold 10
+exp_accuracy --n 400 --span 60 --threshold 10
+exp_model --sizes 200,400
+exp_complexity --sizes 200,400 --span 60
+EXPERIMENTS
+
 echo "==> scripts/loc.sh (production lines per crate; fails on test-gated items among them)"
 scripts/loc.sh
 

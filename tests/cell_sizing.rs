@@ -42,12 +42,14 @@ fn conjunction_found_with_cell_size(
     let grid = SpatialGrid::new(pop.len(), cell_size);
     let pairs = PairSet::with_capacity(1 << 12);
     let steps = (span / sps).ceil() as u32;
+    let mut positions = vec![kessler::math::Vec3::ZERO; pop.len()];
     for step in 0..steps {
         let t = step as f64 * sps;
         if step > 0 {
             grid.reset();
         }
-        grid.insert_all(&propagator.positions(t)).unwrap();
+        propagator.positions_into(t, &mut positions);
+        grid.insert_all(&positions).unwrap();
         grid.collect_candidate_pairs(step, NeighborScan::Half, &pairs);
     }
     // Refine every candidate exactly as the screener does.
