@@ -98,12 +98,6 @@ impl ScreeningConfig {
         ((self.span_seconds / self.seconds_per_sample).ceil() as u32).max(1)
     }
 
-    /// Sample time of step `k`.
-    #[inline]
-    pub fn step_time(&self, step: u32) -> f64 {
-        step as f64 * self.seconds_per_sample
-    }
-
     /// Validate the physical parameters: threshold, step and span must be
     /// positive and finite (an infinite one makes the cell size of Eq. 1
     /// infinite, which no grid can be built with).
@@ -146,8 +140,6 @@ mod tests {
     fn step_accounting() {
         let c = ScreeningConfig::grid_defaults(2.0, 100.0);
         assert_eq!(c.total_steps(), 100);
-        assert_eq!(c.step_time(0), 0.0);
-        assert_eq!(c.step_time(10), 10.0);
         let h = ScreeningConfig::hybrid_defaults(2.0, 100.0);
         assert_eq!(h.total_steps(), 12); // ceil(100/9)
     }

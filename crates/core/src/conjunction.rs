@@ -64,7 +64,8 @@ pub struct ScreeningReport {
     pub variant: String,
     /// Population size.
     pub n_satellites: usize,
-    /// Configuration the run used (after planner adjustment).
+    /// Configuration as the run was given it. The step the run sampled
+    /// at, after the planner's adjustment, is `planner.seconds_per_sample`.
     pub config: ScreeningConfig,
     /// Deduplicated conjunctions, sorted by pair then TCA.
     pub conjunctions: Vec<Conjunction>,

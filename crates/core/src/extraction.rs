@@ -226,7 +226,7 @@ impl<'a> Extraction<'a> {
     /// satellite's 27-cell query. Both run in parallel.
     ///
     /// The emitted `CandidatePair`s carry *global* indices, so everything
-    /// downstream of extraction (refinement, dedup, the warm pair map)
+    /// downstream of extraction (refinement, dedup, the service's warm set)
     /// never sees the live list. Only the live entries of `positions` are
     /// read.
     pub fn step(

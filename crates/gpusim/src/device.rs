@@ -9,8 +9,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 pub enum DeviceError {
     /// The allocation would exceed the device-memory budget.
     OutOfDeviceMemory { requested: usize, free: usize },
-    /// Host and device slices disagree in length.
-    LengthMismatch { host: usize, device: usize },
 }
 
 impl std::fmt::Display for DeviceError {
@@ -20,9 +18,6 @@ impl std::fmt::Display for DeviceError {
                 f,
                 "out of device memory: requested {requested} B with {free} B free"
             ),
-            DeviceError::LengthMismatch { host, device } => {
-                write!(f, "transfer length mismatch: host {host}, device {device}")
-            }
         }
     }
 }
@@ -77,11 +72,6 @@ impl Device {
         self.inner.allocated.load(Ordering::Acquire)
     }
 
-    /// Free bytes.
-    pub fn free_memory(&self) -> usize {
-        self.memory_budget().saturating_sub(self.allocated())
-    }
-
     /// Snapshot the accumulated metrics.
     pub fn metrics(&self) -> DeviceMetrics {
         DeviceMetrics {
@@ -125,9 +115,9 @@ impl Device {
 /// A typed buffer living in simulated device memory.
 ///
 /// Contents are host RAM, of course, but every byte is charged against the
-/// owning device's budget, and data crosses the host/device boundary only
-/// through the explicit, metered transfer methods — forcing callers into
-/// the same structure a real CUDA port has.
+/// owning device's budget, and host data reaches the device only through
+/// the explicit, metered upload [`DeviceBuffer::from_host`] — forcing
+/// callers into the same structure a real CUDA port has.
 pub struct DeviceBuffer<T> {
     device: Device,
     data: Vec<T>,
@@ -169,36 +159,6 @@ impl<T: Copy + Send + Sync> DeviceBuffer<T> {
         self.data.is_empty()
     }
 
-    pub fn size_bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// H→D transfer.
-    pub fn copy_from_host(&mut self, host: &[T]) -> Result<(), DeviceError> {
-        if host.len() != self.data.len() {
-            return Err(DeviceError::LengthMismatch {
-                host: host.len(),
-                device: self.data.len(),
-            });
-        }
-        self.data.copy_from_slice(host);
-        self.device.inner.metrics().bytes_h2d += self.bytes as u64;
-        Ok(())
-    }
-
-    /// D→H transfer.
-    pub fn copy_to_host(&self, host: &mut [T]) -> Result<(), DeviceError> {
-        if host.len() != self.data.len() {
-            return Err(DeviceError::LengthMismatch {
-                host: host.len(),
-                device: self.data.len(),
-            });
-        }
-        host.copy_from_slice(&self.data);
-        self.device.inner.metrics().bytes_d2h += self.bytes as u64;
-        Ok(())
-    }
-
     /// Device-side view for kernels (no transfer metering — kernels read
     /// device memory directly, as on hardware).
     pub fn as_slice(&self) -> &[T] {
@@ -220,9 +180,7 @@ mod tests {
     fn allocation_charges_the_budget() {
         let dev = Device::with_memory(1024);
         let buf = DeviceBuffer::<u64>::alloc(&dev, 64).unwrap();
-        assert_eq!(buf.size_bytes(), 512);
         assert_eq!(dev.allocated(), 512);
-        assert_eq!(dev.free_memory(), 512);
         drop(buf);
         assert_eq!(dev.allocated(), 0);
     }
@@ -244,27 +202,8 @@ mod tests {
         let dev = Device::with_memory(1 << 20);
         let host: Vec<u32> = (0..256).collect();
         let buf = DeviceBuffer::from_host(&dev, &host).unwrap();
-        let mut back = vec![0u32; 256];
-        buf.copy_to_host(&mut back).unwrap();
-        assert_eq!(back, host);
-        let m = dev.metrics();
-        assert_eq!(m.bytes_h2d, 1024);
-        assert_eq!(m.bytes_d2h, 1024);
-    }
-
-    #[test]
-    fn length_mismatch_is_rejected() {
-        let dev = Device::with_memory(1 << 20);
-        let mut buf = DeviceBuffer::<u8>::alloc(&dev, 10).unwrap();
-        assert!(matches!(
-            buf.copy_from_host(&[0u8; 5]),
-            Err(DeviceError::LengthMismatch {
-                host: 5,
-                device: 10
-            })
-        ));
-        let mut too_big = vec![0u8; 20];
-        assert!(buf.copy_to_host(&mut too_big).is_err());
+        assert_eq!(buf.as_slice(), host);
+        assert_eq!(dev.metrics().bytes_h2d, 1024);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * **Explicit device memory** ([`device::Device`],
 //!   [`device::DeviceBuffer`]): allocations are charged against a
 //!   configurable device-memory budget (24 GB for the paper's card), and
-//!   host↔device transfers are explicit calls with byte accounting —
+//!   host→device uploads are explicit calls with byte accounting —
 //!   the paper reports ~3 % of GPU runtime spent in allocation + transfer,
 //!   and the planner (§V-B) exists precisely because device memory bounds
 //!   the number of grids processed in parallel.
@@ -21,7 +21,7 @@
 //!   encourages the branch-free bulk structure the paper's contour Kepler
 //!   solver was chosen for.
 //! * **Metrics** ([`metrics`]): kernel launch counts, logical threads
-//!   executed, transfer volumes and per-kernel wall time, consumed by the
+//!   executed, upload volume and per-kernel wall time, consumed by the
 //!   relative-time-consumption experiment (§V-C.1).
 //!
 //! What is deliberately *not* modelled: SIMT timing, memory coalescing,

@@ -158,11 +158,6 @@ impl SpatialGrid {
         self.map.occupied_slots()
     }
 
-    /// Number of occupied cells.
-    pub fn occupied_cells(&self) -> usize {
-        self.map.occupied()
-    }
-
     /// Extract candidate pairs into `pairs` (§IV-A3).
     ///
     /// Every pair of satellites sharing a cell, plus every pair with the
@@ -295,7 +290,7 @@ mod tests {
             Vec3::new(500.0, 500.0, 500.0),
         ];
         grid.insert_all(&positions).unwrap();
-        assert_eq!(grid.occupied_cells(), 2);
+        assert_eq!(grid.occupied_slots().len(), 2);
         let pairs = pairs_of(&grid, NeighborScan::Half);
         assert_eq!(pairs, HashSet::from([(0, 1)]));
     }
@@ -393,7 +388,7 @@ mod tests {
             .map(|i| Vec3::new(i as f64, i as f64, 0.0))
             .collect();
         grid.insert_all(&positions).unwrap();
-        assert_eq!(grid.occupied_cells(), 1);
+        assert_eq!(grid.occupied_slots().len(), 1);
         let slot = grid.occupied_slots()[0];
         let members: HashSet<u32> = grid.cell_members(slot).collect();
         assert_eq!(members, (0..50u32).collect());
@@ -404,9 +399,9 @@ mod tests {
         let grid = SpatialGrid::new(3, 10.0);
         grid.insert_all(&[Vec3::new(1.0, 1.0, 1.0), Vec3::new(2.0, 2.0, 2.0)])
             .unwrap();
-        assert_eq!(grid.occupied_cells(), 1);
+        assert_eq!(grid.occupied_slots().len(), 1);
         grid.reset();
-        assert_eq!(grid.occupied_cells(), 0);
+        assert_eq!(grid.occupied_slots().len(), 0);
         // Different step, different positions.
         grid.insert_all(&[
             Vec3::new(100.0, 0.0, 0.0),
@@ -414,7 +409,7 @@ mod tests {
             Vec3::new(0.0, 100.0, 0.0),
         ])
         .unwrap();
-        assert_eq!(grid.occupied_cells(), 3);
+        assert_eq!(grid.occupied_slots().len(), 3);
         assert!(pairs_of(&grid, NeighborScan::Half).is_empty());
     }
 

@@ -36,18 +36,6 @@ pub fn separation(a: f64, b: f64) -> f64 {
     wrap_pi(a - b).abs()
 }
 
-/// Degrees → radians.
-#[inline]
-pub fn deg_to_rad(deg: f64) -> f64 {
-    deg * (PI / 180.0)
-}
-
-/// Radians → degrees.
-#[inline]
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad * (180.0 / PI)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,13 +67,6 @@ mod tests {
     fn separation_across_wraparound() {
         assert!((separation(0.1, TAU - 0.1) - 0.2).abs() < 1e-12);
         assert!((separation(PI - 0.05, -PI + 0.05) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_radian_round_trip() {
-        for d in [-720.0, -90.0, 0.0, 45.0, 180.0, 359.9] {
-            assert!((rad_to_deg(deg_to_rad(d)) - d).abs() < 1e-10);
-        }
     }
 
     proptest! {

@@ -47,12 +47,6 @@ impl Interval {
         Interval::new(self.start.max(other.start), self.end.min(other.end))
     }
 
-    /// Whether the two intervals share at least one point.
-    #[inline]
-    pub fn overlaps(&self, other: &Interval) -> bool {
-        !self.intersect(other).is_empty()
-    }
-
     /// Grow symmetrically by `pad` on each side.
     #[inline]
     pub fn padded(&self, pad: f64) -> Interval {
@@ -149,7 +143,6 @@ mod tests {
         let a = Interval::new(0.0, 1.0);
         let b = Interval::new(2.0, 3.0);
         assert!(a.intersect(&b).is_empty());
-        assert!(!a.overlaps(&b));
     }
 
     #[test]

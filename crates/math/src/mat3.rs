@@ -54,14 +54,6 @@ impl Mat3 {
         }
     }
 
-    /// Determinant.
-    pub fn det(self) -> f64 {
-        let r = self.rows;
-        r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-    }
-
     /// Row `i` as a vector.
     #[inline]
     pub fn row(&self, i: usize) -> Vec3 {
@@ -120,7 +112,9 @@ mod tests {
     #[test]
     fn rotation_determinant_is_one() {
         let m = Mat3::rot_z(0.37) * Mat3::rot_x(1.2) * Mat3::rot_z(-2.4);
-        assert!((m.det() - 1.0).abs() < 1e-12);
+        // The determinant as the scalar triple product of the rows.
+        let det = m.row(0).cross(m.row(1)).dot(m.row(2));
+        assert!((det - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -126,12 +126,6 @@ impl Vec3 {
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
-
-    /// Linear interpolation: `self + s * (rhs - self)`.
-    #[inline]
-    pub fn lerp(self, rhs: Vec3, s: f64) -> Vec3 {
-        self + (rhs - self) * s
-    }
 }
 
 impl Add for Vec3 {
@@ -251,14 +245,6 @@ mod tests {
         let b = Vec3::new(1.0, 1e-9, 0.0);
         let ang = a.angle_to(b);
         assert_close(ang, 1e-9, 1e-15);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(-1.0, 0.0, 7.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
     }
 
     fn arb_vec3() -> impl Strategy<Value = Vec3> {

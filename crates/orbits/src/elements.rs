@@ -127,12 +127,6 @@ impl KeplerElements {
         self.semi_major_axis * (1.0 - self.eccentricity * self.eccentricity)
     }
 
-    /// Orbit radius at true anomaly `f`: `r = p / (1 + e·cos f)`.
-    #[inline]
-    pub fn radius_at_true_anomaly(&self, f: f64) -> f64 {
-        self.semi_latus_rectum() / (1.0 + self.eccentricity * f.cos())
-    }
-
     /// Mean anomaly at epoch + `dt` seconds, wrapped to `[0, 2π)`.
     #[inline]
     pub fn mean_anomaly_at(&self, dt: f64) -> f64 {
@@ -204,13 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn radius_at_anomaly_hits_apsides() {
-        let e = KeplerElements::new(10_000.0, 0.3, 0.0, 0.0, 0.0, 0.0).unwrap();
-        assert!((e.radius_at_true_anomaly(0.0) - e.perigee_radius()).abs() < 1e-9);
-        assert!((e.radius_at_true_anomaly(PI) - e.apogee_radius()).abs() < 1e-9);
-    }
-
-    #[test]
     fn mean_anomaly_advances_linearly() {
         let e = leo();
         let quarter = e.period() / 4.0;
@@ -232,13 +219,6 @@ mod tests {
             prop_assert!(e.period() > 0.0);
             prop_assert!(e.perigee_radius() <= e.apogee_radius());
             prop_assert!(e.semi_latus_rectum() <= a);
-            // r(f) stays within [perigee, apogee] for all anomalies.
-            for k in 0..16 {
-                let f = k as f64 * TAU / 16.0;
-                let r = e.radius_at_true_anomaly(f);
-                prop_assert!(r >= e.perigee_radius() - 1e-6);
-                prop_assert!(r <= e.apogee_radius() + 1e-6);
-            }
         }
     }
 }

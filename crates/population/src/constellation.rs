@@ -27,17 +27,6 @@ pub struct WalkerShell {
 }
 
 impl WalkerShell {
-    /// Starlink-like shell: 550 km, 53°.
-    pub fn starlink_like(total: usize, planes: usize) -> WalkerShell {
-        WalkerShell {
-            altitude_km: 550.0,
-            inclination: 53f64.to_radians(),
-            total,
-            planes,
-            phasing: 1,
-        }
-    }
-
     /// Generate the element set.
     ///
     /// # Panics
@@ -169,21 +158,32 @@ pub fn synthetic_constellation(n: usize, seed: u64) -> Vec<KeplerElements> {
 mod tests {
     use super::*;
 
+    /// A Starlink-like shell: 550 km, 53°, phasing 1.
+    fn starlink_like(total: usize, planes: usize) -> WalkerShell {
+        WalkerShell {
+            altitude_km: 550.0,
+            inclination: 53f64.to_radians(),
+            total,
+            planes,
+            phasing: 1,
+        }
+    }
+
     #[test]
     fn generates_total_satellites() {
-        let shell = WalkerShell::starlink_like(60, 6);
+        let shell = starlink_like(60, 6);
         assert_eq!(shell.generate().len(), 60);
     }
 
     #[test]
     #[should_panic(expected = "must divide")]
     fn rejects_indivisible_plane_count() {
-        WalkerShell::starlink_like(61, 6).generate();
+        starlink_like(61, 6).generate();
     }
 
     #[test]
     fn planes_are_equally_spaced_in_raan() {
-        let shell = WalkerShell::starlink_like(40, 8);
+        let shell = starlink_like(40, 8);
         let els = shell.generate();
         let mut raans: Vec<f64> = els.iter().map(|e| e.raan).collect();
         raans.sort_by(f64::total_cmp);
@@ -196,7 +196,7 @@ mod tests {
 
     #[test]
     fn in_plane_satellites_are_equally_phased() {
-        let shell = WalkerShell::starlink_like(20, 2);
+        let shell = starlink_like(20, 2);
         let els = shell.generate();
         let plane0: Vec<_> = els.iter().filter(|e| e.raan < 1e-9).collect();
         assert_eq!(plane0.len(), 10);
@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn all_satellites_share_the_shell_geometry() {
-        let shell = WalkerShell::starlink_like(30, 3);
+        let shell = starlink_like(30, 3);
         for el in shell.generate() {
             assert!((el.semi_major_axis - (R_EARTH + 550.0)).abs() < 1e-9);
             assert!((el.inclination - 53f64.to_radians()).abs() < 1e-12);

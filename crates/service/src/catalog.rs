@@ -145,11 +145,6 @@ impl Catalog {
         self.index_of.get(&id).copied()
     }
 
-    /// External id at a dense index.
-    pub fn id_at(&self, index: u32) -> Option<u64> {
-        self.ids.get(index as usize).copied()
-    }
-
     /// Epoch at which the satellite at `index` last changed.
     pub fn generation_at(&self, index: u32) -> Option<u64> {
         self.generations.get(index as usize).copied()
@@ -372,7 +367,7 @@ mod tests {
         assert_eq!((i0, i1), (0, 1));
         assert_eq!(cat.len(), 2);
         assert_eq!(cat.index_of(200), Some(1));
-        assert_eq!(cat.id_at(1), Some(200));
+        assert_eq!(cat.ids()[1], 200);
         assert_eq!(cat.elements()[0].semi_major_axis, 7_000.0);
 
         let g_before = cat.generation_at(0).unwrap();
@@ -401,7 +396,7 @@ mod tests {
         assert_eq!(removal.moved_from, Some(3));
         assert_eq!(cat.len(), 3);
         // 40 moved into slot 1.
-        assert_eq!(cat.id_at(1), Some(40));
+        assert_eq!(cat.ids()[1], 40);
         assert_eq!(cat.index_of(40), Some(1));
         assert_eq!(cat.elements()[1].semi_major_axis, 7_003.0);
         assert!(!cat.contains(20));

@@ -5,7 +5,8 @@
 //! have changed are exactly those involving a changed satellite — and the
 //! spatial grid answers "who is near satellite `c` at step `s`?" with one
 //! cell lookup plus its 26 neighbours (§III-A). The engine therefore keeps
-//! the maintained conjunction set warm and, per delta, bins only the
+//! the maintained conjunction set warm — one list sorted by pair then TCA,
+//! the order a screen report holds it in — and, per delta, bins only the
 //! satellites that can reach a changed one within a block of steps (the
 //! space-time cull of `kessler_core::extraction`), extracts candidates
 //! only from the changed satellites' neighbourhoods — O(k · occupancy)
@@ -13,7 +14,8 @@
 //! involving changed satellites. That screen is core's
 //! [`CpuScreener::screen_changed`] — the very call a cold screen makes
 //! with everyone changed — and a delta adds only the warm-set bookkeeping
-//! around it.
+//! around it: keep the warm conjunctions of untouched pairs, append what
+//! the changed satellites' screen found, sort once.
 //!
 //! Correctness invariant (checked by `tests/delta_correctness.rs`): a delta
 //! screen after `k` element updates produces *exactly* the conjunction set
@@ -33,7 +35,7 @@ use kessler_core::cancel::{check_opt, CancelToken, Cancelled};
 use kessler_core::conjunction::{Conjunction, ScreeningReport};
 use kessler_core::{CpuScreener, ScreeningConfig, Variant};
 use kessler_orbits::KeplerElements;
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,9 +52,6 @@ fn delta_label(variant: Variant) -> &'static str {
         _ => DELTA_VARIANT,
     }
 }
-
-/// Maintained conjunction set grouped by satellite pair.
-pub type PairMap = HashMap<(u32, u32), Vec<Conjunction>>;
 
 /// Which screen a piece of work ran, and so which screen counter its
 /// adoption bumps. For a window advance this is the pre-screen it folded
@@ -98,10 +97,10 @@ pub fn check_advance_dt(dt: f64) -> Result<(), ServiceError> {
 /// layer (`ServiceState`).
 pub struct DeltaEngine {
     screener: CpuScreener,
-    /// Maintained conjunction set, grouped by satellite pair. TCAs are
+    /// Maintained conjunction set, sorted by pair then TCA. TCAs are
     /// seconds past the *current* element epoch (window-relative). Behind
     /// `Arc` so jobs can hold the warm set while the engine moves on.
-    pairs: Arc<PairMap>,
+    warm: Arc<Vec<Conjunction>>,
     /// Population size of the last adopted screen; `None` while cold.
     screened_n: Option<usize>,
     full_screens: u64,
@@ -125,7 +124,7 @@ impl DeltaEngine {
     pub fn with_screener(screener: CpuScreener) -> DeltaEngine {
         DeltaEngine {
             screener,
-            pairs: Arc::new(PairMap::new()),
+            warm: Arc::default(),
             screened_n: None,
             full_screens: 0,
             delta_screens: 0,
@@ -134,7 +133,7 @@ impl DeltaEngine {
     }
 
     /// Rebuild an engine from a recovery point's global state: screen
-    /// counters, the maintained conjunction set regrouped by pair, and the
+    /// counters, the maintained conjunction set as it was written, and the
     /// last adopted screen's info so a recovered daemon's STATUS keeps
     /// reporting the pre-crash screen. When the point was written under
     /// another variant the engine comes back cold, counters intact: warm
@@ -153,6 +152,11 @@ impl DeltaEngine {
             return Ok(engine);
         }
         let conjunctions = &global.conjunctions;
+        if !conjunctions.is_sorted_by(|a, b| by_pair_then_tca(a, b).is_le()) {
+            return Err(ServiceError::Recovery(
+                "conjunctions are not sorted by pair then TCA".to_string(),
+            ));
+        }
         if global.screened_n.is_none() && !conjunctions.is_empty() {
             return Err(ServiceError::Recovery(format!(
                 "cold engine cannot hold {} conjunctions",
@@ -167,7 +171,7 @@ impl DeltaEngine {
                 )));
             }
         }
-        engine.pairs = Arc::new(pairs_from_conjunctions(conjunctions));
+        engine.warm = Arc::new(conjunctions.clone());
         engine.screened_n = global.screened_n;
         engine.last_screen = global.last_screen.clone();
         Ok(engine)
@@ -215,26 +219,32 @@ impl DeltaEngine {
 
     /// Number of maintained conjunctions.
     pub fn conjunction_count(&self) -> usize {
-        self.pairs.values().map(Vec::len).sum()
+        self.warm.len()
     }
 
     /// The maintained conjunction set, sorted by pair then TCA.
     pub fn conjunctions(&self) -> Vec<Conjunction> {
-        sorted_conjunctions(&self.pairs)
+        self.warm.to_vec()
     }
 
-    /// A shared handle to the warm pair map, for jobs that screen against
+    /// A shared handle to the maintained set, for jobs that screen against
     /// a snapshot while the engine keeps serving.
-    pub(crate) fn warm_pairs(&self) -> Arc<PairMap> {
-        Arc::clone(&self.pairs)
+    pub(crate) fn warm(&self) -> Arc<Vec<Conjunction>> {
+        Arc::clone(&self.warm)
     }
 
     /// Adopt a completed screen or window advance as the maintained set
-    /// over `n` satellites. `ran` picks the screen counter to bump; `last`
-    /// describes the screen that produced `pairs` (for an advance, the
-    /// tail screen).
-    pub(crate) fn adopt(&mut self, pairs: PairMap, n: usize, ran: ScreenRun, last: LastScreen) {
-        self.pairs = Arc::new(pairs);
+    /// over `n` satellites. `conjunctions` must be sorted by pair then TCA.
+    /// `ran` picks the screen counter to bump; `last` describes the screen
+    /// that produced them (for an advance, the tail screen).
+    pub(crate) fn adopt(
+        &mut self,
+        conjunctions: Vec<Conjunction>,
+        n: usize,
+        ran: ScreenRun,
+        last: LastScreen,
+    ) {
+        self.warm = Arc::new(conjunctions);
         self.screened_n = Some(n);
         match ran {
             ScreenRun::None => {}
@@ -254,7 +264,7 @@ impl DeltaEngine {
     /// caller must mark `removal.removed_index` as changed when a satellite
     /// actually moved into the hole.
     pub fn apply_removal(&mut self, removal: Removal, new_len: usize) {
-        apply_removal_to_pairs(Arc::make_mut(&mut self.pairs), removal, new_len);
+        drop_removed(Arc::make_mut(&mut self.warm), removal, new_len);
         if self.screened_n.is_some() {
             self.screened_n = Some(new_len);
         }
@@ -285,46 +295,35 @@ impl DeltaEngine {
         changed: &[u32],
         delta: bool,
     ) -> ScreeningReport {
-        let warm = (delta && self.is_warm()).then(|| &*self.pairs);
+        let warm = (delta && self.is_warm()).then(|| self.warm.as_slice());
         let screened = screen_or_full(&self.screener, population, changed, warm, None)
             .expect("uncancellable screen cannot be cancelled");
-        let last = LastScreen::from_report(&screened.report);
+        let report = *screened.report;
         self.adopt(
-            screened.pairs,
-            screened.report.n_satellites,
+            report.conjunctions.clone(),
+            report.n_satellites,
             screened.ran,
-            last,
+            LastScreen::from_report(&report),
         );
-        *screened.report
+        report
     }
 }
 
-/// Regroup a flat conjunction list by pair.
-pub(crate) fn pairs_from_conjunctions(conjunctions: &[Conjunction]) -> PairMap {
-    let mut pairs = PairMap::new();
-    for c in conjunctions {
-        pairs.entry(c.pair()).or_default().push(*c);
-    }
-    pairs
+/// The maintained set's order, which is also a screen report's: by pair,
+/// then by TCA.
+fn by_pair_then_tca(a: &Conjunction, b: &Conjunction) -> Ordering {
+    a.pair().cmp(&b.pair()).then(a.tca.total_cmp(&b.tca))
 }
 
-/// Flatten a pair map, sorted by pair then TCA.
-pub(crate) fn sorted_conjunctions(pairs: &PairMap) -> Vec<Conjunction> {
-    let mut all: Vec<Conjunction> = pairs.values().flatten().copied().collect();
-    all.sort_by(|a, b| a.pair().cmp(&b.pair()).then(a.tca.total_cmp(&b.tca)));
-    all
-}
-
-/// Apply a catalog `swap_remove` to a bare pair map (the engine method
-/// [`DeltaEngine::apply_removal`] and the execution layer's stale-result
-/// replay both route through this, so they invalidate identically).
-pub(crate) fn apply_removal_to_pairs(pairs: &mut PairMap, removal: Removal, new_len: usize) {
-    pairs.retain(|&(lo, hi), _| lo != removal.removed_index && hi != removal.removed_index);
-    if let Some(moved) = removal.moved_from {
-        pairs.retain(|&(lo, hi), _| lo != moved && hi != moved);
-    }
-    // Defensive: nothing may reference indices at or past the new end.
-    pairs.retain(|&(_, hi), _| (hi as usize) < new_len);
+/// Apply a catalog `swap_remove` to a maintained set: conjunctions of the
+/// removed satellite are gone, those under the mover's old index are
+/// stale, and nothing may reference an index at or past the new end. The
+/// engine method [`DeltaEngine::apply_removal`] and the execution layer's
+/// stale-result replay both route through this, so they invalidate
+/// identically. Order is kept.
+pub(crate) fn drop_removed(set: &mut Vec<Conjunction>, removal: Removal, new_len: usize) {
+    let gone = |i: u32| i == removal.removed_index || Some(i) == removal.moved_from;
+    set.retain(|c| !gone(c.id_lo) && !gone(c.id_hi) && (c.id_hi as usize) < new_len);
 }
 
 /// The one screen job, for SCREEN, DELTA and an ADVANCE's pre-screen
@@ -334,18 +333,19 @@ pub(crate) fn apply_removal_to_pairs(pairs: &mut PairMap, removal: Removal, new_
 ///
 /// Without a `warm` set — a SCREEN passes none, and a cold engine has
 /// none — it is the screener's own cold screen of `population`, its
-/// report as the screener returned it, its conjunctions grouped into the
-/// pair map an engine adopts. With one, it is a delta: only the
+/// report as the screener returned it. With one, it is a delta: only the
 /// neighbourhoods of `changed` satellites are re-screened and merged into
 /// what stayed warm, and the report's `conjunctions` is the full merged
 /// set (directly comparable with a cold full re-screen) while
 /// `candidate_entries`/`candidate_pairs` count only the delta work and
-/// `timings.total` covers the warm-set bookkeeping too.
+/// `timings.total` covers the warm-set bookkeeping too. Either way the
+/// report's `conjunctions` is sorted by pair then TCA, and is the set an
+/// engine adopts.
 pub fn screen_or_full(
     screener: &CpuScreener,
     population: &[KeplerElements],
     changed: &[u32],
-    warm: Option<&PairMap>,
+    warm: Option<&[Conjunction]>,
     cancel: Option<&CancelToken>,
 ) -> Result<Screened, Cancelled> {
     let n = population.len();
@@ -353,7 +353,6 @@ pub fn screen_or_full(
         let everyone: Vec<u32> = (0..n as u32).collect();
         let (report, _) = screener.screen_changed(population, &everyone, cancel)?;
         return Ok(Screened {
-            pairs: pairs_from_conjunctions(&report.conjunctions),
             report: Box::new(report),
             ran: ScreenRun::Full,
         });
@@ -370,61 +369,57 @@ pub fn screen_or_full(
     // 1. Every warm pair involving a changed satellite is recomputed from
     // scratch; pairs past the population end cannot exist.
     let untouched = |i: u32| changed.binary_search(&i).is_err();
-    let mut pairs: PairMap = warm
+    let mut merged: Vec<Conjunction> = warm
         .iter()
-        .filter(|&(&(lo, hi), _)| (hi as usize) < n && untouched(lo) && untouched(hi))
-        .map(|(&key, list)| (key, list.clone()))
+        .filter(|c| (c.id_hi as usize) < n && untouched(c.id_lo) && untouched(c.id_hi))
+        .copied()
         .collect();
 
     // 2. The changed satellites' pairs, screened as a cold screen would.
     let (mut report, _) = screener.screen_changed(population, &changed, cancel)?;
 
-    // 3. Merge them into what stayed warm.
-    for c in std::mem::take(&mut report.conjunctions) {
-        pairs.entry(c.pair()).or_default().push(c);
-    }
+    // 3. Merge them into what stayed warm: no pair comes from both sides,
+    // and each side holds a pair's conjunctions in TCA order.
+    merged.append(&mut report.conjunctions);
+    merged.sort_by(by_pair_then_tca);
 
     // 4. The report describes the merged set, under the delta label.
     report.variant = delta_label(screener.variant()).to_string();
-    report.conjunctions = sorted_conjunctions(&pairs);
+    report.conjunctions = merged;
     report.timings.total = wall.elapsed();
     Ok(Screened {
         report: Box::new(report),
-        pairs,
         ran: ScreenRun::Delta,
     })
 }
 
-/// Window advance as a pure job over an owned copy of the maintained set:
-/// retire conjunctions whose TCA dropped before the new window start,
-/// shift the survivors, screen the freshly exposed tail, and merge. Hands
-/// back the slid set, the retire/discover counts and the tail screen's
-/// info. `population` must already be advanced to the new epoch and `dt`
-/// must have passed [`check_advance_dt`].
+/// Window advance as a pure job over an owned copy of the maintained set
+/// (sorted by pair then TCA): retire conjunctions whose TCA dropped before
+/// the new window start, shift the survivors, screen the freshly exposed
+/// tail, and merge. Hands back the slid set, in the same order, the
+/// retire/discover counts and the tail screen's info. `population` must
+/// already be advanced to the new epoch and `dt` must have passed
+/// [`check_advance_dt`].
 pub fn advance_window_job(
     screener: &CpuScreener,
     population: &[KeplerElements],
     dt: f64,
-    mut pairs: PairMap,
+    mut set: Vec<Conjunction>,
     cancel: Option<&CancelToken>,
-) -> Result<(PairMap, AdvanceOutcome, LastScreen), Cancelled> {
+) -> Result<(Vec<Conjunction>, AdvanceOutcome, LastScreen), Cancelled> {
     let config = screener.config();
     let span = config.span_seconds;
     let overlap = config.seconds_per_sample;
     check_opt(cancel)?;
 
     // Retire + shift: TCAs are relative to the element epoch, which just
-    // moved forward by dt.
-    let mut retired = 0usize;
-    for list in pairs.values_mut() {
-        let before = list.len();
-        list.retain_mut(|c| {
-            c.tca -= dt;
-            c.tca >= 0.0
-        });
-        retired += before - list.len();
-    }
-    pairs.retain(|_, list| !list.is_empty());
+    // moved forward by dt. Shifting every TCA by the same dt keeps the order.
+    let before = set.len();
+    set.retain_mut(|c| {
+        c.tca -= dt;
+        c.tca >= 0.0
+    });
+    let retired = before - set.len();
 
     // Screen the newly exposed tail [span − dt − overlap, span]; the
     // one-sample overlap re-covers the seam so a minimum straddling the
@@ -444,14 +439,23 @@ pub fn advance_window_job(
         .expect("a positive tail of a validated span is valid")
         .screen_job(&tail_elements, cancel)?;
 
+    // Each tail minimum merges with the first conjunction of its pair
+    // within `merge_tol`, looking at the survivors in TCA order and then at
+    // what this tail already added, or else is added itself. The tail
+    // report is sorted by pair, so a pair's additions sit at the end of
+    // `added` while its minima are merged.
     let merge_tol = config.tca_dedup_tolerance_s.max(overlap);
-    let mut discovered = 0usize;
+    let mut added: Vec<Conjunction> = Vec::new();
     for c in &report.conjunctions {
         let mut shifted = *c;
         shifted.tca += tail_offset;
-        let list = pairs.entry(shifted.pair()).or_default();
-        match list
+        let pair = shifted.pair();
+        let survivors =
+            set.partition_point(|e| e.pair() < pair)..set.partition_point(|e| e.pair() <= pair);
+        let this_pair = added.len() - added.iter().rev().take_while(|a| a.pair() == pair).count();
+        match set[survivors]
             .iter_mut()
+            .chain(&mut added[this_pair..])
             .find(|e| (e.tca - shifted.tca).abs() <= merge_tol)
         {
             Some(existing) => {
@@ -459,17 +463,16 @@ pub fn advance_window_job(
                     *existing = shifted;
                 }
             }
-            None => {
-                list.push(shifted);
-                discovered += 1;
-            }
+            None => added.push(shifted),
         }
     }
     let outcome = AdvanceOutcome {
         retired,
-        discovered,
+        discovered: added.len(),
     };
-    Ok((pairs, outcome, LastScreen::from_report(&report)))
+    set.append(&mut added);
+    set.sort_by(by_pair_then_tca);
+    Ok((set, outcome, LastScreen::from_report(&report)))
 }
 
 #[cfg(test)]
@@ -745,6 +748,18 @@ mod tests {
         assert!(restore_with(Some(300)).is_ok());
         assert!(restore_with(None).is_err());
         assert!(restore_with(Some(299)).is_err());
+
+        // So is a set out of the engine's order, by pair then TCA.
+        let later = Conjunction {
+            tca: 61.0,
+            ..held[0]
+        };
+        let global = GlobalState {
+            screened_n: Some(300),
+            conjunctions: vec![later, held[0]],
+            ..global.clone()
+        };
+        assert!(DeltaEngine::restore(*engine.screener(), &global).is_err());
     }
 
     #[test]
@@ -753,7 +768,7 @@ mod tests {
         let config = ScreeningConfig::grid_defaults(5.0, 120.0);
         let mut engine = DeltaEngine::new(config).unwrap();
         engine.full_screen(&pop);
-        let warm = engine.warm_pairs();
+        let warm = engine.warm();
         let screener = *engine.screener();
 
         let mut updated = pop.clone();
@@ -763,10 +778,8 @@ mod tests {
         }
         let token = kessler_core::CancelToken::new();
         let Screened {
-            report: job_report,
-            pairs: job_pairs,
-            ..
-        } = screen_or_full(&screener, &updated, &changed, Some(&*warm), Some(&token)).unwrap();
+            report: job_report, ..
+        } = screen_or_full(&screener, &updated, &changed, Some(&warm), Some(&token)).unwrap();
         let sync_report = engine.delta_screen(&updated, &changed);
         assert_eq!(
             job_report.conjunction_count(),
@@ -781,7 +794,7 @@ mod tests {
             assert_eq!(a.tca.to_bits(), b.tca.to_bits());
             assert_eq!(a.pca_km.to_bits(), b.pca_km.to_bits());
         }
-        assert_eq!(sorted_conjunctions(&job_pairs), engine.conjunctions());
+        assert_eq!(job_report.conjunctions, engine.conjunctions());
     }
 
     #[test]
@@ -816,15 +829,15 @@ mod tests {
         let config = ScreeningConfig::grid_defaults(5.0, 60.0);
         let mut engine = DeltaEngine::new(config).unwrap();
         engine.full_screen(&pop);
-        let warm = engine.warm_pairs();
+        let warm = engine.warm();
         let before = engine.conjunctions();
 
         let token = kessler_core::CancelToken::new();
         token.cancel();
         let screener = *engine.screener();
         assert!(screen_or_full(&screener, &pop, &[], None, Some(&token)).is_err());
-        assert!(screen_or_full(&screener, &pop, &[0], Some(&*warm), Some(&token)).is_err());
-        assert!(advance_window_job(&screener, &pop, 10.0, (*warm).clone(), Some(&token)).is_err());
+        assert!(screen_or_full(&screener, &pop, &[0], Some(&warm), Some(&token)).is_err());
+        assert!(advance_window_job(&screener, &pop, 10.0, warm.to_vec(), Some(&token)).is_err());
         // The engine's maintained set is untouched by the aborted jobs.
         assert_eq!(engine.conjunctions(), before);
     }

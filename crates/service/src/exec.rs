@@ -10,9 +10,14 @@
 //! concurrent workers observationally equivalent to one serialized worker
 //! at matching epochs. Adopted
 //! commits are also the publication point for `SUBSCRIBE` push streams:
-//! the daemon layer diffs the warm pair set against its last published
+//! the daemon layer diffs the maintained set against its last published
 //! baseline right where a screen or advance lands, so subscribers see
 //! exactly the committed transitions, in commit order.
+//!
+//! The maintained set travels as one list sorted by pair then TCA — a
+//! screen report's own order — from the captured warm set through a
+//! finished screen (whose report *is* the set it commits) or advance to
+//! the commit and the push.
 //!
 //! Cancellation rides along as a [`CancelToken`] checked at phase
 //! boundaries inside the job functions; the [`CancelRegistry`] maps live
@@ -20,12 +25,12 @@
 //! connection can trip a job that another connection enqueued.
 
 use crate::catalog::{elements_at, CatalogSnapshot};
-use crate::delta::{advance_window_job, screen_or_full, AdvanceOutcome, PairMap, ScreenRun};
+use crate::delta::{advance_window_job, screen_or_full, AdvanceOutcome, ScreenRun};
 use crate::error::ServiceError;
 use crate::proto::{LastScreen, Request};
 use crate::sync::Mutex;
 use kessler_core::cancel::{CancelToken, Cancelled};
-use kessler_core::conjunction::ScreeningReport;
+use kessler_core::conjunction::{Conjunction, ScreeningReport};
 use kessler_core::CpuScreener;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -60,8 +65,9 @@ pub struct ScreenJob {
     pub snapshot: CatalogSnapshot,
     /// Dense indices changed since the last adopted screen, as captured.
     pub changed: Vec<u32>,
-    /// Warm maintained set at capture; `None` while the engine was cold.
-    pub warm: Option<Arc<PairMap>>,
+    /// Warm maintained set at capture, sorted by pair then TCA; `None`
+    /// while the engine was cold.
+    pub warm: Option<Arc<Vec<Conjunction>>>,
     /// The engine's screener (variant and validated config).
     pub screener: CpuScreener,
 }
@@ -73,13 +79,12 @@ impl ScreenJob {
     }
 }
 
-/// A completed full or delta screen: the report to answer with plus the
-/// merged pair map to adopt.
+/// A completed full or delta screen: the report to answer with, whose
+/// `conjunctions` (sorted by pair then TCA) is the set to adopt.
 pub struct Screened {
     /// Boxed to keep [`ScreenOutput`] small enough to pass by value
     /// through the worker channel.
     pub report: Box<ScreeningReport>,
-    pub pairs: PairMap,
     /// Which screen ran: [`ScreenRun::Delta`], or [`ScreenRun::Full`]
     /// for SCREEN and for a DELTA on a cold engine.
     pub ran: ScreenRun,
@@ -88,10 +93,11 @@ pub struct Screened {
 /// What a completed job hands back for commit.
 pub enum ScreenOutput {
     Screen(Screened),
-    /// A window advance: the slid pair map, retire/discover counts, the
-    /// tail screen's info, and which pre-screen was folded in.
+    /// A window advance: the slid set (sorted by pair then TCA),
+    /// retire/discover counts, the tail screen's info, and which
+    /// pre-screen was folded in.
     Advance {
-        pairs: PairMap,
+        conjunctions: Vec<Conjunction>,
         outcome: AdvanceOutcome,
         tail: LastScreen,
         dt: f64,
@@ -106,7 +112,8 @@ pub fn run_screen_job(
     cancel: Option<&CancelToken>,
 ) -> Result<ScreenOutput, Cancelled> {
     // A delta against the captured warm set, or a full screen without one.
-    let screen = |warm: Option<&PairMap>| {
+    let warm = job.warm.as_deref().map(Vec::as_slice);
+    let screen = |warm: Option<&[Conjunction]>| {
         screen_or_full(
             &job.screener,
             &job.snapshot.elements,
@@ -117,17 +124,17 @@ pub fn run_screen_job(
     };
     let dt = match job.kind {
         ScreenKind::Full => return Ok(ScreenOutput::Screen(screen(None)?)),
-        ScreenKind::Delta => return Ok(ScreenOutput::Screen(screen(job.warm.as_deref())?)),
+        ScreenKind::Delta => return Ok(ScreenOutput::Screen(screen(warm)?)),
         ScreenKind::Advance { dt } => dt,
     };
     // Bring the maintained set current at the captured epoch before
     // sliding: nothing to do when warm with no pending changes, otherwise
     // the screen a DELTA would run.
-    let (pairs, fold) = match &job.warm {
-        Some(warm) if job.changed.is_empty() => ((**warm).clone(), ScreenRun::None),
+    let (set, fold) = match warm {
+        Some(warm) if job.changed.is_empty() => (warm.to_vec(), ScreenRun::None),
         _ => {
-            let screened = screen(job.warm.as_deref())?;
-            (screened.pairs, screened.ran)
+            let Screened { report, ran } = screen(warm)?;
+            (report.conjunctions, ran)
         }
     };
 
@@ -137,9 +144,10 @@ pub fn run_screen_job(
         &snapshot.base_elements,
         snapshot.time + dt,
     );
-    let (pairs, outcome, tail) = advance_window_job(&job.screener, &advanced, dt, pairs, cancel)?;
+    let (conjunctions, outcome, tail) =
+        advance_window_job(&job.screener, &advanced, dt, set, cancel)?;
     Ok(ScreenOutput::Advance {
-        pairs,
+        conjunctions,
         outcome,
         tail,
         dt,
@@ -232,18 +240,13 @@ impl CancelRegistry {
             entry.token.cancel();
         }
     }
-
-    /// Number of queued or running jobs.
-    pub fn live_jobs(&self) -> usize {
-        self.inner.lock().live.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::delta::{sorted_conjunctions, DeltaEngine};
+    use crate::delta::DeltaEngine;
     use crate::proto::ElementsSpec;
     use crate::server::ServiceState;
     use kessler_core::ScreeningConfig;
@@ -269,7 +272,7 @@ mod tests {
             kind,
             snapshot: catalog.snapshot(),
             changed: Vec::new(),
-            warm: engine.is_warm().then(|| engine.warm_pairs()),
+            warm: engine.is_warm().then(|| engine.warm()),
             screener: *engine.screener(),
         }
     }
@@ -278,14 +281,13 @@ mod tests {
     fn full_job_matches_the_sync_engine() {
         let (catalog, mut engine, _) = warm_setup(120, 5);
         let job = capture(ScreenKind::Full, &catalog, &engine);
-        let ScreenOutput::Screen(Screened { report, pairs, .. }) =
-            run_screen_job(&job, None).unwrap()
+        let ScreenOutput::Screen(Screened { report, .. }) = run_screen_job(&job, None).unwrap()
         else {
             panic!("full job must yield a screen output");
         };
         let sync = engine.full_screen(catalog.elements());
         assert_eq!(report.conjunction_count(), sync.conjunction_count());
-        assert_eq!(sorted_conjunctions(&pairs), engine.conjunctions());
+        assert_eq!(report.conjunctions, engine.conjunctions());
     }
 
     #[test]
@@ -295,7 +297,7 @@ mod tests {
         let dt = 30.0;
         let job = capture(ScreenKind::Advance { dt }, &catalog, &engine);
         let ScreenOutput::Advance {
-            pairs,
+            conjunctions,
             outcome,
             fold,
             ..
@@ -328,7 +330,7 @@ mod tests {
                 discovered: sync.discovered,
             }
         );
-        assert_eq!(sorted_conjunctions(&pairs), state.engine().conjunctions());
+        assert_eq!(conjunctions, state.engine().conjunctions());
     }
 
     #[test]
@@ -354,13 +356,13 @@ mod tests {
     fn registry_registers_cancels_and_unregisters() {
         let registry = CancelRegistry::new();
         let (seq, token) = registry.register(Some("job-1")).unwrap();
-        assert_eq!(registry.live_jobs(), 1);
+        assert_eq!(registry.inner.lock().live.len(), 1);
         assert!(!token.is_cancelled());
         assert!(registry.cancel("job-1"));
         assert!(token.is_cancelled());
         assert!(!registry.cancel("no-such-job"));
         registry.unregister(seq);
-        assert_eq!(registry.live_jobs(), 0);
+        assert_eq!(registry.inner.lock().live.len(), 0);
         // The id is free again once the job is gone.
         registry.register(Some("job-1")).unwrap();
     }

@@ -10,7 +10,9 @@
 //! - [`catalog`] — epoch-versioned incremental store: stable external ids
 //!   mapped to the dense indices the screeners consume, `swap_remove`
 //!   removals, per-satellite generation counters.
-//! - [`delta`] — the [`DeltaEngine`]: maintains a warm conjunction set and,
+//! - [`delta`] — the [`DeltaEngine`]: maintains a warm conjunction set —
+//!   one list sorted by pair then TCA, a screen report's own order, which
+//!   is also how jobs, snapshots and the push stream carry it — and,
 //!   when k of n satellites change, re-screens only pairs involving changed
 //!   satellites via grid neighbourhood queries — provably equal to a cold
 //!   full re-screen, at a fraction of the cost when k ≪ n. Serves both the
@@ -24,7 +26,8 @@
 //!   the one options value every engine and state
 //!   constructor takes, and the ADVANCE job slides the screening horizon
 //!   forward, retiring expired conjunctions, carrying live ones, screening
-//!   only the freshly exposed tail.
+//!   only the freshly exposed tail. The window starts at the catalog's
+//!   time: ADVANCE moves that clock and nothing else.
 //!
 //!   Every screen — SCREEN, DELTA, ADVANCE tail — runs core's one step
 //!   loop, `kessler_core::Extraction::run`, on one grid per sampling
@@ -89,7 +92,7 @@ mod sync;
 pub mod wal;
 
 pub use catalog::{Catalog, CatalogError, CatalogSnapshot, Removal};
-pub use delta::{AdvanceOutcome, DeltaEngine, PairMap, DELTA_VARIANT, HYBRID_DELTA_VARIANT};
+pub use delta::{AdvanceOutcome, DeltaEngine, DELTA_VARIANT, HYBRID_DELTA_VARIANT};
 pub use error::{PersistError, ServiceError};
 pub use exec::{CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 pub use fault::FaultPlan;

@@ -290,13 +290,15 @@ pub struct GlobalState {
     pub epoch: u64,
     /// Dense indices changed since the last screen.
     pub changed: Vec<u32>,
-    /// Absolute start of the screening window, s.
+    /// Absolute start of the screening window, s: always the catalog
+    /// `time`, kept as a key so the manifest format stays as it was.
     pub window_start: f64,
     /// Population size of the engine's last adopted screen.
     pub screened_n: Option<usize>,
     pub full_screens: u64,
     pub delta_screens: u64,
-    /// The warm conjunction set (window-relative TCAs).
+    /// The warm conjunction set (window-relative TCAs), sorted by pair
+    /// then TCA.
     pub conjunctions: Vec<Conjunction>,
     /// Requests served when the snapshot was written, so a recovered
     /// daemon's STATUS does not restart the counter at the replayed tail.
@@ -526,11 +528,6 @@ impl Persister {
                 Err(err)
             }
         }
-    }
-
-    /// `true` while a failed append's bytes may still be on disk.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
     }
 
     /// Current WAL size in bytes (0 if unreadable); used when warning
@@ -1329,7 +1326,7 @@ mod tests {
         let err = persister.append(&add(1)).expect_err("injected EIO");
         assert!(err.to_string().contains("append wal record"), "{err}");
         assert_eq!(persister.last_seq(), 1, "seq must not advance on failure");
-        assert!(!persister.is_dirty());
+        assert!(!persister.dirty);
 
         // The retry gets the same sequence number the failure burned.
         persister.append(&add(1)).unwrap();

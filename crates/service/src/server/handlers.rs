@@ -317,7 +317,7 @@ pub(crate) fn worker_loop(shared: &Shared, jobs: &Mutex<Receiver<Job>>, worker: 
                             // set (subs and io sit before metrics in the
                             // lock order).
                             let msgs = shared.subs.publish(
-                                &publication.pairs,
+                                &publication.conjunctions,
                                 state.catalog().ids(),
                                 publication.epoch,
                                 publication.ephemeral,

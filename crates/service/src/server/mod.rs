@@ -29,7 +29,7 @@
 //!   order for worker-pool verbs, and bounded write buffers that shed
 //!   push events (and ultimately slow consumers) at a high-water mark.
 //!   `SUBSCRIBE` registers a per-connection asset filter; every adopted
-//!   screen commit diffs the maintained pair set and pushes
+//!   screen commit diffs the maintained set and pushes
 //!   `new`/`updated`/`retired` conjunction events to matching
 //!   subscribers (tagged `ephemeral` while degraded).
 //!
@@ -93,7 +93,7 @@ mod subs;
 pub use conn::{request, Backoff, Client, Retry};
 
 use crate::catalog::{Catalog, CatalogError, Removal};
-use crate::delta::{apply_removal_to_pairs, check_advance_dt, DeltaEngine, PairMap, ScreenRun};
+use crate::delta::{check_advance_dt, drop_removed, DeltaEngine, ScreenRun};
 use crate::error::{PersistError, ServiceError};
 use crate::exec::{run_screen_job, CancelRegistry, ScreenJob, ScreenKind, ScreenOutput, Screened};
 use crate::fault::FaultPlan;
@@ -107,7 +107,7 @@ use crate::proto::{
 use crate::sync::Mutex;
 use degraded::spawn_persist_probe;
 use handlers::{spawn_metrics_reporter, spawn_worker, IoHub, Job, Shared};
-use kessler_core::{CpuScreener, ScreeningConfig, Variant};
+use kessler_core::{Conjunction, CpuScreener, ScreeningConfig, Variant};
 use kessler_orbits::KeplerElements;
 use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener};
@@ -244,13 +244,12 @@ pub struct RecoverySummary {
 }
 
 /// The daemon's mutable heart: catalog + warm delta engine + change set.
+/// The screening window starts at the catalog's time.
 pub struct ServiceState {
     catalog: Catalog,
     engine: DeltaEngine,
     /// Dense indices changed since the last adopted screen.
     changed: BTreeSet<u32>,
-    /// Absolute start of the screening window (advanced by ADVANCE).
-    window_start: f64,
     /// Catalog epoch the currently adopted maintained set was captured at.
     /// A completed job below this is stale; one at or above it wins.
     warm_epoch: u64,
@@ -303,15 +302,15 @@ pub struct Committed {
     pub publication: Option<Publication>,
 }
 
-/// A pair set for the subscription push: the maintained set an adoption
-/// produced, or the pairs of a screen served `ephemeral` — computed, but
-/// not adopted because its record could not be logged — while the job's
-/// epoch is still current. Either way its dense indices match the catalog
-/// as it stands under the lock that committed it, so it is published
-/// under that same lock hold.
+/// A conjunction set for the subscription push, sorted by pair then TCA:
+/// the maintained set an adoption produced, or the conjunctions of a
+/// screen served `ephemeral` — computed, but not adopted because its
+/// record could not be logged — while the job's epoch is still current.
+/// Either way its dense indices match the catalog as it stands under the
+/// lock that committed it, so it is published under that same lock hold.
 pub struct Publication {
-    pub pairs: Arc<PairMap>,
-    /// Catalog epoch the pairs describe.
+    pub conjunctions: Arc<Vec<Conjunction>>,
+    /// Catalog epoch the conjunctions describe.
     pub epoch: u64,
     pub ephemeral: bool,
 }
@@ -333,7 +332,6 @@ impl ServiceState {
             catalog: Catalog::new(),
             engine: DeltaEngine::with_screener(screener),
             changed: BTreeSet::new(),
-            window_start: 0.0,
             warm_epoch: 0,
             removals: Vec::new(),
             requests: 0,
@@ -468,7 +466,8 @@ impl ServiceState {
             global: GlobalState {
                 epoch: self.catalog.epoch(),
                 changed: self.changed.iter().copied().collect(),
-                window_start: self.window_start,
+                // The window starts at the catalog time; the key stays.
+                window_start: self.catalog.time(),
                 screened_n: self.engine.screened_n(),
                 full_screens: self.engine.full_screens(),
                 delta_screens: self.engine.delta_screens(),
@@ -484,12 +483,19 @@ impl ServiceState {
     /// Rebuild the state a [`ServiceState::snapshot`] captured, serving
     /// with `screener`: the catalog from the rows, the engine from the
     /// global state (warm when the variants match, see
-    /// [`DeltaEngine::restore`]).
+    /// [`DeltaEngine::restore`]). A window start other than the catalog
+    /// time is refused: no build writes one, so the point is corrupt.
     pub fn restore(
         screener: CpuScreener,
         snapshot: &Snapshot,
     ) -> Result<ServiceState, ServiceError> {
         let global = &snapshot.global;
+        if global.window_start.to_bits() != global.time.to_bits() {
+            return Err(ServiceError::Recovery(format!(
+                "window start {} is not the catalog time {}",
+                global.window_start, global.time
+            )));
+        }
         let catalog = Catalog::restore(global.epoch, global.time, &snapshot.rows)?;
         let engine = DeltaEngine::restore(screener, global)?;
         Ok(ServiceState {
@@ -504,7 +510,6 @@ impl ServiceState {
             warm_epoch: catalog.epoch(),
             catalog,
             engine,
-            window_start: global.window_start,
             requests: global.requests_served,
             recovered: true,
             ..ServiceState::with_screener(screener)
@@ -551,7 +556,7 @@ impl ServiceState {
                 // time turns every mean anomaly into NaN, and a non-finite
                 // window encodes as a `null` nobody can read back.
                 let time = self.catalog.time() + dt;
-                let end = self.window_start + dt + self.engine.config().span_seconds;
+                let end = time + self.engine.config().span_seconds;
                 if !(time.is_finite() && end.is_finite()) {
                     return Err(ServiceError::InvalidRequest(format!(
                         "advance dt {dt} would carry catalog time or the window end past the \
@@ -695,7 +700,7 @@ impl ServiceState {
             kind,
             snapshot: self.catalog.snapshot(),
             changed: self.changed.iter().copied().collect(),
-            warm: self.engine.is_warm().then(|| self.engine.warm_pairs()),
+            warm: self.engine.is_warm().then(|| self.engine.warm()),
             screener: *self.engine.screener(),
         }
     }
@@ -755,11 +760,7 @@ impl ServiceState {
             publication: None,
         };
         let committed = match output {
-            ScreenOutput::Screen(Screened {
-                report,
-                mut pairs,
-                ran,
-            }) => {
+            ScreenOutput::Screen(Screened { mut report, ran }) => {
                 let mut summary = ScreenSummary::from_report(&report);
                 summary.epoch = epoch;
                 // The screen ran whatever the commit decides, so every
@@ -775,12 +776,13 @@ impl ServiceState {
                     summary.stale = true;
                     return answer(Response::with_screen(summary));
                 }
+                let mut conjunctions = std::mem::take(&mut report.conjunctions);
                 if self.log(&job.kind.request()).is_some() {
                     summary.ephemeral = true;
                     return Committed {
                         response: Response::with_screen(summary),
                         publication: (self.catalog.epoch() == epoch).then(|| Publication {
-                            pairs: Arc::new(pairs),
+                            conjunctions: Arc::new(conjunctions),
                             epoch,
                             ephemeral: true,
                         }),
@@ -788,11 +790,11 @@ impl ServiceState {
                 }
                 for &(removed_at, removal, new_len) in &self.removals {
                     if removed_at > epoch {
-                        apply_removal_to_pairs(&mut pairs, removal, new_len);
+                        drop_removed(&mut conjunctions, removal, new_len);
                     }
                 }
                 self.engine.adopt(
-                    pairs,
+                    conjunctions,
                     self.catalog.len(),
                     ran,
                     LastScreen::from_report(&report),
@@ -807,7 +809,7 @@ impl ServiceState {
                 self.adopted(Response::with_screen(summary), epoch)
             }
             ScreenOutput::Advance {
-                pairs,
+                conjunctions,
                 outcome,
                 tail,
                 dt,
@@ -833,11 +835,11 @@ impl ServiceState {
                 // Identical propagation to the job's: absolute, from the
                 // stored epoch-0 base elements.
                 self.catalog.advance_all(dt);
-                self.engine.adopt(pairs, self.catalog.len(), fold, tail);
+                self.engine
+                    .adopt(conjunctions, self.catalog.len(), fold, tail);
                 self.changed.clear();
                 self.warm_epoch = self.catalog.epoch();
                 self.removals.clear();
-                self.window_start += dt;
                 let response = Response::with_advance(AdvanceAck {
                     retired: outcome.retired,
                     discovered: outcome.discovered,
@@ -855,7 +857,7 @@ impl ServiceState {
         Committed {
             response,
             publication: Some(Publication {
-                pairs: self.engine.warm_pairs(),
+                conjunctions: self.engine.warm(),
                 epoch,
                 ephemeral: false,
             }),
@@ -872,10 +874,8 @@ impl ServiceState {
     }
 
     fn window(&self) -> (f64, f64) {
-        (
-            self.window_start,
-            self.window_start + self.engine.config().span_seconds,
-        )
+        let start = self.catalog.time();
+        (start, start + self.engine.config().span_seconds)
     }
 
     pub fn status(&self) -> StatusInfo {
@@ -992,7 +992,7 @@ impl Server {
             // Prime the published baseline from the recovered warm set so
             // a restarted daemon's first screen doesn't replay every
             // pre-existing pair to subscribers as `new`.
-            subs.prime(&state.engine.warm_pairs(), state.catalog.ids());
+            subs.prime(&state.engine.warm(), state.catalog.ids());
         }
         let shared = Arc::new(Shared {
             // The daemon's registry is the state's, shared.
@@ -1719,7 +1719,7 @@ mod tests {
         let publication = committed.publication.expect("an adoption publishes");
         assert!(!publication.ephemeral);
         assert_eq!(publication.epoch, job.epoch());
-        assert_eq!(*publication.pairs, *state.engine().warm_pairs());
+        assert_eq!(*publication.conjunctions, state.engine().conjunctions());
         let stale = state.commit(&old_job, old_output);
         assert!(stale.response.screen.unwrap().stale);
         assert!(stale.publication.is_none());
@@ -1892,6 +1892,128 @@ mod tests {
         let mut bad = snapshot.clone();
         bad.rows[1].id = bad.rows[0].id;
         assert!(ServiceState::restore(screener, &bad).is_err());
+    }
+
+    /// The maintained set's bits, for equality to the bit.
+    fn set_bits(state: &ServiceState) -> Vec<(u32, u32, u64, u64)> {
+        let engine = state.engine();
+        let set = engine.conjunctions();
+        set.iter()
+            .map(|c| (c.id_lo, c.id_hi, c.tca.to_bits(), c.pca_km.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn a_twin_restored_before_every_step_holds_the_same_set_to_the_bit() {
+        // Two Walker shells (550 km/53° and 540 km/53.2°, 72 planes × 22).
+        // At d = 10 km and span 120 s the grid reports the first shell's
+        // satellites 5 and 1479 at two TCAs 0.18 s apart, and satellite
+        // 1561 of each shell meets the other's at two TCAs 0.08 s apart
+        // under the grid and 0.63 s apart under the hybrid. A handful of
+        // those satellites is the whole catalog.
+        let shell = |altitude_km: f64, inclination_deg: f64| {
+            kessler_population::WalkerShell {
+                altitude_km,
+                inclination: inclination_deg.to_radians(),
+                total: 72 * 22,
+                planes: 72,
+                phasing: 1,
+            }
+            .generate()
+        };
+        let (a, b) = (shell(550.0, 53.0), shell(540.0, 53.2));
+        let catalog = [
+            a[5], a[1479], a[1561], a[16], a[1490], b[1561], b[5], b[1479],
+        ];
+        for (screener, seed) in [
+            (
+                GridScreener::new(ScreeningConfig::grid_defaults(10.0, 120.0)),
+                1,
+            ),
+            (
+                HybridScreener::new(ScreeningConfig::hybrid_defaults(10.0, 120.0)),
+                2,
+            ),
+        ] {
+            let variant = screener.variant();
+            let mut state = ServiceState::with_screener(screener);
+            for (id, el) in catalog.iter().enumerate() {
+                let elements = ElementsSpec::from_elements(el);
+                assert!(
+                    state
+                        .handle(&Request::Add {
+                            id: id as u64,
+                            elements
+                        })
+                        .ok
+                );
+            }
+            assert!(state.handle(&Request::Screen).ok);
+            let set = state.engine().conjunctions();
+            assert!(
+                set.windows(2)
+                    .any(|w| w[0].pair() == w[1].pair() && w[1].tca - w[0].tca <= 2.0),
+                "{variant:?}: no pair holds two TCAs within 2 s in {set:?}"
+            );
+
+            let s_ps = state.engine().config().seconds_per_sample;
+            let mut rng = SplitMix64(seed);
+            for step in 0..24 {
+                let mut twin = ServiceState::restore(screener, &state.snapshot(0)).unwrap();
+                let requests = if step % 2 == 0 {
+                    vec![Request::Advance {
+                        dt: s_ps * (0.05 + 1.95 * rng.unit()),
+                    }]
+                } else {
+                    let index = rng.below(catalog.len() as u64) as usize;
+                    let mut el = state.catalog().elements()[index];
+                    el.mean_anomaly += 1e-4 * (rng.unit() - 0.5);
+                    let elements = ElementsSpec::from_elements(&el);
+                    let id = state.catalog().ids()[index];
+                    vec![Request::Update { id, elements }, Request::Delta]
+                };
+                for request in &requests {
+                    assert!(state.handle(request).ok, "{variant:?} step {step}");
+                    assert!(twin.handle(request).ok, "{variant:?} step {step}");
+                }
+                assert_eq!(
+                    set_bits(&twin),
+                    set_bits(&state),
+                    "{variant:?} step {step}: {requests:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_window_start_off_the_catalog_clock() {
+        let config = ScreeningConfig::grid_defaults(5.0, 120.0);
+        let mut state = ServiceState::new(config).unwrap();
+        for i in 0..6u64 {
+            state.handle(&Request::Add {
+                id: i,
+                elements: spec(7_000.0 + i as f64 * 5.0, 0.4 + i as f64 * 0.2, i as f64),
+            });
+        }
+        assert!(state.handle(&Request::Advance { dt: 12.5 }).ok);
+        let snapshot = state.snapshot(0);
+        assert_eq!(
+            snapshot.global.window_start.to_bits(),
+            snapshot.global.time.to_bits()
+        );
+        let screener = *state.engine().screener();
+        let restored = ServiceState::restore(screener, &snapshot).unwrap();
+        assert_eq!(restored.status().window, state.status().window);
+
+        for window_start in [12.5 + 1e-12, 0.0, -12.5, f64::NAN] {
+            let mut bad = snapshot.clone();
+            bad.global.window_start = window_start;
+            let err = match ServiceState::restore(screener, &bad) {
+                Ok(_) => panic!("window start {window_start} was accepted"),
+                Err(err) => err,
+            };
+            assert!(matches!(err, ServiceError::Recovery(_)), "{err}");
+        }
     }
 
     #[test]

@@ -20,9 +20,9 @@
 use std::collections::{HashMap, HashSet};
 
 use super::handlers::IoMsg;
-use crate::delta::PairMap;
 use crate::proto::{EventKind, PushEvent, SubscriptionAck, PUSH_CONJUNCTION};
 use crate::sync::Mutex;
+use kessler_core::Conjunction;
 
 /// Closest-approach summary for one maintained pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,11 +44,25 @@ impl Filter {
             Filter::Assets(set) => set.contains(&lo) || set.contains(&hi),
         }
     }
+
+    /// The acknowledgement of subscription `sub_id` under this filter, with
+    /// `active` subscriptions left on its connection.
+    fn ack(&self, sub_id: String, active: usize) -> SubscriptionAck {
+        let (all, assets) = match self {
+            Filter::All => (true, 0),
+            Filter::Assets(set) => (false, set.len()),
+        };
+        SubscriptionAck {
+            sub_id,
+            all,
+            assets,
+            active,
+        }
+    }
 }
 
 struct Subscription {
     sub_id: String,
-    all: bool,
     filter: Filter,
 }
 
@@ -67,15 +81,14 @@ pub(crate) struct SubHub {
     inner: Mutex<HubInner>,
 }
 
-/// Translate a dense-index pair map into external-id pair summaries.
-/// Pairs whose indices fall outside `ids` (stale beyond repair) are
-/// skipped rather than published under a wrong identity.
-fn pair_summaries(pairs: &PairMap, ids: &[u64]) -> HashMap<(u64, u64), PairInfo> {
-    let mut out = HashMap::with_capacity(pairs.len());
-    for (&(lo, hi), conjunctions) in pairs {
-        if conjunctions.is_empty() {
-            continue;
-        }
+/// Translate a dense-index conjunction set, sorted by pair, into
+/// external-id pair summaries. Pairs whose indices fall outside `ids`
+/// (stale beyond repair) are skipped rather than published under a wrong
+/// identity.
+fn pair_summaries(conjunctions: &[Conjunction], ids: &[u64]) -> HashMap<(u64, u64), PairInfo> {
+    let mut out = HashMap::new();
+    for conjunctions in conjunctions.chunk_by(|a, b| a.pair() == b.pair()) {
+        let (lo, hi) = conjunctions[0].pair();
         let (Some(&a), Some(&b)) = (ids.get(lo as usize), ids.get(hi as usize)) else {
             continue;
         };
@@ -134,22 +147,9 @@ impl SubHub {
         } else {
             Filter::Assets(assets.iter().copied().collect())
         };
-        let tracked = match &filter {
-            Filter::All => 0,
-            Filter::Assets(set) => set.len(),
-        };
-        subs.push(Subscription {
-            sub_id: sub_id.clone(),
-            all,
-            filter,
-        });
-        let active = subs.len();
-        Ok(SubscriptionAck {
-            sub_id,
-            all,
-            assets: tracked,
-            active,
-        })
+        let ack = filter.ack(sub_id.clone(), subs.len() + 1);
+        subs.push(Subscription { sub_id, filter });
+        Ok(ack)
     }
 
     /// Drop one subscription by id, or every subscription on the
@@ -178,20 +178,11 @@ impl SubHub {
                     return Err(format!("no subscription \"{id}\" on this connection"));
                 };
                 let removed = subs.remove(pos);
-                let tracked = match &removed.filter {
-                    Filter::All => 0,
-                    Filter::Assets(set) => set.len(),
-                };
                 let active = subs.len();
                 if subs.is_empty() {
                     inner.subs.remove(&conn);
                 }
-                Ok(SubscriptionAck {
-                    sub_id: removed.sub_id,
-                    all: removed.all,
-                    assets: tracked,
-                    active,
-                })
+                Ok(removed.filter.ack(removed.sub_id, active))
             }
         }
     }
@@ -215,23 +206,24 @@ impl SubHub {
     /// Set the baseline without emitting events — used after recovery so
     /// a restarted daemon's first screen doesn't replay every
     /// pre-existing pair as `new`.
-    pub(crate) fn prime(&self, pairs: &PairMap, ids: &[u64]) {
-        self.inner.lock().published = pair_summaries(pairs, ids);
+    pub(crate) fn prime(&self, conjunctions: &[Conjunction], ids: &[u64]) {
+        self.inner.lock().published = pair_summaries(conjunctions, ids);
     }
 
-    /// Diff `pairs` against the published baseline, advance the baseline,
+    /// Diff `conjunctions` (sorted by pair) against the published
+    /// baseline, advance the baseline,
     /// and return one serialized push line per (matching subscription ×
     /// event). The baseline advances even with zero subscribers so a
     /// late subscriber only sees deltas from that point on — and so
     /// repeated degraded screens don't re-announce the same pairs.
     pub(crate) fn publish(
         &self,
-        pairs: &PairMap,
+        conjunctions: &[Conjunction],
         ids: &[u64],
         epoch: u64,
         ephemeral: bool,
     ) -> Vec<IoMsg> {
-        let fresh = pair_summaries(pairs, ids);
+        let fresh = pair_summaries(conjunctions, ids);
         let mut inner = self.inner.lock();
         let mut events: Vec<(EventKind, (u64, u64), PairInfo)> = Vec::new();
         if inner.subs.values().any(|subs| !subs.is_empty()) {
@@ -285,7 +277,6 @@ impl SubHub {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kessler_core::Conjunction;
 
     fn conj(lo: u32, hi: u32, tca: f64, pca_km: f64) -> Conjunction {
         Conjunction {
@@ -296,14 +287,12 @@ mod tests {
         }
     }
 
-    fn pairs(entries: &[(u32, u32, f64, f64)]) -> PairMap {
-        let mut map = PairMap::new();
-        for &(lo, hi, tca, pca) in entries {
-            map.entry((lo, hi))
-                .or_default()
-                .push(conj(lo, hi, tca, pca));
-        }
-        map
+    /// A conjunction set; `entries` are sorted by pair.
+    fn pairs(entries: &[(u32, u32, f64, f64)]) -> Vec<Conjunction> {
+        entries
+            .iter()
+            .map(|&(lo, hi, tca, pca)| conj(lo, hi, tca, pca))
+            .collect()
     }
 
     fn decode(msgs: &[IoMsg]) -> Vec<(u64, PushEvent)> {

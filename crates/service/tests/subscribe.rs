@@ -75,7 +75,7 @@ fn drive(addr: SocketAddr, requests: &[Request]) -> Vec<Response> {
 
 /// Group a complete conjunction list by pair, keeping the minimum-PCA
 /// representative and the per-pair count — the same summary `publish`
-/// computes from the maintained pair map. Valid only while dense indices
+/// computes from the maintained set. Valid only while dense indices
 /// equal external ids (ids added in order, removals from the end only).
 fn pair_infos(summary: &ScreenSummary) -> BTreeMap<(u64, u64), PairInfo> {
     assert_eq!(

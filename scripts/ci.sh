@@ -45,49 +45,59 @@ RUST_BACKTRACE=1 benchmark/run.sh
 
 echo "==> kessler submit subscribe --smoke (push registration over a live durable daemon)"
 KESSLER_STATE_DIR="$(mktemp -d)"
-./target/release/kessler serve --addr 127.0.0.1:7912 --n 32 --state-dir "$KESSLER_STATE_DIR" &
+# 200 satellites at d = 50 km, so the maintained set the restart must
+# recover is not empty (`kessler screen --n 200 --threshold 50` finds 12).
+./target/release/kessler serve --addr 127.0.0.1:7912 --n 200 --threshold 50 \
+    --state-dir "$KESSLER_STATE_DIR" &
 KESSLER_SERVE_PID=$!
 trap 'kill "$KESSLER_SERVE_PID" 2>/dev/null || true; rm -rf "$KESSLER_STATE_DIR"' EXIT
 RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 --retries 8 --req-id ci-ready
 RUST_BACKTRACE=1 ./target/release/kessler submit subscribe --all --smoke --addr 127.0.0.1:7912
-# A SCREEN, an UPDATE absorbed by a DELTA, and an ADVANCE: 32 ADDs are far
-# below the snapshot cadence, so every record stays in the WAL tail the
-# restart below replays.
+# A SCREEN, an UPDATE absorbed by a DELTA, and an ADVANCE: with the 200
+# ADDs that is still below the snapshot cadence of 256, so every record
+# stays in the WAL tail the restart below replays.
 RUST_BACKTRACE=1 ./target/release/kessler submit screen --addr 127.0.0.1:7912
 RUST_BACKTRACE=1 ./target/release/kessler submit update --id 17 --a 7012 --incl 0.9 --addr 127.0.0.1:7912
 RUST_BACKTRACE=1 ./target/release/kessler submit delta --addr 127.0.0.1:7912
 RUST_BACKTRACE=1 ./target/release/kessler submit advance --dt 30 --addr 127.0.0.1:7912
 # METRICS over the wire: every answer so far is on the books once, the
-# 32 preloaded ADDs included. Each requests row, spaces squeezed out, is
+# 200 preloaded ADDs included. Each requests row, spaces squeezed out, is
 # e.g. `SCREENok1errors0`.
 echo "==> kessler submit metrics counts every answer of the smoke, preload included"
 metrics="$(RUST_BACKTRACE=1 ./target/release/kessler submit metrics --addr 127.0.0.1:7912)"
 rows="$(tr -d ' ' <<<"$metrics")"
-for row in ADDok32errors0 SCREENok1errors0 UPDATEok1errors0 DELTAok1errors0 \
+for row in ADDok200errors0 SCREENok1errors0 UPDATEok1errors0 DELTAok1errors0 \
     ADVANCEok1errors0 SUBSCRIBEok1errors0 UNSUBSCRIBEok1errors0; do
     if ! grep -qx "$row" <<<"$rows"; then
         echo "METRICS requests table lacks the row $row: $metrics" >&2
         exit 1
     fi
 done
+# The maintained set the restart must recover, as STATUS counts it.
+live="$(RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 \
+    | tr -d ' \n' | grep -o '"live_conjunctions":[0-9]*,')"
+if [ -z "$live" ] || [ "$live" = '"live_conjunctions":0,' ]; then
+    echo "the daemon maintains no conjunctions before its restart ($live)" >&2
+    exit 1
+fi
 RUST_BACKTRACE=1 ./target/release/kessler submit shutdown --addr 127.0.0.1:7912
 wait "$KESSLER_SERVE_PID"
 
 # The same state directory, served again under another snapshot layout:
 # startup replays the WAL the flat daemon left, screen records included,
-# and must come back with its catalog, its adopted screen and delta and its
-# advanced window. It checkpoints every 4 mutations, for the incremental
-# check at the end.
-echo "==> kessler serve restarts on its state directory under --shards 4x2 and recovers the catalog, screens and window"
-./target/release/kessler serve --addr 127.0.0.1:7912 --n 32 --state-dir "$KESSLER_STATE_DIR" \
-    --shards 4x2 --snapshot-every 4 &
+# and must come back with its catalog, its adopted screen and delta, its
+# advanced window and its maintained set. It checkpoints every 4
+# mutations, for the incremental check at the end.
+echo "==> kessler serve restarts on its state directory under --shards 4x2 and recovers the catalog, screens, window and maintained set"
+./target/release/kessler serve --addr 127.0.0.1:7912 --n 200 --threshold 50 \
+    --state-dir "$KESSLER_STATE_DIR" --shards 4x2 --snapshot-every 4 &
 KESSLER_SERVE_PID=$!
 status="$(RUST_BACKTRACE=1 ./target/release/kessler submit status --addr 127.0.0.1:7912 --retries 8)"
 compact="$(tr -d ' \n' <<<"$status")"
-if ! grep -q '"recovered":true' <<<"$compact" || ! grep -q '"n_satellites":32,' <<<"$compact" \
+if ! grep -q '"recovered":true' <<<"$compact" || ! grep -q '"n_satellites":200,' <<<"$compact" \
     || ! grep -q '"full_screens":1,' <<<"$compact" || ! grep -q '"delta_screens":1' <<<"$compact" \
-    || ! grep -q '"window":\[30\.0,' <<<"$compact"; then
-    echo "restarted daemon did not recover its 32 satellites, 1 full screen, 1 delta screen and window at 30 s: $status" >&2
+    || ! grep -q '"window":\[30\.0,' <<<"$compact" || ! grep -qF "$live" <<<"$compact"; then
+    echo "restarted daemon did not recover its 200 satellites, 1 full screen, 1 delta screen, window at 30 s and $live: $status" >&2
     exit 1
 fi
 # The replayed SCREEN, DELTA and ADVANCE ran in this process, so its METRICS
